@@ -13,12 +13,27 @@ tunable through environment variables so CI can run a cheap pass:
 
 Output: every bench prints the regenerated figure/table through
 ``capsys.disabled()`` so the series appear on the terminal (and in
-``bench_output.txt``) even under pytest's capture.
+``bench_output.txt``) even under pytest's capture.  The perf benches
+also record their headline numbers in the tracked ``BENCH_*.json``
+files at the repo root, but only under ``REPRO_BENCH_WRITE=1`` (the CI
+bench-smoke step sets it): a plain tier-1 run leaves the tree clean.
+
+Wall-clock gates use :func:`time_interleaved`: interleaved repeats, a
+median, and the spread the same drift-cancelled ratio shows between
+runs of the *same* side, so a gate reads "worse than the noise floor"
+instead of a bare ratio.
 """
 
 from __future__ import annotations
 
+import gc
+import json
 import os
+import statistics
+import time
+from collections.abc import Callable
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -66,6 +81,74 @@ def bench_seed() -> int:
 def store_cells() -> int:
     """Store-backend bench cell count (env-tunable)."""
     return _env_int("REPRO_BENCH_STORE_CELLS", 10_000)
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def write_bench_json(name: str, payload: dict) -> str:
+    """Record ``payload`` as ``BENCH_<name>.json`` at the repo root if
+    ``REPRO_BENCH_WRITE=1``; returns the note to print either way."""
+    path = REPO_ROOT / f"BENCH_{name}.json"
+    if os.environ.get("REPRO_BENCH_WRITE") != "1":
+        return f"{path.name} not written (set REPRO_BENCH_WRITE=1)"
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return f"written to {path.name}"
+
+
+class InterleavedTiming(NamedTuple):
+    """``b c b c … b``: each candidate run sits between two baseline runs."""
+
+    baseline_s: list[float]
+    candidate_s: list[float]
+    #: Median over pairs of candidate ÷ mean of its two neighbouring
+    #: baselines (linear host drift cancels).
+    ratio: float
+    #: Quartile distance of the same ratio taken baseline against
+    #: baseline (each interior baseline ÷ mean of the baselines either
+    #: side of it): what ``ratio`` reads for identical code on this host
+    #: right now.  Drift cancels here too, so it does not loosen a gate.
+    noise: float
+
+
+def time_interleaved(
+    baseline: Callable[[], object],
+    candidate: Callable[[], object],
+    pairs: int = 5,
+    clock: Callable[[], float] = time.perf_counter,
+) -> InterleavedTiming:
+    """Time ``pairs`` (≥ 3) candidate runs interleaved with ``pairs + 1``
+    baseline runs; a gate compares ``ratio`` against its limit *plus*
+    ``noise``."""
+
+    def timed(fn: Callable[[], object]) -> float:
+        # Each run starts from a collected heap.  Otherwise the full
+        # collections that clean up after one side's runs can keep
+        # landing inside the other side's (an alternating schedule
+        # aliases with the allocation count that triggers them), which
+        # reads as a steady overhead of tens of per cent.
+        gc.collect()
+        started = clock()
+        fn()
+        return clock() - started
+
+    baseline_s = [timed(baseline)]
+    candidate_s = []
+    for _ in range(pairs):
+        candidate_s.append(timed(candidate))
+        baseline_s.append(timed(baseline))
+    around = [(a + b) / 2.0 for a, b in zip(baseline_s, baseline_s[1:])]
+    null_ratios = [
+        b / ((a + c) / 2.0)
+        for a, b, c in zip(baseline_s, baseline_s[1:], baseline_s[2:])
+    ]
+    q1, _, q3 = statistics.quantiles(null_ratios, n=4)
+    return InterleavedTiming(
+        baseline_s=baseline_s,
+        candidate_s=candidate_s,
+        ratio=statistics.median(c / m for c, m in zip(candidate_s, around)),
+        noise=q3 - q1,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -12,12 +12,13 @@ refactor claims:
   grid with byte-identical results.
 
 The measurements are written to ``BENCH_build_reuse.json`` at the repo
-root so CI and future PRs can track the build-reuse win over time.
+root (under ``REPRO_BENCH_WRITE=1``) so CI and future PRs can track the
+build-reuse win over time.
 """
 
-import json
 import time
-from pathlib import Path
+
+from conftest import write_bench_json
 
 from repro.experiments import (
     SweepRunner,
@@ -27,8 +28,6 @@ from repro.experiments import (
 )
 from repro.experiments import sweep as sweep_module
 from repro.overlay.blueprint import NetworkBlueprint, build_count
-
-OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_build_reuse.json"
 
 #: Query horizon per cell: short on purpose — the bench isolates
 #: construction cost, which per-cell scratch builds pay once per cell.
@@ -146,7 +145,7 @@ def test_perf_build_reuse(show):
             "speedup": speedup,
         },
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    written = write_bench_json("build_reuse", payload)
 
     show(
         "BENCH build_reuse (router substrate, paper-scale catalog)\n"
@@ -158,7 +157,7 @@ def test_perf_build_reuse(show):
         f"  sweep {len(PROTOCOLS) * len(SEEDS)} cells: "
         f"scratch {scratch_wall_s:.3f} s vs reuse {reuse_wall_s:.3f} s "
         f"-> {speedup:.2f}x\n"
-        f"  written to {OUTPUT_PATH.name}"
+        f"  {written}"
     )
 
     # Structural guarantees only — the headline >=1.5x figure lives in

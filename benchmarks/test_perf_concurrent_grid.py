@@ -3,28 +3,27 @@
 Measures the property the claim layer exists for: two independent
 runner *processes* pointed at one shared store partition a cold grid
 dynamically — zero duplicate executions — and finish faster than one
-runner doing every cell alone.  The same cold grid is run twice from
-scratch: once by a single runner, once by two concurrent runners; the
-wall-clock ratio is the headline number and the execution tallies are
-hard-asserted.
+runner doing every cell alone.  The same cold grid is run from scratch
+by a single runner and by two concurrent runners, in interleaved
+rounds; the median wall-clock ratio is the headline number, gated
+against the spread of the single-runner rounds, and the execution
+tallies of every round are hard-asserted.
 
 The measurements are written to ``BENCH_concurrent_grid.json`` at the
-repo root so CI and future PRs can track the concurrency win over
-time.
+repo root (under ``REPRO_BENCH_WRITE=1``) so CI and future PRs can
+track the concurrency win over time.
 """
 
 import json
 import multiprocessing
 import os
-import time
 from pathlib import Path
 
 import pytest
+from conftest import time_interleaved, write_bench_json
 
 from repro.experiments import GridRunner, GridSpec, small_config
 from repro.results import ResultStore
-
-OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_concurrent_grid.json"
 
 #: Enough queries per cell that execution dominates claim-file I/O
 #: (the claim protocol's overhead is a handful of stats per cell) and
@@ -34,6 +33,9 @@ QUERIES = 400
 PROTOCOLS = ("flooding", "dicas", "dicas-keys", "locaware")
 SCENARIOS = ("baseline", "flash-crowd:spike_probability=0.9")
 SEEDS = (1, 2)
+
+#: Two-runner rounds, each timed between two one-runner rounds.
+PAIRS = 5
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -65,44 +67,50 @@ def _runner_process(store_dir, runner_id, out_path):
 
 def test_perf_concurrent_grid(tmp_path, show):
     cells = _spec().num_cells
-
-    # Reference: one runner executes the whole cold grid.
-    started = time.perf_counter()
-    solo = GridRunner(
-        _spec(), store=ResultStore(tmp_path / "solo")
-    ).run()
-    solo_s = time.perf_counter() - started
-    assert solo.executed == cells
-
-    # Two runner processes share one cold store.
-    shared = tmp_path / "shared"
     context = multiprocessing.get_context("fork")
-    outs = [tmp_path / "runner-a.json", tmp_path / "runner-b.json"]
-    processes = [
-        context.Process(
-            target=_runner_process, args=(shared, f"runner-{tag}", out)
-        )
-        for tag, out in zip("ab", outs)
-    ]
-    started = time.perf_counter()
-    for process in processes:
-        process.start()
-    for process in processes:
-        process.join(timeout=600)
-    pair_s = time.perf_counter() - started
-    assert all(process.exitcode == 0 for process in processes)
+    solo_reports = []
+    pair_rounds = []
 
-    tallies = [json.loads(out.read_text()) for out in outs]
-    executed = [tally["executed"] for tally in tallies]
-    # The partition contract: every cell executed exactly once overall.
-    assert sum(executed) == cells, f"duplicate/missing executions: {tallies}"
-    store = ResultStore(shared)
-    assert len(store) == cells
-    # Both runners did real work — a 16/0 split would mean the claim
-    # loop degenerated to one runner pre-claiming the world.
-    assert min(executed) > 0, f"one runner starved: {tallies}"
+    def run_solo():
+        # Reference: one runner executes the whole cold grid.
+        store = ResultStore(tmp_path / f"solo-{len(solo_reports)}")
+        solo_reports.append(GridRunner(_spec(), store=store).run())
 
-    speedup = solo_s / pair_s if pair_s > 0 else float("inf")
+    def run_pair():
+        # Two runner processes share one cold store.
+        round_dir = tmp_path / f"pair-{len(pair_rounds)}"
+        round_dir.mkdir()
+        outs = [round_dir / "runner-a.json", round_dir / "runner-b.json"]
+        processes = [
+            context.Process(
+                target=_runner_process,
+                args=(round_dir / "shared", f"runner-{tag}", out),
+            )
+            for tag, out in zip("ab", outs)
+        ]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(timeout=600)
+        pair_rounds.append((round_dir / "shared", outs, processes))
+
+    timing = time_interleaved(run_solo, run_pair, pairs=PAIRS)
+
+    assert all(report.executed == cells for report in solo_reports)
+    executed_per_round = []
+    for shared, outs, processes in pair_rounds:
+        assert all(process.exitcode == 0 for process in processes)
+        tallies = [json.loads(out.read_text()) for out in outs]
+        executed = [tally["executed"] for tally in tallies]
+        # The partition contract: every cell executed exactly once overall.
+        assert sum(executed) == cells, f"duplicate/missing executions: {tallies}"
+        assert len(ResultStore(shared)) == cells
+        # Both runners did real work — a 16/0 split would mean the claim
+        # loop degenerated to one runner pre-claiming the world.
+        assert min(executed) > 0, f"one runner starved: {tallies}"
+        executed_per_round.append(executed)
+
+    speedup = 1.0 / timing.ratio
 
     payload = {
         "grid": {
@@ -112,32 +120,37 @@ def test_perf_concurrent_grid(tmp_path, show):
             "max_queries": QUERIES,
             "cells": cells,
         },
-        "one_runner": {"wall_s": solo_s, "executed": solo.executed},
+        "pairs": PAIRS,
+        "one_runner": {"wall_s": timing.baseline_s, "executed": cells},
         "two_runners": {
-            "wall_s": pair_s,
-            "executed": executed,
-            "cached": [tally["cached"] for tally in tallies],
+            "wall_s": timing.candidate_s,
+            "executed": executed_per_round,
         },
         "speedup": speedup,
+        "noise_floor": timing.noise,
         "cpus": os.cpu_count(),
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    written = write_bench_json("concurrent_grid", payload)
 
     show(
         "BENCH concurrent_grid (lease-claimed shared store)\n"
-        f"  grid: {cells} cells × {QUERIES} queries\n"
-        f"  1 runner  {solo_s:7.3f} s ({solo.executed} executed)\n"
-        f"  2 runners {pair_s:7.3f} s "
-        f"(split {executed[0]}+{executed[1]}, 0 duplicates)   "
-        f"-> {speedup:.2f}x\n"
-        f"  written to {OUTPUT_PATH.name}"
+        f"  grid: {cells} cells × {QUERIES} queries, "
+        f"{PAIRS} interleaved pairs\n"
+        f"  1 runner  {min(timing.baseline_s):7.3f} s best "
+        f"({cells} executed, spread {100 * timing.noise:.1f}%)\n"
+        f"  2 runners {min(timing.candidate_s):7.3f} s best "
+        f"(splits {executed_per_round}, 0 duplicates)   "
+        f"-> median {speedup:.2f}x\n"
+        f"  {written}"
     )
 
-    # On a multi-core box two runners must beat one; a tight bound
-    # would flake on loaded CI machines, so only the ordering is
-    # hard-asserted, and only where a second core actually exists.
+    # On a multi-core box two runners must beat one.  Only the ordering
+    # is asserted, only where a second core actually exists, and against
+    # the noise floor: two runners may not be slower than one by more
+    # than one-runner rounds differ among themselves.
     if (os.cpu_count() or 1) >= 2:
-        assert speedup > 1.0, (
+        assert timing.ratio < 1.0 + timing.noise, (
             f"two concurrent runners were not faster than one "
-            f"({speedup:.2f}x)"
+            f"(median {speedup:.2f}x, one-runner spread "
+            f"{100 * timing.noise:.1f}%)"
         )

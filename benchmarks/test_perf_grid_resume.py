@@ -7,17 +7,16 @@ loaded from the store); the warm pass must execute nothing and the
 wall-clock ratio is the headline number.
 
 The measurements are written to ``BENCH_grid_resume.json`` at the repo
-root so CI and future PRs can track the resume win over time.
+root (under ``REPRO_BENCH_WRITE=1``) so CI and future PRs can track the
+resume win over time.
 """
 
-import json
 import time
-from pathlib import Path
+
+from conftest import write_bench_json
 
 from repro.experiments import GridRunner, GridSpec, small_config
 from repro.results import ResultStore
-
-OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_grid_resume.json"
 
 #: Enough queries per cell that the cold pass does real simulation
 #: work; the warm pass only reads JSON whatever the horizon.
@@ -81,7 +80,7 @@ def test_perf_grid_resume(tmp_path, show):
         },
         "speedup": speedup,
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    written = write_bench_json("grid_resume", payload)
 
     show(
         "BENCH grid_resume (content-addressed result store)\n"
@@ -91,7 +90,7 @@ def test_perf_grid_resume(tmp_path, show):
         f"-> {speedup:.0f}x\n"
         f"  resume after deleting 1 cell: {resume_one_s:.3f} s "
         f"(1 executed)\n"
-        f"  written to {OUTPUT_PATH.name}"
+        f"  {written}"
     )
 
     # The warm pass does strictly less work (JSON reads vs simulation);

@@ -13,24 +13,21 @@ immutable world inside a worker.  Two properties are hard-asserted:
   faster than the per-task-rebuild pool on the same cold grid.
 
 The measurements are written to ``BENCH_parallel_grid.json`` at the
-repo root so CI and future PRs can track the shared-substrate win over
-time.
+repo root (under ``REPRO_BENCH_WRITE=1``) so CI and future PRs can track
+the shared-substrate win over time.
 """
 
-import json
 import multiprocessing
 import os
 import time
-from pathlib import Path
 
 import pytest
+from conftest import write_bench_json
 
 from repro.experiments import GridRunner, GridSpec, execute_cells, small_config
 from repro.experiments.grid import _BLUEPRINT_CACHE
 from repro.overlay.blueprint import build_count
 from repro.results import ResultStore
-
-OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_parallel_grid.json"
 
 #: Query horizon per cell: short on purpose — the bench isolates world
 #: construction, which the per-task path pays once per cell and the
@@ -131,7 +128,7 @@ def test_perf_parallel_grid(tmp_path, show):
         "speedup": speedup,
         "cpus": os.cpu_count(),
     }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    written = write_bench_json("parallel_grid", payload)
 
     show(
         "BENCH parallel_grid (claim-aware --workers, fork-shared blueprints)\n"
@@ -140,7 +137,7 @@ def test_perf_parallel_grid(tmp_path, show):
         f"  per-task rebuilds  {per_task_s:7.3f} s\n"
         f"  shared blueprints  {shared_s:7.3f} s "
         f"({parent_builds} parent builds)   -> {speedup:.2f}x\n"
-        f"  written to {OUTPUT_PATH.name}"
+        f"  {written}"
     )
 
     # On a multi-core box, building each world once in the parent must

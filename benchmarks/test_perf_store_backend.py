@@ -23,7 +23,7 @@ both of its measurements, while the cleanest round shows the
 mechanisms' true gap.  All per-round numbers land in the artifact.
 
 Headline numbers land in ``BENCH_store_backend.json`` at the repo root
-(uploaded as a CI artifact): cold-put, has-scan, and resume-scan
+(under ``REPRO_BENCH_WRITE=1``; uploaded as a CI artifact): cold-put, has-scan, and resume-scan
 throughput per backend, the sqlite/json speedups, and the on-disk
 footprint of each store.
 """
@@ -32,11 +32,10 @@ import hashlib
 import json
 import os
 import time
-from pathlib import Path
+
+from conftest import write_bench_json
 
 from repro.results import ResultStore
-
-OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_store_backend.json"
 
 #: Cells per ``store.batch()`` — the same order of magnitude as a grid
 #: runner's claimed batches, so the sqlite backend sees realistic
@@ -187,7 +186,7 @@ def test_perf_store_backend(tmp_path, show, store_bench_cells):
         "backends": results,
         "sqlite_speedup": speedups,
     }
-    OUTPUT_PATH.write_text(json.dumps(document, indent=2) + "\n")
+    written = write_bench_json("store_backend", document)
 
     lines = [f"store backend crossover at {store_bench_cells} cells:"]
     for backend in ("json", "sqlite"):
@@ -202,6 +201,7 @@ def test_perf_store_backend(tmp_path, show, store_bench_cells):
         f"  sqlite speedup: put {speedups['cold_put']:.1f}x  "
         f"has {speedups['has']:.1f}x  scan {speedups['resume_scan']:.1f}x"
     )
+    lines.append(f"  {written}")
     show("\n".join(lines))
 
     # The crossover claim.  Small-N smoke runs (CI sets

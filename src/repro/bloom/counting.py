@@ -132,6 +132,12 @@ class CountingBloomFilter:
         this lets tests verify we stay in that regime)."""
         return max(self._counters) if self._counters else 0
 
+    def bit_int(self) -> int:
+        """The exported bit vector as one int (bit ``p`` = position
+        ``p``), comparable with :meth:`BloomFilter.bit_int`: "has anything
+        changed since the last push?" is one int compare."""
+        return self._bitvec
+
     def to_bloom_filter(self) -> BloomFilter:
         """Export the plain bit-vector view (what neighbors receive).
 

@@ -109,13 +109,16 @@ class BloomRouter:
 
     def _push_updates(self, peer_id: int) -> None:
         peer = self._network.peer(peer_id)
+        # Most ticks end here, for the price of one int compare: the
+        # vector equals the exported snapshot, or there is no state at
+        # all (it dies with the session when a peer leaves).
+        state = peer.protocol_state.get(_STATE_KEY)
+        if state is None or state.cbf.bit_int() == state.exported.bit_int():
+            return
         if not peer.alive or not self._network.graph.contains(peer_id):
             return
-        state = self.state_of(peer)
         current = state.cbf.to_bloom_filter()
         delta = self._codec.encode(state.exported, current)
-        if delta.encoded_bits == 0 and not delta.is_full:
-            return  # nothing changed since the last push
         self._network.metrics.summary("bloom.update_bits").observe(
             float(delta.encoded_bits)
         )

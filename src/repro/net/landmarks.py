@@ -143,15 +143,25 @@ class LandmarkSet:
         """Copies of the landmark coordinates."""
         return list(self._positions)
 
+    @property
+    def model(self) -> LatencyModel:
+        """The latency model the RTT probes go through."""
+        return self._model
+
     def measure_rtts(self, peer_position: Point) -> list[float]:
         """A peer's RTT (ms) to each landmark, in landmark order."""
         return [self._model.rtt_ms(peer_position, lm) for lm in self._positions]
 
+    @staticmethod
+    def locid_from_rtts(rtts: Sequence[float]) -> int:
+        """The locId of a peer that measured ``rtts``, in landmark order."""
+        return permutation_to_locid(rtt_ordering(rtts))
+
     def locid_of(self, peer_position: Point) -> int:
         """The locId a peer at ``peer_position`` computes on arrival."""
-        return permutation_to_locid(rtt_ordering(self.measure_rtts(peer_position)))
+        return self.locid_from_rtts(self.measure_rtts(peer_position))
 
     def locid_with_rtts(self, peer_position: Point) -> tuple[int, list[float]]:
         """locId together with the raw RTT vector (for diagnostics)."""
         rtts = self.measure_rtts(peer_position)
-        return permutation_to_locid(rtt_ordering(rtts)), rtts
+        return self.locid_from_rtts(rtts), rtts

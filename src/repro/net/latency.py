@@ -271,15 +271,14 @@ class RouterLevelLatencyModel(LatencyModel):
     # -- queries ----------------------------------------------------------------
 
     def nearest_router(self, p: Point) -> int:
-        """Index of the router closest to position ``p``."""
-        best_idx = 0
-        best_d = math.inf
-        for idx, router in enumerate(self._routers):
-            d = p.distance_to(router)
-            if d < best_d:
-                best_d = d
-                best_idx = idx
-        return best_idx
+        """Index of the router closest to position ``p`` (the first one
+        on a tie)."""
+        px, py = p.x, p.y
+        hypot = math.hypot
+        # Same hypot(p - router) as Point.distance_to, so the distances
+        # (and the first-minimum tie-break) match a per-router loop.
+        distances = [hypot(px - r.x, py - r.y) for r in self._routers]
+        return distances.index(min(distances))
 
     def latency_ms(self, a: Point, b: Point) -> float:
         ra = self.nearest_router(a)

@@ -36,7 +36,9 @@ class Underlay:
     model:
         Latency model shared with the landmark set.
     landmarks:
-        The deployed landmark machines.
+        The deployed landmark machines.  They must probe through
+        ``model`` itself (``landmarks.model is model``): the locIds are
+        computed from the one placement bound for the peers.
     """
 
     def __init__(
@@ -47,14 +49,27 @@ class Underlay:
     ) -> None:
         if not positions:
             raise ValueError("an underlay needs at least one peer position")
+        if landmarks.model is not model:
+            raise ValueError("the landmark set must share the underlay's latency model")
         self._positions = list(positions)
         self._model = model
         self._landmarks = landmarks
-        self._locids: list[int] = [landmarks.locid_of(p) for p in self._positions]
         # Per-message hot path: a bound closure over precomputed state
         # (flat coordinates / router attachment + flat distance table)
         # instead of per-call scans.  Bit-identical to the scan path.
-        self._pair_latency = model.bind(self._positions)
+        # The landmarks are bound as extra points behind the peers, so
+        # the one placement serves the locId probes too and the router
+        # model attaches every peer and every landmark exactly once.
+        num_peers = len(self._positions)
+        pair_latency = model.bind(self._positions + landmarks.positions)
+        landmark_points = range(num_peers, num_peers + landmarks.count)
+        self._locids: list[int] = [
+            landmarks.locid_from_rtts(
+                [2.0 * pair_latency(p, lm) for lm in landmark_points]
+            )
+            for p in range(num_peers)
+        ]
+        self._pair_latency = pair_latency
 
     # -- construction helpers ---------------------------------------------
 

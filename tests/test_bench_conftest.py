@@ -67,3 +67,71 @@ class TestEnvParsing:
         monkeypatch.setenv("REPRO_BENCH_STORE_CELLS", "lots")
         with pytest.raises(pytest.UsageError, match="REPRO_BENCH_STORE_CELLS"):
             bench_conftest.store_cells()
+
+
+class TestBenchWriteGate:
+    def test_plain_run_writes_nothing(self, bench_conftest, monkeypatch, tmp_path):
+        monkeypatch.setattr(bench_conftest, "REPO_ROOT", tmp_path)
+        monkeypatch.delenv("REPRO_BENCH_WRITE", raising=False)
+        note = bench_conftest.write_bench_json("demo", {"x": 1})
+        assert list(tmp_path.iterdir()) == []
+        assert "REPRO_BENCH_WRITE=1" in note
+
+    def test_writes_under_the_env_guard(self, bench_conftest, monkeypatch, tmp_path):
+        monkeypatch.setattr(bench_conftest, "REPO_ROOT", tmp_path)
+        monkeypatch.setenv("REPRO_BENCH_WRITE", "1")
+        note = bench_conftest.write_bench_json("demo", {"x": 1})
+        assert (tmp_path / "BENCH_demo.json").read_text() == '{\n  "x": 1\n}\n'
+        assert note == "written to BENCH_demo.json"
+
+
+class TestTimeInterleaved:
+    @staticmethod
+    def scripted(bench_conftest, durations, pairs):
+        """Run ``time_interleaved`` on a fake clock that advances by the
+        next scripted duration whenever a side runs."""
+        now = [0.0]
+        script = iter(durations)
+        order = []
+
+        def side(tag):
+            def run():
+                order.append(tag)
+                now[0] += next(script)
+
+            return run
+
+        timing = bench_conftest.time_interleaved(
+            side("b"), side("c"), pairs=pairs, clock=lambda: now[0]
+        )
+        return timing, "".join(order)
+
+    def test_candidates_sit_between_baselines(self, bench_conftest):
+        timing, order = self.scripted(
+            bench_conftest, [1.0, 1.1, 1.0, 1.1, 1.0, 1.1, 1.0], pairs=3
+        )
+        assert order == "bcbcbcb"
+        assert timing.baseline_s == pytest.approx([1.0] * 4)
+        assert timing.candidate_s == pytest.approx([1.1] * 3)
+        assert timing.ratio == pytest.approx(1.1)
+        assert timing.noise == pytest.approx(0.0)
+
+    def test_linear_drift_cancels_in_ratio_and_noise(self, bench_conftest):
+        # The host slows by 0.1 s per run; the candidate costs the same.
+        # Drift must not read as overhead, nor loosen the gate as noise.
+        timing, _ = self.scripted(
+            bench_conftest, [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6], pairs=3
+        )
+        assert timing.ratio == pytest.approx(1.0)
+        assert timing.noise == pytest.approx(0.0)
+
+    def test_noise_is_the_baseline_vs_baseline_ratio_spread(self, bench_conftest):
+        # Baselines 1.0 1.2 1.0 1.2 1.0 1.2: each interior one reads
+        # 1.2/1.0 or 1.0/1.2 against its neighbours.
+        timing, _ = self.scripted(
+            bench_conftest,
+            [1.0, 1.1, 1.2, 1.1, 1.0, 1.1, 1.2, 1.1, 1.0, 1.1, 1.2],
+            pairs=5,
+        )
+        assert timing.ratio == pytest.approx(1.0)
+        assert timing.noise == pytest.approx(1.2 - 1.0 / 1.2)

@@ -1,6 +1,8 @@
 """Unit tests for the Bloom router (state, pushes, routing)."""
 
+import random
 
+from repro.bloom.delta import DeltaCodec
 from repro.core import BloomRouter
 from repro.overlay import P2PNetwork
 from repro.sim import SimulationConfig
@@ -152,3 +154,102 @@ class TestRouting:
         router = BloomRouter(network)
         peer = network.peer(0)
         assert router.neighbors_matching(peer, ["kw1"]) == []
+
+
+class TestChangeDrivenPush:
+    """The periodic tick stays, but only a changed vector is materialised,
+    encoded and shipped."""
+
+    PERIOD = 5.0
+
+    @staticmethod
+    def count_encodes(monkeypatch):
+        calls = []
+        encode = DeltaCodec.encode
+
+        def counting_encode(codec, old, new):
+            calls.append((old.bit_int(), new.bit_int()))
+            return encode(codec, old, new)
+
+        monkeypatch.setattr(DeltaCodec, "encode", counting_encode)
+        return calls
+
+    def started_router(self):
+        network = make_network(period=self.PERIOD)
+        router = BloomRouter(network)
+        for peer in network.peers:
+            router.init_peer(peer)
+        router.start()
+        return network, router
+
+    @staticmethod
+    def updates_sent(network):
+        return network.metrics.counter("messages.bloom_update").value
+
+    def test_idle_periods_encode_nothing(self, monkeypatch):
+        encodes = self.count_encodes(monkeypatch)
+        network, router = self.started_router()
+        network.sim.run(until=6 * self.PERIOD)
+        router.stop()
+        # Every peer ticked six times (the timers are still there) ...
+        assert network.sim.events_processed >= 6 * network.config.num_peers
+        # ... and none of the ticks encoded or sent anything.
+        assert encodes == []
+        assert self.updates_sent(network) == 0
+
+    def test_cache_then_evict_between_pushes_sends_nothing(self, monkeypatch):
+        encodes = self.count_encodes(monkeypatch)
+        network, router = self.started_router()
+        network.sim.run(until=self.PERIOD)
+        peer = network.peer(0)
+        router.filename_cached(peer, ["kw1", "kw2", "kw3"])
+        assert router.state_of(peer).cbf.bit_int() != 0
+        router.filename_evicted(peer, ["kw1", "kw2", "kw3"])
+        network.sim.run(until=3 * self.PERIOD)
+        router.stop()
+        assert encodes == []
+        assert self.updates_sent(network) == 0
+
+    def test_one_changed_filter_is_one_encode_and_degree_updates(self, monkeypatch):
+        encodes = self.count_encodes(monkeypatch)
+        network, router = self.started_router()
+        peer = network.peer(0)
+        router.filename_cached(peer, ["kw1", "kw2", "kw3"])
+        network.sim.run(until=4 * self.PERIOD)
+        router.stop()
+        assert encodes == [(0, router.state_of(peer).cbf.bit_int())]
+        assert self.updates_sent(network) == network.graph.degree(0)
+        assert router.state_of(peer).exported.contains_all(["kw1", "kw2", "kw3"])
+
+    def test_dead_peer_holds_its_delta_until_the_first_tick_after_rejoin(
+        self, monkeypatch
+    ):
+        encodes = self.count_encodes(monkeypatch)
+        network, router = self.started_router()
+        peer = network.peer(0)
+        router.filename_cached(peer, ["kw1", "kw2"])
+        peer.alive = False
+        network.sim.run(until=3 * self.PERIOD)
+        assert encodes == []
+        assert self.updates_sent(network) == 0
+        peer.alive = True
+        network.sim.run(until=4 * self.PERIOD)  # exactly one more tick
+        router.stop()
+        assert len(encodes) == 1
+        assert self.updates_sent(network) == network.graph.degree(0)
+
+    def test_removed_peer_holds_its_delta_until_it_is_linked_again(
+        self, monkeypatch
+    ):
+        encodes = self.count_encodes(monkeypatch)
+        network, router = self.started_router()
+        router.filename_cached(network.peer(0), ["kw1", "kw2"])
+        network.graph.remove_peer(0)
+        network.sim.run(until=3 * self.PERIOD)
+        assert encodes == []
+        assert self.updates_sent(network) == 0
+        network.graph.add_peer(0, 3, random.Random(1))
+        network.sim.run(until=4 * self.PERIOD)
+        router.stop()
+        assert len(encodes) == 1
+        assert self.updates_sent(network) == network.graph.degree(0) == 3

@@ -112,6 +112,7 @@ class TestLandmarkSet:
         p = Point(0.3, 0.8)
         locid, rtts = landmarks.locid_with_rtts(p)
         assert locid == landmarks.locid_of(p)
+        assert locid == LandmarkSet.locid_from_rtts(rtts)
         assert len(rtts) == 4
 
     def test_place_random_deterministic(self):

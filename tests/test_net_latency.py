@@ -128,6 +128,14 @@ class TestRouterLevelModel:
         )
         assert idx == best
 
+    def test_nearest_router_tie_goes_to_the_first(self):
+        # A point sitting on a router is at distance 0 from it; a copy of
+        # that router later in the list ties and must not win.
+        model = RouterLevelLatencyModel(random.Random(7), num_routers=8)
+        twin = model._routers[5]  # noqa: SLF001 - test introspection
+        model._routers.append(twin)  # noqa: SLF001
+        assert model.nearest_router(twin) == 5
+
     def test_connectivity_no_infinite_latency(self, model):
         rng = random.Random(13)
         for _ in range(100):

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from repro.net import EuclideanLatencyModel, Underlay
+from repro.net import (
+    EuclideanLatencyModel,
+    LandmarkSet,
+    Point,
+    RouterLevelLatencyModel,
+    Underlay,
+)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +44,14 @@ class TestBuild:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Underlay([], EuclideanLatencyModel(), None)  # type: ignore[arg-type]
+
+    def test_landmarks_on_another_model_rejected(self):
+        # The locIds come from the one placement bound on ``model``; a
+        # landmark set probing through a different model would be ignored.
+        model = EuclideanLatencyModel()
+        landmarks = LandmarkSet.place_spread(4, EuclideanLatencyModel())
+        with pytest.raises(ValueError, match="share"):
+            Underlay([Point(0.5, 0.5)], model, landmarks)
 
 
 class TestQueries:
@@ -86,3 +100,48 @@ class TestQueries:
         random_pairs = [(rng.randrange(200), rng.randrange(200)) for _ in range(500)]
         rand = sum(underlay.rtt_ms(a, b) for a, b in random_pairs) / len(random_pairs)
         assert same < rand
+
+
+class CountingRouterModel(RouterLevelLatencyModel):
+    """Counts the O(R) nearest-router scans."""
+
+    scans = 0
+
+    def nearest_router(self, p):
+        self.scans += 1
+        return super().nearest_router(p)
+
+
+def _models(seed):
+    return [
+        EuclideanLatencyModel(),
+        RouterLevelLatencyModel(random.Random(seed + 100)),
+    ]
+
+
+class TestAttachment:
+    def test_every_peer_and_landmark_is_attached_exactly_once(self):
+        model = CountingRouterModel(random.Random(3))
+        underlay = Underlay.build(150, random.Random(4), num_landmarks=4, model=model)
+        assert model.scans == 150 + 4
+        # Neither locIds nor bound latencies scan again.
+        for peer in range(150):
+            underlay.locid_of(peer)
+            underlay.latency_ms(peer, (peer + 1) % 150)
+        assert model.scans == 150 + 4
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_locids_and_latencies_equal_the_reference_paths(self, seed):
+        """The shared placement changes nothing: locIds are what the
+        landmark set computes from a position, latencies what the model
+        computes per call."""
+        for model in _models(seed):
+            underlay = Underlay.build(80, random.Random(seed), model=model)
+            for peer in range(80):
+                position = underlay.position_of(peer)
+                assert underlay.locid_of(peer) == underlay.landmarks.locid_of(position)
+            rng = random.Random(seed + 7)
+            for _ in range(400):
+                a, b = rng.randrange(80), rng.randrange(80)
+                assert underlay.latency_ms(a, b) == underlay.scan_latency_ms(a, b)
+                assert underlay.rtt_ms(a, b) == underlay.scan_rtt_ms(a, b)

@@ -27,16 +27,16 @@ Results land in ``BENCH_tracing.json`` at the repo root under
 ``REPRO_BENCH_WRITE=1``.
 """
 
-import heapq
-import math
 import os
+from heapq import heappush
+from math import inf, isfinite
 
 import pytest
 from conftest import time_interleaved, write_bench_json
 
 from repro.experiments import run_protocol, small_config
 from repro.overlay import NetworkBlueprint
-from repro.sim.engine import EventHandle, SchedulingError, Simulator
+from repro.sim.engine import SchedulingError, Simulator
 
 PROTOCOL = "locaware"
 
@@ -78,20 +78,56 @@ def _scale_config(num_peers, seed=11):
 
 
 def _untracked_schedule_at(self, time, callback, *args):
-    """``Simulator.schedule_at`` as it was before queue-peak tracking."""
-    if not math.isfinite(time):
+    """``Simulator.schedule_at`` minus its two queue-peak lines."""
+    if not self._now <= time < inf:
+        if isfinite(time):
+            raise SchedulingError(
+                f"cannot schedule into the past (time={time!r} < now={self._now!r})"
+            )
         raise SchedulingError(f"event time must be finite, got {time!r}")
-    if time < self._now:
-        raise SchedulingError(
-            f"cannot schedule into the past (time={time!r} < now={self._now!r})"
-        )
-    handle = EventHandle(time)
-    heapq.heappush(self._queue, (time, self._seq, handle, callback, args))
+    queue = self._queue
+    event = (time, self._seq, callback, args)
     self._seq += 1
-    return handle
+    heappush(queue, event)
+    return event
+
+
+def _drive_engine(sim):
+    """A small program over every way an event enters, waits in and
+    leaves the queue; returns what was queued and what fired."""
+    fired = []
+    sim.schedule(1.0, fired.append, "kept")
+    dropped = sim.schedule_at(2.0, fired.append, "cancelled")
+    sim.schedule(3.0, lambda: sim.schedule(0.5, fired.append, "nested"))
+    sim.cancel(dropped)
+    queued = [(type(event), event[:2], event[3]) for event in sorted(sim._queue)]
+    sim.run()
+    return queued, fired, sim.now, sim.events_processed, sim.pending_events
+
+
+def _check_twin_matches_live_engine():
+    """Fail loudly if the pasted twin and the live ``schedule_at`` have
+    drifted apart: the twin must queue exactly what the live method
+    queues, in entries the live ``run``/``cancel`` understand, and
+    differ in nothing but the peak it does not track.  Otherwise the
+    bench would time a broken baseline, not the cost of observability."""
+    live = Simulator()
+    expected = _drive_engine(live)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simulator, "schedule_at", _untracked_schedule_at)
+        twin = Simulator()
+        got = _drive_engine(twin)
+    assert got == expected, (
+        "benchmarks/test_perf_tracing.py:_untracked_schedule_at no longer "
+        "matches Simulator.schedule_at; rebuild it from the live method "
+        f"minus the queue-peak lines (twin {got!r}, live {expected!r})"
+    )
+    assert expected[1] == ["kept", "nested"]
+    assert (live.queue_peak, twin.queue_peak) == (3, 0)
 
 
 def test_perf_tracing_off_overhead(show):
+    _check_twin_matches_live_engine()
     config = _scale_config(NUM_PEERS)
     blueprint = NetworkBlueprint.build(config)
 

@@ -19,12 +19,13 @@ bandwidth is consumed regardless of whether the destination is up.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import cached_property
 
 from ..files.catalog import FileCatalog
 from ..net.underlay import Underlay
 from ..sim.config import SimulationConfig
 from ..sim.engine import Simulator
-from ..sim.metrics import MetricRegistry
+from ..sim.metrics import Counter, MetricRegistry
 from ..sim.rng import RandomStreams
 from ..sim.tracing import NullTracer, Tracer
 from .graph import OverlayGraph
@@ -70,6 +71,16 @@ class P2PNetwork:
         self._kind_counters = {
             "message": self.metrics.counter("messages.message"),
         }
+
+    # Resolved once as well, but on first use: created at zero they
+    # would add their keys to every run's metric snapshot and telemetry.
+    @cached_property
+    def _dropped_counter(self) -> Counter:
+        return self.metrics.counter("messages.dropped_dead_peer")
+
+    @cached_property
+    def _rtt_probe_counter(self) -> Counter:
+        return self.metrics.counter("messages.rtt_probe")
 
     # -- construction ----------------------------------------------------
 
@@ -127,22 +138,24 @@ class P2PNetwork:
             kind_counter = self._kind_counters[kind] = self.metrics.counter(
                 f"messages.{kind}"
             )
-        kind_counter.increment()
-        self._total_counter.increment()
+        kind_counter.value += 1
+        self._total_counter.value += 1
         if query_id is not None:
-            self._per_query_messages[query_id] = (
-                self._per_query_messages.get(query_id, 0) + 1
-            )
-        delay = self.underlay.latency_s(src, dst)
-        self.sim.schedule(delay, self._deliver, dst, handler, payload)
+            tallies = self._per_query_messages
+            tallies[query_id] = tallies.get(query_id, 0) + 1
+        sim = self.sim
+        sim.schedule_at(
+            sim.now + self.underlay.latency_s(src, dst),
+            self._deliver, dst, handler, payload,
+        )
 
     def _deliver(
         self, dst: int, handler: Callable[[int, object], None], payload: object
     ) -> None:
-        if not self._alive_flags[dst]:
-            self.metrics.counter("messages.dropped_dead_peer").increment()
-            return
-        handler(dst, payload)
+        if self._alive_flags[dst]:
+            handler(dst, payload)
+        else:
+            self._dropped_counter.increment()
 
     def query_message_count(self, query_id: int) -> int:
         """Messages attributed to ``query_id`` so far (§5.2 metric)."""
@@ -173,8 +186,8 @@ class P2PNetwork:
         """
         results: dict[int, float] = {}
         for dst in candidates:
-            self.metrics.counter("messages.rtt_probe").increment(2)
-            self.metrics.counter("messages.total").increment(2)
+            self._rtt_probe_counter.increment(2)
+            self._total_counter.increment(2)
             if query_id is not None:
                 self.charge_query_messages(query_id, 2)
             results[dst] = self.underlay.rtt_ms(src, dst)

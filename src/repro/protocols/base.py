@@ -28,11 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..overlay.messages import ProviderEntry, Query, QueryResponse
 from ..overlay.network import P2PNetwork
 from ..overlay.peer import Peer
-from ..sim.engine import EventHandle
+from ..sim.engine import Event
+from ..sim.metrics import Counter
 
 __all__ = ["QueryOutcome", "QueryContext", "SearchProtocol"]
 
@@ -67,7 +69,7 @@ class QueryContext:
     keywords: tuple[str, ...]
     issued_at: float
     responses: list[QueryResponse] = field(default_factory=list)
-    selection_handle: EventHandle | None = None
+    selection_event: Event | None = None
     satisfied: bool = False
     success: bool = False
     download_distance_ms: float = math.nan
@@ -101,6 +103,16 @@ class SearchProtocol:
         self.local_satisfactions = 0
         for peer in network.peers:
             self.init_peer(peer)
+
+    # Resolved once as well, but on first use: created at zero they
+    # would add their keys to every run's metric snapshot.
+    @cached_property
+    def _duplicate_copies(self) -> Counter:
+        return self.network.metrics.counter("queries.duplicate_copies")
+
+    @cached_property
+    def _hits(self) -> Counter:
+        return self.network.metrics.counter("queries.hits")
 
     # ------------------------------------------------------------------
     # hooks
@@ -251,11 +263,11 @@ class SearchProtocol:
 
     def _handle_query_message(self, dst: int, message: object) -> None:
         query = message  # type: Query
-        peer = self.network.peer(dst)
-        if not peer.mark_seen(query.query_id):
-            self.network.metrics.counter("queries.duplicate_copies").increment()
-            return
-        self._process_query_at(peer, query)
+        peer = self.network.peers[dst]
+        if peer.seen_queries.add(query.query_id):
+            self._process_query_at(peer, query)
+        else:
+            self._duplicate_copies.value += 1
 
     def _process_query_at(self, peer: Peer, query: Query) -> None:
         """Store check → index check → forward (§3.1 + §4.2)."""
@@ -288,7 +300,7 @@ class SearchProtocol:
 
         Shared by the remote store/index path and the origin's own
         index check, so hit-rate reports see both."""
-        self.network.metrics.counter("queries.hits").increment()
+        self._hits.increment()
 
     # -- responses -----------------------------------------------------------
 
@@ -349,8 +361,8 @@ class SearchProtocol:
                 self.network.sim.now, "response.delivered",
                 qid=response.query_id, responder=response.responder,
             )
-        if context.selection_handle is None:
-            context.selection_handle = self.network.sim.schedule(
+        if context.selection_event is None:
+            context.selection_event = self.network.sim.schedule(
                 self.config.response_window_s, self._run_selection, response.query_id
             )
 
@@ -370,7 +382,7 @@ class SearchProtocol:
         context = self._contexts.get(query_id)
         if context is None or context.satisfied:
             return
-        context.selection_handle = None
+        context.selection_event = None
         choice = self.select_provider(context)
         if choice is None:
             # Every advertised provider was stale; a later response may
@@ -414,13 +426,13 @@ class SearchProtocol:
         context = self._contexts.get(query_id)
         if context is None:
             return
-        if context.selection_handle is not None:
+        if context.selection_event is not None:
             # A selection window is still open: the last response
             # arrived inside the timeout but its window lands after it.
             # The providers are in hand — run the selection now instead
             # of discarding them and counting the query failed.
-            context.selection_handle.cancel()
-            context.selection_handle = None
+            self.network.sim.cancel(context.selection_event)
+            context.selection_event = None
             self._run_selection(query_id)
         del self._contexts[query_id]
         messages = self.network.forget_query_messages(query_id)

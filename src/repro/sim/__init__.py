@@ -2,7 +2,7 @@
 
 Public surface:
 
-- :class:`Simulator`, :class:`EventHandle`, :class:`PeriodicProcess` —
+- :class:`Simulator`, :data:`Event`, :class:`PeriodicProcess` —
   the event loop;
 - :class:`RandomStreams` — deterministic named randomness;
 - :class:`SimulationConfig` — every knob of the reproduction, defaults
@@ -14,7 +14,7 @@ Public surface:
 """
 
 from .config import SimulationConfig
-from .engine import EventHandle, PeriodicProcess, Simulator
+from .engine import Event, PeriodicProcess, Simulator
 from .errors import (
     CancelledEventError,
     ConfigurationError,
@@ -36,7 +36,7 @@ from .tracing import (
 
 __all__ = [
     "Simulator",
-    "EventHandle",
+    "Event",
     "PeriodicProcess",
     "RandomStreams",
     "derive_seed",

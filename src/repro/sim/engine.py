@@ -1,10 +1,13 @@
 """The discrete-event simulation engine.
 
 This is the reproduction's substitute for PeerSim's event-driven mode:
-a classic future-event-list simulator built on a binary heap.  Events
-are ``(time, sequence, callback, args)`` tuples; the sequence number
-breaks ties so that events scheduled earlier at the same timestamp run
-first, which makes runs fully deterministic for a fixed seed.
+a classic future-event-list simulator built on a binary heap.  An event
+is one plain ``(time, sequence, callback, args)`` tuple: the tuple is
+the heap entry, and it is what :meth:`Simulator.schedule` and
+:meth:`Simulator.schedule_at` — the only two ways onto the heap — hand
+back.  The sequence number breaks ties so that events scheduled earlier
+at the same timestamp run first, which makes runs fully deterministic
+for a fixed seed.
 
 Typical usage::
 
@@ -12,45 +15,30 @@ Typical usage::
     sim.schedule(0.5, lambda: print("hello at t=0.5"))
     sim.run(until=10.0)
 
-Handles returned by :meth:`Simulator.schedule` support O(1) lazy
-cancellation, and :class:`PeriodicProcess` provides the recurring
-timers used for e.g. Bloom-filter update propagation.
+Cancellation costs the events that are never cancelled nothing.
+:meth:`Simulator.cancel` takes the event back and notes its sequence
+number; the entry stays in the heap (still pending, still counted
+toward the queue peak) and is dropped, note and all, when it reaches
+the front.  Cancelling an event that has left the heap — it fired, or
+was cancelled before and dropped — is a no-op and leaves nothing behind.
+:class:`PeriodicProcess` provides the recurring timers used for e.g.
+Bloom-filter update propagation.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from collections.abc import Callable
+from heapq import heappop, heappush
+from math import inf, isfinite
 from typing import Any
 
 from .errors import EventLoopError, SchedulingError
 
-__all__ = ["EventHandle", "Simulator", "PeriodicProcess"]
+__all__ = ["Event", "Simulator", "PeriodicProcess"]
 
-
-class EventHandle:
-    """A cancellable reference to a scheduled event.
-
-    Cancellation is *lazy*: the event stays in the heap but is skipped
-    when popped.  This keeps both ``schedule`` and ``cancel`` O(log n)
-    and O(1) respectively.
-    """
-
-    __slots__ = ("time", "_cancelled")
-
-    def __init__(self, time: float) -> None:
-        self.time = time
-        self._cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        self._cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._cancelled
+#: A scheduled event, exactly as it sits in the heap.  Opaque to
+#: callers: keep it only to pass it to :meth:`Simulator.cancel`.
+Event = tuple[float, int, Callable[..., None], tuple]
 
 
 class Simulator:
@@ -68,7 +56,11 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[tuple[float, int, EventHandle, Callable[..., None], tuple]] = []
+        self._queue: list[Event] = []
+        # Sequence numbers of cancelled events still in the queue, and
+        # the latest timestamp among those already dropped from it.
+        self._cancelled: set[int] = set()
+        self._dropped_until = -inf
         self._seq = 0
         self._now = 0.0
         self._running = False
@@ -99,33 +91,58 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
 
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
-        Returns an :class:`EventHandle` that can cancel the event.
-        Raises :class:`~repro.sim.errors.SchedulingError` for negative
-        or non-finite delays.
+        Returns the event, which :meth:`cancel` accepts.  Raises
+        :class:`~repro.sim.errors.SchedulingError` for negative or
+        non-finite delays.
         """
-        if not math.isfinite(delay):
+        # False for NaN, +-inf and negative delays alike; which of them
+        # it was matters only to the message.
+        if not 0 <= delay < inf:
+            if isfinite(delay):
+                raise SchedulingError(f"cannot schedule into the past (delay={delay!r})")
             raise SchedulingError(f"delay must be finite, got {delay!r}")
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule into the past (delay={delay!r})")
         return self.schedule_at(self._now + delay, callback, *args)
 
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        if not math.isfinite(time):
+        if not self._now <= time < inf:
+            if isfinite(time):
+                raise SchedulingError(
+                    f"cannot schedule into the past (time={time!r} < now={self._now!r})"
+                )
             raise SchedulingError(f"event time must be finite, got {time!r}")
-        if time < self._now:
-            raise SchedulingError(
-                f"cannot schedule into the past (time={time!r} < now={self._now!r})"
-            )
-        handle = EventHandle(time)
-        heapq.heappush(self._queue, (time, self._seq, handle, callback, args))
+        queue = self._queue
+        event = (time, self._seq, callback, args)
         self._seq += 1
-        if len(self._queue) > self._queue_peak:
-            self._queue_peak = len(self._queue)
-        return handle
+        heappush(queue, event)
+        if len(queue) > self._queue_peak:
+            self._queue_peak = len(queue)
+        return event
+
+    def cancel(self, event: Event) -> None:
+        """Prevent ``event`` from firing.
+
+        Idempotent, and a no-op for an event that already fired.
+        """
+        queue = self._queue
+        # Whatever left the queue was its minimum then, so it sorts
+        # before everything in it now -- unless it was dropped ahead of
+        # the clock and something earlier was scheduled since, the one
+        # case that takes a search.
+        if not queue or event[:2] < queue[0][:2]:
+            return
+        if event[0] <= self._dropped_until and not any(e is event for e in queue):
+            return
+        self._cancelled.add(event[1])
+
+    def _drop_front(self) -> None:
+        """Pop the cancelled event at the front of the queue and forget it."""
+        time, seq, _callback, _args = heappop(self._queue)
+        self._cancelled.remove(seq)
+        self._dropped_until = max(self._dropped_until, time)
 
     # -- running ---------------------------------------------------------------
 
@@ -140,7 +157,7 @@ class Simulator:
             queue exhaustion.
         max_events:
             Safety valve: stop after this many events even if more are
-            pending.
+            pending.  ``0`` runs nothing.
 
         Returns
         -------
@@ -151,25 +168,27 @@ class Simulator:
             raise EventLoopError("Simulator.run() is not re-entrant")
         if until is not None and until < self._now:
             raise EventLoopError(f"until={until!r} is before now={self._now!r}")
-        self._running = True
+        if max_events is not None and max_events < 0:
+            raise EventLoopError(f"max_events must be non-negative, got {max_events!r}")
+        queue = self._queue
+        cancelled = self._cancelled
+        horizon = inf if until is None else until
+        budget = -1 if max_events is None else max_events
         executed = 0
+        self._running = True
         try:
-            while self._queue:
-                time, _seq, handle, callback, args = self._queue[0]
-                if until is not None and time > until:
-                    break
-                heapq.heappop(self._queue)
-                if handle.cancelled:
+            while queue and executed != budget and queue[0][0] <= horizon:
+                if cancelled and queue[0][1] in cancelled:
+                    self._drop_front()
                     continue
+                time, _seq, callback, args = heappop(queue)
                 self._now = time
                 callback(*args)
                 executed += 1
                 self._events_processed += 1
-                if max_events is not None and executed >= max_events:
-                    break
         finally:
             self._running = False
-        if until is not None and (not self._queue or self._queue[0][0] > until):
+        if until is not None and (not queue or queue[0][0] > until):
             self._now = max(self._now, until)
         return executed
 
@@ -179,23 +198,14 @@ class Simulator:
         Returns ``True`` if an event ran, ``False`` if the queue held
         only cancelled events or was empty.
         """
-        while self._queue:
-            time, _seq, handle, callback, args = heapq.heappop(self._queue)
-            if handle.cancelled:
-                continue
-            self._now = time
-            callback(*args)
-            self._events_processed += 1
-            return True
-        return False
+        return self.run(max_events=1) == 1
 
     def peek_time(self) -> float | None:
         """Timestamp of the next live event, or ``None`` if none pending."""
-        while self._queue and self._queue[0][2].cancelled:
-            heapq.heappop(self._queue)
-        if not self._queue:
-            return None
-        return self._queue[0][0]
+        queue = self._queue
+        while queue and queue[0][1] in self._cancelled:
+            self._drop_front()
+        return queue[0][0] if queue else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -222,7 +232,7 @@ class PeriodicProcess:
         callback: Callable[[], None],
         initial_delay: float | None = None,
     ) -> None:
-        if period <= 0 or not math.isfinite(period):
+        if period <= 0 or not isfinite(period):
             raise SchedulingError(f"period must be positive and finite, got {period!r}")
         self._sim = sim
         self._period = period
@@ -230,7 +240,7 @@ class PeriodicProcess:
         self._stopped = False
         self._ticks = 0
         delay = period if initial_delay is None else initial_delay
-        self._handle = sim.schedule(delay, self._tick)
+        self._event = sim.schedule(delay, self._tick)
 
     @property
     def ticks(self) -> int:
@@ -248,9 +258,9 @@ class PeriodicProcess:
         self._ticks += 1
         self._callback()
         if not self._stopped:
-            self._handle = self._sim.schedule(self._period, self._tick)
+            self._event = self._sim.schedule(self._period, self._tick)
 
     def stop(self) -> None:
         """Stop the process; the pending tick (if any) is cancelled."""
         self._stopped = True
-        self._handle.cancel()
+        self._sim.cancel(self._event)

@@ -17,27 +17,27 @@ __all__ = ["Counter", "Summary", "BucketedSeries", "MetricRegistry"]
 
 
 class Counter:
-    """A monotonically increasing named counter."""
+    """A monotonically increasing named counter.
 
-    __slots__ = ("name", "_value")
+    ``value`` (the current count) is a plain attribute, so per-message
+    code can count in place (``counter.value += 1``) instead of paying
+    a method call; :meth:`increment` is the checked form.
+    """
+
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._value = 0
+        self.value = 0
 
     def increment(self, amount: int = 1) -> None:
         """Add ``amount`` (must be non-negative) to the counter."""
         if amount < 0:
             raise ValueError(f"Counter {self.name!r} cannot decrease (amount={amount})")
-        self._value += amount
-
-    @property
-    def value(self) -> int:
-        """Current count."""
-        return self._value
+        self.value += amount
 
     def __repr__(self) -> str:
-        return f"Counter({self.name!r}, value={self._value})"
+        return f"Counter({self.name!r}, value={self.value})"
 
 
 class Summary:

@@ -90,37 +90,120 @@ class TestScheduling:
             sim.schedule_at(1.0, lambda: None)
 
 
+def assert_no_cancellation_residue(sim):
+    """A drained queue leaves nothing for later events to pay for."""
+    assert sim.pending_events == 0
+    assert sim._cancelled == set()
+
+
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         seen = []
-        handle = sim.schedule(1.0, lambda: seen.append("fired"))
-        handle.cancel()
+        event = sim.schedule(1.0, lambda: seen.append("fired"))
+        sim.cancel(event)
         sim.run()
         assert seen == []
 
     def test_cancel_is_idempotent(self):
         sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert handle.cancelled
+        seen = []
+        event = sim.schedule(1.0, lambda: seen.append("fired"))
+        sim.cancel(event)
+        sim.cancel(event)
+        # Still one pending entry, still cancelled.
+        assert sim.pending_events == 1
+        assert sim.run() == 0
+        assert seen == []
+        assert_no_cancellation_residue(sim)
 
     def test_cancel_one_of_many(self):
         sim = Simulator()
         seen = []
         sim.schedule(1.0, lambda: seen.append("a"))
-        handle = sim.schedule(2.0, lambda: seen.append("b"))
+        event = sim.schedule(2.0, lambda: seen.append("b"))
         sim.schedule(3.0, lambda: seen.append("c"))
-        handle.cancel()
+        sim.cancel(event)
         sim.run()
         assert seen == ["a", "c"]
 
     def test_cancelled_events_do_not_count_as_executed(self):
         sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        handle.cancel()
+        event = sim.schedule(1.0, lambda: None)
+        sim.cancel(event)
         assert sim.run() == 0
+
+    def test_cancel_after_the_event_fired_is_a_no_op(self):
+        sim = Simulator()
+        seen = []
+        event = sim.schedule(1.0, seen.append, "a")
+        sim.schedule(2.0, seen.append, "b")
+        sim.run(until=1.5)
+        sim.cancel(event)
+        assert sim._cancelled == set()
+        sim.run()
+        assert seen == ["a", "b"]
+        sim.cancel(event)
+        assert_no_cancellation_residue(sim)
+
+    def test_cancel_again_after_the_cancelled_event_was_dropped(self):
+        sim = Simulator()
+        event = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.cancel(event)
+        assert sim.run(until=1.5) == 0
+        sim.cancel(event)
+        assert sim._cancelled == set()
+        assert sim.run() == 1
+        assert_no_cancellation_residue(sim)
+
+    def test_cancel_again_after_a_drop_ahead_of_the_clock(self):
+        # peek_time drops a cancelled event without moving the clock, so
+        # something can still be scheduled before it: the one case where
+        # an event that left the queue does not sort before its front.
+        sim = Simulator()
+        seen = []
+        event = sim.schedule(10.0, seen.append, "cancelled")
+        sim.cancel(event)
+        assert sim.peek_time() is None
+        sim.schedule(5.0, seen.append, "earlier")
+        later = sim.schedule(10.0, seen.append, "same time, still pending")
+        sim.cancel(event)
+        assert sim._cancelled == set()
+        sim.cancel(later)
+        assert sim._cancelled == {later[1]}
+        sim.run()
+        assert seen == ["earlier"]
+        assert_no_cancellation_residue(sim)
+
+    def test_cancel_from_a_callback_at_the_same_timestamp(self):
+        sim = Simulator()
+        seen = []
+        events = {}
+
+        def first():
+            seen.append("first")
+            sim.cancel(events["first"])  # itself: already fired
+            sim.cancel(events["second"])  # same timestamp, still pending
+
+        events["first"] = sim.schedule(1.0, first)
+        events["second"] = sim.schedule(1.0, seen.append, "second")
+        events["third"] = sim.schedule(1.0, seen.append, "third")
+        assert sim.run() == 2
+        assert seen == ["first", "third"]
+        assert sim.events_processed == 2
+        assert_no_cancellation_residue(sim)
+
+    def test_cancelled_events_cost_later_events_nothing(self):
+        sim = Simulator()
+        for t in (1.0, 2.0, 3.0):
+            sim.cancel(sim.schedule(t, lambda: None))
+        sim.schedule(4.0, lambda: None)
+        assert sim.run(until=3.5) == 0
+        # Every cancelled entry has been dropped, and its note with it,
+        # although the queue has not drained.
+        assert sim.pending_events == 1
+        assert sim._cancelled == set()
 
 
 class TestRun:
@@ -196,9 +279,9 @@ class TestRun:
 
     def test_peek_time_skips_cancelled(self):
         sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
+        event = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        handle.cancel()
+        sim.cancel(event)
         assert sim.peek_time() == 2.0
 
     def test_peek_time_empty(self):
@@ -253,6 +336,22 @@ class TestPeriodicProcess:
         proc_box.append(PeriodicProcess(sim, 1.0, tick))
         sim.run(until=10.0)
         assert proc_box[0].ticks == 1
+        # The tick being stopped had already fired: nothing to cancel,
+        # nothing re-armed.
+        assert sim.events_processed == 1
+        assert_no_cancellation_residue(sim)
+
+    def test_stop_twice_and_after_the_pending_tick_was_dropped(self):
+        sim = Simulator()
+        proc = PeriodicProcess(sim, 1.0, lambda: None)
+        sim.run(until=2.5)
+        proc.stop()
+        proc.stop()
+        assert sim.pending_events == 1
+        assert sim.run(until=10.0) == 0
+        proc.stop()
+        assert proc.ticks == 2
+        assert_no_cancellation_residue(sim)
 
     def test_nonpositive_period_rejected(self):
         with pytest.raises(SchedulingError):
@@ -304,12 +403,42 @@ class TestRunEdgeCases:
     def test_max_events_zero_like_budget_counts_live_events_only(self):
         sim = Simulator()
         seen = []
-        sim.schedule(1.0, lambda: None).cancel()
+        sim.cancel(sim.schedule(1.0, lambda: None))
         sim.schedule(2.0, seen.append, 2.0)
         sim.schedule(3.0, seen.append, 3.0)
         # The cancelled event must not consume the budget.
         assert sim.run(max_events=1) == 1
         assert seen == [2.0]
+
+    def test_max_events_zero_runs_nothing(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, seen.append, 1.0)
+        assert sim.run(max_events=0) == 0
+        assert seen == []
+        assert sim.pending_events == 1
+        assert sim.now == 0.0
+        assert sim.events_processed == 0
+        # Clock handling as for any budget stop: an event is still
+        # inside the window, so the clock stays; once nothing is, it
+        # moves to `until`.
+        assert sim.run(until=2.0, max_events=0) == 0
+        assert sim.now == 0.0
+        assert sim.run(until=0.5, max_events=0) == 0
+        assert sim.now == 0.5
+        assert sim.run() == 1
+        assert seen == [1.0]
+
+    def test_negative_max_events_rejected(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, seen.append, 1.0)
+        with pytest.raises(EventLoopError):
+            sim.run(max_events=-1)
+        assert seen == []
+        assert sim.pending_events == 1
+        # The refused call did not leave the loop marked as running.
+        assert sim.run() == 1
 
     def test_max_events_with_until_advances_clock_when_drained(self):
         sim = Simulator()
@@ -319,9 +448,9 @@ class TestRunEdgeCases:
 
     def test_peek_time_after_mass_cancellation(self):
         sim = Simulator()
-        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(100)]
-        for handle in handles:
-            handle.cancel()
+        events = [sim.schedule(float(i + 1), lambda: None) for i in range(100)]
+        for event in events:
+            sim.cancel(event)
         assert sim.peek_time() is None
         # peek purges the dead prefix eagerly.
         assert sim.pending_events == 0
@@ -329,11 +458,11 @@ class TestRunEdgeCases:
 
     def test_peek_time_after_mass_cancellation_with_survivor(self):
         sim = Simulator()
-        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(50)]
+        events = [sim.schedule(float(i + 1), lambda: None) for i in range(50)]
         survivor_time = 99.0
         sim.schedule(survivor_time, lambda: None)
-        for handle in handles:
-            handle.cancel()
+        for event in events:
+            sim.cancel(event)
         assert sim.peek_time() == survivor_time
         assert sim.pending_events == 1
 
@@ -359,7 +488,7 @@ class TestQueuePeak:
 
     def test_cancelled_events_still_count(self):
         sim = Simulator()
-        handles = [sim.schedule(float(t + 1), lambda: None) for t in range(4)]
-        for handle in handles:
-            handle.cancel()
+        events = [sim.schedule(float(t + 1), lambda: None) for t in range(4)]
+        for event in events:
+            sim.cancel(event)
         assert sim.queue_peak == 4

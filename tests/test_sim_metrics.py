@@ -26,6 +26,14 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter("x").increment(-1)
 
+    def test_value_counts_in_place(self):
+        # The per-message form: same counter, no method call.
+        c = Counter("x")
+        c.value += 1
+        c.increment(2)
+        assert c.value == 3
+        assert repr(c) == "Counter('x', value=3)"
+
 
 class TestSummary:
     def test_empty_summary_is_nan(self):

@@ -22,6 +22,13 @@ the best-ratio round: interference that lands on one round degrades
 both of its measurements, while the cleanest round shows the
 mechanisms' true gap.  All per-round numbers land in the artifact.
 
+The two read gates ("rows are no slower than a directory tree") are
+timed the way every other wall-clock gate here is
+(``conftest.time_interleaved``): each sqlite pass between two json
+passes, every pass on a freshly opened store as a resuming runner would
+open it, the median ratio held to 1.0 plus what the json pass differs
+from itself by on this host at this moment.
+
 Headline numbers land in ``BENCH_store_backend.json`` at the repo root
 (under ``REPRO_BENCH_WRITE=1``; uploaded as a CI artifact): cold-put, has-scan, and resume-scan
 throughput per backend, the sqlite/json speedups, and the on-disk
@@ -31,9 +38,10 @@ footprint of each store.
 import hashlib
 import json
 import os
+import statistics
 import time
 
-from conftest import write_bench_json
+from conftest import time_interleaved, write_bench_json
 
 from repro.results import ResultStore
 
@@ -47,6 +55,10 @@ READ_SAMPLE = 200
 
 #: Paired cold-put rounds; the best-ratio round is the headline.
 PUT_ROUNDS = 3
+
+#: Sqlite read passes, each timed between two json passes; the read
+#: gates take the median ratio.
+READ_PAIRS = 5
 
 
 def _documents(count):
@@ -95,20 +107,34 @@ def _measure_put(root, backend, documents):
     return time.perf_counter() - started
 
 
-def _measure_reads(root, backend, documents, put_s):
+def _has_scan(root, backend, documents):
+    """A resuming runner's probes: open the store, ``has`` every cell."""
+    store = ResultStore(root, backend=backend)
+    assert sum(1 for key, _ in documents if store.has(key)) == len(documents)
+
+
+def _resume_scan(root, backend, documents):
+    """A resuming runner's scan: open the store, list every key."""
+    keys = list(ResultStore(root, backend=backend).keys())
+    assert len(keys) == len(documents)
+    assert keys == sorted(keys)
+
+
+def _time_reads(roots, documents):
+    """``{"has" | "resume_scan": InterleavedTiming}``, json as baseline."""
+    return {
+        metric: time_interleaved(
+            lambda: scan(roots["json"], "json", documents),
+            lambda: scan(roots["sqlite"], "sqlite", documents),
+            pairs=READ_PAIRS,
+        )
+        for metric, scan in (("has", _has_scan), ("resume_scan", _resume_scan))
+    }
+
+
+def _backend_row(root, backend, documents, put_s, has_s, scan_s):
     store = ResultStore(root, backend=backend)
     count = len(documents)
-
-    started = time.perf_counter()
-    present = sum(1 for key, _ in documents if store.has(key))
-    has_s = time.perf_counter() - started
-    assert present == count
-
-    started = time.perf_counter()
-    keys = list(store.keys())
-    scan_s = time.perf_counter() - started
-    assert len(keys) == count
-    assert keys == sorted(keys)
 
     step = max(1, count // READ_SAMPLE)
     sample = documents[::step]
@@ -146,19 +172,29 @@ def test_perf_store_backend(tmp_path, show, store_bench_cells):
         rounds.append(pair)
     best_round = max(range(PUT_ROUNDS), key=lambda r: rounds[r]["json"] / rounds[r]["sqlite"])
 
-    results = {
-        backend: _measure_reads(
-            tmp_path / f"{backend}-{best_round}",
+    roots = {
+        backend: tmp_path / f"{backend}-{best_round}"
+        for backend in ("json", "sqlite")
+    }
+    reads = _time_reads(roots, documents)
+    results = {}
+    for backend, side in (("json", "baseline_s"), ("sqlite", "candidate_s")):
+        has_s, scan_s = (
+            statistics.median(getattr(reads[metric], side))
+            for metric in ("has", "resume_scan")
+        )
+        results[backend] = _backend_row(
+            roots[backend],
             backend,
             documents,
             rounds[best_round][backend],
+            has_s,
+            scan_s,
         )
-        for backend in ("json", "sqlite")
-    }
 
     # Both stores answer identically: same keys, byte-identical text.
-    json_store = ResultStore(tmp_path / f"json-{best_round}")
-    sqlite_store = ResultStore(tmp_path / f"sqlite-{best_round}")
+    json_store = ResultStore(roots["json"])
+    sqlite_store = ResultStore(roots["sqlite"])
     assert list(json_store.keys()) == list(sqlite_store.keys())
     probe = documents[len(documents) // 2][0]
     assert json_store.get_raw(probe) == sqlite_store.get_raw(probe)
@@ -185,6 +221,16 @@ def test_perf_store_backend(tmp_path, show, store_bench_cells):
         "best_round": best_round,
         "backends": results,
         "sqlite_speedup": speedups,
+        # Per read metric: median over pairs of sqlite pass ÷ mean of the
+        # json passes either side of it, and what that reads for the
+        # json pass against itself.
+        "read_gate": {
+            "pairs": READ_PAIRS,
+            **{
+                metric: {"time_ratio": timing.ratio, "noise_floor": timing.noise}
+                for metric, timing in reads.items()
+            },
+        },
     }
     written = write_bench_json("store_backend", document)
 
@@ -201,6 +247,13 @@ def test_perf_store_backend(tmp_path, show, store_bench_cells):
         f"  sqlite speedup: put {speedups['cold_put']:.1f}x  "
         f"has {speedups['has']:.1f}x  scan {speedups['resume_scan']:.1f}x"
     )
+    lines.append(
+        f"  reads over {READ_PAIRS} interleaved pairs, sqlite/json time: "
+        + "  ".join(
+            f"{metric} {timing.ratio:.2f} (noise floor {100.0 * timing.noise:.1f}%)"
+            for metric, timing in reads.items()
+        )
+    )
     lines.append(f"  {written}")
     show("\n".join(lines))
 
@@ -214,5 +267,9 @@ def test_perf_store_backend(tmp_path, show, store_bench_cells):
     )
     # Reads must not regress: a resuming runner's probes and scans
     # should be at least as fast on rows as on a sharded directory tree.
-    assert speedups["has"] >= 1.0
-    assert speedups["resume_scan"] >= 1.0
+    for metric, timing in reads.items():
+        assert timing.ratio <= 1.0 + timing.noise, (
+            f"sqlite {metric} pass took {timing.ratio:.2f}x the json pass's "
+            f"time at {store_bench_cells} cells (limit 1.0 + json-vs-json "
+            f"noise {timing.noise:.2f})"
+        )

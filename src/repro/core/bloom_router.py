@@ -151,21 +151,27 @@ class BloomRouter:
     # -- routing queries ---------------------------------------------------------
 
     def neighbors_matching(
-        self, peer: Peer, keywords: Iterable[str], exclude: int | None = None
+        self,
+        peer: Peer,
+        row: Iterable[int],
+        keywords: Iterable[str],
+        exclude: int | None = None,
     ) -> list[int]:
-        """Neighbors whose stored filter contains every keyword (§4.2)."""
-        keyword_list = list(keywords)
-        state = self.state_of(peer)
+        """Members of ``row`` (the peer's neighbor row) whose stored filter
+        contains every keyword (§4.2)."""
+        state = peer.protocol_state.get(_STATE_KEY)
+        if state is None or not state.neighbor_filters:
+            return []
+        stored_filter = state.neighbor_filters.get
         matches: list[int] = []
         tested = 0
-        for neighbor in self._network.graph.neighbors_view(peer.peer_id):
+        for neighbor in row:
             if neighbor == exclude:
                 continue
-            stored = state.neighbor_filters.get(neighbor)
+            stored = stored_filter(neighbor)
             if stored is not None:
                 tested += 1
-                if stored.contains_all(keyword_list):
+                if stored.contains_all(keywords):
                     matches.append(neighbor)
-        if tested:
-            self._membership_tests.increment(tested)
+        self._membership_tests.value += tested
         return matches

@@ -24,12 +24,14 @@ prefer neighbors physically closer to the requestor.
 
 from __future__ import annotations
 
+from functools import cached_property
 
 from ..overlay.messages import ProviderEntry, Query, QueryResponse
 from ..overlay.network import P2PNetwork
 from ..overlay.peer import Peer
 from ..protocols.base import QueryContext, SearchProtocol
 from ..protocols.groups import file_group, query_group_guess
+from ..sim.metrics import Counter
 from .bloom_router import BloomRouter
 from .provider_selection import LocationAwareSelector
 from .response_index import LocationAwareIndex
@@ -53,6 +55,20 @@ class LocawareProtocol(SearchProtocol):
         self.selector = LocationAwareSelector(network)
         self.location_aware_routing = location_aware_routing
         super().__init__(network)
+
+    # Resolved on first use, like the base class's lifecycle counters:
+    # created at zero they would add keys to every run's metric snapshot.
+    @cached_property
+    def _routed_by_bf(self) -> Counter:
+        return self.network.metrics.counter("routing.bf_match")
+
+    @cached_property
+    def _routed_by_gid(self) -> Counter:
+        return self.network.metrics.counter("routing.gid_match")
+
+    @cached_property
+    def _routed_by_fallback(self) -> Counter:
+        return self.network.metrics.counter("routing.fallback")
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -142,7 +158,9 @@ class LocawareProtocol(SearchProtocol):
         return tuple(combined[: self.config.max_providers_per_file])
 
     def check_index(self, peer: Peer, query: Query) -> QueryResponse | None:
-        index = self.index_of(peer)
+        index = peer.protocol_state.get(_INDEX_KEY)
+        if index is None:  # session state not (re)built yet: nothing cached
+            return None
         hit = index.lookup(query.keywords)
         if hit is None:
             return None
@@ -204,59 +222,42 @@ class LocawareProtocol(SearchProtocol):
     # -- routing (§4.2) -------------------------------------------------------
 
     def select_forward_targets(self, peer: Peer, query: Query) -> list[int]:
-        """BF-matching neighbors; else Gid guess; else best-connected."""
+        """BF-matching neighbors; else Gid guess; else best-connected.
+
+        The neighbor row is fetched once and shared by the three rules.
+        With the §6 extension (``location_aware_routing``) connectivity
+        still leads the last resort — exploration is what finds results
+        on a sparse overlay — but ties between equally connected
+        neighbors break towards the *requestor's* locId, nudging blind
+        propagation into the locality where a same-locId provider would
+        be the ideal answer.  (Stronger biases — raw requestor RTT,
+        locId-first — were tried and discarded: they trade away too much
+        exploration and lose 2-8 points of success rate; see
+        EXPERIMENTS.md.)
+        """
         last_hop = query.last_hop
+        keywords = query.keywords
+        row = self.network.graph.neighbors_view(peer.peer_id)
         matches = self.bloom_router.neighbors_matching(
-            peer, query.keywords, exclude=last_hop
+            peer, row, keywords, exclude=last_hop
         )
         if matches:
-            self.network.metrics.counter("routing.bf_match").increment()
+            self._routed_by_bf.value += 1
             return matches
-        group = query_group_guess(query.keywords, self.config.group_count)
-        gid_matches = [
-            neighbor
-            for neighbor in self.network.graph.neighbors_view(peer.peer_id)
-            if neighbor != last_hop and self.network.peer(neighbor).gid == group
-        ]
+        gid_matches = self._gid_neighbors(
+            row, last_hop, query_group_guess(keywords, self.config.group_count)
+        )
         if gid_matches:
-            self.network.metrics.counter("routing.gid_match").increment()
+            self._routed_by_gid.value += 1
             return gid_matches
-        fallback = self._fallback_neighbors(peer, last_hop, query)
-        if not fallback:
-            return []
-        self.network.metrics.counter("routing.fallback").increment()
+        fallback = self._fallback_neighbors(
+            row,
+            last_hop,
+            query.origin_locid if self.location_aware_routing else None,
+        )
+        if fallback:
+            self._routed_by_fallback.value += 1
         return fallback
-
-    def _fallback_neighbors(
-        self, peer: Peer, last_hop: int, query: Query | None = None
-    ) -> list[int]:
-        """The last-resort targets, up to ``config.fallback_fanout``.
-
-        Stock Locaware follows §4.2: best-connected neighbors.  With the
-        §6 extension (``location_aware_routing``) connectivity still
-        leads — exploration is what finds results on a sparse overlay —
-        but ties between equally connected neighbors break towards the
-        *requestor's* locId, nudging blind propagation into the
-        locality where a same-locId provider would be the ideal answer.
-        (Stronger biases — raw requestor RTT, locId-first — were tried
-        and discarded: they trade away too much exploration and lose
-        2-8 points of success rate; see EXPERIMENTS.md.)
-        """
-        candidates = [
-            neighbor
-            for neighbor in sorted(self.network.graph.neighbors_view(peer.peer_id))
-            if neighbor != last_hop
-        ]
-        if self.location_aware_routing and query is not None:
-            candidates.sort(
-                key=lambda n: (
-                    -self.network.graph.degree(n),
-                    self.network.peer(n).locid != query.origin_locid,
-                )
-            )
-        else:
-            candidates.sort(key=lambda n: -self.network.graph.degree(n))
-        return candidates[: self.config.fallback_fanout]
 
     # -- provider selection (§4.1.2 + §5.1) ----------------------------------
 

@@ -145,6 +145,8 @@ class LocationAwareIndex:
     ) -> tuple[str, list[ProviderEntry]] | None:
         """Most recently refreshed cached filename matching all keywords,
         with its providers (most recent first)."""
+        if not self._files:
+            return None
         wanted = set(query_keywords)
         if not wanted:
             return None

@@ -92,7 +92,16 @@ class FileStore:
     def first_match(self, query_keywords: Iterable[str]) -> int | None:
         """Any one locally shared file satisfying the query, or ``None``.
 
-        Deterministic: returns the smallest matching file id.
+        Deterministic: returns the smallest matching file id.  Asked of
+        every peer a query copy reaches, and nearly always a miss, so it
+        leaves at the first keyword nothing here carries, before
+        :meth:`matching_files` builds anything.
         """
+        if type(query_keywords) is not tuple:
+            query_keywords = tuple(query_keywords)
+        inverted = self._inverted
+        for kw in query_keywords:
+            if kw not in inverted:
+                return None
         matches = self.matching_files(query_keywords)
         return min(matches) if matches else None

@@ -12,7 +12,6 @@ own namespace attribute.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any
 
 from ..files.storage import FileStore
@@ -89,6 +88,13 @@ class BoundedSet:
     real implementations (and this one) keep a sliding window.  The
     window must merely outlive a query's lifetime (seconds) — the
     default capacity is generous for that.
+
+    Backed by a plain ``dict``: the cheapest insert and the smallest
+    footprint while the window is not full, which is every peer of
+    nearly every run (one set per peer, one insert per delivered first
+    copy).  Once full, each insert also finds the oldest key by skipping
+    the slots evictions freed since the dict last resized — at most a
+    small multiple of ``capacity`` of them, never the run's history.
     """
 
     __slots__ = ("_capacity", "_items")
@@ -97,15 +103,17 @@ class BoundedSet:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._capacity = capacity
-        self._items: OrderedDict[Any, None] = OrderedDict()
+        # A dict iterates in insertion order, so its first key is the oldest.
+        self._items: dict[Any, None] = {}
 
     def add(self, item: Any) -> bool:
         """Insert ``item``; returns ``False`` if it was already present."""
-        if item in self._items:
+        items = self._items
+        if item in items:
             return False
-        self._items[item] = None
-        if len(self._items) > self._capacity:
-            self._items.popitem(last=False)
+        items[item] = None
+        if len(items) > self._capacity:
+            del items[next(iter(items))]
         return True
 
     def __contains__(self, item: Any) -> bool:

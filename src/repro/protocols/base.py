@@ -27,6 +27,7 @@ comparisons are apples-to-apples.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -169,7 +170,7 @@ class SearchProtocol:
         already has the file would not search for it.
         """
         origin_peer = self.network.peer(origin)
-        if origin_peer.store.matching_files(keywords):
+        if origin_peer.store.first_match(keywords) is not None:
             self.local_satisfactions += 1
             self.network.metrics.counter("queries.satisfied_locally").increment()
             return None
@@ -224,6 +225,36 @@ class SearchProtocol:
         return query_id
 
     # -- query propagation ----------------------------------------------
+
+    def _gid_neighbors(
+        self, row: Iterable[int], last_hop: int, group: int
+    ) -> list[int]:
+        """Members of ``row`` other than ``last_hop`` whose Gid is ``group``."""
+        peers = self.network.peers
+        return [n for n in row if n != last_hop and peers[n].gid == group]
+
+    def _fallback_neighbors(
+        self, row: Iterable[int], last_hop: int, origin_locid: int | None = None
+    ) -> list[int]:
+        """§4.2's last resort, shared by the Gid/Bloom protocols.
+
+        Up to ``config.fallback_fanout`` members of ``row`` (the peer's
+        neighbor row) other than ``last_hop``, best connected first, ties
+        towards smaller ids, so restricted routing keeps moving on sparse
+        overlays instead of dead-ending.  Given ``origin_locid``, equally
+        connected neighbors in the requestor's locality come first.
+        """
+        degree = self.network.graph.degree
+        if origin_locid is None:
+            ranked = sorted((-degree(n), n) for n in row if n != last_hop)
+        else:
+            peers = self.network.peers
+            ranked = sorted(
+                (-degree(n), peers[n].locid != origin_locid, n)
+                for n in row
+                if n != last_hop
+            )
+        return [entry[-1] for entry in ranked[: self.config.fallback_fanout]]
 
     def _forward(self, peer: Peer, query: Query) -> None:
         if query.ttl <= 0:

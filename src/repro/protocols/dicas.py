@@ -53,32 +53,14 @@ class DicasProtocol(SearchProtocol):
         return query_group_guess(query.keywords, self.config.group_count)
 
     def select_forward_targets(self, peer: Peer, query: Query) -> list[int]:
-        """Gid-matching neighbors; else one highly connected neighbor."""
-        group = self.query_group(query)
-        last_hop = query.last_hop
-        matching = [
-            neighbor
-            for neighbor in self.network.graph.neighbors_view(peer.peer_id)
-            if neighbor != last_hop and self.network.peer(neighbor).gid == group
-        ]
-        if matching:
-            return matching
-        return self._fallback_neighbors(peer, last_hop)
+        """Gid-matching neighbors; else the best-connected ones."""
+        return self._route_to_group(peer, query.last_hop, self.query_group(query))
 
-    def _fallback_neighbors(self, peer: Peer, last_hop: int) -> list[int]:
-        """§4.2-style last resort: the best-connected other neighbors.
-
-        Up to ``config.fallback_fanout`` of them, highest degree first
-        (ties towards smaller ids), so restricted routing keeps moving
-        on sparse overlays instead of dead-ending.
-        """
-        candidates = [
-            neighbor
-            for neighbor in sorted(self.network.graph.neighbors_view(peer.peer_id))
-            if neighbor != last_hop
-        ]
-        candidates.sort(key=lambda n: -self.network.graph.degree(n))
-        return candidates[: self.config.fallback_fanout]
+    def _route_to_group(self, peer: Peer, last_hop: int, group: int) -> list[int]:
+        row = self.network.graph.neighbors_view(peer.peer_id)
+        return self._gid_neighbors(row, last_hop, group) or self._fallback_neighbors(
+            row, last_hop
+        )
 
     # -- caching ----------------------------------------------------------
 

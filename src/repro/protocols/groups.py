@@ -24,13 +24,21 @@ from ..files.keywords import canonical_form
 __all__ = ["stable_hash", "file_group", "query_group_guess", "keyword_groups"]
 
 
-@lru_cache(maxsize=None)
+#: Entries kept by each memo below.  Above one 60 000-peer catalog
+#: (180 000 filenames), so a cell never evicts what it will hash again;
+#: bounded because filenames differ per catalog seed and a grid worker
+#: lives through many topologies.
+_MEMO_SIZE = 1 << 18
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def stable_hash(text: str) -> int:
     """A process-stable 64-bit hash of ``text``.
 
-    Memoised: routing hashes the same filenames and keyword sets on
-    every hop, and the catalog is finite, so each distinct string pays
-    for its BLAKE2b digest once per process.
+    Memoised: caching hashes the same filenames on every passing
+    response and routing the same keyword sets on every query, so each
+    distinct string pays for its BLAKE2b digest once while the memo
+    holds it.
     """
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
@@ -48,9 +56,17 @@ def query_group_guess(query_keywords: Iterable[str], group_count: int) -> int:
 
     Treats the canonicalised keyword set as if it were the full
     filename.  Matches :func:`file_group` iff the query carries every
-    keyword of the filename.
+    keyword of the filename.  Memoised per keyword tuple: a query asks
+    on every hop, and the answer is fixed when it is issued.
     """
-    return file_group(canonical_form(list(query_keywords)), group_count)
+    if type(query_keywords) is not tuple:
+        query_keywords = tuple(query_keywords)
+    return _group_guess(query_keywords, group_count)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _group_guess(query_keywords: tuple[str, ...], group_count: int) -> int:
+    return file_group(canonical_form(query_keywords), group_count)
 
 
 def keyword_groups(keywords: Iterable[str], group_count: int) -> set[int]:

@@ -74,6 +74,8 @@ class PlainIndexCache:
 
     def lookup(self, query_keywords: Iterable[str]) -> tuple[str, ProviderEntry] | None:
         """Most recently refreshed cached filename matching all keywords."""
+        if not self._entries:
+            return None
         wanted = set(query_keywords)
         if not wanted:
             return None

@@ -130,9 +130,12 @@ class TestRouting:
         bf = BloomFilter(network.config.bloom_bits, network.config.bloom_hashes)
         bf.add_all(["kw1", "kw2"])
         state.neighbor_filters[neighbor] = bf
-        assert neighbor in router.neighbors_matching(peer, ["kw1"])
-        assert neighbor in router.neighbors_matching(peer, ["kw1", "kw2"])
-        assert neighbor not in router.neighbors_matching(peer, ["kw1", "zz-absent"])
+        row = network.graph.neighbors_view(0)
+        assert neighbor in router.neighbors_matching(peer, row, ["kw1"])
+        assert neighbor in router.neighbors_matching(peer, row, ["kw1", "kw2"])
+        assert neighbor not in router.neighbors_matching(
+            peer, row, ["kw1", "zz-absent"]
+        )
 
     def test_exclude_filters_last_hop(self):
         network = make_network()
@@ -146,14 +149,17 @@ class TestRouting:
             bf.add("kw1")
             state.neighbor_filters[neighbor] = bf
         some_neighbor = sorted(network.graph.neighbors(0))[0]
-        matches = router.neighbors_matching(peer, ["kw1"], exclude=some_neighbor)
+        matches = router.neighbors_matching(
+            peer, network.graph.neighbors_view(0), ["kw1"], exclude=some_neighbor
+        )
         assert some_neighbor not in matches
 
     def test_unknown_neighbors_do_not_match(self):
         network = make_network()
         router = BloomRouter(network)
         peer = network.peer(0)
-        assert router.neighbors_matching(peer, ["kw1"]) == []
+        row = network.graph.neighbors_view(0)
+        assert router.neighbors_matching(peer, row, ["kw1"]) == []
 
 
 class TestChangeDrivenPush:

@@ -261,7 +261,11 @@ class TestRoutingTiers:
             query = make_query(
                 network, origin=origin, keywords=("zz-nomatch",), path=(origin,)
             )
-            targets = protocol._fallback_neighbors(peer, last_hop=origin, query=query)
+            targets = protocol._fallback_neighbors(
+                network.graph.neighbors_view(peer.peer_id),
+                last_hop=origin,
+                origin_locid=query.origin_locid,
+            )
             # Within the chosen targets, any same-locId tie member must
             # not be displaced by a different-locId member of the same
             # degree class.

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.bloom import (
     BloomFilter,
+    ByteBloomFilter,
     CountingBloomFilter,
     DeltaCodec,
     apply_delta,
@@ -21,6 +22,30 @@ def test_bloom_never_false_negative(elements, params):
     bf = BloomFilter(bits, hashes)
     bf.add_all(elements)
     assert all(e in bf for e in elements)
+
+
+@given(
+    stored=elements,
+    # Probes share a small alphabet with nothing stored, so a tuple mixes
+    # present, absent and repeated keywords; ``()`` is drawn too.
+    probe=st.lists(st.text(alphabet="abc", min_size=1, max_size=2), max_size=5),
+    shared=st.integers(0, 5),
+    params=params,
+)
+def test_contains_all_mask_equals_per_element_rule(stored, probe, shared, params):
+    """One AND against the tuple's OR-mask == ``all(k in bf ...)`` == the
+    bytearray twin, for tuples and for any other iterable."""
+    bits, hashes = params
+    probe = probe + stored[:shared]
+    bf = BloomFilter(bits, hashes)
+    twin = ByteBloomFilter(bits, hashes)
+    bf.add_all(stored)
+    twin.add_all(stored)
+    expected = all(keyword in bf for keyword in probe)
+    assert bf.contains_all(tuple(probe)) is expected
+    assert bf.contains_all(probe) is expected
+    assert bf.contains_all(iter(probe)) is expected
+    assert twin.contains_all(tuple(probe)) is expected
 
 
 @given(elements=elements, params=params)

@@ -131,3 +131,20 @@ class TestBoundedSetProperties:
         assert len(s) == len(model)
         for item in set(items):
             assert (item in s) == (item in model)
+
+    @given(
+        items=st.lists(st.integers(0, 30), min_size=1, max_size=100),
+        capacity=st.integers(1, 10),
+    )
+    def test_evicts_in_insertion_order_and_readding_is_inert(self, items, capacity):
+        """At capacity the oldest insertion goes, one per new item; adding
+        a present item reports ``False`` and neither refreshes its place
+        in the order nor evicts anything."""
+        s = BoundedSet(capacity)
+        order: list[int] = []
+        for item in items:
+            assert s.add(item) is (item not in order)
+            if item not in order:
+                order.append(item)
+                del order[:-capacity]
+            assert list(s._items) == order

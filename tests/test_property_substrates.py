@@ -1,11 +1,18 @@
 """Property-based tests for engine, landmarks, metrics, and files."""
 
 import math
+import random
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.files import join_keywords, tokenize_filename
+from repro.files import (
+    FileCatalog,
+    FileStore,
+    KeywordPool,
+    join_keywords,
+    tokenize_filename,
+)
 from repro.net import (
     locid_to_permutation,
     permutation_to_locid,
@@ -130,3 +137,33 @@ def test_filename_tokenisation_roundtrip(keywords):
 def test_filename_canonical_under_permutation(keywords):
     reversed_kw = list(reversed(keywords))
     assert join_keywords(keywords) == join_keywords(reversed_kw)
+
+
+# -- file store --------------------------------------------------------------
+
+# 12 keywords over 40 three-keyword files: most keywords sit in several
+# files, so postings overlap and a store often holds part of a query.
+_CATALOG = FileCatalog.generate(40, 3, KeywordPool(12), random.Random(3))
+_VOCABULARY = _CATALOG.keyword_pool.all_keywords() + ["absent"]
+
+
+@given(
+    shared=st.sets(st.integers(0, 39), max_size=12),
+    dropped=st.sets(st.integers(0, 39), max_size=4),
+    query=st.lists(st.sampled_from(_VOCABULARY), max_size=4),
+)
+def test_first_match_is_the_smallest_matching_file(shared, dropped, query):
+    """``first_match`` == ``min(matching_files)`` or ``None`` — for the
+    empty query, repeated and absent keywords, after removals, and for a
+    one-shot iterable as well as a tuple."""
+    store = FileStore(_CATALOG)
+    store.add_many(sorted(shared))
+    for file_id in sorted(dropped):
+        store.remove(file_id)
+    matches = store.matching_files(query)
+    expected = min(matches) if matches else None
+    assert store.first_match(tuple(query)) == expected
+    assert store.first_match(iter(query)) == expected
+    assert matches == {
+        fid for fid in shared - dropped if query and _CATALOG.keywords(fid) >= set(query)
+    }

@@ -42,6 +42,29 @@ class TestQueryGroupGuess:
         filename = "kw000002-kw000005-kw000007"
         assert query_group_guess(keywords, 8) == file_group(filename, 8)
 
+    def test_memoised_guess_equals_the_direct_hash(self):
+        """Tuple, list and one-shot iterable all give ``hash(canonical)``,
+        repeated asks included; invalid input still raises every time."""
+        for keywords in (("kw2", "kw1"), ("kw1",), ("kw3", "kw1", "kw2")):
+            expected = file_group("-".join(sorted(keywords)), 8)
+            for _ in range(2):
+                assert query_group_guess(keywords, 8) == expected
+                assert query_group_guess(list(keywords), 8) == expected
+                assert query_group_guess(iter(keywords), 8) == expected
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                query_group_guess((), 8)
+            with pytest.raises(ValueError):
+                query_group_guess(("kw1",), 0)
+
+    def test_memos_are_bounded_above_one_large_catalog(self):
+        """A 60 000-peer catalog has 180 000 filenames: one cell must fit,
+        a worker's whole life must not."""
+        from repro.protocols.groups import _group_guess
+
+        for memo in (stable_hash, _group_guess):
+            assert 180_000 < memo.cache_info().maxsize < 10**6
+
     def test_guess_is_order_independent(self):
         assert query_group_guess(["b", "a"], 8) == query_group_guess(["a", "b"], 8)
 

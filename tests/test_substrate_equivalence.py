@@ -32,6 +32,7 @@ import repro.overlay.blueprint as blueprint_module
 from repro.bloom.bloom_filter import (
     BloomFilter,
     ByteBloomFilter,
+    _combined_mask,
     element_positions,
     positions_cache_clear,
     positions_cache_info,
@@ -258,6 +259,18 @@ class TestMemoisedPositions:
         element_positions("kw", 1200, 4)
         element_positions("kw", 1201, 4)
         assert positions_cache_info().currsize == before
+
+    def test_keyword_tuple_masks_are_bounded_and_cleared(self):
+        # Above one 60 000-peer catalog (180 000 filenames), but bounded.
+        assert 180_000 < _combined_mask.cache_info().maxsize < 10**6
+        bf = BloomFilter(1200, 4)
+        bf.add_all(["kw1", "kw2"])
+        for _ in range(20):
+            assert bf.contains_all(("kw1", "kw2"))
+        info = _combined_mask.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 19, 1)
+        positions_cache_clear()
+        assert _combined_mask.cache_info().currsize == 0
 
     def test_validation_still_raises(self):
         with pytest.raises(ValueError):

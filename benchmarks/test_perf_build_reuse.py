@@ -26,7 +26,7 @@ from repro.experiments import (
     run_protocol,
     small_config,
 )
-from repro.experiments import sweep as sweep_module
+from repro.experiments.grid import _BLUEPRINT_CACHE
 from repro.overlay.blueprint import NetworkBlueprint, build_count
 
 #: Query horizon per cell: short on purpose — the bench isolates
@@ -63,7 +63,7 @@ def _best_of(repeats, fn):
 
 def _sweep_seconds(reuse_builds: bool) -> float:
     def run_grid():
-        sweep_module._BLUEPRINT_CACHE.clear()
+        _BLUEPRINT_CACHE.clear()
         SweepRunner(
             base_config=_router_config(),
             protocols=PROTOCOLS,
@@ -113,7 +113,7 @@ def test_perf_build_reuse(show):
     # -- sweep wall-clock: scratch vs --reuse-builds ----------------------
     scratch_wall_s = _sweep_seconds(reuse_builds=False)
     reuse_wall_s = _sweep_seconds(reuse_builds=True)
-    sweep_module._BLUEPRINT_CACHE.clear()
+    _BLUEPRINT_CACHE.clear()
     speedup = scratch_wall_s / reuse_wall_s
 
     payload = {

@@ -62,7 +62,7 @@ from ..results import (
     cell_key_payload,
     cell_label,
 )
-from ..scenarios import make_scenario
+from ..scenarios import make_scenario, scenario_parameters
 from ..sim.config import SimulationConfig
 from .runner import DEFAULT_PROTOCOL_ORDER, PROTOCOL_REGISTRY, run_protocol
 from .setup import paper_config
@@ -90,11 +90,6 @@ _BLUEPRINT_CACHE_CAPACITY = 8
 #: and ``fork``-started workers inherit everything the parent
 #: prewarmed copy-on-write (see :class:`GridWorkerPool`).
 _BLUEPRINT_CACHE = BlueprintCache(capacity=_BLUEPRINT_CACHE_CAPACITY)
-
-
-def _cached_blueprint(config: SimulationConfig) -> NetworkBlueprint:
-    """The blueprint for ``config``, built at most once per process."""
-    return _BLUEPRINT_CACHE.get(config)
 
 
 class NonFiniteValueError(ValueError):
@@ -342,6 +337,9 @@ class GridSpec:
         if not all(isinstance(seed, int) for seed in self.seeds):
             raise ValueError(f"seeds must be integers, got {list(self.seeds)}")
         self._check_axis_unique("seed", self.seeds)
+        # (scenario, overrides, seed) → the protocol-independent part
+        # of the row's key payload; see _row.
+        self._rows: dict[tuple[ScenarioSpec, Items, int], dict[str, Any]] = {}
 
     @staticmethod
     def _check_axis_not_empty(axis: str, values: tuple[Any, ...]) -> None:
@@ -393,7 +391,11 @@ class GridSpec:
         )
 
     def expand(self) -> list[GridCell]:
-        """The grid in its deterministic execution order."""
+        """The grid in its deterministic enumeration order.
+
+        Execution does not walk this order directly: runners regroup it
+        topology by topology (:meth:`by_topology`).
+        """
         return [
             GridCell(
                 protocol=protocol, scenario=scenario, overrides=overrides, seed=seed
@@ -425,7 +427,7 @@ class GridSpec:
         return cell_key(self.cell_key_payload(cell))
 
     def cell_key_payload(self, cell: GridCell) -> dict[str, Any]:
-        """Everything that determines the cell's results, as a dict.
+        """Everything that determines the cell's results, as a fresh dict.
 
         Scenario parameters enter the payload *resolved* — explicit
         overrides merged over the instantiated scenario's attribute
@@ -434,24 +436,55 @@ class GridSpec:
         spelling out a default explicitly hits the same cache entry as
         omitting it, since the results are identical).
         """
-        from ..scenarios import scenario_parameters
-
-        effective = self.cell_config(cell)
-        scenario = cell.scenario.make()
-        configured = scenario.configure(effective)
-        resolved = dict(cell.scenario.params)
-        for name in scenario_parameters(cell.scenario.name):
-            if name not in resolved and hasattr(scenario, name):
-                resolved[name] = getattr(scenario, name)
         return cell_key_payload(
-            config=effective.to_dict(),
             protocol=cell.protocol,
             scenario_name=cell.scenario.name,
-            scenario_params=resolved,
             max_queries=self.max_queries,
             bucket_width=self.bucket_width,
-            topology_fingerprint=configured.topology_fingerprint(),
+            **self._row(cell),
         )
+
+    def _row(self, cell: GridCell) -> dict[str, Any]:
+        """What every protocol of ``cell``'s row shares of its key payload.
+
+        The effective ``config`` dict, the resolved ``scenario_params``
+        and the ``topology_fingerprint`` of the scenario-configured
+        config, computed once per (scenario, overrides, seed) and held
+        on this spec: only ``"protocol"`` differs between the cells of
+        a row.
+        """
+        row_key = (cell.scenario, cell.overrides, cell.seed)
+        row = self._rows.get(row_key)
+        if row is None:
+            effective = self.cell_config(cell)
+            scenario = cell.scenario.make()
+            resolved = dict(cell.scenario.params)
+            for name in scenario_parameters(cell.scenario.name):
+                if name not in resolved and hasattr(scenario, name):
+                    resolved[name] = getattr(scenario, name)
+            row = self._rows[row_key] = {
+                "config": effective.to_dict(),
+                "scenario_params": resolved,
+                "topology_fingerprint": scenario.configure(
+                    effective
+                ).topology_fingerprint(),
+            }
+        return row
+
+    def by_topology(self, cells: Sequence[GridCell]) -> list[GridCell]:
+        """``cells`` regrouped so each distinct topology is one run.
+
+        The one execution order: groups appear in the order their
+        fingerprint first does, and cells keep their relative order
+        inside a group — so a blueprint cache of any capacity builds
+        each world once, and the ``len(protocols)`` chunks of a row
+        stay together.  Results do not depend on execution order.
+        """
+        groups: dict[str, list[GridCell]] = {}
+        for cell in cells:
+            fingerprint = self._row(cell)["topology_fingerprint"]
+            groups.setdefault(fingerprint, []).append(cell)
+        return [cell for group in groups.values() for cell in group]
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON-able description (``from_dict`` restores it)."""
@@ -608,7 +641,7 @@ def _run_cell(
         # a fork worker this is a pure hit on the parent's prewarmed
         # cache; otherwise the world is built here at most once per
         # fingerprint per process.
-        blueprint = _cached_blueprint(scenario.configure(config))
+        blueprint = _BLUEPRINT_CACHE.get(scenario.configure(config))
     run = run_protocol(
         config,
         cell.protocol,
@@ -657,7 +690,12 @@ class GridWorkerPool:
             else 0
         )
         context = multiprocessing.get_context(self.start_method)
-        self._pool = context.Pool(processes=workers)
+        try:
+            self._pool = context.Pool(processes=workers)
+        except BaseException:
+            # close() will never run: hand back what prewarm grew.
+            _BLUEPRINT_CACHE.restore_capacity()
+            raise
 
     @property
     def shares_parent_memory(self) -> bool:
@@ -700,24 +738,24 @@ def _capped_prebuild(
 ) -> list[SimulationConfig]:
     """Up to one cache-capacity's worth of distinct build configs.
 
-    Collected in dispatch order, so the common few-fingerprint grid
-    ships every world to the workers at fork time, while a 100-seed
-    grid neither serialises 100 builds in the parent (workers idling)
-    nor outgrows the cache's fixed memory bound — topologies past the
-    cap build lazily per worker, exactly as before the shared
-    substrate existed.
+    ``cells`` is everything still to run, not one claimed batch (which
+    in topology order covers a single world).  Collected in dispatch
+    order, so the common few-fingerprint grid ships every world to the
+    workers at fork time, while a 100-seed grid neither serialises 100
+    builds in the parent (workers idling) nor outgrows the cache's
+    fixed memory bound — topologies past the cap build lazily per
+    worker, exactly as before the shared substrate existed.
+    Fingerprints come from the spec's per-row memo; only the chosen
+    cells instantiate their scenario.
     """
-    prebuild: list[SimulationConfig] = []
-    seen: set[str] = set()
+    prebuild: dict[str, SimulationConfig] = {}
     for cell in cells:
-        config = spec.cell_build_config(cell)
-        fingerprint = config.topology_fingerprint()
-        if fingerprint not in seen:
-            seen.add(fingerprint)
-            prebuild.append(config)
+        fingerprint = spec._row(cell)["topology_fingerprint"]
+        if fingerprint not in prebuild:
+            prebuild[fingerprint] = spec.cell_build_config(cell)
             if len(prebuild) >= _BLUEPRINT_CACHE.capacity:
                 break
-    return prebuild
+    return list(prebuild.values())
 
 
 def execute_cells(
@@ -736,7 +774,10 @@ def execute_cells(
     :func:`~repro.experiments.runner.run_protocol` call, so fanning the
     cells over a ``multiprocessing`` pool cannot change any result —
     ``workers=1`` and ``workers=N`` are cell-for-cell identical
-    (``tests/test_determinism.py``).  With ``reuse_builds``, up to one
+    (``tests/test_determinism.py``), and neither can the order: cells
+    always run topology by topology (:meth:`GridSpec.by_topology`), so
+    with ``reuse_builds`` a serial run builds each distinct world
+    exactly once at any cache capacity.  Across workers, up to one
     cache-capacity's worth of distinct topologies is prebuilt in the
     parent and inherited copy-on-write by fork workers; anything past
     that cap (and everything on platforms without fork) builds lazily,
@@ -757,14 +798,10 @@ def execute_cells(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    cells = list(cells)
+    cells = spec.by_topology(cells)
     use_blueprints = reuse_builds or (
         pool is not None and pool.shares_parent_memory
     )
-    if reuse_builds:
-        # Cell results are order-independent, so sorting only changes
-        # scheduling: one (row, seed) topology per contiguous chunk.
-        cells.sort(key=lambda c: (c.label, c.seed, c.protocol))
     tasks = [
         (cell, spec.base_config, spec.max_queries, spec.bucket_width, use_blueprints)
         for cell in cells
@@ -1039,11 +1076,12 @@ class GridRunner:
     ) -> GridReport:
         """The skip → claim → execute → commit → release loop.
 
-        Each pass walks the still-unresolved cells: stored ones are
-        loaded, unclaimed ones are claimed (at most one execution
-        batch per pass, so N runners interleave instead of one runner
-        pre-claiming the world), and foreign-claimed ones are carried
-        to the next pass.  A pass that resolves nothing means every
+        Each pass walks the still-unresolved cells topology by
+        topology (:meth:`GridSpec.by_topology`, so consecutive claims
+        share a built world): stored ones are loaded, unclaimed ones
+        are claimed (at most one execution batch per pass, so N
+        runners interleave instead of one runner pre-claiming the
+        world), and foreign-claimed ones are carried to the next pass.  A pass that resolves nothing means every
         remaining cell is claimed by another live runner — sleep
         briefly and look again; their commits arrive as cache hits,
         their crashes as stale leases this runner reclaims.
@@ -1057,10 +1095,9 @@ class GridRunner:
         assert self.claims is not None
         self.store.clean_tmp()
         self.claims.prune(self.store.has)
-        payloads = {cell: self.spec.cell_key_payload(cell) for cell in cells}
-        keys = {cell: cell_key(payload) for cell, payload in payloads.items()}
+        keys = {cell: self.spec.cell_key(cell) for cell in cells}
         batch_size = self._claim_batch_size()
-        pending = list(cells)
+        pending = self.spec.by_topology(cells)
         pool: GridWorkerPool | None = None
         ticker = _HeartbeatTicker(self.claims, self.heartbeat_interval_s)
         ticker.start()
@@ -1098,7 +1135,7 @@ class GridRunner:
                         # expensive enough that dying inside it (Ctrl-C,
                         # MemoryError) must release the batch too, so it
                         # shares the claim guard below.
-                        pool = self._ensure_pool(pool, claimed)
+                        pool = self._ensure_pool(pool, claimed, deferred)
                 except BaseException:
                     # Dying between claiming and executing (disk error,
                     # KeyboardInterrupt) must not strand the claims until
@@ -1108,7 +1145,7 @@ class GridRunner:
                     raise
                 else:
                     resolved += self._execute_claimed(
-                        claimed, payloads, keys, report, progress, pool, ticker
+                        claimed, keys, report, progress, pool, ticker
                     )
                 pending = deferred
                 if pending and not resolved:
@@ -1136,24 +1173,30 @@ class GridRunner:
         return 1 if self.workers == 1 else self.workers * 2
 
     def _ensure_pool(
-        self, pool: GridWorkerPool | None, claimed: list[GridCell]
+        self,
+        pool: GridWorkerPool | None,
+        claimed: list[GridCell],
+        deferred: list[GridCell],
     ) -> GridWorkerPool | None:
         """The persistent pool for claimed batches, forked on first use.
 
         Created lazily on the first batch that actually executes (a
         warm store never pays for a pool), after up to one
-        cache-capacity's worth of that batch's distinct topologies is
-        built into the parent's blueprint cache — fork workers inherit
-        those worlds copy-on-write.  The one pool then serves every
-        later batch: a topology the workers did not inherit is built
-        lazily, at most once per worker, which keeps many-seed grids
-        parallel instead of stalling each batch behind serial parent
-        builds and a re-fork.
+        cache-capacity's worth of the distinct topologies among the
+        pending cells (the ``claimed`` batch first, then everything
+        ``deferred`` to later passes) is built into the parent's
+        blueprint cache — fork workers inherit those worlds
+        copy-on-write.  The one pool then serves every later batch: a
+        topology the workers did not inherit is built lazily, at most
+        once per worker, which keeps many-seed grids parallel instead
+        of stalling each batch behind serial parent builds and a
+        re-fork.
         """
         if self.workers == 1 or pool is not None:
             return pool
         return GridWorkerPool(
-            self.workers, prebuild=_capped_prebuild(self.spec, claimed)
+            self.workers,
+            prebuild=_capped_prebuild(self.spec, claimed + deferred),
         )
 
     def _load_stored(
@@ -1222,7 +1265,6 @@ class GridRunner:
     def _execute_claimed(
         self,
         claimed: list[GridCell],
-        payloads: dict[GridCell, dict[str, Any]],
         keys: dict[GridCell, str],
         report: GridReport,
         progress: Callable[[str], None] | None,
@@ -1268,7 +1310,7 @@ class GridRunner:
                             key=key,
                             max_queries=self.spec.max_queries,
                             bucket_width=self.spec.bucket_width,
-                            topology_fingerprint=payloads[cell][
+                            topology_fingerprint=self.spec._row(cell)[
                                 "topology_fingerprint"
                             ],
                         )

@@ -41,22 +41,11 @@ from dataclasses import dataclass, field
 
 from ..scenarios import get_scenario
 from ..sim.config import SimulationConfig
-from .grid import (
-    GridSpec,
-    _BLUEPRINT_CACHE,
-    _BLUEPRINT_CACHE_CAPACITY,
-    _cached_blueprint,
-    execute_cells,
-)
+from .grid import GridSpec, execute_cells
 from .runner import DEFAULT_PROTOCOL_ORDER, PROTOCOL_REGISTRY, ProtocolRun
 from .setup import paper_config
 
 __all__ = ["SweepCell", "SweepReport", "SweepRunner"]
-
-# Re-exported for callers (tests, benches) that manage the per-process
-# blueprint cache through this module; the cache itself lives with the
-# engine in repro.experiments.grid.
-_ = (_BLUEPRINT_CACHE, _BLUEPRINT_CACHE_CAPACITY, _cached_blueprint)
 
 
 @dataclass(frozen=True)

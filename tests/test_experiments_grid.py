@@ -738,6 +738,87 @@ class TestGridWorkerPool:
         report = GridRunner(_spec(**self.GRID), store=store).run()
         assert report.executed == report.num_cells
 
+    def test_pool_fork_failure_restores_the_cache_capacity(self, monkeypatch):
+        """prewarm grows the cache to hold the prebuild; if the fork
+        then fails, close() never runs — the constructor itself must
+        hand the capacity back, or a long-lived parent keeps pinning
+        more worlds than the LRU bound."""
+        import multiprocessing
+
+        from repro.experiments import GridWorkerPool
+        from repro.experiments.grid import (
+            _BLUEPRINT_CACHE,
+            _BLUEPRINT_CACHE_CAPACITY,
+        )
+
+        class NoForks:
+            def Pool(self, processes):
+                raise OSError(11, "Resource temporarily unavailable")
+
+        configs = [
+            small_config(seed=seed)
+            for seed in range(1, _BLUEPRINT_CACHE_CAPACITY + 4)
+        ]
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["fork"]
+        )
+        monkeypatch.setattr(
+            multiprocessing, "get_context", lambda method=None: NoForks()
+        )
+        _BLUEPRINT_CACHE.clear()
+        try:
+            with pytest.raises(OSError, match="temporarily unavailable"):
+                GridWorkerPool(2, prebuild=configs)
+            assert _BLUEPRINT_CACHE.capacity == _BLUEPRINT_CACHE_CAPACITY
+            assert len(_BLUEPRINT_CACHE) <= _BLUEPRINT_CACHE.capacity
+        finally:
+            _BLUEPRINT_CACHE.clear()
+
+    @_fork_only
+    @pytest.mark.parametrize("extra_seeds", [-5, 2])
+    def test_pool_prebuild_looks_past_the_first_claimed_batch(
+        self, tmp_path, extra_seeds
+    ):
+        """In topology order the first claimed batch (2 × workers
+        cells) covers a single world, so the one pool fork must
+        prebuild from everything still pending — capped at the cache
+        capacity, the rest building lazily in the workers."""
+        from repro.experiments.grid import (
+            _BLUEPRINT_CACHE,
+            _BLUEPRINT_CACHE_CAPACITY,
+        )
+        from repro.overlay.blueprint import build_count
+
+        spec = _spec(
+            scenarios=("baseline", "flash-crowd"),
+            seeds=tuple(range(1, _BLUEPRINT_CACHE_CAPACITY + extra_seeds + 1)),
+            max_queries=5,
+        )
+        runner = GridRunner(spec, workers=2, store=ResultStore(tmp_path))
+        def fingerprints(cells):
+            return {
+                spec.cell_build_config(cell).topology_fingerprint()
+                for cell in cells
+            }
+
+        first_batch = spec.by_topology(spec.expand())[
+            : runner._claim_batch_size()
+        ]
+        assert len(fingerprints(first_batch)) == 1
+        distinct = len(fingerprints(spec.expand()))
+        assert distinct == len(spec.seeds)
+        _BLUEPRINT_CACHE.clear()
+        try:
+            before = build_count()
+            report = runner.run()
+            parent_builds = build_count() - before
+            assert _BLUEPRINT_CACHE.capacity == _BLUEPRINT_CACHE_CAPACITY
+            assert len(_BLUEPRINT_CACHE) <= _BLUEPRINT_CACHE_CAPACITY
+        finally:
+            _BLUEPRINT_CACHE.clear()
+        assert report.executed == spec.num_cells
+        assert parent_builds == min(distinct, _BLUEPRINT_CACHE_CAPACITY)
+
     @_fork_only
     def test_ephemeral_prewarm_is_capped_at_cache_capacity(self):
         """A many-fingerprint sweep must not serialise every build in

@@ -235,10 +235,10 @@ class TestReuseBuilds:
         assert _runner().reuse_builds is False
 
     def test_reuse_builds_caches_one_build_per_topology(self):
-        from repro.experiments import sweep as sweep_module
+        from repro.experiments.grid import _BLUEPRINT_CACHE
         from repro.overlay.blueprint import build_count
 
-        sweep_module._BLUEPRINT_CACHE.clear()
+        _BLUEPRINT_CACHE.clear()
         runner = _runner(
             protocols=("flooding", "dicas", "locaware"),
             scenarios=("baseline",),
@@ -251,7 +251,7 @@ class TestReuseBuilds:
         # shared by all three protocols of the row.
         assert build_count() - before == len(runner.seeds)
         assert report.num_cells == 3 * 2
-        sweep_module._BLUEPRINT_CACHE.clear()
+        _BLUEPRINT_CACHE.clear()
 
     def test_reuse_builds_matches_scratch(self):
         grid = dict(
@@ -275,26 +275,24 @@ class TestReuseBuilds:
         assert len(lines) == len(runner.cells())
 
     def test_blueprint_cache_is_bounded(self):
-        from repro.experiments import sweep as sweep_module
-        from repro.experiments.sweep import _cached_blueprint
-
-        sweep_module._BLUEPRINT_CACHE.clear()
-        base = small_config(seed=1)
-        for seed in range(1, sweep_module._BLUEPRINT_CACHE_CAPACITY + 4):
-            _cached_blueprint(base.replace(seed=seed))
-        assert (
-            len(sweep_module._BLUEPRINT_CACHE)
-            == sweep_module._BLUEPRINT_CACHE_CAPACITY
+        from repro.experiments.grid import (
+            _BLUEPRINT_CACHE,
+            _BLUEPRINT_CACHE_CAPACITY,
         )
-        sweep_module._BLUEPRINT_CACHE.clear()
+
+        _BLUEPRINT_CACHE.clear()
+        base = small_config(seed=1)
+        for seed in range(1, _BLUEPRINT_CACHE_CAPACITY + 4):
+            _BLUEPRINT_CACHE.get(base.replace(seed=seed))
+        assert len(_BLUEPRINT_CACHE) == _BLUEPRINT_CACHE_CAPACITY
+        _BLUEPRINT_CACHE.clear()
 
     def test_cached_blueprint_returns_same_object_for_same_topology(self):
-        from repro.experiments import sweep as sweep_module
-        from repro.experiments.sweep import _cached_blueprint
+        from repro.experiments.grid import _BLUEPRINT_CACHE
 
-        sweep_module._BLUEPRINT_CACHE.clear()
+        _BLUEPRINT_CACHE.clear()
         base = small_config(seed=9)
-        first = _cached_blueprint(base)
-        again = _cached_blueprint(base.replace(query_rate_per_peer=0.5))
+        first = _BLUEPRINT_CACHE.get(base)
+        again = _BLUEPRINT_CACHE.get(base.replace(query_rate_per_peer=0.5))
         assert again is first  # runtime-only overrides share the topology
-        sweep_module._BLUEPRINT_CACHE.clear()
+        _BLUEPRINT_CACHE.clear()

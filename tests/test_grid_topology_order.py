@@ -1,0 +1,310 @@
+"""Topology-ordered execution: one build per distinct world, same bytes.
+
+Cells run grouped by ``topology_fingerprint`` on every path of
+``repro.experiments.grid``.  Under test here: the ordering helper
+itself, the build counts it buys on the serial paths with more
+topologies than the blueprint cache holds, that execution order cannot
+change a stored byte, and that the per-row memo behind
+``GridSpec.cell_key_payload`` returns exactly what a from-scratch
+computation does.
+
+``reference_key_payload`` is ``cell_key_payload`` as it was written
+before the protocol-independent part was memoised per row; it lives
+here, not in ``src/``.
+"""
+
+import copy
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.persistence import grid_cell_to_document
+from repro.experiments import GridRunner, GridSpec, small_config
+from repro.experiments.grid import (
+    _BLUEPRINT_CACHE,
+    _BLUEPRINT_CACHE_CAPACITY,
+    execute_cells,
+)
+from repro.overlay.blueprint import build_count
+from repro.results import ResultStore, cell_key, cell_key_payload
+from repro.scenarios import scenario_parameters
+
+
+def _spec(**overrides):
+    defaults = dict(
+        base_config=small_config(seed=1).replace(query_rate_per_peer=0.02),
+        protocols=("flooding", "locaware"),
+        scenarios=("baseline", "flash-crowd"),
+        seeds=(1, 2),
+        max_queries=8,
+    )
+    defaults.update(overrides)
+    return GridSpec(**defaults)
+
+
+def _fingerprint(spec, cell):
+    return spec.cell_build_config(cell).topology_fingerprint()
+
+
+# -- the reference ---------------------------------------------------------
+
+
+def reference_key_payload(spec, cell):
+    effective = spec.base_config
+    if cell.overrides:
+        effective = effective.replace(**dict(cell.overrides))
+    effective = effective.replace(seed=cell.seed)
+    scenario = cell.scenario.make()
+    configured = scenario.configure(effective)
+    resolved = dict(cell.scenario.params)
+    for name in scenario_parameters(cell.scenario.name):
+        if name not in resolved and hasattr(scenario, name):
+            resolved[name] = getattr(scenario, name)
+    return cell_key_payload(
+        config=effective.to_dict(),
+        protocol=cell.protocol,
+        scenario_name=cell.scenario.name,
+        scenario_params=resolved,
+        max_queries=spec.max_queries,
+        bucket_width=spec.bucket_width,
+        topology_fingerprint=configured.topology_fingerprint(),
+    )
+
+
+# -- the ordering helper ---------------------------------------------------
+
+
+class TestByTopology:
+    @pytest.fixture(scope="class")
+    def spec(self):
+        return _spec(
+            scenarios=("baseline", "flash-crowd:spike_probability=0.9", "cold-start"),
+            config_overrides=({}, {"ttl": 5}),
+            seeds=(1, 2, 3),
+        )
+
+    def test_is_a_permutation_of_its_input(self, spec):
+        cells = spec.expand()
+        ordered = spec.by_topology(cells)
+        assert len(ordered) == len(cells)
+        assert set(ordered) == set(cells)
+
+    def test_groups_are_contiguous_and_in_first_appearance_order(self, spec):
+        cells = spec.expand()
+        first_seen = list(dict.fromkeys(_fingerprint(spec, c) for c in cells))
+        runs = []
+        for cell in spec.by_topology(cells):
+            fingerprint = _fingerprint(spec, cell)
+            if not runs or runs[-1] != fingerprint:
+                runs.append(fingerprint)
+        # Contiguous: no fingerprint starts a second run; and the runs
+        # come in the order expand() first shows each fingerprint.
+        assert runs == first_seen
+
+    def test_expand_order_is_kept_inside_a_group(self, spec):
+        cells = spec.expand()
+        position = {cell: index for index, cell in enumerate(cells)}
+        by_group = {}
+        for cell in spec.by_topology(cells):
+            by_group.setdefault(_fingerprint(spec, cell), []).append(position[cell])
+        assert all(group == sorted(group) for group in by_group.values())
+
+    def test_rows_of_one_seed_share_a_group_but_cold_start_has_its_own(self, spec):
+        groups = {}
+        for cell in spec.expand():
+            groups.setdefault(_fingerprint(spec, cell), set()).add(
+                (cell.scenario.name, cell.seed)
+            )
+        # ttl and flash-crowd are run-time only; cold-start's sparser
+        # shares are a different world.
+        assert len(groups) == 2 * len(spec.seeds)
+        for members in groups.values():
+            names = {name for name, _seed in members}
+            assert len({seed for _name, seed in members}) == 1
+            assert names in ({"cold-start"}, {"baseline", "flash-crowd"})
+
+    def test_a_shuffled_subset_is_regrouped_not_sorted(self, spec):
+        cells = spec.expand()[::-1][:17]
+        ordered = spec.by_topology(cells)
+        assert set(ordered) == set(cells)
+        # First group is the first cell's topology, not the smallest.
+        assert _fingerprint(spec, ordered[0]) == _fingerprint(spec, cells[0])
+        assert ordered[0] == cells[0]
+
+
+# -- builds: one per distinct topology at any cache capacity ------------------
+
+
+class TestOneBuildPerTopology:
+    """More seeds than the blueprint cache holds, every row of a seed
+    sharing one world: the serial paths must still build each world
+    exactly once."""
+
+    SEEDS = tuple(range(1, 11))
+
+    def _grid(self):
+        assert len(self.SEEDS) > _BLUEPRINT_CACHE_CAPACITY
+        spec = _spec(seeds=self.SEEDS, max_queries=5)
+        distinct = {_fingerprint(spec, cell) for cell in spec.expand()}
+        assert len(distinct) == len(self.SEEDS) < spec.num_cells
+        return spec, distinct
+
+    def test_serial_store_path(self, tmp_path):
+        spec, distinct = self._grid()
+        _BLUEPRINT_CACHE.clear()
+        try:
+            before = build_count()
+            report = GridRunner(
+                spec, reuse_builds=True, store=ResultStore(tmp_path)
+            ).run()
+            builds = build_count() - before
+            assert len(_BLUEPRINT_CACHE) <= _BLUEPRINT_CACHE_CAPACITY
+        finally:
+            _BLUEPRINT_CACHE.clear()
+        assert report.executed == spec.num_cells
+        assert builds == len(distinct)
+
+    def test_storeless_execute_cells_path(self):
+        spec, distinct = self._grid()
+        _BLUEPRINT_CACHE.clear()
+        try:
+            before = build_count()
+            results = list(execute_cells(spec, spec.expand(), reuse_builds=True))
+            builds = build_count() - before
+        finally:
+            _BLUEPRINT_CACHE.clear()
+        assert {cell for cell, _run in results} == set(spec.expand())
+        assert builds == len(distinct)
+
+
+# -- order independence ------------------------------------------------------
+
+
+_ORDER_SPEC = dict(scenarios=("baseline", "cold-start"), seeds=(3, 4))
+_reference_documents = {}
+
+
+def _stored_bytes(store, spec):
+    return {
+        key: store.get_raw(key)
+        for key in (spec.cell_key(cell) for cell in spec.expand())
+    }
+
+
+def _reference(backend):
+    """The topology-ordered ``GridRunner`` run's key → document bytes."""
+    if backend not in _reference_documents:
+        spec = _spec(**_ORDER_SPEC)
+        with tempfile.TemporaryDirectory() as root:
+            store = ResultStore(Path(root), backend=backend)
+            GridRunner(spec, reuse_builds=True, store=store).run()
+            _reference_documents[backend] = _stored_bytes(store, spec)
+    return _reference_documents[backend]
+
+
+@pytest.mark.parametrize("backend", ["json", "sqlite"])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_execution_order_cannot_change_a_stored_byte(backend, data):
+    spec = _spec(**_ORDER_SPEC)
+    cells = data.draw(st.permutations(spec.expand()))
+    with tempfile.TemporaryDirectory() as root:
+        store = ResultStore(Path(root), backend=backend)
+        for cell, run in execute_cells(spec, cells, reuse_builds=True):
+            payload = spec.cell_key_payload(cell)
+            key = cell_key(payload)
+            store.put(
+                key,
+                grid_cell_to_document(
+                    cell,
+                    run,
+                    key=key,
+                    max_queries=spec.max_queries,
+                    bucket_width=spec.bucket_width,
+                    topology_fingerprint=payload["topology_fingerprint"],
+                ),
+            )
+        assert _stored_bytes(store, spec) == _reference(backend)
+
+
+# -- the key payload ---------------------------------------------------------
+
+
+class TestCellKeyPayloadMemo:
+    @pytest.fixture
+    def spec(self):
+        return _spec(
+            scenarios=(
+                "baseline",
+                "diurnal:amplitude=0.3",
+                "churn-storm:storm_session_s=60,storm_time_s=30",
+                "cold-start",
+            ),
+            config_overrides=({}, {"ttl": 5}, {"index_capacity": 10, "ttl": 6}),
+            seeds=(1, 2, 3),
+            bucket_width=4,
+        )
+
+    def test_equals_a_from_scratch_computation_for_every_cell(self, spec):
+        fresh = _spec(
+            scenarios=spec.scenarios,
+            config_overrides=[dict(items) for items in spec.config_overrides],
+            seeds=spec.seeds,
+            bucket_width=4,
+        )
+        for cell in spec.expand():
+            expected = reference_key_payload(fresh, cell)
+            # Twice: the first call of a row computes, the rest look up.
+            assert spec.cell_key_payload(cell) == expected
+            assert spec.cell_key_payload(cell) == expected
+            assert list(spec.cell_key_payload(cell)) == list(expected)
+
+    def test_every_call_returns_a_fresh_dict(self, spec):
+        cell = spec.expand()[0]
+        first = spec.cell_key_payload(cell)
+        second = spec.cell_key_payload(cell)
+        assert first == second
+        assert first is not second
+        assert first["config"] is not second["config"]
+        assert first["scenario"]["params"] is not second["scenario"]["params"]
+
+    def test_mutating_a_payload_does_not_change_the_next(self, spec):
+        cell = next(c for c in spec.expand() if c.scenario.name == "diurnal")
+        pristine = copy.deepcopy(spec.cell_key_payload(cell))
+        key = spec.cell_key(cell)
+        vandal = spec.cell_key_payload(cell)
+        vandal["protocol"] = "nonsense"
+        vandal["config"]["ttl"] = -1
+        vandal["scenario"]["params"]["amplitude"] = 99
+        vandal.pop("topology_fingerprint")
+        assert spec.cell_key_payload(cell) == pristine
+        assert spec.cell_key(cell) == key
+        # ... nor the other protocols of the same row, which share the memo.
+        sibling = next(
+            c
+            for c in spec.expand()
+            if (c.scenario, c.overrides, c.seed)
+            == (cell.scenario, cell.overrides, cell.seed)
+            and c.protocol != cell.protocol
+        )
+        assert spec.cell_key_payload(sibling) == reference_key_payload(spec, sibling)
+
+    def test_equal_cells_of_different_specs_do_not_share_a_memo(self, spec):
+        """The memo is per spec instance: the same coordinates under
+        another base config or horizon must key differently."""
+        other = _spec(
+            base_config=spec.base_config.replace(ttl=3),
+            scenarios=spec.scenarios,
+            max_queries=9,
+        )
+        cell = spec.expand()[0]
+        assert cell == other.expand()[0]
+        mine = spec.cell_key_payload(cell)
+        theirs = other.cell_key_payload(cell)
+        assert theirs == reference_key_payload(other, cell)
+        assert mine == reference_key_payload(spec, cell)
+        assert mine["config"]["ttl"] != theirs["config"]["ttl"]
+        assert spec.cell_key(cell) != other.cell_key(cell)

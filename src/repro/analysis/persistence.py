@@ -286,19 +286,14 @@ def load_comparison_document(source: IO[str]) -> LoadedComparison:
 
 # -- grid documents --------------------------------------------------------
 #
-# Cells arrive duck-typed: a cell key object with ``protocol``/``seed``
-# plus either a plain scenario name (SweepCell) or a ScenarioSpec-like
-# ``scenario`` with ``name``/``params``, and an optional ``overrides``
-# item tuple (GridCell).  The analysis layer never imports the
-# experiments layer, so shape — not type — is the contract.
+# Cells arrive shaped like :class:`~repro.experiments.grid.GridCell`:
+# ``protocol``/``seed``, a ``scenario`` with ``name``/``params`` items,
+# and an ``overrides`` item tuple.  The analysis layer never imports
+# the experiments layer, so shape — not type — is the contract.
 
 
 def _cell_axes(cell: Any) -> tuple[str, dict[str, Any], dict[str, Any]]:
-    scenario = cell.scenario
-    name = getattr(scenario, "name", scenario)
-    params = dict(getattr(scenario, "params", ()))
-    overrides = dict(getattr(cell, "overrides", ()))
-    return name, params, overrides
+    return cell.scenario.name, dict(cell.scenario.params), dict(cell.overrides)
 
 
 def grid_cell_to_document(
@@ -336,12 +331,11 @@ def load_grid_cell_document(doc: dict[str, Any]) -> _LoadedRun:
 
 
 def grid_report_to_document(report: Any) -> dict[str, Any]:
-    """Serialise a sweep/grid report (axes + every cell) to a dict.
+    """Serialise a :class:`~repro.experiments.grid.GridReport` (axes +
+    every cell) to a dict.
 
-    Works duck-typed on :class:`~repro.experiments.sweep.SweepReport`
-    and :class:`~repro.experiments.grid.GridReport` alike.  Cells are
-    sorted by (label, protocol, seed) so the document is byte-stable
-    whatever completion order the worker pool produced.
+    Cells are sorted by (label, protocol, seed) so the document is
+    byte-stable whatever completion order the worker pool produced.
     """
     cells: list[dict[str, Any]] = []
     for cell, run in report.runs.items():

@@ -1,7 +1,7 @@
 """Aggregating and rendering sweep-runner grids.
 
 Works duck-typed on any report shaped like
-:class:`~repro.experiments.sweep.SweepReport` (``protocols``,
+:class:`~repro.experiments.grid.GridReport` (``protocols``,
 ``scenarios``, ``seeds``, ``max_queries``, and ``seed_runs()``), the
 same way :mod:`repro.analysis.persistence` treats comparisons — the
 analysis layer never imports the experiments layer.

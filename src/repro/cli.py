@@ -10,10 +10,10 @@ Subcommands:
   JSON result;
 - ``ablation`` — run one ablation sweep (a1..a8, ext, ext2);
 - ``report``   — emit the markdown paper-vs-measured report;
-- ``sweep``    — run a protocol × scenario × seed grid, optionally in
-  parallel worker processes (``--workers``), with per-worker
-  topology-build reuse (``--reuse-builds``), and persisted with
-  ``--out FILE``;
+- ``sweep``    — run a protocol × scenario × seed grid (a storeless
+  ``GridRunner``: each distinct topology is built once and
+  instantiated per cell), optionally in parallel worker processes
+  (``--workers``), and persisted with ``--out FILE``;
 - ``grid``     — parameterised experiment grids over a
   content-addressed result store: ``grid run`` executes (and resumes)
   a protocol × scenario(+params) × config-override × seed grid —
@@ -59,7 +59,7 @@ Examples::
     repro-locaware ablation a6
     repro-locaware report --load run.json > measured.md
     repro-locaware sweep --scenarios flash-crowd diurnal --workers 4
-    repro-locaware sweep --workers 4 --reuse-builds --out sweep.json
+    repro-locaware sweep --workers 4 --out sweep.json
     repro-locaware sweep --list
     repro-locaware grid run --store results --config small \\
         --scenarios baseline churn-storm:storm_session_s=120 \\
@@ -82,6 +82,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from collections.abc import Callable, Sequence
@@ -206,13 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (1 = serial; results are identical either way)",
     )
     sweep.add_argument(
-        "--reuse-builds",
-        action="store_true",
-        help="build each distinct topology once per worker and instantiate "
-        "it per cell (identical results, much faster on expensive "
-        "substrates such as --config paper with the router latency model)",
-    )
-    sweep.add_argument(
         "--config",
         choices=("paper", "small"),
         default="paper",
@@ -253,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers 1, and N runner processes × M workers each still "
         "partition one store exactly",
     )
-    grid_run.add_argument("--reuse-builds", action="store_true")
     grid_run.add_argument(
         "--runner-id",
         metavar="ID",
@@ -549,33 +542,49 @@ def _load_or_run(args: argparse.Namespace, out) -> object:
     return _fresh_comparison(args, out)
 
 
-def _cmd_figures(args: argparse.Namespace, out) -> int:
-    if getattr(args, "scenario", None) is not None:
-        from .scenarios import get_scenario
+def _open_destination(path: str | None):
+    """``path`` opened for writing *now*, as a context manager.
 
-        try:
+    Commands that persist their result open the destination before the
+    run, so an unwritable path is a bad argument (``error: …``, exit
+    2) instead of a traceback after minutes of simulation.  ``None``
+    gives a null context yielding ``None``.
+    """
+    if path is None:
+        return contextlib.nullcontext()
+    return open(path, "w", encoding="utf-8")
+
+
+def _cmd_figures(args: argparse.Namespace, out) -> int:
+    try:
+        if getattr(args, "scenario", None) is not None:
+            from .scenarios import get_scenario
+
             get_scenario(args.scenario)
-        except ValueError as error:
-            print(f"error: {error}", file=out)
-            return 2
-    result = _fresh_comparison(args, out)
-    for module in (fig2_download_distance, fig3_search_traffic, fig4_success_rate):
-        print(module.render(result), file=out)
-        print(file=out)
-        if args.chart:
-            chart = render_figure_chart(
-                result.bucket_edges(),
-                module.figure_series(result),
-                title=module.TITLE,
-                y_label=module.Y_LABEL,
-            )
-            print(chart, file=out)
+        destination = _open_destination(args.save)
+    except (ValueError, OSError) as error:
+        print(f"error: {error}", file=out)
+        return 2
+    with destination as handle:
+        result = _fresh_comparison(args, out)
+        for module in (
+            fig2_download_distance, fig3_search_traffic, fig4_success_rate
+        ):
+            print(module.render(result), file=out)
             print(file=out)
-    failures = _print_claims(result, out)
-    if args.save:
-        with open(args.save, "w", encoding="utf-8") as handle:
+            if args.chart:
+                chart = render_figure_chart(
+                    result.bucket_edges(),
+                    module.figure_series(result),
+                    title=module.TITLE,
+                    y_label=module.Y_LABEL,
+                )
+                print(chart, file=out)
+                print(file=out)
+        failures = _print_claims(result, out)
+        if handle is not None:
             save_comparison(result, handle)
-        print(f"saved result to {args.save}", file=out)
+            print(f"saved result to {args.save}", file=out)
     return 1 if failures else 0
 
 
@@ -620,8 +629,8 @@ def _cmd_report(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, out) -> int:
-    from .analysis.sweep_report import render_sweep_report
-    from .experiments.sweep import SweepRunner
+    from .analysis import render_sweep_report, save_grid_report
+    from .experiments import GridRunner, GridSpec
     from .scenarios import SCENARIO_REGISTRY, scenario_names
 
     if args.list:
@@ -632,33 +641,36 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
     scenarios = args.scenarios if args.scenarios else scenario_names()
     base = small_config() if args.config == "small" else paper_config()
     try:
-        runner = SweepRunner(
-            base_config=base,
-            protocols=args.protocols,
-            scenarios=scenarios,
-            seeds=args.seeds,
-            max_queries=args.queries,
-            bucket_width=args.bucket,
+        runner = GridRunner(
+            GridSpec(
+                base_config=base,
+                protocols=args.protocols,
+                scenarios=scenarios,
+                seeds=args.seeds,
+                max_queries=args.queries,
+                bucket_width=args.bucket,
+            ),
             workers=args.workers,
-            reuse_builds=args.reuse_builds,
         )
-    except ValueError as error:
+        destination = _open_destination(args.out)
+    except (ValueError, OSError) as error:
         print(f"error: {error}", file=out)
         return 2
-    started = time.time()
-    report = runner.run(
-        progress=lambda m: print(
-            f"  [{time.time() - started:6.1f}s] {m}", file=out, flush=True
+    with destination as handle:
+        started = time.time()
+        report = runner.run(
+            progress=lambda m: print(
+                f"  [{time.time() - started:6.1f}s] {m}", file=out, flush=True
+            )
         )
-    )
-    print(f"  {report.num_cells} cells in {time.time() - started:.1f}s\n", file=out)
-    print(render_sweep_report(report), file=out)
-    if args.out:
-        from .analysis import save_grid_report
-
-        with open(args.out, "w", encoding="utf-8") as handle:
+        print(
+            f"  {report.num_cells} cells in {time.time() - started:.1f}s\n",
+            file=out,
+        )
+        print(render_sweep_report(report), file=out)
+        if handle is not None:
             save_grid_report(report, handle)
-        print(f"\nsaved report to {args.out}", file=out)
+            print(f"\nsaved report to {args.out}", file=out)
     return 0
 
 
@@ -730,7 +742,6 @@ def _cmd_grid_run(args: argparse.Namespace, out) -> int:
         runner = GridRunner(
             spec,
             workers=args.workers,
-            reuse_builds=args.reuse_builds,
             store=ResultStore(args.store, backend=args.backend),
             runner_id=args.runner_id,
             lease_ttl_s=lease_ttl,

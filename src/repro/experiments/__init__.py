@@ -30,7 +30,6 @@ from .setup import (
     paper_config,
     small_config,
 )
-from .sweep import SweepCell, SweepReport, SweepRunner
 
 __all__ = [
     "paper_config",
@@ -53,9 +52,6 @@ __all__ = [
     "ablations",
     "SeedSweepResult",
     "run_seed_sweep",
-    "SweepCell",
-    "SweepReport",
-    "SweepRunner",
     "ScenarioSpec",
     "GridCell",
     "GridSpec",

@@ -12,9 +12,9 @@ cell under its content-addressed key and *skips* every cell the store
 already holds.  An interrupted 500-cell sweep restarts at full speed;
 a repeated one costs zero executions.
 
-This module is also the single sweep engine: :class:`~repro.
-experiments.sweep.SweepRunner` and :func:`~repro.experiments.
-robustness.run_seed_sweep` both drive their cells through
+This module is also the single sweep engine: ``repro sweep`` runs a
+storeless :class:`GridRunner`, and :func:`~repro.experiments.
+robustness.run_seed_sweep` drives its cells through
 :func:`execute_cells`, so serial/parallel equivalence and blueprint
 reuse are implemented (and tested) exactly once.
 
@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import Any
 
 from ..analysis.persistence import grid_cell_to_document, load_grid_cell_document
-from ..overlay.blueprint import BlueprintCache, NetworkBlueprint
+from ..overlay.blueprint import BlueprintCache
 from ..results import (
     DEFAULT_LEASE_TTL_S,
     ClaimStore,
@@ -520,11 +520,10 @@ class GridSpec:
 class GridReport:
     """Every cell's results plus the spec and cache accounting.
 
-    Duck-type compatible with :class:`~repro.experiments.sweep.
-    SweepReport` for :func:`repro.analysis.aggregate_sweep` /
-    :func:`repro.analysis.render_sweep_report`: ``scenarios`` exposes
-    *row labels* (scenario + params + overrides), one per (scenario,
-    config-override) combination.
+    The report shape :func:`repro.analysis.aggregate_sweep` /
+    :func:`repro.analysis.render_sweep_report` read: ``scenarios``
+    exposes *row labels* (scenario + params + overrides), one per
+    (scenario, config-override) combination.
     """
 
     spec: GridSpec
@@ -624,24 +623,21 @@ def _note(
 
 
 def _run_cell(
-    task: tuple[GridCell, SimulationConfig, int, int, bool]
+    task: tuple[GridCell, SimulationConfig, int, int]
 ) -> tuple[GridCell, Any]:
     """Execute one grid cell (top-level so worker processes can pickle it)."""
-    cell, base_config, max_queries, bucket_width, use_blueprints = task
+    cell, base_config, max_queries, bucket_width = task
     config = base_config
     if cell.overrides:
         config = config.replace(**dict(cell.overrides))
     config = config.replace(seed=cell.seed)
     scenario = cell.scenario.make()
-    blueprint: NetworkBlueprint | None = None
-    if use_blueprints:
-        # Key the cache by the *effective* configuration so scenarios
-        # that do touch topology (e.g. cold-start's sparser shares)
-        # still share one build across the protocols of their row.  In
-        # a fork worker this is a pure hit on the parent's prewarmed
-        # cache; otherwise the world is built here at most once per
-        # fingerprint per process.
-        blueprint = _BLUEPRINT_CACHE.get(scenario.configure(config))
+    # Key the cache by the *effective* configuration so scenarios that
+    # do touch topology (e.g. cold-start's sparser shares) still share
+    # one build across the protocols of their row.  In a fork worker
+    # this is a pure hit on the parent's prewarmed cache; otherwise the
+    # world is built here at most once per fingerprint per process.
+    blueprint = _BLUEPRINT_CACHE.get(scenario.configure(config))
     run = run_protocol(
         config,
         cell.protocol,
@@ -704,7 +700,7 @@ class GridWorkerPool:
 
     def imap(
         self,
-        tasks: Sequence[tuple[GridCell, SimulationConfig, int, int, bool]],
+        tasks: Sequence[tuple[GridCell, SimulationConfig, int, int]],
         chunksize: int = 1,
     ) -> Iterator[tuple[GridCell, Any]]:
         """Dispatch cell tasks, yielding ``(cell, run)`` as they finish."""
@@ -762,7 +758,6 @@ def execute_cells(
     spec: GridSpec,
     cells: Sequence[GridCell],
     workers: int = 1,
-    reuse_builds: bool = False,
     progress: Callable[[str], None] | None = None,
     progress_offset: int = 0,
     progress_total: int | None = None,
@@ -775,21 +770,20 @@ def execute_cells(
     cells over a ``multiprocessing`` pool cannot change any result —
     ``workers=1`` and ``workers=N`` are cell-for-cell identical
     (``tests/test_determinism.py``), and neither can the order: cells
-    always run topology by topology (:meth:`GridSpec.by_topology`), so
-    with ``reuse_builds`` a serial run builds each distinct world
-    exactly once at any cache capacity.  Across workers, up to one
-    cache-capacity's worth of distinct topologies is prebuilt in the
-    parent and inherited copy-on-write by fork workers; anything past
-    that cap (and everything on platforms without fork) builds lazily,
-    at most once per fingerprint per worker — results are
-    byte-identical either way.
+    always run topology by topology (:meth:`GridSpec.by_topology`) and
+    instantiate their world from the process's blueprint cache, so a
+    serial run builds each distinct world exactly once at any cache
+    capacity.  Across workers, up to one cache-capacity's worth of
+    distinct topologies is prebuilt in the parent and inherited
+    copy-on-write by fork workers; anything past that cap (and
+    everything on platforms without fork) builds lazily, at most once
+    per fingerprint per worker — results are byte-identical either way.
 
     ``pool`` dispatches through a caller-owned persistent
     :class:`GridWorkerPool` instead of forking a fresh one for this
     call — the claim-aware store loop runs many small batches on one
-    pool.  When that pool shares parent memory, cells instantiate the
-    blueprints its owner prewarmed rather than rebuilding the world
-    per task.
+    pool, whose fork workers inherit the blueprints its owner
+    prewarmed.
 
     ``progress_offset`` / ``progress_total`` re-anchor the ``[done/
     total]`` progress prefix when these cells are one batch of a larger
@@ -799,11 +793,8 @@ def execute_cells(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     cells = spec.by_topology(cells)
-    use_blueprints = reuse_builds or (
-        pool is not None and pool.shares_parent_memory
-    )
     tasks = [
-        (cell, spec.base_config, spec.max_queries, spec.bucket_width, use_blueprints)
+        (cell, spec.base_config, spec.max_queries, spec.bucket_width)
         for cell in cells
     ]
     total = progress_total if progress_total is not None else len(tasks)
@@ -821,11 +812,13 @@ def execute_cells(
             _note(progress, done, total, cell)
             yield cell, run
     else:
-        prebuild = _capped_prebuild(spec, cells) if reuse_builds else []
-        chunksize = len(spec.protocols) if reuse_builds else 1
-        with GridWorkerPool(workers, prebuild=prebuild) as ephemeral:
+        # One chunk per row: the protocols of a row share a world, so
+        # they land on the worker that already holds (or builds) it.
+        with GridWorkerPool(
+            workers, prebuild=_capped_prebuild(spec, cells)
+        ) as ephemeral:
             for done, (cell, run) in enumerate(
-                ephemeral.imap(tasks, chunksize=chunksize),
+                ephemeral.imap(tasks, chunksize=len(spec.protocols)),
                 start=1 + progress_offset,
             ):
                 _note(progress, done, total, cell)
@@ -900,12 +893,14 @@ class GridRunner:
     ----------
     spec:
         The grid to run.
-    workers / reuse_builds:
-        Forwarded to :func:`execute_cells` (process fan-out and
-        blueprint reuse).  With a store and ``workers > 1``, claimed
-        batches are fanned across one persistent fork
-        :class:`GridWorkerPool` whose workers inherit parent-built
-        blueprints copy-on-write (see :meth:`_ensure_pool`).
+    workers:
+        Process fan-out, forwarded to :func:`execute_cells`.  With a
+        store and ``workers > 1``, claimed batches are fanned across
+        one persistent fork :class:`GridWorkerPool` whose workers
+        inherit parent-built blueprints copy-on-write (see
+        :meth:`_ensure_pool`).
+    reuse_builds:
+        Accepted and unread: blueprint reuse is how every cell runs.
     store:
         Optional :class:`~repro.results.store.ResultStore`.  Cells
         whose key the store already holds are *not executed* — their
@@ -972,7 +967,6 @@ class GridRunner:
             )
         self.spec = spec
         self.workers = workers
-        self.reuse_builds = reuse_builds
         self.store = store
         self.profile_dir = Path(profile_dir) if profile_dir is not None else None
         self._profiled_batches = 0
@@ -1015,7 +1009,6 @@ class GridRunner:
                     self.spec,
                     cells,
                     workers=self.workers,
-                    reuse_builds=self.reuse_builds,
                     progress=progress,
                 ):
                     report.executed += 1
@@ -1297,7 +1290,6 @@ class GridRunner:
                         self.spec,
                         claimed,
                         workers=self.workers,
-                        reuse_builds=self.reuse_builds,
                         progress=progress,
                         progress_offset=report.executed + report.cached,
                         progress_total=self.spec.num_cells,

@@ -130,8 +130,7 @@ def run_seed_sweep(
     )
     runs: dict[tuple[str, int], ProtocolRun] = {}
     announced: set[int] = set()
-    for cell, run in execute_cells(spec, spec.expand(), workers=workers,
-                                   reuse_builds=True):
+    for cell, run in execute_cells(spec, spec.expand(), workers=workers):
         if progress is not None and cell.seed not in announced:
             announced.add(cell.seed)
             progress(f"seed {cell.seed}...")

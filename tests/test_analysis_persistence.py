@@ -119,14 +119,18 @@ class TestGridReportDocuments:
 
     @pytest.fixture(scope="class")
     def sweep_report(self):
-        from repro.experiments import SweepRunner, small_config
+        from repro.experiments import GridRunner, GridSpec, small_config
 
-        return SweepRunner(
-            base_config=small_config(seed=3).replace(query_rate_per_peer=0.02),
-            protocols=("flooding", "locaware"),
-            scenarios=("baseline", "diurnal"),
-            seeds=(1, 2),
-            max_queries=12,
+        return GridRunner(
+            GridSpec(
+                base_config=small_config(seed=3).replace(
+                    query_rate_per_peer=0.02
+                ),
+                protocols=("flooding", "locaware"),
+                scenarios=("baseline", "diurnal"),
+                seeds=(1, 2),
+                max_queries=12,
+            )
         ).run()
 
     def _roundtrip(self, report):

@@ -73,14 +73,14 @@ class TestSweepCommand:
     def test_sweep_rejects_duplicate_seeds_cleanly(self):
         code, text = run_cli("sweep", "--seeds", "1", "1", "--queries", "5")
         assert code == 2
-        assert "unique" in text
+        assert "error: duplicate entries on the seed axis" in text
 
     def test_sweep_rejects_duplicate_protocols_cleanly(self):
         code, text = run_cli(
             "sweep", "--protocols", "flooding", "flooding", "--queries", "5"
         )
         assert code == 2
-        assert "protocols must be unique" in text
+        assert "error: duplicate entries on the protocol axis" in text
 
     def test_seed_sweep_rejects_duplicate_seeds_cleanly(self):
         code, text = run_cli("seed-sweep", "--seeds", "1", "1", "--queries", "5")
@@ -161,10 +161,31 @@ class TestCompareCommand:
 
 
 class TestSweepReuseBuilds:
-    def test_flag_parses(self):
-        args = build_parser().parse_args(["sweep", "--reuse-builds"])
-        assert args.reuse_builds is True
-        assert build_parser().parse_args(["sweep"]).reuse_builds is False
+    @pytest.mark.parametrize("command", [["sweep"], ["grid", "run"]])
+    def test_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command, "--reuse-builds"])
+        assert "unrecognized arguments: --reuse-builds" in capsys.readouterr().err
+
+    def test_default_sweep_builds_each_world_once(self):
+        """2 scenarios × 2 seeds × 4 protocols = 16 cells; baseline and
+        flash-crowd share a topology, so 2 worlds, not 16 builds."""
+        from repro.experiments.grid import _BLUEPRINT_CACHE
+        from repro.overlay.blueprint import build_count
+
+        _BLUEPRINT_CACHE.clear()
+        before = build_count()
+        code, text = run_cli(
+            "sweep",
+            "--config", "small",
+            "--seeds", "1", "2",
+            "--scenarios", "baseline", "flash-crowd",
+            "--queries", "10",
+        )
+        assert code == 0
+        assert "16 cells" in text
+        assert build_count() - before == 2
+        _BLUEPRINT_CACHE.clear()
 
     def test_sweep_runs_with_reuse_builds(self):
         code, text = run_cli(
@@ -175,7 +196,6 @@ class TestSweepReuseBuilds:
             "--seeds", "1", "2",
             "--queries", "10",
             "--workers", "2",
-            "--reuse-builds",
         )
         assert code == 0
         assert "4 cells" in text
@@ -202,6 +222,54 @@ class TestSweepOut:
         assert loaded.protocols == ["flooding"]
         assert loaded.scenarios == ["baseline"]
         assert loaded.num_cells == 1
+
+    def test_sweep_out_bytes_equal_the_saved_grid_report(self, tmp_path):
+        from repro.analysis import save_grid_report
+        from repro.experiments import GridRunner, GridSpec, small_config
+
+        path = tmp_path / "sweep.json"
+        code, _ = run_cli(
+            "sweep",
+            "--config", "small",
+            "--protocols", "flooding", "locaware",
+            "--scenarios", "baseline", "cold-start",
+            "--seeds", "1", "2",
+            "--queries", "10",
+            "--out", str(path),
+        )
+        assert code == 0
+        spec = GridSpec(
+            base_config=small_config(),
+            protocols=("flooding", "locaware"),
+            scenarios=("baseline", "cold-start"),
+            seeds=(1, 2),
+            max_queries=10,
+        )
+        expected = io.StringIO()
+        save_grid_report(GridRunner(spec).run(), expected)
+        assert path.read_text(encoding="utf-8") == expected.getvalue()
+
+    def test_sweep_unwritable_out_fails_before_any_cell_runs(self, tmp_path):
+        code, text = run_cli(
+            "sweep",
+            "--config", "small",
+            "--queries", "10",
+            "--out", str(tmp_path / "missing" / "sweep.json"),
+        )
+        assert code == 2
+        assert text.startswith("error: ")
+        assert "sweep.json" in text
+
+
+class TestFiguresSave:
+    def test_figures_unwritable_save_fails_before_the_run(self, tmp_path):
+        # Paper scale: only an immediate refusal returns in test time.
+        code, text = run_cli(
+            "figures", "--save", str(tmp_path / "missing" / "run.json")
+        )
+        assert code == 2
+        assert text.startswith("error: ")
+        assert "run.json" in text
 
 
 class TestGridCommand:
@@ -240,7 +308,7 @@ class TestGridCommand:
     def test_grid_run_with_override_axis_and_workers(self, tmp_path):
         store = tmp_path / "store"
         code, text = self._run_grid(
-            store, "--set", "ttl=5,7", "--workers", "2", "--reuse-builds"
+            store, "--set", "ttl=5,7", "--workers", "2"
         )
         assert code == 0
         assert "total=16 executed=16 cached=0" in text

@@ -6,13 +6,14 @@ Four guarantees are locked in here:
    (and every registered scenario), two ``run_protocol`` calls with the
    same seed produce identical outcomes, summaries, and metric
    snapshots.
-2. **Parallel equivalence** — the multiprocessing ``SweepRunner``
+2. **Parallel equivalence** — a multiprocessing ``GridRunner``
    reproduces the serial (``workers=1``) results cell for cell,
    byte-identically once serialised.
 3. **Blueprint equivalence** — a run instantiated from a cached
    ``NetworkBlueprint`` is byte-identical to a from-scratch build, for
-   every protocol × scenario × seed cell, and a ``reuse_builds``
-   parallel sweep equals the serial scratch sweep cell for cell.
+   every protocol × scenario × seed cell, and a parallel grid (whose
+   cells always reuse blueprints) equals direct from-scratch
+   ``run_protocol`` calls cell for cell.
 4. **Grid determinism** — *parameterised* scenario cells (scenario
    factories with keyword overrides, config-override axes) replay
    identically for the same spec + seed, parallel equals serial, and
@@ -29,7 +30,6 @@ from repro.experiments import (
     GridRunner,
     GridSpec,
     PROTOCOL_REGISTRY,
-    SweepRunner,
     run_protocol,
     small_config,
 )
@@ -39,6 +39,17 @@ from repro.scenarios import get_scenario, make_scenario, scenario_names
 
 def _config(seed=5):
     return small_config(seed=seed).replace(query_rate_per_peer=0.02)
+
+
+def scratch_run(spec, cell):
+    """``cell`` as a direct run_protocol call: own build, no blueprint."""
+    return run_protocol(
+        spec.cell_config(cell),
+        cell.protocol,
+        max_queries=spec.max_queries,
+        bucket_width=spec.bucket_width,
+        scenario=cell.scenario.make(),
+    )
 
 
 def run_fingerprint(run):
@@ -136,12 +147,9 @@ class TestSweepParallelEquivalence:
 
     @pytest.fixture(scope="class")
     def serial_and_parallel(self):
-        serial = SweepRunner(
-            base_config=_config(), workers=1, **self.GRID
-        ).run()
-        parallel = SweepRunner(
-            base_config=_config(), workers=3, **self.GRID
-        ).run()
+        spec = GridSpec(base_config=_config(), **self.GRID)
+        serial = GridRunner(spec, workers=1).run()
+        parallel = GridRunner(spec, workers=3).run()
         return serial, parallel
 
     def test_same_cells(self, serial_and_parallel):
@@ -212,9 +220,11 @@ class TestGridDeterminism:
             ), f"parallel grid run diverged from serial at {cell}"
 
     def test_reuse_builds_equals_scratch(self, serial):
-        reused = GridRunner(self._spec(), reuse_builds=True).run()
+        spec = self._spec()
         for cell, run in serial.runs.items():
-            assert run_fingerprint(run) == run_fingerprint(reused.runs[cell]), cell
+            assert run_fingerprint(run) == run_fingerprint(
+                scratch_run(spec, cell)
+            ), cell
 
     def test_parameterised_cell_equals_direct_run_protocol(self, serial):
         """A parameterised grid cell equals a hand-rolled run_protocol
@@ -318,24 +328,20 @@ class TestBlueprintEquivalence:
             )
 
     def test_reuse_builds_parallel_equals_serial_scratch(self):
-        """`--reuse-builds --workers N` equals the serial scratch path."""
-        grid = dict(
+        """A `--workers N` grid equals direct from-scratch runs."""
+        spec = GridSpec(
+            base_config=_config(),
             protocols=("flooding", "dicas", "dicas-keys", "locaware"),
             scenarios=("baseline", "cold-start"),
             seeds=(3, 4),
             max_queries=25,
         )
-        scratch_serial = SweepRunner(
-            base_config=_config(), workers=1, reuse_builds=False, **grid
-        ).run()
-        reuse_parallel = SweepRunner(
-            base_config=_config(), workers=3, reuse_builds=True, **grid
-        ).run()
-        assert set(scratch_serial.runs) == set(reuse_parallel.runs)
-        for cell, scratch_run in scratch_serial.runs.items():
-            assert run_fingerprint(scratch_run) == run_fingerprint(
-                reuse_parallel.runs[cell]
-            ), f"reuse-builds run diverged from scratch at {cell}"
+        reuse_parallel = GridRunner(spec, workers=3).run()
+        assert set(reuse_parallel.runs) == set(spec.expand())
+        for cell, run in reuse_parallel.runs.items():
+            assert run_fingerprint(run) == run_fingerprint(
+                scratch_run(spec, cell)
+            ), f"parallel grid run diverged from scratch at {cell}"
 
 
 class TestTelemetryNeutrality:

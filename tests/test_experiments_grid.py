@@ -841,11 +841,7 @@ class TestGridWorkerPool:
         _BLUEPRINT_CACHE.clear()
         try:
             before = build_count()
-            results = list(
-                execute_cells(
-                    spec, spec.expand(), workers=2, reuse_builds=True
-                )
-            )
+            results = list(execute_cells(spec, spec.expand(), workers=2))
             parent_builds = build_count() - before
             assert len(_BLUEPRINT_CACHE) <= _BLUEPRINT_CACHE_CAPACITY
         finally:

@@ -1,22 +1,21 @@
-"""Unit tests for the protocol × scenario × seed sweep runner."""
+"""Unit tests for protocol × scenario × seed sweeps on the grid runner."""
 
 import pytest
 
 from repro.analysis import aggregate_sweep, render_sweep_report
-from repro.experiments import GridSpec, SweepCell, SweepRunner, small_config
+from repro.experiments import GridRunner, GridSpec, run_protocol, small_config
 
 
-def _runner(**overrides):
+def _runner(workers=1, **overrides):
     defaults = dict(
         base_config=small_config(seed=1).replace(query_rate_per_peer=0.02),
         protocols=("flooding", "locaware"),
         scenarios=("baseline", "diurnal"),
         seeds=(1, 2),
         max_queries=15,
-        workers=1,
     )
     defaults.update(overrides)
-    return SweepRunner(**defaults)
+    return GridRunner(GridSpec(**defaults), workers=workers)
 
 
 class TestValidation:
@@ -37,17 +36,17 @@ class TestValidation:
             _runner(seeds=())
 
     def test_duplicate_seeds_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
+        with pytest.raises(ValueError, match="duplicate entries on the seed"):
             _runner(seeds=(1, 1))
 
     def test_duplicate_protocols_rejected_at_construction(self):
-        """Duplicates must fail in __init__ (where the CLI catches
-        them), not at run() time via the underlying GridSpec."""
-        with pytest.raises(ValueError, match="protocols must be unique"):
+        """Duplicates must fail at construction (where the CLI catches
+        them), not at run() time."""
+        with pytest.raises(ValueError, match="duplicate entries on the protocol"):
             _runner(protocols=("flooding", "flooding"))
 
     def test_duplicate_scenarios_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="scenarios must be unique"):
+        with pytest.raises(ValueError, match="duplicate entries on the scenario"):
             _runner(scenarios=("baseline", "baseline"))
 
     def test_bad_workers_and_queries_rejected(self):
@@ -59,8 +58,8 @@ class TestValidation:
             _runner(bucket_width=0)
 
     def test_default_bucket_width(self):
-        assert _runner(max_queries=80).bucket_width == 10
-        assert _runner(max_queries=4).bucket_width == 1
+        assert _runner(max_queries=80).spec.bucket_width == 10
+        assert _runner(max_queries=4).spec.bucket_width == 1
 
 
 class TestDegenerateGrids:
@@ -163,15 +162,13 @@ class TestDegenerateGrids:
             self._grid(seeds=(1, "two"))
 
 
-class TestGrid:
-    def test_cells_cover_full_grid_in_order(self):
-        runner = _runner()
-        cells = runner.cells()
-        assert len(cells) == 2 * 2 * 2
-        assert cells[0] == SweepCell("flooding", "baseline", 1)
-        assert cells[1] == SweepCell("flooding", "baseline", 2)
-        assert cells[-1] == SweepCell("locaware", "diurnal", 2)
-        assert len(set(cells)) == len(cells)
+class TestOneSweepSurface:
+    def test_sweep_runner_is_gone(self):
+        import repro.experiments
+
+        with pytest.raises(ImportError):
+            from repro.experiments import SweepRunner  # noqa: F401
+        assert not [n for n in repro.experiments.__all__ if n.startswith("Sweep")]
 
 
 class TestRun:
@@ -181,10 +178,10 @@ class TestRun:
 
     def test_every_cell_has_a_run(self, report):
         assert report.num_cells == 8
-        for cell in _runner().cells():
+        for cell in _runner().spec.expand():
             run = report.runs[cell]
             assert run.protocol_name == cell.protocol
-            assert run.scenario_name == cell.scenario
+            assert run.scenario_name == cell.scenario.name
             assert run.config.seed == cell.seed
 
     def test_accessors(self, report):
@@ -231,9 +228,6 @@ class TestRun:
 
 
 class TestReuseBuilds:
-    def test_reuse_builds_default_off(self):
-        assert _runner().reuse_builds is False
-
     def test_reuse_builds_caches_one_build_per_topology(self):
         from repro.experiments.grid import _BLUEPRINT_CACHE
         from repro.overlay.blueprint import build_count
@@ -243,36 +237,42 @@ class TestReuseBuilds:
             protocols=("flooding", "dicas", "locaware"),
             scenarios=("baseline",),
             seeds=(21, 22),
-            reuse_builds=True,
         )
         before = build_count()
         report = runner.run()
         # Serial reuse: one build per distinct (scenario, seed) topology,
         # shared by all three protocols of the row.
-        assert build_count() - before == len(runner.seeds)
+        assert build_count() - before == len(runner.spec.seeds)
         assert report.num_cells == 3 * 2
         _BLUEPRINT_CACHE.clear()
 
     def test_reuse_builds_matches_scratch(self):
-        grid = dict(
+        """Every grid cell equals a direct, blueprint-less run_protocol."""
+        runner = _runner(
             protocols=("flooding", "locaware"),
             scenarios=("baseline", "cold-start"),
             seeds=(5, 6),
             max_queries=12,
         )
-        scratch = _runner(reuse_builds=False, **grid).run()
-        reused = _runner(reuse_builds=True, **grid).run()
-        assert set(scratch.runs) == set(reused.runs)
-        for cell, run in scratch.runs.items():
-            other = reused.runs[cell]
-            assert run.outcomes == other.outcomes, cell
-            assert run.metric_snapshot == other.metric_snapshot, cell
+        spec = runner.spec
+        reused = runner.run()
+        assert set(reused.runs) == set(spec.expand())
+        for cell, run in reused.runs.items():
+            scratch = run_protocol(
+                spec.cell_config(cell),
+                cell.protocol,
+                max_queries=spec.max_queries,
+                bucket_width=spec.bucket_width,
+                scenario=cell.scenario.make(),
+            )
+            assert run.outcomes == scratch.outcomes, cell
+            assert run.metric_snapshot == scratch.metric_snapshot, cell
 
     def test_reuse_builds_progress_still_one_line_per_cell(self):
         lines = []
-        runner = _runner(reuse_builds=True)
+        runner = _runner()
         runner.run(progress=lines.append)
-        assert len(lines) == len(runner.cells())
+        assert len(lines) == runner.spec.num_cells
 
     def test_blueprint_cache_is_bounded(self):
         from repro.experiments.grid import (

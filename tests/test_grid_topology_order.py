@@ -157,9 +157,7 @@ class TestOneBuildPerTopology:
         _BLUEPRINT_CACHE.clear()
         try:
             before = build_count()
-            report = GridRunner(
-                spec, reuse_builds=True, store=ResultStore(tmp_path)
-            ).run()
+            report = GridRunner(spec, store=ResultStore(tmp_path)).run()
             builds = build_count() - before
             assert len(_BLUEPRINT_CACHE) <= _BLUEPRINT_CACHE_CAPACITY
         finally:
@@ -172,7 +170,7 @@ class TestOneBuildPerTopology:
         _BLUEPRINT_CACHE.clear()
         try:
             before = build_count()
-            results = list(execute_cells(spec, spec.expand(), reuse_builds=True))
+            results = list(execute_cells(spec, spec.expand()))
             builds = build_count() - before
         finally:
             _BLUEPRINT_CACHE.clear()
@@ -200,7 +198,7 @@ def _reference(backend):
         spec = _spec(**_ORDER_SPEC)
         with tempfile.TemporaryDirectory() as root:
             store = ResultStore(Path(root), backend=backend)
-            GridRunner(spec, reuse_builds=True, store=store).run()
+            GridRunner(spec, store=store).run()
             _reference_documents[backend] = _stored_bytes(store, spec)
     return _reference_documents[backend]
 
@@ -213,7 +211,7 @@ def test_execution_order_cannot_change_a_stored_byte(backend, data):
     cells = data.draw(st.permutations(spec.expand()))
     with tempfile.TemporaryDirectory() as root:
         store = ResultStore(Path(root), backend=backend)
-        for cell, run in execute_cells(spec, cells, reuse_builds=True):
+        for cell, run in execute_cells(spec, cells):
             payload = spec.cell_key_payload(cell)
             key = cell_key(payload)
             store.put(

@@ -99,6 +99,7 @@ from .experiments import (
     BENCH_BUCKET_WIDTH,
     BENCH_MAX_QUERIES,
     DEFAULT_PROTOCOL_ORDER,
+    ablations,
     fig2_download_distance,
     fig3_search_traffic,
     fig4_success_rate,
@@ -106,32 +107,20 @@ from .experiments import (
     run_comparison,
     small_config,
 )
-from .experiments.ablations import (
-    ablate_bloom_size,
-    ablate_cache_capacity,
-    ablate_churn,
-    ablate_group_count,
-    ablate_landmarks,
-    ablate_locaware_routing,
-    ablate_popularity_shift,
-    ablate_substrate,
-    ablate_ttl,
-    measure_bloom_overhead,
-)
 
 __all__ = ["main", "build_parser"]
 
 _ABLATIONS: dict[str, Callable] = {
-    "a1": ablate_landmarks,
-    "a2": ablate_bloom_size,
-    "a3": ablate_cache_capacity,
-    "a4": ablate_ttl,
-    "a5": ablate_churn,
-    "a6": measure_bloom_overhead,
-    "a7": ablate_group_count,
-    "a8": ablate_substrate,
-    "ext": ablate_locaware_routing,
-    "ext2": ablate_popularity_shift,
+    "a1": ablations.ablate_landmarks,
+    "a2": ablations.ablate_bloom_size,
+    "a3": ablations.ablate_cache_capacity,
+    "a4": ablations.ablate_ttl,
+    "a5": ablations.ablate_churn,
+    "a6": ablations.measure_bloom_overhead,
+    "a7": ablations.ablate_group_count,
+    "a8": ablations.ablate_substrate,
+    "ext": ablations.ablate_locaware_routing,
+    "ext2": ablations.ablate_popularity_shift,
 }
 
 
@@ -614,7 +603,11 @@ def _cmd_claims(args: argparse.Namespace, out) -> int:
 
 def _cmd_ablation(args: argparse.Namespace, out) -> int:
     sweep = _ABLATIONS[args.id]
-    result = sweep(paper_config(seed=args.seed), max_queries=args.queries)
+    try:
+        result = sweep(paper_config(seed=args.seed), max_queries=args.queries)
+    except ValueError as error:
+        print(f"error: {error}", file=out)
+        return 2
     print(result.render(), file=out)
     return 0
 

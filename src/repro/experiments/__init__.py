@@ -1,6 +1,7 @@
 """Experiment drivers: §5.1 setup, figure reproductions, ablations."""
 
-from . import ablations, fig2_download_distance, fig3_search_traffic, fig4_success_rate
+from . import ablations
+from .figures import fig2_download_distance, fig3_search_traffic, fig4_success_rate
 from .grid import (
     GridCell,
     GridReport,

@@ -1,8 +1,10 @@
-"""Ablation experiments (DESIGN.md A1-A7 + the §6 extension).
+"""Ablation experiments (DESIGN.md A1-A8 + the §6 and drift extensions).
 
 Each ablation sweeps one design parameter the paper discusses and
-reports how the headline metrics move.  They all reuse the same
-runner as the figures, so results are directly comparable.
+reports how the headline metrics move.  Every sweep but EXT is a grid:
+the driver declares one axis (config overrides or scenarios) over its
+protocols, a storeless :class:`~repro.experiments.grid.GridRunner`
+runs the cells, and the driver reads its columns off the runs.
 
 - A1 ``ablate_landmarks`` — §5.1's landmark-count discussion (4
   landmarks → 24 locIds vs 5 → 120: too many localities scatter peers
@@ -19,19 +21,27 @@ runner as the figures, so results are directly comparable.
   stay within ~0.132 Kb;
 - A7 ``ablate_group_count`` — the Dicas M parameter: cache
   concentration vs routing reachability;
+- A8 ``ablate_substrate`` — latency model × peer placement;
 - EXT ``ablate_locaware_routing`` — §6 future work: location-aware
-  *query routing* on top of Locaware.
+  *query routing* on top of Locaware (a protocol constructor flag, not
+  a config field, hence not a grid axis);
+- EXT2 ``ablate_popularity_shift`` — the ``popularity-shift`` scenario.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..analysis.tables import format_table
+from ..bloom.params import false_positive_rate
+from ..net.underlay import Underlay
+from ..overlay.blueprint import NetworkBlueprint
 from ..sim.config import SimulationConfig
+from ..sim.rng import RandomStreams
+from .grid import GridRunner, GridSpec
 from .runner import ProtocolRun, run_protocol
 from .setup import paper_config
 
@@ -69,18 +79,62 @@ class AblationResult:
         return [row[index] for row in self.rows]
 
 
-def _run(
-    config: SimulationConfig,
-    protocol: str,
+#: Column suffix of a per-protocol table → the summary field it reads.
+_SUMMARY_COLUMNS = {
+    "success": "success_rate",
+    "dist_ms": "mean_download_distance_ms",
+    "msgs": "mean_messages",
+}
+
+
+def _grid_rows(
+    base: SimulationConfig | None,
     max_queries: int,
-    location_aware_routing: bool = False,
-) -> ProtocolRun:
-    return run_protocol(
-        config,
-        protocol,
+    protocols: Sequence[str],
+    config_overrides: Sequence[Mapping[str, Any]] = ({},),
+    scenarios: Sequence[Any] = ("baseline",),
+) -> list[list[ProtocolRun]]:
+    """Run one axis × ``protocols`` on ``base``'s seed as a storeless grid.
+
+    One row per axis value, in axis order (a driver varies
+    ``config_overrides`` or ``scenarios``, never both); each row holds
+    that value's runs in ``protocols`` order.
+    """
+    base = base if base is not None else paper_config()
+    spec = GridSpec(
+        base_config=base,
+        protocols=protocols,
+        scenarios=scenarios,
+        config_overrides=config_overrides,
+        seeds=(base.seed,),
         max_queries=max_queries,
         bucket_width=max(1, max_queries // 4),
-        location_aware_routing=location_aware_routing,
+    )
+    report = GridRunner(spec).run()
+    return [
+        [report.run_for(protocol, label, base.seed) for protocol in spec.protocols]
+        for label in report.scenarios
+    ]
+
+
+def _protocol_table(
+    experiment_id: str, title: str, axis_header: str, labels: Sequence[Any],
+    columns: Sequence[str], base: SimulationConfig | None, max_queries: int,
+    protocols: Sequence[str], **axis: Sequence[Any],
+) -> AblationResult:
+    """Run ``axis`` (see :func:`_grid_rows`) and tabulate it.
+
+    One row per axis value: its label, then ``columns`` per protocol.
+    """
+    headers = [axis_header] + [f"{p} {column}" for p in protocols for column in columns]
+    fields = [_SUMMARY_COLUMNS[column] for column in columns]
+    rows = _grid_rows(base, max_queries, protocols, **axis)
+    return AblationResult(
+        experiment_id, title, headers,
+        [
+            [label] + [getattr(run.summary, f) for run in runs for f in fields]
+            for label, runs in zip(labels, rows, strict=True)
+        ],
     )
 
 
@@ -90,22 +144,17 @@ def ablate_landmarks(
     counts: Sequence[int] = (2, 3, 4, 5),
 ) -> AblationResult:
     """A1 — number of landmarks (locId granularity)."""
-    base = base if base is not None else paper_config()
+    overrides = [{"num_landmarks": count} for count in counts]
+    rows = _grid_rows(base, max_queries, ("locaware",), config_overrides=overrides)
     result = AblationResult(
         "A1",
         "landmark count (locId granularity, §5.1 discussion)",
         ["landmarks", "locIds", "peers/locId", "locId matches", "success", "distance_ms"],
     )
-    for count in counts:
-        config = base.replace(num_landmarks=count)
-        run = _run(config, "locaware", max_queries)
-        snapshot = run.metric_snapshot
-        from ..net.underlay import Underlay  # local import to avoid cycles
-        from ..sim.rng import RandomStreams
-
+    for count, (run,) in zip(counts, rows, strict=True):
         underlay = Underlay.build(
-            config.num_peers,
-            RandomStreams(config.seed).stream("underlay"),
+            run.config.num_peers,
+            RandomStreams(run.config.seed).stream("underlay"),
             num_landmarks=count,
         )
         result.rows.append(
@@ -113,7 +162,7 @@ def ablate_landmarks(
                 count,
                 math.factorial(count),
                 round(underlay.mean_peers_per_locid(), 1),
-                int(snapshot.get("counter.selection.locid_match", 0)),
+                int(run.metric_snapshot.get("counter.selection.locid_match", 0)),
                 run.summary.success_rate,
                 run.summary.mean_download_distance_ms,
             ]
@@ -127,19 +176,16 @@ def ablate_bloom_size(
     sizes: Sequence[int] = (150, 300, 600, 1200, 2400),
 ) -> AblationResult:
     """A2 — Bloom filter size (routing accuracy vs update cost)."""
-    base = base if base is not None else paper_config()
+    overrides = [{"bloom_bits": bits} for bits in sizes]
+    rows = _grid_rows(base, max_queries, ("locaware",), config_overrides=overrides)
     result = AblationResult(
         "A2",
         "Bloom filter size (§5.1: 1200 bits for ~150 keywords)",
         ["bits", "est_fpr", "bf matches", "success", "msgs/query", "update_bits"],
     )
-    from ..bloom.params import false_positive_rate
-
-    expected_keywords = base.index_capacity * base.keywords_per_file
-    for bits in sizes:
-        config = base.replace(bloom_bits=bits)
-        run = _run(config, "locaware", max_queries)
-        snapshot = run.metric_snapshot
+    for bits, (run,) in zip(sizes, rows, strict=True):
+        config, snapshot = run.config, run.metric_snapshot
+        expected_keywords = config.index_capacity * config.keywords_per_file
         result.rows.append(
             [
                 bits,
@@ -160,20 +206,11 @@ def ablate_cache_capacity(
     protocols: Sequence[str] = ("dicas", "dicas-keys", "locaware"),
 ) -> AblationResult:
     """A3 — response-index capacity (§4.1.2 storage control)."""
-    base = base if base is not None else paper_config()
-    result = AblationResult(
-        "A3",
-        "response-index capacity (cache pressure; Dicas-Keys duplication)",
-        ["capacity"] + [f"{p} success" for p in protocols],
+    return _protocol_table(
+        "A3", "response-index capacity (cache pressure; Dicas-Keys duplication)",
+        "capacity", capacities, ("success",), base, max_queries, protocols,
+        config_overrides=[{"index_capacity": capacity} for capacity in capacities],
     )
-    for capacity in capacities:
-        config = base.replace(index_capacity=capacity)
-        row: list[Any] = [capacity]
-        for protocol in protocols:
-            run = _run(config, protocol, max_queries)
-            row.append(run.summary.success_rate)
-        result.rows.append(row)
-    return result
 
 
 def ablate_ttl(
@@ -183,19 +220,11 @@ def ablate_ttl(
     protocols: Sequence[str] = ("flooding", "locaware"),
 ) -> AblationResult:
     """A4 — TTL bound: search scope vs traffic."""
-    base = base if base is not None else paper_config()
-    headers = ["ttl"]
-    for protocol in protocols:
-        headers += [f"{protocol} success", f"{protocol} msgs"]
-    result = AblationResult("A4", "TTL bound (scope vs traffic)", headers)
-    for ttl in ttls:
-        config = base.replace(ttl=ttl)
-        row: list[Any] = [ttl]
-        for protocol in protocols:
-            run = _run(config, protocol, max_queries)
-            row += [run.summary.success_rate, run.summary.mean_messages]
-        result.rows.append(row)
-    return result
+    return _protocol_table(
+        "A4", "TTL bound (scope vs traffic)",
+        "ttl", ttls, ("success", "msgs"), base, max_queries, protocols,
+        config_overrides=[{"ttl": ttl} for ttl in ttls],
+    )
 
 
 def ablate_churn(
@@ -208,28 +237,16 @@ def ablate_churn(
 
     ``None`` in ``mean_sessions`` means churn disabled.
     """
-    base = base if base is not None else paper_config()
-    headers = ["mean_session_s"] + [f"{p} success" for p in protocols]
-    result = AblationResult(
-        "A5", "churn (index staleness; §4.1.2 motivation)", headers
+    overrides = [
+        {"churn_enabled": False} if s is None
+        else {"churn_enabled": True, "mean_session_s": s, "mean_downtime_s": s / 4.0}
+        for s in mean_sessions
+    ]
+    return _protocol_table(
+        "A5", "churn (index staleness; §4.1.2 motivation)",
+        "mean_session_s", ["off" if s is None else s for s in mean_sessions],
+        ("success",), base, max_queries, protocols, config_overrides=overrides,
     )
-    for session in mean_sessions:
-        if session is None:
-            config = base.replace(churn_enabled=False)
-            label: Any = "off"
-        else:
-            config = base.replace(
-                churn_enabled=True,
-                mean_session_s=session,
-                mean_downtime_s=session / 4.0,
-            )
-            label = session
-        row: list[Any] = [label]
-        for protocol in protocols:
-            run = _run(config, protocol, max_queries)
-            row.append(run.summary.success_rate)
-        result.rows.append(row)
-    return result
 
 
 def measure_bloom_overhead(
@@ -237,8 +254,7 @@ def measure_bloom_overhead(
     max_queries: int = 400,
 ) -> AblationResult:
     """A6 — §4.2 footnote: a BF update is at most 12 × 11 = 132 bits."""
-    base = base if base is not None else paper_config()
-    run = _run(base, "locaware", max_queries)
+    ((run,),) = _grid_rows(base, max_queries, ("locaware",))
     snapshot = run.metric_snapshot
     mean_bits = snapshot.get("summary.bloom.update_bits.mean", math.nan)
     update_count = snapshot.get("summary.bloom.update_bits.count", 0.0)
@@ -246,20 +262,19 @@ def measure_bloom_overhead(
     search_messages = snapshot.get("counter.messages.query", 0.0) + snapshot.get(
         "counter.messages.response", 0.0
     )
-    result = AblationResult(
+    return AblationResult(
         "A6",
         "Bloom update overhead (§4.2 footnote: I = 132 bits per update)",
         ["quantity", "value"],
+        [
+            ["bloom update pushes", int(update_count)],
+            ["bloom update messages", int(messages)],
+            ["mean update size (bits)", round(mean_bits, 1) if not math.isnan(mean_bits) else math.nan],
+            ["paper bound (bits)", 132],
+            ["search messages (for scale)", int(search_messages)],
+            ["bloom/search message ratio", round(messages / search_messages, 3) if search_messages else math.nan],
+        ],
     )
-    result.rows = [
-        ["bloom update pushes", int(update_count)],
-        ["bloom update messages", int(messages)],
-        ["mean update size (bits)", round(mean_bits, 1) if not math.isnan(mean_bits) else math.nan],
-        ["paper bound (bits)", 132],
-        ["search messages (for scale)", int(search_messages)],
-        ["bloom/search message ratio", round(messages / search_messages, 3) if search_messages else math.nan],
-    ]
-    return result
 
 
 def ablate_group_count(
@@ -269,19 +284,11 @@ def ablate_group_count(
     protocols: Sequence[str] = ("dicas", "locaware"),
 ) -> AblationResult:
     """A7 — group modulus M: concentration vs reachability."""
-    base = base if base is not None else paper_config()
-    headers = ["M"]
-    for protocol in protocols:
-        headers += [f"{protocol} success", f"{protocol} msgs"]
-    result = AblationResult("A7", "group count M (Dicas parameter)", headers)
-    for m in group_counts:
-        config = base.replace(group_count=m)
-        row: list[Any] = [m]
-        for protocol in protocols:
-            run = _run(config, protocol, max_queries)
-            row += [run.summary.success_rate, run.summary.mean_messages]
-        result.rows.append(row)
-    return result
+    return _protocol_table(
+        "A7", "group count M (Dicas parameter)",
+        "M", group_counts, ("success", "msgs"), base, max_queries, protocols,
+        config_overrides=[{"group_count": m} for m in group_counts],
+    )
 
 
 def ablate_substrate(
@@ -298,31 +305,17 @@ def ablate_substrate(
     that the paper's *shape* — Locaware's distance advantage at a
     fraction of flooding's traffic — does not hinge on the substitution.
     """
-    base = base if base is not None else paper_config()
-    headers = ["substrate"]
-    for protocol in protocols:
-        headers += [f"{protocol} success", f"{protocol} dist_ms", f"{protocol} msgs"]
-    result = AblationResult(
-        "A8", "substrate sensitivity (latency model x placement)", headers
-    )
     combos = [
-        ("euclidean/clustered", "euclidean", "clustered"),
-        ("euclidean/uniform", "euclidean", "uniform"),
-        ("router/clustered", "router", "clustered"),
-        ("router/uniform", "router", "uniform"),
+        {"latency_model": model, "peer_placement": placement}
+        for model in ("euclidean", "router")
+        for placement in ("clustered", "uniform")
     ]
-    for label, model, placement in combos:
-        config = base.replace(latency_model=model, peer_placement=placement)
-        row: list[Any] = [label]
-        for protocol in protocols:
-            run = _run(config, protocol, max_queries)
-            row += [
-                run.summary.success_rate,
-                run.summary.mean_download_distance_ms,
-                run.summary.mean_messages,
-            ]
-        result.rows.append(row)
-    return result
+    return _protocol_table(
+        "A8", "substrate sensitivity (latency model x placement)",
+        "substrate", [f"{c['latency_model']}/{c['peer_placement']}" for c in combos],
+        ("success", "dist_ms", "msgs"), base, max_queries, protocols,
+        config_overrides=combos,
+    )
 
 
 def ablate_popularity_shift(
@@ -338,24 +331,15 @@ def ablate_popularity_shift(
     popular set; §4.1.2's recency-based replacement is the mechanism
     that lets them keep up.
     """
-    base = base if base is not None else paper_config()
-    headers = ["shift_interval_s"] + [f"{p} success" for p in protocols]
-    result = AblationResult(
-        "EXT2", "popularity drift (shifting Zipf workload)", headers
+    scenarios = [
+        "baseline" if s is None else ("popularity-shift", {"interval_s": s})
+        for s in shift_intervals
+    ]
+    return _protocol_table(
+        "EXT2", "popularity drift (shifting Zipf workload)",
+        "shift_interval_s", ["stationary" if s is None else s for s in shift_intervals],
+        ("success",), base, max_queries, protocols, scenarios=scenarios,
     )
-    for interval in shift_intervals:
-        row: list[Any] = ["stationary" if interval is None else interval]
-        for protocol in protocols:
-            run = run_protocol(
-                base,
-                protocol,
-                max_queries=max_queries,
-                bucket_width=max(1, max_queries // 4),
-                popularity_shift_s=interval,
-            )
-            row.append(run.summary.success_rate)
-        result.rows.append(row)
-    return result
 
 
 def ablate_locaware_routing(
@@ -365,24 +349,28 @@ def ablate_locaware_routing(
     """EXT — §6 future work: location-aware query routing.
 
     Compares stock Locaware against the variant that biases equally
-    eligible next hops towards the requestor's locality.
+    eligible next hops towards the requestor's locality, both
+    instantiated from one built world.
     """
     base = base if base is not None else paper_config()
+    blueprint = NetworkBlueprint.build(base)
     result = AblationResult(
         "EXT",
         "location-aware query routing (§6 future work)",
         ["variant", "success", "distance_ms", "msgs/query", "locId matches"],
     )
     for label, flag in (("locaware", False), ("locaware+locrouting", True)):
-        run = _run(base, "locaware", max_queries, location_aware_routing=flag)
-        snapshot = run.metric_snapshot
+        run = run_protocol(
+            base, "locaware", max_queries, bucket_width=max(1, max_queries // 4),
+            location_aware_routing=flag, blueprint=blueprint,
+        )
         result.rows.append(
             [
                 label,
                 run.summary.success_rate,
                 run.summary.mean_download_distance_ms,
                 run.summary.mean_messages,
-                int(snapshot.get("counter.selection.locid_match", 0)),
+                int(run.metric_snapshot.get("counter.selection.locid_match", 0)),
             ]
         )
     return result

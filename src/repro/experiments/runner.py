@@ -37,7 +37,6 @@ from ..sim.config import SimulationConfig
 from ..sim.telemetry import PhaseTimers, RunTelemetry, collect_run_telemetry
 from ..sim.tracing import JsonlTracer, Tracer
 from ..workload.generator import QueryWorkload
-from ..workload.shifting import ShiftingZipfWorkload
 
 __all__ = [
     "PROTOCOL_REGISTRY",
@@ -142,7 +141,6 @@ def run_protocol(
     bucket_width: int,
     tracer: Tracer | None = None,
     location_aware_routing: bool = False,
-    popularity_shift_s: float | None = None,
     scenario: Scenario | str | None = None,
     blueprint: NetworkBlueprint | None = None,
     trace_path: str | Path | None = None,
@@ -151,14 +149,9 @@ def run_protocol(
 ) -> ProtocolRun:
     """Run one protocol to completion and collect its metrics.
 
-    ``popularity_shift_s`` switches the workload to
-    :class:`~repro.workload.shifting.ShiftingZipfWorkload` with the
-    given re-draw interval (the drift extension).
-
     ``scenario`` — a :class:`~repro.scenarios.Scenario` instance or
     registered scenario name — applies the scenario's config overrides,
-    builds its workload, and runs its install hook.  Mutually exclusive
-    with ``popularity_shift_s``.
+    builds its workload, and runs its install hook.
 
     ``blueprint`` — an optional pre-built
     :class:`~repro.overlay.blueprint.NetworkBlueprint` to instantiate
@@ -179,8 +172,6 @@ def run_protocol(
     """
     if max_queries < 1:
         raise ValueError(f"max_queries must be >= 1, got {max_queries}")
-    if scenario is not None and popularity_shift_s is not None:
-        raise ValueError("scenario and popularity_shift_s are mutually exclusive")
     if trace_path is not None and tracer is not None:
         raise ValueError("trace_path and tracer are mutually exclusive")
     if trace_kinds is not None and trace_path is None:
@@ -236,22 +227,14 @@ def run_protocol(
                     on_rejoin=lambda pid: protocol.init_peer(network.peer(pid)),
                 )
                 churn.start()
-            if scenario is not None:
-                workload: QueryWorkload = scenario.build_workload(
-                    network, protocol.issue_query, max_queries
-                )
-            elif popularity_shift_s is not None:
-                workload = ShiftingZipfWorkload(
-                    network,
-                    protocol.issue_query,
-                    shift_interval_s=popularity_shift_s,
-                    max_queries=max_queries,
-                )
-            else:
+            if scenario is None:
                 workload = QueryWorkload(
                     network, protocol.issue_query, max_queries=max_queries
                 )
-            if scenario is not None:
+            else:
+                workload = scenario.build_workload(
+                    network, protocol.issue_query, max_queries
+                )
                 scenario.install(
                     ScenarioContext(
                         network=network, protocol=protocol, workload=workload,

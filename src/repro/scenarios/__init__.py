@@ -1,9 +1,10 @@
 """Named deployment scenarios for the sweep runner.
 
 Importing this package registers the built-in library (flash-crowd,
-regional-hotspot, churn-storm, cold-start, diurnal, plus the paper's
-baseline).  See :mod:`repro.scenarios.base` for the registry API and
-:mod:`repro.scenarios.library` for the scenarios themselves.
+regional-hotspot, churn-storm, cold-start, diurnal, popularity-shift,
+plus the paper's baseline).  See :mod:`repro.scenarios.base` for the
+registry API and :mod:`repro.scenarios.library` for the scenarios
+themselves.
 """
 
 from .base import (
@@ -24,6 +25,7 @@ from .library import (
     ColdStart,
     Diurnal,
     FlashCrowd,
+    PopularityShift,
     RegionalHotspot,
 )
 from .workloads import (
@@ -49,6 +51,7 @@ __all__ = [
     "ChurnStorm",
     "ColdStart",
     "Diurnal",
+    "PopularityShift",
     "FlashCrowdWorkload",
     "RegionalHotspotWorkload",
     "DiurnalWorkload",

@@ -1,13 +1,14 @@
 """The built-in scenario library.
 
-Six registered scenarios (``repro sweep --list`` prints this table):
+Seven registered scenarios (``repro sweep --list`` prints this table):
 
 - ``baseline``         — the paper's §5.1 stationary Zipf workload;
 - ``flash-crowd``      — sudden popularity spike on one catalog file;
 - ``regional-hotspot`` — one locId's peers hammer a small hot set;
 - ``churn-storm``      — session times collapse mid-run, then recover;
 - ``cold-start``       — sparse natural replication; measures warm-up;
-- ``diurnal``          — sinusoidal query-rate modulation.
+- ``diurnal``          — sinusoidal query-rate modulation;
+- ``popularity-shift`` — the Zipf rank → file assignment re-drawn periodically.
 
 Each scenario composes :class:`~repro.sim.config.SimulationConfig`
 overrides with a workload from :mod:`repro.scenarios.workloads`.  The
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 
 from ..sim.config import SimulationConfig
+from ..workload.shifting import ShiftingZipfWorkload
 from .base import (
     Scenario,
     ScenarioContext,
@@ -28,6 +30,7 @@ from .base import (
     register_scenario,
 )
 from .workloads import (
+    _DEFAULT_EVENT_TIME_S,
     DiurnalWorkload,
     FlashCrowdWorkload,
     RegionalHotspotWorkload,
@@ -40,6 +43,7 @@ __all__ = [
     "ChurnStorm",
     "ColdStart",
     "Diurnal",
+    "PopularityShift",
 ]
 
 
@@ -145,7 +149,7 @@ class ChurnStorm(Scenario):
         whatever the scale; explicit times are used as given.
         """
         horizon = expected_horizon_s(config, max_queries)
-        fallback = 600.0
+        fallback = _DEFAULT_EVENT_TIME_S
         begin = self.storm_time_s
         if begin is None:
             begin = 0.25 * horizon if horizon is not None else fallback
@@ -230,4 +234,33 @@ class Diurnal(Scenario):
             max_queries=max_queries,
             period_s=self.period_s,
             amplitude=self.amplitude,
+        )
+
+
+@register_scenario
+class PopularityShift(Scenario):
+    """What is popular drifts: the Zipf skew stays, the hot files rotate.
+
+    ``interval_s=None`` (the default) re-draws the rank → file
+    assignment every quarter of the run's expected horizon, so
+    popularity moves mid-run whatever the configuration's scale.
+    """
+
+    name = "popularity-shift"
+    description = "Zipf popularity ranks re-drawn at fixed intervals"
+
+    def __init__(self, interval_s: float | None = None) -> None:
+        if interval_s is not None and interval_s <= 0:
+            raise ValueError(f"interval_s must be positive, got {interval_s}")
+        self.interval_s = interval_s
+
+    def build_workload(self, network, issue, max_queries):
+        interval = self.interval_s
+        if interval is None:
+            horizon = expected_horizon_s(network.config, max_queries)
+            interval = (
+                0.25 * horizon if horizon is not None else _DEFAULT_EVENT_TIME_S
+            )
+        return ShiftingZipfWorkload(
+            network, issue, shift_interval_s=interval, max_queries=max_queries
         )

@@ -30,11 +30,18 @@ class TestParser:
         assert args.save is None
 
     def test_ablation_ids(self):
-        for ablation_id in ("a1", "a2", "a3", "a4", "a5", "a6", "a7", "ext"):
+        for ablation_id in (
+            "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "ext", "ext2"
+        ):
             args = build_parser().parse_args(["ablation", ablation_id])
             assert args.id == ablation_id
         with pytest.raises(SystemExit):
             build_parser().parse_args(["ablation", "zz"])
+
+    def test_ablation_rejects_bad_horizon_cleanly(self):
+        code, text = run_cli("ablation", "a6", "--queries", "0")
+        assert code == 2
+        assert text == "error: max_queries must be >= 1, got 0\n"
 
 
 class TestInfo:
@@ -60,9 +67,18 @@ class TestSweepCommand:
         assert code == 0
         for name in (
             "baseline", "flash-crowd", "regional-hotspot",
-            "churn-storm", "cold-start", "diurnal",
+            "churn-storm", "cold-start", "diurnal", "popularity-shift",
         ):
             assert name in text
+
+    def test_sweep_parses_popularity_shift_interval(self):
+        from repro.experiments.grid import ScenarioSpec
+
+        args = build_parser().parse_args(
+            ["sweep", "--scenarios", "popularity-shift:interval_s=200"]
+        )
+        (entry,) = args.scenarios
+        assert ScenarioSpec.parse(entry).make().interval_s == 200
 
     def test_sweep_rejects_unknown_scenario_cleanly(self):
         code, text = run_cli("sweep", "--scenarios", "meteor-strike", "--queries", "5")

@@ -395,12 +395,12 @@ class TestTelemetryNeutrality:
         """The guarded workload.shift emit site changes no bytes."""
         untraced = run_protocol(
             _config(), "locaware", max_queries=40, bucket_width=20,
-            popularity_shift_s=5.0, collect_telemetry=False,
+            scenario="popularity-shift", collect_telemetry=False,
         )
         trace = tmp_path / "shift.jsonl"
         traced = run_protocol(
             _config(), "locaware", max_queries=40, bucket_width=20,
-            popularity_shift_s=5.0, trace_path=trace,
+            scenario="popularity-shift", trace_path=trace,
         )
         assert run_fingerprint(untraced) == run_fingerprint(traced)
         kinds = {

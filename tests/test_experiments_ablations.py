@@ -3,18 +3,22 @@
 
 import pytest
 
-from repro.experiments import small_config
+from repro.experiments import run_protocol, small_config
 from repro.experiments.ablations import (
     AblationResult,
+    _grid_rows,
     ablate_bloom_size,
     ablate_cache_capacity,
     ablate_churn,
     ablate_group_count,
     ablate_landmarks,
     ablate_locaware_routing,
+    ablate_substrate,
     ablate_ttl,
     measure_bloom_overhead,
 )
+from repro.overlay import blueprint
+from test_determinism import run_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +93,63 @@ class TestSweeps:
         assert result.column("variant") == ["locaware", "locaware+locrouting"]
         for rate in result.column("success"):
             assert 0.0 <= rate <= 1.0
+
+    def test_substrate(self, base):
+        before = blueprint.build_count()
+        result = ablate_substrate(base, max_queries=40, protocols=("flooding", "locaware"))
+        assert blueprint.build_count() - before <= 4  # one per world, not per cell
+        assert result.column("substrate") == [
+            "euclidean/clustered", "euclidean/uniform",
+            "router/clustered", "router/uniform",
+        ]
+        assert result.headers[1:4] == [
+            "flooding success", "flooding dist_ms", "flooding msgs"
+        ]
+        for flood, loc in zip(
+            result.column("flooding msgs"), result.column("locaware msgs")
+        ):
+            assert loc < flood
+
+    def test_bad_axis_fails_before_any_cell_runs(self, base):
+        before = blueprint.build_count()
+        with pytest.raises(ValueError, match="duplicate entries on the config-override"):
+            ablate_ttl(base, max_queries=60, ttls=(3, 3))
+        with pytest.raises(ValueError, match="unknown protocol 'gossip'"):
+            ablate_cache_capacity(base, max_queries=60, protocols=("gossip",))
+        with pytest.raises(ValueError, match="max_queries must be >= 1"):
+            measure_bloom_overhead(base, max_queries=0)
+        assert blueprint.build_count() == before
+
+
+class TestOneEngine:
+    """The drivers are grids: one build per world, same runs as scratch."""
+
+    def test_capacity_sweep_builds_its_one_world_at_most_once(self, base):
+        before = blueprint.build_count()
+        ablate_cache_capacity(
+            base, max_queries=60, capacities=(2, 20), protocols=("dicas", "locaware")
+        )
+        assert blueprint.build_count() - before <= 1
+
+    def test_locaware_routing_variants_share_one_build(self, base):
+        before = blueprint.build_count()
+        ablate_locaware_routing(base, max_queries=60)
+        assert blueprint.build_count() - before == 1
+
+    def test_ttl_rows_equal_scratch_runs(self, base):
+        """A4's cells are what direct, blueprint-less runs of them give."""
+        ttls, protocols = (2, 5), ("flooding", "locaware")
+        result = ablate_ttl(base, max_queries=60, ttls=ttls, protocols=protocols)
+        rows = _grid_rows(
+            base, 60, protocols, config_overrides=[{"ttl": ttl} for ttl in ttls]
+        )
+        for ttl, row, runs in zip(ttls, result.rows, rows, strict=True):
+            expected = [ttl]
+            for protocol, run in zip(protocols, runs, strict=True):
+                scratch = run_protocol(
+                    base.replace(ttl=ttl), protocol, max_queries=60,
+                    bucket_width=15, scenario="baseline",
+                )
+                assert run_fingerprint(run) == run_fingerprint(scratch)
+                expected += [scratch.summary.success_rate, scratch.summary.mean_messages]
+            assert row == expected

@@ -58,6 +58,7 @@ class TestRegistry:
             "churn-storm",
             "cold-start",
             "diurnal",
+            "popularity-shift",
         }
         assert required <= set(SCENARIO_REGISTRY)
         assert "baseline" in SCENARIO_REGISTRY
@@ -102,11 +103,22 @@ class TestScenarioRuns:
         assert len(run.outcomes) + run.locally_satisfied == max_queries
         assert all(o.index <= max_queries for o in run.outcomes)
 
-    def test_scenario_and_shift_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            run_protocol(
-                small_config(), "flooding", max_queries=10, bucket_width=10,
-                scenario="baseline", popularity_shift_s=100.0,
+    def test_popularity_shift_default_interval_shifts_mid_run(self):
+        """interval_s=None places shifts inside the run at any scale."""
+        config = small_config(seed=3).replace(query_rate_per_peer=0.02)
+        run = run_protocol(
+            config, "locaware", max_queries=60, bucket_width=30,
+            scenario="popularity-shift",
+        )
+        assert run.metric_snapshot["counter.workload.popularity_shifts"] >= 1
+
+    def test_popularity_shift_rejects_non_positive_interval_up_front(self):
+        from repro.experiments import GridSpec
+
+        with pytest.raises(ValueError, match="scenario axis: interval_s must be"):
+            GridSpec(
+                base_config=small_config(),
+                scenarios=("popularity-shift:interval_s=0",),
             )
 
     def test_cold_start_reduces_initial_replication(self):
@@ -368,7 +380,10 @@ class TestMaxQueriesProperty:
     @given(
         max_queries=st.integers(1, 40),
         scenario=st.sampled_from(
-            ["baseline", "flash-crowd", "regional-hotspot", "diurnal"]
+            [
+                "baseline", "flash-crowd", "regional-hotspot", "diurnal",
+                "popularity-shift",
+            ]
         ),
     )
     @settings(max_examples=12, deadline=None)

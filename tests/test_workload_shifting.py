@@ -107,6 +107,7 @@ class TestShiftingWorkload:
 class TestRunnerIntegration:
     def test_run_protocol_with_shift(self):
         from repro.experiments import run_protocol, small_config
+        from repro.scenarios import make_scenario
 
         config = small_config(seed=3).replace(query_rate_per_peer=0.02)
         run = run_protocol(
@@ -114,9 +115,10 @@ class TestRunnerIntegration:
             "locaware",
             max_queries=60,
             bucket_width=30,
-            popularity_shift_s=200.0,
+            scenario=make_scenario("popularity-shift", interval_s=200.0),
         )
         assert run.outcomes
+        assert run.scenario_name == "popularity-shift"
         assert run.metric_snapshot.get("counter.workload.popularity_shifts", 0) >= 0
 
     def test_popularity_shift_ablation(self):

@@ -30,7 +30,6 @@ Results land in ``BENCH_scale.json`` at the repo root (under
 the frontier over time.
 """
 
-import gc
 import os
 import random
 import statistics
@@ -167,12 +166,7 @@ def _timed_cell(num_peers):
     """The frontier row of one cell that is reported, not gated."""
     config = _scale_config(num_peers)
     blueprint, build_s = _timed_build(config)
-    # Time against a collected, frozen heap, so the collector does not
-    # walk every earlier bench's leftovers during the runs.
-    gc.collect()
-    gc.freeze()
     run_s = _best_of(2, lambda: _run_cell(config, blueprint))
-    gc.unfreeze()
     return _frontier_row(num_peers, build_s, run_s)
 
 

@@ -34,6 +34,7 @@ from ..protocols.dicas_keys import DicasKeysProtocol
 from ..protocols.flooding import FloodingProtocol
 from ..scenarios import Scenario, ScenarioContext, get_scenario
 from ..sim.config import SimulationConfig
+from ..sim.gc_pause import gc_paused
 from ..sim.telemetry import PhaseTimers, RunTelemetry, collect_run_telemetry
 from ..sim.tracing import JsonlTracer, Tracer
 from ..workload.generator import QueryWorkload
@@ -134,6 +135,7 @@ def make_protocol(
     return cls(network)
 
 
+@gc_paused()
 def run_protocol(
     config: SimulationConfig,
     protocol_name: str,
@@ -169,6 +171,11 @@ def run_protocol(
     :class:`~repro.sim.telemetry.RunTelemetry` sidecar to the returned
     run (wall-clock phases, event-loop stats, operational counters);
     it too is inert — assembled read-only after the run finishes.
+
+    The whole call runs with the cyclic collector paused
+    (:func:`~repro.sim.gc_pause.gc_paused`): a cell creates no garbage
+    cycles until its network is dropped on return, and the young
+    collection that follows frees it.
     """
     if max_queries < 1:
         raise ValueError(f"max_queries must be >= 1, got {max_queries}")

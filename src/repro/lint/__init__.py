@@ -10,7 +10,9 @@ scientific validity rests on and no generic tool checks:
 - ``RPR004`` the sim -> overlay -> protocols import-layering DAG;
 - ``RPR005`` no iteration over bare set expressions (ordering leaks
   into RNG draw order);
-- ``RPR006`` strict JSON (``allow_nan=False``) in results/analysis.
+- ``RPR006`` strict JSON (``allow_nan=False``) in results/analysis;
+- ``RPR007`` the cyclic collector is switched only in
+  ``sim/gc_pause.py``.
 
 Configuration lives in ``pyproject.toml [tool.repro-lint]``; inline
 suppressions use ``# repro-lint: skip RPRxxx``.  See the README's

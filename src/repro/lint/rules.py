@@ -1,4 +1,4 @@
-"""The project-specific rule set (``RPR001`` ... ``RPR006``).
+"""The project-specific rule set (``RPR001`` ... ``RPR007``).
 
 Each rule encodes one invariant the repository's scientific validity
 rests on and no generic linter checks.  ``repro lint --explain CODE``
@@ -23,10 +23,11 @@ __all__ = [
     "LayeringRule",
     "SetIterationRule",
     "JsonNanRule",
+    "CollectorSwitchRule",
 ]
 
 #: Modules whose bindings the call-resolution rules track.
-_TRACKED_MODULES = ("time", "datetime", "random", "json")
+_TRACKED_MODULES = ("time", "datetime", "random", "json", "gc")
 
 
 def _import_bindings(tree: ast.Module) -> dict[str, str]:
@@ -546,4 +547,72 @@ class JsonNanRule(Rule):
                     node,
                     f"{qname}() without allow_nan=False in layer "
                     f"{module.layer!r}",
+                )
+
+
+@register_rule
+class CollectorSwitchRule(Rule):
+    """RPR007: the cyclic collector is switched in one module only."""
+
+    code = "RPR007"
+    name = "one-collector-switch"
+    summary = (
+        "wrap the region in repro.sim.gc_pause.gc_paused() — a second, "
+        "ad-hoc switch breaks the restore-what-you-found contract"
+    )
+    scope = "package"
+    rationale = (
+        "World construction and cell execution run with the cyclic "
+        "collector paused by gc_paused(), which is re-entrant and "
+        "leaves a caller's own gc.disable() alone.  The collector "
+        "state is process-global: an ad-hoc gc.disable()/gc.enable() "
+        "pair elsewhere re-enables it in the middle of an enclosing "
+        "pause (or leaves it off after an exception), and gc.freeze() "
+        "or gc.set_threshold() change what every later collection "
+        "walks.  Reading the collector (gc.isenabled(), "
+        "gc.get_stats(), gc.collect()) stays legal everywhere."
+    )
+    example_bad = (
+        "import gc\n"
+        "\n"
+        "def load_everything(paths):\n"
+        "    gc.disable()\n"
+        "    documents = [parse(path) for path in paths]\n"
+        "    gc.enable()\n"
+        "    return documents\n"
+    )
+    example_good = (
+        "from ..sim.gc_pause import gc_paused\n"
+        "\n"
+        "def load_everything(paths):\n"
+        "    with gc_paused():\n"
+        "        return [parse(path) for path in paths]\n"
+    )
+
+    _BANNED = frozenset(
+        {
+            "gc.disable",
+            "gc.enable",
+            "gc.freeze",
+            "gc.unfreeze",
+            "gc.set_threshold",
+        }
+    )
+    #: The one module allowed to switch, below the package root.
+    _HOME = ("sim", "gc_pause")
+
+    def check(self, module: Module, config: LintConfig) -> Iterator[Finding]:
+        if config.module_parts(module.path) == (config.package_name, *self._HOME):
+            return
+        bindings = _import_bindings(module.tree)
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            qname = _resolve_call(node, bindings)
+            if qname in self._BANNED:
+                yield self.finding(
+                    module,
+                    node,
+                    f"collector switch {qname}() outside "
+                    f"{'.'.join((config.package_name, *self._HOME))}",
                 )

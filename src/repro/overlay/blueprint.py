@@ -49,6 +49,7 @@ from ..files.storage import FileStore
 from ..net.underlay import Underlay
 from ..sim.config import BUILD_STREAM_NAMES, SimulationConfig
 from ..sim.engine import Simulator
+from ..sim.gc_pause import gc_paused
 from ..sim.rng import RandomStreams
 from ..sim.tracing import Tracer
 from .graph import OverlayGraph
@@ -93,12 +94,14 @@ class NetworkBlueprint:
     """``config.topology_fingerprint()`` at build time (the cache key)."""
 
     @classmethod
+    @gc_paused()
     def build(cls, config: SimulationConfig) -> NetworkBlueprint:
         """Construct the paper's immutable world from a configuration.
 
         Deterministic for a given ``config.seed``: underlay, overlay
         wiring, catalog, group ids, and initial shares each draw from
-        their own named build-time stream.
+        their own named build-time stream.  Runs with the cyclic
+        collector paused (:mod:`repro.sim.gc_pause`).
         """
         global _build_count
         _build_count += 1

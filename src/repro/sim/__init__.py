@@ -10,6 +10,7 @@ Public surface:
 - metric primitives (:class:`Counter`, :class:`Summary`,
   :class:`BucketedSeries`, :class:`MetricRegistry`);
 - tracing hooks (:class:`Tracer` and friends);
+- :func:`gc_paused` — the one place the cyclic collector is switched;
 - the :mod:`~repro.sim.errors` hierarchy.
 """
 
@@ -22,6 +23,7 @@ from .errors import (
     SchedulingError,
     SimulationError,
 )
+from .gc_pause import gc_paused
 from .metrics import BucketedSeries, Counter, MetricRegistry, Summary
 from .rng import RandomStreams, derive_seed
 from .telemetry import PhaseTimers, RunTelemetry, collect_run_telemetry
@@ -48,6 +50,7 @@ __all__ = [
     "PhaseTimers",
     "RunTelemetry",
     "collect_run_telemetry",
+    "gc_paused",
     "Tracer",
     "NullTracer",
     "RecordingTracer",

@@ -1,0 +1,42 @@
+"""Collector-free regions: pause CPython's cyclic GC around bulk allocation.
+
+Building a world and running a cell allocate hundreds of thousands of
+long-lived container objects and — pinned by
+``tests/test_gc_discipline.py`` — create no reference cycles until the
+finished network is dropped.  Every collection triggered inside such a
+region therefore finds nothing, yet a full one re-walks the live
+network and every cached blueprint.  :func:`gc_paused` switches the
+collector off for the region; the first allocation after it triggers
+one young collection, which frees the finished network.
+
+This is the only module under ``src/repro`` allowed to switch the
+collector (``repro lint`` rule RPR007).
+"""
+
+from __future__ import annotations
+
+import gc
+from collections.abc import Iterator
+from contextlib import contextmanager
+
+__all__ = ["gc_paused"]
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Disable the cyclic collector for the ``with`` body (or, as
+    ``@gc_paused()``, for each call of the decorated function).
+
+    Re-entrant: a region entered while the collector is already off —
+    nested in another region, or under a caller's own ``gc.disable()``
+    — changes nothing, so only the outermost region re-enables, also
+    when the body raises.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()

@@ -7,7 +7,9 @@
   :class:`PhaseTimers`;
 - **engine** — event-loop statistics from the simulator (events
   processed, events per wall-clock second, future-event-list high-water
-  mark);
+  mark) and ``gc_collections``, the interpreter's per-generation
+  collection counts over the run (``[0, 0, 0]`` under
+  :func:`~repro.sim.gc_pause.gc_paused`);
 - **protocol** — operational counters read back from the run's
   :class:`~repro.sim.metrics.MetricRegistry` (index-cache hit ratio,
   Bloom membership tests and a false-positive estimate, the message
@@ -23,6 +25,7 @@ byte-identical must therefore never read from it.
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 from collections.abc import Callable, Iterator
@@ -47,16 +50,23 @@ TELEMETRY_VERSION = 1
 _BLOOM_STATE_KEY = "locaware_bloom"
 
 
+def _gc_collections() -> list[int]:
+    """The interpreter's running collection count, youngest generation first."""
+    return [generation["collections"] for generation in gc.get_stats()]
+
+
 class PhaseTimers:
     """Named wall-clock stopwatches for the phases of one run.
 
     Use as ``with timers.phase("simulate"): ...``; re-entering a name
-    accumulates.  The clock is injectable for tests.
+    accumulates.  The clock is injectable for tests.  Construction also
+    marks the start of the run for :meth:`gc_collections`.
     """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self._clock = clock
         self.durations_s: dict[str, float] = {}
+        self._gc_collections_at_start = _gc_collections()
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -75,6 +85,13 @@ class PhaseTimers:
     def total_s(self) -> float:
         """Sum of every phase's accumulated seconds."""
         return sum(self.durations_s.values())
+
+    def gc_collections(self) -> list[int]:
+        """Cyclic-GC collections per generation since construction."""
+        return [
+            now - start
+            for now, start in zip(_gc_collections(), self._gc_collections_at_start)
+        ]
 
 
 def sanitize_for_json(value: Any) -> Any:
@@ -182,6 +199,7 @@ def collect_run_telemetry(
             ),
             "queue_peak": sim.queue_peak,
             "sim_time_s": sim.now,
+            "gc_collections": phases.gc_collections(),
         },
         protocol={
             "index": {

@@ -115,6 +115,7 @@ class TestRuleExamples:
         "RPR004": "src/repro/results/example.py",
         "RPR005": "src/repro/sim/example.py",
         "RPR006": "src/repro/results/example.py",
+        "RPR007": "src/repro/experiments/example.py",
     }
 
     @pytest.mark.parametrize("code", sorted(RULES))
@@ -353,6 +354,24 @@ class TestLayeringRule:
     def test_star_layer_is_unrestricted(self):
         source = "from .sim.engine import Simulator\nfrom .overlay import network\n"
         assert lint_source(source, "src/repro/cli.py", repo_config()) == []
+
+
+class TestCollectorSwitchRule:
+    _SOURCE = "import gc\n\ndef pause():\n    gc.disable()\n    gc.enable()\n"
+
+    def test_only_the_helper_module_may_switch(self):
+        config = repo_config()
+        assert lint_source(self._SOURCE, "src/repro/sim/gc_pause.py", config) == []
+        for elsewhere in (
+            "src/repro/sim/engine.py",
+            "src/repro/experiments/grid.py",
+            "src/repro/cli.py",
+        ):
+            findings = lint_source(self._SOURCE, elsewhere, config)
+            assert [f.code for f in findings] == ["RPR007", "RPR007"], elsewhere
+
+    def test_tests_and_benchmarks_are_out_of_scope(self):
+        assert lint_source(self._SOURCE, "tests/test_x.py", repo_config()) == []
 
 
 class TestSelfLint:

@@ -1,5 +1,6 @@
 """Unit tests for the run-telemetry sidecar (phase timers, collection)."""
 
+import gc
 import json
 import math
 
@@ -10,6 +11,7 @@ from repro.sim import (
     PhaseTimers,
     RunTelemetry,
     collect_run_telemetry,
+    gc_paused,
 )
 from repro.sim.telemetry import TELEMETRY_VERSION, sanitize_for_json
 
@@ -59,6 +61,13 @@ class TestPhaseTimers:
             with timers.phase("simulate"):
                 raise RuntimeError("boom")
         assert timers.get("simulate") == pytest.approx(1.0)
+
+    def test_gc_collections_counts_per_generation_since_construction(self):
+        with gc_paused():  # no spontaneous collection in between
+            timers = PhaseTimers()
+            gc.collect(1)
+            gc.collect(2)
+            assert timers.gc_collections() == [0, 1, 1]
 
 
 class TestSanitizeForJson:
@@ -121,6 +130,10 @@ class TestCollectRunTelemetry:
         assert engine["queue_peak"] > 0
         assert engine["sim_time_s"] > 0.0
         assert engine["events_per_s"] > 0.0
+
+    def test_no_collection_runs_inside_run_protocol(self, run):
+        assert run.telemetry.engine["gc_collections"] == [0, 0, 0]
+        json.dumps(run.telemetry.to_dict(), allow_nan=False)
 
     def test_index_section_consistent(self, run):
         index = run.telemetry.protocol["index"]
@@ -186,5 +199,6 @@ class TestCollectRunTelemetry:
         telemetry = collect_run_telemetry(FakeNetwork(), timers)
         assert telemetry.engine["events_processed"] == 10
         assert telemetry.engine["events_per_s"] == pytest.approx(10.0)
+        assert len(telemetry.engine["gc_collections"]) == len(gc.get_stats())
         # No lookups recorded -> hit ratio is undefined, sanitised to None.
         assert telemetry.to_dict()["protocol"]["index"]["hit_ratio"] is None

@@ -14,6 +14,7 @@ Run:  python examples/quickstart.py
 
 from repro import LocawareProtocol, P2PNetwork, SimulationConfig
 from repro.analysis import summarize_outcomes
+from repro.experiments import drive_until_settled
 from repro.workload import QueryWorkload
 
 
@@ -30,11 +31,10 @@ def main() -> None:
     workload = QueryWorkload(network, protocol.issue_query, max_queries=300)
     workload.start()
 
-    # Advance virtual time until the workload is generated and every
-    # query has settled (Locaware's periodic pushes keep the event
-    # queue alive, so run in bounded slices).
-    while workload.generated < 300 or protocol.pending_queries > 0:
-        network.sim.run(until=network.sim.now + 500.0)
+    # Run up to the event that finalises the last of the 300 queries
+    # (Locaware's periodic pushes keep the event queue alive, so
+    # draining it would never end).
+    drive_until_settled(network, protocol, workload, max_queries=300)
     protocol.stop()
 
     summary = summarize_outcomes(protocol.outcomes)

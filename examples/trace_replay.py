@@ -14,6 +14,7 @@ import time
 
 from repro import DicasProtocol, LocawareProtocol, P2PNetwork, SimulationConfig
 from repro.analysis import format_table, summarize_outcomes
+from repro.experiments import drive_until_settled
 from repro.workload import QueryWorkload, TraceReplayer, parse_trace, serialize_trace
 
 
@@ -36,9 +37,7 @@ def replay(config, trace_text, protocol_cls):
     protocol.start()
     replayer = TraceReplayer(network, protocol.issue_query, events)
     replayer.start()
-    horizon = events[-1].time + config.query_timeout_s + 1.0
-    while network.sim.now < horizon:
-        network.sim.run(until=min(horizon, network.sim.now + 500.0))
+    drive_until_settled(network, protocol, replayer, max_queries=len(events))
     stop = getattr(protocol, "stop", None)
     if callable(stop):
         stop()

@@ -4,6 +4,7 @@ P2P-file Sharing Systems* (El Dick & Pacitti, DAMAP/EDBT 2009).
 Quickstart::
 
     from repro import SimulationConfig, P2PNetwork, LocawareProtocol
+    from repro.experiments import drive_until_settled
     from repro.workload import QueryWorkload
 
     config = SimulationConfig.small()
@@ -13,9 +14,9 @@ Quickstart::
     workload = QueryWorkload(network, protocol.issue_query, max_queries=200)
     workload.start()
     # Locaware's periodic Bloom pushes keep the event queue alive, so
-    # advance time in bounded slices instead of draining the queue:
-    while workload.generated < 200 or protocol.pending_queries > 0:
-        network.sim.run(until=network.sim.now + 500.0)
+    # run up to the event that finalises the last query instead of
+    # draining the queue:
+    drive_until_settled(network, protocol, workload, max_queries=200)
     protocol.stop()
     print(sum(o.success for o in protocol.outcomes), "queries satisfied")
 

@@ -18,6 +18,7 @@ from .runner import (
     PROTOCOL_REGISTRY,
     ComparisonResult,
     ProtocolRun,
+    drive_until_settled,
     make_protocol,
     run_comparison,
     run_protocol,
@@ -47,6 +48,7 @@ __all__ = [
     "run_protocol",
     "run_comparison",
     "make_protocol",
+    "drive_until_settled",
     "fig2_download_distance",
     "fig3_search_traffic",
     "fig4_success_rate",

@@ -6,10 +6,11 @@ four-way comparison on the *identical* workload (same seed → same
 topology, same catalog, same query stream) and returns everything the
 figures need.
 
-The driver advances virtual time in bounded slices until the workload
-has been fully generated and every in-flight query has been finalised;
-background processes (Bloom pushes, churn) would otherwise keep the
-event queue alive forever.
+A run ends at the event that settles it — the workload fully generated
+and every in-flight query finalised (:func:`drive_until_settled`).
+Every quantity the paper reports is per query, so nothing after that
+event can enter a result; background processes (Bloom pushes, churn)
+would otherwise keep the event queue alive forever.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "ComparisonResult",
     "run_protocol",
     "run_comparison",
+    "drive_until_settled",
 ]
 
 #: name → protocol class, in the paper's presentation order.
@@ -58,9 +60,11 @@ PROTOCOL_REGISTRY: dict[str, type[SearchProtocol]] = {
 
 DEFAULT_PROTOCOL_ORDER = ("flooding", "dicas", "dicas-keys", "locaware")
 
-#: Virtual-time slice per driver iteration (seconds).
+#: How often (virtual seconds) the driver's watchdog looks at a run that
+#: has not settled.  Not the stopping rule: a run ends at its settling
+#: event, wherever that falls inside a slice.
 _TIME_SLICE_S = 500.0
-#: Hard cap on driver iterations (protects against scheduling bugs).
+#: Hard cap on watchdog iterations (protects against scheduling bugs).
 _MAX_SLICES = 1_000_000
 
 
@@ -250,7 +254,7 @@ def run_protocol(
                 )
         with timers.phase("simulate"):
             workload.start()
-            _drive(network, protocol, workload, max_queries)
+            drive_until_settled(network, protocol, workload, max_queries)
             stop = getattr(protocol, "stop", None)
             if callable(stop):
                 stop()
@@ -275,26 +279,68 @@ def run_protocol(
     return run
 
 
-def _drive(
+def drive_until_settled(
     network: P2PNetwork,
     protocol: SearchProtocol,
     workload: QueryWorkload,
     max_queries: int,
 ) -> None:
-    """Advance time until the workload is generated and settled."""
-    for _ in range(_MAX_SLICES):
-        if workload.generated >= max_queries and protocol.pending_queries == 0:
-            return
-        if network.sim.peek_time() is None:
-            if workload.generated < max_queries:
-                raise RuntimeError(
-                    "event queue drained before the workload finished: "
-                    f"{workload.generated} of {max_queries} queries "
-                    "generated; the workload stopped rescheduling itself "
-                    "(e.g. every peer died with no revival timer armed)"
-                )
-            return
-        network.sim.run(until=network.sim.now + _TIME_SLICE_S)
+    """Run the simulation up to the event that settles it, and no further.
+
+    Settled means ``workload.generated >= max_queries`` and
+    ``protocol.pending_queries == 0``.  That can only become true at
+    the end of a query's finalisation or of an arrival, so the driver
+    hooks those two (``protocol.on_idle``, ``workload.on_arrival``) and
+    stops the engine from inside the settling event: ``network.sim.now``
+    is then that event's timestamp — normally the last issue time plus
+    ``query_timeout_s`` — and Bloom pushes, churn timers or downloads
+    still in flight stay queued, unexecuted.
+
+    ``workload`` is anything with ``generated``, ``on_arrival`` and a
+    running arrival process (:class:`~repro.workload.QueryWorkload`, its
+    scenario subclasses, :class:`~repro.workload.TraceReplayer`).
+
+    Raises :class:`RuntimeError` if the event queue drains before the
+    workload finished generating, if the run never settles, or if it
+    settles with a query unaccounted for — every generated query must be
+    a finalised outcome or a local satisfaction.
+    """
+    sim = network.sim
+
+    def settled() -> bool:
+        return workload.generated >= max_queries and protocol.pending_queries == 0
+
+    def stop_if_settled() -> None:
+        if settled():
+            sim.stop()
+
+    protocol.on_idle = workload.on_arrival = stop_if_settled
+    try:
+        for _ in range(_MAX_SLICES):
+            if settled():
+                finalised = len(protocol.outcomes)
+                local = protocol.local_satisfactions
+                if finalised + local != workload.generated:
+                    raise RuntimeError(
+                        f"settled with {finalised} finalised + {local} locally "
+                        "satisfied queries, but the workload generated "
+                        f"{workload.generated}"
+                    )
+                return
+            if sim.peek_time() is None:
+                if workload.generated < max_queries:
+                    raise RuntimeError(
+                        "event queue drained before the workload finished: "
+                        f"{workload.generated} of {max_queries} queries "
+                        "generated; the workload stopped rescheduling itself "
+                        "(e.g. every peer died with no revival timer armed)"
+                    )
+                return
+            sim.run(until=sim.now + _TIME_SLICE_S)
+    finally:
+        # The hooks close over the protocol that holds them: leave no
+        # reference cycle behind (a cell is a collector-free region).
+        protocol.on_idle = workload.on_arrival = None
     raise RuntimeError(
         "simulation did not settle; check for runaway event scheduling"
     )

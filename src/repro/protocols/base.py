@@ -27,7 +27,7 @@ comparisons are apples-to-apples.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -88,6 +88,11 @@ class SearchProtocol:
     #: Flooding does (blind propagation); index-caching protocols stop
     #: (§4.2).
     forward_after_hit = False
+
+    #: Called, when set, each time the last pending query is finalised —
+    #: one of the two moments a run can become settled (the other is the
+    #: workload's last arrival).  The experiment driver sets it.
+    on_idle: Callable[[], None] | None = None
 
     def __init__(self, network: P2PNetwork) -> None:
         self.network = network
@@ -491,6 +496,8 @@ class SearchProtocol:
                 downloaded_file=context.downloaded_file,
             )
         )
+        if not self._contexts and self.on_idle is not None:
+            self.on_idle()
 
     # -- conveniences for runners -------------------------------------------
 

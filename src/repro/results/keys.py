@@ -35,8 +35,13 @@ __all__ = [
 ]
 
 #: Version of the stored cell-document schema.  Bump when the run
-#: document format changes; old cells then miss the cache and re-run.
-SCHEMA_VERSION = 1
+#: document format — or what its fields cover — changes; old cells then
+#: miss the cache and re-run.
+#:
+#: 2: a run ends at the event that settles its last query, so
+#:    ``sim_time_s`` / ``events_processed`` cover [0, settle] instead of
+#:    [0, next multiple of 500 s].  Every per-query field is unchanged.
+SCHEMA_VERSION = 2
 
 
 def canonical_json(payload: Any) -> str:

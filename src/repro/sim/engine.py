@@ -21,6 +21,8 @@ number; the entry stays in the heap (still pending, still counted
 toward the queue peak) and is dropped, note and all, when it reaches
 the front.  Cancelling an event that has left the heap — it fired, or
 was cancelled before and dropped — is a no-op and leaves nothing behind.
+Ending a run from inside an event (:meth:`Simulator.stop`) rides on the
+same note set, so the events that never ask for it pay nothing either.
 :class:`PeriodicProcess` provides the recurring timers used for e.g.
 Bloom-filter update propagation.
 """
@@ -39,6 +41,11 @@ __all__ = ["Event", "Simulator", "PeriodicProcess"]
 #: A scheduled event, exactly as it sits in the heap.  Opaque to
 #: callers: keep it only to pass it to :meth:`Simulator.cancel`.
 Event = tuple[float, int, Callable[..., None], tuple]
+
+#: What :meth:`Simulator.stop` leaves in the cancelled-sequence set.  No
+#: event carries it (sequence numbers start at 0), and a non-empty set
+#: is the one condition :meth:`Simulator.run` already tests per event.
+_STOP = -1
 
 
 class Simulator:
@@ -163,6 +170,8 @@ class Simulator:
         -------
         int
             The number of (non-cancelled) events executed by this call.
+
+        A callback may end the run early with :meth:`stop`.
         """
         if self._running:
             raise EventLoopError("Simulator.run() is not re-entrant")
@@ -178,9 +187,12 @@ class Simulator:
         self._running = True
         try:
             while queue and executed != budget and queue[0][0] <= horizon:
-                if cancelled and queue[0][1] in cancelled:
-                    self._drop_front()
-                    continue
+                if cancelled:
+                    if _STOP in cancelled:
+                        break
+                    if queue[0][1] in cancelled:
+                        self._drop_front()
+                        continue
                 time, _seq, callback, args = heappop(queue)
                 self._now = time
                 callback(*args)
@@ -188,9 +200,25 @@ class Simulator:
                 self._events_processed += 1
         finally:
             self._running = False
-        if until is not None and (not queue or queue[0][0] > until):
+            stopped = _STOP in cancelled
+            cancelled.discard(_STOP)
+        if not stopped and until is not None and (not queue or queue[0][0] > until):
             self._now = max(self._now, until)
         return executed
+
+    def stop(self) -> None:
+        """End the current :meth:`run` once the calling callback returns.
+
+        Only valid inside a callback (:class:`~repro.sim.errors.EventLoopError`
+        otherwise).  The calling event is the last one executed and is
+        counted; the clock stays at its timestamp even under
+        ``run(until=...)``; everything still queued — events at the same
+        timestamp and whatever the callback schedules afterwards
+        included — stays queued, and a later :meth:`run` resumes there.
+        """
+        if not self._running:
+            raise EventLoopError("Simulator.stop() called outside run()")
+        self._cancelled.add(_STOP)
 
     def step(self) -> bool:
         """Execute exactly one pending event.

@@ -51,6 +51,13 @@ class QueryWorkload:
         bound).  ``None`` = unlimited.
     """
 
+    #: Called, when set, at the end of every arrival — after the query
+    #: was issued and the next arrival armed.  The experiment driver
+    #: sets it: the last arrival is one of the two moments a run can
+    #: become settled (the origin may answer it from its own files,
+    #: leaving nothing pending).
+    on_arrival: Callable[[], None] | None = None
+
     def __init__(
         self,
         network: P2PNetwork,
@@ -122,6 +129,8 @@ class QueryWorkload:
             )
             self._issue(origin, file_id, keywords)
         self._schedule_next()
+        if self.on_arrival is not None:
+            self.on_arrival()
 
     def _sample_file(self, origin: int) -> int:
         """Pick the queried file for an arrival at ``origin``.

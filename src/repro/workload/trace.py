@@ -67,7 +67,17 @@ class TraceReplayer:
     Every event is scheduled at its recorded virtual time, regardless of
     the current network's query-rate configuration — the trace *is* the
     workload.
+
+    ``generated`` (trace events consumed so far) and ``on_arrival`` are
+    what :func:`~repro.experiments.runner.drive_until_settled` asks of a
+    workload, so a replay is driven like a generated one.  An event
+    whose recorded origin is down in this run is consumed but not issued
+    (``replayed`` stays behind ``generated``); the driver's accounting
+    check reports such a replay as short of its trace.
     """
+
+    #: Called, when set, after every trace event (issued or skipped).
+    on_arrival: Callable[[], None] | None = None
 
     def __init__(
         self,
@@ -79,6 +89,7 @@ class TraceReplayer:
         self._issue = issue
         self._events = sorted(events, key=lambda e: (e.time, e.index))
         self.replayed = 0
+        self.generated = 0
 
     def start(self) -> None:
         """Schedule every trace event at its recorded time."""
@@ -86,9 +97,11 @@ class TraceReplayer:
             self._network.sim.schedule_at(event.time, self._fire, event)
 
     def _fire(self, event: QueryEvent) -> None:
-        if not self._network.peer(event.origin).alive:
-            # The recorded origin is down in this run; skip rather than
-            # teleport the query to a different peer.
-            return
-        self.replayed += 1
-        self._issue(event.origin, event.file_id, event.keywords)
+        self.generated += 1
+        # A recorded origin that is down in this run is skipped rather
+        # than teleporting the query to a different peer.
+        if self._network.peer(event.origin).alive:
+            self.replayed += 1
+            self._issue(event.origin, event.file_id, event.keywords)
+        if self.on_arrival is not None:
+            self.on_arrival()

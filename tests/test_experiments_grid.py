@@ -285,6 +285,25 @@ class TestResume:
         assert report.executed == 8
         assert report.cached == 0
 
+    def test_schema_1_store_is_re_executed_not_served(self, tmp_path, monkeypatch):
+        """Schema 2 is the stop-at-settle timeline: cells a schema-1
+        runner stored (they ran on to a 500 s boundary) must miss."""
+        import repro.results.keys as keys
+
+        assert keys.SCHEMA_VERSION == 2
+        grid = dict(self.GRID, scenarios=("baseline",))
+        store = ResultStore(tmp_path)
+        monkeypatch.setattr(keys, "SCHEMA_VERSION", 1)
+        old = GridRunner(_spec(**grid), store=store).run()
+        assert (old.executed, old.cached) == (4, 0)
+        monkeypatch.undo()
+        new = GridRunner(_spec(**grid), store=store).run()
+        assert (new.executed, new.cached) == (4, 0)
+        assert len(store) == 8
+        assert all(run.sim_time_s % 500.0 != 0.0 for run in new.runs.values())
+        warm = GridRunner(_spec(**grid), store=store).run()
+        assert (warm.executed, warm.cached) == (0, 4)
+
     def test_storeless_runner_always_executes(self):
         spec = _spec(protocols=("flooding",), scenarios=("baseline",), seeds=(1,))
         report = GridRunner(spec).run()

@@ -6,6 +6,7 @@ from repro.experiments import (
     DEFAULT_PROTOCOL_ORDER,
     PROTOCOL_REGISTRY,
     bench_config,
+    drive_until_settled,
     fig2_download_distance,
     fig3_search_traffic,
     fig4_success_rate,
@@ -16,6 +17,7 @@ from repro.experiments import (
     small_config,
 )
 from repro.overlay import P2PNetwork
+from repro.workload import QueryWorkload
 
 
 @pytest.fixture(scope="module")
@@ -214,8 +216,6 @@ class TestDriveDrainGuard:
     def test_drained_queue_with_unfinished_workload_raises(self):
         """A workload that stops rescheduling itself must fail loudly,
         naming generated vs expected queries."""
-        from repro.experiments.runner import _drive
-
         network = P2PNetwork.build(small_config(seed=13))
 
         class StalledWorkload:
@@ -225,13 +225,11 @@ class TestDriveDrainGuard:
             pending_queries = 0
 
         with pytest.raises(RuntimeError, match="3 of 10"):
-            _drive(network, IdleProtocol(), StalledWorkload(), 10)
+            drive_until_settled(network, IdleProtocol(), StalledWorkload(), 10)
 
     def test_drained_queue_after_full_generation_settles(self):
         """Draining *after* the workload finished generating stays a
         clean return even with queries still nominally pending."""
-        from repro.experiments.runner import _drive
-
         network = P2PNetwork.build(small_config(seed=13))
 
         class DoneWorkload:
@@ -240,4 +238,117 @@ class TestDriveDrainGuard:
         class StuckProtocol:
             pending_queries = 1
 
-        _drive(network, StuckProtocol(), DoneWorkload(), 10)
+        drive_until_settled(network, StuckProtocol(), DoneWorkload(), 10)
+
+
+def _science(run):
+    """Everything a figure can read off a run (repr: NaNs must match)."""
+    return repr((run.outcomes, run.summary, run.series, run.locally_satisfied))
+
+
+class TestStopAtSettle:
+    """A run ends at the event that settles its last query — and nothing
+    after that event could have entered a result."""
+
+    @pytest.mark.parametrize("scenario", ["baseline", "churn-storm", "flash-crowd"])
+    @pytest.mark.parametrize("protocol_name", sorted(PROTOCOL_REGISTRY))
+    def test_ends_at_the_settling_event_and_the_tail_changes_nothing(
+        self, protocol_name, scenario, monkeypatch
+    ):
+        from repro.experiments import runner
+
+        config = small_config(seed=13).replace(query_rate_per_peer=0.02)
+        seen = {}
+
+        def drive_then_overrun(network, protocol, workload, max_queries):
+            drive_until_settled(network, protocol, workload, max_queries)
+            seen["settled_at"] = network.sim.now
+            seen["last_arrival"] = workload.history[-1].time
+            network.sim.run(until=network.sim.now + 500.0)
+
+        def cell():
+            return run_protocol(
+                config, protocol_name, max_queries=60, bucket_width=20,
+                scenario=scenario,
+            )
+
+        run = cell()
+        monkeypatch.setattr(runner, "drive_until_settled", drive_then_overrun)
+        overrun = cell()
+
+        # Last issue + timeout — unless the last arrival came later
+        # still and was satisfied locally, leaving nothing pending.
+        last_issue = max(o.issued_at for o in run.outcomes)
+        assert run.sim_time_s == max(
+            last_issue + run.config.query_timeout_s, seen["last_arrival"]
+        )
+        assert run.sim_time_s == seen["settled_at"]
+        assert run.sim_time_s % 500.0 != 0.0
+        assert len(run.outcomes) + run.locally_satisfied == 60
+        # The argument itself: 500 more seconds of the same live network
+        # (Bloom pushes, churn, downloads in flight) move no per-query
+        # quantity, only the run-level bookkeeping.
+        assert overrun.sim_time_s == run.sim_time_s + 500.0
+        assert overrun.events_processed >= run.events_processed
+        assert _science(overrun) == _science(run)
+
+    def test_single_query_settles_at_its_own_timeout(self):
+        config = small_config(seed=13).replace(query_rate_per_peer=0.02)
+        run = run_protocol(config, "locaware", max_queries=1, bucket_width=1)
+        (outcome,) = run.outcomes
+        assert run.sim_time_s == outcome.issued_at + config.query_timeout_s
+        assert run.sim_time_s < 500.0
+
+    def test_locally_satisfied_last_arrival_settles_on_the_spot(self):
+        """Nothing is pending after an arrival the origin answers from
+        its own files: the arrival itself is the settling event."""
+        config = small_config(seed=13).replace(query_rate_per_peer=0.02)
+        network = P2PNetwork.build(config)
+        protocol = make_protocol("locaware", network)
+        protocol.start()
+
+        def ask_for_an_own_file(origin, _file_id, _keywords):
+            own = min(network.peer(origin).store.file_ids())
+            keywords = tuple(sorted(network.catalog.keywords(own)))
+            return protocol.issue_query(origin, own, keywords)
+
+        workload = QueryWorkload(network, ask_for_an_own_file, max_queries=1)
+        workload.start()
+        drive_until_settled(network, protocol, workload, 1)
+        assert protocol.local_satisfactions == 1
+        assert protocol.outcomes == []
+        assert network.sim.now == workload.history[-1].time
+        assert 0.0 < network.sim.now < 500.0
+
+    def test_hooks_are_released_on_return(self):
+        config = small_config(seed=13).replace(query_rate_per_peer=0.02)
+        network = P2PNetwork.build(config)
+        protocol = make_protocol("flooding", network)
+        workload = QueryWorkload(network, protocol.issue_query, max_queries=3)
+        workload.start()
+        drive_until_settled(network, protocol, workload, 3)
+        assert protocol.on_idle is None
+        assert workload.on_arrival is None
+
+    def test_unaccounted_query_fails_the_settle_invariant(self):
+        """Every generated query is a finalised outcome or a local
+        satisfaction; a run that settles short of that is refused."""
+        config = small_config(seed=13).replace(query_rate_per_peer=0.02)
+        network = P2PNetwork.build(config)
+        protocol = make_protocol("flooding", network)
+        issued = []
+
+        def lose_the_second(origin, file_id, keywords):
+            issued.append(file_id)
+            if len(issued) != 2:
+                protocol.issue_query(origin, file_id, keywords)
+
+        workload = QueryWorkload(network, lose_the_second, max_queries=5)
+        workload.start()
+        with pytest.raises(RuntimeError) as error:
+            drive_until_settled(network, protocol, workload, 5)
+        finalised, local = len(protocol.outcomes), protocol.local_satisfactions
+        assert finalised + local == 4
+        assert f"{finalised} finalised" in str(error.value)
+        assert f"{local} locally satisfied" in str(error.value)
+        assert "generated 5" in str(error.value)

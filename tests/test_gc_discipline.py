@@ -63,7 +63,7 @@ def simulate_by_hand(protocol_name, scenario_name, max_queries=60):
         )
     )
     workload.start()
-    runner_module._drive(network, protocol, workload, max_queries)
+    runner_module.drive_until_settled(network, protocol, workload, max_queries)
     return network, protocol
 
 

@@ -1,10 +1,10 @@
 """Property-based test: the event engine against a sorted-list model.
 
 Random programs of ``schedule`` / ``schedule_at`` / ``cancel`` /
-``run(until, max_events)`` / ``step`` / ``peek_time`` — with equal
-timestamps, and callbacks that themselves schedule and cancel — are fed
-to :class:`~repro.sim.Simulator` and to :class:`ModelSimulator`, and
-everything a caller can observe must agree after every operation.  The
+``run(until, max_events)`` / ``step`` / ``peek_time`` / ``stop`` — with
+equal timestamps, and callbacks that themselves schedule, cancel and
+stop the run — are fed to :class:`~repro.sim.Simulator` and to
+:class:`ModelSimulator`, and everything a caller can observe must agree after every operation.  The
 model keeps the pre-tuple engine's semantics in the most obvious form
 (a sorted list of rows with a "live" flag each), so this is the
 regression proof that the heap-of-tuples engine fires the same events
@@ -17,7 +17,7 @@ from bisect import insort
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
+from repro.sim import EventLoopError, Simulator
 
 
 class ModelSimulator:
@@ -26,6 +26,7 @@ class ModelSimulator:
     def __init__(self):
         self.rows = []  # sorted [time, seq, live, callback, args]
         self.now, self.seq, self.events_processed, self.queue_peak = 0.0, 0, 0, 0
+        self.running = self.stopping = False
 
     pending_events = property(lambda self: len(self.rows))
 
@@ -44,16 +45,30 @@ class ModelSimulator:
 
     def run(self, until=None, max_events=None):
         executed = 0
-        while self.rows and executed != max_events and (until is None or self.rows[0][0] <= until):
+        self.running, self.stopping = True, False
+        while (
+            self.rows
+            and not self.stopping
+            and executed != max_events
+            and (until is None or self.rows[0][0] <= until)
+        ):
             time, _seq, live, callback, args = self.rows.pop(0)
             if live:
                 self.now = time
                 callback(*args)
                 executed += 1
                 self.events_processed += 1
+        self.running = False
+        if self.stopping:
+            return executed  # the clock stays on the stopping event
         if until is not None and (not self.rows or self.rows[0][0] > until):
             self.now = max(self.now, until)
         return executed
+
+    def stop(self):
+        if not self.running:
+            raise EventLoopError("stop() outside run()")
+        self.stopping = True
 
     def step(self):
         return self.run(max_events=1) == 1
@@ -90,6 +105,12 @@ class Driver:
             return self.sim.run(until=until, max_events=budget)
         if kind == "step":
             return self.sim.step()
+        if kind == "stop":
+            try:
+                self.sim.stop()
+            except EventLoopError:
+                return "refused"  # only ever outside a run
+            return None
         return self.sim.peek_time()
 
     def fire(self, label, then):
@@ -108,15 +129,19 @@ class Driver:
 # A handful of delays, so equal timestamps are the common case.
 delays = st.sampled_from([0.0, 0.5, 1.0, 2.0])
 cancels = st.tuples(st.just("cancel"), st.integers(0, 40))
-# What a callback does when it fires: schedule leaves, cancel anything.
+stops = st.tuples(st.just("stop"))
+# What a callback does when it fires: schedule leaves, cancel anything,
+# end the run (and then, possibly, carry on scheduling and cancelling).
 callback_ops = st.lists(
-    st.tuples(st.just("schedule"), delays, st.just(())) | cancels, max_size=3
+    st.tuples(st.just("schedule"), delays, st.just(())) | cancels | stops,
+    max_size=3,
 )
 programs = st.lists(
     st.tuples(st.sampled_from(["schedule", "schedule_at"]), delays, callback_ops)
     | cancels
     | st.tuples(st.just("run"), st.none() | delays, st.none() | st.integers(0, 4))
     | st.tuples(st.just("step"))
+    | stops
     | st.tuples(st.just("peek")),
     max_size=40,
 )
@@ -134,8 +159,8 @@ def test_engine_matches_sorted_list_model(program):
         assert real.sim._cancelled == {
             seq for _time, seq, live, _callback, _args in model.sim.rows if not live
         }, op
-    real.sim.run()
-    model.sim.run()
+    while real.sim.pending_events:  # a callback may stop the drain too
+        assert real.sim.run() == model.sim.run()
     assert real.observed() == model.observed()
     assert real.sim.pending_events == 0
     assert real.sim._cancelled == set()

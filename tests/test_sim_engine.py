@@ -296,6 +296,142 @@ class TestRun:
         assert sim.events_processed == 2
 
 
+class TestStop:
+    """``Simulator.stop()``: end the run from inside an event."""
+
+    def test_stopping_event_is_the_last_one_and_is_counted(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, seen.append, "a")
+        sim.schedule(2.0, lambda: (seen.append("b"), sim.stop()))
+        sim.schedule(3.0, seen.append, "c")
+        assert sim.run() == 2
+        assert seen == ["a", "b"]
+        assert sim.events_processed == 2
+        assert sim.pending_events == 1
+
+    def test_clock_stays_on_the_stopping_event_under_until(self):
+        sim = Simulator()
+        sim.schedule(2.0, sim.stop)
+        sim.schedule(3.0, lambda: None)
+        sim.run(until=500.0)
+        assert sim.now == 2.0
+
+    def test_clock_stays_even_when_nothing_else_is_queued(self):
+        # The loop ends by itself here; the request must still be seen.
+        sim = Simulator()
+        sim.schedule(2.0, sim.stop)
+        assert sim.run(until=500.0) == 1
+        assert sim.now == 2.0
+        assert sim.run(until=500.0) == 0  # and is not left armed
+        assert sim.now == 500.0
+
+    def test_later_run_resumes_normally(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, sim.stop)
+        sim.schedule(2.0, seen.append, "after")
+        sim.run()
+        assert seen == []
+        assert sim.run(until=10.0) == 1
+        assert seen == ["after"]
+        assert sim.now == 10.0
+
+    def test_same_timestamp_events_scheduled_later_stay_queued(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, seen.append, "first")
+        sim.schedule(1.0, sim.stop)
+        sim.schedule(1.0, seen.append, "third")
+        assert sim.run(until=1.0) == 2
+        assert seen == ["first"]
+        assert sim.peek_time() == 1.0
+        assert sim.run() == 1
+        assert seen == ["first", "third"]
+
+    def test_events_scheduled_after_the_request_stay_queued(self):
+        sim = Simulator()
+        seen = []
+
+        def stop_then_schedule():
+            sim.stop()
+            sim.schedule(0.0, seen.append, "child")
+
+        sim.schedule(1.0, stop_then_schedule)
+        assert sim.run() == 1
+        assert seen == []
+        assert sim.run() == 1
+        assert seen == ["child"]
+
+    def test_stop_outside_a_run_is_an_error(self):
+        sim = Simulator()
+        with pytest.raises(EventLoopError, match="outside run"):
+            sim.stop()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        with pytest.raises(EventLoopError, match="outside run"):
+            sim.stop()
+
+    def test_stop_on_the_event_that_exhausts_max_events(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, sim.stop)
+        sim.schedule(3.0, lambda: None)
+        assert sim.run(until=100.0, max_events=2) == 2
+        assert sim.now == 2.0
+        assert sim.run(until=100.0) == 1  # the request did not leak
+        assert sim.now == 100.0
+
+    def test_stop_inside_step(self):
+        sim = Simulator()
+        sim.schedule(1.0, sim.stop)
+        sim.schedule(2.0, lambda: None)
+        assert sim.step() is True
+        assert sim.step() is True
+        assert sim.events_processed == 2
+
+    def test_cancelled_front_event_is_left_alone_and_dropped_later(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, sim.stop)
+        doomed = sim.schedule(2.0, seen.append, "doomed")
+        sim.schedule(3.0, seen.append, "live")
+        sim.cancel(doomed)
+        assert sim.run() == 1
+        assert sim.pending_events == 2  # the cancelled one still at the front
+        assert sim.peek_time() == 3.0
+        assert sim.run() == 1
+        assert seen == ["live"]
+        assert sim._cancelled == set()
+
+    def test_stop_while_other_cancellations_are_pending(self):
+        sim = Simulator()
+        seen = []
+        far = sim.schedule(9.0, seen.append, "far")
+        sim.cancel(far)
+        sim.schedule(1.0, sim.stop)
+        sim.schedule(2.0, seen.append, "next")
+        assert sim.run() == 1
+        assert sim._cancelled == {far[1]}
+        assert sim.run() == 1
+        assert seen == ["next"]
+
+    def test_request_does_not_survive_a_raising_callback(self):
+        sim = Simulator()
+
+        def stop_then_fail():
+            sim.stop()
+            raise ValueError("boom")
+
+        sim.schedule(1.0, stop_then_fail)
+        sim.schedule(2.0, lambda: None)
+        with pytest.raises(ValueError):
+            sim.run()
+        assert sim._cancelled == set()
+        assert sim.run(until=5.0) == 1
+        assert sim.now == 5.0
+
+
 class TestPeriodicProcess:
     def test_fires_every_period(self):
         sim = Simulator()

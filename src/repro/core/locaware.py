@@ -224,7 +224,8 @@ class LocawareProtocol(SearchProtocol):
     def select_forward_targets(self, peer: Peer, query: Query) -> list[int]:
         """BF-matching neighbors; else Gid guess; else best-connected.
 
-        The neighbor row is fetched once and shared by the three rules.
+        The neighbor row is fetched once and shared by the first two
+        rules; the last resort reads the overlay's ranking of that row.
         With the §6 extension (``location_aware_routing``) connectivity
         still leads the last resort — exploration is what finds results
         on a sparse overlay — but ties between equally connected
@@ -251,7 +252,7 @@ class LocawareProtocol(SearchProtocol):
             self._routed_by_gid.value += 1
             return gid_matches
         fallback = self._fallback_neighbors(
-            row,
+            peer.peer_id,
             last_hop,
             query.origin_locid if self.location_aware_routing else None,
         )

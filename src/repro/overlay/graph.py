@@ -9,28 +9,27 @@ component with one random edge, so queries are not artificially
 partitioned away from their results (PeerSim's wiring protocols do the
 same).
 
-Two interchangeable representations implement one explicit contract:
+The pristine wiring lives in a CSR-style pair of flat int arrays
+(``indptr``/``indices``) with a copy-on-write per-row overlay for churn
+mutations, so ``copy()`` (one per blueprint instantiation) is a pair of
+C-level ``memcpy``s, and re-joins draw candidates from an incrementally
+maintained sorted id list instead of re-sorting the whole population.
 
-- :class:`OverlayGraph` (the default) keeps the pristine wiring in a
-  CSR-style pair of flat int arrays (``indptr``/``indices``) with a
-  copy-on-write per-row overlay for churn mutations.  Neighbor reads on
-  the per-message hot path are O(degree) array slices with no object
-  chasing, ``copy()`` (one per blueprint instantiation) is a pair of
-  C-level ``memcpy``s, and re-joins draw candidates from an
-  incrementally maintained sorted id list instead of re-sorting the
-  whole population (the old ``sorted(adjacency)`` was O(n log n) per
-  join).
-
-- :class:`DictOverlayGraph` is the dict-backed reference
-  implementation retained for the substrate-equivalence suite
-  (``tests/test_substrate_equivalence.py``): same construction RNG
-  draws, same mutation semantics, byte-identical neighbor orders.
+**What a hop reads is derived once per wiring, not once per hop.**
+§3.1 wires a peer when it joins and only churn rewires it, so the two
+things forwarding reads off the wiring — a peer's neighbor row
+(:meth:`OverlayGraph.neighbors_view`) and that row ordered best
+connected first (:meth:`OverlayGraph.ranked_neighbors`, §4.2's "highly
+connected neighbor" rule) — are immutable tuples, materialised on first
+use and forgotten by the mutation that invalidates them.
 
 **Neighbor iteration order is part of the contract**: rows iterate in
 edge *insertion* order (construction order; churn re-joins append).
-Both backends guarantee it, which is what makes runs on either backend
-byte-identical — the previous ``Set[int]`` rows iterated in hash-table
-order, an implementation accident no representation can reproduce.
+That is what makes runs byte-identical — the original ``Set[int]`` rows
+iterated in hash-table order, an implementation accident no
+representation can reproduce.  ``tests/reference_graph.py`` keeps a
+dict-of-rows implementation of the same contract as the oracle the
+property suites compare against.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from array import array
 from bisect import bisect_left, insort
 from collections.abc import Sequence
 
-__all__ = ["OverlayGraph", "DictOverlayGraph"]
+__all__ = ["OverlayGraph"]
 
 
 def _random_rows(
@@ -51,8 +50,8 @@ def _random_rows(
 ) -> list[list[int]]:
     """Shared G(n, M) construction: insertion-ordered adjacency rows.
 
-    Both graph backends build from this helper so they consume the RNG
-    identically and freeze identical rows.
+    The tests' reference graph builds from this helper too, so both
+    consume the RNG identically and freeze identical rows.
     """
     if num_peers < 2:
         raise ValueError(f"need at least 2 peers, got {num_peers}")
@@ -142,12 +141,17 @@ class OverlayGraph:
     The pristine wiring lives in two flat int arrays (``_indptr``,
     ``_indices``); churn promotes individual rows into ``_mutated``
     copy-on-write arrays.  Neighbor rows iterate in insertion order.
+    ``_rows`` / ``_ranked`` hold the tuples :meth:`neighbors_view` and
+    :meth:`ranked_neighbors` have handed out for the current wiring;
+    :meth:`_forget` is the only place entries leave them.
     """
 
     __slots__ = (
         "_indptr",
         "_indices",
         "_mutated",
+        "_rows",
+        "_ranked",
         "_present",
         "_present_sorted",
         "_num_present",
@@ -163,6 +167,8 @@ class OverlayGraph:
         self._indptr = array(self._TYPECODE, bytes(8 * (num_peers + 1)))
         self._indices = array(self._TYPECODE)
         self._mutated: dict[int, array] = {}
+        self._rows: dict[int, tuple[int, ...]] = {}
+        self._ranked: dict[int, tuple[int, ...]] = {}
         self._present = bytearray(b"\x01" * num_peers)
         self._present_sorted: list[int] | None = None
         self._num_present = num_peers
@@ -203,7 +209,8 @@ class OverlayGraph:
         The overlay is mutated at run time (churn tears down and
         rebuilds links), so a cached blueprint hands every
         instantiation its own copy of the pristine graph.  Copying the
-        CSR base is two C-level array copies.
+        CSR base is two C-level array copies; the clone starts with
+        empty row and ranking caches of its own.
         """
         clone = OverlayGraph(0)
         clone._indptr = self._indptr[:]
@@ -221,15 +228,37 @@ class OverlayGraph:
         start = self._indptr[peer_id]
         return self._indices[start : self._indptr[peer_id + 1]]
 
+    def _row(self, peer_id: int) -> array:
+        """The peer's current row: promoted if churn touched it, else a
+        fresh slice of the CSR base (callers must not mutate it)."""
+        row = self._mutated.get(peer_id)
+        if row is not None:
+            return row
+        if not self.contains(peer_id):
+            raise KeyError(f"peer {peer_id} not in the overlay")
+        return self._base_row(peer_id)
+
     def _row_mut(self, peer_id: int) -> array:
-        """The peer's mutable row, promoting the CSR base row on demand."""
+        """The peer's mutable row, promoting the CSR base row on demand.
+
+        Whoever asks is about to change the row, so everything derived
+        from it is forgotten here (see :meth:`_forget`)."""
         row = self._mutated.get(peer_id)
         if row is None:
-            if not self.contains(peer_id):
-                raise KeyError(f"peer {peer_id} not in the overlay")
-            row = self._base_row(peer_id)
-            self._mutated[peer_id] = row
+            row = self._mutated[peer_id] = self._row(peer_id)
+        self._forget(peer_id, row)
         return row
+
+    def _forget(self, peer_id: int, row: Sequence[int]) -> None:
+        """Drop what was derived from ``peer_id``'s row (``row``, as it
+        is before the change): its tuple, its ranking, and the ranking
+        of every member — a member's ranking holds ``peer_id``'s degree.
+        """
+        self._rows.pop(peer_id, None)
+        ranked = self._ranked
+        ranked.pop(peer_id, None)
+        for member in row:
+            ranked.pop(member, None)
 
     def _add_edge(self, a: int, b: int) -> None:
         row_a = self._row_mut(a)
@@ -273,17 +302,32 @@ class OverlayGraph:
         """A copy of ``peer_id``'s neighbors as a set."""
         return set(self.neighbors_view(peer_id))
 
-    def neighbors_view(self, peer_id: int) -> Sequence[int]:
-        """The neighbor row in insertion order (do not mutate).
+    def neighbors_view(self, peer_id: int) -> tuple[int, ...]:
+        """The neighbor row in insertion order, as an immutable tuple.
 
-        The hot-path read: an O(degree) int-array slice, no per-entry
-        object allocation."""
-        row = self._mutated.get(peer_id)
-        if row is not None:
-            return row
-        if not self.contains(peer_id):
-            raise KeyError(f"peer {peer_id} not in the overlay")
-        return self._base_row(peer_id)
+        The hot-path read: one dict lookup per hop.  The tuple is built
+        on the first read after the row last changed and never changes
+        once handed out — a later mutation makes the *next* call return
+        a new tuple."""
+        row = self._rows.get(peer_id)
+        if row is None:
+            row = self._rows[peer_id] = tuple(self._row(peer_id))
+        return row
+
+    def ranked_neighbors(self, peer_id: int) -> tuple[int, ...]:
+        """The neighbor row ordered for §4.2's 'highly connected
+        neighbor' last resort: best connected first, ties towards the
+        smaller id.
+
+        Built on the first call after the row, or the degree of one of
+        its members, last changed."""
+        ranked = self._ranked.get(peer_id)
+        if ranked is None:
+            degree = self.degree
+            ranked = self._ranked[peer_id] = tuple(
+                sorted(self.neighbors_view(peer_id), key=lambda n: (-degree(n), n))
+            )
+        return ranked
 
     def degree(self, peer_id: int) -> int:
         """Number of neighbors of ``peer_id``."""
@@ -300,21 +344,6 @@ class OverlayGraph:
             return 0.0
         return 2.0 * self._num_edges / self._num_present
 
-    def highest_degree_neighbor(self, peer_id: int) -> int | None:
-        """The §4.2 'highly connected neighbor' fallback target.
-
-        Ties break towards the smallest id for determinism.  ``None``
-        when the peer has no neighbors.
-        """
-        best: int | None = None
-        best_degree = -1
-        for neighbor in sorted(self.neighbors_view(peer_id)):
-            d = self.degree(neighbor)
-            if d > best_degree:
-                best = neighbor
-                best_degree = d
-        return best
-
     def components(self) -> list[set[int]]:
         """Connected components as peer-id sets."""
         seen: set[int] = set()
@@ -327,7 +356,7 @@ class OverlayGraph:
             seen.add(start)
             while stack:
                 u = stack.pop()
-                for v in self.neighbors_view(u):
+                for v in self._row(u):
                     if v not in component:
                         component.add(v)
                         seen.add(v)
@@ -371,6 +400,7 @@ class OverlayGraph:
         row = self._mutated.pop(peer_id, None)
         if row is None:
             row = self._base_row(peer_id)
+        self._forget(peer_id, row)
         for neighbor in row:
             self._row_mut(neighbor).remove(peer_id)
         self._present[peer_id] = 0
@@ -395,134 +425,3 @@ def bisect_index(sorted_list: list[int], value: int) -> int:
     if index >= len(sorted_list) or sorted_list[index] != value:
         raise ValueError(f"{value} not present")
     return index
-
-
-class DictOverlayGraph:
-    """Dict-backed reference implementation of the overlay contract.
-
-    Semantically identical to :class:`OverlayGraph` — same construction
-    RNG draws, same insertion-ordered neighbor rows (``Dict[int, None]``
-    rows preserve insertion order), same mutation rules — but with the
-    per-peer object layout of the original implementation.  Kept so the
-    substrate-equivalence suite can prove the array refactor changes
-    nothing observable; not used on any production path.
-    """
-
-    def __init__(self, num_peers: int) -> None:
-        if num_peers < 0:
-            raise ValueError(f"num_peers must be non-negative, got {num_peers}")
-        self._adjacency: dict[int, dict[int, None]] = {
-            pid: {} for pid in range(num_peers)
-        }
-
-    @classmethod
-    def random(
-        cls,
-        num_peers: int,
-        mean_degree: float,
-        rng: random.Random,
-        connect_components: bool = True,
-    ) -> DictOverlayGraph:
-        rows = _random_rows(num_peers, mean_degree, rng, connect_components)
-        graph = cls(num_peers)
-        for pid, row in enumerate(rows):
-            graph._adjacency[pid] = dict.fromkeys(row)
-        return graph
-
-    def copy(self) -> DictOverlayGraph:
-        clone = DictOverlayGraph(0)
-        clone._adjacency = {pid: dict(row) for pid, row in self._adjacency.items()}
-        return clone
-
-    def _add_edge(self, a: int, b: int) -> None:
-        if b in self._adjacency[a]:
-            return
-        self._adjacency[a][b] = None
-        self._adjacency[b][a] = None
-
-    @property
-    def num_peers(self) -> int:
-        return len(self._adjacency)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(row) for row in self._adjacency.values()) // 2
-
-    def peers(self) -> list[int]:
-        return sorted(self._adjacency)
-
-    def contains(self, peer_id: int) -> bool:
-        return peer_id in self._adjacency
-
-    def neighbors(self, peer_id: int) -> set[int]:
-        return set(self._adjacency[peer_id])
-
-    def neighbors_view(self, peer_id: int) -> Sequence[int]:
-        return list(self._adjacency[peer_id])
-
-    def degree(self, peer_id: int) -> int:
-        return len(self._adjacency[peer_id])
-
-    def mean_degree(self) -> float:
-        if not self._adjacency:
-            return 0.0
-        return 2.0 * self.num_edges / len(self._adjacency)
-
-    def highest_degree_neighbor(self, peer_id: int) -> int | None:
-        best: int | None = None
-        best_degree = -1
-        for neighbor in sorted(self._adjacency[peer_id]):
-            d = len(self._adjacency[neighbor])
-            if d > best_degree:
-                best = neighbor
-                best_degree = d
-        return best
-
-    def components(self) -> list[set[int]]:
-        seen: set[int] = set()
-        components: list[set[int]] = []
-        for start in sorted(self._adjacency):
-            if start in seen:
-                continue
-            stack = [start]
-            component = {start}
-            seen.add(start)
-            while stack:
-                u = stack.pop()
-                for v in self._adjacency[u]:
-                    if v not in component:
-                        component.add(v)
-                        seen.add(v)
-                        stack.append(v)
-            components.append(component)
-        return components
-
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
-
-    def add_peer(self, peer_id: int, num_links: int, rng: random.Random) -> list[int]:
-        if peer_id in self._adjacency:
-            raise ValueError(f"peer {peer_id} already in the overlay")
-        candidates = sorted(self._adjacency)
-        self._adjacency[peer_id] = {}
-        if not candidates:
-            return []
-        chosen = rng.sample(candidates, min(num_links, len(candidates)))
-        for neighbor in chosen:
-            self._add_edge(peer_id, neighbor)
-        return chosen
-
-    def remove_peer(self, peer_id: int) -> set[int]:
-        row = self._adjacency.pop(peer_id, None)
-        if row is None:
-            raise KeyError(f"peer {peer_id} not in the overlay")
-        for neighbor in row:
-            self._adjacency[neighbor].pop(peer_id, None)
-        return set(row)
-
-    def degree_histogram(self) -> dict[int, int]:
-        histogram: dict[int, int] = {}
-        for row in self._adjacency.values():
-            d = len(row)
-            histogram[d] = histogram.get(d, 0) + 1
-        return histogram

@@ -12,13 +12,17 @@ Three message families, straight from §3.1 and §4 of the paper:
   filter, pushed to direct neighbors.
 
 Messages are immutable; forwarding creates the next hop's copy via
-:meth:`Query.forwarded`.  Query ids are globally unique within a run
-and allocated by the protocol engine.
+:meth:`Query.forwarded`.  The two per-hop messages (:class:`Query`,
+:class:`QueryResponse`) are named tuples: a copy is one C-level
+allocation, where a frozen dataclass pays one ``object.__setattr__``
+per field.  Query ids are globally unique within a run and allocated by
+the protocol engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..bloom.delta import BloomDelta
 
@@ -38,8 +42,7 @@ class ProviderEntry:
     locid: int | None = None
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     """A keyword query in flight.
 
     Attributes
@@ -72,20 +75,11 @@ class Query:
     path: tuple[int, ...]
 
     def forwarded(self, via: int) -> Query:
-        """The copy of this query that ``via`` forwards onward.
-
-        Built directly rather than via ``dataclasses.replace`` — this
-        runs once per hop and ``replace`` costs a fields() walk plus a
-        kwargs dict on every call.
-        """
+        """The copy of this query that ``via`` forwards onward."""
+        query_id, origin, origin_locid, keywords, target_file, ttl, path = self
         return Query(
-            self.query_id,
-            self.origin,
-            self.origin_locid,
-            self.keywords,
-            self.target_file,
-            self.ttl - 1,
-            self.path + (via,),
+            query_id, origin, origin_locid, keywords, target_file,
+            ttl - 1, path + (via,),
         )
 
     @property
@@ -94,8 +88,7 @@ class Query:
         return self.path[-1]
 
 
-@dataclass(frozen=True)
-class QueryResponse:
+class QueryResponse(NamedTuple):
     """A query response walking the reverse path (§3.1).
 
     Attributes
@@ -131,17 +124,8 @@ class QueryResponse:
 
     def advanced(self) -> QueryResponse:
         """The copy of this response after one reverse-path hop."""
-        return QueryResponse(
-            self.query_id,
-            self.origin,
-            self.origin_locid,
-            self.keywords,
-            self.file_id,
-            self.filename,
-            self.providers,
-            self.responder,
-            self.reverse_path[1:],
-        )
+        *carried, reverse_path = self
+        return QueryResponse(*carried, reverse_path[1:])
 
 
 @dataclass(frozen=True)

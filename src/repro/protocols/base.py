@@ -239,27 +239,23 @@ class SearchProtocol:
         return [n for n in row if n != last_hop and peers[n].gid == group]
 
     def _fallback_neighbors(
-        self, row: Iterable[int], last_hop: int, origin_locid: int | None = None
+        self, peer_id: int, last_hop: int, origin_locid: int | None = None
     ) -> list[int]:
         """§4.2's last resort, shared by the Gid/Bloom protocols.
 
-        Up to ``config.fallback_fanout`` members of ``row`` (the peer's
-        neighbor row) other than ``last_hop``, best connected first, ties
-        towards smaller ids, so restricted routing keeps moving on sparse
-        overlays instead of dead-ending.  Given ``origin_locid``, equally
-        connected neighbors in the requestor's locality come first.
+        Up to ``config.fallback_fanout`` neighbors of ``peer_id`` other
+        than ``last_hop``, best connected first, ties towards smaller ids
+        (the order ``OverlayGraph.ranked_neighbors`` keeps per wiring),
+        so restricted routing keeps moving on sparse overlays instead of
+        dead-ending.  Given ``origin_locid``, equally connected
+        neighbors in the requestor's locality come first.
         """
-        degree = self.network.graph.degree
-        if origin_locid is None:
-            ranked = sorted((-degree(n), n) for n in row if n != last_hop)
-        else:
-            peers = self.network.peers
-            ranked = sorted(
-                (-degree(n), peers[n].locid != origin_locid, n)
-                for n in row
-                if n != last_hop
-            )
-        return [entry[-1] for entry in ranked[: self.config.fallback_fanout]]
+        graph = self.network.graph
+        ranked = [n for n in graph.ranked_neighbors(peer_id) if n != last_hop]
+        if origin_locid is not None:
+            degree, peers = graph.degree, self.network.peers
+            ranked.sort(key=lambda n: (-degree(n), peers[n].locid != origin_locid, n))
+        return ranked[: self.config.fallback_fanout]
 
     def _forward(self, peer: Peer, query: Query) -> None:
         if query.ttl <= 0:
@@ -267,35 +263,23 @@ class SearchProtocol:
         targets = self.select_forward_targets(peer, query)
         if not targets:
             return
-        if query.last_hop == peer.peer_id:
+        peer_id = peer.peer_id
+        if query.last_hop == peer_id:
             # At the origin the path already ends with this peer; only
             # spend a TTL hop, do not append a duplicate path entry.
-            copy = Query(
-                query_id=query.query_id,
-                origin=query.origin,
-                origin_locid=query.origin_locid,
-                keywords=query.keywords,
-                target_file=query.target_file,
-                ttl=query.ttl - 1,
-                path=query.path,
-            )
+            copy = query._replace(ttl=query.ttl - 1)
         else:
-            copy = query.forwarded(peer.peer_id)
+            copy = query.forwarded(peer_id)
+        query_id = query.query_id
         if self.tracer.enabled:
             self.tracer.emit(
                 self.network.sim.now, "query.forward",
-                qid=query.query_id, peer=peer.peer_id, ttl=copy.ttl,
+                qid=query_id, peer=peer_id, ttl=copy.ttl,
                 targets=list(targets),
             )
+        send, handler = self.network.send, self._handle_query_message
         for target in targets:
-            self.network.send(
-                peer.peer_id,
-                target,
-                self._handle_query_message,
-                copy,
-                query_id=query.query_id,
-                kind="query",
-            )
+            send(peer_id, target, handler, copy, query_id, "query")
 
     def _handle_query_message(self, dst: int, message: object) -> None:
         query = message  # type: Query

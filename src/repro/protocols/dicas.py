@@ -59,7 +59,7 @@ class DicasProtocol(SearchProtocol):
     def _route_to_group(self, peer: Peer, last_hop: int, group: int) -> list[int]:
         row = self.network.graph.neighbors_view(peer.peer_id)
         return self._gid_neighbors(row, last_hop, group) or self._fallback_neighbors(
-            row, last_hop
+            peer.peer_id, last_hop
         )
 
     # -- caching ----------------------------------------------------------

@@ -262,7 +262,7 @@ class TestRoutingTiers:
                 network, origin=origin, keywords=("zz-nomatch",), path=(origin,)
             )
             targets = protocol._fallback_neighbors(
-                network.graph.neighbors_view(peer.peer_id),
+                peer.peer_id,
                 last_hop=origin,
                 origin_locid=query.origin_locid,
             )

@@ -66,9 +66,7 @@ class TestDicasRouting:
 
     def test_fallback_prefers_high_degree(self):
         network, protocol = make(DicasProtocol)
-        fallback = protocol._fallback_neighbors(
-            network.graph.neighbors_view(0), last_hop=-1
-        )
+        fallback = protocol._fallback_neighbors(0, last_hop=-1)
         degrees = [network.graph.degree(n) for n in fallback]
         other_degrees = [
             network.graph.degree(n)
@@ -80,8 +78,7 @@ class TestDicasRouting:
 
     def test_fallback_respects_fanout_config(self):
         network, protocol = make(DicasProtocol, fallback_fanout=1)
-        row = network.graph.neighbors_view(0)
-        assert len(protocol._fallback_neighbors(row, last_hop=-1)) <= 1
+        assert len(protocol._fallback_neighbors(0, last_hop=-1)) <= 1
 
 
 class TestDicasCaching:

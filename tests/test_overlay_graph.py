@@ -67,25 +67,22 @@ class TestQueries:
         for pid in graph.peers():
             assert graph.degree(pid) == len(graph.neighbors(pid))
 
-    def test_highest_degree_neighbor(self, graph):
-        pid = graph.peers()[0]
-        best = graph.highest_degree_neighbor(pid)
-        if graph.degree(pid) == 0:
-            assert best is None
-        else:
-            assert best in graph.neighbors(pid)
-            assert graph.degree(best) == max(
-                graph.degree(n) for n in graph.neighbors(pid)
-            )
+    def test_ranked_neighbors_lead_with_the_best_connected(self, graph):
+        for pid in graph.peers():
+            ranked = graph.ranked_neighbors(pid)
+            assert sorted(ranked) == sorted(graph.neighbors(pid))
+            degrees = [graph.degree(n) for n in ranked]
+            assert degrees == sorted(degrees, reverse=True)
 
-    def test_highest_degree_neighbor_tie_breaks_low_id(self):
+    def test_ranked_neighbors_tie_breaks_low_id(self):
         g = OverlayGraph(4)
-        g._add_edge(0, 1)  # noqa: SLF001 - direct wiring for a controlled topology
-        g._add_edge(0, 2)  # noqa: SLF001
+        g._add_edge(0, 2)  # noqa: SLF001 - direct wiring for a controlled topology
+        g._add_edge(0, 1)  # noqa: SLF001
         g._add_edge(1, 3)  # noqa: SLF001
         g._add_edge(2, 3)  # noqa: SLF001
-        # Neighbors of 0 are 1 and 2, both degree 2 -> pick 1.
-        assert g.highest_degree_neighbor(0) == 1
+        # Neighbors of 0 are 2 and 1 (insertion order), both degree 2 -> 1 leads.
+        assert g.neighbors_view(0) == (2, 1)
+        assert g.ranked_neighbors(0) == (1, 2)
 
     def test_degree_histogram_sums(self, graph):
         histogram = graph.degree_histogram()

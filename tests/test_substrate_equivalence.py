@@ -10,9 +10,10 @@ The scale refactor swapped three substrates under the simulator —
 — while every observable (QueryOutcome streams, summaries, series,
 metric snapshots) must stay *byte-identical*.  This suite proves it by
 running full simulations twice: once on the production (new) substrate
-and once with the retained legacy backends monkeypatched in
-(:class:`DictOverlayGraph`, :class:`ByteBloomFilter`, the underlay's
-``scan_*`` latency path), then comparing ``run_fingerprint`` output.
+and once with the reference backends monkeypatched in (the tests-only
+:class:`reference_graph.DictOverlayGraph`, the retained
+:class:`ByteBloomFilter`, the underlay's ``scan_*`` latency path), then
+comparing ``run_fingerprint`` output.
 
 Component-level sections pin the equivalences individually so a
 failure localises: identical RNG draws and neighbor orders for the two
@@ -29,6 +30,7 @@ import repro.bloom.counting as counting_module
 import repro.bloom.delta as delta_module
 import repro.core.bloom_router as bloom_router_module
 import repro.overlay.blueprint as blueprint_module
+from reference_graph import DictOverlayGraph
 from repro.bloom.bloom_filter import (
     BloomFilter,
     ByteBloomFilter,
@@ -40,7 +42,7 @@ from repro.bloom.bloom_filter import (
 from repro.experiments import PROTOCOL_REGISTRY, run_protocol
 from repro.net.latency import EuclideanLatencyModel, RouterLevelLatencyModel
 from repro.net.underlay import Underlay
-from repro.overlay.graph import DictOverlayGraph, OverlayGraph
+from repro.overlay.graph import OverlayGraph
 from test_determinism import _config, run_fingerprint
 
 
@@ -151,11 +153,11 @@ class TestGraphBackendEquivalence:
             DictOverlayGraph.random(30, 3.0, random.Random(3)).neighbors_view(1)
         )
 
-    def test_highest_degree_neighbor_agrees(self):
+    def test_ranked_neighbors_agree(self):
         csr = OverlayGraph.random(80, 3.0, random.Random(5))
         ref = DictOverlayGraph.random(80, 3.0, random.Random(5))
         for pid in range(80):
-            assert csr.highest_degree_neighbor(pid) == ref.highest_degree_neighbor(pid)
+            assert csr.ranked_neighbors(pid) == ref.ranked_neighbors(pid)
 
 
 class TestBloomBackendEquivalence:

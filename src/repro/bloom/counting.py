@@ -15,7 +15,6 @@ its counter is non-zero — which is what travels to neighbors.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterable
 
 from .bloom_filter import BloomFilter, element_positions
@@ -26,8 +25,9 @@ __all__ = ["CountingBloomFilter"]
 class CountingBloomFilter:
     """Bloom filter with per-position counters (supports remove).
 
-    Counters live in a compact ``array('H')`` (65535 is far beyond the
-    4-bit regime real deployments assume), and the exported bit vector
+    Only the non-zero counters are stored (position → count), so a
+    filter costs what it holds — a peer that has cached nothing has no
+    counters — and a counter has no ceiling.  The exported bit vector
     — bit set iff counter non-zero — is maintained incrementally as one
     int, so :meth:`to_bloom_filter` is O(words) instead of an O(bits)
     counter scan per neighbor push.
@@ -42,7 +42,7 @@ class CountingBloomFilter:
             raise ValueError(f"hashes must be positive, got {hashes}")
         self._bits = bits
         self._hashes = hashes
-        self._counters = array("H", bytes(2 * bits))
+        self._counters: dict[int, int] = {}
         self._bitvec = 0
         # Multiset of inserted elements: removal of a never-inserted (or
         # already fully removed) element must be rejected, otherwise the
@@ -73,9 +73,10 @@ class CountingBloomFilter:
         """Insert ``element`` (multiset semantics: repeats stack)."""
         counters = self._counters
         for pos in element_positions(element, self._bits, self._hashes):
-            if counters[pos] == 0:
+            count = counters.get(pos, 0)
+            if count == 0:
                 self._bitvec |= 1 << pos
-            counters[pos] += 1
+            counters[pos] = count + 1
         self._elements[element] = self._elements.get(element, 0) + 1
 
     def add_all(self, elements: Iterable[str]) -> None:
@@ -95,8 +96,11 @@ class CountingBloomFilter:
             raise KeyError(f"cannot remove absent element {element!r}")
         counters = self._counters
         for pos in element_positions(element, self._bits, self._hashes):
-            counters[pos] -= 1
-            if counters[pos] == 0:
+            left = counters[pos] - 1
+            if left:
+                counters[pos] = left
+            else:
+                del counters[pos]
                 self._bitvec &= ~(1 << pos)
         if count == 1:
             del self._elements[element]
@@ -123,14 +127,14 @@ class CountingBloomFilter:
 
     def clear(self) -> None:
         """Reset to empty."""
-        self._counters = array("H", bytes(2 * self._bits))
+        self._counters.clear()
         self._bitvec = 0
         self._elements.clear()
 
     def max_counter(self) -> int:
         """Largest counter value (4-bit counters suffice in practice;
         this lets tests verify we stay in that regime)."""
-        return max(self._counters) if self._counters else 0
+        return max(self._counters.values(), default=0)
 
     def bit_int(self) -> int:
         """The exported bit vector as one int (bit ``p`` = position

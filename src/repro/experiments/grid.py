@@ -79,9 +79,12 @@ __all__ = [
     "parse_scalar",
 ]
 
-#: Blueprints retained per process under plain LRU churn (``prewarm``
-#: grows the cache transiently; ``clear()`` restores this default).
-_BLUEPRINT_CACHE_CAPACITY = 8
+#: Built worlds retained per process: at most eight, and at most eight
+#: §5.1 ``paper_config`` populations' worth of peers — eight worlds up
+#: to 1000 peers, four at 2000, exactly one at 6000 and beyond (a world
+#: over the budget is held alone).
+_BLUEPRINT_CACHE_WORLDS = 8
+_BLUEPRINT_CACHE_PEERS = 8000
 
 #: Per-process blueprint cache, keyed by topology fingerprint.  Worker
 #: processes live for the whole sweep (no ``maxtasksperchild``), so a
@@ -89,7 +92,9 @@ _BLUEPRINT_CACHE_CAPACITY = 8
 #: every later cell with the same fingerprint instead of rebuilding —
 #: and ``fork``-started workers inherit everything the parent
 #: prewarmed copy-on-write (see :class:`GridWorkerPool`).
-_BLUEPRINT_CACHE = BlueprintCache(capacity=_BLUEPRINT_CACHE_CAPACITY)
+_BLUEPRINT_CACHE = BlueprintCache(
+    max_peers=_BLUEPRINT_CACHE_PEERS, max_worlds=_BLUEPRINT_CACHE_WORLDS
+)
 
 
 class NonFiniteValueError(ValueError):
@@ -476,7 +481,7 @@ class GridSpec:
 
         The one execution order: groups appear in the order their
         fingerprint first does, and cells keep their relative order
-        inside a group — so a blueprint cache of any capacity builds
+        inside a group — so a blueprint cache of any budget builds
         each world once, and the ``len(protocols)`` chunks of a row
         stay together.  Results do not depend on execution order.
         """
@@ -686,12 +691,7 @@ class GridWorkerPool:
             else 0
         )
         context = multiprocessing.get_context(self.start_method)
-        try:
-            self._pool = context.Pool(processes=workers)
-        except BaseException:
-            # close() will never run: hand back what prewarm grew.
-            _BLUEPRINT_CACHE.restore_capacity()
-            raise
+        self._pool = context.Pool(processes=workers)
 
     @property
     def shares_parent_memory(self) -> bool:
@@ -711,16 +711,9 @@ class GridWorkerPool:
         return self._pool.map(fn, items)
 
     def close(self) -> None:
-        """Tear the workers down (idempotent).
-
-        Also hands any transient prewarm capacity back to the cache:
-        with the workers gone, the parent has no reason to pin more
-        worlds than the ordinary LRU bound.
-        """
+        """Tear the workers down (idempotent)."""
         self._pool.terminate()
         self._pool.join()
-        if self.prebuilt:
-            _BLUEPRINT_CACHE.restore_capacity()
 
     def __enter__(self) -> GridWorkerPool:
         return self
@@ -732,25 +725,28 @@ class GridWorkerPool:
 def _capped_prebuild(
     spec: GridSpec, cells: Sequence[GridCell]
 ) -> list[SimulationConfig]:
-    """Up to one cache-capacity's worth of distinct build configs.
+    """Up to one cache budget's worth of distinct build configs.
 
     ``cells`` is everything still to run, not one claimed batch (which
     in topology order covers a single world).  Collected in dispatch
-    order, so the common few-fingerprint grid ships every world to the
-    workers at fork time, while a 100-seed grid neither serialises 100
-    builds in the parent (workers idling) nor outgrows the cache's
-    fixed memory bound — topologies past the cap build lazily per
-    worker, exactly as before the shared substrate existed.
-    Fingerprints come from the spec's per-row memo; only the chosen
-    cells instantiate their scenario.
+    order until the next distinct world no longer fits the cache next
+    to the ones before it (:meth:`BlueprintCache.fits`; the first
+    always does), so the common few-fingerprint grid ships every world
+    to the workers at fork time, while a 100-seed grid neither
+    serialises 100 builds in the parent (workers idling) nor has
+    prewarm evict what it just built — topologies past the budget
+    build lazily per worker, exactly as before the shared substrate
+    existed.  Fingerprints come from the spec's per-row memo; only the
+    chosen cells instantiate their scenario.
     """
     prebuild: dict[str, SimulationConfig] = {}
     for cell in cells:
         fingerprint = spec._row(cell)["topology_fingerprint"]
         if fingerprint not in prebuild:
-            prebuild[fingerprint] = spec.cell_build_config(cell)
-            if len(prebuild) >= _BLUEPRINT_CACHE.capacity:
+            config = spec.cell_build_config(cell)
+            if not _BLUEPRINT_CACHE.fits([*prebuild.values(), config]):
                 break
+            prebuild[fingerprint] = config
     return list(prebuild.values())
 
 
@@ -773,9 +769,9 @@ def execute_cells(
     always run topology by topology (:meth:`GridSpec.by_topology`) and
     instantiate their world from the process's blueprint cache, so a
     serial run builds each distinct world exactly once at any cache
-    capacity.  Across workers, up to one cache-capacity's worth of
+    budget.  Across workers, up to one cache budget's worth of
     distinct topologies is prebuilt in the parent and inherited
-    copy-on-write by fork workers; anything past that cap (and
+    copy-on-write by fork workers; anything past that budget (and
     everything on platforms without fork) builds lazily, at most once
     per fingerprint per worker — results are byte-identical either way.
 
@@ -1174,8 +1170,8 @@ class GridRunner:
         """The persistent pool for claimed batches, forked on first use.
 
         Created lazily on the first batch that actually executes (a
-        warm store never pays for a pool), after up to one
-        cache-capacity's worth of the distinct topologies among the
+        warm store never pays for a pool), after up to one cache
+        budget's worth of the distinct topologies among the
         pending cells (the ``claimed`` batch first, then everything
         ``deferred`` to later passes) is built into the parent's
         blueprint cache — fork workers inherit those worlds

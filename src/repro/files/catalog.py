@@ -10,9 +10,10 @@ heart of keyword search (§3.1):
     a query ``q`` is satisfied by a file ``f`` iff every keyword of
     ``q`` is a keyword of ``f``.
 
-The catalog also maintains a global inverted index (keyword → file
-ids), used by peers' local stores and by tests that need ground truth
-about which files can possibly satisfy a query.
+The catalog also answers ground-truth questions (which files can
+possibly satisfy a query) from a global inverted index, keyword → file
+ids.  No simulation path asks, so the index is built on first use and
+a world that is only simulated never carries it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .keywords import KeywordPool, join_keywords
 
@@ -54,13 +56,18 @@ class FileCatalog:
         self._records = list(records)
         self._pool = pool
         self._by_filename: dict[str, FileRecord] = {}
-        self._inverted: dict[str, set[int]] = {}
         for record in self._records:
             if record.filename in self._by_filename:
                 raise ValueError(f"duplicate filename {record.filename!r} in catalog")
             self._by_filename[record.filename] = record
+
+    @cached_property
+    def _inverted(self) -> dict[str, set[int]]:
+        inverted: dict[str, set[int]] = {}
+        for record in self._records:
             for kw in record.keywords:
-                self._inverted.setdefault(kw, set()).add(record.file_id)
+                inverted.setdefault(kw, set()).add(record.file_id)
+        return inverted
 
     # -- construction ----------------------------------------------------
 

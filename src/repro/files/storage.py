@@ -24,7 +24,10 @@ class FileStore:
     def __init__(self, catalog: FileCatalog) -> None:
         self._catalog = catalog
         self._files: set[int] = set()
-        self._inverted: dict[str, set[int]] = {}
+        # keyword -> ids of the shared files carrying it.  Immutable
+        # tuples replaced on change: a file's keywords share one
+        # ``(file_id,)``, so a posting costs what it holds.
+        self._inverted: dict[str, tuple[int, ...]] = {}
 
     @property
     def size(self) -> int:
@@ -44,8 +47,11 @@ class FileStore:
         if file_id in self._files:
             return False
         self._files.add(file_id)
+        inverted = self._inverted
+        own = (file_id,)
         for kw in self._catalog.keywords(file_id):
-            self._inverted.setdefault(kw, set()).add(file_id)
+            posting = inverted.get(kw)
+            inverted[kw] = own if posting is None else posting + own
         return True
 
     def add_many(self, file_ids: Iterable[int]) -> int:
@@ -57,12 +63,13 @@ class FileStore:
         if file_id not in self._files:
             return False
         self._files.discard(file_id)
+        inverted = self._inverted
         for kw in self._catalog.keywords(file_id):
-            posting = self._inverted.get(kw)
-            if posting is not None:
-                posting.discard(file_id)
-                if not posting:
-                    del self._inverted[kw]
+            posting = tuple(fid for fid in inverted[kw] if fid != file_id)
+            if posting:
+                inverted[kw] = posting
+            else:
+                del inverted[kw]
         return True
 
     def clear(self) -> None:
@@ -75,7 +82,7 @@ class FileStore:
         keyword_list = list(query_keywords)
         if not keyword_list:
             return set()
-        postings: list[set[int]] = []
+        postings: list[tuple[int, ...]] = []
         for kw in keyword_list:
             posting = self._inverted.get(kw)
             if not posting:
@@ -84,7 +91,7 @@ class FileStore:
         postings.sort(key=len)
         result = set(postings[0])
         for posting in postings[1:]:
-            result &= posting
+            result.intersection_update(posting)
             if not result:
                 break
         return result

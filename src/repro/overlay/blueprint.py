@@ -40,7 +40,7 @@ sizes, churn) varying freely.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from ..files.catalog import FileCatalog
@@ -216,46 +216,60 @@ class BlueprintCache:
     underlay/catalog ship to workers exactly once, at fork time,
     instead of being rebuilt (or pickled) per task.
 
-    ``capacity`` bounds ordinary :meth:`get` churn; :meth:`prewarm`
-    grows it transiently so a prewarmed world is never evicted
-    mid-sweep, and :meth:`clear` restores the default.
+    The bound is in what the cache holds: ``max_peers`` caps the
+    summed ``num_peers`` of the cached worlds and ``max_worlds`` their
+    number (a world's fixed parts — router topology, keyword pool — do
+    not shrink with its population, so small worlds are bounded by
+    count), whichever binds first; :meth:`fits` is the whole policy.
+    A miss evicts least-recently-used worlds *before* it builds, so a
+    victim is never alive during the build that replaces it, and a
+    world larger than the whole budget is held alone.
     """
 
-    def __init__(self, capacity: int = 8) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._default_capacity = capacity
-        self.capacity = capacity
+    def __init__(self, max_peers: int, max_worlds: int) -> None:
+        if max_peers < 1:
+            raise ValueError(f"max_peers must be >= 1, got {max_peers}")
+        if max_worlds < 1:
+            raise ValueError(f"max_worlds must be >= 1, got {max_worlds}")
+        self.max_peers = max_peers
+        self.max_worlds = max_worlds
         self._blueprints: OrderedDict[str, NetworkBlueprint] = OrderedDict()
+
+    def fits(self, configs: Sequence[SimulationConfig]) -> bool:
+        """Whether these worlds may be cached together (one always may)."""
+        return len(configs) <= 1 or (
+            len(configs) <= self.max_worlds
+            and sum(config.num_peers for config in configs) <= self.max_peers
+        )
 
     def get(self, config: SimulationConfig) -> NetworkBlueprint:
         """The blueprint for ``config``, built at most once per process."""
         fingerprint = config.topology_fingerprint()
         blueprint = self._blueprints.get(fingerprint)
-        if blueprint is None:
-            blueprint = NetworkBlueprint.build(config)
-            self._blueprints[fingerprint] = blueprint
-            while len(self._blueprints) > self.capacity:
-                self._blueprints.popitem(last=False)
-        else:
+        if blueprint is not None:
             self._blueprints.move_to_end(fingerprint)
+            return blueprint
+        while not self.fits(
+            [held.config for held in self._blueprints.values()] + [config]
+        ):
+            self._blueprints.popitem(last=False)
+        # The victims are unreferenced, hence freed, before the build.
+        blueprint = self._blueprints[fingerprint] = NetworkBlueprint.build(config)
         return blueprint
 
     def prewarm(self, configs: Iterable[SimulationConfig]) -> int:
         """Build every distinct topology among ``configs``; count builds.
 
-        Deduplicates by fingerprint first, grows :attr:`capacity` to
-        hold them all, then builds only the missing worlds — exactly
-        one :meth:`NetworkBlueprint.build` per distinct fingerprint
-        not already cached.
+        One :meth:`NetworkBlueprint.build` per distinct fingerprint not
+        already cached.  The budget is :meth:`get`'s: every prewarmed
+        world is still cached afterwards only if the batch :meth:`fits`
+        (``experiments.grid._capped_prebuild`` sees to that).
         """
         distinct: OrderedDict[str, SimulationConfig] = OrderedDict()
         for config in configs:
             distinct.setdefault(config.topology_fingerprint(), config)
-        self.capacity = max(self.capacity, len(distinct))
-        # Touch the already-cached members first so the inserts below
-        # can only evict worlds *outside* this batch — every prewarmed
-        # fingerprint must still be cached when the pool forks.
+        # Touch the already-cached members first so the builds below
+        # evict worlds *outside* this batch before any inside it.
         for fingerprint in distinct:
             if fingerprint in self._blueprints:
                 self._blueprints.move_to_end(fingerprint)
@@ -272,19 +286,6 @@ class BlueprintCache:
     def __len__(self) -> int:
         return len(self._blueprints)
 
-    def restore_capacity(self) -> None:
-        """Shrink back to the default capacity, evicting LRU overflow.
-
-        The counterpart of :meth:`prewarm`'s transient growth: pool
-        owners call this when their workers are gone, so a long-lived
-        parent process never retains more worlds than the ordinary
-        LRU bound.
-        """
-        self.capacity = self._default_capacity
-        while len(self._blueprints) > self.capacity:
-            self._blueprints.popitem(last=False)
-
     def clear(self) -> None:
-        """Drop every cached blueprint and restore the default capacity."""
+        """Drop every cached blueprint."""
         self._blueprints.clear()
-        self.capacity = self._default_capacity

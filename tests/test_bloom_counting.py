@@ -78,6 +78,24 @@ class TestInsertRemove:
         cbf.add_all(f"kw{i}" for i in range(150))
         assert cbf.max_counter() <= 15
 
+    def test_a_counter_has_no_ceiling(self):
+        """Regression: counters were unsigned shorts, so the 65 536th
+        add of one element raised OverflowError from inside the
+        position loop — earlier positions already incremented, the
+        element multiset not — and a later remove corrupted the
+        filter."""
+        cbf = CountingBloomFilter(512, 4)
+        for _ in range(65536):
+            cbf.add("popular")
+        assert cbf.max_counter() == 65536
+        assert cbf.element_count == 65536
+        for _ in range(65536):
+            cbf.remove("popular")
+        assert cbf.bit_int() == 0
+        assert cbf.max_counter() == 0
+        assert not cbf._counters
+        assert cbf.distinct_element_count == 0
+
 
 class TestBloomExport:
     def test_export_matches_membership(self):

@@ -757,60 +757,20 @@ class TestGridWorkerPool:
         report = GridRunner(_spec(**self.GRID), store=store).run()
         assert report.executed == report.num_cells
 
-    def test_pool_fork_failure_restores_the_cache_capacity(self, monkeypatch):
-        """prewarm grows the cache to hold the prebuild; if the fork
-        then fails, close() never runs — the constructor itself must
-        hand the capacity back, or a long-lived parent keeps pinning
-        more worlds than the LRU bound."""
-        import multiprocessing
-
-        from repro.experiments import GridWorkerPool
-        from repro.experiments.grid import (
-            _BLUEPRINT_CACHE,
-            _BLUEPRINT_CACHE_CAPACITY,
-        )
-
-        class NoForks:
-            def Pool(self, processes):
-                raise OSError(11, "Resource temporarily unavailable")
-
-        configs = [
-            small_config(seed=seed)
-            for seed in range(1, _BLUEPRINT_CACHE_CAPACITY + 4)
-        ]
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: ["fork"]
-        )
-        monkeypatch.setattr(
-            multiprocessing, "get_context", lambda method=None: NoForks()
-        )
-        _BLUEPRINT_CACHE.clear()
-        try:
-            with pytest.raises(OSError, match="temporarily unavailable"):
-                GridWorkerPool(2, prebuild=configs)
-            assert _BLUEPRINT_CACHE.capacity == _BLUEPRINT_CACHE_CAPACITY
-            assert len(_BLUEPRINT_CACHE) <= _BLUEPRINT_CACHE.capacity
-        finally:
-            _BLUEPRINT_CACHE.clear()
-
     @_fork_only
     @pytest.mark.parametrize("extra_seeds", [-5, 2])
     def test_pool_prebuild_looks_past_the_first_claimed_batch(
-        self, tmp_path, extra_seeds
+        self, tmp_path, extra_seeds, eight_world_cache
     ):
         """In topology order the first claimed batch (2 × workers
         cells) covers a single world, so the one pool fork must
-        prebuild from everything still pending — capped at the cache
-        capacity, the rest building lazily in the workers."""
-        from repro.experiments.grid import (
-            _BLUEPRINT_CACHE,
-            _BLUEPRINT_CACHE_CAPACITY,
-        )
+        prebuild from everything still pending — capped at the cache's
+        peer budget, the rest building lazily in the workers."""
         from repro.overlay.blueprint import build_count
 
         spec = _spec(
             scenarios=("baseline", "flash-crowd"),
-            seeds=tuple(range(1, _BLUEPRINT_CACHE_CAPACITY + extra_seeds + 1)),
+            seeds=tuple(range(1, 8 + extra_seeds + 1)),
             max_queries=5,
         )
         runner = GridRunner(spec, workers=2, store=ResultStore(tmp_path))
@@ -826,56 +786,45 @@ class TestGridWorkerPool:
         assert len(fingerprints(first_batch)) == 1
         distinct = len(fingerprints(spec.expand()))
         assert distinct == len(spec.seeds)
-        _BLUEPRINT_CACHE.clear()
-        try:
-            before = build_count()
-            report = runner.run()
-            parent_builds = build_count() - before
-            assert _BLUEPRINT_CACHE.capacity == _BLUEPRINT_CACHE_CAPACITY
-            assert len(_BLUEPRINT_CACHE) <= _BLUEPRINT_CACHE_CAPACITY
-        finally:
-            _BLUEPRINT_CACHE.clear()
+        before = build_count()
+        report = runner.run()
+        parent_builds = build_count() - before
+        assert len(eight_world_cache) <= 8
         assert report.executed == spec.num_cells
-        assert parent_builds == min(distinct, _BLUEPRINT_CACHE_CAPACITY)
+        assert parent_builds == min(distinct, 8)
 
     @_fork_only
-    def test_ephemeral_prewarm_is_capped_at_cache_capacity(self):
+    def test_ephemeral_prewarm_is_capped_at_the_peer_budget(
+        self, eight_world_cache
+    ):
         """A many-fingerprint sweep must not serialise every build in
-        the parent (workers would idle) nor outgrow the cache's fixed
-        bound: the parent prebuilds at most one capacity's worth and
-        workers build the rest lazily."""
-        from repro.experiments.grid import (
-            _BLUEPRINT_CACHE,
-            _BLUEPRINT_CACHE_CAPACITY,
-            execute_cells,
-        )
+        the parent (workers would idle) nor have prewarm evict what it
+        just built: the parent prebuilds at most one budget's worth
+        and workers build the rest lazily."""
+        from repro.experiments.grid import execute_cells
         from repro.overlay.blueprint import build_count
 
         spec = _spec(
             protocols=("flooding",),
             scenarios=("baseline",),
-            seeds=tuple(range(1, _BLUEPRINT_CACHE_CAPACITY + 4)),
+            seeds=tuple(range(1, 8 + 4)),
             max_queries=5,
         )
-        _BLUEPRINT_CACHE.clear()
-        try:
-            before = build_count()
-            results = list(execute_cells(spec, spec.expand(), workers=2))
-            parent_builds = build_count() - before
-            assert len(_BLUEPRINT_CACHE) <= _BLUEPRINT_CACHE_CAPACITY
-        finally:
-            _BLUEPRINT_CACHE.clear()
+        before = build_count()
+        results = list(execute_cells(spec, spec.expand(), workers=2))
+        parent_builds = build_count() - before
+        assert len(eight_world_cache) == 8
         assert len(results) == spec.num_cells
-        assert parent_builds == _BLUEPRINT_CACHE_CAPACITY
+        assert parent_builds == 8
 
     def test_prewarm_keeps_cached_batch_members(self):
         """prewarm must refresh the LRU position of fingerprints the
-        batch already has cached: inserting the batch's missing worlds
+        batch already has cached: building the batch's missing worlds
         may only evict worlds *outside* the batch, or the freshly
         forked workers would rebuild an evicted one per worker."""
         from repro.overlay.blueprint import BlueprintCache
 
-        cache = BlueprintCache(capacity=2)
+        cache = BlueprintCache(max_peers=2 * 60, max_worlds=8)
         in_batch = small_config(seed=101)
         outside = small_config(seed=102)
         fresh = small_config(seed=103)
@@ -886,6 +835,118 @@ class TestGridWorkerPool:
         assert in_batch.topology_fingerprint() in cache  # refreshed
         assert fresh.topology_fingerprint() in cache
         assert outside.topology_fingerprint() not in cache  # evicted
+
+
+class TestCappedPrebuild:
+    """``_capped_prebuild`` fills the cache's budget and no more: what
+    it returns, ``prewarm`` builds without evicting any of it."""
+
+    @staticmethod
+    def _prebuild(**grid):
+        from repro.experiments.grid import _capped_prebuild
+
+        spec = _spec(scenarios=("baseline", "flash-crowd"), **grid)
+        cells = spec.by_topology(spec.expand())
+        return spec, cells, _capped_prebuild(spec, cells)
+
+    def test_an_over_budget_world_is_still_prebuilt_alone(
+        self, swap_blueprint_cache
+    ):
+        swap_blueprint_cache(max_peers=59)
+        spec, cells, prebuild = self._prebuild(seeds=(1, 2, 3))
+        assert prebuild == [spec.cell_build_config(cells[0])]
+
+    @pytest.mark.parametrize(
+        ("max_peers", "worlds"), [(60, 1), (119, 1), (120, 2), (179, 2), (600, 5)]
+    )
+    def test_further_worlds_only_while_their_total_fits(
+        self, swap_blueprint_cache, max_peers, worlds
+    ):
+        cache = swap_blueprint_cache(max_peers=max_peers)
+        spec, _cells, prebuild = self._prebuild(seeds=(1, 2, 3, 4, 5))
+        # Distinct worlds in dispatch order, one per seed.
+        assert [config.seed for config in prebuild] == list(spec.seeds[:worlds])
+        assert sum(config.num_peers for config in prebuild) <= max_peers
+        assert cache.prewarm(prebuild) == worlds
+        assert all(config.topology_fingerprint() in cache for config in prebuild)
+
+    def test_the_world_count_binds_when_the_peers_do_not(
+        self, swap_blueprint_cache
+    ):
+        swap_blueprint_cache(max_peers=8000, max_worlds=3)
+        _spec, _cells, prebuild = self._prebuild(seeds=(1, 2, 3, 4, 5))
+        assert [config.seed for config in prebuild] == [1, 2, 3]
+
+    def test_worlds_of_different_sizes_are_counted_in_peers(
+        self, swap_blueprint_cache
+    ):
+        """A grid whose override axis changes the population: 60 + 30
+        fit a 100-peer budget, the next 20 do not."""
+        swap_blueprint_cache(max_peers=100)
+        _spec, _cells, prebuild = self._prebuild(
+            seeds=(1,),
+            config_overrides=(
+                {},
+                {"num_peers": 30, "num_files": 90},
+                {"num_peers": 20, "num_files": 60},
+            ),
+        )
+        assert [config.num_peers for config in prebuild] == [60, 30]
+
+
+class TestOneWorldAliveOverBudget:
+    """Over budget — a 6000-peer grid in production — the cache holds
+    one world, and the one it evicts is freed before its replacement
+    is built."""
+
+    def test_serial_three_seed_grid_never_holds_two_worlds(
+        self, tmp_path, monkeypatch, swap_blueprint_cache
+    ):
+        import weakref
+
+        from repro.overlay.blueprint import NetworkBlueprint, build_count
+
+        swap_blueprint_cache(max_peers=60)
+        alive = [0]
+        most_alive = [0]
+        real_build = NetworkBlueprint.build.__func__
+
+        def counting_build(cls, config):
+            blueprint = real_build(cls, config)
+            alive[0] += 1
+            most_alive[0] = max(most_alive[0], alive[0])
+            weakref.finalize(
+                blueprint, lambda: alive.__setitem__(0, alive[0] - 1)
+            )
+            return blueprint
+
+        monkeypatch.setattr(
+            NetworkBlueprint, "build", classmethod(counting_build)
+        )
+        spec = _spec(seeds=(1, 2, 3), max_queries=5)
+        before = build_count()
+        report = GridRunner(spec, store=ResultStore(tmp_path)).run()
+        assert report.executed == spec.num_cells
+        assert build_count() - before == 3
+        assert most_alive[0] == 1
+
+    def test_consecutive_runs_under_budget_build_each_world_once(
+        self, eight_world_cache
+    ):
+        """The reuse ``experiments/ablations.py:_grid_rows`` lives on:
+        a second ``GridRunner.run`` over the same seeds with different
+        run-time-only overrides finds every world still cached."""
+        from repro.overlay.blueprint import build_count
+
+        before = build_count()
+        for ttl in (5, 7):
+            spec = _spec(
+                seeds=(1, 2, 3), max_queries=5, config_overrides=({"ttl": ttl},)
+            )
+            report = GridRunner(spec).run()
+            assert report.num_cells == spec.num_cells
+        assert build_count() - before == 3
+        assert len(eight_world_cache) == 3
 
 
 class _SteppingClock:

@@ -274,18 +274,11 @@ class TestReuseBuilds:
         runner.run(progress=lines.append)
         assert len(lines) == runner.spec.num_cells
 
-    def test_blueprint_cache_is_bounded(self):
-        from repro.experiments.grid import (
-            _BLUEPRINT_CACHE,
-            _BLUEPRINT_CACHE_CAPACITY,
-        )
-
-        _BLUEPRINT_CACHE.clear()
+    def test_blueprint_cache_is_bounded(self, eight_world_cache):
         base = small_config(seed=1)
-        for seed in range(1, _BLUEPRINT_CACHE_CAPACITY + 4):
-            _BLUEPRINT_CACHE.get(base.replace(seed=seed))
-        assert len(_BLUEPRINT_CACHE) == _BLUEPRINT_CACHE_CAPACITY
-        _BLUEPRINT_CACHE.clear()
+        for seed in range(1, 8 + 4):
+            eight_world_cache.get(base.replace(seed=seed))
+        assert len(eight_world_cache) == 8
 
     def test_cached_blueprint_returns_same_object_for_same_topology(self):
         from repro.experiments.grid import _BLUEPRINT_CACHE

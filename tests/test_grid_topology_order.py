@@ -23,11 +23,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.persistence import grid_cell_to_document
 from repro.experiments import GridRunner, GridSpec, small_config
-from repro.experiments.grid import (
-    _BLUEPRINT_CACHE,
-    _BLUEPRINT_CACHE_CAPACITY,
-    execute_cells,
-)
+from repro.experiments.grid import execute_cells
 from repro.overlay.blueprint import build_count
 from repro.results import ResultStore, cell_key, cell_key_payload
 from repro.scenarios import scenario_parameters
@@ -135,7 +131,7 @@ class TestByTopology:
         assert ordered[0] == cells[0]
 
 
-# -- builds: one per distinct topology at any cache capacity ------------------
+# -- builds: one per distinct topology at any cache budget --------------------
 
 
 class TestOneBuildPerTopology:
@@ -145,35 +141,27 @@ class TestOneBuildPerTopology:
 
     SEEDS = tuple(range(1, 11))
 
-    def _grid(self):
-        assert len(self.SEEDS) > _BLUEPRINT_CACHE_CAPACITY
+    def _grid(self, cache):
         spec = _spec(seeds=self.SEEDS, max_queries=5)
+        assert len(self.SEEDS) * spec.base_config.num_peers > cache.max_peers
         distinct = {_fingerprint(spec, cell) for cell in spec.expand()}
         assert len(distinct) == len(self.SEEDS) < spec.num_cells
         return spec, distinct
 
-    def test_serial_store_path(self, tmp_path):
-        spec, distinct = self._grid()
-        _BLUEPRINT_CACHE.clear()
-        try:
-            before = build_count()
-            report = GridRunner(spec, store=ResultStore(tmp_path)).run()
-            builds = build_count() - before
-            assert len(_BLUEPRINT_CACHE) <= _BLUEPRINT_CACHE_CAPACITY
-        finally:
-            _BLUEPRINT_CACHE.clear()
+    def test_serial_store_path(self, tmp_path, eight_world_cache):
+        spec, distinct = self._grid(eight_world_cache)
+        before = build_count()
+        report = GridRunner(spec, store=ResultStore(tmp_path)).run()
+        builds = build_count() - before
+        assert len(eight_world_cache) <= 8
         assert report.executed == spec.num_cells
         assert builds == len(distinct)
 
-    def test_storeless_execute_cells_path(self):
-        spec, distinct = self._grid()
-        _BLUEPRINT_CACHE.clear()
-        try:
-            before = build_count()
-            results = list(execute_cells(spec, spec.expand()))
-            builds = build_count() - before
-        finally:
-            _BLUEPRINT_CACHE.clear()
+    def test_storeless_execute_cells_path(self, eight_world_cache):
+        spec, distinct = self._grid(eight_world_cache)
+        before = build_count()
+        results = list(execute_cells(spec, spec.expand()))
+        builds = build_count() - before
         assert {cell for cell, _run in results} == set(spec.expand())
         assert builds == len(distinct)
 

@@ -1,8 +1,11 @@
 """Unit tests for the blueprint/instance split (NetworkBlueprint)."""
 
+import weakref
+
 import pytest
 
 from repro.overlay import NetworkBlueprint, P2PNetwork
+from repro.overlay.blueprint import BlueprintCache, build_count
 from repro.sim import SimulationConfig
 from repro.sim.config import BUILD_STREAM_NAMES
 
@@ -108,3 +111,90 @@ class TestInstantiate:
         b = P2PNetwork.build(config)
         assert a.underlay.latency_ms(0, 1) == b.underlay.latency_ms(0, 1)
         assert a.underlay.latency_ms(3, 7) == b.underlay.latency_ms(3, 7)
+
+
+class TestBlueprintCache:
+    """The cache is bounded by what it holds — peers and worlds,
+    whichever binds first — evicts before it builds, and under budget
+    is a plain LRU."""
+
+    def test_budget_validated(self):
+        with pytest.raises(ValueError, match="max_peers"):
+            BlueprintCache(max_peers=0, max_worlds=8)
+        with pytest.raises(ValueError, match="max_worlds"):
+            BlueprintCache(max_peers=8000, max_worlds=0)
+
+    def test_fits_is_peers_and_worlds_and_one_world_always_does(self):
+        cache = BlueprintCache(max_peers=150, max_worlds=3)
+        big, small = _config(), _config(num_peers=20, num_files=60)
+        assert cache.fits([])
+        assert cache.fits([_config(num_peers=9000, num_files=27000)])
+        assert cache.fits([big, big])  # 120 peers, 2 worlds
+        assert not cache.fits([big, big, big])  # 180 peers
+        assert cache.fits([small, small, small])  # 60 peers, 3 worlds
+        assert not cache.fits([small, small, small, small])  # 4 worlds
+
+    def test_victim_is_freed_before_its_replacement_is_built(self, monkeypatch):
+        cache = BlueprintCache(max_peers=100, max_worlds=8)  # one 60-peer world
+        world_a = weakref.ref(cache.get(_config(seed=1)))
+        assert world_a() is not None
+        real_build = NetworkBlueprint.build.__func__
+        dead_on_entry = []
+
+        def build(cls, config):
+            dead_on_entry.append(world_a() is None)
+            return real_build(cls, config)
+
+        monkeypatch.setattr(NetworkBlueprint, "build", classmethod(build))
+        cache.get(_config(seed=2))
+        assert dead_on_entry == [True]
+        assert len(cache) == 1
+
+    def test_a_world_over_the_whole_budget_is_held_alone(self):
+        cache = BlueprintCache(max_peers=30, max_worlds=8)
+        first = cache.get(_config(seed=1))
+        assert cache.get(_config(seed=1)) is first  # still a hit
+        cache.get(_config(seed=2))
+        assert len(cache) == 1
+        assert _config(seed=1).topology_fingerprint() not in cache
+
+    def test_a_large_world_evicts_as_many_small_ones_as_it_needs(self):
+        cache = BlueprintCache(max_peers=100, max_worlds=8)
+        small = [_config(seed=s, num_peers=20, num_files=60) for s in (1, 2, 3, 4)]
+        for config in small:
+            cache.get(config)
+        assert len(cache) == 4
+        cache.get(_config(seed=5))  # 60 peers: room for two of the four
+        held = [config.topology_fingerprint() in cache for config in small]
+        assert held == [False, False, True, True]
+
+    def test_small_worlds_are_bounded_by_count(self):
+        """A world's fixed parts do not shrink with its population, so
+        a peer budget alone would hold small worlds by the hundred."""
+        cache = BlueprintCache(max_peers=8000, max_worlds=3)
+        configs = [_config(seed=s) for s in (1, 2, 3, 4)]
+        for config in configs:
+            cache.get(config)
+        held = [config.topology_fingerprint() in cache for config in configs]
+        assert held == [False, True, True, True]
+
+    def test_under_budget_it_is_an_lru(self):
+        cache = BlueprintCache(max_peers=2 * 60, max_worlds=8)
+        a, b, c = (_config(seed=s) for s in (1, 2, 3))
+        world_a = cache.get(a)
+        cache.get(b)
+        before = build_count()
+        # A hit builds nothing, returns the same object for a
+        # run-time-only variant, and moves the world to the end ...
+        assert cache.get(a.replace(query_rate_per_peer=0.5)) is world_a
+        assert build_count() == before
+        cache.get(c)  # ... so b, not a, is the victim.
+        assert a.topology_fingerprint() in cache
+        assert b.topology_fingerprint() not in cache
+        assert c.topology_fingerprint() in cache
+
+    def test_clear_empties_it(self):
+        cache = BlueprintCache(max_peers=120, max_worlds=8)
+        cache.get(_config(seed=1))
+        cache.clear()
+        assert len(cache) == 0

@@ -6,8 +6,9 @@ document — long before the simulator is the bottleneck.  This bench
 measures where the SQLite (WAL) backend crosses over: both backends
 ingest the same ``REPRO_BENCH_STORE_CELLS`` synthetic cell documents
 (default 10⁴) through the batched commit path the grid runner uses,
-then serve the two read patterns a resuming runner issues — a ``has``
-probe per cell and the full ``keys()`` resume scan.
+then serve the two read patterns a resuming runner issues — one read
+per cell and the full ``keys()`` resume scan — plus the ``has`` probe
+it issued until it stopped asking twice.
 
 Documents are pre-serialised once and written through ``put_raw`` so
 the timer isolates the *storage mechanism* (files + rename vs rows +
@@ -27,7 +28,17 @@ timed the way every other wall-clock gate here is
 (``conftest.time_interleaved``): each sqlite pass between two json
 passes, every pass on a freshly opened store as a resuming runner would
 open it, the median ratio held to 1.0 plus what the json pass differs
-from itself by on this host at this moment.
+from itself by on this host at this moment.  That holds for the read
+(``get_raw``: an ``open`` against a ``SELECT``, what
+``GridRunner._load_stored`` does to a stored cell) and for the scan.
+The ``has`` probe (``grid status`` / ``watch``, ``claims.prune``) has a
+limit of its own, timed the same way: on either backend it costs no
+more than the read it stands in for.  It was held against json until a
+json probe became one ``stat`` of a string-formatted path — at 10⁴
+cells on one host, json 10.7 → 2.9 µs a probe, sqlite 6.1 → 4.6 µs
+(PR 22 → PR 23, this file's own report lines) — and rows did not get
+slower, a directory tree got 3.7× faster, so the ratio is reported and
+the probe is gated against what it saves.
 
 Headline numbers land in ``BENCH_store_backend.json`` at the repo root
 (under ``REPRO_BENCH_WRITE=1``; uploaded as a CI artifact): cold-put, has-scan, and resume-scan
@@ -59,6 +70,10 @@ PUT_ROUNDS = 3
 #: Sqlite read passes, each timed between two json passes; the read
 #: gates take the median ratio.
 READ_PAIRS = 5
+
+#: The read patterns held to "rows are no slower than a directory tree";
+#: ``has`` is held to "no slower than this backend's ``get``" instead.
+ROWS_VS_TREE = ("get", "resume_scan")
 
 
 def _documents(count):
@@ -113,6 +128,13 @@ def _has_scan(root, backend, documents):
     assert sum(1 for key, _ in documents if store.has(key)) == len(documents)
 
 
+def _get_scan(root, backend, documents):
+    """A resuming runner's reads: open the store, read every cell's text
+    (parsing it costs both backends the same and would dilute the ratio)."""
+    store = ResultStore(root, backend=backend)
+    assert all(store.get_raw(key) == text for key, text in documents)
+
+
 def _resume_scan(root, backend, documents):
     """A resuming runner's scan: open the store, list every key."""
     keys = list(ResultStore(root, backend=backend).keys())
@@ -121,14 +143,29 @@ def _resume_scan(root, backend, documents):
 
 
 def _time_reads(roots, documents):
-    """``{"has" | "resume_scan": InterleavedTiming}``, json as baseline."""
+    """``{"has" | "get" | "resume_scan": InterleavedTiming}``, json as baseline."""
     return {
         metric: time_interleaved(
             lambda: scan(roots["json"], "json", documents),
             lambda: scan(roots["sqlite"], "sqlite", documents),
             pairs=READ_PAIRS,
         )
-        for metric, scan in (("has", _has_scan), ("resume_scan", _resume_scan))
+        for metric, scan in (
+            ("has", _has_scan), ("get", _get_scan), ("resume_scan", _resume_scan)
+        )
+    }
+
+
+def _time_probes(roots, documents):
+    """``{backend: InterleavedTiming}``: that backend's ``has`` pass, its
+    own ``get`` pass as baseline."""
+    return {
+        backend: time_interleaved(
+            lambda: _get_scan(root, backend, documents),
+            lambda: _has_scan(root, backend, documents),
+            pairs=READ_PAIRS,
+        )
+        for backend, root in roots.items()
     }
 
 
@@ -177,6 +214,7 @@ def test_perf_store_backend(tmp_path, show, store_bench_cells):
         for backend in ("json", "sqlite")
     }
     reads = _time_reads(roots, documents)
+    probes = _time_probes(roots, documents)
     results = {}
     for backend, side in (("json", "baseline_s"), ("sqlite", "candidate_s")):
         has_s, scan_s = (
@@ -231,6 +269,11 @@ def test_perf_store_backend(tmp_path, show, store_bench_cells):
                 for metric, timing in reads.items()
             },
         },
+        # Per backend: its has pass ÷ its own get passes, same scheme.
+        "probe_gate": {
+            backend: {"time_ratio": timing.ratio, "noise_floor": timing.noise}
+            for backend, timing in probes.items()
+        },
     }
     written = write_bench_json("store_backend", document)
 
@@ -254,6 +297,13 @@ def test_perf_store_backend(tmp_path, show, store_bench_cells):
             for metric, timing in reads.items()
         )
     )
+    lines.append(
+        "  has/get time on the same backend: "
+        + "  ".join(
+            f"{backend} {timing.ratio:.2f} (noise floor {100.0 * timing.noise:.1f}%)"
+            for backend, timing in probes.items()
+        )
+    )
     lines.append(f"  {written}")
     show("\n".join(lines))
 
@@ -266,11 +316,20 @@ def test_perf_store_backend(tmp_path, show, store_bench_cells):
         f"sqlite cold-put speedup {speedups['cold_put']}x under {floor}x "
         f"at {store_bench_cells} cells"
     )
-    # Reads must not regress: a resuming runner's probes and scans
+    # Reads must not regress: a resuming runner's reads and scans
     # should be at least as fast on rows as on a sharded directory tree.
-    for metric, timing in reads.items():
+    for metric in ROWS_VS_TREE:
+        timing = reads[metric]
         assert timing.ratio <= 1.0 + timing.noise, (
             f"sqlite {metric} pass took {timing.ratio:.2f}x the json pass's "
             f"time at {store_bench_cells} cells (limit 1.0 + json-vs-json "
+            f"noise {timing.noise:.2f})"
+        )
+    # A probe that costs more than the read it stands in for is a
+    # regression on either backend.
+    for backend, timing in probes.items():
+        assert timing.ratio <= 1.0 + timing.noise, (
+            f"{backend} has pass took {timing.ratio:.2f}x its own get pass's "
+            f"time at {store_bench_cells} cells (limit 1.0 + get-vs-get "
             f"noise {timing.noise:.2f})"
         )

@@ -37,6 +37,7 @@ Usage::
 from __future__ import annotations
 
 import cProfile
+import hashlib
 import json
 import math
 import multiprocessing
@@ -58,7 +59,7 @@ from ..results import (
     ClaimStore,
     CorruptResultError,
     ResultStore,
-    cell_key,
+    canonical_json,
     cell_key_payload,
     cell_label,
 )
@@ -170,6 +171,10 @@ def _check_finite(axis: str, name: str, value: Any) -> None:
 
 
 Items = tuple[tuple[str, Any], ...]
+
+#: Stands in for the protocol while a row's key payload is encoded
+#: (:meth:`GridSpec.cell_key`).  No registered protocol has this name.
+_PROTOCOL_SLOT = "\x00protocol\x00"
 
 
 def _as_items(mapping: Mapping[str, Any]) -> Items:
@@ -343,8 +348,12 @@ class GridSpec:
             raise ValueError(f"seeds must be integers, got {list(self.seeds)}")
         self._check_axis_unique("seed", self.seeds)
         # (scenario, overrides, seed) → the protocol-independent part
-        # of the row's key payload; see _row.
+        # of the row's key payload (see _row), and the same payload
+        # encoded and hashed up to the protocol (see cell_key).
         self._rows: dict[tuple[ScenarioSpec, Items, int], dict[str, Any]] = {}
+        self._row_hashes: dict[
+            tuple[ScenarioSpec, Items, int], tuple[Any, bytes]
+        ] = {}
 
     @staticmethod
     def _check_axis_not_empty(axis: str, values: tuple[Any, ...]) -> None:
@@ -428,8 +437,34 @@ class GridSpec:
         return cell.scenario.make().configure(self.cell_config(cell))
 
     def cell_key(self, cell: GridCell) -> str:
-        """The content-addressed store key of one cell."""
-        return cell_key(self.cell_key_payload(cell))
+        """The content-addressed store key of one cell.
+
+        ``results.keys.cell_key(self.cell_key_payload(cell))``, byte for
+        byte, but the cells of a row differ in their protocol alone: the
+        row's payload is encoded once with a placeholder protocol and
+        split there, the SHA-256 of the head is kept, and each cell
+        copies that state and feeds it its encoded protocol and the
+        tail.
+        """
+        row_key = (cell.scenario, cell.overrides, cell.seed)
+        row_hash = self._row_hashes.get(row_key)
+        if row_hash is None:
+            payload = self.cell_key_payload(cell)
+            payload["protocol"] = _PROTOCOL_SLOT
+            pieces = canonical_json(payload).split(canonical_json(_PROTOCOL_SLOT))
+            if len(pieces) != 2:
+                raise ValueError(
+                    f"the key payload of {cell.label!r} holds the reserved "
+                    f"string {_PROTOCOL_SLOT!r}"
+                )
+            head, tail = pieces
+            row_hash = self._row_hashes[row_key] = (
+                hashlib.sha256(head.encode("utf-8")),
+                tail.encode("utf-8"),
+            )
+        digest = row_hash[0].copy()
+        digest.update(canonical_json(cell.protocol).encode("utf-8") + row_hash[1])
+        return digest.hexdigest()
 
     def cell_key_payload(self, cell: GridCell) -> dict[str, Any]:
         """Everything that determines the cell's results, as a fresh dict.
@@ -848,21 +883,24 @@ class _HeartbeatTicker:
         self._thread: threading.Thread | None = None
 
     def hold(self, key: str) -> None:
-        """Start heartbeating ``key`` (the caller just claimed it)."""
+        """Start heartbeating ``key`` (the caller just claimed it).
+
+        The first hold starts the thread, so a pass that claims nothing
+        (every cell already stored) starts none.
+        """
         with self._lock:
             self._held.add(key)
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._run, name="claim-heartbeat", daemon=True
+                )
+                self._thread.start()
 
     def release(self, key: str) -> None:
         """Atomically stop heartbeating ``key`` and release its claim."""
         with self._lock:
             self._held.discard(key)
             self._claims.release(key)
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._run, name="claim-heartbeat", daemon=True
-        )
-        self._thread.start()
 
     def stop(self) -> None:
         self._stop.set()
@@ -1075,11 +1113,12 @@ class GridRunner:
         briefly and look again; their commits arrive as cache hits,
         their crashes as stale leases this runner reclaims.
 
-        Two background resources live for the duration of the loop: a
-        :class:`_HeartbeatTicker` keeping every held claim live while
-        its cell executes, and (for ``workers > 1``) one persistent
-        :class:`GridWorkerPool` that every claimed batch is fanned
-        across.
+        Two background resources live from the first claim to the end
+        of the loop: the thread of a :class:`_HeartbeatTicker` keeping
+        every held claim live while its cell executes, and (for
+        ``workers > 1``) one persistent :class:`GridWorkerPool` that
+        every claimed batch is fanned across.  A pass over a fully
+        stored grid starts neither.
         """
         assert self.claims is not None
         self.store.clean_tmp()
@@ -1089,7 +1128,6 @@ class GridRunner:
         pending = self.spec.by_topology(cells)
         pool: GridWorkerPool | None = None
         ticker = _HeartbeatTicker(self.claims, self.heartbeat_interval_s)
-        ticker.start()
         try:
             while pending:
                 resolved = 0
@@ -1201,30 +1239,24 @@ class GridRunner:
         the incident is reported, and the caller claims the cell for
         re-execution.
         """
-        if not self.store.has(key):
-            return False
         try:
             document = self.store.get(key)
-            run = load_grid_cell_document(document)
+        except KeyError:
+            # Not stored — never was, or a concurrent reader quarantined
+            # it or an operator deleted it since the last look.
+            return False
         except CorruptResultError as error:
             report.quarantined += 1
             if progress is not None:
                 progress(f"quarantined: {error}")
             return False
-        except KeyError:
-            # Vanished between has() and get(): a concurrent reader
-            # quarantined it, or an operator deleted the cell.  But a
-            # KeyError out of the document restore means a valid-JSON
-            # object of the wrong shape — quarantine that like any
-            # other corruption.
-            if not self.store.has(key):
-                return False
-            return self._quarantine_malformed(key, report, progress)
-        except (ValueError, TypeError):
-            # Parsed as JSON but not as a grid-cell document (wrong
-            # kind, alien format version, mangled fields): same
-            # recovery as byte-level corruption — rename it aside and
-            # re-execute the cell.
+        try:
+            run = load_grid_cell_document(document)
+        except (KeyError, ValueError, TypeError):
+            # Parsed as JSON but not as a grid-cell document (missing
+            # or mangled fields, wrong kind, alien format version):
+            # same recovery as byte-level corruption — rename it aside
+            # and re-execute the cell.
             return self._quarantine_malformed(key, report, progress)
         report.runs[cell] = run
         report.cached += 1
@@ -1240,8 +1272,9 @@ class GridRunner:
         quarantined_to = self.store.quarantine(key)
         report.quarantined += 1
         if progress is not None:
+            # A path on file-backed stores, an opaque token on row-backed.
             where = (
-                quarantined_to.name
+                getattr(quarantined_to, "name", quarantined_to)
                 if quarantined_to is not None
                 else "already removed"
             )

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sqlite3
 import threading
 import time
@@ -76,14 +77,27 @@ SQLITE_DB_NAME = "store.sqlite"
 BACKEND_NAMES = ("json", "sqlite")
 
 
+#: What a key may look like: lower-case ASCII hex, eight digits or more.
+#: It is always ``fullmatch``ed, so a trailing newline does not pass.
+_KEY = re.compile(r"[0-9a-f]{8,}")
+
+
 def is_cell_key(name: str) -> bool:
     """Whether ``name`` is a full content-addressed cell key (64 hex)."""
-    return len(name) == 64 and all(c in "0123456789abcdef" for c in name)
+    return len(name) == 64 and _KEY.fullmatch(name) is not None
 
 
 def check_key(key: str) -> None:
-    """Reject strings that are not plausible content-addressed keys."""
-    if len(key) < 8 or not all(c in "0123456789abcdef" for c in key):
+    """Reject strings that are not plausible content-addressed keys.
+
+    The guard between a key and a filesystem path.  A backend that
+    builds paths from keys runs it where it builds them and says so
+    (:attr:`StoreBackend.guards_keys`); for the others the facades
+    (:class:`ResultStore`, :class:`ClaimStore`) run it before the
+    backend sees the key.  Either way a public call pays it once per
+    path, not once per layer.
+    """
+    if _KEY.fullmatch(key) is None:
         raise ValueError(f"malformed result-store key: {key!r}")
 
 
@@ -115,6 +129,11 @@ class StoreBackend:
 
     #: Short name used by the CLI (``--backend``) and diagnostics.
     name: str = "?"
+
+    #: Whether every key-taking method rejects a malformed key itself
+    #: (:func:`check_key`).  A backend that turns keys into filesystem
+    #: paths must; the facades check on behalf of one that does not.
+    guards_keys: bool = False
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
@@ -252,25 +271,35 @@ class JsonStoreBackend(StoreBackend):
     """
 
     name = "json"
+    guards_keys = True
+
+    def __init__(self, root: str | Path) -> None:
+        super().__init__(root)
+        # File names are built by string formatting under this prefix
+        # (the root with its trailing separator): a pathlib join per
+        # document costs more than the ``open`` it leads to.
+        self._prefix = os.path.join(self.root, "")
 
     # -- documents -----------------------------------------------------
 
     def doc_path(self, key: str) -> Path:
+        return Path(self._doc_file(key))
+
+    def _doc_file(self, key: str) -> str:
+        """The document's file name; every document method comes through
+        here (or :meth:`doc_path`), so this is where the key is checked."""
         check_key(key)
-        return self.root / key[:2] / f"{key}.json"
+        return f"{self._prefix}{key[:2]}/{key}.json"
 
     def doc_has(self, key: str) -> bool:
-        return self.doc_path(key).is_file()
+        return os.path.isfile(self._doc_file(key))
 
     def doc_get_raw(self, key: str) -> str | None:
-        try:
-            return self.doc_path(key).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None
+        return self._read_text(self._doc_file(key))
 
     def doc_put_raw(self, key: str, text: str) -> Path:
-        path = self.doc_path(key)
-        temporary = path.parent / f".{key}.{os.getpid()}.tmp"
+        path = self._doc_file(key)
+        temporary = f"{self._prefix}{key[:2]}/.{key}.{os.getpid()}.tmp"
         return self._write_atomic(path, temporary, text)
 
     def doc_delete(self, key: str) -> bool:
@@ -300,18 +329,19 @@ class JsonStoreBackend(StoreBackend):
     # -- sidecars ------------------------------------------------------
 
     def sidecar_path(self, key: str) -> Path:
+        return Path(self._sidecar_file(key))
+
+    def _sidecar_file(self, key: str) -> str:
+        """:meth:`_doc_file` for sidecars, key check included."""
         check_key(key)
-        return self.root / key[:2] / f"{key}{SIDECAR_SUFFIX}"
+        return f"{self._prefix}{key[:2]}/{key}{SIDECAR_SUFFIX}"
 
     def sidecar_get_raw(self, key: str) -> str | None:
-        try:
-            return self.sidecar_path(key).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None
+        return self._read_text(self._sidecar_file(key))
 
     def sidecar_put_raw(self, key: str, text: str) -> Path:
-        path = self.sidecar_path(key)
-        temporary = path.parent / f".{key}.telemetry.{os.getpid()}.tmp"
+        path = self._sidecar_file(key)
+        temporary = f"{self._prefix}{key[:2]}/.{key}.telemetry.{os.getpid()}.tmp"
         return self._write_atomic(path, temporary, text)
 
     def sidecar_keys(self) -> Iterator[str]:
@@ -325,26 +355,53 @@ class JsonStoreBackend(StoreBackend):
     # -- housekeeping --------------------------------------------------
 
     def clean_tmp(self, max_age_s: float, clock: Callable[[], float]) -> int:
-        if not self.root.is_dir():
-            return 0
+        # Every ``<two characters>/.<anything>.tmp`` under the root.
         cutoff = clock() - max_age_s
         removed = 0
-        for path in self.root.glob("??/.*.tmp"):
-            try:
-                if path.stat().st_mtime <= cutoff:
-                    path.unlink()
-                    removed += 1
-            except FileNotFoundError:
-                pass
+        for shard in self._entries(self.root):
+            if len(shard.name) != 2:
+                continue
+            for entry in self._entries(shard.path):
+                name = entry.name
+                if len(name) > 4 and name.startswith(".") and name.endswith(".tmp"):
+                    try:
+                        if entry.stat().st_mtime <= cutoff:
+                            os.unlink(entry.path)
+                            removed += 1
+                    except FileNotFoundError:
+                        pass
         return removed
 
     @staticmethod
-    def _write_atomic(path: Path, temporary: Path, text: str) -> Path:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(temporary, "w", encoding="utf-8") as handle:
+    def _entries(directory: str | Path) -> list[os.DirEntry[str]]:
+        """What ``directory`` holds; nothing if it is not a directory."""
+        try:
+            with os.scandir(directory) as entries:
+                return list(entries)
+        except (FileNotFoundError, NotADirectoryError):
+            return []
+
+    @staticmethod
+    def _read_text(path: str) -> str | None:
+        try:
+            with open(path, encoding="utf-8") as handle:
+                return handle.read()
+        except FileNotFoundError:
+            return None
+
+    @staticmethod
+    def _write_atomic(path: str, temporary: str, text: str) -> Path:
+        try:
+            handle = open(temporary, "w", encoding="utf-8")
+        except FileNotFoundError:
+            # First document of its shard: the directory is made when
+            # it is found missing, not probed for before every write.
+            os.makedirs(os.path.dirname(temporary), exist_ok=True)
+            handle = open(temporary, "w", encoding="utf-8")
+        with handle:
             handle.write(text)
         os.replace(temporary, path)
-        return path
+        return Path(path)
 
     # -- claims --------------------------------------------------------
 
@@ -364,7 +421,6 @@ class JsonStoreBackend(StoreBackend):
         is_stale: Callable[[ClaimRecord], bool],
     ) -> bool:
         path = self.claim_path(key)
-        self.claims_directory.mkdir(parents=True, exist_ok=True)
         if self._claim_create(path, fields_factory):
             return True
         record = self.claim_load(key)
@@ -470,8 +526,14 @@ class JsonStoreBackend(StoreBackend):
         self, path: Path, fields_factory: Callable[[], dict[str, Any]]
     ) -> bool:
         """One exclusive-create attempt; True iff we made the file."""
+        flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+            try:
+                fd = os.open(path, flags, 0o644)
+            except FileNotFoundError:
+                # The store's first claim makes the directory.
+                os.makedirs(path.parent, exist_ok=True)
+                fd = os.open(path, flags, 0o644)
         except FileExistsError:
             return False
         with os.fdopen(fd, "w", encoding="utf-8") as handle:

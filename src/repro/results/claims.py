@@ -183,7 +183,7 @@ class ClaimStore:
         A live foreign claim loses the race (returns False); a stale
         one is reclaimed.  Never blocks.
         """
-        check_key(key)
+        self._check_key(key)
         return self.backend.claim_acquire(
             key,
             self.runner_id,
@@ -199,8 +199,8 @@ class ClaimStore:
         caller should finish anyway (results are deterministic) but
         must not release the thief's claim.
         """
-        check_key(key)
-        claim = self.get(key)
+        self._check_key(key)
+        claim = self._load(key)
         if claim is None or claim.runner_id != self.runner_id:
             return False
         return self.backend.claim_heartbeat(
@@ -209,8 +209,8 @@ class ClaimStore:
 
     def release(self, key: str) -> bool:
         """Drop our claim on ``key``; False if we did not hold it."""
-        check_key(key)
-        claim = self.get(key)
+        self._check_key(key)
+        claim = self._load(key)
         if claim is None or claim.runner_id != self.runner_id:
             return False
         return self.backend.claim_release(key, self.runner_id)
@@ -219,11 +219,8 @@ class ClaimStore:
 
     def get(self, key: str) -> Claim | None:
         """The current claim on ``key``, or None if unclaimed."""
-        check_key(key)
-        record = self.backend.claim_load(key)
-        if record is None:
-            return None
-        return self._decode(key, record)
+        self._check_key(key)
+        return self._load(key)
 
     def claims(self) -> Iterator[Claim]:
         """Every current claim, sorted by key."""
@@ -247,6 +244,19 @@ class ClaimStore:
         return self.backend.claim_prune(is_settled, cutoff)
 
     # -- internals -----------------------------------------------------
+
+    def _check_key(self, key: str) -> None:
+        # As in ``ResultStore``: the backend that builds a path from
+        # the key checks it there, the facade checks for the others.
+        if not self.backend.guards_keys:
+            check_key(key)
+
+    def _load(self, key: str) -> Claim | None:
+        """:meth:`get` for a key the calling method has already checked."""
+        record = self.backend.claim_load(key)
+        if record is None:
+            return None
+        return self._decode(key, record)
 
     def _fields(self, claimed_at: float) -> dict[str, Any]:
         return {

@@ -280,8 +280,14 @@ class SimulationConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-dict view, handy for experiment records and reports."""
-        return dataclasses.asdict(self)
+        """Plain-dict view, handy for experiment records and reports.
+
+        Equal to ``dataclasses.asdict(self)`` for as long as every field
+        is a scalar (``int | float | bool | str``): a flat copy is then
+        a deep one.  ``tests/test_sim_config.py`` fails on a field that
+        is not.
+        """
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def paper_defaults(cls) -> SimulationConfig:

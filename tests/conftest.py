@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import os
+
 import pytest
 
 from repro.experiments import grid
@@ -27,3 +29,18 @@ def eight_world_cache(swap_blueprint_cache):
     ``small_config`` worlds, so a ten-seed test grid is over budget in
     peers the way a 6000-peer one is in production."""
     return swap_blueprint_cache(max_peers=8 * 60)
+
+
+@pytest.fixture
+def mkdirs(monkeypatch):
+    """The directories ``os.mkdir`` (hence ``os.makedirs``) makes during
+    the test, in order."""
+    made = []
+    mkdir = os.mkdir
+
+    def counted(path, *args, **kwargs):
+        made.append(str(path))
+        return mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", counted)
+    return made

@@ -509,6 +509,108 @@ class TestClaimAwareRunner:
         assert (report.executed, report.cached) == (6, 2)
 
 
+@pytest.mark.parametrize("backend", ["json", "sqlite"])
+class TestSingleProbe:
+    """``_load_stored`` asks the store once: ``get``, whose ``KeyError``
+    means "not stored".  There is no ``has`` before it for a document
+    to vanish after, and whatever the document restore raises means
+    "malformed", never "absent"."""
+
+    GRID = TestClaimAwareRunner.GRID
+    CELLS = 8
+
+    def _stored(self, tmp_path, backend):
+        store = ResultStore(tmp_path, backend=backend)
+        GridRunner(_spec(**self.GRID), store=store).run()
+        spec = _spec(**self.GRID)
+        return store, spec.cell_key(spec.expand()[3])
+
+    def _rerun(self, store):
+        lines = []
+        runner = GridRunner(_spec(**self.GRID), store=store, poll_interval_s=0.01)
+        report = runner.run(progress=lines.append)
+        assert list(runner.claims.claims()) == []  # nothing leaked
+        return report, lines
+
+    @pytest.mark.parametrize("how", ["delete", "quarantine"])
+    def test_a_cell_that_vanishes_before_the_read_is_executed_once(
+        self, tmp_path, backend, how, monkeypatch
+    ):
+        """Gone between ``keys = …`` and the read — an operator deleted
+        it, or a concurrent reader quarantined it: absent, not an error."""
+        store, victim = self._stored(tmp_path, backend)
+        read = type(store.backend).doc_get_raw
+        reads = []
+
+        def vanishing(backend_self, key):
+            reads.append(key)
+            if key == victim and reads.count(victim) == 1:
+                if how == "delete":
+                    assert backend_self.doc_delete(key)
+                else:
+                    assert backend_self.doc_quarantine(key) is not None
+            return read(backend_self, key)
+
+        monkeypatch.setattr(type(store.backend), "doc_get_raw", vanishing)
+        report, lines = self._rerun(store)
+        assert (report.executed, report.cached, report.quarantined) == (
+            1, self.CELLS - 1, 0,
+        )
+        assert not any("quarantined" in line for line in lines)
+        # Looked for twice (before and under the claim), executed once.
+        assert reads.count(victim) == 2
+        monkeypatch.undo()
+        assert store.has(victim)  # recommitted
+        again, _ = self._rerun(store)
+        assert (again.executed, again.cached) == (0, self.CELLS)
+
+    @pytest.mark.parametrize(
+        "document",
+        [{"kind": "grid-cell"}, {"kind": "grid-cell", "format_version": 1, "run": 3}, {}],
+        ids=["missing-fields", "mangled-run", "empty"],
+    )
+    def test_a_wrong_shaped_document_is_quarantined_and_rerun(
+        self, tmp_path, backend, document
+    ):
+        store, victim = self._stored(tmp_path, backend)
+        store.put(victim, document)  # valid JSON, not a grid cell
+        report, lines = self._rerun(store)
+        assert (report.executed, report.cached, report.quarantined) == (
+            1, self.CELLS - 1, 1,
+        )
+        assert sum("quarantined: malformed" in line for line in lines) == 1
+        assert store.get(victim)["kind"] == "grid-cell" and "run" in store.get(victim)
+
+    @pytest.mark.parametrize("text", ["{definitely not json", "[1, 2]\n", ""])
+    def test_an_undecodable_document_takes_the_same_quarantine_path(
+        self, tmp_path, backend, text
+    ):
+        from repro.results import CorruptResultError
+
+        store, victim = self._stored(tmp_path, backend)
+        store.put_raw(victim, text)
+        with pytest.raises(CorruptResultError):
+            ResultStore(tmp_path, backend=backend).get(victim)
+        store.put_raw(victim, text)  # the read above quarantined it
+        report, lines = self._rerun(store)
+        assert (report.executed, report.cached, report.quarantined) == (
+            1, self.CELLS - 1, 1,
+        )
+        assert sum(line.startswith("quarantined: corrupt") for line in lines) == 1
+        assert store.has(victim)  # recommitted
+
+
+
+def test_bytes_that_do_not_decode_are_quarantined_too(tmp_path):
+    """Only a file can hold them; a row holds text."""
+    probe = TestSingleProbe()
+    store, victim = probe._stored(tmp_path, "json")
+    store.path_for(victim).write_bytes(b"\xff\xfe\x00not utf-8")
+    report, _ = probe._rerun(store)
+    assert (report.executed, report.quarantined) == (1, 1)
+    assert store.path_for(victim).with_name(f"{victim}.json.corrupt").is_file()
+
+
 class TestSeedSweepOnGridEngine:
     """`run_seed_sweep` is now a one-scenario grid — same results."""
 

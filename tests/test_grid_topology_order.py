@@ -4,9 +4,11 @@ Cells run grouped by ``topology_fingerprint`` on every path of
 ``repro.experiments.grid``.  Under test here: the ordering helper
 itself, the build counts it buys on the serial paths with more
 topologies than the blueprint cache holds, that execution order cannot
-change a stored byte, and that the per-row memo behind
+change a stored byte, that the per-row memo behind
 ``GridSpec.cell_key_payload`` returns exactly what a from-scratch
-computation does.
+computation does, and that ``GridSpec.cell_key`` — which hashes a row's
+encoded payload once and splices each cell's protocol into it — returns
+exactly ``results.keys.cell_key`` of that payload.
 
 ``reference_key_payload`` is ``cell_key_payload`` as it was written
 before the protocol-independent part was memoised per row; it lives
@@ -22,11 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.persistence import grid_cell_to_document
-from repro.experiments import GridRunner, GridSpec, small_config
-from repro.experiments.grid import execute_cells
+from repro.experiments import PROTOCOL_REGISTRY, GridRunner, GridSpec, small_config
+from repro.experiments.grid import _PROTOCOL_SLOT, execute_cells
 from repro.overlay.blueprint import build_count
 from repro.results import ResultStore, cell_key, cell_key_payload
-from repro.scenarios import scenario_parameters
+from repro.scenarios import Scenario, scenario_parameters
+from repro.scenarios.base import SCENARIO_CLASSES, SCENARIO_REGISTRY
 
 
 def _spec(**overrides):
@@ -294,3 +297,80 @@ class TestCellKeyPayloadMemo:
         assert mine == reference_key_payload(spec, cell)
         assert mine["config"]["ttl"] != theirs["config"]["ttl"]
         assert spec.cell_key(cell) != other.cell_key(cell)
+
+
+# -- the key ---------------------------------------------------------------
+
+
+class _Annotated(Scenario):
+    """Tests-only scenario whose parameters are free text."""
+
+    name = "annotated"
+
+    def __init__(self, note="", tag="plain"):
+        self.note = note
+        self.tag = tag
+
+
+@pytest.fixture(scope="module")
+def annotated_scenario():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(SCENARIO_REGISTRY, "annotated", _Annotated())
+        mp.setitem(SCENARIO_CLASSES, "annotated", _Annotated)
+        yield
+
+
+#: Text a JSON encoder has to escape, or must not: quotes, backslashes,
+#: control characters, non-ASCII, and near misses of the placeholder.
+_AWKWARD = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(
+        ['"', "\\", '\\"', '","protocol":"locaware', "naïve — ٣ 日本", "\x00",
+         "\x00protocol", _PROTOCOL_SLOT + "x", '"' + _PROTOCOL_SLOT + '"']
+    ),
+)
+_OVERRIDES = st.lists(
+    st.sampled_from(
+        [{}, {"ttl": 5}, {"index_capacity": 10, "ttl": 6}, {"zipf_exponent": 0.5},
+         {"latency_model": "router"}, {"churn_enabled": True}]
+    ),
+    min_size=1, max_size=3, unique_by=repr,
+)
+
+
+class TestCellKeySplice:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        notes=st.lists(_AWKWARD, min_size=1, max_size=3, unique=True),
+        tag=_AWKWARD,
+        overrides=_OVERRIDES,
+        seeds=st.lists(st.integers(0, 2**31), min_size=1, max_size=3, unique=True),
+        max_queries=st.integers(1, 500),
+    )
+    def test_equals_the_hash_of_the_whole_payload_for_every_cell(
+        self, annotated_scenario, notes, tag, overrides, seeds, max_queries
+    ):
+        spec = _spec(
+            protocols=tuple(sorted(PROTOCOL_REGISTRY)),
+            scenarios=["baseline", "churn-storm:storm_session_s=60"]
+            + [("annotated", {"note": note, "tag": tag}) for note in notes],
+            config_overrides=overrides,
+            seeds=seeds,
+            max_queries=max_queries,
+        )
+        cells = spec.expand()
+        keys = [spec.cell_key(cell) for cell in cells]
+        assert keys == [cell_key(spec.cell_key_payload(cell)) for cell in cells]
+        assert keys == [cell_key(reference_key_payload(spec, cell)) for cell in cells]
+        assert len(set(keys)) == len(cells)
+        # Any cell may be the first of its row to be asked.
+        fresh = _spec(
+            protocols=spec.protocols, scenarios=spec.scenarios,
+            config_overrides=overrides, seeds=seeds, max_queries=max_queries,
+        )
+        assert [fresh.cell_key(cell) for cell in reversed(cells)] == keys[::-1]
+
+    def test_a_payload_holding_the_placeholder_is_refused(self, annotated_scenario):
+        spec = _spec(scenarios=[("annotated", {"note": _PROTOCOL_SLOT})])
+        with pytest.raises(ValueError, match="reserved"):
+            spec.cell_key(spec.expand()[0])

@@ -1,4 +1,4 @@
-"""Deterministic count gates on the per-hop path (counts, not seconds).
+"""Deterministic count gates on the hot paths (counts, not seconds).
 
 What a hop may cost is pinned by counting calls, which repeat exactly,
 instead of timing them, which does not on a shared host:
@@ -11,15 +11,32 @@ instead of timing them, which does not on a shared host:
   still costs fewer ``degree`` calls than ranking per hop (what the
   tests-only reference graph does) — with byte-identical results;
 - the two per-hop messages are tuples: immutable for real, hashable,
-  and their copies equal field-by-field construction.
+  and their copies equal field-by-field construction;
+- a stored cell costs a warm ``GridRunner.run`` one key, one read and
+  one parse: one ``doc_get_raw`` and no ``doc_has`` per cell, one config
+  dict and one encoded key payload per row, one key check per store
+  call, and no thread.
 """
+
+import inspect
+import threading
 
 import pytest
 from reference_graph import DictOverlayGraph
 from test_determinism import run_fingerprint
 
+import repro.experiments.grid as grid_module
 import repro.overlay.blueprint as blueprint_module
-from repro.experiments import PROTOCOL_REGISTRY, run_protocol, small_config
+import repro.results.backends as backends_module
+import repro.results.claims as claims_module
+import repro.results.store as store_module
+from repro.experiments import (
+    PROTOCOL_REGISTRY,
+    GridRunner,
+    GridSpec,
+    run_protocol,
+    small_config,
+)
 from repro.overlay import (
     NetworkBlueprint,
     OverlayGraph,
@@ -27,23 +44,29 @@ from repro.overlay import (
     Query,
     QueryResponse,
 )
+from repro.results import ClaimStore, ResultStore
+from repro.sim import SimulationConfig
 
 CONFIG = small_config(seed=5).replace(query_rate_per_peer=0.02)
 QUERIES = 60
 ROUTED = sorted(set(PROTOCOL_REGISTRY) - {"flooding"})
 
 
-def count_degree_calls(mp, graph_cls):
-    """Wrap ``graph_cls.degree`` for the life of ``mp``; returns the tally."""
+def count_calls(mp, owner, name, only=lambda *args: True):
+    """Wrap ``owner.name`` for the life of ``mp``; returns the tally."""
     calls = [0]
-    degree = graph_cls.degree
+    original = getattr(owner, name)
 
-    def counted(self, peer_id):
-        calls[0] += 1
-        return degree(self, peer_id)
+    def counted(*args, **kwargs):
+        calls[0] += only(*args)
+        return original(*args, **kwargs)
 
-    mp.setattr(graph_cls, "degree", counted)
+    mp.setattr(owner, name, counted)
     return calls
+
+
+def count_degree_calls(mp, graph_cls):
+    return count_calls(mp, graph_cls, "degree")
 
 
 class TestDegreeCalls:
@@ -124,3 +147,117 @@ class TestMessagesAreTuples:
     def test_messages_stay_hashable(self):
         assert len({self.QUERY, self.QUERY.forwarded(20), self.QUERY}) == 2
         assert len({self.RESPONSE, self.RESPONSE.advanced()}) == 2
+
+
+class StoreCallCounter:
+    """The key checks each public store call pays for.
+
+    A public store call is a call from outside of a ``ResultStore`` or
+    ``ClaimStore`` method that takes a ``key``; a facade method calling
+    another one (``get`` quarantining what it could not parse) is one
+    call, not two.  ``per_call`` holds one ``(name, checks)`` per call.
+    """
+
+    def __init__(self, mp):
+        self.per_call = []
+        self._depth = 0
+        for cls in (ResultStore, ClaimStore):
+            for name, method in list(vars(cls).items()):
+                if name.startswith("_") or not inspect.isfunction(method):
+                    continue
+                if "key" in inspect.signature(method).parameters:
+                    mp.setattr(cls, name, self._public(cls, method))
+        for module in (backends_module, store_module, claims_module):
+            mp.setattr(module, "check_key", self._check(module.check_key))
+
+    def _public(self, cls, method):
+        def public(*args, **kwargs):
+            if self._depth == 0:
+                self.per_call.append([f"{cls.__name__}.{method.__name__}", 0])
+            self._depth += 1
+            try:
+                return method(*args, **kwargs)
+            finally:
+                self._depth -= 1
+
+        return public
+
+    def _check(self, check_key):
+        def counted(key):
+            assert self._depth > 0, "a key check outside of any store call"
+            self.per_call[-1][1] += 1
+            return check_key(key)
+
+        return counted
+
+
+@pytest.mark.parametrize("backend", ["json", "sqlite"])
+class TestAStoredCellCostsOneKeyOneReadOneParse:
+    PROTOCOLS = ("flooding", "locaware")
+    SCENARIOS = ("baseline", "flash-crowd")
+    SEEDS = (1, 2)
+    CELLS = len(PROTOCOLS) * len(SCENARIOS) * len(SEEDS)
+    ROWS = len(SCENARIOS) * len(SEEDS)
+
+    def spec(self):
+        return GridSpec(
+            base_config=CONFIG, protocols=self.PROTOCOLS, scenarios=self.SCENARIOS,
+            seeds=self.SEEDS, max_queries=8,
+        )
+
+    def test_warm_run(self, tmp_path, backend):
+        def open_store():
+            return ResultStore(tmp_path / "store", backend=backend)
+
+        cold = GridRunner(self.spec(), store=open_store()).run()
+        assert (cold.executed, cold.cached) == (self.CELLS, 0)
+
+        store, spec = open_store(), self.spec()
+        threads = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            backend_cls = type(store.backend)
+            reads = count_calls(mp, backend_cls, "doc_get_raw")
+            probes = count_calls(mp, backend_cls, "doc_has")
+            configs = count_calls(mp, SimulationConfig, "to_dict")
+            payloads = count_calls(
+                mp, grid_module, "canonical_json",
+                only=lambda payload: isinstance(payload, dict),
+            )
+            started = count_calls(mp, threading.Thread, "start")
+            guard = StoreCallCounter(mp)
+            warm = GridRunner(spec, store=store).run()
+        assert (warm.executed, warm.cached, warm.quarantined) == (0, self.CELLS, 0)
+        assert reads[0] == self.CELLS
+        assert probes[0] == 0
+        assert configs[0] == self.ROWS
+        assert payloads[0] == self.ROWS
+        assert guard.per_call == [["ResultStore.get", 1]] * self.CELLS
+        assert started[0] == 0
+        assert threading.active_count() == threads
+
+        again = GridRunner(self.spec(), store=open_store()).run()
+        assert (again.executed, again.cached) == (0, self.CELLS)
+
+    def test_cold_run_checks_a_key_once_per_path_it_builds(
+        self, tmp_path, backend
+    ):
+        store = ResultStore(tmp_path / "store", backend=backend)
+        threads = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            guard = StoreCallCounter(mp)
+            cold = GridRunner(self.spec(), store=store).run()
+            if backend == "json":
+                store.path_for("ab" * 32)
+                store.sidecar_path_for("ab" * 32)
+        assert cold.executed == self.CELLS
+        # Every call that takes a key pays the guard; only a json claim
+        # call that reads the claim file and then rewrites or unlinks
+        # it pays twice, once where each path is built.
+        names = {name for name, _ in guard.per_call}
+        assert {"ResultStore.get", "ResultStore.put", "ClaimStore.try_claim"} <= names
+        for name, checks in guard.per_call:
+            twice = backend == "json" and name in (
+                "ClaimStore.heartbeat", "ClaimStore.release"
+            )
+            assert checks == (2 if twice else 1), (name, checks)
+        assert threading.active_count() == threads

@@ -115,6 +115,18 @@ class TestClaiming:
         assert claim.runner_id == "runner-1"
         assert [c.key for c in ours.claims()] == [KEY_A, KEY_B]
 
+    def test_the_first_claim_makes_the_directory_later_ones_do_not(
+        self, tmp_path, clock, mkdirs
+    ):
+        ours = _store(tmp_path / "store", clock=clock)
+        theirs = _store(tmp_path / "store", runner_id="runner-2", clock=clock)
+        assert ours.try_claim(KEY_A)
+        assert mkdirs == [str(tmp_path / "store"), str(tmp_path / "store" / "claims")]
+        assert not theirs.try_claim(KEY_A)  # lost, and made nothing
+        assert theirs.try_claim(KEY_B)
+        assert ours.release(KEY_A) and ours.try_claim(KEY_A)
+        assert len(mkdirs) == 2
+
     def test_malformed_key_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="malformed"):
             _store(tmp_path).path_for("../../escape")

@@ -207,6 +207,63 @@ class TestCrashSafety:
     def test_clean_tmp_on_missing_store(self, tmp_path):
         assert ResultStore(tmp_path / "never").clean_tmp() == 0
 
+    def test_clean_tmp_looks_in_shards_only(self, tmp_path):
+        """``<two characters>/.<anything>.tmp`` and nothing else: not the
+        claims directory (heartbeat temp files are ``ClaimStore.prune``'s),
+        not the root, and a stray two-character *file* is stepped over."""
+        store = ResultStore(tmp_path)
+        store.put(KEY_A, {"v": 1})
+        (tmp_path / "claims").mkdir()
+        (tmp_path / "zz").write_text("a file where a shard would be")
+        kept = [
+            tmp_path / "claims" / f".{KEY_A}.runner.hb.tmp",
+            tmp_path / f".{KEY_A}.1.tmp",
+            tmp_path / KEY_A[:2] / f"{KEY_A}.1.tmp",  # no leading dot
+            tmp_path / KEY_A[:2] / f".{KEY_A}.1.tmp.bak",
+            tmp_path / KEY_A[:2] / ".tmp",
+        ]
+        swept = tmp_path / KEY_A[:2] / "..tmp"
+        for path in [*kept, swept]:
+            path.write_text("x")
+        assert store.clean_tmp(max_age_s=-1.0) == 1
+        assert not swept.exists()
+        assert all(path.exists() for path in kept)
+
+
+class TestDirectoriesOnDemand:
+    """A shard directory is made when a write finds it missing, not
+    probed for before every document and sidecar."""
+
+    def test_one_mkdir_per_new_shard_none_after(self, tmp_path, mkdirs):
+        root = tmp_path / "store"
+        store = ResultStore(root)
+        same_shard = "aa" + "1" * 62
+        for key in (KEY_A, same_shard, KEY_B):
+            store.put(key, {"v": 1})
+            store.put_sidecar(key, {"t": 1})
+        assert mkdirs == [str(root), str(root / "aa"), str(root / "ab")]
+        del mkdirs[:]
+        for key in (KEY_A, same_shard, KEY_B):
+            store.put(key, {"v": 2})
+            store.put_sidecar(key, {"t": 2})
+        assert mkdirs == []
+        assert store.get(KEY_B) == {"v": 2}
+        assert store.get_sidecar(same_shard) == {"t": 2}
+
+    def test_a_sidecar_may_be_the_first_file_of_its_shard(self, tmp_path, mkdirs):
+        store = ResultStore(tmp_path)
+        store.put_sidecar(KEY_A, {"t": 1})
+        assert mkdirs == [str(tmp_path / "aa")]
+        assert store.get_sidecar(KEY_A) == {"t": 1}
+        assert list(store.keys()) == []
+
+    def test_a_failed_write_leaves_no_litter(self, tmp_path):
+        """An unwritable shard still fails loudly, with nothing half made."""
+        (tmp_path / "aa").write_text("a file where the shard would be")
+        with pytest.raises(OSError):
+            ResultStore(tmp_path).put(KEY_A, {"v": 1})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["aa"]
+
     @pytest.mark.parametrize("payload", ["{truncated", "", "[1, 2, 3]"])
     def test_corrupt_document_is_quarantined_not_fatal(self, tmp_path, payload):
         store = ResultStore(tmp_path)

@@ -114,6 +114,43 @@ class TestReplace:
         rebuilt = SimulationConfig(**cfg.to_dict())
         assert rebuilt == cfg
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SimulationConfig.paper_defaults(),
+            SimulationConfig.small(seed=3),
+            SimulationConfig.small().replace(
+                latency_model="router", churn_enabled=True, mean_degree=2.5, ttl=4
+            ),
+        ],
+    )
+    def test_to_dict_is_dataclasses_asdict(self, cfg):
+        import dataclasses
+
+        flat = cfg.to_dict()
+        assert flat == dataclasses.asdict(cfg)
+        assert list(flat) == list(dataclasses.asdict(cfg))  # field order too
+        assert flat is not cfg.to_dict()
+
+    def test_every_field_is_a_scalar(self):
+        """``to_dict`` copies the fields flat, which is a deep copy only
+        while none of them is a container: a list, dict or nested
+        dataclass field needs ``to_dict`` (and the key payload's
+        ``dict(config)``) to copy it."""
+        import dataclasses
+
+        cfg = SimulationConfig.paper_defaults()
+        not_scalar = {
+            f.name: type(getattr(cfg, f.name)).__name__
+            for f in dataclasses.fields(cfg)
+            if type(getattr(cfg, f.name)) not in (int, float, bool, str)
+        }
+        assert not not_scalar, (
+            f"SimulationConfig field(s) {not_scalar} are not int | float | bool | "
+            "str: SimulationConfig.to_dict is a flat field copy and would share "
+            "them with the config — make to_dict copy them before adding one"
+        )
+
     def test_small_config_valid_and_smaller(self):
         cfg = SimulationConfig.small()
         assert cfg.num_peers < 200

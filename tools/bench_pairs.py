@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Alternating parent/head pairs of one benchmark workload, with the verdict.
+"""Alternating parent/head pairs of benchmark workloads, with the verdicts.
 
-``python3 tools/bench_pairs.py PARENT_TREE HEAD_TREE --workload W --pairs N
-[--first-seed S] [--seconds 15] [--scale full|smoke] [--trace]``
+``python3 tools/bench_pairs.py PARENT_TREE HEAD_TREE --workload W[,W2,…]
+--pairs N [--first-seed S] [--seconds 15] [--scale full|smoke] [--trace]``
 
 Each tree is a checkout (``git clone`` / ``git archive`` of a commit, or
 the working tree).  Pair ``i`` runs seed ``S + i`` once on each side,
@@ -21,6 +21,17 @@ and the verdict of the choosing-metrics guide, section 8:
               parent's own quartiles, and head failed no larger a share
               of its cells than the parent
 ``no claim``  anything else
+
+Next to it, for every metric the head tree's ``BENCHMARK.json`` gives a
+``bound`` (the end-to-end ones), the guard of section 6:
+
+``within bound``  head's median is not worse than the parent's by more
+                  than the bound
+``WORSE``         it is
+
+``--workload`` takes a comma-separated list, each workload run and
+reported in turn, so the workloads a change must not slow are checked
+by the command that checks the one it claims.
 
 Exact counts (every per-layer metric whose unit is not read from a
 clock) are compared pair by pair instead: ``same`` or ``MOVED``.
@@ -103,11 +114,29 @@ def verdict(
     return ("claim" if claim else "no claim"), why
 
 
+def guard(
+    parent: list[float], head: list[float], better: str, bound: float
+) -> tuple[str, str]:
+    """(``within bound`` | ``WORSE``, the numbers behind it) for one metric."""
+    sign = -1.0 if better == "higher" else 1.0
+    parent_median, head_median = quartiles(parent)[1], quartiles(head)[1]
+    if parent_median:
+        worse_by = sign * (head_median - parent_median) / abs(parent_median)
+    else:
+        worse_by = 0.0 if head_median == parent_median else float("inf")
+    why = (
+        f"head's median is {abs(worse_by):.1%} "
+        f"{'worse' if worse_by > 0 else 'better'} than the parent's "
+        f"{parent_median:.6g} (may be {bound:.0%} worse)"
+    )
+    return ("WORSE" if worse_by > bound else "within bound"), why
+
+
 def report(
-    metrics: list[dict[str, str]], seeds: list[int], first: list[str],
+    metrics: list[dict[str, Any]], seeds: list[int], first: list[str],
     runs: dict[str, list[dict[str, Any]]],
 ) -> None:
-    """Print every metric's pairs, summaries and verdict."""
+    """Print every metric's pairs, summaries and verdicts."""
     shares = {}
     for side, results in runs.items():
         failed = sum(r["failed"] for r in results)
@@ -140,13 +169,28 @@ def report(
         decision, why = verdict(parent, head, better, shares["parent"], shares["head"])
         print(f"  {why}")
         print(f"  verdict: {decision}")
+        if "bound" in metric:
+            word, why = guard(parent, head, better, metric["bound"])
+            print(f"  {why}")
+            print(f"  guard: {word}")
+
+
+def workload_names(text: str, declared: dict[str, Any]) -> list[str]:
+    """``--workload``'s comma-separated names; ValueError on an unknown one."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    known = [w["name"] for w in declared["workloads"]]
+    unknown = [name for name in names if name not in known]
+    if unknown or not names:
+        raise ValueError(f"unknown workload(s) {unknown or text!r}; known: {known}")
+    return list(dict.fromkeys(names))
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_tree", type=Path)
     parser.add_argument("head_tree", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="one workload, or several separated by commas")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--first-seed", type=int, default=101)
     parser.add_argument("--seconds", type=float, default=None,
@@ -163,33 +207,36 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     declared = contract(trees["head"])
-    if args.workload not in {w["name"] for w in declared["workloads"]}:
-        parser.error(f"unknown workload {args.workload!r}")
+    try:
+        workloads = workload_names(args.workload, declared)
+    except ValueError as error:
+        parser.error(str(error))
     seconds = args.seconds if args.seconds is not None else declared["run_seconds"]
     metrics = declared["per_layer" if args.trace else "end_to_end"]
 
     seeds = [args.first_seed + pair for pair in range(args.pairs)]
     first = ["parent" if pair % 2 == 0 else "head" for pair in range(args.pairs)]
-    runs: dict[str, list[dict[str, Any]]] = {"parent": [], "head": []}
-    print(f"{args.workload}: {args.pairs} pairs, seeds {seeds[0]}..{seeds[-1]}, "
-          f"{seconds:g} s a run, scale {args.scale}, "
-          f"{'traced' if args.trace else 'untraced'}")
     for side, tree in trees.items():
         print(f"{side}: {tree}")
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        for seed, leader in zip(seeds, first):
-            for side in (leader, "head" if leader == "parent" else "parent"):
-                print(f"seed {seed}: {side}", file=sys.stderr)
-                try:
-                    result = run_once(
-                        trees[side], args.workload, seed, seconds, args.scale,
-                        args.trace, Path(tmp) / side,
-                    )
-                except RuntimeError as error:
-                    print(f"error: {error}", file=sys.stderr)
-                    return 1
-                runs[side].append(result)
-    report(metrics, seeds, first, runs)
+        for workload in workloads:
+            runs: dict[str, list[dict[str, Any]]] = {"parent": [], "head": []}
+            print(f"\n{workload}: {args.pairs} pairs, seeds {seeds[0]}..{seeds[-1]}, "
+                  f"{seconds:g} s a run, scale {args.scale}, "
+                  f"{'traced' if args.trace else 'untraced'}")
+            for seed, leader in zip(seeds, first):
+                for side in (leader, "head" if leader == "parent" else "parent"):
+                    print(f"{workload} seed {seed}: {side}", file=sys.stderr)
+                    try:
+                        result = run_once(
+                            trees[side], workload, seed, seconds, args.scale,
+                            args.trace, Path(tmp) / side,
+                        )
+                    except RuntimeError as error:
+                        print(f"error: {error}", file=sys.stderr)
+                        return 1
+                    runs[side].append(result)
+            report(metrics, seeds, first, runs)
     return 0
 
 

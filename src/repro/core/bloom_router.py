@@ -59,17 +59,12 @@ class BloomRouter:
 
     # -- state ------------------------------------------------------------
 
-    def init_peer(self, peer: Peer) -> PeerBloomState:
-        """Create fresh filter state for a (re)joining peer."""
-        state = PeerBloomState(self._bits, self._hashes)
-        peer.protocol_state[_STATE_KEY] = state
-        return state
-
     def state_of(self, peer: Peer) -> PeerBloomState:
-        """The peer's filter state (created on demand after churn)."""
+        """The peer's filter state, made on first use."""
         state = peer.protocol_state.get(_STATE_KEY)
         if state is None:
-            state = self.init_peer(peer)
+            state = PeerBloomState(self._bits, self._hashes)
+            peer.protocol_state[_STATE_KEY] = state
         return state
 
     # -- cache synchronisation -----------------------------------------------

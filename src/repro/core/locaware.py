@@ -50,7 +50,6 @@ class LocawareProtocol(SearchProtocol):
     def __init__(
         self, network: P2PNetwork, location_aware_routing: bool = False
     ) -> None:
-        # The router/selector exist before init_peer runs for each peer.
         self.bloom_router = BloomRouter(network)
         self.selector = LocationAwareSelector(network)
         self.location_aware_routing = location_aware_routing
@@ -80,14 +79,8 @@ class LocawareProtocol(SearchProtocol):
         """Stop background processes (end of experiment)."""
         self.bloom_router.stop()
 
-    def init_peer(self, peer: Peer) -> None:
-        peer.protocol_state[_INDEX_KEY] = LocationAwareIndex(
-            self.config.index_capacity, self.config.max_providers_per_file
-        )
-        self.bloom_router.init_peer(peer)
-
     def index_of(self, peer: Peer) -> LocationAwareIndex:
-        """The peer's location-aware response index."""
+        """The peer's location-aware response index, made on first use."""
         index = peer.protocol_state.get(_INDEX_KEY)
         if index is None:
             index = LocationAwareIndex(
@@ -198,7 +191,8 @@ class LocawareProtocol(SearchProtocol):
         """A file-store hit advertises the holder plus any providers its
         index happens to know for the same file."""
         filename = self.network.catalog.filename(file_id)
-        known = self.index_of(peer).providers_of(filename)
+        index = peer.protocol_state.get(_INDEX_KEY)
+        known = index.providers_of(filename) if index is not None else ()
         providers = (ProviderEntry(peer.peer_id, peer.locid),) + tuple(
             p for p in known if p.peer_id != peer.peer_id
         )

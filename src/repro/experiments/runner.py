@@ -235,7 +235,6 @@ def run_protocol(
                     config.mean_session_s,
                     config.mean_downtime_s,
                     network.streams.stream("churn"),
-                    on_rejoin=lambda pid: protocol.init_peer(network.peer(pid)),
                 )
                 churn.start()
             if scenario is None:

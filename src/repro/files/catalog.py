@@ -23,7 +23,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .keywords import KeywordPool, join_keywords
+from .keywords import FILENAME_SEPARATOR, KeywordPool
 
 __all__ = ["FileRecord", "FileCatalog"]
 
@@ -96,14 +96,10 @@ class FileCatalog:
             if len(keywords) != keywords_per_file or keywords in seen:
                 continue
             seen.add(keywords)
-            file_id = len(records)
-            records.append(
-                FileRecord(
-                    file_id=file_id,
-                    filename=join_keywords(sorted(keywords)),
-                    keywords=keywords,
-                )
-            )
+            # The canonical filename (``join_keywords``) of the pool's own
+            # tokens, which need no separator check: sorted and joined once.
+            filename = FILENAME_SEPARATOR.join(sorted(keywords))
+            records.append(FileRecord(len(records), filename, keywords))
         return cls(records, pool)
 
     # -- lookups -------------------------------------------------------------

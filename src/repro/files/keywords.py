@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
+from functools import lru_cache
 
 __all__ = ["KeywordPool", "tokenize_filename", "join_keywords", "canonical_form"]
 
@@ -57,6 +58,20 @@ def canonical_form(keywords: Sequence[str]) -> str:
     return join_keywords(list(keywords))
 
 
+#: Vocabularies kept by the memo below.  A grid visits a handful of
+#: population sizes and every world of one size shares one vocabulary;
+#: bounded because a grid worker lives through many grids and the
+#: vocabulary of a 60 000-peer world is 540 000 strings.
+_VOCABULARY_MEMO_SIZE = 4
+
+
+@lru_cache(maxsize=_VOCABULARY_MEMO_SIZE)
+def _vocabulary(size: int) -> tuple[str, ...]:
+    """The tokens of a ``size``-keyword pool — a pure function of the size."""
+    width = max(6, len(str(size - 1)))
+    return tuple(f"kw{idx:0{width}d}" for idx in range(size))
+
+
 class KeywordPool:
     """The fixed keyword vocabulary of one simulated system.
 
@@ -68,8 +83,7 @@ class KeywordPool:
         if size < 1:
             raise ValueError(f"keyword pool size must be >= 1, got {size}")
         self._size = size
-        width = max(6, len(str(size - 1)))
-        self._keywords: list[str] = [f"kw{idx:0{width}d}" for idx in range(size)]
+        self._keywords = _vocabulary(size)
 
     @property
     def size(self) -> int:
@@ -95,15 +109,15 @@ class KeywordPool:
         return tuple(rng.sample(self._keywords, count))
 
     def __contains__(self, keyword: object) -> bool:
-        if not isinstance(keyword, str):
+        if not isinstance(keyword, str) or not keyword.startswith("kw"):
             return False
-        # All keywords share the 'kw' prefix + zero-padded index layout.
-        if not keyword.startswith("kw"):
-            return False
+        # All keywords share the 'kw' prefix + zero-padded index layout:
+        # the suffix names the only token it can be.
         suffix = keyword[2:]
-        if not suffix.isdigit():
+        if not (suffix.isascii() and suffix.isdigit()):
             return False
-        return int(suffix) < self._size
+        index = int(suffix)
+        return index < self._size and self._keywords[index] == keyword
 
     def __len__(self) -> int:
         return self._size

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Sequence
+from functools import lru_cache
 
 from .coordinates import Point, random_points
 from .latency import LatencyModel
@@ -72,10 +73,19 @@ def locid_to_permutation(locid: int, k: int) -> list[int]:
 def rtt_ordering(rtts: Sequence[float]) -> list[int]:
     """Landmark indices ordered by increasing RTT.
 
-    Ties are broken by landmark index, which keeps the ordering
-    deterministic (two peers with identical RTT vectors always agree).
+    Ties are broken by landmark index (the sort is stable), which keeps
+    the ordering deterministic (two peers with identical RTT vectors
+    always agree).
     """
-    return sorted(range(len(rtts)), key=lambda i: (rtts[i], i))
+    return sorted(range(len(rtts)), key=rtts.__getitem__)
+
+
+@lru_cache(maxsize=1024)
+def _ordering_locid(ordering: tuple[int, ...]) -> int:
+    """The locId of a landmark ordering, ranked once per distinct ordering:
+    a population produces at most ``k!`` of them (24 for the paper's 4,
+    120 for §5.1's 5; bounded because 9 landmarks could produce 362 880)."""
+    return permutation_to_locid(ordering)
 
 
 class LandmarkSet:
@@ -155,7 +165,7 @@ class LandmarkSet:
     @staticmethod
     def locid_from_rtts(rtts: Sequence[float]) -> int:
         """The locId of a peer that measured ``rtts``, in landmark order."""
-        return permutation_to_locid(rtt_ordering(rtts))
+        return _ordering_locid(tuple(rtt_ordering(rtts)))
 
     def locid_of(self, peer_position: Point) -> int:
         """The locId a peer at ``peer_position`` computes on arrival."""

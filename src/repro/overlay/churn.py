@@ -18,7 +18,6 @@ state does not.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
 
 from .network import P2PNetwork
 
@@ -34,8 +33,6 @@ class ChurnProcess:
         mean_session_s: float,
         mean_downtime_s: float,
         rng: random.Random,
-        on_leave: Callable[[int], None] | None = None,
-        on_rejoin: Callable[[int], None] | None = None,
     ) -> None:
         if mean_session_s <= 0 or mean_downtime_s <= 0:
             raise ValueError("session and downtime means must be positive")
@@ -43,8 +40,6 @@ class ChurnProcess:
         self._mean_session = mean_session_s
         self._mean_downtime = mean_downtime_s
         self._rng = rng
-        self._on_leave = on_leave
-        self._on_rejoin = on_rejoin
         self.departures = 0
         self.rejoins = 0
         self._leave_counter = network.metrics.counter("churn.leaves")
@@ -96,8 +91,6 @@ class ChurnProcess:
             self._network.graph.remove_peer(peer_id)
         peer.reset_session_state()
         self._leave_counter.increment()
-        if self._on_leave is not None:
-            self._on_leave(peer_id)
         tracer = self._network.tracer
         if tracer.enabled:
             tracer.emit(self._network.sim.now, "churn.leave", peer=peer_id)
@@ -112,8 +105,6 @@ class ChurnProcess:
         links = max(1, round(self._network.config.mean_degree))
         self._network.graph.add_peer(peer_id, links, self._rng)
         self._rejoin_counter.increment()
-        if self._on_rejoin is not None:
-            self._on_rejoin(peer_id)
         tracer = self._network.tracer
         if tracer.enabled:
             tracer.emit(self._network.sim.now, "churn.rejoin", peer=peer_id)

@@ -6,8 +6,8 @@ duplicate-suppression set for query ids.  *Behaviour* lives in the
 protocol objects (:mod:`repro.protocols`, :mod:`repro.core`) so that
 the same peer population can be re-run under Flooding, Dicas,
 Dicas-Keys, or Locaware; protocol-specific state (response indexes,
-Bloom filters) is attached by each protocol's ``init_peer`` hook in its
-own namespace attribute.
+Bloom filters) is attached by the protocol under its own key of
+``protocol_state`` the first time the peer caches or hears something.
 """
 
 from __future__ import annotations
@@ -148,8 +148,9 @@ class Peer:
     alive:
         Churn flag; dead peers neither receive nor send.
     protocol_state:
-        Namespace dict populated by the active protocol's ``init_peer``
-        (e.g. Locaware's response index and Bloom filters).
+        Namespace dict the active protocol fills on first use (e.g.
+        Locaware's response index and Bloom filters); empty for a peer
+        that has cached and heard nothing this session.
     """
 
     __slots__ = (
@@ -209,10 +210,11 @@ class Peer:
         return self.seen_queries.add(query_id)
 
     def reset_session_state(self) -> None:
-        """Forget soft state on rejoin (caches die with the session).
+        """Forget soft state on leave (caches die with the session).
 
         The file store survives — files live on the peer's disk — but
-        duplicate-suppression and protocol caches are session-scoped.
+        duplicate-suppression and protocol caches are session-scoped: a
+        rejoined peer is a peer whose ``protocol_state`` is empty again.
         """
         self.seen_queries.clear()
         self.protocol_state.clear()

@@ -19,7 +19,7 @@ systems — this module implements them once:
    success, download distance (requestor↔provider RTT), and message
    count ("total number of messages produced by a query", §5.2).
 
-Subclasses override the five hooks marked ``# hook`` below; everything
+Subclasses override the four hooks marked ``# hook`` below; everything
 else — timing, bookkeeping, metrics — is identical across protocols so
 comparisons are apples-to-apples.
 """
@@ -107,8 +107,6 @@ class SearchProtocol:
         self._contexts: dict[int, QueryContext] = {}
         self.outcomes: list[QueryOutcome] = []
         self.local_satisfactions = 0
-        for peer in network.peers:
-            self.init_peer(peer)
 
     # Resolved once as well, but on first use: created at zero they
     # would add their keys to every run's metric snapshot.
@@ -123,9 +121,6 @@ class SearchProtocol:
     # ------------------------------------------------------------------
     # hooks
     # ------------------------------------------------------------------
-
-    def init_peer(self, peer: Peer) -> None:  # hook
-        """Install protocol-specific state on a (re)joining peer."""
 
     def start(self) -> None:  # hook
         """Arm any background processes (e.g. Locaware's Bloom pushes).

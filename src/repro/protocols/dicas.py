@@ -35,11 +35,8 @@ class DicasProtocol(SearchProtocol):
     name = "dicas"
     forward_after_hit = False  # propagation stops at a satisfying node
 
-    def init_peer(self, peer: Peer) -> None:
-        peer.protocol_state[_STATE_KEY] = PlainIndexCache(self.config.index_capacity)
-
     def index_of(self, peer: Peer) -> PlainIndexCache:
-        """The peer's response index (creating it on demand after churn)."""
+        """The peer's response index, made on first use."""
         cache = peer.protocol_state.get(_STATE_KEY)
         if cache is None:
             cache = PlainIndexCache(self.config.index_capacity)
@@ -81,7 +78,10 @@ class DicasProtocol(SearchProtocol):
             )
 
     def check_index(self, peer: Peer, query: Query) -> QueryResponse | None:
-        hit = self.index_of(peer).lookup(query.keywords)
+        cache = peer.protocol_state.get(_STATE_KEY)
+        if cache is None:  # nothing cached this session
+            return None
+        hit = cache.lookup(query.keywords)
         if hit is None:
             return None
         filename, provider = hit

@@ -141,20 +141,25 @@ def _bloom_stats(network: Any, snapshot: dict[str, float]) -> dict[str, Any]:
     """Membership-test count plus a false-positive estimate.
 
     The estimate is the classic ``fill_fraction ** hashes`` per exported
-    filter, averaged over peers that carry Bloom state; it reads the
-    end-of-run filters without touching them.  Empty for protocols with
-    no Bloom state.
+    filter, averaged over the live population of a run that has a Bloom
+    router (``counter.bloom.membership_tests`` is in the snapshot exactly
+    then): Bloom state is made on first use, so a live peer without any
+    is the empty filter it would export.  Reads the end-of-run filters
+    without touching them.  Empty for protocols with no Bloom state.
     """
+    has_router = "counter.bloom.membership_tests" in snapshot
     fills = []
     fp_estimates = []
     for peer in getattr(network, "peers", ()):  # duck-typed: sim must not import overlay
         state = peer.protocol_state.get(_BLOOM_STATE_KEY)
         exported = getattr(state, "exported", None)
-        if exported is None:
-            continue
-        fill = exported.fill_fraction()
-        fills.append(fill)
-        fp_estimates.append(fill**exported.hashes)
+        if exported is not None:
+            fill = exported.fill_fraction()
+            fills.append(fill)
+            fp_estimates.append(fill**exported.hashes)
+        elif has_router and peer.alive:
+            fills.append(0.0)
+            fp_estimates.append(0.0)
     out: dict[str, Any] = {
         "membership_tests": int(snapshot.get("counter.bloom.membership_tests", 0)),
         "update_bits_mean": snapshot.get("summary.bloom.update_bits.mean", math.nan),

@@ -14,13 +14,26 @@ def make_network(seed=5, period=10.0):
 
 
 class TestState:
-    def test_init_peer_creates_state(self):
+    def test_first_use_creates_empty_state(self):
         network = make_network()
         router = BloomRouter(network)
         peer = network.peer(0)
-        state = router.init_peer(peer)
+        assert peer.protocol_state == {}
+        state = router.state_of(peer)
+        assert list(peer.protocol_state.values()) == [state]
         assert state.cbf.element_count == 0
+        assert state.exported.bit_int() == 0
         assert state.neighbor_filters == {}
+
+    def test_reads_and_ticks_create_nothing(self):
+        network = make_network(period=5.0)
+        router = BloomRouter(network)
+        router.start()
+        network.sim.run(until=12.0)
+        router.stop()
+        row = network.graph.neighbors_view(0)
+        assert router.neighbors_matching(network.peer(0), row, ["kw1"]) == []
+        assert all(peer.protocol_state == {} for peer in network.peers)
 
     def test_state_of_creates_on_demand(self):
         network = make_network()
@@ -52,8 +65,6 @@ class TestPropagation:
     def test_push_reaches_neighbors(self):
         network = make_network(period=5.0)
         router = BloomRouter(network)
-        for peer in network.peers:
-            router.init_peer(peer)
         target = network.peer(0)
         router.filename_cached(target, ["kw1", "kw2", "kw3"])
         router.start()
@@ -68,8 +79,6 @@ class TestPropagation:
     def test_no_change_no_message(self):
         network = make_network(period=5.0)
         router = BloomRouter(network)
-        for peer in network.peers:
-            router.init_peer(peer)
         router.start()
         network.sim.run(until=30.0)
         router.stop()
@@ -78,8 +87,6 @@ class TestPropagation:
     def test_eviction_propagates(self):
         network = make_network(period=5.0)
         router = BloomRouter(network)
-        for peer in network.peers:
-            router.init_peer(peer)
         target = network.peer(0)
         router.filename_cached(target, ["kw1", "kw2"])
         router.start()
@@ -95,8 +102,6 @@ class TestPropagation:
         """One filename of 3 keywords changes ≤ 12 bits ⇒ ≤ 132 bits/update."""
         network = make_network(period=5.0)
         router = BloomRouter(network)
-        for peer in network.peers:
-            router.init_peer(peer)
         router.filename_cached(network.peer(0), ["kw1", "kw2", "kw3"])
         router.start()
         network.sim.run(until=6.0)
@@ -108,8 +113,6 @@ class TestPropagation:
     def test_dead_peer_does_not_push(self):
         network = make_network(period=5.0)
         router = BloomRouter(network)
-        for peer in network.peers:
-            router.init_peer(peer)
         router.filename_cached(network.peer(0), ["kw1"])
         network.peer(0).alive = False
         router.start()
@@ -183,8 +186,6 @@ class TestChangeDrivenPush:
     def started_router(self):
         network = make_network(period=self.PERIOD)
         router = BloomRouter(network)
-        for peer in network.peers:
-            router.init_peer(peer)
         router.start()
         return network, router
 

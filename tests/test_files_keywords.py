@@ -57,6 +57,32 @@ class TestKeywordPool:
         assert "banana" not in pool
         assert 42 not in pool
 
+    def test_contains_means_is_one_of_the_tokens(self):
+        pool = KeywordPool(100)
+        assert "kw000001" in pool
+        assert "kw1" not in pool  # right index, wrong width
+        assert "kw0000001" not in pool
+        assert "kw²" not in pool  # a digit to str.isdigit, not to int
+        assert "kw00000١" not in pool
+        assert "kw" not in pool
+        members = set(pool.all_keywords())
+        for candidate in ("kw000000", "kw000099", "kw000100", "kw-00001", "kw+00001"):
+            assert (candidate in pool) == (candidate in members)
+
+    def test_equal_sizes_share_one_vocabulary(self):
+        assert KeywordPool(300).all_keywords() == KeywordPool(300).all_keywords()
+        assert KeywordPool(300).keyword(7) is KeywordPool(300).keyword(7)
+
+    def test_the_vocabulary_memo_is_bounded(self):
+        from repro.files.keywords import _vocabulary
+
+        bound = _vocabulary.cache_info().maxsize
+        assert bound is not None and bound <= 8
+        for size in range(1, bound + 5):
+            KeywordPool(size)
+        assert _vocabulary.cache_info().currsize == bound
+        assert KeywordPool(3).all_keywords() == ["kw000000", "kw000001", "kw000002"]
+
     def test_sample_draws_distinct(self):
         pool = KeywordPool(100)
         rng = random.Random(1)

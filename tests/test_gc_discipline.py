@@ -53,7 +53,6 @@ def simulate_by_hand(protocol_name, scenario_name, max_queries=60):
             config.mean_session_s,
             config.mean_downtime_s,
             network.streams.stream("churn"),
-            on_rejoin=lambda pid: protocol.init_peer(network.peer(pid)),
         )
         churn.start()
     workload = scenario.build_workload(network, protocol.issue_query, max_queries)

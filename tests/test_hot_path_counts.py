@@ -10,6 +10,9 @@ instead of timing them, which does not on a shared host:
 - under churn the rankings a rewiring invalidates are rebuilt, which
   still costs fewer ``degree`` calls than ranking per hop (what the
   tests-only reference graph does) — with byte-identical results;
+- protocol state follows use: after a calm cell the peers that hold
+  any are at most the index inserts plus the Bloom updates sent, not
+  the population;
 - the two per-hop messages are tuples: immutable for real, hashable,
   and their copies equal field-by-field construction;
 - a stored cell costs a warm ``GridRunner.run`` one key, one read and
@@ -24,6 +27,7 @@ import threading
 import pytest
 from reference_graph import DictOverlayGraph
 from test_determinism import run_fingerprint
+from test_golden_worlds import world_config
 
 import repro.experiments.grid as grid_module
 import repro.overlay.blueprint as blueprint_module
@@ -34,6 +38,8 @@ from repro.experiments import (
     PROTOCOL_REGISTRY,
     GridRunner,
     GridSpec,
+    drive_until_settled,
+    make_protocol,
     run_protocol,
     small_config,
 )
@@ -46,6 +52,7 @@ from repro.overlay import (
 )
 from repro.results import ClaimStore, ResultStore
 from repro.sim import SimulationConfig
+from repro.workload import QueryWorkload
 
 CONFIG = small_config(seed=5).replace(query_rate_per_peer=0.02)
 QUERIES = 60
@@ -107,6 +114,32 @@ class TestDegreeCalls:
         assert run_fingerprint(cached) == run_fingerprint(per_hop)
         assert cached.metric_snapshot["counter.churn.leaves"] > 0
         assert 0 < cached_calls[0] < per_hop_calls[0]
+
+
+class TestStateFollowsUse:
+    PEERS = 600
+    QUERIES = 60  # the ``idle_6k`` shape: one query per ten peers
+
+    @pytest.mark.parametrize("protocol", ROUTED)
+    def test_a_calm_cell_makes_state_where_it_cached_or_heard(self, protocol):
+        config = world_config(
+            "router", self.PEERS, seed=11, query_rate_per_peer=0.02
+        )
+        network = NetworkBlueprint.build(config).instantiate()
+        protocol = make_protocol(protocol, network)
+        protocol.start()
+        workload = QueryWorkload(
+            network, protocol.issue_query, max_queries=self.QUERIES
+        )
+        workload.start()
+        drive_until_settled(network, protocol, workload, self.QUERIES)
+        holders = sum(1 for peer in network.peers if peer.protocol_state)
+        counter = network.metrics.counter
+        writes = (
+            counter("index.inserts").value + counter("messages.bloom_update").value
+        )
+        # > 0: something was cached, so the bound is not vacuous.
+        assert 0 < holders <= writes < self.PEERS
 
 
 class TestMessagesAreTuples:

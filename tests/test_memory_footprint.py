@@ -1,16 +1,17 @@
 """Footprint gates that do not read a clock.
 
 A peer's share of a world is sized by what the peer holds — three
-files, an empty response index, an empty counting filter — not by the
-population.  ``tracemalloc`` on a 600-peer router-model world at the
+files, and no protocol state until it caches or hears something — not
+by the population.  ``tracemalloc`` on a 600-peer router-model world at the
 ``bench/`` ratios bounds the bytes per peer of the two halves of a
 cell's set-up; the structural checks below say the same without
 depending on any interpreter's object sizes.
 
 Per peer, in bytes, when the bounds were set (CPython 3.11): build
 2 650 (4 070 with the catalog's eager inverted index), instantiate +
-protocol + start 2 530 (5 430 with a ``set`` per stored keyword and a
-zero-filled counter array per filter).
+protocol + start 1 710 (2 530 with an index and three filters made per
+peer up front, 5 430 with a ``set`` per stored keyword and a
+zero-filled counter array per filter on top).
 """
 
 import random
@@ -25,7 +26,7 @@ from repro.overlay import NetworkBlueprint
 
 PEERS = 600
 BUILD_BYTES_PER_PEER = 3300
-START_BYTES_PER_PEER = 3500
+START_BYTES_PER_PEER = 2400
 
 
 def _bench_config(seed=11):
@@ -65,12 +66,12 @@ def test_instantiate_protocol_start_bytes_per_peer(traced_world):
     assert start_bytes / PEERS <= START_BYTES_PER_PEER
 
 
-def test_a_freshly_started_locaware_peer_has_no_counters(traced_world):
+def test_a_freshly_started_peers_protocol_state_is_empty(traced_world):
     _blueprint, protocol, _build_bytes, _start_bytes = traced_world
     peers = protocol.network.peers
     assert len(peers) == PEERS
     for peer in peers:
-        assert len(protocol.bloom_router.state_of(peer).cbf._counters) == 0
+        assert peer.protocol_state == {}
 
 
 def test_no_set_is_reachable_from_a_fresh_stores_postings():

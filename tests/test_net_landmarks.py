@@ -1,5 +1,6 @@
 """Unit tests for landmark orderings and locIds."""
 
+import itertools
 import math
 import random
 
@@ -25,8 +26,6 @@ class TestPermutationRanking:
     def test_roundtrip_all_k4(self):
         """Bijection over all 24 permutations of 4 landmarks."""
         seen = set()
-        import itertools
-
         for perm in itertools.permutations(range(4)):
             locid = permutation_to_locid(list(perm))
             assert 0 <= locid < 24
@@ -114,6 +113,23 @@ class TestLandmarkSet:
         assert locid == landmarks.locid_of(p)
         assert locid == LandmarkSet.locid_from_rtts(rtts)
         assert len(rtts) == 4
+
+    def test_locid_from_rtts_is_the_rank_of_the_ordering(self):
+        """Every ordering of 4 landmarks, asked twice: the second answer
+        comes from the per-ordering memo and must be the same."""
+        for _ in range(2):
+            for perm in itertools.permutations(range(4)):
+                rtts = [0.0] * 4
+                for place, landmark in enumerate(perm):
+                    rtts[landmark] = 10.0 * (place + 1)
+                assert rtt_ordering(rtts) == list(perm)
+                expected = permutation_to_locid(rtt_ordering(rtts))
+                assert LandmarkSet.locid_from_rtts(rtts) == expected
+                assert LandmarkSet.locid_from_rtts(tuple(rtts)) == expected
+        assert LandmarkSet.locid_from_rtts([7.0, 7.0, 7.0, 7.0]) == 0
+        # The memo is in front of the ranking, not of its validation.
+        with pytest.raises(ValueError):
+            permutation_to_locid([0, 0, 1, 2])
 
     def test_place_random_deterministic(self):
         model = EuclideanLatencyModel()

@@ -50,22 +50,6 @@ class TestChurn:
             if peer.alive:
                 assert network.graph.contains(peer.peer_id)
 
-    def test_callbacks_fire(self):
-        network = make_network()
-        left, rejoined = [], []
-        churn = ChurnProcess(
-            network,
-            20.0,
-            20.0,
-            network.streams.stream("churn"),
-            on_leave=left.append,
-            on_rejoin=rejoined.append,
-        )
-        churn.start()
-        network.sim.run(until=300.0)
-        assert len(left) == churn.departures
-        assert len(rejoined) == churn.rejoins
-
     def test_session_means_validated(self):
         network = make_network()
         with pytest.raises(ValueError):

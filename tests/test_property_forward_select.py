@@ -143,13 +143,7 @@ def churned_world(seed, protocol_name, location_aware_routing, until_s):
         protocol_name, network, location_aware_routing=location_aware_routing
     )
     protocol.start()
-    ChurnProcess(
-        network,
-        40.0,
-        15.0,
-        network.streams.stream("churn"),
-        on_rejoin=lambda pid: protocol.init_peer(network.peer(pid)),
-    ).start()
+    ChurnProcess(network, 40.0, 15.0, network.streams.stream("churn")).start()
     QueryWorkload(network, protocol.issue_query, max_queries=400).start()
     network.sim.run(until=until_s)
     return network, protocol

@@ -155,6 +155,25 @@ class TestCollectRunTelemetry:
         assert 0.0 <= bloom["mean_fill_fraction"] <= 1.0
         assert 0.0 <= bloom["false_positive_estimate"] <= 1.0
 
+    def test_bloom_averages_are_over_the_live_population(self, run):
+        # State is made on first use; a live peer without any still counts,
+        # as the empty filter it would export.
+        assert run.telemetry.protocol["bloom"]["filters"] == run.config.num_peers
+        stormy = run_protocol(
+            small_config(seed=3).replace(query_rate_per_peer=0.02),
+            "locaware",
+            max_queries=60,
+            bucket_width=20,
+            scenario="churn-storm",
+        )
+        churn = stormy.telemetry.protocol["churn"]
+        offline = churn["leaves"] - churn["rejoins"]
+        assert offline > 0
+        assert (
+            stormy.telemetry.protocol["bloom"]["filters"]
+            == stormy.config.num_peers - offline
+        )
+
     def test_message_mix_sums_to_total(self, run):
         messages = dict(run.telemetry.protocol["messages"])
         total = messages.pop("total")

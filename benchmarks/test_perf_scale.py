@@ -120,9 +120,16 @@ def _patch_seed_substrate(mp):
     mp.setattr(delta_module, "BloomFilter", ByteBloomFilter)
     mp.setattr(Underlay, "latency_ms", Underlay.scan_latency_ms)
     mp.setattr(Underlay, "rtt_ms", Underlay.scan_rtt_ms)
-    mp.setattr(
-        Underlay, "latency_s", lambda self, a, b: self.scan_latency_ms(a, b) / 1000.0
-    )
+    # Message timing calls the seconds closure an underlay binds at
+    # construction, so the scan closure goes on every underlay built
+    # under the patch (the seed-style blueprint is built under it).
+    init = Underlay.__init__
+
+    def scan_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.latency_s = lambda a, b: self.scan_latency_ms(a, b) / 1000.0
+
+    mp.setattr(Underlay, "__init__", scan_init)
 
 
 def _best_of(repeats, fn):

@@ -13,7 +13,9 @@ baseline itself differ by on this host at this moment.
 The baseline cannot be a historical wall-clock number (machines
 differ), so it is rebuilt in-process: ``Simulator.schedule_at`` is
 monkeypatched back to a peak-free version and telemetry collection is
-disabled (``collect_telemetry=False``).  The guarded trace emits and
+disabled (``collect_telemetry=False``).  Messages enter the queue
+through ``Simulator.schedule_fanout``, which updates the peak once per
+fan-out on both sides.  The guarded trace emits and
 the new counters stay in — they are part of the instrumented code
 under test — so the measured delta is, if anything, an overestimate
 of what the observability layer costs relative to the previous code.

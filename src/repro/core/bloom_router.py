@@ -123,14 +123,14 @@ class BloomRouter:
                 self._network.sim.now, "bloom.push",
                 peer=peer_id, bits=delta.encoded_bits, full=delta.is_full,
             )
-        for neighbor in self._network.graph.neighbors_view(peer_id):
-            self._network.send(
-                peer_id,
-                neighbor,
-                self._handle_update,
-                BloomUpdate(sender=peer_id, delta=delta),
-                kind="bloom_update",
-            )
+        # One immutable update, shared by every neighbor's delivery.
+        self._network.send(
+            peer_id,
+            self._network.graph.neighbors_view(peer_id),
+            self._handle_update,
+            BloomUpdate(sender=peer_id, delta=delta),
+            kind="bloom_update",
+        )
         state.exported = current
 
     def _handle_update(self, dst: int, message: object) -> None:

@@ -37,6 +37,10 @@ __all__ = ["LatencyModel", "EuclideanLatencyModel", "RouterLevelLatencyModel"]
 #: Fast pairwise latency over peer *indices*, produced by ``bind``.
 PairLatency = Callable[[int, int], float]
 
+#: What ``bind`` returns: the same latencies in milliseconds and in
+#: seconds, ``seconds(a, b) == milliseconds(a, b) / 1000.0`` bit for bit.
+BoundLatency = tuple[PairLatency, PairLatency]
+
 
 class LatencyModel:
     """Interface: one-way latency in milliseconds between two points."""
@@ -49,16 +53,19 @@ class LatencyModel:
         """Round-trip time between ``a`` and ``b`` (symmetric links)."""
         return 2.0 * self.latency_ms(a, b)
 
-    def bind(self, positions: Sequence[Point]) -> PairLatency:
-        """A fast ``(peer_a, peer_b) -> latency_ms`` closure for a fixed
-        peer placement.
+    def bind(self, positions: Sequence[Point]) -> BoundLatency:
+        """Fast ``(peer_a, peer_b) -> latency`` closures for a fixed peer
+        placement: one in milliseconds, one in seconds.
 
         This is the per-message hot path: models override it to hoist
         whatever per-call work can be precomputed for a static underlay
-        (coordinate unpacking, nearest-router attachment).  Every
-        override must return *bit-identical* floats to
-        ``latency_ms(positions[a], positions[b])`` — the substrate-
-        equivalence suite holds them to that.
+        (coordinate unpacking, nearest-router attachment) into state
+        both closures share.  Every override must return *bit-identical*
+        floats to ``latency_ms(positions[a], positions[b])`` (and that
+        divided by ``1000.0``) — the substrate-equivalence suite holds
+        them to that.  The seconds closure is what message delivery
+        calls, once per message, so it is one frame, not a call of the
+        milliseconds one.
         """
         frozen = list(positions)
         latency_ms = self.latency_ms
@@ -66,7 +73,10 @@ class LatencyModel:
         def pair_latency(a: int, b: int) -> float:
             return latency_ms(frozen[a], frozen[b])
 
-        return pair_latency
+        def pair_latency_s(a: int, b: int) -> float:
+            return latency_ms(frozen[a], frozen[b]) / 1000.0
+
+        return pair_latency, pair_latency_s
 
 
 class EuclideanLatencyModel(LatencyModel):
@@ -94,7 +104,7 @@ class EuclideanLatencyModel(LatencyModel):
         distance = a.distance_to(b)
         return self.min_latency_ms + self._span * (distance / UNIT_SQUARE_DIAMETER)
 
-    def bind(self, positions: Sequence[Point]) -> PairLatency:
+    def bind(self, positions: Sequence[Point]) -> BoundLatency:
         # Flat coordinate arrays kill the per-call Point attribute
         # chasing; the arithmetic is the exact scalar expression of
         # latency_ms (hypot + affine), so the floats are bit-identical.
@@ -109,7 +119,13 @@ class EuclideanLatencyModel(LatencyModel):
                 hypot(xs[a] - xs[b], ys[a] - ys[b]) / UNIT_SQUARE_DIAMETER
             )
 
-        return pair_latency
+        def pair_latency_s(a: int, b: int) -> float:
+            return (
+                min_latency
+                + span * (hypot(xs[a] - xs[b], ys[a] - ys[b]) / UNIT_SQUARE_DIAMETER)
+            ) / 1000.0
+
+        return pair_latency, pair_latency_s
 
 
 class RouterLevelLatencyModel(LatencyModel):
@@ -286,21 +302,26 @@ class RouterLevelLatencyModel(LatencyModel):
         backbone = self._dist[ra][rb]
         return self.min_latency_ms + 2.0 * self.last_mile_ms + backbone
 
-    def bind(self, positions: Sequence[Point]) -> PairLatency:
+    def bind(self, positions: Sequence[Point]) -> BoundLatency:
         # Peer -> nearest-router attachment is static, so pay the O(R)
         # scan once per peer here instead of twice per message; the
         # backbone table flattens to one float array indexed ra*R+rb.
         # min + 2*last_mile is left-associated first in latency_ms, so
-        # precomputing it keeps the sum bit-identical.
+        # precomputing it keeps the sum bit-identical; so does the
+        # seconds table, each entry that same sum over 1000.
         router_of = array("q", (self.nearest_router(p) for p in positions))
         n = len(self._routers)
         flat = array("d", (d for row in self._dist for d in row))
         base = self.min_latency_ms + 2.0 * self.last_mile_ms
+        flat_s = array("d", ((base + d) / 1000.0 for d in flat))
 
         def pair_latency(a: int, b: int) -> float:
             return base + flat[router_of[a] * n + router_of[b]]
 
-        return pair_latency
+        def pair_latency_s(a: int, b: int) -> float:
+            return flat_s[router_of[a] * n + router_of[b]]
+
+        return pair_latency, pair_latency_s
 
     @property
     def num_routers(self) -> int:

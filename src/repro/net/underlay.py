@@ -21,7 +21,7 @@ from collections.abc import Sequence
 
 from .coordinates import Point, clustered_points, random_points
 from .landmarks import LandmarkSet
-from .latency import EuclideanLatencyModel, LatencyModel
+from .latency import EuclideanLatencyModel, LatencyModel, PairLatency
 
 __all__ = ["Underlay"]
 
@@ -41,6 +41,14 @@ class Underlay:
         computed from the one placement bound for the peers.
     """
 
+    #: ``latency_s(a, b)``: one-way latency between peers ``a`` and ``b``
+    #: in seconds.  Each underlay holds the seconds closure its model
+    #: binds (bit-identical to ``latency_ms(a, b) / 1000.0``, one frame
+    #: per call); message delivery resolves it once per network.  The
+    #: class-level ``None`` only declares the name, so tools that wrap
+    #: class members (``bench/layertrace.py``) find it.
+    latency_s: PairLatency = None  # type: ignore[assignment]
+
     def __init__(
         self,
         positions: Sequence[Point],
@@ -54,14 +62,16 @@ class Underlay:
         self._positions = list(positions)
         self._model = model
         self._landmarks = landmarks
-        # Per-message hot path: a bound closure over precomputed state
+        # Per-message hot path: bound closures over precomputed state
         # (flat coordinates / router attachment + flat distance table)
         # instead of per-call scans.  Bit-identical to the scan path.
         # The landmarks are bound as extra points behind the peers, so
         # the one placement serves the locId probes too and the router
         # model attaches every peer and every landmark exactly once.
         num_peers = len(self._positions)
-        pair_latency = model.bind(self._positions + landmarks.positions)
+        pair_latency, self.latency_s = model.bind(
+            self._positions + landmarks.positions
+        )
         landmark_points = range(num_peers, num_peers + landmarks.count)
         self._locids: list[int] = [
             landmarks.locid_from_rtts(
@@ -128,10 +138,6 @@ class Underlay:
     def latency_ms(self, a: int, b: int) -> float:
         """One-way latency between peers ``a`` and ``b`` in milliseconds."""
         return self._pair_latency(a, b)
-
-    def latency_s(self, a: int, b: int) -> float:
-        """One-way latency between peers ``a`` and ``b`` in seconds."""
-        return self._pair_latency(a, b) / 1000.0
 
     def rtt_ms(self, a: int, b: int) -> float:
         """Round-trip time between peers ``a`` and ``b`` in milliseconds."""

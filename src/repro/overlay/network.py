@@ -6,9 +6,10 @@
 - the :class:`~repro.net.underlay.Underlay` (latencies, locIds),
 - the :class:`~repro.overlay.graph.OverlayGraph` (who is linked to whom),
 - the :class:`~repro.overlay.peer.Peer` population, and
-- message delivery: :meth:`send` schedules a handler invocation on the
-  destination peer after the underlay latency of the link, and counts
-  the message (per query when a ``query_id`` is given — the paper's
+- message delivery: :meth:`send` ships one payload from a peer to each
+  peer of a fan-out, schedules a handler invocation on every
+  destination after the underlay latency of its link, and counts the
+  messages (per query when a ``query_id`` is given — the paper's
   search-traffic metric is "total number of messages produced by a
   query", §5.2).
 
@@ -18,7 +19,7 @@ bandwidth is consumed regardless of whether the destination is up.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from functools import cached_property
 
 from ..files.catalog import FileCatalog
@@ -65,8 +66,10 @@ class P2PNetwork:
         for peer in peers:
             peer.bind_liveness(self.liveness)
         self._alive_flags = self.liveness.flags
+        # The underlay's bound seconds closure, one frame per message.
+        self._latency_s = underlay.latency_s
         # Hot counters, resolved once instead of a registry dict lookup
-        # per message.
+        # per fan-out.
         self._total_counter = self.metrics.counter("messages.total")
         self._kind_counters = {
             "message": self.metrics.counter("messages.message"),
@@ -120,33 +123,36 @@ class P2PNetwork:
     def send(
         self,
         src: int,
-        dst: int,
+        dsts: Sequence[int],
         handler: Callable[[int, object], None],
         payload: object,
         query_id: int | None = None,
         kind: str = "message",
     ) -> None:
-        """Ship ``payload`` from ``src`` to ``dst`` over the underlay.
+        """Ship ``payload`` from ``src`` to each peer of ``dsts`` over the
+        underlay: one message per destination, all sharing ``payload``.
 
         ``handler(dst, payload)`` runs after the link's one-way latency
-        if the destination is alive at arrival time.  The message is
-        counted immediately (``kind`` counter, plus the per-query tally
-        when ``query_id`` is given).
+        if ``dst`` is alive at arrival time, decided per destination.
+        The messages are counted immediately (``kind`` counter, plus the
+        per-query tally when ``query_id`` is given), ``len(dsts)`` at
+        once; an empty ``dsts`` touches nothing.
         """
+        count = len(dsts)
+        if not count:
+            return
         kind_counter = self._kind_counters.get(kind)
         if kind_counter is None:
             kind_counter = self._kind_counters[kind] = self.metrics.counter(
                 f"messages.{kind}"
             )
-        kind_counter.value += 1
-        self._total_counter.value += 1
+        kind_counter.value += count
+        self._total_counter.value += count
         if query_id is not None:
             tallies = self._per_query_messages
-            tallies[query_id] = tallies.get(query_id, 0) + 1
-        sim = self.sim
-        sim.schedule_at(
-            sim.now + self.underlay.latency_s(src, dst),
-            self._deliver, dst, handler, payload,
+            tallies[query_id] = tallies.get(query_id, 0) + count
+        self.sim.schedule_fanout(
+            self._latency_s, src, dsts, self._deliver, handler, payload
         )
 
     def _deliver(

@@ -272,9 +272,9 @@ class SearchProtocol:
                 qid=query_id, peer=peer_id, ttl=copy.ttl,
                 targets=list(targets),
             )
-        send, handler = self.network.send, self._handle_query_message
-        for target in targets:
-            send(peer_id, target, handler, copy, query_id, "query")
+        self.network.send(
+            peer_id, targets, self._handle_query_message, copy, query_id, "query"
+        )
 
     def _handle_query_message(self, dst: int, message: object) -> None:
         query = message  # type: Query
@@ -344,7 +344,7 @@ class SearchProtocol:
             return
         self.network.send(
             sender,
-            next_hop,
+            (next_hop,),
             self._handle_response_message,
             response.advanced(),
             query_id=response.query_id,

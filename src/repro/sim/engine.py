@@ -4,10 +4,12 @@ This is the reproduction's substitute for PeerSim's event-driven mode:
 a classic future-event-list simulator built on a binary heap.  An event
 is one plain ``(time, sequence, callback, args)`` tuple: the tuple is
 the heap entry, and it is what :meth:`Simulator.schedule` and
-:meth:`Simulator.schedule_at` — the only two ways onto the heap — hand
-back.  The sequence number breaks ties so that events scheduled earlier
-at the same timestamp run first, which makes runs fully deterministic
-for a fixed seed.
+:meth:`Simulator.schedule_at` hand back.  The third way onto the heap,
+:meth:`Simulator.schedule_fanout`, pushes one such tuple per target of
+a fan-out and hands back nothing: what it schedules is never
+cancelled.  The sequence number breaks ties so that events scheduled
+earlier at the same timestamp run first, which makes runs fully
+deterministic for a fixed seed.
 
 Typical usage::
 
@@ -29,7 +31,7 @@ Bloom-filter update propagation.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from heapq import heappop, heappush
 from math import inf, isfinite
 from typing import Any
@@ -46,6 +48,15 @@ Event = tuple[float, int, Callable[..., None], tuple]
 #: event carries it (sequence numbers start at 0), and a non-empty set
 #: is the one condition :meth:`Simulator.run` already tests per event.
 _STOP = -1
+
+
+def _bad_time(time: float, now: float) -> SchedulingError:
+    """The error for an event time that fails ``now <= time < inf``."""
+    if isfinite(time):
+        return SchedulingError(
+            f"cannot schedule into the past (time={time!r} < now={now!r})"
+        )
+    return SchedulingError(f"event time must be finite, got {time!r}")
 
 
 class Simulator:
@@ -116,11 +127,7 @@ class Simulator:
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
         if not self._now <= time < inf:
-            if isfinite(time):
-                raise SchedulingError(
-                    f"cannot schedule into the past (time={time!r} < now={self._now!r})"
-                )
-            raise SchedulingError(f"event time must be finite, got {time!r}")
+            raise _bad_time(time, self._now)
         queue = self._queue
         event = (time, self._seq, callback, args)
         self._seq += 1
@@ -128,6 +135,40 @@ class Simulator:
         if len(queue) > self._queue_peak:
             self._queue_peak = len(queue)
         return event
+
+    def schedule_fanout(
+        self,
+        delay: Callable[[Any, Any], float],
+        src: Any,
+        targets: Iterable[Any],
+        callback: Callable[..., None],
+        *rest: Any,
+    ) -> None:
+        """Schedule ``callback(target, *rest)`` at ``now + delay(src, target)``
+        for each of ``targets``, in order.
+
+        Exactly the events the same :meth:`schedule_at` calls would
+        queue — same times, consecutive sequence numbers, same queue
+        peak, same :class:`~repro.sim.errors.SchedulingError` for a
+        time in the past or not finite (the targets before it stay
+        queued) — in one call.  Returns nothing: these events cannot be
+        cancelled.
+        """
+        queue = self._queue
+        now = self._now
+        seq = self._seq
+        try:
+            for target in targets:
+                time = now + delay(src, target)
+                if not now <= time < inf:
+                    raise _bad_time(time, now)
+                heappush(queue, (time, seq, callback, (target,) + rest))
+                seq += 1
+        finally:
+            # Nothing pops inside the loop, so one peak update is exact.
+            self._seq = seq
+            if len(queue) > self._queue_peak:
+                self._queue_peak = len(queue)
 
     def cancel(self, event: Event) -> None:
         """Prevent ``event`` from firing.
@@ -161,7 +202,8 @@ class Simulator:
         until:
             Stop once the next event lies strictly beyond this time; the
             clock is then advanced to ``until``.  ``None`` means run to
-            queue exhaustion.
+            queue exhaustion; a non-finite ``until`` is refused (the
+            clock must stay finite for the events scheduled after).
         max_events:
             Safety valve: stop after this many events even if more are
             pending.  ``0`` runs nothing.
@@ -175,8 +217,13 @@ class Simulator:
         """
         if self._running:
             raise EventLoopError("Simulator.run() is not re-entrant")
-        if until is not None and until < self._now:
-            raise EventLoopError(f"until={until!r} is before now={self._now!r}")
+        if until is not None and not self._now <= until < inf:
+            if isfinite(until):
+                raise EventLoopError(f"until={until!r} is before now={self._now!r}")
+            raise EventLoopError(
+                f"until must be finite, got {until!r}; "
+                "until=None runs until the queue is exhausted"
+            )
         if max_events is not None and max_events < 0:
             raise EventLoopError(f"max_events must be non-negative, got {max_events!r}")
         queue = self._queue

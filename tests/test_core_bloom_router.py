@@ -76,6 +76,28 @@ class TestPropagation:
             assert stored is not None
             assert stored.contains_all(["kw1", "kw2", "kw3"])
 
+    def test_a_push_is_one_update_shared_by_every_delivery(self, monkeypatch):
+        deliveries = []
+        handle_update = BloomRouter._handle_update
+
+        def recording(router, dst, message):
+            deliveries.append((dst, message))
+            handle_update(router, dst, message)
+
+        monkeypatch.setattr(BloomRouter, "_handle_update", recording)
+        network = make_network(period=5.0)
+        router = BloomRouter(network)
+        router.filename_cached(network.peer(0), ["kw1", "kw2", "kw3"])
+        router.start()
+        network.sim.run(until=6.0)
+        router.stop()
+        neighbors = sorted(network.graph.neighbors(0))
+        assert sorted(dst for dst, _ in deliveries) == neighbors
+        update = deliveries[0][1]
+        assert update.sender == 0
+        assert all(message is update for _, message in deliveries)
+        assert network.metrics.counter("messages.bloom_update").value == len(deliveries)
+
     def test_no_change_no_message(self):
         network = make_network(period=5.0)
         router = BloomRouter(network)

@@ -13,6 +13,9 @@ instead of timing them, which does not on a shared host:
 - protocol state follows use: after a calm cell the peers that hold
   any are at most the index inserts plus the Bloom updates sent, not
   the population;
+- a forward is one send: a cell's ``P2PNetwork.send`` calls are its
+  non-empty forwards plus its response hops plus its Bloom pushes, and
+  no message reaches the heap through ``Simulator.schedule_at``;
 - the two per-hop messages are tuples: immutable for real, hashable,
   and their copies equal field-by-field construction;
 - a stored cell costs a warm ``GridRunner.run`` one key, one read and
@@ -34,6 +37,7 @@ import repro.overlay.blueprint as blueprint_module
 import repro.results.backends as backends_module
 import repro.results.claims as claims_module
 import repro.results.store as store_module
+from repro.bloom.delta import DeltaCodec
 from repro.experiments import (
     PROTOCOL_REGISTRY,
     GridRunner,
@@ -46,12 +50,14 @@ from repro.experiments import (
 from repro.overlay import (
     NetworkBlueprint,
     OverlayGraph,
+    P2PNetwork,
     ProviderEntry,
     Query,
     QueryResponse,
 )
+from repro.protocols.base import SearchProtocol
 from repro.results import ClaimStore, ResultStore
-from repro.sim import SimulationConfig
+from repro.sim import SimulationConfig, Simulator
 from repro.workload import QueryWorkload
 
 CONFIG = small_config(seed=5).replace(query_rate_per_peer=0.02)
@@ -114,6 +120,60 @@ class TestDegreeCalls:
         assert run_fingerprint(cached) == run_fingerprint(per_hop)
         assert cached.metric_snapshot["counter.churn.leaves"] > 0
         assert 0 < cached_calls[0] < per_hop_calls[0]
+
+
+class TestAForwardIsOneSend:
+    """One ``P2PNetwork.send`` per fan-out, and no message event through
+    ``Simulator.schedule_at``."""
+
+    @pytest.mark.parametrize("protocol", ["flooding", "locaware"])
+    def test_sends_are_forwards_response_hops_and_pushes(self, protocol):
+        assert CONFIG.num_peers == 60
+        blueprint = NetworkBlueprint.build(CONFIG)
+        plain = run_protocol(
+            CONFIG, protocol, max_queries=QUERIES, bucket_width=30, blueprint=blueprint
+        )
+        protocol_cls = PROTOCOL_REGISTRY[protocol]
+        forwards = []
+        select = protocol_cls.select_forward_targets
+
+        def recording_select(self, peer, query):
+            targets = select(self, peer, query)
+            forwards.append(len(targets))
+            return targets
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol_cls, "select_forward_targets", recording_select)
+            sends = count_calls(mp, P2PNetwork, "send")
+            hops = count_calls(
+                mp, SearchProtocol, "_route_response",
+                only=lambda _self, _sender, response: response.next_hop() is not None,
+            )
+            pushes = count_calls(mp, DeltaCodec, "encode")
+            schedules = count_calls(mp, Simulator, "schedule_at")
+            message_schedules = count_calls(
+                mp, Simulator, "schedule_at",
+                only=lambda _sim, _time, callback, *args: (
+                    getattr(callback, "__func__", None) is P2PNetwork._deliver
+                ),
+            )
+            counted = run_protocol(
+                CONFIG, protocol, max_queries=QUERIES, bucket_width=30,
+                blueprint=blueprint,
+            )
+        assert counted.metric_snapshot == plain.metric_snapshot
+        non_empty = sum(1 for fan_out in forwards if fan_out)
+        assert sends[0] == non_empty + hops[0] + pushes[0]
+        assert message_schedules[0] == 0 < schedules[0]
+        snapshot = counted.metric_snapshot
+        assert snapshot["counter.messages.query"] == sum(forwards)
+        assert snapshot["counter.messages.response"] == hops[0]
+        if protocol == "flooding":
+            assert pushes[0] == 0
+            # Fan-outs of more than one: fewer calls than messages.
+            assert sends[0] < snapshot["counter.messages.total"]
+        else:
+            assert pushes[0] > 0  # the push term is not vacuous
 
 
 class TestStateFollowsUse:

@@ -69,8 +69,14 @@ class TestQueries:
     def test_rtt_is_double_latency(self, underlay):
         assert underlay.rtt_ms(3, 77) == pytest.approx(2 * underlay.latency_ms(3, 77))
 
-    def test_latency_s_converts_units(self, underlay):
-        assert underlay.latency_s(3, 77) == pytest.approx(underlay.latency_ms(3, 77) / 1000)
+    def test_latency_s_converts_units(self):
+        """The seconds closure is the milliseconds latency over 1000, bit
+        for bit, for every pair on both models."""
+        for model in _models(42):
+            underlay = Underlay.build(60, random.Random(42), model=model)
+            for a in range(60):
+                for b in range(60):
+                    assert underlay.latency_s(a, b) == underlay.latency_ms(a, b) / 1000
 
     def test_locids_in_range(self, underlay):
         for i in range(200):

@@ -52,29 +52,29 @@ class TestMessaging:
     def test_send_delivers_after_latency(self):
         network = P2PNetwork.build(SimulationConfig.small(seed=4))
         received = []
-        network.send(0, 1, lambda dst, msg: received.append((dst, msg, network.sim.now)), "hello")
+        network.send(0, (1,), lambda dst, msg: received.append((dst, msg, network.sim.now)), "hello")
         network.sim.run()
         assert len(received) == 1
         dst, msg, at = received[0]
         assert dst == 1
         assert msg == "hello"
-        assert at == pytest.approx(network.underlay.latency_s(0, 1))
+        assert at == network.underlay.latency_ms(0, 1) / 1000.0
 
     def test_send_counts_messages(self):
         network = P2PNetwork.build(SimulationConfig.small(seed=4))
-        network.send(0, 1, lambda *a: None, "x", kind="query")
+        network.send(0, (1,), lambda *a: None, "x", kind="query")
         assert network.metrics.counter("messages.query").value == 1
         assert network.metrics.counter("messages.total").value == 1
 
     def test_send_attributes_to_query(self):
         network = P2PNetwork.build(SimulationConfig.small(seed=4))
-        network.send(0, 1, lambda *a: None, "x", query_id=77)
-        network.send(1, 2, lambda *a: None, "x", query_id=77)
+        network.send(0, (1,), lambda *a: None, "x", query_id=77)
+        network.send(1, (2,), lambda *a: None, "x", query_id=77)
         assert network.query_message_count(77) == 2
 
     def test_forget_query_messages_pops(self):
         network = P2PNetwork.build(SimulationConfig.small(seed=4))
-        network.send(0, 1, lambda *a: None, "x", query_id=5)
+        network.send(0, (1,), lambda *a: None, "x", query_id=5)
         assert network.forget_query_messages(5) == 1
         assert network.query_message_count(5) == 0
 
@@ -89,7 +89,7 @@ class TestMessaging:
         network = P2PNetwork.build(SimulationConfig.small(seed=4))
         network.peer(1).alive = False
         received = []
-        network.send(0, 1, lambda dst, msg: received.append(msg), "x")
+        network.send(0, (1,), lambda dst, msg: received.append(msg), "x")
         network.sim.run()
         assert received == []
         assert network.metrics.counter("messages.total").value == 1
@@ -131,14 +131,14 @@ class TestMessagingEdges:
         network = P2PNetwork.build(SimulationConfig.small(seed=4))
         received = []
         # Alive at send, dead at arrival: dropped and accounted.
-        network.send(0, 1, lambda dst, msg: received.append(msg), "late")
+        network.send(0, (1,), lambda dst, msg: received.append(msg), "late")
         network.peer(1).alive = False
         network.sim.run()
         assert received == []
         assert network.metrics.counter("messages.dropped_dead_peer").value == 1
         # Dead at send, alive at arrival: delivered, no drop counted.
         network.peer(2).alive = False
-        network.send(0, 2, lambda dst, msg: received.append(msg), "early")
+        network.send(0, (2,), lambda dst, msg: received.append(msg), "early")
         network.peer(2).alive = True
         network.sim.run()
         assert received == ["early"]
@@ -149,7 +149,7 @@ class TestMessagingEdges:
         network.peer(1).alive = False
         network.peer(2).alive = False
         for dst in (1, 2, 1):
-            network.send(0, dst, lambda *a: None, "x")
+            network.send(0, (dst,), lambda *a: None, "x")
         network.sim.run()
         assert network.metrics.counter("messages.dropped_dead_peer").value == 3
         assert network.metrics.counter("messages.total").value == 3
@@ -175,3 +175,62 @@ class TestMessagingEdges:
         assert network.rtt_probe_ms(0, [], query_id=3) == {}
         assert network.metrics.counter("messages.rtt_probe").value == 0
         assert network.query_message_count(3) == 0
+
+
+class TestFanOut:
+    """One ``send`` per fan-out: k destinations are k messages, counted
+    at once and delivered one by one."""
+
+    TARGETS = (5, 2, 5, 7)  # a repeated target makes equal arrival times
+
+    def test_k_targets_count_k_on_both_counters_and_the_tally(self):
+        network = P2PNetwork.build(SimulationConfig.small(seed=4))
+        network.send(0, self.TARGETS, lambda *a: None, "x", query_id=8, kind="query")
+        network.send(3, (1,), lambda *a: None, "y", query_id=8, kind="query")
+        counter = network.metrics.counter
+        assert counter("messages.query").value == len(self.TARGETS) + 1
+        assert counter("messages.total").value == len(self.TARGETS) + 1
+        assert network.query_message_count(8) == len(self.TARGETS) + 1
+
+    def test_delivers_in_target_order_at_now_plus_each_latency(self):
+        network = P2PNetwork.build(SimulationConfig.small(seed=4))
+        network.sim.schedule(1.5, lambda: None)
+        network.sim.run()
+        received = []
+        payload = object()
+        network.send(
+            0, self.TARGETS,
+            lambda dst, msg: received.append((dst, msg, network.sim.now)), payload,
+        )
+        network.sim.run()
+        expected = [
+            (dst, payload, 1.5 + network.underlay.latency_ms(0, dst) / 1000.0)
+            for dst in self.TARGETS
+        ]
+        # Stable: equal arrival times keep the order of the targets.
+        assert received == sorted(expected, key=lambda arrival: arrival[2])
+        assert [dst for dst, *_ in received].count(5) == 2
+
+    def test_the_dead_at_arrival_drop_is_decided_per_target(self):
+        network = P2PNetwork.build(SimulationConfig.small(seed=4))
+        received = []
+        network.send(0, (1, 2, 3), lambda dst, msg: received.append(dst), "x")
+        network.peer(2).alive = False
+        network.sim.run()
+        assert received == sorted(
+            (1, 3), key=lambda dst: network.underlay.latency_ms(0, dst)
+        )
+        assert network.metrics.counter("messages.dropped_dead_peer").value == 1
+        assert network.metrics.counter("messages.total").value == 3
+
+    def test_an_empty_fan_out_touches_nothing(self):
+        network = P2PNetwork.build(SimulationConfig.small(seed=4))
+        before = network.metrics.snapshot()
+        network.send(0, (), lambda *a: None, "x", query_id=4, kind="never_sent")
+        network.send(0, [], lambda *a: None, "x")
+        assert network.metrics.snapshot() == before
+        assert "counter.messages.never_sent" not in network.metrics.snapshot()
+        assert network.query_message_count(4) == 0
+        assert 4 not in network._per_query_messages
+        assert network.sim.pending_events == 0
+        assert network.sim.queue_peak == 0

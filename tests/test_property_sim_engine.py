@@ -1,23 +1,27 @@
 """Property-based test: the event engine against a sorted-list model.
 
-Random programs of ``schedule`` / ``schedule_at`` / ``cancel`` /
-``run(until, max_events)`` / ``step`` / ``peek_time`` / ``stop`` — with
-equal timestamps, and callbacks that themselves schedule, cancel and
-stop the run — are fed to :class:`~repro.sim.Simulator` and to
-:class:`ModelSimulator`, and everything a caller can observe must agree after every operation.  The
+Random programs of ``schedule`` / ``schedule_at`` /
+``schedule_fanout`` / ``cancel`` / ``run(until, max_events)`` / ``step``
+/ ``peek_time`` / ``stop`` — with equal timestamps, and callbacks that
+themselves schedule, fan out, cancel and stop the run — are fed to
+:class:`~repro.sim.Simulator` and to :class:`ModelSimulator`, and
+everything a caller can observe (firing order, clock, sequence number,
+queue peak, events processed) must agree after every operation.  The
 model keeps the pre-tuple engine's semantics in the most obvious form
-(a sorted list of rows with a "live" flag each), so this is the
-regression proof that the heap-of-tuples engine fires the same events
-in the same order; ``tests/golden/run_documents.json`` is the same proof
-at full-simulation scale.
+(a sorted list of rows with a "live" flag each, and a fan-out as one
+``schedule_at`` per target), so this is the regression proof that the
+heap-of-tuples engine fires the same events in the same order;
+``tests/golden/run_documents.json`` is the same proof at
+full-simulation scale.
 """
 
+import math
 from bisect import insort
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import EventLoopError, Simulator
+from repro.sim import EventLoopError, SchedulingError, Simulator
 
 
 class ModelSimulator:
@@ -34,11 +38,17 @@ class ModelSimulator:
         return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time, callback, *args):
+        if not self.now <= time < math.inf:
+            raise SchedulingError(f"bad event time {time!r}")
         row = [time, self.seq, True, callback, args]
         self.seq += 1
         insort(self.rows, row)
         self.queue_peak = max(self.queue_peak, len(self.rows))
         return row
+
+    def schedule_fanout(self, delay, src, targets, callback, *rest):
+        for target in targets:
+            self.schedule_at(self.now + delay(src, target), callback, target, *rest)
 
     def cancel(self, row):
         row[2] = False
@@ -84,7 +94,8 @@ class Driver:
 
     def __init__(self, sim):
         self.sim = sim
-        self.events = []  # everything ever scheduled, in order
+        self.events = []  # everything ever scheduled one by one, in order
+        self.fanouts = 0
         self.fired = []
 
     def apply(self, op):
@@ -94,6 +105,17 @@ class Driver:
             when = delay if kind == "schedule" else self.sim.now + delay
             label = len(self.events)
             self.events.append(getattr(self.sim, kind)(when, self.fire, label, then))
+            return None
+        if kind == "fanout":
+            _, fan_delays, then = op
+            self.fanouts += 1
+            try:
+                self.sim.schedule_fanout(
+                    lambda _src, target: fan_delays[target], None,
+                    range(len(fan_delays)), self.fire_target, self.fanouts, then,
+                )
+            except SchedulingError:
+                return "refused"  # a NaN or negative delay
             return None
         if kind == "cancel":
             if self.events:
@@ -118,26 +140,39 @@ class Driver:
         for op in then:
             self.apply(op)
 
+    def fire_target(self, target, fanout, then):
+        self.fire((fanout, target), then)
+
     def observed(self):
         sim = self.sim
+        seq = sim.seq if isinstance(sim, ModelSimulator) else sim._seq
         return (
             list(self.fired), sim.now, sim.events_processed,
-            sim.pending_events, sim.queue_peak,
+            sim.pending_events, sim.queue_peak, seq,
         )
 
 
 # A handful of delays, so equal timestamps are the common case.
 delays = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+# A fan-out's per-target delays; now and then one it must refuse.
+fan_delays = st.lists(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0] * 3 + [-1.0, math.nan]), max_size=4
+)
 cancels = st.tuples(st.just("cancel"), st.integers(0, 40))
 stops = st.tuples(st.just("stop"))
-# What a callback does when it fires: schedule leaves, cancel anything,
-# end the run (and then, possibly, carry on scheduling and cancelling).
+# What a callback does when it fires: schedule or fan out leaves, cancel
+# anything, end the run (and then, possibly, carry on scheduling and
+# cancelling).
 callback_ops = st.lists(
-    st.tuples(st.just("schedule"), delays, st.just(())) | cancels | stops,
+    st.tuples(st.just("schedule"), delays, st.just(()))
+    | st.tuples(st.just("fanout"), fan_delays, st.just(()))
+    | cancels
+    | stops,
     max_size=3,
 )
 programs = st.lists(
     st.tuples(st.sampled_from(["schedule", "schedule_at"]), delays, callback_ops)
+    | st.tuples(st.just("fanout"), fan_delays, callback_ops)
     | cancels
     | st.tuples(st.just("run"), st.none() | delays, st.none() | st.integers(0, 4))
     | st.tuples(st.just("step"))

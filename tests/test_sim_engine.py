@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import math
+
 import pytest
 
 from repro.sim import (
@@ -88,6 +90,62 @@ class TestScheduling:
         sim.run()
         with pytest.raises(SchedulingError):
             sim.schedule_at(1.0, lambda: None)
+
+
+def noop(*args):
+    pass
+
+
+class TestScheduleFanout:
+    """``schedule_fanout``: the events of one ``schedule_at`` per target."""
+
+    DELAYS = {"a": 2.0, "b": 0.5, "c": 2.0}
+
+    def delay(self, src, target):
+        assert src == "src"
+        return self.DELAYS[target]
+
+    def test_queues_what_sequential_schedule_at_calls_queue(self):
+        fanned, sequential = Simulator(), Simulator()
+        for sim in (fanned, sequential):
+            sim.schedule(1.0, lambda: None)
+            sim.run()
+        assert fanned.schedule_fanout(
+            self.delay, "src", "abc", noop, "x", 7
+        ) is None
+        for target in "abc":
+            sequential.schedule_at(
+                sequential.now + self.delay("src", target), noop, target, "x", 7
+            )
+        assert fanned._queue == sequential._queue
+        assert fanned._seq == sequential._seq == 4
+        assert fanned.queue_peak == sequential.queue_peak == 3
+
+    def test_fires_callback_with_the_target_first_in_time_then_target_order(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule_fanout(
+            self.delay, "src", ["a", "b", "c"],
+            lambda target, tag: seen.append((target, tag, sim.now)), "t",
+        )
+        assert sim.run() == 3
+        assert seen == [("b", "t", 0.5), ("a", "t", 2.0), ("c", "t", 2.0)]
+
+    def test_an_empty_fan_out_queues_nothing(self):
+        sim = Simulator()
+        sim.schedule_fanout(self.delay, "src", (), noop)
+        assert (sim.pending_events, sim.queue_peak, sim._seq) == (0, 0, 0)
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_a_bad_delay_raises_and_keeps_the_targets_before_it(self, bad):
+        sim = Simulator()
+        delays = {"a": 1.0, "b": bad, "c": 1.0}
+        with pytest.raises(SchedulingError):
+            sim.schedule_fanout(lambda _src, t: delays[t], "src", "abc", noop)
+        assert [event[3] for event in sim._queue] == [("a",)]
+        assert (sim._seq, sim.queue_peak) == (1, 1)
+        later = sim.schedule(0.0, noop)
+        assert later[1] == 1
 
 
 def assert_no_cancellation_residue(sim):
@@ -238,6 +296,28 @@ class TestRun:
         sim.run()
         with pytest.raises(EventLoopError):
             sim.run(until=1.0)
+
+    def test_run_until_inf_is_rejected_and_leaves_the_clock_finite(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, seen.append, "a")
+        with pytest.raises(EventLoopError, match="until=None"):
+            sim.run(until=math.inf)
+        assert seen == []
+        assert sim.now == 0.0
+        assert sim.run() == 1
+        sim.schedule(1.0, seen.append, "b")  # the clock is still finite
+        assert sim.run() == 1
+        assert seen == ["a", "b"]
+        assert sim.now == 2.0
+
+    def test_run_until_nan_is_rejected(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(EventLoopError, match="until=None"):
+            sim.run(until=math.nan)
+        # The refused call did not leave the loop marked as running.
+        assert sim.run() == 1
 
     def test_run_returns_executed_count(self):
         sim = Simulator()

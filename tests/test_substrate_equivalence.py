@@ -46,6 +46,21 @@ from repro.overlay.graph import OverlayGraph
 from test_determinism import _config, run_fingerprint
 
 
+def patch_scan_latency_s(mp: pytest.MonkeyPatch) -> None:
+    """Time messages through ``Underlay.scan_latency_ms``.
+
+    A network calls the seconds closure its underlay bound at
+    construction, not a class attribute, so the scan closure has to be
+    set on every underlay built under the patch."""
+    init = Underlay.__init__
+
+    def scan_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.latency_s = lambda a, b: self.scan_latency_ms(a, b) / 1000.0
+
+    mp.setattr(Underlay, "__init__", scan_init)
+
+
 def patch_legacy_substrate(mp: pytest.MonkeyPatch) -> None:
     """Swap every legacy backend in: dict graph, byte bloom, scan latency."""
     mp.setattr(blueprint_module, "OverlayGraph", DictOverlayGraph)
@@ -54,9 +69,7 @@ def patch_legacy_substrate(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(delta_module, "BloomFilter", ByteBloomFilter)
     mp.setattr(Underlay, "latency_ms", Underlay.scan_latency_ms)
     mp.setattr(Underlay, "rtt_ms", Underlay.scan_rtt_ms)
-    mp.setattr(
-        Underlay, "latency_s", lambda self, a, b: self.scan_latency_ms(a, b) / 1000.0
-    )
+    patch_scan_latency_s(mp)
 
 
 def run_on_legacy_substrate(config, protocol, **kwargs):
@@ -78,6 +91,48 @@ class TestFullRunEquivalence:
             blueprint = NetworkBlueprint.build(_config())
             assert isinstance(blueprint.graph, DictOverlayGraph)
         assert isinstance(NetworkBlueprint.build(_config()).graph, OverlayGraph)
+
+    @pytest.mark.parametrize("latency_model", ["euclidean", "router"])
+    def test_patch_reaches_message_timing(self, latency_model):
+        """Guard: under the legacy patch, message arrival times come from
+        ``scan_latency_ms / 1000`` — bound and scan latencies are
+        bit-identical, so only the scan calls can tell the two apart."""
+        from repro.overlay.blueprint import NetworkBlueprint
+
+        config = _config().replace(latency_model=latency_model)
+        targets = (1, 2, 3)
+
+        def arrivals(network):
+            seen = []
+            network.send(
+                0, targets, lambda dst, _msg: seen.append((dst, network.sim.now)), "x"
+            )
+            network.sim.run()
+            return sorted(seen)
+
+        scans = []
+        scan_latency_ms = Underlay.scan_latency_ms
+
+        def counted_scan(underlay, a, b):
+            scans.append((a, b))
+            return scan_latency_ms(underlay, a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            patch_legacy_substrate(mp)
+            network = NetworkBlueprint.build(config).instantiate()
+            mp.setattr(Underlay, "scan_latency_ms", counted_scan)
+            legacy = arrivals(network)
+        assert scans == [(0, dst) for dst in targets]
+        assert legacy == [
+            (dst, scan_latency_ms(network.underlay, 0, dst) / 1000.0)
+            for dst in targets
+        ]
+        scans.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Underlay, "scan_latency_ms", counted_scan)
+            fast = arrivals(NetworkBlueprint.build(config).instantiate())
+        assert scans == []
+        assert fast == legacy
 
     @pytest.mark.parametrize("protocol", sorted(PROTOCOL_REGISTRY))
     @pytest.mark.parametrize("scenario", ["baseline", "churn-storm"])

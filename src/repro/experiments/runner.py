@@ -177,9 +177,11 @@ def run_protocol(
     it too is inert — assembled read-only after the run finishes.
 
     The whole call runs with the cyclic collector paused
-    (:func:`~repro.sim.gc_pause.gc_paused`): a cell creates no garbage
-    cycles until its network is dropped on return, and the young
-    collection that follows frees it.
+    (:func:`~repro.sim.gc_pause.gc_paused`): a cell creates no cyclic
+    garbage, and once telemetry is read the simulator's leftover events
+    are dropped (:meth:`~repro.sim.engine.Simulator.clear`), so
+    reference counting frees the finished network as the call returns
+    and no young collection follows the cell.
     """
     if max_queries < 1:
         raise ValueError(f"max_queries must be >= 1, got {max_queries}")
@@ -275,6 +277,9 @@ def run_protocol(
             own_tracer.close()
     if collect_telemetry:
         run.telemetry = collect_run_telemetry(network, timers, tracer=tracer)
+    # What the settled run left queued reaches back to the network that
+    # owns the queue; without it the network is freed on return.
+    network.sim.clear()
     return run
 
 

@@ -28,7 +28,7 @@ from .keywords import FILENAME_SEPARATOR, KeywordPool
 __all__ = ["FileRecord", "FileCatalog"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FileRecord:
     """One file of the shared pool."""
 
@@ -53,13 +53,22 @@ class FileCatalog:
     def __init__(self, records: Sequence[FileRecord], pool: KeywordPool) -> None:
         if not records:
             raise ValueError("a catalog needs at least one file")
-        self._records = list(records)
-        self._pool = pool
-        self._by_filename: dict[str, FileRecord] = {}
-        for record in self._records:
-            if record.filename in self._by_filename:
+        by_filename: dict[str, FileRecord] = {}
+        for record in records:
+            if record.filename in by_filename:
                 raise ValueError(f"duplicate filename {record.filename!r} in catalog")
-            self._by_filename[record.filename] = record
+            by_filename[record.filename] = record
+        self._assign(list(records), pool, by_filename)
+
+    def _assign(
+        self,
+        records: list[FileRecord],
+        pool: KeywordPool,
+        by_filename: dict[str, FileRecord],
+    ) -> None:
+        self._records = records
+        self._pool = pool
+        self._by_filename = by_filename
 
     @cached_property
     def _inverted(self) -> dict[str, set[int]]:
@@ -82,8 +91,22 @@ class FileCatalog:
         """Generate the paper's file pool (distinct keyword combinations)."""
         if num_files < 1:
             raise ValueError(f"num_files must be >= 1, got {num_files}")
-        seen: set[frozenset[str]] = set()
+        if keywords_per_file > pool.size:
+            raise ValueError(
+                f"cannot draw {keywords_per_file} distinct keywords "
+                f"from a pool of {pool.size}"
+            )
+        # The draws of KeywordPool.sample_filename_keywords, made on the
+        # vocabulary itself.  Its tokens are distinct and need no
+        # separator check, so a draw's canonical filename
+        # (``join_keywords``) is its sorted join, and a repeated filename
+        # is a repeated keyword set: the by-filename map is the
+        # duplicate check and the catalog's index in one.
+        vocabulary = pool._keywords
+        sample = rng.sample
+        join = FILENAME_SEPARATOR.join
         records: list[FileRecord] = []
+        by_filename: dict[str, FileRecord] = {}
         attempts_left = num_files * 100
         while len(records) < num_files:
             if attempts_left <= 0:
@@ -92,15 +115,17 @@ class FileCatalog:
                     "keyword pool too small for the requested catalog"
                 )
             attempts_left -= 1
-            keywords = frozenset(pool.sample_filename_keywords(keywords_per_file, rng))
-            if len(keywords) != keywords_per_file or keywords in seen:
+            keywords = sample(vocabulary, keywords_per_file)
+            filename = join(sorted(keywords))
+            if filename in by_filename:
                 continue
-            seen.add(keywords)
-            # The canonical filename (``join_keywords``) of the pool's own
-            # tokens, which need no separator check: sorted and joined once.
-            filename = FILENAME_SEPARATOR.join(sorted(keywords))
-            records.append(FileRecord(len(records), filename, keywords))
-        return cls(records, pool)
+            record = by_filename[filename] = FileRecord(
+                len(records), filename, frozenset(keywords)
+            )
+            records.append(record)
+        catalog = cls.__new__(cls)
+        catalog._assign(records, pool, by_filename)
+        return catalog
 
     # -- lookups -------------------------------------------------------------
 

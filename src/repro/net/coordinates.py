@@ -19,7 +19,7 @@ from dataclasses import dataclass
 __all__ = ["Point", "random_points", "clustered_points", "max_pairwise_distance"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """A position in the unit square."""
 

@@ -28,6 +28,7 @@ import heapq
 import math
 import random
 from array import array
+from bisect import bisect_left
 from collections.abc import Callable, Sequence
 
 from .coordinates import UNIT_SQUARE_DIAMETER, Point
@@ -170,6 +171,7 @@ class RouterLevelLatencyModel(LatencyModel):
         self.max_latency_ms = max_latency_ms
         self.last_mile_ms = last_mile_ms
         self._routers = [Point(rng.random(), rng.random()) for _ in range(num_routers)]
+        self._sort_routers()
         edges = self._waxman_edges(rng, alpha, beta)
         self._adjacency = self._build_adjacency(num_routers, edges)
         self._ensure_connected(rng)
@@ -177,6 +179,14 @@ class RouterLevelLatencyModel(LatencyModel):
         self._rescale_distances()
 
     # -- graph construction ----------------------------------------------
+
+    def _sort_routers(self) -> None:
+        """The routers by ``(x, index)``, for :meth:`nearest_router` (a
+        stable sort on x keeps equal xs in index order)."""
+        routers = self._routers
+        self._order = sorted(range(len(routers)), key=lambda i: routers[i].x)
+        self._xs = [routers[i].x for i in self._order]
+        self._ys = [routers[i].y for i in self._order]
 
     def _waxman_edges(
         self, rng: random.Random, alpha: float, beta: float
@@ -288,13 +298,31 @@ class RouterLevelLatencyModel(LatencyModel):
 
     def nearest_router(self, p: Point) -> int:
         """Index of the router closest to position ``p`` (the first one
-        on a tie)."""
+        on a tie).
+
+        Walks the routers sorted by x outward from ``p.x``, right side
+        then left; a side ends once the x gap alone exceeds the best
+        distance so far (``hypot(dx, dy) >= |dx|``, and the gap only
+        grows along a side).  Distances are the ``hypot(p - router)`` of
+        :meth:`Point.distance_to` and an equal one goes to the smaller
+        index, so the answer is a full scan's first minimum.
+        """
         px, py = p.x, p.y
+        xs, ys, order = self._xs, self._ys, self._order
         hypot = math.hypot
-        # Same hypot(p - router) as Point.distance_to, so the distances
-        # (and the first-minimum tie-break) match a per-router loop.
-        distances = [hypot(px - r.x, py - r.y) for r in self._routers]
-        return distances.index(min(distances))
+        best_d = math.inf
+        best = -1
+        right = bisect_left(xs, px)
+        for side in (range(right, len(xs)), range(right - 1, -1, -1)):
+            for k in side:
+                dx = px - xs[k]
+                if abs(dx) > best_d:
+                    break
+                d = hypot(dx, py - ys[k])
+                if d < best_d or d == best_d and order[k] < best:
+                    best_d = d
+                    best = order[k]
+        return best
 
     def latency_ms(self, a: Point, b: Point) -> float:
         ra = self.nearest_router(a)
@@ -303,8 +331,8 @@ class RouterLevelLatencyModel(LatencyModel):
         return self.min_latency_ms + 2.0 * self.last_mile_ms + backbone
 
     def bind(self, positions: Sequence[Point]) -> BoundLatency:
-        # Peer -> nearest-router attachment is static, so pay the O(R)
-        # scan once per peer here instead of twice per message; the
+        # Peer -> nearest-router attachment is static, so pay the
+        # search once per peer here instead of twice per message; the
         # backbone table flattens to one float array indexed ra*R+rb.
         # min + 2*last_mile is left-associated first in latency_ms, so
         # precomputing it keeps the sum bit-identical; so does the

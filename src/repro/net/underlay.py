@@ -144,9 +144,10 @@ class Underlay:
         return 2.0 * self._pair_latency(a, b)
 
     def scan_latency_ms(self, a: int, b: int) -> float:
-        """Reference latency via the model's per-call path (O(R) scans
-        for the router model).  Kept for the substrate-equivalence suite
-        and the scale benchmark's fast-vs-scan speedup assertion."""
+        """Reference latency via the model's per-call path (two
+        nearest-router searches for the router model).  Kept for the
+        substrate-equivalence suite and the scale benchmark's
+        fast-vs-scan speedup assertion."""
         return self._model.latency_ms(self._positions[a], self._positions[b])
 
     def scan_rtt_ms(self, a: int, b: int) -> float:

@@ -114,8 +114,9 @@ class P2PNetwork:
         """The peer with the given id."""
         return self.peers[peer_id]
 
-    def alive_peer_ids(self) -> list[int]:
-        """Ids of every currently-alive peer (ascending)."""
+    def alive_peer_ids(self) -> tuple[int, ...]:
+        """Ids of every currently-alive peer (ascending), as the liveness
+        table's shared immutable tuple."""
         return self.liveness.alive_ids()
 
     # -- messaging ---------------------------------------------------------

@@ -12,6 +12,7 @@ Bloom filters) is attached by the protocol under its own key of
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any
 
 from ..files.storage import FileStore
@@ -27,7 +28,7 @@ class LivenessTable:
     objects for a one-bit answer costs an attribute load and a pointer
     dereference per peer.  This table keeps the flags in one bytearray
     (``flags[pid]`` ∈ {0, 1}), a running alive count, and a lazily
-    rebuilt ascending list of alive ids — the same order the old
+    rebuilt ascending tuple of alive ids — the same order the old
     object-walk produced.
 
     :class:`Peer` objects bound to a table (see :meth:`Peer.
@@ -42,7 +43,7 @@ class LivenessTable:
             raise ValueError(f"num_peers must be non-negative, got {num_peers}")
         self.flags = bytearray(b"\x01" * num_peers)
         self._alive_count = num_peers
-        self._alive_ids: list[int] | None = None
+        self._alive_ids: tuple[int, ...] | None = None
 
     @property
     def num_peers(self) -> int:
@@ -66,18 +67,16 @@ class LivenessTable:
         """Number of alive peers — O(1)."""
         return self._alive_count
 
-    def alive_ids(self) -> list[int]:
-        """Ascending ids of alive peers (a fresh copy).
+    def alive_ids(self) -> tuple[int, ...]:
+        """Ascending ids of alive peers, as a shared immutable tuple.
 
-        Rebuilt only after a liveness change, so steady-state callers
-        pay one list copy instead of an object walk."""
+        The tuple is rebuilt only after a liveness change and handed out
+        as is, so a steady-state caller copies nothing."""
         cache = self._alive_ids
         if cache is None:
             flags = self.flags
-            cache = self._alive_ids = [
-                pid for pid in range(len(flags)) if flags[pid]
-            ]
-        return list(cache)
+            cache = self._alive_ids = tuple(compress(range(len(flags)), flags))
+        return cache
 
 
 class BoundedSet:

@@ -21,8 +21,9 @@ Cancellation costs the events that are never cancelled nothing.
 :meth:`Simulator.cancel` takes the event back and notes its sequence
 number; the entry stays in the heap (still pending, still counted
 toward the queue peak) and is dropped, note and all, when it reaches
-the front.  Cancelling an event that has left the heap — it fired, or
-was cancelled before and dropped — is a no-op and leaves nothing behind.
+the front.  Cancelling an event that has left the heap — it fired, was
+cancelled before and dropped, or went with :meth:`Simulator.clear` — is
+a no-op and leaves nothing behind.
 Ending a run from inside an event (:meth:`Simulator.stop`) rides on the
 same note set, so the events that never ask for it pay nothing either.
 :class:`PeriodicProcess` provides the recurring timers used for e.g.
@@ -267,6 +268,26 @@ class Simulator:
             raise EventLoopError("Simulator.stop() called outside run()")
         self._cancelled.add(_STOP)
 
+    def clear(self) -> None:
+        """Drop every pending event, cancelled ones included.
+
+        The clock, the sequence numbers, :attr:`events_processed` and
+        :attr:`queue_peak` stay as they are: events scheduled afterwards
+        run as they would have, and cancelling a dropped event is a
+        no-op.  A finished run calls this so that the callbacks still
+        queued, which reach back to whatever owns the simulator, do not
+        keep it in a reference cycle.  Not valid inside :meth:`run`
+        (:class:`~repro.sim.errors.EventLoopError`).
+        """
+        if self._running:
+            raise EventLoopError("Simulator.clear() called inside run()")
+        queue = self._queue
+        if queue:
+            latest = max(event[0] for event in queue)
+            self._dropped_until = max(self._dropped_until, latest)
+            queue.clear()
+        self._cancelled.clear()
+
     def step(self) -> bool:
         """Execute exactly one pending event.
 
@@ -315,7 +336,7 @@ class PeriodicProcess:
         self._stopped = False
         self._ticks = 0
         delay = period if initial_delay is None else initial_delay
-        self._event = sim.schedule(delay, self._tick)
+        self._event: Event | None = sim.schedule(delay, self._tick)
 
     @property
     def ticks(self) -> int:
@@ -336,6 +357,14 @@ class PeriodicProcess:
             self._event = self._sim.schedule(self._period, self._tick)
 
     def stop(self) -> None:
-        """Stop the process; the pending tick (if any) is cancelled."""
+        """Stop the process; the pending tick (if any) is cancelled.
+
+        The process lets go of that event too — its callback is the
+        process's own ``_tick`` — so a stopped process is no reference
+        cycle.  Stopping again is a no-op.
+        """
+        if self._stopped:
+            return
         self._stopped = True
         self._sim.cancel(self._event)
+        self._event = None

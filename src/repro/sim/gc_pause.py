@@ -2,12 +2,14 @@
 
 Building a world and running a cell allocate hundreds of thousands of
 long-lived container objects and — pinned by
-``tests/test_gc_discipline.py`` — create no reference cycles until the
-finished network is dropped.  Every collection triggered inside such a
-region therefore finds nothing, yet a full one re-walks the live
-network and every cached blueprint.  :func:`gc_paused` switches the
-collector off for the region; the first allocation after it triggers
-one young collection, which frees the finished network.
+``tests/test_gc_discipline.py`` — create no cyclic garbage.  Every
+collection triggered inside such a region therefore finds nothing, yet
+a full one re-walks the live network and every cached blueprint.
+:func:`gc_paused` switches the collector off for the region.  A
+finished cell leaves no cycle behind either (``run_protocol`` clears
+its simulator's leftover events), so reference counting frees the
+network as the cell returns and no young collection follows it; the
+one collection left is the walk of a freshly built blueprint.
 
 This is the only module under ``src/repro`` allowed to switch the
 collector (``repro lint`` rule RPR007).

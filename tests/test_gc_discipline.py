@@ -9,9 +9,10 @@ Three layers:
    weaken the test.
 2. **Helper semantics** — :func:`gc_paused` restores whatever state it
    found: enabled → enabled, disabled → left alone, nested, raising.
-3. **No collection inside a cell** — counted with ``gc.callbacks``
-   across a grid run, read back from telemetry for pool workers, and a
-   dropped cell's network is freed by the young collection that follows.
+3. **No collection inside a cell, none needed after it** — counted with
+   ``gc.callbacks`` across a grid run, read back from telemetry for pool
+   workers; and the network ``run_protocol`` built is freed by reference
+   counting as the call returns, so no young collection has it to find.
 """
 
 import gc
@@ -22,7 +23,7 @@ import pytest
 from repro.experiments import GridRunner, GridSpec, make_protocol, small_config
 from repro.experiments import runner as runner_module
 from repro.overlay import ChurnProcess, NetworkBlueprint, P2PNetwork
-from repro.scenarios import ScenarioContext, make_scenario
+from repro.scenarios import ScenarioContext, make_scenario, scenario_names
 from repro.sim import gc_paused
 
 PROTOCOLS = ("flooding", "dicas", "dicas-keys", "locaware")
@@ -79,6 +80,43 @@ class TestNoCyclesInsideACell:
             unreachable = gc.collect()
         assert isinstance(network, P2PNetwork)
         assert unreachable == 0
+
+
+def tracking_instantiate(monkeypatch):
+    """Weak references to every network ``NetworkBlueprint.instantiate``
+    makes from here on."""
+    networks = []
+    real_instantiate = NetworkBlueprint.instantiate
+
+    def instantiate(self, *args, **kwargs):
+        network = real_instantiate(self, *args, **kwargs)
+        networks.append(weakref.ref(network))
+        return network
+
+    monkeypatch.setattr(NetworkBlueprint, "instantiate", instantiate)
+    return networks
+
+
+class TestAFinishedCellIsFreedByReferenceCounting:
+    @pytest.mark.parametrize("scenario_name", scenario_names())
+    @pytest.mark.parametrize("protocol_name", PROTOCOLS)
+    def test_network_is_unreachable_when_run_protocol_returns(
+        self, monkeypatch, protocol_name, scenario_name
+    ):
+        networks = tracking_instantiate(monkeypatch)
+        config = small_config(seed=5).replace(query_rate_per_peer=0.02)
+        gc.collect()
+        gc.disable()
+        try:
+            run = runner_module.run_protocol(
+                config, protocol_name, max_queries=40, bucket_width=20,
+                scenario=scenario_name,
+            )
+            alive = [ref() is not None for ref in networks]
+        finally:
+            gc.enable()
+        assert len(run.outcomes) + run.locally_satisfied == 40
+        assert alive == [False]
 
 
 class TestGcPaused:
@@ -154,11 +192,14 @@ class TestNoCollectionInsideACell:
         inside = []
         paused_at_entry = []
         collections_inside = []
-        networks = []
+        collected_outside = []
+        networks = tracking_instantiate(monkeypatch)
 
         def on_collection(phase, info):
             if phase == "start" and inside:
                 collections_inside.append(info["generation"])
+            if phase == "stop":
+                collected_outside.append(info["collected"])
 
         class MarkingTimers(runner_module.PhaseTimers):
             def __init__(self):
@@ -167,7 +208,6 @@ class TestNoCollectionInsideACell:
                 inside.append(True)
 
         real_collect = runner_module.collect_run_telemetry
-        real_instantiate = NetworkBlueprint.instantiate
 
         def marking_collect(*args, **kwargs):
             try:
@@ -175,27 +215,23 @@ class TestNoCollectionInsideACell:
             finally:
                 inside.pop()
 
-        def tracking_instantiate(self, *args, **kwargs):
-            network = real_instantiate(self, *args, **kwargs)
-            networks.append(weakref.ref(network))
-            return network
-
         monkeypatch.setattr(runner_module, "PhaseTimers", MarkingTimers)
         monkeypatch.setattr(runner_module, "collect_run_telemetry", marking_collect)
-        monkeypatch.setattr(NetworkBlueprint, "instantiate", tracking_instantiate)
+        gc.collect()
         gc.callbacks.append(on_collection)
         try:
             report = GridRunner(_grid_spec(), workers=1).run()
             assert gc.isenabled()
-            # The first allocation burst after a cell triggers a young
-            # collection; stand in for it after the last cell.
+            # Every cell's network is gone already, with no collection.
+            assert [ref() for ref in networks] == [None] * 6
             gc.collect(0)
         finally:
             gc.callbacks.remove(on_collection)
         assert report.executed == 6 and len(networks) == 6
         assert paused_at_entry == [True] * 6 and inside == []
         assert collections_inside == []
-        assert [ref() for ref in networks] == [None] * 6
+        # Between and after the cells, no collection frees anything.
+        assert collected_outside == [0] * len(collected_outside)
         for run in report.runs.values():
             assert run.telemetry.engine["gc_collections"] == [0, 0, 0]
 

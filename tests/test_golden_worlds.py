@@ -3,8 +3,9 @@
 ``tests/golden/run_documents.json`` sees a world only through 80
 queries on 60 peers.  ``tests/golden/worlds.json`` pins the world
 itself: one sha256 per ``NetworkBlueprint.build`` for seeds {1, 2} ×
-{euclidean, router} at 60 and 600 peers (the ``small_config`` ratios
-the benchmark uses: 3 files per peer, 9x keyword pool), over
+{euclidean, router} at 60 and 600 peers, plus the 6000-peer router
+world of seed 1 (the ``small_config`` ratios the benchmark uses: 3
+files per peer, 9x keyword pool), over
 
 - every peer's locId,
 - the latency model's placement, through ``latency_ms`` of a fixed
@@ -44,7 +45,7 @@ WORLDS = [
     for model in LATENCY_MODELS
     for peers in PEERS
     for seed in SEEDS
-]
+] + [("router", 6000, 1)]  # the population idle_6k runs
 
 
 def world_name(model, peers, seed):

@@ -8,10 +8,11 @@ cell's set-up; the structural checks below say the same without
 depending on any interpreter's object sizes.
 
 Per peer, in bytes, when the bounds were set (CPython 3.11): build
-2 650 (4 070 with the catalog's eager inverted index), instantiate +
-protocol + start 1 710 (2 530 with an index and three filters made per
-peer up front, 5 430 with a ``set`` per stored keyword and a
-zero-filled counter array per filter on top).
+2 545 (2 716 while ``Point`` and ``FileRecord`` carried a ``__dict__``
+each, 4 070 with the catalog's eager inverted index on top),
+instantiate + protocol + start 1 710 (2 530 with an index and three
+filters made per peer up front, 5 430 with a ``set`` per stored keyword
+and a zero-filled counter array per filter on top).
 """
 
 import random
@@ -25,7 +26,7 @@ from repro.files import FileCatalog, FileStore, KeywordPool
 from repro.overlay import NetworkBlueprint
 
 PEERS = 600
-BUILD_BYTES_PER_PEER = 3300
+BUILD_BYTES_PER_PEER = 3100
 START_BYTES_PER_PEER = 2400
 
 

@@ -1,10 +1,15 @@
 """Unit tests for the latency models."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden_worlds import world_config
 
 from repro.net import EuclideanLatencyModel, Point, RouterLevelLatencyModel
+from repro.overlay.blueprint import NetworkBlueprint
 
 
 class TestEuclideanModel:
@@ -121,19 +126,14 @@ class TestRouterLevelModel:
     def test_nearest_router_is_nearest(self, model):
         p = Point(0.31, 0.62)
         idx = model.nearest_router(p)
-        # Exhaustive check against every router.
-        best = min(
-            range(model.num_routers),
-            key=lambda i: model._routers[i].distance_to(p),  # noqa: SLF001 - test introspection
-        )
-        assert idx == best
+        assert idx == first_minimum_scan(model._routers, p)  # noqa: SLF001
 
     def test_nearest_router_tie_goes_to_the_first(self):
         # A point sitting on a router is at distance 0 from it; a copy of
         # that router later in the list ties and must not win.
         model = RouterLevelLatencyModel(random.Random(7), num_routers=8)
         twin = model._routers[5]  # noqa: SLF001 - test introspection
-        model._routers.append(twin)  # noqa: SLF001
+        model = with_routers([*model._routers, twin])  # noqa: SLF001
         assert model.nearest_router(twin) == 5
 
     def test_connectivity_no_infinite_latency(self, model):
@@ -157,3 +157,61 @@ class TestRouterLevelModel:
             RouterLevelLatencyModel(rng, alpha=0.0)
         with pytest.raises(ValueError):
             RouterLevelLatencyModel(rng, beta=-1.0)
+
+
+def first_minimum_scan(routers, p):
+    """The oracle: every router's ``hypot(p - router)``, first minimum."""
+    distances = [math.hypot(p.x - r.x, p.y - r.y) for r in routers]
+    return distances.index(min(distances))
+
+
+def with_routers(routers):
+    """A router-level model whose routers sit at ``routers``, in order
+    (only the attachment is meaningful; the backbone is the seed's)."""
+    model = RouterLevelLatencyModel(random.Random(1), num_routers=2)
+    model._routers = list(routers)  # noqa: SLF001 - test introspection
+    model._sort_routers()  # noqa: SLF001
+    return model
+
+
+#: Coordinates on a 1/8 grid: differences are exact, so shared xs,
+#: duplicate routers and equal-distance ties come up often.
+grid_coordinate = st.integers(0, 8).map(lambda k: k / 8)
+coordinate = st.one_of(grid_coordinate, st.floats(0.0, 1.0))
+points = st.builds(Point, coordinate, coordinate)
+CORNERS = [Point(0.0, 0.0), Point(0.0, 1.0), Point(1.0, 0.0), Point(1.0, 1.0)]
+
+
+class TestNearestRouterMatchesTheScan:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        routers=st.lists(points, min_size=1, max_size=24),
+        extra=st.lists(points, max_size=8),
+    )
+    def test_pruned_search_is_the_first_minimum(self, routers, extra):
+        model = with_routers(routers)
+        for p in [*routers, *CORNERS, *extra]:
+            assert model.nearest_router(p) == first_minimum_scan(routers, p)
+
+    def test_equal_distance_tie_goes_to_the_smaller_index(self):
+        # (0.5, 0.5) is 0.25 from all four; the list is not in x order.
+        routers = [
+            Point(0.75, 0.5), Point(0.5, 0.25), Point(0.25, 0.5), Point(0.5, 0.75),
+        ]
+        model = with_routers(routers)
+        assert model.nearest_router(Point(0.5, 0.5)) == 0
+        assert model.nearest_router(Point(0.5, 0.5)) == first_minimum_scan(
+            routers, Point(0.5, 0.5)
+        )
+
+    def test_every_attachment_of_a_6000_peer_world(self):
+        world = NetworkBlueprint.build(world_config("router", 6000, 1))
+        underlay = world.underlay
+        model = underlay.model
+        routers = model._routers  # noqa: SLF001 - test introspection
+        placed = [underlay.position_of(pid) for pid in range(underlay.num_peers)]
+        placed += underlay.landmarks.positions
+        assert len(placed) == 6000 + underlay.landmarks.count
+        assert [model.nearest_router(p) for p in placed] == [
+            first_minimum_scan(routers, p) for p in placed
+        ]

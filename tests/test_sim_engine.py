@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -512,6 +514,81 @@ class TestStop:
         assert sim.now == 5.0
 
 
+class TestClear:
+    """``Simulator.clear``: what a settled run leaves queued is dropped,
+    and nothing else changes."""
+
+    def _settled(self):
+        """A simulator stopped at t=2 with live and cancelled events queued."""
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule(2.0, sim.stop)
+        sim.schedule(3.0, fired.append, "late")
+        cancelled = sim.schedule(4.0, fired.append, "cancelled")
+        sim.cancel(cancelled)
+        sim.run(until=10.0)
+        return sim, fired, cancelled
+
+    def test_drops_pending_and_cancelled_events(self):
+        sim, fired, _cancelled = self._settled()
+        assert sim.pending_events == 2
+        sim.clear()
+        assert_no_cancellation_residue(sim)
+        assert sim.run() == 0
+        assert sim.peek_time() is None
+        assert fired == ["a"]
+
+    def test_keeps_the_clock_and_the_counters(self):
+        sim, _fired, _cancelled = self._settled()
+        before = (sim.now, sim._seq, sim.events_processed, sim.queue_peak)
+        sim.clear()
+        assert (sim.now, sim._seq, sim.events_processed, sim.queue_peak) == before
+        assert before == (2.0, 4, 2, 4)
+
+    def test_a_later_schedule_runs_normally(self):
+        sim, fired, cancelled = self._settled()
+        sim.clear()
+        sim.cancel(cancelled)  # dropped with the rest: a no-op
+        event = sim.schedule(0.5, fired.append, "after")
+        assert event[:2] == (2.5, 4)
+        sim.schedule(3.0, fired.append, "later")
+        assert sim.run() == 2
+        assert fired == ["a", "after", "later"]
+        assert sim.now == 5.0
+        assert_no_cancellation_residue(sim)
+
+    def test_cancelling_a_dropped_event_leaves_nothing_behind(self):
+        sim, _fired, _cancelled = self._settled()
+        late = sim._queue[0]
+        assert late[0] == 3.0
+        sim.clear()
+        sim.schedule(0.5, lambda: None)
+        sim.cancel(late)  # sorts after the new event, yet is gone
+        assert sim._cancelled == set()
+        assert sim.run() == 1
+
+    def test_on_an_empty_queue(self):
+        sim = Simulator()
+        sim.clear()
+        assert sim.now == 0.0 and sim.pending_events == 0
+
+    def test_inside_run_is_an_error(self):
+        sim = Simulator()
+        failure = []
+
+        def clear_inside():
+            try:
+                sim.clear()
+            except EventLoopError:
+                failure.append(True)
+
+        sim.schedule(1.0, clear_inside)
+        sim.schedule(2.0, lambda: None)
+        assert sim.run() == 2
+        assert failure == [True]
+
+
 class TestPeriodicProcess:
     def test_fires_every_period(self):
         sim = Simulator()
@@ -568,6 +645,22 @@ class TestPeriodicProcess:
         proc.stop()
         assert proc.ticks == 2
         assert_no_cancellation_residue(sim)
+
+    def test_a_stopped_process_is_freed_by_reference_counting(self):
+        sim = Simulator()
+        proc = PeriodicProcess(sim, 1.0, lambda: None)
+        process = weakref.ref(proc)
+        gc.disable()
+        try:
+            proc.stop()
+            cancelled = set(sim._cancelled)
+            proc.stop()  # a no-op
+            assert sim._cancelled == cancelled and len(cancelled) == 1
+            del proc
+            sim.clear()  # the cancelled tick held the process's _tick
+            assert process() is None
+        finally:
+            gc.enable()
 
     def test_nonpositive_period_rejected(self):
         with pytest.raises(SchedulingError):

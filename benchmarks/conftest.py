@@ -37,11 +37,13 @@ from typing import NamedTuple
 
 import pytest
 
+from repro.analysis import comparison_slice
 from repro.experiments import (
     BENCH_BUCKET_WIDTH,
     BENCH_MAX_QUERIES,
+    GridRunner,
+    GridSpec,
     bench_config,
-    run_comparison,
 )
 
 
@@ -153,12 +155,15 @@ def time_interleaved(
 
 @pytest.fixture(scope="session")
 def figure_comparison():
-    """The shared §5.1 four-protocol comparison behind Figures 2-4."""
-    return run_comparison(
-        bench_config(seed=bench_seed()),
+    """The shared §5.1 four-protocol comparison behind Figures 2-4: one
+    seed and one scenario of a storeless grid."""
+    spec = GridSpec(
+        base_config=bench_config(),
+        seeds=(bench_seed(),),
         max_queries=bench_queries(),
         bucket_width=BENCH_BUCKET_WIDTH,
     )
+    return comparison_slice(GridRunner(spec).run())
 
 
 @pytest.fixture()

@@ -2,8 +2,8 @@
 """Reproduce the paper's evaluation: Figures 2, 3, and 4.
 
 Runs Flooding, Dicas, Dicas-Keys, and Locaware on the identical
-workload and prints the three figure series plus the §5.2 headline
-claim checks.
+workload — one seed and one scenario of a storeless grid — and prints
+the three figure series plus the §5.2 headline claim checks.
 
 Run (paper scale, ~1 minute):
     python examples/compare_protocols.py
@@ -19,13 +19,14 @@ import argparse
 import sys
 import time
 
-from repro.analysis import check_paper_claims, format_table
+from repro.analysis import check_paper_claims, comparison_slice, format_table
 from repro.experiments import (
+    GridRunner,
+    GridSpec,
     fig2_download_distance,
     fig3_search_traffic,
     fig4_success_rate,
     paper_config,
-    run_comparison,
 )
 from repro.sim import SimulationConfig
 
@@ -59,13 +60,16 @@ def main() -> None:
     args = parse_args()
     config = scaled_config(args.peers, args.seed)
     started = time.time()
-    result = run_comparison(
-        config,
+    spec = GridSpec(
+        base_config=config,
+        seeds=(args.seed,),
         max_queries=args.queries,
         bucket_width=args.bucket,
+    )
+    result = comparison_slice(GridRunner(spec).run(
         progress=lambda message: print(f"  [{time.time() - started:6.1f}s] {message}",
                                        flush=True),
-    )
+    ))
     print(f"\ncompleted in {time.time() - started:.1f}s wall "
           f"({config.num_peers} peers, {args.queries} queries/protocol)\n")
 

@@ -7,7 +7,13 @@ from .collectors import (
     collect_series,
     summarize_outcomes,
 )
-from .comparison import ClaimCheck, check_paper_claims, relative_change
+from .comparison import (
+    ClaimCheck,
+    ComparisonSlice,
+    check_paper_claims,
+    comparison_slice,
+    relative_change,
+)
 from .distributions import (
     DistanceDistribution,
     cdf_points,
@@ -15,17 +21,13 @@ from .distributions import (
     percentile,
 )
 from .persistence import (
-    LoadedComparison,
     LoadedGridReport,
-    comparison_to_document,
     grid_cell_to_document,
     grid_report_to_document,
-    load_comparison_document,
     load_grid_cell_document,
     load_grid_report_document,
     load_run_document,
     run_to_document,
-    save_comparison,
     save_grid_report,
 )
 from .report import claims_report, comparison_report, markdown_table
@@ -53,14 +55,12 @@ __all__ = [
     "summarize_outcomes",
     "ClaimCheck",
     "check_paper_claims",
+    "ComparisonSlice",
+    "comparison_slice",
     "relative_change",
     "format_table",
     "format_series_table",
     "format_percent",
-    "comparison_to_document",
-    "save_comparison",
-    "load_comparison_document",
-    "LoadedComparison",
     "run_to_document",
     "load_run_document",
     "grid_cell_to_document",

@@ -11,6 +11,12 @@ by how much — absolute numbers depend on the substrate):
    order of magnitude or more (paper: ≈98%);
 3. Fig 4 — flooding has the best success rate; Locaware beats Dicas
    (paper: ≈+23%) and Dicas-Keys (paper: ≈+33%).
+
+The measured run is a :class:`ComparisonSlice`: every protocol of one
+grid report on one identical workload — one row label, one seed —
+taken by :func:`comparison_slice` from a live
+:class:`~repro.experiments.grid.GridReport` or a restored
+:class:`~repro.analysis.persistence.LoadedGridReport` alike.
 """
 
 from __future__ import annotations
@@ -18,10 +24,65 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from .collectors import MetricSeries, OutcomeSummary
 
-__all__ = ["ClaimCheck", "check_paper_claims", "relative_change"]
+__all__ = [
+    "ClaimCheck",
+    "ComparisonSlice",
+    "check_paper_claims",
+    "comparison_slice",
+    "relative_change",
+]
+
+
+@dataclass(frozen=True)
+class ComparisonSlice:
+    """Every protocol's run of one (row label, seed) of a grid report."""
+
+    row: str
+    seed: int
+    runs: dict[str, Any]
+    """protocol → run, in the report's protocol order."""
+
+    def summaries(self) -> dict[str, OutcomeSummary]:
+        """Per-protocol whole-run aggregates, keyed by protocol name."""
+        return {name: run.summary for name, run in self.runs.items()}
+
+    def series(self) -> dict[str, MetricSeries]:
+        """Per-protocol figure series, keyed by protocol name."""
+        return {name: run.series for name, run in self.runs.items()}
+
+    def bucket_edges(self) -> list[int]:
+        """Common x-axis across protocols: the longest run's edges."""
+        return max(
+            (run.series.bucket_edges() for run in self.runs.values()),
+            key=len,
+            default=[],
+        )
+
+
+def comparison_slice(
+    report: Any, row: str | None = None, seed: int | None = None
+) -> ComparisonSlice:
+    """The (``row``, ``seed``) slice of a grid report, live or restored.
+
+    ``row`` (a row label) and ``seed`` default to the report's only
+    one; left to default on a report with several, :class:`ValueError`
+    names its rows and seeds.
+    """
+    rows, seeds = list(report.scenarios), list(report.seeds)
+    if (row is None and len(rows) != 1) or (seed is None and len(seeds) != 1):
+        raise ValueError(
+            f"the grid report holds {len(rows)} row(s) x {len(seeds)} "
+            f"seed(s) (rows: {', '.join(rows)}; seeds: "
+            f"{', '.join(map(str, seeds))}), not one (row, seed) slice"
+        )
+    row = rows[0] if row is None else row
+    seed = seeds[0] if seed is None else seed
+    runs = {name: report.run_for(name, row, seed) for name in report.protocols}
+    return ComparisonSlice(row, seed, runs)
 
 
 @dataclass(frozen=True)

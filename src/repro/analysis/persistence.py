@@ -1,27 +1,20 @@
 """Persist experiment results to JSON and load them back.
 
-Paper-scale comparison runs take a minute; ablation sweeps take
-several.  Persisting their results lets EXPERIMENTS.md be regenerated,
-plots be re-rendered, and claim checks be re-evaluated without
-re-simulating — and makes results diffable artefacts in the repo.
+Persisting results lets plots be re-rendered and claim checks be
+re-evaluated without re-simulating, and makes results diffable
+artefacts.  The format is deliberately plain JSON (no pickles).
 
-The format is deliberately plain JSON (no pickles): a ``comparison``
-document holds the configuration, per-protocol outcome summaries, and
-the three figure series; ``load_comparison_document`` restores a
-:class:`LoadedComparison` offering the same accessors the live
-:class:`~repro.experiments.runner.ComparisonResult` provides, so the
-analysis layer works identically on fresh and persisted data.
-
-Three document kinds share one per-run encoding
+Two document kinds share one per-run encoding
 (:func:`run_to_document` / :func:`load_run_document`):
 
-- ``comparison``  — the four-way figure comparison (above);
 - ``grid-cell``   — one completed grid cell, as persisted by the
   content-addressed :class:`~repro.results.store.ResultStore`;
-- ``grid-report`` — a whole sweep/grid (axes + every cell), written by
-  ``repro sweep --out`` and :func:`save_grid_report`, restored by
+- ``grid-report`` — a whole grid (axes + every cell), written by
+  ``repro sweep --out``, ``repro figures --save`` and
+  :func:`save_grid_report`, restored by
   :func:`load_grid_report_document` into a :class:`LoadedGridReport`
-  that :func:`repro.analysis.aggregate_sweep` consumes unchanged.
+  that :func:`repro.analysis.aggregate_sweep` and
+  :func:`repro.analysis.comparison_slice` consume unchanged.
 
 Floats round-trip exactly (JSON uses ``repr``-exact encoding), so an
 aggregate computed from restored documents is byte-identical to one
@@ -40,10 +33,6 @@ from ..sim.metrics import BucketedSeries
 from .collectors import MetricSeries, OutcomeSummary
 
 __all__ = [
-    "comparison_to_document",
-    "save_comparison",
-    "load_comparison_document",
-    "LoadedComparison",
     "run_to_document",
     "load_run_document",
     "grid_cell_to_document",
@@ -108,40 +97,6 @@ def run_to_document(run: Any) -> dict[str, Any]:
     }
 
 
-def comparison_to_document(result: Any) -> dict[str, Any]:
-    """Serialise a ComparisonResult-like object to a JSON-able dict.
-
-    Accepts any object with ``config``, ``max_queries``,
-    ``bucket_width``, and ``runs`` (name → run with ``summary``,
-    ``series``, ``locally_satisfied``, ``sim_time_s``,
-    ``events_processed``).
-    """
-    runs: dict[str, Any] = {
-        name: run_to_document(run) for name, run in result.runs.items()
-    }
-    return {
-        "format_version": _FORMAT_VERSION,
-        "kind": "comparison",
-        "config": result.config.to_dict(),
-        "scenario": getattr(result, "scenario_name", None),
-        "max_queries": result.max_queries,
-        "bucket_width": result.bucket_width,
-        "runs": runs,
-    }
-
-
-def save_comparison(result: Any, out: IO[str]) -> None:
-    """Write a comparison document as indented, strict JSON."""
-    json.dump(
-        comparison_to_document(result),
-        out,
-        indent=2,
-        sort_keys=True,
-        allow_nan=False,
-    )
-    out.write("\n")
-
-
 @dataclass
 class _LoadedSeries:
     """Read-only stand-in for a BucketedSeries restored from JSON."""
@@ -183,42 +138,6 @@ class _LoadedRun:
     events_processed: int
 
 
-@dataclass
-class LoadedComparison:
-    """A comparison document restored from JSON.
-
-    Offers the accessors :func:`repro.analysis.check_paper_claims` and
-    the figure modules need (``runs``, ``summaries()``, ``series()``,
-    ``bucket_edges()``).
-    """
-
-    config: dict[str, Any]
-    max_queries: int
-    bucket_width: int
-    runs: dict[str, _LoadedRun]
-    scenario_name: Any = None
-    """Registered scenario the persisted runs used, if any (``None``
-    for baseline documents and documents written before the field
-    existed)."""
-
-    def summaries(self) -> dict[str, OutcomeSummary]:
-        """Per-protocol aggregates, mirroring ComparisonResult."""
-        return {name: run.summary for name, run in self.runs.items()}
-
-    def series(self) -> dict[str, MetricSeries]:
-        """Per-protocol figure series, mirroring ComparisonResult."""
-        return {name: run.series for name, run in self.runs.items()}
-
-    def bucket_edges(self) -> list[int]:
-        """Common x-axis across the persisted protocols."""
-        edges: list[int] = []
-        for run in self.runs.values():
-            candidate = run.series.search_traffic.bucket_edges()
-            if len(candidate) > len(edges):
-                edges = candidate
-        return edges
-
-
 def _load_series(doc: dict[str, Any]) -> _LoadedSeries:
     return _LoadedSeries(
         name=doc["name"],
@@ -257,31 +176,15 @@ def load_run_document(protocol_name: str, run_doc: dict[str, Any]) -> _LoadedRun
     )
 
 
-def _check_kind(doc: dict[str, Any], kind: str) -> None:
-    if doc.get("kind") != kind:
-        raise ValueError(f"not a {kind} document: kind={doc.get('kind')!r}")
+def _check_kind(doc: Any, kind: str) -> None:
+    found = doc.get("kind") if isinstance(doc, dict) else None
+    if found != kind:
+        raise ValueError(f"not a {kind} document: kind={found!r}")
     if doc.get("format_version") != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported format version {doc.get('format_version')!r} "
             f"(expected {_FORMAT_VERSION})"
         )
-
-
-def load_comparison_document(source: IO[str]) -> LoadedComparison:
-    """Restore a document written by :func:`save_comparison`."""
-    doc = json.load(source)
-    _check_kind(doc, "comparison")
-    runs: dict[str, _LoadedRun] = {
-        name: load_run_document(name, run_doc)
-        for name, run_doc in doc["runs"].items()
-    }
-    return LoadedComparison(
-        config=doc["config"],
-        max_queries=doc["max_queries"],
-        bucket_width=doc["bucket_width"],
-        runs=runs,
-        scenario_name=doc.get("scenario"),
-    )
 
 
 # -- grid documents --------------------------------------------------------
@@ -389,11 +292,12 @@ def save_grid_report(report: Any, out: IO[str]) -> None:
 class LoadedGridReport:
     """A grid-report document restored from JSON.
 
-    Offers the accessors :func:`repro.analysis.aggregate_sweep` and
-    :func:`repro.analysis.render_sweep_report` need (``protocols``,
+    Offers the accessors :func:`repro.analysis.aggregate_sweep`,
+    :func:`repro.analysis.render_sweep_report` and
+    :func:`repro.analysis.comparison_slice` need (``protocols``,
     ``scenarios`` — row labels — ``seeds``, ``max_queries``,
-    ``seed_runs()``), so persisted sweeps render identically to live
-    ones.
+    ``run_for()``, ``seed_runs()``), so persisted grids render
+    identically to live ones.
     """
 
     base_config: dict[str, Any]

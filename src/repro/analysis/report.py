@@ -1,8 +1,9 @@
 """Markdown report generation for experiment results.
 
 Produces the paper-vs-measured sections of EXPERIMENTS.md directly
-from a comparison result (live or loaded from JSON), so the recorded
-numbers can never drift from what the code measured.
+from a :class:`~repro.analysis.comparison.ComparisonSlice` (of a live
+or a restored grid report), so the recorded numbers can never drift
+from what the code measured.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 from collections.abc import Sequence
 from typing import Any
 
-from .comparison import check_paper_claims
+from .comparison import ComparisonSlice, check_paper_claims
 
 __all__ = ["markdown_table", "comparison_report", "claims_report"]
 
@@ -32,7 +33,7 @@ def markdown_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str
     return "\n".join(lines)
 
 
-def _series_section(result: Any, title: str, extractor) -> str:
+def _series_section(result: ComparisonSlice, title: str, extractor) -> str:
     edges = result.bucket_edges()
     headers = ["#queries"] + list(result.runs)
     rows: list[list[Any]] = []
@@ -49,8 +50,10 @@ def _series_section(result: Any, title: str, extractor) -> str:
     return f"#### {title}\n\n{markdown_table(headers, rows)}"
 
 
-def comparison_report(result: Any, heading: str = "Comparison run") -> str:
-    """The full markdown section for one comparison run."""
+def comparison_report(
+    result: ComparisonSlice, heading: str = "Comparison run"
+) -> str:
+    """The full markdown section for one comparison slice."""
     summaries = result.summaries()
     summary_rows = [
         [
@@ -88,8 +91,8 @@ def comparison_report(result: Any, heading: str = "Comparison run") -> str:
     return "\n".join(parts)
 
 
-def claims_report(result: Any) -> str:
-    """Markdown table of the §5.2 claim checks for a comparison run."""
+def claims_report(result: ComparisonSlice) -> str:
+    """Markdown table of the §5.2 claim checks for a comparison slice."""
     checks = check_paper_claims(result.summaries(), result.series())
     rows = [
         [check.claim, "PASS" if check.holds else "FAIL", check.detail]

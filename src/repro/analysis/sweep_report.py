@@ -2,9 +2,9 @@
 
 Works duck-typed on any report shaped like
 :class:`~repro.experiments.grid.GridReport` (``protocols``,
-``scenarios``, ``seeds``, ``max_queries``, and ``seed_runs()``), the
-same way :mod:`repro.analysis.persistence` treats comparisons — the
-analysis layer never imports the experiments layer.
+``scenarios``, ``seeds``, ``max_queries``, and ``seed_runs()``), live
+or restored by :mod:`repro.analysis.persistence` — the analysis layer
+never imports the experiments layer.
 
 :func:`aggregate_sweep` reduces each (scenario, protocol) row to its
 seed-averaged headline numbers; :func:`render_sweep_report` prints one

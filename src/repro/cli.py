@@ -3,11 +3,13 @@
 Subcommands:
 
 - ``figures`` (alias ``compare``) — run the four-protocol comparison
-  and print Figures 2-4 plus the §5.2 claim checks, optionally under a
+  (one seed and one scenario of a storeless ``GridRunner``: the
+  topology is built once and instantiated per protocol) and print
+  Figures 2-4 plus the §5.2 claim checks, optionally under a
   registered scenario (``--scenario``) and optionally persisting the
-  result; the topology is built once and instantiated per protocol;
+  grid report (``--save``);
 - ``claims``   — evaluate the claim checks on a fresh run or a saved
-  JSON result;
+  one-seed, one-row grid report;
 - ``ablation`` — run one ablation sweep (a1..a8, ext, ext2);
 - ``report``   — emit the markdown paper-vs-measured report;
 - ``sweep``    — run a protocol × scenario × seed grid (a storeless
@@ -88,23 +90,28 @@ import time
 from collections.abc import Callable, Sequence
 
 from .analysis import (
+    ComparisonSlice,
     check_paper_claims,
     claims_report,
     comparison_report,
-    load_comparison_document,
+    comparison_slice,
+    load_grid_report_document,
     render_figure_chart,
-    save_comparison,
+    save_grid_report,
 )
 from .experiments import (
     BENCH_BUCKET_WIDTH,
     BENCH_MAX_QUERIES,
     DEFAULT_PROTOCOL_ORDER,
+    PROTOCOL_REGISTRY,
+    GridReport,
+    GridRunner,
+    GridSpec,
     ablations,
     fig2_download_distance,
     fig3_search_traffic,
     fig4_success_rate,
     paper_config,
-    run_comparison,
     small_config,
 )
 
@@ -146,18 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: the paper's baseline regime)",
     )
     figures.add_argument(
-        "--location-aware-routing",
-        action="store_true",
-        help="enable Locaware's location-aware routing extension",
+        "--save", metavar="FILE", help="persist the run as a grid-report JSON document"
     )
-    figures.add_argument("--save", metavar="FILE", help="persist the result as JSON")
     figures.add_argument(
         "--chart", action="store_true", help="also render ASCII line charts"
     )
 
     claims = sub.add_parser("claims", help="evaluate the §5.2 claim checks")
     _add_run_options(claims)
-    claims.add_argument("--load", metavar="FILE", help="use a saved JSON result")
+    _add_load_option(claims)
 
     ablation = sub.add_parser("ablation", help="run one ablation sweep")
     ablation.add_argument("id", choices=sorted(_ABLATIONS), help="ablation id")
@@ -166,40 +170,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="emit the markdown measured report")
     _add_run_options(report)
-    report.add_argument("--load", metavar="FILE", help="use a saved JSON result")
+    _add_load_option(report)
 
     sweep = sub.add_parser(
         "sweep", help="run a protocol × scenario × seed grid (parallelisable)"
     )
-    sweep.add_argument(
-        "--protocols",
-        nargs="+",
-        default=list(DEFAULT_PROTOCOL_ORDER),
-        metavar="NAME",
-        help=f"protocols to run (default: all of {' '.join(DEFAULT_PROTOCOL_ORDER)})",
-    )
-    sweep.add_argument(
-        "--scenarios",
-        nargs="+",
-        default=None,
-        metavar="NAME",
-        help="scenarios to run (default: every registered scenario)",
-    )
-    sweep.add_argument(
-        "--seeds", type=int, nargs="+", default=[20090322, 20090323],
-        help="master seeds, one full grid slice per seed",
-    )
-    sweep.add_argument("--queries", type=int, default=200)
-    sweep.add_argument("--bucket", type=int, default=None)
+    _add_axis_options(sweep, scenarios=None, seeds=[20090322, 20090323])
     sweep.add_argument(
         "--workers", type=int, default=1,
         help="worker processes (1 = serial; results are identical either way)",
-    )
-    sweep.add_argument(
-        "--config",
-        choices=("paper", "small"),
-        default="paper",
-        help="base configuration preset (small = 60-peer test system)",
     )
     sweep.add_argument(
         "--list", action="store_true", help="list registered scenarios and exit"
@@ -339,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_run.add_argument(
         "--protocol",
-        choices=list(DEFAULT_PROTOCOL_ORDER),
+        choices=list(PROTOCOL_REGISTRY),
         default="locaware",
     )
     trace_run.add_argument(
@@ -450,6 +429,54 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=20090322)
 
 
+def _add_load_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--load",
+        metavar="FILE",
+        help="use a saved grid-report document of one row and one seed "
+        "(figures --save, sweep --out)",
+    )
+
+
+def _add_axis_options(
+    parser: argparse.ArgumentParser,
+    scenarios: list[str] | None,
+    seeds: list[int],
+) -> None:
+    """The grid-axis flags ``sweep`` and ``grid run|status|watch``
+    share; each command passes its own scenario and seed defaults
+    (``None`` scenarios: every registered one)."""
+    shown = " ".join(scenarios) if scenarios else "every registered scenario"
+    parser.add_argument(
+        "--protocols",
+        nargs="+",
+        default=list(DEFAULT_PROTOCOL_ORDER),
+        metavar="NAME",
+        help=f"protocol axis (default: {' '.join(DEFAULT_PROTOCOL_ORDER)}; "
+        f"registered: {' '.join(PROTOCOL_REGISTRY)})",
+    )
+    parser.add_argument(
+        "--scenarios",
+        nargs="+",
+        default=scenarios,
+        metavar="NAME[:K=V,...]",
+        help="scenario axis; parameter overrides attach after a colon, "
+        f"e.g. churn-storm:storm_session_s=120 (default: {shown})",
+    )
+    parser.add_argument(
+        "--seeds", type=int, nargs="+", default=seeds,
+        help="master seeds, one full grid slice per seed",
+    )
+    parser.add_argument("--queries", type=int, default=200)
+    parser.add_argument("--bucket", type=int, default=None)
+    parser.add_argument(
+        "--config",
+        choices=("paper", "small"),
+        default="paper",
+        help="base configuration preset (small = 60-peer test system)",
+    )
+
+
 def _add_backend_option(parser: argparse.ArgumentParser) -> None:
     """The ``--backend`` flag shared by every store-touching command."""
     parser.add_argument(
@@ -463,8 +490,9 @@ def _add_backend_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_grid_axis_options(parser: argparse.ArgumentParser) -> None:
-    """The store + grid-axis flags shared by ``grid run`` and ``grid
-    status`` (status must describe exactly the grid run executes)."""
+    """The store + grid-axis flags shared by ``grid run``, ``grid
+    status`` and ``grid watch`` (status must describe exactly the grid
+    run executes)."""
     parser.add_argument(
         "--store",
         metavar="DIR",
@@ -479,18 +507,7 @@ def _add_grid_axis_options(parser: argparse.ArgumentParser) -> None:
         help="JSON grid spec (GridSpec.to_dict format); overrides the "
         "axis flags below",
     )
-    parser.add_argument(
-        "--protocols", nargs="+", default=list(DEFAULT_PROTOCOL_ORDER),
-        metavar="NAME",
-    )
-    parser.add_argument(
-        "--scenarios",
-        nargs="+",
-        default=["baseline"],
-        metavar="NAME[:K=V,...]",
-        help="scenario axis; parameter overrides attach after a colon, "
-        "e.g. churn-storm:storm_session_s=120",
-    )
+    _add_axis_options(parser, scenarios=["baseline"], seeds=[20090322])
     parser.add_argument(
         "--set",
         dest="overrides",
@@ -500,35 +517,39 @@ def _add_grid_axis_options(parser: argparse.ArgumentParser) -> None:
         help="config-override axis: one axis per flag, cartesian "
         "product across flags (e.g. --set ttl=5,7 --set bloom_bits=600)",
     )
-    parser.add_argument("--seeds", type=int, nargs="+", default=[20090322])
-    parser.add_argument("--queries", type=int, default=200)
-    parser.add_argument("--bucket", type=int, default=None)
-    parser.add_argument(
-        "--config", choices=("paper", "small"), default="paper",
-        help="base configuration preset",
-    )
 
 
-def _fresh_comparison(args: argparse.Namespace, out) -> object:
-    started = time.time()
-    result = run_comparison(
-        paper_config(seed=args.seed),
+def _comparison_spec(args: argparse.Namespace) -> GridSpec:
+    """The paper's four protocols on one seed and one scenario."""
+    return GridSpec(
+        base_config=paper_config(),
+        scenarios=(getattr(args, "scenario", None) or "baseline",),
+        seeds=(args.seed,),
         max_queries=args.queries,
         bucket_width=args.bucket,
-        progress=lambda m: print(f"  [{time.time() - started:6.1f}s] {m}",
-                                 file=out, flush=True),
-        scenario=getattr(args, "scenario", None),
-        location_aware_routing=getattr(args, "location_aware_routing", False),
+    )
+
+
+def _run_grid(spec: GridSpec, out) -> GridReport:
+    started = time.time()
+    report = GridRunner(spec).run(
+        progress=lambda m: print(
+            f"  [{time.time() - started:6.1f}s] {m}", file=out, flush=True
+        )
     )
     print(f"  done in {time.time() - started:.1f}s\n", file=out)
-    return result
+    return report
 
 
-def _load_or_run(args: argparse.Namespace, out) -> object:
-    if getattr(args, "load", None):
-        with open(args.load, encoding="utf-8") as handle:
-            return load_comparison_document(handle)
-    return _fresh_comparison(args, out)
+def _load_or_run(args: argparse.Namespace, out) -> ComparisonSlice:
+    """``--load FILE``'s one (row, seed) slice, or a fresh run's."""
+    if args.load is None:
+        return comparison_slice(_run_grid(_comparison_spec(args), out))
+    with open(args.load, encoding="utf-8") as handle:
+        try:
+            return comparison_slice(load_grid_report_document(handle))
+        except ValueError as error:
+            raise ValueError(f"{args.load}: {error}") from None
 
 
 def _open_destination(path: str | None):
@@ -546,16 +567,14 @@ def _open_destination(path: str | None):
 
 def _cmd_figures(args: argparse.Namespace, out) -> int:
     try:
-        if getattr(args, "scenario", None) is not None:
-            from .scenarios import get_scenario
-
-            get_scenario(args.scenario)
+        spec = _comparison_spec(args)
         destination = _open_destination(args.save)
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=out)
         return 2
     with destination as handle:
-        result = _fresh_comparison(args, out)
+        report = _run_grid(spec, out)
+        result = comparison_slice(report)
         for module in (
             fig2_download_distance, fig3_search_traffic, fig4_success_rate
         ):
@@ -572,20 +591,19 @@ def _cmd_figures(args: argparse.Namespace, out) -> int:
                 print(file=out)
         failures = _print_claims(result, out)
         if handle is not None:
-            save_comparison(result, handle)
+            save_grid_report(report, handle)
             print(f"saved result to {args.save}", file=out)
     return 1 if failures else 0
 
 
-def _print_claims(result, out) -> int:
-    scenario = getattr(result, "scenario_name", None)
-    if scenario is not None and scenario != "baseline":
+def _print_claims(result: ComparisonSlice, out) -> int:
+    checks = check_paper_claims(result.summaries(), result.series())
+    if result.row != "baseline":
         print(
-            f"note: this run used scenario {scenario!r}; the §5.2 claim "
+            f"note: this run used scenario {result.row!r}; the §5.2 claim "
             "checks target the baseline regime",
             file=out,
         )
-    checks = check_paper_claims(result.summaries(), result.series())
     failures = 0
     for check in checks:
         status = "PASS" if check.holds else "FAIL"
@@ -597,8 +615,11 @@ def _print_claims(result, out) -> int:
 
 
 def _cmd_claims(args: argparse.Namespace, out) -> int:
-    result = _load_or_run(args, out)
-    return 1 if _print_claims(result, out) else 0
+    try:
+        return 1 if _print_claims(_load_or_run(args, out), out) else 0
+    except (ValueError, OSError) as error:
+        print(f"error: {error}", file=out)
+        return 2
 
 
 def _cmd_ablation(args: argparse.Namespace, out) -> int:
@@ -613,17 +634,21 @@ def _cmd_ablation(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_report(args: argparse.Namespace, out) -> int:
-    result = _load_or_run(args, out)
-    print(comparison_report(result), file=out)
-    print(file=out)
-    print("### Claim checks\n", file=out)
-    print(claims_report(result), file=out)
+    try:
+        result = _load_or_run(args, out)
+        text = (
+            f"{comparison_report(result)}\n\n### Claim checks\n\n"
+            f"{claims_report(result)}"
+        )
+    except (ValueError, OSError) as error:
+        print(f"error: {error}", file=out)
+        return 2
+    print(text, file=out)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace, out) -> int:
-    from .analysis import render_sweep_report, save_grid_report
-    from .experiments import GridRunner, GridSpec
+    from .analysis import render_sweep_report
     from .scenarios import SCENARIO_REGISTRY, scenario_names
 
     if args.list:
@@ -701,9 +726,7 @@ def _parse_override_axes(entries):
     return [dict(combination) for combination in itertools.product(*axes)]
 
 
-def _grid_spec_from_args(args: argparse.Namespace):
-    from .experiments import GridSpec, paper_config, small_config
-
+def _grid_spec_from_args(args: argparse.Namespace) -> GridSpec:
     if args.spec:
         import json
 
@@ -723,7 +746,6 @@ def _grid_spec_from_args(args: argparse.Namespace):
 
 def _cmd_grid_run(args: argparse.Namespace, out) -> int:
     from .analysis import render_sweep_report
-    from .experiments import GridRunner
     from .results import DEFAULT_LEASE_TTL_S, ResultStore
     from .sim.errors import ConfigurationError
 
@@ -1301,7 +1323,7 @@ def _cmd_info(args: argparse.Namespace, out) -> int:
         print(f"  {key:<24} {value}", file=out)
     from .scenarios import scenario_names
 
-    print("\nProtocols: flooding, dicas, dicas-keys, locaware", file=out)
+    print("\nProtocols:", ", ".join(PROTOCOL_REGISTRY), file=out)
     print("Ablations:", ", ".join(sorted(_ABLATIONS)), file=out)
     print("Scenarios:", ", ".join(scenario_names()), file=out)
     return 0

@@ -17,9 +17,10 @@ lifecycle:
    :class:`~repro.core.provider_selection.LocationAwareSelector`):
    same-locId providers first, RTT probing as fallback.
 
-An optional extension flag, ``location_aware_routing``, implements the
-paper's future-work idea (§6): among equally eligible next hops,
-prefer neighbors physically closer to the requestor.
+:class:`LocawareRoutingProtocol` (registered as
+``locaware+locrouting``) adds the paper's future-work idea (§6): among
+equally eligible next hops, prefer neighbors physically closer to the
+requestor.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .bloom_router import BloomRouter
 from .provider_selection import LocationAwareSelector
 from .response_index import LocationAwareIndex
 
-__all__ = ["LocawareProtocol"]
+__all__ = ["LocawareProtocol", "LocawareRoutingProtocol"]
 
 _INDEX_KEY = "locaware_index"
 
@@ -46,13 +47,11 @@ class LocawareProtocol(SearchProtocol):
 
     name = "locaware"
     forward_after_hit = False  # §4.2: propagation stops at a satisfying node
+    location_aware_routing = False
 
-    def __init__(
-        self, network: P2PNetwork, location_aware_routing: bool = False
-    ) -> None:
+    def __init__(self, network: P2PNetwork) -> None:
         self.bloom_router = BloomRouter(network)
         self.selector = LocationAwareSelector(network)
-        self.location_aware_routing = location_aware_routing
         super().__init__(network)
 
     # Resolved on first use, like the base class's lifecycle counters:
@@ -220,15 +219,15 @@ class LocawareProtocol(SearchProtocol):
 
         The neighbor row is fetched once and shared by the first two
         rules; the last resort reads the overlay's ranking of that row.
-        With the §6 extension (``location_aware_routing``) connectivity
-        still leads the last resort — exploration is what finds results
-        on a sparse overlay — but ties between equally connected
-        neighbors break towards the *requestor's* locId, nudging blind
-        propagation into the locality where a same-locId provider would
-        be the ideal answer.  (Stronger biases — raw requestor RTT,
-        locId-first — were tried and discarded: they trade away too much
-        exploration and lose 2-8 points of success rate; see
-        EXPERIMENTS.md.)
+        With the §6 extension (:class:`LocawareRoutingProtocol`)
+        connectivity still leads the last resort — exploration is what
+        finds results on a sparse overlay — but ties between equally
+        connected neighbors break towards the *requestor's* locId,
+        nudging blind propagation into the locality where a same-locId
+        provider would be the ideal answer.  (Stronger biases — raw
+        requestor RTT, locId-first — were tried and discarded: they
+        trade away too much exploration and lose 2-8 points of success
+        rate; see EXPERIMENTS.md.)
         """
         last_hop = query.last_hop
         keywords = query.keywords
@@ -270,3 +269,10 @@ class LocawareProtocol(SearchProtocol):
             candidates,
             query_id=context.query_id,
         )
+
+
+class LocawareRoutingProtocol(LocawareProtocol):
+    """Locaware with the §6 location-aware routing extension."""
+
+    name = "locaware+locrouting"
+    location_aware_routing = True

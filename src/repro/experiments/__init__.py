@@ -16,11 +16,9 @@ from .robustness import SeedSweepResult, run_seed_sweep
 from .runner import (
     DEFAULT_PROTOCOL_ORDER,
     PROTOCOL_REGISTRY,
-    ComparisonResult,
     ProtocolRun,
     drive_until_settled,
     make_protocol,
-    run_comparison,
     run_protocol,
 )
 from .setup import (
@@ -44,9 +42,7 @@ __all__ = [
     "PROTOCOL_REGISTRY",
     "DEFAULT_PROTOCOL_ORDER",
     "ProtocolRun",
-    "ComparisonResult",
     "run_protocol",
-    "run_comparison",
     "make_protocol",
     "drive_until_settled",
     "fig2_download_distance",

@@ -1,8 +1,8 @@
 """Ablation experiments (DESIGN.md A1-A8 + the §6 and drift extensions).
 
 Each ablation sweeps one design parameter the paper discusses and
-reports how the headline metrics move.  Every sweep but EXT is a grid:
-the driver declares one axis (config overrides or scenarios) over its
+reports how the headline metrics move.  Every sweep is a grid: the
+driver declares one axis (config overrides or scenarios) over its
 protocols, a storeless :class:`~repro.experiments.grid.GridRunner`
 runs the cells, and the driver reads its columns off the runs.
 
@@ -23,8 +23,8 @@ runs the cells, and the driver reads its columns off the runs.
   concentration vs routing reachability;
 - A8 ``ablate_substrate`` — latency model × peer placement;
 - EXT ``ablate_locaware_routing`` — §6 future work: location-aware
-  *query routing* on top of Locaware (a protocol constructor flag, not
-  a config field, hence not a grid axis);
+  *query routing* on top of Locaware (the ``locaware+locrouting``
+  protocol, so the grid's protocol axis);
 - EXT2 ``ablate_popularity_shift`` — the ``popularity-shift`` scenario.
 """
 
@@ -38,11 +38,10 @@ from typing import Any
 from ..analysis.tables import format_table
 from ..bloom.params import false_positive_rate
 from ..net.underlay import Underlay
-from ..overlay.blueprint import NetworkBlueprint
 from ..sim.config import SimulationConfig
 from ..sim.rng import RandomStreams
 from .grid import GridRunner, GridSpec
-from .runner import ProtocolRun, run_protocol
+from .runner import ProtocolRun
 from .setup import paper_config
 
 __all__ = [
@@ -352,25 +351,19 @@ def ablate_locaware_routing(
     eligible next hops towards the requestor's locality, both
     instantiated from one built world.
     """
-    base = base if base is not None else paper_config()
-    blueprint = NetworkBlueprint.build(base)
-    result = AblationResult(
+    (runs,) = _grid_rows(base, max_queries, ("locaware", "locaware+locrouting"))
+    return AblationResult(
         "EXT",
         "location-aware query routing (§6 future work)",
         ["variant", "success", "distance_ms", "msgs/query", "locId matches"],
-    )
-    for label, flag in (("locaware", False), ("locaware+locrouting", True)):
-        run = run_protocol(
-            base, "locaware", max_queries, bucket_width=max(1, max_queries // 4),
-            location_aware_routing=flag, blueprint=blueprint,
-        )
-        result.rows.append(
+        [
             [
-                label,
+                run.protocol_name,
                 run.summary.success_rate,
                 run.summary.mean_download_distance_ms,
                 run.summary.mean_messages,
                 int(run.metric_snapshot.get("counter.selection.locid_match", 0)),
             ]
-        )
-    return result
+            for run in runs
+        ],
+    )

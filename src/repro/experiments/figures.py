@@ -1,11 +1,13 @@
 """Figures 2-4 (§5.2): one figure description, three instances.
 
 Each figure plots one :class:`~repro.analysis.collectors.MetricSeries`
-field per protocol against the query count.  Callers treat a figure as
-a namespace (``from repro.experiments import fig2_download_distance as
-fig2``; ``fig2.TITLE``, ``fig2.render(result)``), hence the
-constant-style field names.  The shapes the paper reports for each
-figure are asserted in ``benchmarks/test_fig*.py``.
+field per protocol against the query count, read off one
+:class:`~repro.analysis.comparison.ComparisonSlice`.  Callers treat a
+figure as a namespace (``from repro.experiments import
+fig2_download_distance as fig2``; ``fig2.TITLE``,
+``fig2.render(result)``), hence the constant-style field names.  The
+shapes the paper reports for each figure are asserted in
+``benchmarks/test_fig*.py``.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.collectors import MetricSeries
+from ..analysis.comparison import ComparisonSlice
 from ..analysis.tables import format_series_table
 from ..sim.metrics import BucketedSeries
-from .runner import ComparisonResult
 
 __all__ = ["Figure", "fig2_download_distance", "fig3_search_traffic", "fig4_success_rate"]
 
@@ -33,7 +35,7 @@ class Figure:
         """The figure's y-series for one protocol run."""
         return getattr(series, self.series_field)
 
-    def figure_series(self, result: ComparisonResult) -> dict[str, list[float]]:
+    def figure_series(self, result: ComparisonSlice) -> dict[str, list[float]]:
         """Windowed per-bucket means for every protocol (the plotted lines).
 
         Windowed (not cumulative) means expose the *trend*: Locaware's
@@ -44,7 +46,7 @@ class Figure:
             for name, run in result.runs.items()
         }
 
-    def render(self, result: ComparisonResult) -> str:
+    def render(self, result: ComparisonSlice) -> str:
         """The figure as an ASCII table (x = #queries)."""
         return format_series_table(
             x_label="#queries",

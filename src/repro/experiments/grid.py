@@ -12,7 +12,8 @@ cell under its content-addressed key and *skips* every cell the store
 already holds.  An interrupted 500-cell sweep restarts at full speed;
 a repeated one costs zero executions.
 
-This module is also the single sweep engine: ``repro sweep`` runs a
+This module is also the single sweep engine: ``repro sweep``, the
+ablations and the one-seed comparison behind ``repro figures`` run a
 storeless :class:`GridRunner`, and :func:`~repro.experiments.
 robustness.run_seed_sweep` drives its cells through
 :func:`execute_cells`, so serial/parallel equivalence and blueprint

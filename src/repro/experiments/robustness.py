@@ -6,12 +6,11 @@ seeds and reports, per §5.2 claim, how often it holds — plus the
 spread of the headline quantities (traffic reduction, distance
 reduction, success-rate ordering margins).
 
-The seeds × protocols grid is executed by the one sweep engine
-(:func:`repro.experiments.grid.execute_cells`) as a one-scenario
-:class:`~repro.experiments.grid.GridSpec` — the legacy serial
-``run_comparison``-per-seed loop is gone — with per-seed blueprint
-reuse, so all four protocols of a seed share one topology build
-exactly as ``run_comparison`` does.
+The seeds × protocols grid is a one-scenario
+:class:`~repro.experiments.grid.GridSpec` executed by the one sweep
+engine (:func:`repro.experiments.grid.execute_cells`): all four
+protocols of a seed share one topology build, and each seed's claims
+are checked on its :func:`~repro.analysis.comparison.comparison_slice`.
 
 Used by ``python -m repro seed-sweep`` and the claim-robustness test.
 """
@@ -22,11 +21,15 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
-from ..analysis.comparison import check_paper_claims, relative_change
+from ..analysis.comparison import (
+    check_paper_claims,
+    comparison_slice,
+    relative_change,
+)
 from ..analysis.tables import format_percent, format_table
 from ..sim.config import SimulationConfig
-from .grid import GridSpec, execute_cells
-from .runner import DEFAULT_PROTOCOL_ORDER, ProtocolRun
+from .grid import GridReport, GridSpec, execute_cells
+from .runner import DEFAULT_PROTOCOL_ORDER
 from .setup import paper_config
 
 __all__ = ["SeedSweepResult", "run_seed_sweep"]
@@ -128,23 +131,19 @@ def run_seed_sweep(
         max_queries=max_queries,
         bucket_width=width,
     )
-    runs: dict[tuple[str, int], ProtocolRun] = {}
+    report = GridReport(spec=spec)
     announced: set[int] = set()
     for cell, run in execute_cells(spec, spec.expand(), workers=workers):
         if progress is not None and cell.seed not in announced:
             announced.add(cell.seed)
             progress(f"seed {cell.seed}...")
-        runs[(cell.protocol, cell.seed)] = run
+        report.runs[cell] = run
 
     sweep = SeedSweepResult(seeds=list(seeds), max_queries=max_queries)
     for seed in seeds:
-        summaries = {
-            name: runs[(name, seed)].summary for name in DEFAULT_PROTOCOL_ORDER
-        }
-        series = {
-            name: runs[(name, seed)].series for name in DEFAULT_PROTOCOL_ORDER
-        }
-        checks = check_paper_claims(summaries, series)
+        result = comparison_slice(report, "baseline", seed)
+        summaries = result.summaries()
+        checks = check_paper_claims(summaries, result.series())
         for check in checks:
             sweep.claim_passes.setdefault(check.claim, 0)
             if check.holds:

@@ -1,10 +1,10 @@
-"""Experiment driver: build → run → measure, per protocol.
+"""Experiment driver: build → run → measure, one protocol at a time.
 
 :func:`run_protocol` executes one protocol under one configuration and
-query horizon; :func:`run_comparison` executes the paper's full
-four-way comparison on the *identical* workload (same seed → same
-topology, same catalog, same query stream) and returns everything the
-figures need.
+query horizon.  Everything with more than one run — the paper's
+four-way comparison included, as one seed and one scenario of a
+:class:`~repro.experiments.grid.GridSpec` — is a grid
+(:mod:`repro.experiments.grid`), which calls it once per cell.
 
 A run ends at the event that settles it — the workload fully generated
 and every in-flight query finalised (:func:`drive_until_settled`).
@@ -15,8 +15,8 @@ would otherwise keep the event queue alive forever.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..analysis.collectors import (
@@ -25,7 +25,7 @@ from ..analysis.collectors import (
     collect_series,
     summarize_outcomes,
 )
-from ..core.locaware import LocawareProtocol
+from ..core.locaware import LocawareProtocol, LocawareRoutingProtocol
 from ..overlay.blueprint import NetworkBlueprint
 from ..overlay.churn import ChurnProcess
 from ..overlay.network import P2PNetwork
@@ -44,18 +44,18 @@ __all__ = [
     "PROTOCOL_REGISTRY",
     "DEFAULT_PROTOCOL_ORDER",
     "ProtocolRun",
-    "ComparisonResult",
     "run_protocol",
-    "run_comparison",
     "drive_until_settled",
 ]
 
-#: name → protocol class, in the paper's presentation order.
+#: name → protocol class: the paper's four in its presentation order,
+#: then the §6 location-aware routing extension.
 PROTOCOL_REGISTRY: dict[str, type[SearchProtocol]] = {
     "flooding": FloodingProtocol,
     "dicas": DicasProtocol,
     "dicas-keys": DicasKeysProtocol,
     "locaware": LocawareProtocol,
+    "locaware+locrouting": LocawareRoutingProtocol,
 }
 
 DEFAULT_PROTOCOL_ORDER = ("flooding", "dicas", "dicas-keys", "locaware")
@@ -91,42 +91,7 @@ class ProtocolRun:
     identical runs legitimately differ here."""
 
 
-@dataclass
-class ComparisonResult:
-    """The four-way comparison backing Figures 2-4."""
-
-    config: SimulationConfig
-    """The configuration the runs actually used (after scenario overrides)."""
-
-    max_queries: int
-    bucket_width: int
-    runs: dict[str, ProtocolRun] = field(default_factory=dict)
-
-    scenario_name: str | None = None
-    """Registered scenario every run used, if any (claim checks target
-    the baseline regime; a persisted scenario comparison must say so)."""
-
-    def bucket_edges(self) -> list[int]:
-        """Common x-axis across protocols (longest run wins)."""
-        edges: list[int] = []
-        for run in self.runs.values():
-            candidate = run.series.bucket_edges()
-            if len(candidate) > len(edges):
-                edges = candidate
-        return edges
-
-    def summaries(self) -> dict[str, OutcomeSummary]:
-        """Per-protocol whole-run aggregates, keyed by protocol name."""
-        return {name: run.summary for name, run in self.runs.items()}
-
-    def series(self) -> dict[str, MetricSeries]:
-        """Per-protocol figure series, keyed by protocol name."""
-        return {name: run.series for name, run in self.runs.items()}
-
-
-def make_protocol(
-    name: str, network: P2PNetwork, location_aware_routing: bool = False
-) -> SearchProtocol:
+def make_protocol(name: str, network: P2PNetwork) -> SearchProtocol:
     """Instantiate a registered protocol on ``network``."""
     try:
         cls = PROTOCOL_REGISTRY[name]
@@ -134,8 +99,6 @@ def make_protocol(
         raise ValueError(
             f"unknown protocol {name!r}; known: {sorted(PROTOCOL_REGISTRY)}"
         ) from None
-    if cls is LocawareProtocol:
-        return LocawareProtocol(network, location_aware_routing=location_aware_routing)
     return cls(network)
 
 
@@ -146,7 +109,6 @@ def run_protocol(
     max_queries: int,
     bucket_width: int,
     tracer: Tracer | None = None,
-    location_aware_routing: bool = False,
     scenario: Scenario | str | None = None,
     blueprint: NetworkBlueprint | None = None,
     trace_path: str | Path | None = None,
@@ -226,9 +188,7 @@ def run_protocol(
             with timers.phase("instantiate"):
                 network = built.instantiate(tracer=tracer)
         with timers.phase("instantiate"):
-            protocol = make_protocol(
-                protocol_name, network, location_aware_routing=location_aware_routing
-            )
+            protocol = make_protocol(protocol_name, network)
             protocol.start()
             churn: ChurnProcess | None = None
             if config.churn_enabled:
@@ -349,46 +309,3 @@ def drive_until_settled(
         "simulation did not settle; check for runaway event scheduling"
     )
 
-
-def run_comparison(
-    config: SimulationConfig,
-    max_queries: int,
-    bucket_width: int,
-    protocols: Sequence[str] = DEFAULT_PROTOCOL_ORDER,
-    progress: Callable[[str], None] | None = None,
-    scenario: Scenario | str | None = None,
-    location_aware_routing: bool = False,
-) -> ComparisonResult:
-    """Run every requested protocol on the identical workload.
-
-    The immutable world is built exactly once (one
-    :class:`~repro.overlay.blueprint.NetworkBlueprint`) and
-    instantiated per protocol — same topology, same catalog, same query
-    stream, a fraction of the construction cost.  ``scenario`` and
-    ``location_aware_routing`` are forwarded to every
-    :func:`run_protocol` call, so the comparison can be produced under
-    any registered regime.
-    """
-    if isinstance(scenario, str):
-        scenario = get_scenario(scenario)
-    effective = scenario.configure(config) if scenario is not None else config
-    blueprint = NetworkBlueprint.build(effective)
-    result = ComparisonResult(
-        config=effective,
-        max_queries=max_queries,
-        bucket_width=bucket_width,
-        scenario_name=scenario.name if scenario is not None else None,
-    )
-    for name in protocols:
-        if progress is not None:
-            progress(f"running {name} ({max_queries} queries)...")
-        result.runs[name] = run_protocol(
-            config,
-            name,
-            max_queries,
-            bucket_width,
-            location_aware_routing=location_aware_routing,
-            scenario=scenario,
-            blueprint=blueprint,
-        )
-    return result

@@ -10,82 +10,37 @@ from repro.analysis import (
     check_paper_claims,
     claims_report,
     comparison_report,
-    comparison_to_document,
-    load_comparison_document,
+    comparison_slice,
+    load_grid_report_document,
     markdown_table,
-    save_comparison,
+    save_grid_report,
 )
-from repro.experiments import run_comparison, small_config
+from repro.experiments import GridRunner, GridSpec, small_config
+
+
+def _roundtrip(report):
+    buffer = io.StringIO()
+    save_grid_report(report, buffer)
+    buffer.seek(0)
+    return load_grid_report_document(buffer)
 
 
 @pytest.fixture(scope="module")
-def comparison():
-    config = small_config(seed=11).replace(query_rate_per_peer=0.02)
-    return run_comparison(config, max_queries=100, bucket_width=50)
+def comparison_report_run():
+    """The four protocols on one seed: what ``repro figures`` runs."""
+    return GridRunner(
+        GridSpec(
+            base_config=small_config().replace(query_rate_per_peer=0.02),
+            seeds=(11,),
+            max_queries=100,
+            bucket_width=50,
+        )
+    ).run()
 
 
-class TestDocument:
-    def test_document_structure(self, comparison):
-        doc = comparison_to_document(comparison)
-        assert doc["kind"] == "comparison"
-        assert set(doc["runs"]) == set(comparison.runs)
-        assert doc["config"]["num_peers"] == comparison.config.num_peers
-
-    def test_document_is_json_serialisable(self, comparison):
-        text = json.dumps(comparison_to_document(comparison))
-        assert "locaware" in text
-
-    def test_roundtrip_preserves_summaries(self, comparison):
-        buffer = io.StringIO()
-        save_comparison(comparison, buffer)
-        buffer.seek(0)
-        loaded = load_comparison_document(buffer)
-        for name, run in comparison.runs.items():
-            restored = loaded.runs[name].summary
-            assert restored.queries == run.summary.queries
-            assert restored.success_rate == pytest.approx(run.summary.success_rate)
-            assert restored.mean_messages == pytest.approx(run.summary.mean_messages)
-
-    def test_roundtrip_preserves_series(self, comparison):
-        buffer = io.StringIO()
-        save_comparison(comparison, buffer)
-        buffer.seek(0)
-        loaded = load_comparison_document(buffer)
-        for name, run in comparison.runs.items():
-            original = run.series.search_traffic.windowed_means()
-            restored = loaded.runs[name].series.search_traffic.windowed_means()
-            assert restored == pytest.approx(original, nan_ok=True)
-
-    def test_nan_distances_roundtrip(self, comparison):
-        """Failed-query NaNs must survive the None encoding."""
-        buffer = io.StringIO()
-        save_comparison(comparison, buffer)
-        buffer.seek(0)
-        loaded = load_comparison_document(buffer)
-        for name, run in comparison.runs.items():
-            original = run.series.download_distance.windowed_means()
-            restored = loaded.runs[name].series.download_distance.windowed_means()
-            assert len(original) == len(restored)
-            for a, b in zip(original, restored):
-                assert (math.isnan(a) and math.isnan(b)) or a == pytest.approx(b)
-
-    def test_claim_checks_work_on_loaded_results(self, comparison):
-        buffer = io.StringIO()
-        save_comparison(comparison, buffer)
-        buffer.seek(0)
-        loaded = load_comparison_document(buffer)
-        live = check_paper_claims(comparison.summaries(), comparison.series())
-        restored = check_paper_claims(loaded.summaries(), loaded.series())
-        assert [c.holds for c in live] == [c.holds for c in restored]
-
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(ValueError):
-            load_comparison_document(io.StringIO('{"kind": "other"}'))
-
-    def test_wrong_version_rejected(self):
-        doc = '{"kind": "comparison", "format_version": 999, "runs": {}}'
-        with pytest.raises(ValueError):
-            load_comparison_document(io.StringIO(doc))
+@pytest.fixture(scope="module")
+def comparison(comparison_report_run):
+    return comparison_slice(comparison_report_run)
 
 
 class TestMarkdown:
@@ -119,8 +74,6 @@ class TestGridReportDocuments:
 
     @pytest.fixture(scope="class")
     def sweep_report(self):
-        from repro.experiments import GridRunner, GridSpec, small_config
-
         return GridRunner(
             GridSpec(
                 base_config=small_config(seed=3).replace(
@@ -133,14 +86,6 @@ class TestGridReportDocuments:
             )
         ).run()
 
-    def _roundtrip(self, report):
-        from repro.analysis import load_grid_report_document, save_grid_report
-
-        buffer = io.StringIO()
-        save_grid_report(report, buffer)
-        buffer.seek(0)
-        return load_grid_report_document(buffer)
-
     def test_document_structure(self, sweep_report):
         from repro.analysis import grid_report_to_document
 
@@ -152,7 +97,7 @@ class TestGridReportDocuments:
         assert json.dumps(doc)  # JSON-serialisable
 
     def test_axes_roundtrip(self, sweep_report):
-        loaded = self._roundtrip(sweep_report)
+        loaded = _roundtrip(sweep_report)
         assert loaded.protocols == list(sweep_report.protocols)
         assert loaded.scenarios == list(sweep_report.scenarios)
         assert loaded.seeds == list(sweep_report.seeds)
@@ -162,12 +107,12 @@ class TestGridReportDocuments:
     def test_aggregate_matches_live_report(self, sweep_report):
         from repro.analysis import aggregate_sweep, render_sweep_report
 
-        loaded = self._roundtrip(sweep_report)
+        loaded = _roundtrip(sweep_report)
         assert repr(aggregate_sweep(loaded)) == repr(aggregate_sweep(sweep_report))
         assert render_sweep_report(loaded) == render_sweep_report(sweep_report)
 
     def test_summaries_roundtrip_exactly(self, sweep_report):
-        loaded = self._roundtrip(sweep_report)
+        loaded = _roundtrip(sweep_report)
         for scenario in sweep_report.scenarios:
             for protocol in sweep_report.protocols:
                 for seed in sweep_report.seeds:
@@ -178,23 +123,48 @@ class TestGridReportDocuments:
                     assert restored.sim_time_s == live.sim_time_s
 
     def test_document_is_byte_stable(self, sweep_report):
-        from repro.analysis import save_grid_report
-
         a, b = io.StringIO(), io.StringIO()
         save_grid_report(sweep_report, a)
         save_grid_report(sweep_report, b)
         assert a.getvalue() == b.getvalue()
 
-    def test_wrong_kind_rejected(self):
-        from repro.analysis import load_grid_report_document
+    def test_roundtrip_preserves_series(self, sweep_report):
+        loaded = _roundtrip(sweep_report)
+        for cell, run in sweep_report.runs.items():
+            restored = loaded.run_for(cell.protocol, cell.label, cell.seed)
+            assert restored.series.search_traffic.windowed_means() == (
+                pytest.approx(run.series.search_traffic.windowed_means(), nan_ok=True)
+            )
 
+    def test_nan_distances_roundtrip(self, comparison_report_run):
+        """Failed-query NaNs must survive the None encoding."""
+        loaded = comparison_slice(_roundtrip(comparison_report_run))
+        for name, run in comparison_slice(comparison_report_run).runs.items():
+            original = run.series.download_distance.windowed_means()
+            restored = loaded.runs[name].series.download_distance.windowed_means()
+            assert len(original) == len(restored)
+            for a, b in zip(original, restored):
+                assert (math.isnan(a) and math.isnan(b)) or a == pytest.approx(b)
+
+    def test_claim_checks_work_on_loaded_results(self, comparison_report_run):
+        live = comparison_slice(comparison_report_run)
+        loaded = comparison_slice(_roundtrip(comparison_report_run))
+        assert loaded.bucket_edges() == live.bucket_edges()
+        assert check_paper_claims(
+            loaded.summaries(), loaded.series()
+        ) == check_paper_claims(live.summaries(), live.series())
+
+    def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError, match="not a grid-report"):
             load_grid_report_document(io.StringIO('{"kind": "comparison"}'))
 
+    def test_wrong_version_rejected(self):
+        doc = '{"kind": "grid-report", "format_version": 999, "cells": []}'
+        with pytest.raises(ValueError, match="format version 999"):
+            load_grid_report_document(io.StringIO(doc))
+
     def test_grid_report_with_parameterised_rows_roundtrips(self):
         from repro.analysis import aggregate_sweep
-        from repro.experiments import GridRunner, GridSpec, small_config
-
         spec = GridSpec(
             base_config=small_config(seed=3).replace(query_rate_per_peer=0.02),
             protocols=("flooding",),
@@ -204,7 +174,7 @@ class TestGridReportDocuments:
             max_queries=10,
         )
         report = GridRunner(spec).run()
-        loaded = self._roundtrip(report)
+        loaded = _roundtrip(report)
         assert loaded.scenarios == ["diurnal[amplitude=0.3] @ ttl=5"]
         assert repr(aggregate_sweep(loaded)) == repr(aggregate_sweep(report))
 
@@ -216,8 +186,6 @@ class TestGridCellDocuments:
             load_grid_cell_document,
             run_to_document,
         )
-        from repro.experiments import GridRunner, GridSpec, small_config
-
         spec = GridSpec(
             base_config=small_config(seed=3).replace(query_rate_per_peer=0.02),
             protocols=("locaware",),
@@ -247,50 +215,67 @@ class TestGridCellDocuments:
             load_grid_cell_document({"kind": "comparison"})
 
 
+class TestComparisonSlice:
+    """One (row, seed) of a live or a restored grid report."""
+
+    def test_the_only_slice_is_the_default(self, sweep_report_one_row):
+        result = comparison_slice(sweep_report_one_row)
+        assert (result.row, result.seed) == ("baseline", 1)
+        assert list(result.runs) == ["flooding", "locaware"]
+
+    def test_a_many_slice_report_needs_a_choice(self):
+        report = GridRunner(
+            GridSpec(
+                base_config=small_config(),
+                protocols=("flooding",),
+                scenarios=("baseline", "diurnal"),
+                seeds=(1, 2),
+                max_queries=5,
+            )
+        ).run()
+        with pytest.raises(ValueError) as error:
+            comparison_slice(report)
+        assert "rows: baseline, diurnal; seeds: 1, 2" in str(error.value)
+        chosen = comparison_slice(report, "diurnal", 2)
+        assert chosen.runs["flooding"] is report.run_for("flooding", "diurnal", 2)
+
+    @pytest.fixture(scope="class")
+    def sweep_report_one_row(self):
+        return GridRunner(
+            GridSpec(
+                base_config=small_config(),
+                protocols=("flooding", "locaware"),
+                seeds=(1,),
+                max_queries=5,
+            )
+        ).run()
+
+
 class TestScenarioProvenance:
     """A persisted scenario comparison must say which regime produced it
     and record the configuration the runs actually used."""
 
-    def test_baseline_document_has_null_scenario(self, comparison):
-        doc = comparison_to_document(comparison)
-        assert doc["scenario"] is None
+    @pytest.fixture(scope="class")
+    def cold_start(self):
+        return GridRunner(
+            GridSpec(
+                base_config=small_config().replace(query_rate_per_peer=0.02),
+                protocols=("flooding",),
+                scenarios=("cold-start",),
+                seeds=(11,),
+                max_queries=15,
+                bucket_width=5,
+            )
+        ).run()
 
-    def test_scenario_comparison_records_regime_and_effective_config(self):
-        config = small_config(seed=11).replace(query_rate_per_peer=0.02)
-        result = run_comparison(
-            config,
-            max_queries=15,
-            bucket_width=5,
-            protocols=("flooding",),
-            scenario="cold-start",
-        )
-        assert result.scenario_name == "cold-start"
-        # cold-start starves initial replication; the recorded config
-        # must be the one the runs actually used, not the base config.
-        assert result.config.files_per_peer == 1
-        doc = comparison_to_document(result)
-        assert doc["scenario"] == "cold-start"
-        assert doc["config"]["files_per_peer"] == 1
+    def test_scenario_comparison_records_regime_and_effective_config(
+        self, cold_start
+    ):
+        result = comparison_slice(cold_start)
+        assert result.row == "cold-start"
+        # cold-start starves initial replication; the run must carry the
+        # config it actually used, not the base config.
+        assert result.runs["flooding"].config.files_per_peer == 1
 
-    def test_scenario_roundtrips_through_load(self):
-        config = small_config(seed=11).replace(query_rate_per_peer=0.02)
-        result = run_comparison(
-            config,
-            max_queries=15,
-            bucket_width=5,
-            protocols=("flooding",),
-            scenario="cold-start",
-        )
-        buffer = io.StringIO()
-        save_comparison(result, buffer)
-        buffer.seek(0)
-        loaded = load_comparison_document(buffer)
-        assert loaded.scenario_name == "cold-start"
-
-    def test_pre_scenario_documents_still_load(self, comparison):
-        """Documents written before the scenario key existed load with
-        scenario_name=None."""
-        doc = comparison_to_document(comparison)
-        del doc["scenario"]
-        loaded = load_comparison_document(io.StringIO(json.dumps(doc)))
-        assert loaded.scenario_name is None
+    def test_scenario_roundtrips_through_load(self, cold_start):
+        assert comparison_slice(_roundtrip(cold_start)).row == "cold-start"

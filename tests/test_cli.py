@@ -53,6 +53,13 @@ class TestInfo:
         assert "locaware" in text
         assert "flash-crowd" in text
 
+    def test_info_lists_every_registered_protocol(self):
+        from repro.experiments import PROTOCOL_REGISTRY
+
+        _, text = run_cli("info")
+        assert f"Protocols: {', '.join(PROTOCOL_REGISTRY)}\n" in text
+        assert "locaware+locrouting" in text
+
 
 class TestSweepCommand:
     def test_sweep_defaults(self):
@@ -119,10 +126,32 @@ class TestSweepCommand:
         assert "scenario: baseline" in text
         assert "locaware across scenarios" in text
 
+    def test_sweep_and_grid_keep_their_own_axis_defaults(self):
+        """One declaration of the axis flags, two sets of defaults."""
+        sweep = build_parser().parse_args(["sweep"])
+        assert (sweep.scenarios, sweep.seeds) == (None, [20090322, 20090323])
+        for command in ("run", "status", "watch"):
+            grid = build_parser().parse_args(["grid", command])
+            assert (grid.scenarios, grid.seeds) == (["baseline"], [20090322])
+        for args in (sweep, grid):
+            assert args.protocols == ["flooding", "dicas", "dicas-keys", "locaware"]
+            assert (args.queries, args.bucket, args.config) == (200, None, "paper")
+
     def test_seed_sweep_parses(self):
         args = build_parser().parse_args(["seed-sweep", "--seeds", "1", "2"])
         assert args.command == "seed-sweep"
         assert args.seeds == [1, 2]
+
+
+def claim_lines(text):
+    """The [PASS] / [FAIL] lines and their detail lines."""
+    lines = text.splitlines()
+    return [
+        line
+        for i, line in enumerate(lines)
+        if line.startswith(("[PASS]", "[FAIL]"))
+        or (i and lines[i - 1].startswith(("[PASS]", "[FAIL]")))
+    ]
 
 
 class TestRoundtrip:
@@ -130,33 +159,79 @@ class TestRoundtrip:
 
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
-        # Build a small comparison directly (CLI figure runs use the
-        # full paper scale; tests persist a small one instead).
-        from repro.analysis import save_comparison
-        from repro.experiments import run_comparison, small_config
-
-        config = small_config(seed=11).replace(query_rate_per_peer=0.02)
-        result = run_comparison(config, max_queries=100, bucket_width=50)
         path = tmp_path_factory.mktemp("cli") / "run.json"
-        with open(path, "w", encoding="utf-8") as handle:
-            save_comparison(result, handle)
-        return path
+        code, text = run_cli(
+            "figures", "--queries", "60", "--bucket", "20", "--save", str(path)
+        )
+        assert code in (0, 1)
+        assert f"saved result to {path}" in text
+        return path, text
 
     def test_claims_load(self, saved):
-        code, text = run_cli("claims", "--load", str(saved))
+        path, figures_text = saved
+        code, text = run_cli("claims", "--load", str(path))
+        assert code in (0, 1)
         assert "paper claims hold" in text
-        assert "[PASS]" in text or "[FAIL]" in text
+        assert claim_lines(text) == claim_lines(figures_text)
+        assert len(claim_lines(text)) == 14
 
     def test_report_load(self, saved):
-        code, text = run_cli("report", "--load", str(saved))
+        code, text = run_cli("report", "--load", str(saved[0]))
         assert code == 0
         assert "Figure 2 series" in text
         assert "### Claim checks" in text
 
     def test_saved_file_is_valid_json(self, saved):
-        with open(saved, encoding="utf-8") as handle:
+        with open(saved[0], encoding="utf-8") as handle:
             doc = json.load(handle)
-        assert doc["kind"] == "comparison"
+        assert doc["kind"] == "grid-report"
+        assert doc["protocols"] == ["flooding", "dicas", "dicas-keys", "locaware"]
+        assert (doc["scenarios"], doc["seeds"]) == (["baseline"], [20090322])
+
+
+class TestLoadFailsCleanly:
+    """claims / report --load: every unreadable input is `error: …`,
+    exit 2, never a traceback."""
+
+    @pytest.fixture(params=["claims", "report"])
+    def command(self, request):
+        return request.param
+
+    def test_missing_file(self, command, tmp_path):
+        path = tmp_path / "nope.json"
+        code, text = run_cli(command, "--load", str(path))
+        assert code == 2
+        assert text.startswith("error: ") and "nope.json" in text
+
+    def test_not_json(self, command, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text("not json at all")
+        code, text = run_cli(command, "--load", str(path))
+        assert code == 2
+        assert text.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("kind", ["comparison", "grid-cell"])
+    def test_wrong_kind_is_named(self, command, kind, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"kind": kind, "format_version": 1}))
+        code, text = run_cli(command, "--load", str(path))
+        assert code == 2
+        assert text == (
+            f"error: {path}: not a grid-report document: kind={kind!r}\n"
+        )
+
+    def test_many_slices_are_named(self, command, tmp_path):
+        path = tmp_path / "sweep.json"
+        code, _ = run_cli(
+            "sweep", "--config", "small", "--protocols", "flooding",
+            "--scenarios", "baseline", "diurnal", "--seeds", "1", "2",
+            "--queries", "5", "--out", str(path),
+        )
+        assert code == 0
+        code, text = run_cli(command, "--load", str(path))
+        assert code == 2
+        assert text.startswith(f"error: {path}: ")
+        assert "rows: baseline, diurnal; seeds: 1, 2" in text
 
 
 class TestCompareCommand:
@@ -164,11 +239,15 @@ class TestCompareCommand:
         args = build_parser().parse_args(["compare"])
         assert args.command == "compare"
         assert args.scenario is None
-        assert args.location_aware_routing is False
 
     def test_figures_accepts_scenario_flag(self):
         args = build_parser().parse_args(["figures", "--scenario", "flash-crowd"])
         assert args.scenario == "flash-crowd"
+
+    def test_location_aware_routing_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["figures", "--location-aware-routing"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_compare_rejects_unknown_scenario_cleanly(self):
         code, text = run_cli("compare", "--scenario", "meteor-strike", "--queries", "5")
@@ -654,19 +733,19 @@ class TestGridStatusCommand:
 
 class TestClaimsScenarioNote:
     def test_loaded_scenario_document_is_flagged_in_claims(self, tmp_path):
-        import json as _json
+        from repro.analysis import save_grid_report
+        from repro.experiments import GridRunner, GridSpec, small_config
 
-        from repro.analysis import comparison_to_document
-        from repro.experiments import run_comparison, small_config
-
-        result = run_comparison(
-            small_config(seed=11).replace(query_rate_per_peer=0.02),
+        spec = GridSpec(
+            base_config=small_config().replace(query_rate_per_peer=0.02),
+            scenarios=("cold-start",),
+            seeds=(11,),
             max_queries=15,
             bucket_width=5,
-            scenario="cold-start",
         )
         path = tmp_path / "run.json"
-        path.write_text(_json.dumps(comparison_to_document(result)))
+        with open(path, "w", encoding="utf-8") as handle:
+            save_grid_report(GridRunner(spec).run(), handle)
         _code, text = run_cli("claims", "--load", str(path))
         assert "scenario 'cold-start'" in text
         assert "baseline regime" in text

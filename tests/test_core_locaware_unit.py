@@ -2,17 +2,18 @@
 
 
 from repro.core import LocawareProtocol
+from repro.core.locaware import LocawareRoutingProtocol
 from repro.overlay import P2PNetwork, ProviderEntry, Query
 from repro.protocols import file_group
 from repro.sim import SimulationConfig
 
 
-def make_protocol(seed=5, **overrides):
+def make_protocol(seed=5, protocol_cls=LocawareProtocol, **overrides):
     config = SimulationConfig.small(seed=seed)
     if overrides:
         config = config.replace(**overrides)
     network = P2PNetwork.build(config)
-    return network, LocawareProtocol(network)
+    return network, protocol_cls(network)
 
 
 def make_query(network, origin=0, keywords=("kw1",), ttl=7, path=None, qid=1):
@@ -222,8 +223,7 @@ class TestRoutingTiers:
     def test_location_aware_fallback_breaks_degree_ties_by_locid(self):
         """§6 extension: connectivity still leads; ties between equally
         connected neighbors break towards the requestor's locId."""
-        network, protocol = make_protocol()
-        protocol.location_aware_routing = True
+        network, protocol = make_protocol(protocol_cls=LocawareRoutingProtocol)
         found_case = False
         for peer in network.peers:
             neighbors = [

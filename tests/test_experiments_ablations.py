@@ -131,7 +131,10 @@ class TestOneEngine:
         )
         assert blueprint.build_count() - before <= 1
 
-    def test_locaware_routing_variants_share_one_build(self, base):
+    def test_locaware_routing_variants_share_one_build(
+        self, base, swap_blueprint_cache
+    ):
+        swap_blueprint_cache(max_peers=8 * 60)
         before = blueprint.build_count()
         ablate_locaware_routing(base, max_queries=60)
         assert blueprint.build_count() - before == 1

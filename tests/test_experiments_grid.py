@@ -616,14 +616,24 @@ class TestSeedSweepOnGridEngine:
 
     def test_matches_direct_comparison(self):
         from repro.analysis.comparison import check_paper_claims
-        from repro.experiments import run_comparison, run_seed_sweep
+        from repro.experiments import (
+            DEFAULT_PROTOCOL_ORDER,
+            run_protocol,
+            run_seed_sweep,
+        )
 
         base = _base_config(seed=0)
         sweep = run_seed_sweep([11], base=base, max_queries=40)
-        direct = run_comparison(
-            base.replace(seed=11), max_queries=40, bucket_width=5
+        direct = {
+            name: run_protocol(
+                base.replace(seed=11), name, max_queries=40, bucket_width=5
+            )
+            for name in DEFAULT_PROTOCOL_ORDER
+        }
+        checks = check_paper_claims(
+            {name: run.summary for name, run in direct.items()},
+            {name: run.series for name, run in direct.items()},
         )
-        checks = check_paper_claims(direct.summaries(), direct.series())
         assert sweep.claim_passes == {
             check.claim: (1 if check.holds else 0) for check in checks
         }

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.analysis import comparison_slice
 from repro.experiments import (
     DEFAULT_PROTOCOL_ORDER,
     PROTOCOL_REGISTRY,
+    GridRunner,
+    GridSpec,
     bench_config,
     drive_until_settled,
     fig2_download_distance,
@@ -12,7 +15,6 @@ from repro.experiments import (
     fig4_success_rate,
     make_protocol,
     paper_config,
-    run_comparison,
     run_protocol,
     small_config,
 )
@@ -20,11 +22,22 @@ from repro.overlay import P2PNetwork
 from repro.workload import QueryWorkload
 
 
+def one_seed_slice(seed, max_queries, bucket_width, **axes):
+    """A storeless one-seed grid over ``axes``, as its one slice."""
+    spec = GridSpec(
+        base_config=small_config().replace(query_rate_per_peer=0.02),
+        seeds=(seed,),
+        max_queries=max_queries,
+        bucket_width=bucket_width,
+        **axes,
+    )
+    return comparison_slice(GridRunner(spec).run())
+
+
 @pytest.fixture(scope="module")
 def comparison():
     """One shared small comparison used by the figure-module tests."""
-    config = small_config(seed=11).replace(query_rate_per_peer=0.02)
-    return run_comparison(config, max_queries=120, bucket_width=40)
+    return one_seed_slice(11, max_queries=120, bucket_width=40)
 
 
 class TestConfigs:
@@ -43,11 +56,14 @@ class TestConfigs:
 
 class TestRegistry:
     def test_four_protocols_registered(self):
+        """The paper's four plus the §6 extension; the default order
+        stays the paper's four."""
         assert set(PROTOCOL_REGISTRY) == {
             "flooding",
             "dicas",
             "dicas-keys",
             "locaware",
+            "locaware+locrouting",
         }
         assert DEFAULT_PROTOCOL_ORDER == ("flooding", "dicas", "dicas-keys", "locaware")
 
@@ -154,24 +170,24 @@ class TestFigureModules:
 
 
 class TestComparisonBlueprintAndPassthrough:
-    def test_comparison_builds_topology_exactly_once(self):
+    def test_comparison_builds_topology_exactly_once(self, swap_blueprint_cache):
         from repro.overlay.blueprint import build_count
 
-        config = small_config(seed=13).replace(query_rate_per_peer=0.02)
+        swap_blueprint_cache(max_peers=8 * 60)
         before = build_count()
-        run_comparison(config, max_queries=10, bucket_width=5)
+        one_seed_slice(13, max_queries=10, bucket_width=5)
         assert build_count() - before == 1
 
     def test_comparison_scenario_passthrough(self):
-        config = small_config(seed=13).replace(query_rate_per_peer=0.02)
-        result = run_comparison(
-            config,
+        result = one_seed_slice(
+            13,
             max_queries=15,
             bucket_width=5,
             protocols=("flooding", "locaware"),
-            scenario="cold-start",
+            scenarios=("cold-start",),
         )
-        assert set(result.runs) == {"flooding", "locaware"}
+        assert result.row == "cold-start"
+        assert list(result.runs) == ["flooding", "locaware"]
         for run in result.runs.values():
             assert run.scenario_name == "cold-start"
             assert run.config.files_per_peer == 1
@@ -179,37 +195,31 @@ class TestComparisonBlueprintAndPassthrough:
     def test_comparison_scenario_equals_direct_runs(self):
         """The shared-blueprint comparison reproduces per-protocol
         scratch runs under the same scenario."""
-        config = small_config(seed=13).replace(query_rate_per_peer=0.02)
-        result = run_comparison(
-            config,
+        result = one_seed_slice(
+            13,
             max_queries=15,
             bucket_width=5,
             protocols=("dicas",),
-            scenario="churn-storm",
+            scenarios=("churn-storm",),
         )
         direct = run_protocol(
-            config, "dicas", max_queries=15, bucket_width=5,
-            scenario="churn-storm",
+            small_config(seed=13).replace(query_rate_per_peer=0.02),
+            "dicas", max_queries=15, bucket_width=5, scenario="churn-storm",
         )
         assert result.runs["dicas"].outcomes == direct.outcomes
         assert result.runs["dicas"].metric_snapshot == direct.metric_snapshot
 
     def test_comparison_location_aware_routing_passthrough(self):
-        config = small_config(seed=13).replace(query_rate_per_peer=0.02)
-        plain = run_comparison(
-            config, max_queries=20, bucket_width=10, protocols=("locaware",)
-        )
-        routed = run_comparison(
-            config,
+        """The §6 extension is a protocol name on the grid's axis."""
+        result = one_seed_slice(
+            13,
             max_queries=20,
             bucket_width=10,
-            protocols=("locaware",),
-            location_aware_routing=True,
+            protocols=("locaware", "locaware+locrouting"),
         )
-        assert (
-            routed.runs["locaware"].metric_snapshot
-            != plain.runs["locaware"].metric_snapshot
-        )
+        plain, routed = result.runs.values()
+        assert routed.protocol_name == "locaware+locrouting"
+        assert routed.metric_snapshot != plain.metric_snapshot
 
 
 class TestDriveDrainGuard:

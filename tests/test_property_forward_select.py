@@ -127,7 +127,7 @@ def reference_select(protocol, peer, query):
 # -- worlds ------------------------------------------------------------------
 
 
-def churned_world(seed, protocol_name, location_aware_routing, until_s):
+def churned_world(seed, protocol_name, until_s):
     """A small world simulated under queries, Bloom pushes and heavy churn.
 
     Stopping mid-run leaves what a hop really meets: promoted
@@ -139,9 +139,7 @@ def churned_world(seed, protocol_name, location_aware_routing, until_s):
         query_rate_per_peer=0.05, bloom_update_period_s=10.0
     )
     network = P2PNetwork.build(config)
-    protocol = make_protocol(
-        protocol_name, network, location_aware_routing=location_aware_routing
-    )
+    protocol = make_protocol(protocol_name, network)
     protocol.start()
     ChurnProcess(network, 40.0, 15.0, network.streams.stream("churn")).start()
     QueryWorkload(network, protocol.issue_query, max_queries=400).start()
@@ -212,17 +210,16 @@ def check_every_live_peer(network, protocol, data):
 @settings(max_examples=24, deadline=None)
 @given(
     seed=st.integers(1, 6),
-    protocol_name=st.sampled_from(["dicas", "dicas-keys", "locaware"]),
-    location_aware_routing=st.booleans(),
+    protocol_name=st.sampled_from(
+        ["dicas", "dicas-keys", "locaware", "locaware+locrouting"]
+    ),
     until_s=st.sampled_from([0.0, 25.0, 120.0]),
     data=st.data(),
 )
 def test_select_forward_targets_matches_reference(
-    seed, protocol_name, location_aware_routing, until_s, data
+    seed, protocol_name, until_s, data
 ):
-    network, protocol = churned_world(
-        seed, protocol_name, location_aware_routing, until_s
-    )
+    network, protocol = churned_world(seed, protocol_name, until_s)
     mutated = check_every_live_peer(network, protocol, data)
     if until_s >= 120.0:
         assert mutated, "churn promoted no neighbor row; the world is too calm"
@@ -238,7 +235,7 @@ def test_select_forward_targets_matches_reference(
 def test_locaware_worlds_exercise_every_rule():
     """The worlds above reach all three routing rules and meet neighbors
     with no stored filter copy (otherwise the property proves little)."""
-    network, protocol = churned_world(3, "locaware", False, 120.0)
+    network, protocol = churned_world(3, "locaware", 120.0)
     seen = set()
     uncopied = 0
     for peer in network.peers:

@@ -3,7 +3,8 @@
 
 Runs Flooding, Dicas, Dicas-Keys, and Locaware on the identical
 workload — one seed and one scenario of a storeless grid — and prints
-the three figure series plus the §5.2 headline claim checks.
+the three figure series plus the §5.2 claim table's checks (the same
+lines ``repro figures`` prints); exits 1 if any claim fails.
 
 Run (paper scale, ~1 minute):
     python examples/compare_protocols.py
@@ -19,15 +20,13 @@ import argparse
 import sys
 import time
 
-from repro.analysis import check_paper_claims, comparison_slice, format_table
-from repro.experiments import (
-    GridRunner,
-    GridSpec,
-    fig2_download_distance,
-    fig3_search_traffic,
-    fig4_success_rate,
-    paper_config,
+from repro.analysis import (
+    check_paper_claims,
+    comparison_slice,
+    format_table,
+    render_claim_lines,
 )
+from repro.experiments import FIGURES, GridRunner, GridSpec, paper_config
 from repro.sim import SimulationConfig
 
 
@@ -73,7 +72,7 @@ def main() -> None:
     print(f"\ncompleted in {time.time() - started:.1f}s wall "
           f"({config.num_peers} peers, {args.queries} queries/protocol)\n")
 
-    for module in (fig2_download_distance, fig3_search_traffic, fig4_success_rate):
+    for module in FIGURES:
         print(module.render(result))
         print()
 
@@ -94,15 +93,9 @@ def main() -> None:
     ))
     print()
 
-    checks = check_paper_claims(result.summaries(), result.series())
-    failed = 0
-    for check in checks:
-        status = "PASS" if check.holds else "FAIL"
-        failed += 0 if check.holds else 1
-        print(f"[{status}] {check.claim}")
-        print(f"       {check.detail}")
-    print(f"\n{len(checks) - failed}/{len(checks)} paper claims hold")
-    sys.exit(1 if failed else 0)
+    checks = check_paper_claims(result)
+    print(render_claim_lines(checks))
+    sys.exit(0 if all(check.holds for check in checks) else 1)
 
 
 if __name__ == "__main__":

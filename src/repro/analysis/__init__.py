@@ -7,18 +7,20 @@ from .collectors import (
     collect_series,
     summarize_outcomes,
 )
-from .comparison import (
-    ClaimCheck,
-    ComparisonSlice,
-    check_paper_claims,
-    comparison_slice,
-    relative_change,
-)
+from .comparison import ComparisonSlice, comparison_slice
 from .distributions import (
     DistanceDistribution,
     cdf_points,
     distance_distribution,
     percentile,
+)
+from .paper_claims import (
+    PAPER_CLAIMS,
+    ClaimCheck,
+    PaperClaim,
+    check_paper_claims,
+    relative_change,
+    render_claim_lines,
 )
 from .persistence import (
     LoadedGridReport,
@@ -53,8 +55,11 @@ __all__ = [
     "OutcomeSummary",
     "collect_series",
     "summarize_outcomes",
+    "PAPER_CLAIMS",
+    "PaperClaim",
     "ClaimCheck",
     "check_paper_claims",
+    "render_claim_lines",
     "ComparisonSlice",
     "comparison_slice",
     "relative_change",

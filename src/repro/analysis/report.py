@@ -12,7 +12,8 @@ import math
 from collections.abc import Sequence
 from typing import Any
 
-from .comparison import ComparisonSlice, check_paper_claims
+from .comparison import ComparisonSlice
+from .paper_claims import check_paper_claims
 
 __all__ = ["markdown_table", "comparison_report", "claims_report"]
 
@@ -93,9 +94,8 @@ def comparison_report(
 
 def claims_report(result: ComparisonSlice) -> str:
     """Markdown table of the §5.2 claim checks for a comparison slice."""
-    checks = check_paper_claims(result.summaries(), result.series())
     rows = [
         [check.claim, "PASS" if check.holds else "FAIL", check.detail]
-        for check in checks
+        for check in check_paper_claims(result)
     ]
     return markdown_table(["claim", "status", "measured"], rows)

@@ -96,6 +96,7 @@ from .analysis import (
     comparison_report,
     comparison_slice,
     load_grid_report_document,
+    render_claim_lines,
     render_figure_chart,
     save_grid_report,
 )
@@ -103,14 +104,12 @@ from .experiments import (
     BENCH_BUCKET_WIDTH,
     BENCH_MAX_QUERIES,
     DEFAULT_PROTOCOL_ORDER,
+    FIGURES,
     PROTOCOL_REGISTRY,
     GridReport,
     GridRunner,
     GridSpec,
     ablations,
-    fig2_download_distance,
-    fig3_search_traffic,
-    fig4_success_rate,
     paper_config,
     small_config,
 )
@@ -575,9 +574,7 @@ def _cmd_figures(args: argparse.Namespace, out) -> int:
     with destination as handle:
         report = _run_grid(spec, out)
         result = comparison_slice(report)
-        for module in (
-            fig2_download_distance, fig3_search_traffic, fig4_success_rate
-        ):
+        for module in FIGURES:
             print(module.render(result), file=out)
             print(file=out)
             if args.chart:
@@ -597,21 +594,15 @@ def _cmd_figures(args: argparse.Namespace, out) -> int:
 
 
 def _print_claims(result: ComparisonSlice, out) -> int:
-    checks = check_paper_claims(result.summaries(), result.series())
+    checks = check_paper_claims(result)
     if result.row != "baseline":
         print(
             f"note: this run used scenario {result.row!r}; the §5.2 claim "
             "checks target the baseline regime",
             file=out,
         )
-    failures = 0
-    for check in checks:
-        status = "PASS" if check.holds else "FAIL"
-        failures += 0 if check.holds else 1
-        print(f"[{status}] {check.claim}", file=out)
-        print(f"       {check.detail}", file=out)
-    print(f"\n{len(checks) - failures}/{len(checks)} paper claims hold", file=out)
-    return failures
+    print(render_claim_lines(checks), file=out)
+    return sum(not check.holds for check in checks)
 
 
 def _cmd_claims(args: argparse.Namespace, out) -> int:

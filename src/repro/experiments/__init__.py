@@ -1,7 +1,12 @@
 """Experiment drivers: §5.1 setup, figure reproductions, ablations."""
 
 from . import ablations
-from .figures import fig2_download_distance, fig3_search_traffic, fig4_success_rate
+from .figures import (
+    FIGURES,
+    fig2_download_distance,
+    fig3_search_traffic,
+    fig4_success_rate,
+)
 from .grid import (
     GridCell,
     GridReport,
@@ -45,6 +50,7 @@ __all__ = [
     "run_protocol",
     "make_protocol",
     "drive_until_settled",
+    "FIGURES",
     "fig2_download_distance",
     "fig3_search_traffic",
     "fig4_success_rate",

@@ -6,8 +6,9 @@ field per protocol against the query count, read off one
 figure as a namespace (``from repro.experiments import
 fig2_download_distance as fig2``; ``fig2.TITLE``,
 ``fig2.render(result)``), hence the constant-style field names.  The
-shapes the paper reports for each figure are asserted in
-``benchmarks/test_fig*.py``.
+shapes the paper reports for a figure are its rows of
+:data:`~repro.analysis.paper_claims.PAPER_CLAIMS` (``figure`` ==
+``EXPERIMENT_ID``), which ``benchmarks/test_figures.py`` gates.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ from ..analysis.comparison import ComparisonSlice
 from ..analysis.tables import format_series_table
 from ..sim.metrics import BucketedSeries
 
-__all__ = ["Figure", "fig2_download_distance", "fig3_search_traffic", "fig4_success_rate"]
+__all__ = [
+    "FIGURES",
+    "Figure",
+    "fig2_download_distance",
+    "fig3_search_traffic",
+    "fig4_success_rate",
+]
 
 
 @dataclass(frozen=True)
@@ -68,3 +75,6 @@ fig4_success_rate = Figure(
     "fig4", "Figure 4: Comparison of success rate",
     "success rate (fraction of submitted queries satisfied)", "success_rate",
 )
+
+#: The three figures, in the paper's order.
+FIGURES = (fig2_download_distance, fig3_search_traffic, fig4_success_rate)

@@ -2,9 +2,10 @@
 
 A reproduction that passes on one lucky seed proves little.  This
 module re-runs the four-protocol comparison across several master
-seeds and reports, per §5.2 claim, how often it holds — plus the
-spread of the headline quantities (traffic reduction, distance
-reduction, success-rate ordering margins).
+seeds and reports how often each row of
+:data:`~repro.analysis.paper_claims.PAPER_CLAIMS` holds, plus the
+spread of the headline number of every row that names one (traffic
+reduction, distance reduction, success-rate margins).
 
 The seeds × protocols grid is a one-scenario
 :class:`~repro.experiments.grid.GridSpec` executed by the one sweep
@@ -21,11 +22,8 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
-from ..analysis.comparison import (
-    check_paper_claims,
-    comparison_slice,
-    relative_change,
-)
+from ..analysis.comparison import comparison_slice
+from ..analysis.paper_claims import PAPER_CLAIMS, check_paper_claims
 from ..analysis.tables import format_percent, format_table
 from ..sim.config import SimulationConfig
 from .grid import GridReport, GridSpec, execute_cells
@@ -37,15 +35,20 @@ __all__ = ["SeedSweepResult", "run_seed_sweep"]
 
 @dataclass
 class SeedSweepResult:
-    """Claim pass-rates and headline spreads across seeds."""
+    """Claim pass-counts and headline spreads across seeds, one entry
+    per row of the claim table."""
 
     seeds: list[int]
     max_queries: int
-    claim_passes: dict[str, int] = field(default_factory=dict)
-    traffic_reductions: list[float] = field(default_factory=list)
-    distance_reductions: list[float] = field(default_factory=list)
-    locaware_vs_dicas: list[float] = field(default_factory=list)
-    locaware_vs_dicas_keys: list[float] = field(default_factory=list)
+    claim_passes: dict[str, int] = field(
+        default_factory=lambda: {claim.statement: 0 for claim in PAPER_CLAIMS}
+    )
+    spreads: dict[str, list[float]] = field(
+        default_factory=lambda: {
+            claim.spread: [] for claim in PAPER_CLAIMS if claim.spread
+        }
+    )
+    """spread label → the row's headline value per seed."""
 
     @property
     def num_seeds(self) -> int:
@@ -80,14 +83,7 @@ class SeedSweepResult:
         )
         spreads = format_table(
             ["quantity", "min", "mean", "max"],
-            [
-                _spread_row("traffic reduction vs flooding", self.traffic_reductions),
-                _spread_row("distance reduction vs flooding", self.distance_reductions),
-                _spread_row("locaware vs dicas success", self.locaware_vs_dicas),
-                _spread_row(
-                    "locaware vs dicas-keys success", self.locaware_vs_dicas_keys
-                ),
-            ],
+            [_spread_row(label, values) for label, values in self.spreads.items()],
         )
         return f"{header}\n\n{spreads}"
 
@@ -141,30 +137,9 @@ def run_seed_sweep(
 
     sweep = SeedSweepResult(seeds=list(seeds), max_queries=max_queries)
     for seed in seeds:
-        result = comparison_slice(report, "baseline", seed)
-        summaries = result.summaries()
-        checks = check_paper_claims(summaries, result.series())
-        for check in checks:
-            sweep.claim_passes.setdefault(check.claim, 0)
-            if check.holds:
-                sweep.claim_passes[check.claim] += 1
-        flooding = summaries["flooding"]
-        locaware = summaries["locaware"]
-        sweep.traffic_reductions.append(
-            -relative_change(locaware.mean_messages, flooding.mean_messages)
-        )
-        sweep.distance_reductions.append(
-            -relative_change(
-                locaware.mean_download_distance_ms,
-                flooding.mean_download_distance_ms,
-            )
-        )
-        sweep.locaware_vs_dicas.append(
-            relative_change(locaware.success_rate, summaries["dicas"].success_rate)
-        )
-        sweep.locaware_vs_dicas_keys.append(
-            relative_change(
-                locaware.success_rate, summaries["dicas-keys"].success_rate
-            )
-        )
+        checks = check_paper_claims(comparison_slice(report, "baseline", seed))
+        for claim, check in zip(PAPER_CLAIMS, checks):
+            sweep.claim_passes[claim.statement] += check.holds
+            if claim.spread:
+                sweep.spreads[claim.spread].append(check.value)
     return sweep

@@ -1,16 +1,19 @@
 """Unit tests for analysis: collectors, tables, claim checks."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis import (
+    PAPER_CLAIMS,
     check_paper_claims,
     collect_series,
     format_percent,
     format_series_table,
     format_table,
     relative_change,
+    render_claim_lines,
     summarize_outcomes,
 )
 from repro.analysis.collectors import OutcomeSummary
@@ -124,79 +127,156 @@ class TestTables:
         assert format_percent(math.nan) == "n/a"
 
 
+def paper_slice(
+    loc_dist=200.0,
+    loc_rate=0.5,
+    dicas_rate=0.4,
+    keys_rate=0.35,
+    keys_msgs=50.0,
+    locaware_trend=(-0.2),
+):
+    """A hand-made comparison slice with the paper's shape."""
+    from repro.analysis import ComparisonSlice, MetricSeries
+    from repro.sim import BucketedSeries
+
+    def summary(dist, msgs, rate):
+        return OutcomeSummary(
+            queries=100,
+            successes=int(rate * 100),
+            success_rate=rate,
+            mean_messages=msgs,
+            mean_download_distance_ms=dist,
+            mean_responses=1.0,
+        )
+
+    def series(name):
+        distance = BucketedSeries("d", 10)
+        start = 300.0
+        end = start * (1 + locaware_trend) if name == "locaware" else start
+        for i in range(1, 11):
+            distance.record(i, start)
+        for i in range(11, 21):
+            distance.record(i, end)
+        traffic = BucketedSeries("t", 10)
+        success = BucketedSeries("s", 10)
+        for i in range(1, 21):
+            traffic.record(i, 10.0)
+            success.record(i, 1.0)
+        return MetricSeries(distance, traffic, success)
+
+    summaries = {
+        "flooding": summary(370.0, 1000.0, 0.9),
+        "dicas": summary(350.0, 50.0, dicas_rate),
+        "dicas-keys": summary(350.0, keys_msgs, keys_rate),
+        "locaware": summary(loc_dist, 50.0, loc_rate),
+    }
+    runs = {
+        name: SimpleNamespace(summary=s, series=series(name))
+        for name, s in summaries.items()
+    }
+    return ComparisonSlice("baseline", 1, runs)
+
+
+def check(checks, fragment):
+    """The one check whose statement contains ``fragment``."""
+    (found,) = [c for c in checks if fragment in c.claim]
+    return found
+
+
 class TestClaimChecks:
-    @staticmethod
-    def summaries(loc_dist=200.0, loc_rate=0.5, dicas_rate=0.4, keys_rate=0.35):
-        def summary(dist, msgs, rate):
-            return OutcomeSummary(
-                queries=100,
-                successes=int(rate * 100),
-                success_rate=rate,
-                mean_messages=msgs,
-                mean_download_distance_ms=dist,
-                mean_responses=1.0,
-            )
-
-        return {
-            "flooding": summary(370.0, 1000.0, 0.9),
-            "dicas": summary(350.0, 50.0, dicas_rate),
-            "dicas-keys": summary(350.0, 50.0, keys_rate),
-            "locaware": summary(loc_dist, 50.0, loc_rate),
-        }
-
-    @staticmethod
-    def series(locaware_trend=(-0.2)):
-        from repro.analysis import MetricSeries
-        from repro.sim import BucketedSeries
-
-        out = {}
-        for name in ("flooding", "dicas", "dicas-keys", "locaware"):
-            distance = BucketedSeries("d", 10)
-            start = 300.0
-            end = start * (1 + locaware_trend) if name == "locaware" else start
-            for i in range(1, 11):
-                distance.record(i, start)
-            for i in range(11, 21):
-                distance.record(i, end)
-            traffic = BucketedSeries("t", 10)
-            success = BucketedSeries("s", 10)
-            for i in range(1, 21):
-                traffic.record(i, 10.0)
-                success.record(i, 1.0)
-            out[name] = MetricSeries(distance, traffic, success)
-        return out
-
     def test_all_claims_pass_on_paper_shaped_data(self):
-        checks = check_paper_claims(self.summaries(), self.series())
-        assert len(checks) == 7
+        checks = check_paper_claims(paper_slice())
+        assert [c.claim for c in checks] == [c.statement for c in PAPER_CLAIMS]
         assert all(c.holds for c in checks)
 
     def test_distance_claim_fails_when_locaware_worse(self):
-        checks = check_paper_claims(
-            self.summaries(loc_dist=400.0), self.series()
-        )
-        fig2 = next(c for c in checks if "below every baseline" in c.claim)
-        assert not fig2.holds
+        checks = check_paper_claims(paper_slice(loc_dist=400.0))
+        assert not check(checks, "below every baseline").holds
 
     def test_trend_claim_fails_when_flat(self):
-        checks = check_paper_claims(
-            self.summaries(), self.series(locaware_trend=0.0)
-        )
-        trend = next(c for c in checks if "improves" in c.claim)
-        assert not trend.holds
+        checks = check_paper_claims(paper_slice(locaware_trend=0.0))
+        assert not check(checks, "improves").holds
 
     def test_success_ordering_claims(self):
-        checks = check_paper_claims(
-            self.summaries(loc_rate=0.3, dicas_rate=0.4), self.series()
+        checks = check_paper_claims(paper_slice(loc_rate=0.3, dicas_rate=0.4))
+        assert not check(checks, "beats Dicas on").holds
+
+    def test_every_caching_protocol_must_cut_traffic(self):
+        checks = check_paper_claims(paper_slice(keys_msgs=120.0))
+        assert not check(checks, "dicas-keys cuts").holds
+        assert check(checks, "dicas cuts").holds
+        assert check(checks, "within 3x").holds
+
+    def test_caching_protocols_must_stay_within_3x(self):
+        checks = check_paper_claims(paper_slice(keys_msgs=95.0))
+        spread = check(checks, "within 3x")
+        assert spread.holds and spread.value == pytest.approx(1.9)
+        checks = check_paper_claims(paper_slice(keys_msgs=150.0))
+        spread = check(checks, "within 3x")
+        assert not spread.holds
+        assert spread.detail.startswith("max/min = 3.00x (dicas=50.0, ")
+
+    def test_headline_values_are_the_spread_quantities(self):
+        checks = check_paper_claims(paper_slice())
+        assert check(checks, "locaware cuts").value == pytest.approx(0.95)
+        assert check(checks, "below every baseline").value == pytest.approx(
+            170.0 / 370.0
         )
-        vs_dicas = next(c for c in checks if "beats Dicas on" in c.claim)
-        assert not vs_dicas.holds
+        assert check(checks, "beats Dicas on").value == pytest.approx(0.25)
+
+    def test_figure_selects_its_rows(self):
+        for figure in ("fig2", "fig3", "fig4"):
+            checks = check_paper_claims(paper_slice(), figure)
+            assert [c.claim for c in checks] == [
+                c.statement for c in PAPER_CLAIMS if c.figure == figure
+            ]
+            assert checks
+            assert all(c.claim.startswith(f"Fig{figure[-1]}:") for c in checks)
+        assert check_paper_claims(paper_slice(), "fig9") == []
 
     def test_missing_protocol_rejected(self):
-        summaries = self.summaries()
-        del summaries["dicas"]
-        with pytest.raises(ValueError):
-            check_paper_claims(summaries, self.series())
+        result = paper_slice()
+        del result.runs["dicas"]
+        with pytest.raises(ValueError, match="dicas"):
+            check_paper_claims(result)
+
+    def test_equal_checks_compare_equal_despite_nan_values(self):
+        a = check_paper_claims(paper_slice())
+        b = check_paper_claims(paper_slice())
+        assert a == b
+        assert math.isnan(check(a, "flooding has the best").value)
+
+
+class TestClaimTable:
+    """The one declaration every claim surface reads."""
+
+    def test_rows_are_unique_and_belong_to_a_figure(self):
+        from repro.experiments import FIGURES
+
+        statements = [c.statement for c in PAPER_CLAIMS]
+        assert len(set(statements)) == len(statements)
+        ids = [figure.EXPERIMENT_ID for figure in FIGURES]
+        assert {c.figure for c in PAPER_CLAIMS} == set(ids)
+        # Rows run in figure order, so every surface prints them so.
+        assert [c.figure for c in PAPER_CLAIMS] == sorted(
+            (c.figure for c in PAPER_CLAIMS), key=ids.index
+        )
+
+    def test_spread_labels_are_unique(self):
+        labels = [c.spread for c in PAPER_CLAIMS if c.spread]
+        assert len(set(labels)) == len(labels) == 4
+
+    def test_render_claim_lines(self):
+        from repro.analysis import ClaimCheck
+
+        checks = [
+            ClaimCheck("A", True, "a detail", 0.5),
+            ClaimCheck("B", False, "b detail", math.nan),
+        ]
+        assert render_claim_lines(checks) == (
+            "[PASS] A\n       a detail\n[FAIL] B\n       b detail\n"
+            "\n1/2 paper claims hold"
+        )
 
 
 class TestRelativeChange:

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.analysis import (
+    PAPER_CLAIMS,
     check_paper_claims,
     claims_report,
     comparison_report,
@@ -62,8 +63,10 @@ class TestMarkdown:
 
     def test_claims_report_lists_all_claims(self, comparison):
         text = claims_report(comparison)
+        for claim in PAPER_CLAIMS:
+            assert f"| {claim.statement} | " in text
         assert text.count("Fig2") == 2
-        assert text.count("Fig3") == 2
+        assert text.count("Fig3") == 4
         assert text.count("Fig4") == 3
 
 
@@ -150,9 +153,7 @@ class TestGridReportDocuments:
         live = comparison_slice(comparison_report_run)
         loaded = comparison_slice(_roundtrip(comparison_report_run))
         assert loaded.bucket_edges() == live.bucket_edges()
-        assert check_paper_claims(
-            loaded.summaries(), loaded.series()
-        ) == check_paper_claims(live.summaries(), live.series())
+        assert check_paper_claims(loaded) == check_paper_claims(live)
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError, match="not a grid-report"):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.analysis import PAPER_CLAIMS
 from repro.cli import build_parser, main
 
 
@@ -137,6 +138,15 @@ class TestSweepCommand:
             assert args.protocols == ["flooding", "dicas", "dicas-keys", "locaware"]
             assert (args.queries, args.bucket, args.config) == (200, None, "paper")
 
+    def test_seed_sweep_tallies_the_claim_table(self):
+        code, text = run_cli("seed-sweep", "--seeds", "11", "--queries", "40")
+        assert code in (0, 1)
+        for claim in PAPER_CLAIMS:
+            assert f"{claim.statement}  " in text
+            if claim.spread:
+                assert f"{claim.spread}  " in text
+        assert text.count("/1\n") == len(PAPER_CLAIMS)
+
     def test_seed_sweep_parses(self):
         args = build_parser().parse_args(["seed-sweep", "--seeds", "1", "2"])
         assert args.command == "seed-sweep"
@@ -173,7 +183,11 @@ class TestRoundtrip:
         assert code in (0, 1)
         assert "paper claims hold" in text
         assert claim_lines(text) == claim_lines(figures_text)
-        assert len(claim_lines(text)) == 14
+        assert claim_lines(text)[::2] == [
+            line[:7] + claim.statement
+            for line, claim in zip(claim_lines(text)[::2], PAPER_CLAIMS)
+        ]
+        assert len(claim_lines(text)) == 2 * len(PAPER_CLAIMS)
 
     def test_report_load(self, saved):
         code, text = run_cli("report", "--load", str(saved[0]))

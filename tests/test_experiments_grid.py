@@ -615,7 +615,7 @@ class TestSeedSweepOnGridEngine:
     """`run_seed_sweep` is now a one-scenario grid — same results."""
 
     def test_matches_direct_comparison(self):
-        from repro.analysis.comparison import check_paper_claims
+        from repro.analysis import ComparisonSlice, check_paper_claims
         from repro.experiments import (
             DEFAULT_PROTOCOL_ORDER,
             run_protocol,
@@ -630,10 +630,7 @@ class TestSeedSweepOnGridEngine:
             )
             for name in DEFAULT_PROTOCOL_ORDER
         }
-        checks = check_paper_claims(
-            {name: run.summary for name, run in direct.items()},
-            {name: run.series for name, run in direct.items()},
-        )
+        checks = check_paper_claims(ComparisonSlice("baseline", 11, direct))
         assert sweep.claim_passes == {
             check.claim: (1 if check.holds else 0) for check in checks
         }
@@ -645,7 +642,7 @@ class TestSeedSweepOnGridEngine:
         serial = run_seed_sweep([11, 12], base=base, max_queries=30)
         parallel = run_seed_sweep([11, 12], base=base, max_queries=30, workers=3)
         assert serial.claim_passes == parallel.claim_passes
-        assert serial.traffic_reductions == parallel.traffic_reductions
+        assert repr(serial.spreads) == repr(parallel.spreads)
 
 
 def _blueprint_probe(fingerprint):

@@ -65,7 +65,7 @@ class TestMarkdown:
         text = claims_report(comparison)
         for claim in PAPER_CLAIMS:
             assert f"| {claim.statement} | " in text
-        assert text.count("Fig2") == 2
+        assert text.count("Fig2") == 3
         assert text.count("Fig3") == 4
         assert text.count("Fig4") == 3
 

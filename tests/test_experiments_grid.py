@@ -615,7 +615,7 @@ class TestSeedSweepOnGridEngine:
     """`run_seed_sweep` is now a one-scenario grid — same results."""
 
     def test_matches_direct_comparison(self):
-        from repro.analysis import ComparisonSlice, check_paper_claims
+        from repro.analysis import PAPER_CLAIMS, ComparisonSlice, check_paper_claims
         from repro.experiments import (
             DEFAULT_PROTOCOL_ORDER,
             run_protocol,
@@ -634,6 +634,11 @@ class TestSeedSweepOnGridEngine:
         assert sweep.claim_passes == {
             check.claim: (1 if check.holds else 0) for check in checks
         }
+        assert repr(sweep.spreads) == repr({
+            claim.spread: [check.value]
+            for claim, check in zip(PAPER_CLAIMS, checks)
+            if claim.spread
+        })
 
     def test_workers_do_not_change_the_tally(self):
         from repro.experiments import run_seed_sweep

@@ -30,29 +30,6 @@ class TestRunSeedSweep:
         for value in sweep.spreads["traffic reduction vs flooding"]:
             assert 0.0 < value < 1.0  # caching always reduces traffic
 
-    def test_tally_and_spreads_are_the_per_seed_claim_checks(self, sweep):
-        from repro.analysis import check_paper_claims, comparison_slice
-        from repro.experiments import GridRunner, GridSpec
-
-        base = small_config(seed=0).replace(query_rate_per_peer=0.02)
-        report = GridRunner(
-            GridSpec(base_config=base, seeds=(11, 12), max_queries=100,
-                     bucket_width=12)
-        ).run()
-        per_seed = [
-            check_paper_claims(comparison_slice(report, "baseline", seed))
-            for seed in (11, 12)
-        ]
-        for i, claim in enumerate(PAPER_CLAIMS):
-            checks = [seed_checks[i] for seed_checks in per_seed]
-            assert sweep.claim_passes[claim.statement] == sum(
-                c.holds for c in checks
-            )
-            if claim.spread:
-                assert repr(sweep.spreads[claim.spread]) == repr(
-                    [c.value for c in checks]
-                )
-
     def test_pass_rate(self, sweep):
         for claim in sweep.claim_passes:
             rate = sweep.pass_rate(claim)

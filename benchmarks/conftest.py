@@ -1,21 +1,26 @@
 """Shared fixtures for the benchmark harness.
 
-The figure benches all consume one four-protocol comparison run at the
-paper's §5.1 configuration; it is computed once per session.  Scale is
-tunable through environment variables so CI can run a cheap pass:
+``test_figures.py`` gates Figures 2-4 on one four-protocol comparison
+run at the paper's §5.1 configuration, computed once per session;
+``test_ablations.py`` runs every entry of the ablation table
+(``repro.experiments.ablations.ABLATIONS``) and gates it on its claim
+rows.  Scale is tunable through environment variables so CI can run a
+cheap pass:
 
-- ``REPRO_BENCH_QUERIES``  — query horizon per protocol (default 1500);
-- ``REPRO_BENCH_ABLATION_QUERIES`` — per-run horizon for ablation
-  sweeps (default 400);
-- ``REPRO_BENCH_SEED``     — master seed (default: the paper-date seed);
+- ``REPRO_BENCH_QUERIES``  — figure-bench query horizon per protocol
+  (default 1500);
+- ``REPRO_BENCH_ABLATION_QUERIES`` — ablation-bench horizon per run
+  (default 400; ``test_ablations.py`` shortens A4's and A8's);
+- ``REPRO_BENCH_SEED``     — master seed of the figure bench (default:
+  the paper-date seed; the ablation bench runs ``paper_config()``'s);
 - ``REPRO_BENCH_STORE_CELLS`` — cell count for the store-backend
   crossover bench (default 10000).
 
-Output: every bench prints the regenerated figure/table through
-``capsys.disabled()`` so the series appear on the terminal (and in
-``bench_output.txt``) even under pytest's capture.  The perf benches
-also record their headline numbers in the tracked ``BENCH_*.json``
-files at the repo root, but only under ``REPRO_BENCH_WRITE=1`` (the CI
+Output: the figure and ablation benches print their figure or table
+through ``capsys.disabled()`` (the ``show`` fixture), so it appears on
+the terminal even under pytest's capture.  The perf benches also
+record their headline numbers in the tracked ``BENCH_*.json`` files at
+the repo root, but only under ``REPRO_BENCH_WRITE=1`` (the CI
 bench-smoke step sets it): a plain tier-1 run leaves the tree clean.
 
 Wall-clock gates use :func:`time_interleaved`: interleaved repeats, a

@@ -10,7 +10,8 @@ Subcommands:
   grid report (``--save``);
 - ``claims``   — evaluate the claim checks on a fresh run or a saved
   one-seed, one-row grid report;
-- ``ablation`` — run one ablation sweep (a1..a8, ext, ext2);
+- ``ablation`` — run one ablation sweep (a1..a8, ext, ext2) and check
+  its direction claims;
 - ``report``   — emit the markdown paper-vs-measured report;
 - ``sweep``    — run a protocol × scenario × seed grid (a storeless
   ``GridRunner``: each distinct topology is built once and
@@ -87,7 +88,7 @@ import argparse
 import contextlib
 import sys
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from .analysis import (
     ComparisonSlice,
@@ -115,20 +116,6 @@ from .experiments import (
 )
 
 __all__ = ["main", "build_parser"]
-
-_ABLATIONS: dict[str, Callable] = {
-    "a1": ablations.ablate_landmarks,
-    "a2": ablations.ablate_bloom_size,
-    "a3": ablations.ablate_cache_capacity,
-    "a4": ablations.ablate_ttl,
-    "a5": ablations.ablate_churn,
-    "a6": ablations.measure_bloom_overhead,
-    "a7": ablations.ablate_group_count,
-    "a8": ablations.ablate_substrate,
-    "ext": ablations.ablate_locaware_routing,
-    "ext2": ablations.ablate_popularity_shift,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests and docs)."""
@@ -163,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_load_option(claims)
 
     ablation = sub.add_parser("ablation", help="run one ablation sweep")
-    ablation.add_argument("id", choices=sorted(_ABLATIONS), help="ablation id")
+    ablation.add_argument("id", choices=list(ablations.ABLATIONS), help="ablation id")
     ablation.add_argument("--queries", type=int, default=400)
     ablation.add_argument("--seed", type=int, default=20090322)
 
@@ -614,14 +601,16 @@ def _cmd_claims(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_ablation(args: argparse.Namespace, out) -> int:
-    sweep = _ABLATIONS[args.id]
+    entry = ablations.ABLATIONS[args.id]
     try:
-        result = sweep(paper_config(seed=args.seed), max_queries=args.queries)
+        result = ablations.run_ablation(entry, paper_config(seed=args.seed), args.queries)
     except ValueError as error:
         print(f"error: {error}", file=out)
         return 2
+    checks = entry.check(result)
     print(result.render(), file=out)
-    return 0
+    print(render_claim_lines(checks), file=out)
+    return 1 if any(not check.holds for check in checks) else 0
 
 
 def _cmd_report(args: argparse.Namespace, out) -> int:
@@ -1315,7 +1304,7 @@ def _cmd_info(args: argparse.Namespace, out) -> int:
     from .scenarios import scenario_names
 
     print("\nProtocols:", ", ".join(PROTOCOL_REGISTRY), file=out)
-    print("Ablations:", ", ".join(sorted(_ABLATIONS)), file=out)
+    print("Ablations:", ", ".join(ablations.ABLATIONS), file=out)
     print("Scenarios:", ", ".join(scenario_names()), file=out)
     return 0
 

@@ -1,61 +1,64 @@
-"""Ablation experiments (DESIGN.md A1-A8 + the §6 and drift extensions).
+"""Ablation experiments (DESIGN.md A1-A8 + the §6 and drift extensions), declared once.
 
-Each ablation sweeps one design parameter the paper discusses and
-reports how the headline metrics move.  Every sweep is a grid: the
-driver declares one axis (config overrides or scenarios) over its
-protocols, a storeless :class:`~repro.experiments.grid.GridRunner`
-runs the cells, and the driver reads its columns off the runs.
+:data:`ABLATIONS` is the one table of them.  Each entry sweeps one
+design parameter the paper discusses and declares, once: its id and
+title, its protocols, its axis (config overrides or scenarios, with the
+labels the table prints), how its table is read off the runs, and the
+direction claims the table must satisfy.  :func:`run_ablation` runs
+any entry as a storeless :class:`~repro.experiments.grid.GridRunner`
+on the base config's seed; :meth:`Ablation.check` tests its claims on
+the resulting :class:`AblationResult`.
 
-- A1 ``ablate_landmarks`` — §5.1's landmark-count discussion (4
-  landmarks → 24 locIds vs 5 → 120: too many localities scatter peers
-  and locId matches vanish);
-- A2 ``ablate_bloom_size`` — §5.1's "1200 bits is an optimal
-  representation" sizing argument (too small → false positives
-  mislead routing; larger → no routing benefit, more update bits);
-- A3 ``ablate_cache_capacity`` — §4.1.2's storage-control knob; also
-  the regime where Dicas-Keys' duplicated indexes visibly pollute;
-- A4 ``ablate_ttl`` — the §5.1 TTL bound: scope vs traffic;
-- A5 ``ablate_churn`` — §3.1 dynamicity/staleness: Locaware's
-  multi-provider entries vs Dicas' single pointer;
-- A6 ``measure_bloom_overhead`` — §4.2 footnote: update messages must
-  stay within ~0.132 Kb;
-- A7 ``ablate_group_count`` — the Dicas M parameter: cache
-  concentration vs routing reachability;
-- A8 ``ablate_substrate`` — latency model × peer placement;
-- EXT ``ablate_locaware_routing`` — §6 future work: location-aware
-  *query routing* on top of Locaware (the ``locaware+locrouting``
-  protocol, so the grid's protocol axis);
-- EXT2 ``ablate_popularity_shift`` — the ``popularity-shift`` scenario.
+- A1 — §5.1's landmark-count discussion (4 landmarks → 24 locIds vs 5
+  → 120: too many localities scatter peers and locId matches vanish);
+- A2 — §5.1's "1200 bits is an optimal representation" sizing
+  argument (too small → false positives mislead routing; larger → no
+  routing benefit, more update bits);
+- A3 — §4.1.2's storage-control knob; also the regime where
+  Dicas-Keys' duplicated indexes visibly pollute;
+- A4 — the §5.1 TTL bound: scope vs traffic;
+- A5 — §3.1 dynamicity/staleness: Locaware's multi-provider entries vs
+  Dicas' single pointer;
+- A6 — §4.2 footnote: update messages must stay within ~0.132 Kb;
+- A7 — the Dicas M parameter: cache concentration vs routing
+  reachability;
+- A8 — latency model × peer placement (DESIGN.md substitution audit);
+- EXT — §6 future work: location-aware *query routing* on top of
+  Locaware (the ``locaware+locrouting`` protocol, so the grid's
+  protocol axis);
+- EXT2 — the ``popularity-shift`` scenario.
+
+A claim is a list of comparisons read off the table; it holds when
+there is at least one and every one holds, so a NaN fails its row.
+``repro ablation ID`` prints the table and its ``[PASS]`` / ``[FAIL]``
+lines, and ``benchmarks/test_ablations.py`` gates every entry on them.
 """
 
 from __future__ import annotations
 
+import enum
 import math
-from collections.abc import Mapping, Sequence
+import operator
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from functools import partial
+from typing import Any, NamedTuple
 
+from ..analysis.paper_claims import ClaimCheck
 from ..analysis.tables import format_table
 from ..bloom.params import false_positive_rate
-from ..net.underlay import Underlay
 from ..sim.config import SimulationConfig
-from ..sim.rng import RandomStreams
-from .grid import GridRunner, GridSpec
+from .grid import GridRunner, GridSpec, blueprint_for
 from .runner import ProtocolRun
 from .setup import paper_config
 
 __all__ = [
+    "ABLATIONS",
+    "Ablation",
+    "AblationClaim",
     "AblationResult",
-    "ablate_landmarks",
-    "ablate_bloom_size",
-    "ablate_cache_capacity",
-    "ablate_ttl",
-    "ablate_churn",
-    "measure_bloom_overhead",
-    "ablate_group_count",
-    "ablate_locaware_routing",
-    "ablate_popularity_shift",
-    "ablate_substrate",
+    "Comparison",
+    "run_ablation",
 ]
 
 
@@ -78,12 +81,65 @@ class AblationResult:
         return [row[index] for row in self.rows]
 
 
-#: Column suffix of a per-protocol table → the summary field it reads.
-_SUMMARY_COLUMNS = {
-    "success": "success_rate",
-    "dist_ms": "mean_download_distance_ms",
-    "msgs": "mean_messages",
-}
+Rows = list[list[ProtocolRun]]
+Reader = Callable[["Ablation", Rows], tuple[list[str], list[list[Any]]]]
+
+
+class Comparison(NamedTuple):
+    """One comparison a claim makes: ``lhs op rhs``, ``rhs`` being the
+    threshold already computed."""
+
+    what: str
+    lhs: float
+    op: str
+    rhs: float
+
+
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+@dataclass(frozen=True)
+class AblationClaim:
+    """One direction an ablation's table must show."""
+
+    text: str
+    compare: Callable[[AblationResult], list[Comparison]]
+
+
+@dataclass(frozen=True)
+class Ablation:
+    """One entry of :data:`ABLATIONS`."""
+
+    id: str
+    """The CLI id (``a1`` … ``ext2``); upper-cased, the table's title tag."""
+    title: str
+    protocols: tuple[str, ...]
+    read: Reader
+    """``(entry, runs per axis value)`` → ``(headers, table rows)``."""
+    claims: tuple[AblationClaim, ...]
+    axis_header: str = ""
+    labels: tuple[Any, ...] = (None,)
+    """The axis values as the table prints them (one baseline row by default)."""
+    override: Callable[[Any], Mapping[str, Any]] | None = None
+    """A label's config overrides."""
+    scenario: Callable[[Any], Any] | None = None
+    """A label's scenario, for an axis over scenarios instead."""
+
+    def check(self, result: AblationResult) -> list[ClaimCheck]:
+        """Every claim on ``result``, in table order."""
+        return [
+            _verdict(f"{self.id.upper()}: {claim.text}", claim.compare(result))
+            for claim in self.claims
+        ]
+
+
+def _verdict(statement: str, comparisons: list[Comparison]) -> ClaimCheck:
+    """A row holds when it made a comparison and every one holds."""
+    holds = bool(comparisons) and all(
+        _OPS[c.op](c.lhs, c.rhs) for c in comparisons
+    )
+    detail = "; ".join(f"{c.what}: {c.lhs:.4g} {c.op} {c.rhs:.4g}" for c in comparisons)
+    return ClaimCheck(statement, holds, detail or "no rows", math.nan)
 
 
 def _grid_rows(
@@ -92,10 +148,10 @@ def _grid_rows(
     protocols: Sequence[str],
     config_overrides: Sequence[Mapping[str, Any]] = ({},),
     scenarios: Sequence[Any] = ("baseline",),
-) -> list[list[ProtocolRun]]:
+) -> Rows:
     """Run one axis × ``protocols`` on ``base``'s seed as a storeless grid.
 
-    One row per axis value, in axis order (a driver varies
+    One row per axis value, in axis order (an entry varies
     ``config_overrides`` or ``scenarios``, never both); each row holds
     that value's runs in ``protocols`` order.
     """
@@ -116,76 +172,71 @@ def _grid_rows(
     ]
 
 
-def _protocol_table(
-    experiment_id: str, title: str, axis_header: str, labels: Sequence[Any],
-    columns: Sequence[str], base: SimulationConfig | None, max_queries: int,
-    protocols: Sequence[str], **axis: Sequence[Any],
+def run_ablation(
+    entry: Ablation, base: SimulationConfig | None, max_queries: int
 ) -> AblationResult:
-    """Run ``axis`` (see :func:`_grid_rows`) and tabulate it.
+    """Run ``entry``'s axis over its protocols on ``base``'s seed and
+    read its table (``base`` defaults to :func:`paper_config`).
 
-    One row per axis value: its label, then ``columns`` per protocol.
+    The grid validates the axis before any cell runs: a zero horizon,
+    an unknown protocol or a duplicate axis value is a ``ValueError``.
     """
-    headers = [axis_header] + [f"{p} {column}" for p in protocols for column in columns]
+    axis = {}
+    if entry.override is not None:
+        axis["config_overrides"] = [entry.override(label) for label in entry.labels]
+    if entry.scenario is not None:
+        axis["scenarios"] = [entry.scenario(label) for label in entry.labels]
+    headers, rows = entry.read(entry, _grid_rows(base, max_queries, entry.protocols, **axis))
+    return AblationResult(entry.id.upper(), entry.title, headers, rows)
+
+
+# --- readers ---------------------------------------------------------------
+
+#: Column suffix of a per-protocol table → the summary field it reads.
+_SUMMARY_COLUMNS = {
+    "success": "success_rate",
+    "dist_ms": "mean_download_distance_ms",
+    "msgs": "mean_messages",
+}
+
+
+def _per_protocol(columns: Sequence[str], entry: Ablation, rows: Rows):
+    """One row per axis value: its label, then ``columns`` per protocol."""
+    headers = [entry.axis_header] + [
+        f"{p} {column}" for p in entry.protocols for column in columns
+    ]
     fields = [_SUMMARY_COLUMNS[column] for column in columns]
-    rows = _grid_rows(base, max_queries, protocols, **axis)
-    return AblationResult(
-        experiment_id, title, headers,
+    return headers, [
+        [label] + [getattr(run.summary, f) for run in runs for f in fields]
+        for label, runs in zip(entry.labels, rows, strict=True)
+    ]
+
+
+def _read_landmarks(entry: Ablation, rows: Rows):
+    """A1: locId granularity, read off the world each run used."""
+    return (
+        [entry.axis_header, "locIds", "peers/locId", "locId matches", "success", "distance_ms"],
         [
-            [label] + [getattr(run.summary, f) for run in runs for f in fields]
-            for label, runs in zip(labels, rows, strict=True)
-        ],
-    )
-
-
-def ablate_landmarks(
-    base: SimulationConfig | None = None,
-    max_queries: int = 400,
-    counts: Sequence[int] = (2, 3, 4, 5),
-) -> AblationResult:
-    """A1 — number of landmarks (locId granularity)."""
-    overrides = [{"num_landmarks": count} for count in counts]
-    rows = _grid_rows(base, max_queries, ("locaware",), config_overrides=overrides)
-    result = AblationResult(
-        "A1",
-        "landmark count (locId granularity, §5.1 discussion)",
-        ["landmarks", "locIds", "peers/locId", "locId matches", "success", "distance_ms"],
-    )
-    for count, (run,) in zip(counts, rows, strict=True):
-        underlay = Underlay.build(
-            run.config.num_peers,
-            RandomStreams(run.config.seed).stream("underlay"),
-            num_landmarks=count,
-        )
-        result.rows.append(
             [
                 count,
                 math.factorial(count),
-                round(underlay.mean_peers_per_locid(), 1),
+                round(blueprint_for(run.config).underlay.mean_peers_per_locid(), 1),
                 int(run.metric_snapshot.get("counter.selection.locid_match", 0)),
                 run.summary.success_rate,
                 run.summary.mean_download_distance_ms,
             ]
-        )
-    return result
-
-
-def ablate_bloom_size(
-    base: SimulationConfig | None = None,
-    max_queries: int = 400,
-    sizes: Sequence[int] = (150, 300, 600, 1200, 2400),
-) -> AblationResult:
-    """A2 — Bloom filter size (routing accuracy vs update cost)."""
-    overrides = [{"bloom_bits": bits} for bits in sizes]
-    rows = _grid_rows(base, max_queries, ("locaware",), config_overrides=overrides)
-    result = AblationResult(
-        "A2",
-        "Bloom filter size (§5.1: 1200 bits for ~150 keywords)",
-        ["bits", "est_fpr", "bf matches", "success", "msgs/query", "update_bits"],
+            for count, (run,) in zip(entry.labels, rows, strict=True)
+        ],
     )
-    for bits, (run,) in zip(sizes, rows, strict=True):
+
+
+def _read_bloom_size(entry: Ablation, rows: Rows):
+    """A2: estimated FPR, BF routing matches, traffic and update size."""
+    table = []
+    for bits, (run,) in zip(entry.labels, rows, strict=True):
         config, snapshot = run.config, run.metric_snapshot
         expected_keywords = config.index_capacity * config.keywords_per_file
-        result.rows.append(
+        table.append(
             [
                 bits,
                 round(false_positive_rate(bits, config.bloom_hashes, expected_keywords), 4),
@@ -195,65 +246,12 @@ def ablate_bloom_size(
                 round(snapshot.get("summary.bloom.update_bits.mean", math.nan), 1),
             ]
         )
-    return result
+    return [entry.axis_header, "est_fpr", "bf matches", "success", "msgs/query", "update_bits"], table
 
 
-def ablate_cache_capacity(
-    base: SimulationConfig | None = None,
-    max_queries: int = 400,
-    capacities: Sequence[int] = (2, 5, 10, 25, 50),
-    protocols: Sequence[str] = ("dicas", "dicas-keys", "locaware"),
-) -> AblationResult:
-    """A3 — response-index capacity (§4.1.2 storage control)."""
-    return _protocol_table(
-        "A3", "response-index capacity (cache pressure; Dicas-Keys duplication)",
-        "capacity", capacities, ("success",), base, max_queries, protocols,
-        config_overrides=[{"index_capacity": capacity} for capacity in capacities],
-    )
-
-
-def ablate_ttl(
-    base: SimulationConfig | None = None,
-    max_queries: int = 300,
-    ttls: Sequence[int] = (3, 5, 7, 9),
-    protocols: Sequence[str] = ("flooding", "locaware"),
-) -> AblationResult:
-    """A4 — TTL bound: search scope vs traffic."""
-    return _protocol_table(
-        "A4", "TTL bound (scope vs traffic)",
-        "ttl", ttls, ("success", "msgs"), base, max_queries, protocols,
-        config_overrides=[{"ttl": ttl} for ttl in ttls],
-    )
-
-
-def ablate_churn(
-    base: SimulationConfig | None = None,
-    max_queries: int = 400,
-    mean_sessions: Sequence[float | None] = (None, 3600.0, 1200.0, 600.0),
-    protocols: Sequence[str] = ("dicas", "locaware"),
-) -> AblationResult:
-    """A5 — churn: stale single-provider pointers vs multi-provider entries.
-
-    ``None`` in ``mean_sessions`` means churn disabled.
-    """
-    overrides = [
-        {"churn_enabled": False} if s is None
-        else {"churn_enabled": True, "mean_session_s": s, "mean_downtime_s": s / 4.0}
-        for s in mean_sessions
-    ]
-    return _protocol_table(
-        "A5", "churn (index staleness; §4.1.2 motivation)",
-        "mean_session_s", ["off" if s is None else s for s in mean_sessions],
-        ("success",), base, max_queries, protocols, config_overrides=overrides,
-    )
-
-
-def measure_bloom_overhead(
-    base: SimulationConfig | None = None,
-    max_queries: int = 400,
-) -> AblationResult:
-    """A6 — §4.2 footnote: a BF update is at most 12 × 11 = 132 bits."""
-    ((run,),) = _grid_rows(base, max_queries, ("locaware",))
+def _read_bloom_overhead(entry: Ablation, rows: Rows):
+    """A6: one Locaware run's Bloom update traffic against §4.2's bound."""
+    ((run,),) = rows
     snapshot = run.metric_snapshot
     mean_bits = snapshot.get("summary.bloom.update_bits.mean", math.nan)
     update_count = snapshot.get("summary.bloom.update_bits.count", 0.0)
@@ -261,109 +259,305 @@ def measure_bloom_overhead(
     search_messages = snapshot.get("counter.messages.query", 0.0) + snapshot.get(
         "counter.messages.response", 0.0
     )
-    return AblationResult(
-        "A6",
-        "Bloom update overhead (§4.2 footnote: I = 132 bits per update)",
-        ["quantity", "value"],
-        [
-            ["bloom update pushes", int(update_count)],
-            ["bloom update messages", int(messages)],
-            ["mean update size (bits)", round(mean_bits, 1) if not math.isnan(mean_bits) else math.nan],
-            ["paper bound (bits)", 132],
-            ["search messages (for scale)", int(search_messages)],
-            ["bloom/search message ratio", round(messages / search_messages, 3) if search_messages else math.nan],
-        ],
-    )
-
-
-def ablate_group_count(
-    base: SimulationConfig | None = None,
-    max_queries: int = 400,
-    group_counts: Sequence[int] = (2, 4, 8, 16),
-    protocols: Sequence[str] = ("dicas", "locaware"),
-) -> AblationResult:
-    """A7 — group modulus M: concentration vs reachability."""
-    return _protocol_table(
-        "A7", "group count M (Dicas parameter)",
-        "M", group_counts, ("success", "msgs"), base, max_queries, protocols,
-        config_overrides=[{"group_count": m} for m in group_counts],
-    )
-
-
-def ablate_substrate(
-    base: SimulationConfig | None = None,
-    max_queries: int = 400,
-    protocols: Sequence[str] = ("flooding", "locaware"),
-) -> AblationResult:
-    """A8 — substrate sensitivity (DESIGN.md substitution audit).
-
-    The reproduction replaces BRITE with a metric-space latency model
-    and clusters peer placement.  This sweep re-runs the headline
-    protocols on every combination of latency model (Euclidean vs
-    Waxman router-level) and placement (clustered vs uniform) to check
-    that the paper's *shape* — Locaware's distance advantage at a
-    fraction of flooding's traffic — does not hinge on the substitution.
-    """
-    combos = [
-        {"latency_model": model, "peer_placement": placement}
-        for model in ("euclidean", "router")
-        for placement in ("clustered", "uniform")
+    return ["quantity", "value"], [
+        ["bloom update pushes", int(update_count)],
+        ["bloom update messages", int(messages)],
+        ["mean update size (bits)", round(mean_bits, 1) if not math.isnan(mean_bits) else math.nan],
+        ["paper bound (bits)", 132],
+        ["search messages (for scale)", int(search_messages)],
+        ["bloom/search message ratio", round(messages / search_messages, 3) if search_messages else math.nan],
     ]
-    return _protocol_table(
-        "A8", "substrate sensitivity (latency model x placement)",
-        "substrate", [f"{c['latency_model']}/{c['peer_placement']}" for c in combos],
-        ("success", "dist_ms", "msgs"), base, max_queries, protocols,
-        config_overrides=combos,
-    )
 
 
-def ablate_popularity_shift(
-    base: SimulationConfig | None = None,
-    max_queries: int = 400,
-    shift_intervals: Sequence[float | None] = (None, 1200.0, 300.0),
-    protocols: Sequence[str] = ("dicas", "locaware"),
-) -> AblationResult:
-    """EXT2 — popularity drift (temporal-locality stress).
-
-    Re-draws the Zipf rank assignment every ``interval`` virtual
-    seconds (``None`` = stationary).  Index caches chase a moving
-    popular set; §4.1.2's recency-based replacement is the mechanism
-    that lets them keep up.
-    """
-    scenarios = [
-        "baseline" if s is None else ("popularity-shift", {"interval_s": s})
-        for s in shift_intervals
-    ]
-    return _protocol_table(
-        "EXT2", "popularity drift (shifting Zipf workload)",
-        "shift_interval_s", ["stationary" if s is None else s for s in shift_intervals],
-        ("success",), base, max_queries, protocols, scenarios=scenarios,
-    )
-
-
-def ablate_locaware_routing(
-    base: SimulationConfig | None = None,
-    max_queries: int = 400,
-) -> AblationResult:
-    """EXT — §6 future work: location-aware query routing.
-
-    Compares stock Locaware against the variant that biases equally
-    eligible next hops towards the requestor's locality, both
-    instantiated from one built world.
-    """
-    (runs,) = _grid_rows(base, max_queries, ("locaware", "locaware+locrouting"))
-    return AblationResult(
-        "EXT",
-        "location-aware query routing (§6 future work)",
-        ["variant", "success", "distance_ms", "msgs/query", "locId matches"],
+def _read_variants(entry: Ablation, rows: Rows):
+    """EXT: one row per protocol variant, all on one world."""
+    (runs,) = rows
+    return ["variant", "success", "distance_ms", "msgs/query", "locId matches"], [
         [
-            [
-                run.protocol_name,
-                run.summary.success_rate,
-                run.summary.mean_download_distance_ms,
-                run.summary.mean_messages,
-                int(run.metric_snapshot.get("counter.selection.locid_match", 0)),
-            ]
-            for run in runs
-        ],
+            run.protocol_name,
+            run.summary.success_rate,
+            run.summary.mean_download_distance_ms,
+            run.summary.mean_messages,
+            int(run.metric_snapshot.get("counter.selection.locid_match", 0)),
+        ]
+        for run in runs
+    ]
+
+
+# --- claim comparisons -----------------------------------------------------
+
+
+class _Row(enum.Enum):
+    """A row named by its place in the table rather than by its label."""
+
+    FIRST = 0
+    LAST = -1
+
+
+def _cell(result: AblationResult, header: str, row: Any) -> tuple[str, float]:
+    """``header``'s value on ``row`` (a label or a :class:`_Row`), and
+    its name; NaN if the table has no such row."""
+    labels, values = result.column(result.headers[0]), result.column(header)
+    if isinstance(row, _Row) and labels:
+        row = labels[row.value]
+    name = f"{header}[{row.name.lower() if isinstance(row, _Row) else row}]"
+    return name, values[labels.index(row)] if row in labels else math.nan
+
+
+def _same(value: float) -> float:
+    return value
+
+
+def _vs(
+    lhs: tuple[str, Any], op: str, rhs: tuple[str, Any] | float,
+    result: AblationResult, *, bound: Callable[[float], float] = _same,
+) -> list[Comparison]:
+    """One cell against another cell's ``bound`` (or a constant)."""
+    what, value = _cell(result, *lhs)
+    if isinstance(rhs, tuple):
+        rhs_what, rhs_value = _cell(result, *rhs)
+        what = f"{what} vs {rhs_what}"
+        rhs = bound(rhs_value)
+    return [Comparison(what, value, op, rhs)]
+
+
+def _each_row(
+    header: str, op: str, rhs: str | float,
+    result: AblationResult, *, bound: Callable[[float], float] = _same,
+) -> list[Comparison]:
+    """``header`` against column ``rhs``'s ``bound`` (or a constant) on every row."""
+    labels, values = result.column(result.headers[0]), result.column(header)
+    limits = (
+        [bound(v) for v in result.column(rhs)] if isinstance(rhs, str)
+        else [rhs] * len(values)
     )
+    return [
+        Comparison(f"{header}[{label}]", value, op, limit)
+        for label, value, limit in zip(labels, values, limits, strict=True)
+    ]
+
+
+def _steps(header: str, op: str, result: AblationResult) -> list[Comparison]:
+    """Each row of ``header`` against the next: ``>=`` is falling, ``<=`` rising."""
+    labels, values = result.column(result.headers[0]), result.column(header)
+    return [
+        Comparison(f"{header}[{a}→{b}]", x, op, y)
+        for a, b, x, y in zip(labels, labels[1:], values, values[1:])
+    ]
+
+
+def _churn(session_s: Any) -> dict[str, Any]:
+    """A5: ``"off"``, or sessions of that mean with a quarter as downtime."""
+    if session_s == "off":
+        return {"churn_enabled": False}
+    return {"churn_enabled": True, "mean_session_s": session_s, "mean_downtime_s": session_s / 4.0}
+
+
+def _drift(interval_s: Any) -> Any:
+    """EXT2: ``"stationary"``, or a Zipf re-draw every ``interval_s``."""
+    if interval_s == "stationary":
+        return "baseline"
+    return ("popularity-shift", {"interval_s": interval_s})
+
+
+_SUBSTRATE_FIELDS = ("latency_model", "peer_placement")
+
+ABLATIONS: dict[str, Ablation] = {
+    entry.id: entry
+    for entry in (
+        Ablation(
+            "a1", "landmark count (locId granularity, §5.1 discussion)",
+            protocols=("locaware",),
+            axis_header="landmarks", labels=(2, 3, 4, 5),
+            override=lambda count: {"num_landmarks": count},
+            read=_read_landmarks,
+            claims=(
+                AblationClaim(
+                    "locality population shrinks as landmarks are added",
+                    partial(_steps, "peers/locId", ">="),
+                ),
+                AblationClaim(
+                    "every landmark count finds downloads",
+                    partial(_each_row, "success", ">", 0.0),
+                ),
+            ),
+        ),
+        Ablation(
+            "a2", "Bloom filter size (§5.1: 1200 bits for ~150 keywords)",
+            protocols=("locaware",),
+            axis_header="bits", labels=(150, 300, 600, 1200, 2400),
+            override=lambda bits: {"bloom_bits": bits},
+            read=_read_bloom_size,
+            claims=(
+                AblationClaim("FPR falls as bits grow", partial(_steps, "est_fpr", ">=")),
+                AblationClaim(
+                    "a saturated 150-bit filter costs at least 0.95x the "
+                    "traffic of the paper's 1200 bits",
+                    partial(_vs, ("msgs/query", 150), ">=", ("msgs/query", 1200),
+                            bound=lambda msgs: msgs * 0.95),
+                ),
+                AblationClaim(
+                    "every filter size finds downloads",
+                    partial(_each_row, "success", ">", 0.0),
+                ),
+            ),
+        ),
+        Ablation(
+            "a3", "response-index capacity (cache pressure; Dicas-Keys duplication)",
+            protocols=("dicas", "dicas-keys", "locaware"),
+            axis_header="capacity", labels=(2, 5, 10, 25, 50),
+            override=lambda capacity: {"index_capacity": capacity},
+            read=partial(_per_protocol, ("success",)),
+            claims=(
+                AblationClaim(
+                    "more cache does not hurt: Locaware at 50 filenames keeps "
+                    "at least 0.9x its success at 2",
+                    partial(_vs, ("locaware success", 50), ">=", ("locaware success", 2),
+                            bound=lambda rate: rate * 0.9),
+                ),
+                AblationClaim(
+                    "every Dicas success rate is a rate (>= 0)",
+                    partial(_each_row, "dicas success", ">=", 0.0),
+                ),
+            ),
+        ),
+        Ablation(
+            "a4", "TTL bound (scope vs traffic)",
+            protocols=("flooding", "locaware"),
+            axis_header="ttl", labels=(3, 5, 7, 9),
+            override=lambda ttl: {"ttl": ttl},
+            read=partial(_per_protocol, ("success", "msgs")),
+            claims=(
+                AblationClaim(
+                    "flooding traffic grows with TTL",
+                    partial(_steps, "flooding msgs", "<="),
+                ),
+                AblationClaim(
+                    "at the largest TTL Locaware sends under a fifth of "
+                    "flooding's messages",
+                    partial(_vs, ("locaware msgs", _Row.LAST), "<",
+                            ("flooding msgs", _Row.LAST), bound=lambda msgs: msgs / 5),
+                ),
+                AblationClaim(
+                    "larger scope does not reduce flooding success",
+                    partial(_vs, ("flooding success", _Row.LAST), ">=",
+                            ("flooding success", _Row.FIRST)),
+                ),
+            ),
+        ),
+        Ablation(
+            "a5", "churn (index staleness; §4.1.2 motivation)",
+            protocols=("dicas", "locaware"),
+            axis_header="mean_session_s", labels=("off", 3600.0, 1200.0, 600.0),
+            override=_churn,
+            read=partial(_per_protocol, ("success",)),
+            claims=tuple(
+                AblationClaim(
+                    f"the heaviest churn does not beat the churn-free run "
+                    f"by more than 0.02 ({protocol})",
+                    partial(_vs, (f"{protocol} success", _Row.LAST), "<=",
+                            (f"{protocol} success", "off"), bound=lambda rate: rate + 0.02),
+                )
+                for protocol in ("dicas", "locaware")
+            ),
+        ),
+        Ablation(
+            "a6", "Bloom update overhead (§4.2 footnote: I = 132 bits per update)",
+            protocols=("locaware",),
+            read=_read_bloom_overhead,
+            claims=(
+                AblationClaim(
+                    "the run exercises Bloom updates",
+                    partial(_vs, ("value", "bloom update pushes"), ">", 0),
+                ),
+                AblationClaim(
+                    "the mean update stays within 4x the paper's 132-bit bound",
+                    partial(_vs, ("value", "mean update size (bits)"), "<=", 4 * 132),
+                ),
+                AblationClaim(
+                    "Bloom maintenance sends fewer messages than search",
+                    partial(_vs, ("value", "bloom/search message ratio"), "<", 1.0),
+                ),
+            ),
+        ),
+        Ablation(
+            "a7", "group count M (Dicas parameter)",
+            protocols=("dicas", "locaware"),
+            axis_header="M", labels=(2, 4, 8, 16),
+            override=lambda m: {"group_count": m},
+            read=partial(_per_protocol, ("success", "msgs")),
+            claims=(
+                AblationClaim(
+                    "broad Dicas groups (M=2) cost at least the traffic of narrow ones (M=16)",
+                    partial(_vs, ("dicas msgs", 2), ">=", ("dicas msgs", 16)),
+                ),
+                AblationClaim(
+                    "every M finds Locaware downloads",
+                    partial(_each_row, "locaware success", ">", 0.0),
+                ),
+            ),
+        ),
+        Ablation(
+            "a8", "substrate sensitivity (latency model x placement)",
+            protocols=("flooding", "locaware"),
+            axis_header="substrate",
+            labels=tuple(
+                f"{model}/{placement}"
+                for model in ("euclidean", "router")
+                for placement in ("clustered", "uniform")
+            ),
+            override=lambda label: dict(zip(_SUBSTRATE_FIELDS, label.split("/"), strict=True)),
+            read=partial(_per_protocol, ("success", "dist_ms", "msgs")),
+            claims=(
+                AblationClaim(
+                    "Locaware downloads closer than flooding on every substrate",
+                    partial(_each_row, "locaware dist_ms", "<", "flooding dist_ms"),
+                ),
+                AblationClaim(
+                    "Locaware sends under a fifth of flooding's messages on every substrate",
+                    partial(_each_row, "locaware msgs", "<", "flooding msgs",
+                            bound=lambda msgs: msgs / 5),
+                ),
+            ),
+        ),
+        Ablation(
+            "ext", "location-aware query routing (§6 future work)",
+            protocols=("locaware", "locaware+locrouting"),
+            read=_read_variants,
+            claims=(
+                AblationClaim(
+                    "location-aware routing keeps at least 0.7x Locaware's success",
+                    partial(_vs, ("success", "locaware+locrouting"), ">=",
+                            ("success", "locaware"), bound=lambda rate: rate * 0.7),
+                ),
+                AblationClaim(
+                    "location-aware routing's distance stays within 1.25x Locaware's",
+                    partial(_vs, ("distance_ms", "locaware+locrouting"), "<=",
+                            ("distance_ms", "locaware"), bound=lambda ms: ms * 1.25),
+                ),
+            ),
+        ),
+        Ablation(
+            "ext2", "popularity drift (shifting Zipf workload)",
+            protocols=("dicas", "locaware"),
+            axis_header="shift_interval_s", labels=("stationary", 1200.0, 300.0),
+            scenario=_drift,
+            read=partial(_per_protocol, ("success",)),
+            claims=(
+                AblationClaim(
+                    "the fastest drift does not beat a stationary workload "
+                    "by more than 0.05 (Locaware)",
+                    partial(_vs, ("locaware success", _Row.LAST), "<=",
+                            ("locaware success", "stationary"), bound=lambda rate: rate + 0.05),
+                ),
+                AblationClaim(
+                    "every Dicas success rate lies in [0, 1]",
+                    lambda result: (
+                        _each_row("dicas success", ">=", 0.0, result)
+                        + _each_row("dicas success", "<=", 1.0, result)
+                    ),
+                ),
+            ),
+        ),
+    )
+}

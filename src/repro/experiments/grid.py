@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import Any
 
 from ..analysis.persistence import grid_cell_to_document, load_grid_cell_document
-from ..overlay.blueprint import BlueprintCache
+from ..overlay.blueprint import BlueprintCache, NetworkBlueprint
 from ..results import (
     DEFAULT_LEASE_TTL_S,
     ClaimStore,
@@ -77,6 +77,7 @@ __all__ = [
     "GridRunner",
     "GridWorkerPool",
     "NonFiniteValueError",
+    "blueprint_for",
     "execute_cells",
     "parse_scalar",
 ]
@@ -97,6 +98,12 @@ _BLUEPRINT_CACHE_PEERS = 8000
 _BLUEPRINT_CACHE = BlueprintCache(
     max_peers=_BLUEPRINT_CACHE_PEERS, max_worlds=_BLUEPRINT_CACHE_WORLDS
 )
+
+
+def blueprint_for(config: SimulationConfig) -> NetworkBlueprint:
+    """The world a cell of ``config`` runs on: this process's cached
+    blueprint for it, built only if it is not (or no longer) cached."""
+    return _BLUEPRINT_CACHE.get(config)
 
 
 class NonFiniteValueError(ValueError):
@@ -678,7 +685,7 @@ def _run_cell(
     # one build across the protocols of their row.  In a fork worker
     # this is a pure hit on the parent's prewarmed cache; otherwise the
     # world is built here at most once per fingerprint per process.
-    blueprint = _BLUEPRINT_CACHE.get(scenario.configure(config))
+    blueprint = blueprint_for(scenario.configure(config))
     run = run_protocol(
         config,
         cell.protocol,

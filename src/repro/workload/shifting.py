@@ -10,8 +10,8 @@ the skew but rotating which files are hot.
 This stresses precisely the machinery §4.1.2 argues for: recency-based
 replacement lets response indexes follow the popular set, while a
 frozen cache would keep serving yesterday's hits.  The paper does not
-evaluate drift; this is a reproduction extension (bench
-``test_ext_popularity_shift``).
+evaluate drift; this is a reproduction extension (ablation EXT2,
+``repro ablation ext2``).
 """
 
 from __future__ import annotations

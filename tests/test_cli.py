@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import io
 import json
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.analysis import PAPER_CLAIMS
 from repro.cli import build_parser, main
+from repro.experiments.ablations import ABLATIONS, AblationClaim
 
 
 def run_cli(*argv):
@@ -31,9 +33,7 @@ class TestParser:
         assert args.save is None
 
     def test_ablation_ids(self):
-        for ablation_id in (
-            "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "ext", "ext2"
-        ):
+        for ablation_id in ABLATIONS:
             args = build_parser().parse_args(["ablation", ablation_id])
             assert args.id == ablation_id
         with pytest.raises(SystemExit):
@@ -43,6 +43,30 @@ class TestParser:
         code, text = run_cli("ablation", "a6", "--queries", "0")
         assert code == 2
         assert text == "error: max_queries must be >= 1, got 0\n"
+
+
+class TestAblationCommand:
+    def test_prints_the_table_then_one_line_per_row(self):
+        code, text = run_cli("ablation", "a6", "--queries", "20")
+        assert text.startswith("A6: Bloom update overhead")
+        lines = [line for line in text.splitlines() if line.startswith("[")]
+        assert [line.split("] ", 1)[1] for line in lines] == [
+            f"A6: {claim.text}" for claim in ABLATIONS["a6"].claims
+        ]
+        held = sum(line.startswith("[PASS]") for line in lines)
+        assert text.endswith(f"\n{held}/{len(lines)} paper claims hold\n")
+        assert code == (0 if held == len(lines) else 1)
+
+    def test_a_failing_row_prints_fail_and_exits_1(self, monkeypatch):
+        never = AblationClaim("a row no table satisfies", lambda result: [])
+        monkeypatch.setitem(
+            ABLATIONS, "a6",
+            dataclasses.replace(ABLATIONS["a6"], claims=(never,)),
+        )
+        code, text = run_cli("ablation", "a6", "--queries", "20")
+        assert code == 1
+        assert "[FAIL] A6: a row no table satisfies\n       no rows\n" in text
+        assert text.endswith("\n0/1 paper claims hold\n")
 
 
 class TestInfo:
@@ -60,6 +84,10 @@ class TestInfo:
         _, text = run_cli("info")
         assert f"Protocols: {', '.join(PROTOCOL_REGISTRY)}\n" in text
         assert "locaware+locrouting" in text
+
+    def test_info_lists_the_ablation_table(self):
+        _, text = run_cli("info")
+        assert f"Ablations: {', '.join(ABLATIONS)}\n" in text
 
 
 class TestSweepCommand:

@@ -1,29 +1,31 @@
-"""Tests for the ablation drivers (small-scale runs)."""
+"""Tests for the ablation table: small-scale runs and the claim rows."""
 
+import dataclasses
+import math
 
 import pytest
 
+from repro.analysis import ClaimCheck
 from repro.experiments import run_protocol, small_config
 from repro.experiments.ablations import (
+    ABLATIONS,
     AblationResult,
     _grid_rows,
-    ablate_bloom_size,
-    ablate_cache_capacity,
-    ablate_churn,
-    ablate_group_count,
-    ablate_landmarks,
-    ablate_locaware_routing,
-    ablate_substrate,
-    ablate_ttl,
-    measure_bloom_overhead,
+    run_ablation,
 )
 from repro.overlay import blueprint
+from repro.overlay.blueprint import NetworkBlueprint
 from test_determinism import run_fingerprint
 
 
 @pytest.fixture(scope="module")
 def base():
     return small_config(seed=13).replace(query_rate_per_peer=0.02)
+
+
+def narrowed(entry_id, **fields):
+    """Entry ``entry_id`` with ``fields`` replaced (a shorter axis, fewer protocols)."""
+    return dataclasses.replace(ABLATIONS[entry_id], **fields)
 
 
 class TestAblationResult:
@@ -42,21 +44,38 @@ class TestAblationResult:
 
 class TestSweeps:
     def test_landmarks(self, base):
-        result = ablate_landmarks(base, max_queries=60, counts=(2, 4))
+        result = run_ablation(narrowed("a1", labels=(2, 4)), base, 60)
         assert result.column("landmarks") == [2, 4]
         assert result.column("locIds") == [2, 24]
         peers_per = result.column("peers/locId")
         assert peers_per[0] > peers_per[1]
 
+    def test_landmarks_read_the_simulated_world(self, base):
+        """Regression: A1 rebuilt a default-substrate underlay for its
+        ``peers/locId`` column, so on a router-latency base it described
+        a world that was never simulated (10.0 / 5.5 here, not 4.6 / 4.0)."""
+        router = base.replace(latency_model="router")
+        before = blueprint.build_count()
+        result = run_ablation(narrowed("a1", labels=(4, 5)), router, 20)
+        assert blueprint.build_count() - before <= 2  # the cells' own worlds
+        assert result.column("peers/locId") == [
+            round(
+                NetworkBlueprint.build(router.replace(num_landmarks=count))
+                .underlay.mean_peers_per_locid(),
+                1,
+            )
+            for count in (4, 5)
+        ] == [4.6, 4.0]
+
     def test_bloom_size(self, base):
-        result = ablate_bloom_size(base, max_queries=60, sizes=(64, 512))
+        result = run_ablation(narrowed("a2", labels=(64, 512)), base, 60)
         fprs = result.column("est_fpr")
         assert fprs[0] > fprs[1]
         assert len(result.rows) == 2
 
     def test_cache_capacity(self, base):
-        result = ablate_cache_capacity(
-            base, max_queries=60, capacities=(2, 20), protocols=("dicas", "locaware")
+        result = run_ablation(
+            narrowed("a3", labels=(2, 20), protocols=("dicas", "locaware")), base, 60
         )
         assert result.headers == ["capacity", "dicas success", "locaware success"]
         for row in result.rows:
@@ -64,39 +83,39 @@ class TestSweeps:
                 assert 0.0 <= value <= 1.0
 
     def test_ttl(self, base):
-        result = ablate_ttl(base, max_queries=60, ttls=(2, 5))
+        result = run_ablation(narrowed("a4", labels=(2, 5)), base, 60)
         flood_msgs = result.column("flooding msgs")
         assert flood_msgs[0] < flood_msgs[1]
 
     def test_churn(self, base):
-        result = ablate_churn(
-            base, max_queries=60, mean_sessions=(None, 300.0), protocols=("locaware",)
+        result = run_ablation(
+            narrowed("a5", labels=("off", 300.0), protocols=("locaware",)), base, 60
         )
         assert result.rows[0][0] == "off"
         assert result.rows[1][0] == 300.0
 
     def test_bloom_overhead(self, base):
-        result = measure_bloom_overhead(base, max_queries=100)
+        result = run_ablation(ABLATIONS["a6"], base, 100)
         rows = dict(zip(result.column("quantity"), result.column("value")))
         assert rows["paper bound (bits)"] == 132
         if rows["bloom update pushes"] > 0:
             assert rows["mean update size (bits)"] <= base.bloom_bits
 
     def test_group_count(self, base):
-        result = ablate_group_count(
-            base, max_queries=60, group_counts=(2, 8), protocols=("dicas",)
+        result = run_ablation(
+            narrowed("a7", labels=(2, 8), protocols=("dicas",)), base, 60
         )
         assert result.column("M") == [2, 8]
 
     def test_locaware_routing_extension(self, base):
-        result = ablate_locaware_routing(base, max_queries=60)
+        result = run_ablation(ABLATIONS["ext"], base, 60)
         assert result.column("variant") == ["locaware", "locaware+locrouting"]
         for rate in result.column("success"):
             assert 0.0 <= rate <= 1.0
 
     def test_substrate(self, base):
         before = blueprint.build_count()
-        result = ablate_substrate(base, max_queries=40, protocols=("flooding", "locaware"))
+        result = run_ablation(ABLATIONS["a8"], base, 40)
         assert blueprint.build_count() - before <= 4  # one per world, not per cell
         assert result.column("substrate") == [
             "euclidean/clustered", "euclidean/uniform",
@@ -113,21 +132,21 @@ class TestSweeps:
     def test_bad_axis_fails_before_any_cell_runs(self, base):
         before = blueprint.build_count()
         with pytest.raises(ValueError, match="duplicate entries on the config-override"):
-            ablate_ttl(base, max_queries=60, ttls=(3, 3))
+            run_ablation(narrowed("a4", labels=(3, 3)), base, 60)
         with pytest.raises(ValueError, match="unknown protocol 'gossip'"):
-            ablate_cache_capacity(base, max_queries=60, protocols=("gossip",))
+            run_ablation(narrowed("a3", protocols=("gossip",)), base, 60)
         with pytest.raises(ValueError, match="max_queries must be >= 1"):
-            measure_bloom_overhead(base, max_queries=0)
+            run_ablation(ABLATIONS["a6"], base, 0)
         assert blueprint.build_count() == before
 
 
 class TestOneEngine:
-    """The drivers are grids: one build per world, same runs as scratch."""
+    """The entries are grids: one build per world, same runs as scratch."""
 
     def test_capacity_sweep_builds_its_one_world_at_most_once(self, base):
         before = blueprint.build_count()
-        ablate_cache_capacity(
-            base, max_queries=60, capacities=(2, 20), protocols=("dicas", "locaware")
+        run_ablation(
+            narrowed("a3", labels=(2, 20), protocols=("dicas", "locaware")), base, 60
         )
         assert blueprint.build_count() - before <= 1
 
@@ -136,13 +155,28 @@ class TestOneEngine:
     ):
         swap_blueprint_cache(max_peers=8 * 60)
         before = blueprint.build_count()
-        ablate_locaware_routing(base, max_queries=60)
+        run_ablation(ABLATIONS["ext"], base, 60)
         assert blueprint.build_count() - before == 1
+
+    def test_world_builds_per_entry_from_a_cleared_cache(
+        self, base, swap_blueprint_cache
+    ):
+        """A1, A7 and A8 sweep a topology field, so every axis value is
+        its own world; every other entry instantiates one world."""
+        builds = {}
+        for entry_id, entry in ABLATIONS.items():
+            swap_blueprint_cache(max_peers=8000, max_worlds=8)
+            before = blueprint.build_count()
+            run_ablation(entry, base, 10)
+            builds[entry_id] = blueprint.build_count() - before
+        assert list(builds.values()) == [4, 1, 1, 1, 1, 1, 4, 4, 1, 1]
 
     def test_ttl_rows_equal_scratch_runs(self, base):
         """A4's cells are what direct, blueprint-less runs of them give."""
         ttls, protocols = (2, 5), ("flooding", "locaware")
-        result = ablate_ttl(base, max_queries=60, ttls=ttls, protocols=protocols)
+        result = run_ablation(
+            narrowed("a4", labels=ttls, protocols=protocols), base, 60
+        )
         rows = _grid_rows(
             base, 60, protocols, config_overrides=[{"ttl": ttl} for ttl in ttls]
         )
@@ -156,3 +190,269 @@ class TestOneEngine:
                 assert run_fingerprint(run) == run_fingerprint(scratch)
                 expected += [scratch.summary.success_rate, scratch.summary.mean_messages]
             assert row == expected
+
+
+class TestAblationTable:
+    def test_ids_titles_and_statements(self):
+        assert list(ABLATIONS) == [
+            "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "ext", "ext2"
+        ]
+        for entry_id, entry in ABLATIONS.items():
+            assert entry.id == entry_id
+            assert entry.claims, entry_id
+            texts = [claim.text for claim in entry.claims]
+            assert len(set(texts)) == len(texts)
+
+    def test_every_axis_has_one_kind(self):
+        for entry in ABLATIONS.values():
+            assert entry.override is None or entry.scenario is None
+            assert len(set(entry.labels)) == len(entry.labels)
+
+
+# --- the claim rows, on hand-made tables ----------------------------------
+
+_SUBSTRATES = (
+    "euclidean/clustered", "euclidean/uniform", "router/clustered", "router/uniform"
+)
+
+#: One table per entry on which every row holds (headers as the entry's
+#: reader writes them).
+_HOLDING = {
+    "a1": (
+        ["landmarks", "locIds", "peers/locId", "locId matches", "success", "distance_ms"],
+        [
+            [2, 2, 500.0, 40, 0.3, 200.0],
+            [3, 6, 166.7, 30, 0.3, 200.0],
+            [4, 24, 41.7, 20, 0.3, 200.0],
+            [5, 120, 8.3, 10, 0.3, 200.0],
+        ],
+    ),
+    "a2": (
+        ["bits", "est_fpr", "bf matches", "success", "msgs/query", "update_bits"],
+        [
+            [150, 0.9, 500, 0.2, 120.0, 40.0],
+            [300, 0.5, 300, 0.2, 110.0, 45.0],
+            [600, 0.2, 200, 0.2, 105.0, 50.0],
+            [1200, 0.03, 100, 0.2, 100.0, 55.0],
+            [2400, 0.001, 90, 0.2, 100.0, 60.0],
+        ],
+    ),
+    "a3": (
+        ["capacity", "dicas success", "dicas-keys success", "locaware success"],
+        [[c, 0.1, 0.1, 0.5] for c in (2, 5, 10, 25, 50)],
+    ),
+    "a4": (
+        ["ttl", "flooding success", "flooding msgs", "locaware success", "locaware msgs"],
+        [
+            [3, 0.1, 40.0, 0.0, 8.0],
+            [5, 0.3, 270.0, 0.04, 20.0],
+            [7, 0.6, 990.0, 0.1, 50.0],
+            [9, 0.8, 500.0 * 4, 0.3, 99.0],
+        ],
+    ),
+    "a5": (
+        ["mean_session_s", "dicas success", "locaware success"],
+        [["off", 0.5, 0.5], [3600.0, 0.5, 0.5], [1200.0, 0.45, 0.45], [600.0, 0.4, 0.4]],
+    ),
+    "a6": (
+        ["quantity", "value"],
+        [
+            ["bloom update pushes", 37],
+            ["bloom update messages", 161],
+            ["mean update size (bits)", 137.4],
+            ["paper bound (bits)", 132],
+            ["search messages (for scale)", 6309],
+            ["bloom/search message ratio", 0.026],
+        ],
+    ),
+    "a7": (
+        ["M", "dicas success", "dicas msgs", "locaware success", "locaware msgs"],
+        [
+            [2, 0.2, 60.0, 0.2, 50.0],
+            [4, 0.2, 50.0, 0.2, 50.0],
+            [8, 0.2, 45.0, 0.2, 50.0],
+            [16, 0.2, 40.0, 0.2, 50.0],
+        ],
+    ),
+    "a8": (
+        [
+            "substrate", "flooding success", "flooding dist_ms", "flooding msgs",
+            "locaware success", "locaware dist_ms", "locaware msgs",
+        ],
+        [[s, 0.8, 300.0, 1000.0, 0.3, 250.0, 50.0] for s in _SUBSTRATES],
+    ),
+    "ext": (
+        ["variant", "success", "distance_ms", "msgs/query", "locId matches"],
+        [
+            ["locaware", 0.5, 100.0, 50.0, 10],
+            ["locaware+locrouting", 0.5, 100.0, 50.0, 12],
+        ],
+    ),
+    "ext2": (
+        ["shift_interval_s", "dicas success", "locaware success"],
+        [["stationary", 0.5, 0.4], [1200.0, 0.5, 0.4], [300.0, 0.5, 0.4]],
+    ),
+}
+
+
+def hand_made(entry_id, edits=None):
+    """``_HOLDING[entry_id]`` with ``{(label, header): value}`` edits."""
+    headers, rows = _HOLDING[entry_id]
+    rows = [list(row) for row in rows]
+    for (label, header), value in (edits or {}).items():
+        (row,) = [row for row in rows if row[0] == label]
+        row[headers.index(header)] = value
+    return AblationResult(entry_id.upper(), "hand-made", list(headers), rows)
+
+
+def row_check(entry_id, index, edits=None) -> ClaimCheck:
+    """Claim row ``index`` of entry ``entry_id`` on the edited table."""
+    return ABLATIONS[entry_id].check(hand_made(entry_id, edits))[index]
+
+
+nan = math.nan
+
+#: ``(entry, claim row, edits, holds)``: for every row a holding and a
+#: failing case on either side of its threshold (so a moved threshold
+#: or a flipped strictness fails one of them), and a NaN case where the
+#: row reads a distance or a mean.
+_CASES = [
+    # A1: peers/locId non-increasing (ties hold); every success > 0.
+    ("a1", 0, {(5, "peers/locId"): 41.7}, True),
+    ("a1", 0, {(5, "peers/locId"): 41.8}, False),
+    ("a1", 0, {(3, "peers/locId"): nan}, False),
+    ("a1", 1, {(2, "success"): 1e-9}, True),
+    ("a1", 1, {(2, "success"): 0.0}, False),
+    ("a1", 1, {(2, "success"): nan}, False),
+    # A2: est_fpr non-increasing; msgs[150] >= msgs[1200] * 0.95; success > 0.
+    ("a2", 0, {(2400, "est_fpr"): 0.03}, True),
+    ("a2", 0, {(2400, "est_fpr"): 0.031}, False),
+    ("a2", 0, {(300, "est_fpr"): nan}, False),
+    ("a2", 1, {(150, "msgs/query"): 95.0}, True),
+    ("a2", 1, {(150, "msgs/query"): 94.9}, False),
+    ("a2", 1, {(150, "msgs/query"): nan}, False),
+    ("a2", 1, {(1200, "msgs/query"): nan}, False),
+    ("a2", 2, {(600, "success"): 1e-9}, True),
+    ("a2", 2, {(600, "success"): 0.0}, False),
+    # A3: locaware[50] >= locaware[2] * 0.9; every dicas success >= 0.
+    ("a3", 0, {(50, "locaware success"): 0.5 * 0.9}, True),
+    ("a3", 0, {(50, "locaware success"): 0.449}, False),
+    ("a3", 0, {(2, "locaware success"): nan}, False),
+    ("a3", 1, {(10, "dicas success"): 0.0}, True),
+    ("a3", 1, {(10, "dicas success"): -1e-9}, False),
+    ("a3", 1, {(10, "dicas success"): nan}, False),
+    # A4: flooding msgs non-decreasing; last locaware msgs < last
+    # flooding msgs / 5; last flooding success >= first.
+    ("a4", 0, {(5, "flooding msgs"): 40.0}, True),
+    ("a4", 0, {(5, "flooding msgs"): 39.9}, False),
+    ("a4", 0, {(7, "flooding msgs"): nan}, False),
+    ("a4", 1, {(9, "locaware msgs"): 399.9, (9, "flooding msgs"): 2000.0}, True),
+    ("a4", 1, {(9, "locaware msgs"): 400.0, (9, "flooding msgs"): 2000.0}, False),
+    ("a4", 1, {(9, "locaware msgs"): nan}, False),
+    ("a4", 1, {(9, "flooding msgs"): nan}, False),
+    ("a4", 2, {(9, "flooding success"): 0.1}, True),
+    ("a4", 2, {(9, "flooding success"): 0.099}, False),
+    ("a4", 2, {(3, "flooding success"): nan}, False),
+    # A5: last row <= the churn-free row + 0.02, per protocol.
+    ("a5", 0, {(600.0, "dicas success"): 0.52}, True),
+    ("a5", 0, {(600.0, "dicas success"): 0.5201}, False),
+    ("a5", 0, {("off", "dicas success"): nan}, False),
+    ("a5", 1, {(600.0, "locaware success"): 0.52}, True),
+    ("a5", 1, {(600.0, "locaware success"): 0.5201}, False),
+    ("a5", 1, {(600.0, "locaware success"): nan}, False),
+    # A6: pushes > 0; mean update bits <= 4 * 132; message ratio < 1.
+    ("a6", 0, {("bloom update pushes", "value"): 1}, True),
+    ("a6", 0, {("bloom update pushes", "value"): 0}, False),
+    ("a6", 1, {("mean update size (bits)", "value"): 528.0}, True),
+    ("a6", 1, {("mean update size (bits)", "value"): 528.1}, False),
+    ("a6", 1, {("mean update size (bits)", "value"): nan}, False),
+    ("a6", 2, {("bloom/search message ratio", "value"): 0.999}, True),
+    ("a6", 2, {("bloom/search message ratio", "value"): 1.0}, False),
+    ("a6", 2, {("bloom/search message ratio", "value"): nan}, False),
+    # A7: dicas msgs at M=2 >= at M=16; every locaware success > 0.
+    ("a7", 0, {(2, "dicas msgs"): 40.0}, True),
+    ("a7", 0, {(2, "dicas msgs"): 39.9}, False),
+    ("a7", 0, {(16, "dicas msgs"): nan}, False),
+    ("a7", 1, {(8, "locaware success"): 1e-9}, True),
+    ("a7", 1, {(8, "locaware success"): 0.0}, False),
+    # A8, on every substrate: locaware dist < flooding dist; locaware
+    # msgs < flooding msgs / 5.
+    ("a8", 0, {(_SUBSTRATES[2], "locaware dist_ms"): 299.9}, True),
+    ("a8", 0, {(_SUBSTRATES[2], "locaware dist_ms"): 300.0}, False),
+    ("a8", 0, {(_SUBSTRATES[3], "locaware dist_ms"): nan}, False),
+    ("a8", 0, {(_SUBSTRATES[0], "flooding dist_ms"): nan}, False),
+    ("a8", 1, {(_SUBSTRATES[1], "locaware msgs"): 199.9}, True),
+    ("a8", 1, {(_SUBSTRATES[1], "locaware msgs"): 200.0}, False),
+    ("a8", 1, {(_SUBSTRATES[3], "locaware msgs"): nan}, False),
+    # EXT: routed success >= stock * 0.7; routed distance <= stock * 1.25.
+    ("ext", 0, {("locaware+locrouting", "success"): 0.5 * 0.7}, True),
+    ("ext", 0, {("locaware+locrouting", "success"): 0.349}, False),
+    ("ext", 0, {("locaware", "success"): nan}, False),
+    ("ext", 1, {("locaware+locrouting", "distance_ms"): 125.0}, True),
+    ("ext", 1, {("locaware+locrouting", "distance_ms"): 125.1}, False),
+    ("ext", 1, {("locaware+locrouting", "distance_ms"): nan}, False),
+    ("ext", 1, {("locaware", "distance_ms"): nan}, False),
+    # EXT2: last locaware success <= stationary + 0.05; every dicas
+    # success in [0, 1].
+    ("ext2", 0, {(300.0, "locaware success"): 0.45}, True),
+    ("ext2", 0, {(300.0, "locaware success"): 0.4501}, False),
+    ("ext2", 0, {("stationary", "locaware success"): nan}, False),
+    ("ext2", 1, {(1200.0, "dicas success"): 0.0, (300.0, "dicas success"): 1.0}, True),
+    ("ext2", 1, {(1200.0, "dicas success"): -1e-9}, False),
+    ("ext2", 1, {(300.0, "dicas success"): 1.0 + 1e-9}, False),
+    ("ext2", 1, {(300.0, "dicas success"): nan}, False),
+]
+
+
+class TestAblationClaims:
+    def test_every_row_holds_on_the_holding_tables(self):
+        for entry_id, entry in ABLATIONS.items():
+            checks = entry.check(hand_made(entry_id))
+            assert [c.claim for c in checks] == [
+                f"{entry_id.upper()}: {claim.text}" for claim in entry.claims
+            ]
+            assert all(c.holds for c in checks), (entry_id, checks)
+
+    def test_every_row_has_a_holding_and_a_failing_case(self):
+        covered = {(e, i, holds) for e, i, _, holds in _CASES}
+        for entry_id, entry in ABLATIONS.items():
+            for index in range(len(entry.claims)):
+                assert {(entry_id, index, True), (entry_id, index, False)} <= covered
+
+    @pytest.mark.parametrize(
+        "entry_id, index, edits, holds", _CASES,
+        ids=[f"{e}-{i}-{n}" for n, (e, i, _, _) in enumerate(_CASES)],
+    )
+    def test_row(self, entry_id, index, edits, holds):
+        assert row_check(entry_id, index, edits).holds is holds
+
+    def test_last_and_first_are_positions_not_labels(self):
+        """A4 compares the largest TTL with the smallest, whatever they are."""
+        result = hand_made("a4")
+        result.rows = result.rows[1:3]  # ttl 5 and 7 only
+        checks = ABLATIONS["a4"].check(result)
+        assert checks[1].detail == "locaware msgs[7] vs flooding msgs[7]: 50 < 198"
+        assert checks[2].detail == (
+            "flooding success[7] vs flooding success[5]: 0.6 >= 0.3"
+        )
+
+    def test_a_missing_label_reads_nan_and_fails(self):
+        result = hand_made("a2")
+        result.rows = [row for row in result.rows if row[0] != 1200]
+        check = ABLATIONS["a2"].check(result)[1]
+        assert not check.holds
+        assert check.detail == "msgs/query[150] vs msgs/query[1200]: 120 >= nan"
+
+    def test_an_empty_table_fails_every_row(self):
+        for entry_id, entry in ABLATIONS.items():
+            headers, _ = _HOLDING[entry_id]
+            checks = entry.check(AblationResult("X", "empty", list(headers), []))
+            assert not any(c.holds for c in checks), entry_id
+
+    def test_detail_lists_every_comparison(self):
+        check = row_check("a8", 1)
+        assert check.detail.count("; ") == len(_SUBSTRATES) - 1
+        assert check.detail.startswith(
+            "locaware msgs[euclidean/clustered]: 50 < 200"
+        )
+        assert math.isnan(check.value)

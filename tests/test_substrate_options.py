@@ -62,10 +62,13 @@ class TestNetworkBuild:
         assert run.outcomes
 
     def test_substrate_ablation_small(self):
+        import dataclasses
+
         from repro.experiments import small_config
-        from repro.experiments.ablations import ablate_substrate
+        from repro.experiments.ablations import ABLATIONS, run_ablation
 
         base = small_config(seed=13).replace(query_rate_per_peer=0.02)
-        result = ablate_substrate(base, max_queries=40, protocols=("locaware",))
+        entry = dataclasses.replace(ABLATIONS["a8"], protocols=("locaware",))
+        result = run_ablation(entry, base, 40)
         assert len(result.rows) == 4
         assert result.column("substrate")[0] == "euclidean/clustered"

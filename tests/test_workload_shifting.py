@@ -122,16 +122,16 @@ class TestRunnerIntegration:
         assert run.metric_snapshot.get("counter.workload.popularity_shifts", 0) >= 0
 
     def test_popularity_shift_ablation(self):
+        import dataclasses
+
         from repro.experiments import small_config
-        from repro.experiments.ablations import ablate_popularity_shift
+        from repro.experiments.ablations import ABLATIONS, run_ablation
 
         base = small_config(seed=13).replace(query_rate_per_peer=0.02)
-        result = ablate_popularity_shift(
-            base,
-            max_queries=60,
-            shift_intervals=(None, 100.0),
-            protocols=("locaware",),
+        entry = dataclasses.replace(
+            ABLATIONS["ext2"], labels=("stationary", 100.0), protocols=("locaware",)
         )
+        result = run_ablation(entry, base, 60)
         assert result.rows[0][0] == "stationary"
         assert result.rows[1][0] == 100.0
         for rate in result.column("locaware success"):

@@ -10,7 +10,7 @@ worlds or TTLs, so they run half the horizon, with a floor.
 import pytest
 from conftest import ablation_queries
 
-from repro.analysis import render_claim_lines
+from repro.analysis import claim_verdicts, render_claim_lines
 from repro.experiments import paper_config
 from repro.experiments.ablations import ABLATIONS, run_ablation
 
@@ -33,4 +33,6 @@ def test_ablation(entry, benchmark, show):
 
     checks = entry.check(result)
     assert checks, f"the ablation table declares no {entry.id} rows"
-    assert all(check.holds for check in checks), render_claim_lines(checks)
+    assert all(check.holds for check in checks), render_claim_lines(
+        claim_verdicts({paper_config().seed: checks})
+    )

@@ -3,8 +3,8 @@
 The session fixture runs the four protocols once at the §5.1
 configuration.  Each figure prints its series and must satisfy its
 rows of the claim table (``repro.analysis.PAPER_CLAIMS``) — the same
-rows ``repro figures`` / ``claims`` print and ``repro seed-sweep``
-tallies:
+rows ``repro figures`` prints and ``repro grid check`` judges per
+seed:
 
 - Figure 2: Locaware's download distance sits below every baseline
   (paper: ~14%), below flooding's in both halves of the run, and
@@ -25,7 +25,7 @@ import math
 
 import pytest
 
-from repro.analysis import check_paper_claims, render_claim_lines
+from repro.analysis import check_paper_claims, claim_verdicts, render_claim_lines
 from repro.experiments import FIGURES, fig2_download_distance
 
 
@@ -36,7 +36,9 @@ def test_figure(figure, figure_comparison, benchmark, show):
 
     checks = check_paper_claims(figure_comparison, figure.EXPERIMENT_ID)
     assert checks, f"the claim table has no {figure.EXPERIMENT_ID} rows"
-    assert all(check.holds for check in checks), render_claim_lines(checks)
+    assert all(check.holds for check in checks), render_claim_lines(
+        claim_verdicts({figure_comparison.seed: checks})
+    )
 
 
 def test_paper_scale(figure_comparison):

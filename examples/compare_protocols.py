@@ -21,7 +21,7 @@ import sys
 import time
 
 from repro.analysis import (
-    check_paper_claims,
+    check_report,
     comparison_slice,
     format_table,
     render_claim_lines,
@@ -65,10 +65,11 @@ def main() -> None:
         max_queries=args.queries,
         bucket_width=args.bucket,
     )
-    result = comparison_slice(GridRunner(spec).run(
+    report = GridRunner(spec).run(
         progress=lambda message: print(f"  [{time.time() - started:6.1f}s] {message}",
                                        flush=True),
-    ))
+    )
+    result = comparison_slice(report)
     print(f"\ncompleted in {time.time() - started:.1f}s wall "
           f"({config.num_peers} peers, {args.queries} queries/protocol)\n")
 
@@ -93,9 +94,9 @@ def main() -> None:
     ))
     print()
 
-    checks = check_paper_claims(result)
-    print(render_claim_lines(checks))
-    sys.exit(0 if all(check.holds for check in checks) else 1)
+    (verdicts,) = check_report(report).values()
+    print(render_claim_lines(verdicts))
+    sys.exit(0 if all(verdict.holds for verdict in verdicts) else 1)
 
 
 if __name__ == "__main__":

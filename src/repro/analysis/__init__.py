@@ -17,8 +17,11 @@ from .distributions import (
 from .paper_claims import (
     PAPER_CLAIMS,
     ClaimCheck,
+    ClaimVerdict,
     PaperClaim,
     check_paper_claims,
+    check_report,
+    claim_verdicts,
     relative_change,
     render_claim_lines,
 )
@@ -58,7 +61,10 @@ __all__ = [
     "PAPER_CLAIMS",
     "PaperClaim",
     "ClaimCheck",
+    "ClaimVerdict",
     "check_paper_claims",
+    "claim_verdicts",
+    "check_report",
     "render_claim_lines",
     "ComparisonSlice",
     "comparison_slice",

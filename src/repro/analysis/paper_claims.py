@@ -1,4 +1,4 @@
-"""The paper's §5.2 claims, declared once.
+"""The paper's §5.2 claims, declared once, and the one referee.
 
 :data:`PAPER_CLAIMS` is the one table of what Figures 2-4 must show on
 a measured :class:`~repro.analysis.comparison.ComparisonSlice` — who
@@ -18,29 +18,35 @@ in its statement:
 A NaN (a protocol with no downloads, a series too short to split)
 refutes the row that needs it.
 
-Every surface reads the table: ``repro figures`` / ``claims`` /
-``report`` and ``examples/compare_protocols.py`` print
-:func:`check_paper_claims` (``render_claim_lines`` for the
-``[PASS]`` / ``[FAIL]`` lines), ``repro seed-sweep`` tallies it and
-spreads the rows that name a ``spread``, and the figure bench gates
-each figure on its own rows.
+:func:`check_paper_claims` checks the table on one slice;
+:func:`claim_verdicts` judges each row over seeds — it **holds** on
+every seed, **fails** on every seed, or is **unresolved** (not a pass);
+:func:`check_report` does that for every row label of a grid report;
+:func:`render_claim_lines` prints verdicts.  ``repro figures`` and
+``repro grid check`` print :func:`check_report`, ``repro ablation``
+judges its own table with :func:`claim_verdicts`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Any
 
 from .collectors import MetricSeries, OutcomeSummary
-from .comparison import ComparisonSlice
+from .comparison import ComparisonSlice, comparison_slice
+from .tables import format_percent
 
 __all__ = [
     "PAPER_CLAIMS",
     "ClaimCheck",
+    "ClaimVerdict",
     "PaperClaim",
     "check_paper_claims",
+    "check_report",
+    "claim_verdicts",
     "relative_change",
     "render_claim_lines",
 ]
@@ -60,8 +66,8 @@ class ClaimCheck:
     claim: str
     holds: bool
     detail: str
-    #: The row's headline number (what ``seed-sweep`` spreads).  It may
-    #: be NaN, so it takes no part in equality.
+    #: The row's headline number (what a verdict spreads over seeds).
+    #: It may be NaN, so it takes no part in equality.
     value: float = field(compare=False)
 
 
@@ -74,8 +80,6 @@ class PaperClaim:
     text: str
     test: Callable[[Summaries, Series], tuple[bool, str, float]]
     """``(summaries, series)`` → ``(holds, detail, headline value)``."""
-    spread: str | None = None
-    """Label under which ``seed-sweep`` spreads the headline value."""
 
     @property
     def statement(self) -> str:
@@ -201,7 +205,6 @@ PAPER_CLAIMS: tuple[PaperClaim, ...] = (
         "fig2",
         "Locaware download distance below every baseline (~14% in paper)",
         _distance_below_baselines,
-        spread="distance reduction vs flooding",
     ),
     PaperClaim(
         "fig2",
@@ -217,7 +220,6 @@ PAPER_CLAIMS: tuple[PaperClaim, ...] = (
         "fig3",
         "locaware cuts search traffic vs flooding (~98% in paper)",
         partial(_cuts_traffic, "locaware", by=0.9),
-        spread="traffic reduction vs flooding",
     ),
     PaperClaim(
         "fig3",
@@ -243,13 +245,11 @@ PAPER_CLAIMS: tuple[PaperClaim, ...] = (
         "fig4",
         "Locaware beats Dicas on success rate (+23% in paper)",
         partial(_locaware_beats, "dicas"),
-        spread="locaware vs dicas success",
     ),
     PaperClaim(
         "fig4",
         "Locaware beats Dicas-Keys on success rate (+33% in paper)",
         partial(_locaware_beats, "dicas-keys"),
-        spread="locaware vs dicas-keys success",
     ),
 )
 
@@ -274,12 +274,100 @@ def check_paper_claims(
     ]
 
 
-def render_claim_lines(checks: Sequence[ClaimCheck]) -> str:
-    """``[PASS]`` / ``[FAIL]`` + detail per check, then the tally line."""
+@dataclass(frozen=True)
+class ClaimVerdict:
+    """One claim row judged over the seeds of one grid row label."""
+
+    claim: str
+    checks: tuple[tuple[int, ClaimCheck], ...]
+    """``(seed, check)`` per seed, in seed order."""
+
+    @property
+    def held(self) -> int:
+        """k of k/n: on how many seeds the row held (0: it fails)."""
+        return sum(check.holds for _seed, check in self.checks)
+
+    @property
+    def holds(self) -> bool:
+        """Held on every seed; anything between 0 and n is unresolved."""
+        return self.held == len(self.checks)
+
+    @property
+    def failed_seeds(self) -> list[int]:
+        """The seeds on which the row failed."""
+        return [seed for seed, check in self.checks if not check.holds]
+
+    @property
+    def spread(self) -> tuple[float, float, float] | None:
+        """min/mean/max of the finite headline values (``None`` if none)."""
+        values = [c.value for _seed, c in self.checks if math.isfinite(c.value)]
+        if not values:
+            return None
+        return min(values), sum(values) / len(values), max(values)
+
+
+def claim_verdicts(
+    per_seed: Mapping[int, Sequence[ClaimCheck]],
+) -> list[ClaimVerdict]:
+    """Judge every row over the seeds of one grid row label, from each
+    seed's checks of one table (in table order)."""
+    if not per_seed:
+        raise ValueError("at least one seed is required")
+    rows = zip(*per_seed.values(), strict=True)
+    return [
+        ClaimVerdict(checks[0].claim, tuple(zip(per_seed, checks, strict=True)))
+        for checks in rows
+    ]
+
+
+def check_report(report: Any) -> dict[str, list[ClaimVerdict]]:
+    """:data:`PAPER_CLAIMS`' verdicts per row label of a live or
+    restored grid report: each label's seeds are judged together, so an
+    override axis (``--set num_peers=600,1000``) gets verdicts per value."""
+    return {
+        row: claim_verdicts(
+            {
+                seed: check_paper_claims(comparison_slice(report, row, seed))
+                for seed in report.seeds
+            }
+        )
+        for row in report.scenarios
+    }
+
+
+def _verdict_lines(verdict: ClaimVerdict) -> tuple[str, str]:
+    """The verdict line and its detail."""
+    if len(verdict.checks) == 1:
+        ((_seed, check),) = verdict.checks
+        return f"[{'PASS' if check.holds else 'FAIL'}] {check.claim}", check.detail
+    tag = "PASS" if verdict.holds else "FAIL" if verdict.held == 0 else "UNRESOLVED"
+    failed = ", ".join(map(str, verdict.failed_seeds))
+    detail = f"failed on seed(s) {failed}" if failed else "no seed failed"
+    if verdict.spread is not None:
+        spread = " / ".join(map(format_percent, verdict.spread))
+        detail = f"min/mean/max {spread}; {detail}"
+    counts = f"({verdict.held}/{len(verdict.checks)} seeds)"
+    return f"[{tag}] {verdict.claim}  {counts}", detail
+
+
+def render_claim_lines(verdicts: Sequence[ClaimVerdict]) -> str:
+    """A verdict line and a detail line per row, then the tally line.
+
+    One seed prints ``[PASS]`` / ``[FAIL]`` and the check's detail; n
+    seeds add ``[UNRESOLVED]`` and ``(k/n seeds)``, and the detail is the
+    headline value's min/mean/max (as percentages) and the failing seeds.
+    """
     lines = []
-    for check in checks:
-        lines.append(f"[{'PASS' if check.holds else 'FAIL'}] {check.claim}")
-        lines.append(f"       {check.detail}")
-    held = sum(check.holds for check in checks)
-    lines.append(f"\n{held}/{len(checks)} paper claims hold")
+    for verdict in verdicts:
+        heading, detail = _verdict_lines(verdict)
+        lines += [heading, f"       {detail}"]
+    held = sum(verdict.holds for verdict in verdicts)
+    lines.append(f"\n{held}/{len(verdicts)} paper claims hold")
+    seeds = len(verdicts[0].checks) if verdicts else 1
+    if seeds > 1:
+        failed = sum(verdict.held == 0 for verdict in verdicts)
+        lines[-1] += (
+            f" on all {seeds} seeds; {failed} fail on all, "
+            f"{len(verdicts) - held - failed} unresolved"
+        )
     return "\n".join(lines)

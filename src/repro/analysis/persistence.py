@@ -13,8 +13,9 @@ Two document kinds share one per-run encoding
   ``repro sweep --out``, ``repro figures --save`` and
   :func:`save_grid_report`, restored by
   :func:`load_grid_report_document` into a :class:`LoadedGridReport`
-  that :func:`repro.analysis.aggregate_sweep` and
-  :func:`repro.analysis.comparison_slice` consume unchanged.
+  that :func:`repro.analysis.aggregate_sweep`,
+  :func:`repro.analysis.comparison_slice` and
+  :func:`repro.analysis.check_report` consume unchanged.
 
 Floats round-trip exactly (JSON uses ``repr``-exact encoding), so an
 aggregate computed from restored documents is byte-identical to one
@@ -23,6 +24,7 @@ computed from the live runs — the property grid resume relies on.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -323,23 +325,38 @@ class LoadedGridReport:
 
 
 def load_grid_report_document(source: IO[str]) -> LoadedGridReport:
-    """Restore a document written by :func:`save_grid_report`."""
+    """Restore a document written by :func:`save_grid_report`.
+
+    Every (row label, protocol, seed) the document's axes declare must
+    have a cell whose run restores; :class:`ValueError` names the first
+    that does not.
+    """
     doc = json.load(source)
     _check_kind(doc, "grid-report")
-    runs: dict[tuple[str, str, int], _LoadedRun] = {}
-    labels: list[str] = []
+    cells: dict[tuple[str, str, int], dict[str, Any]] = {}
     for cell in doc["cells"]:
         scenario = cell["scenario"]
         label = cell.get("label") or cell_label(
             scenario["name"], scenario["params"], cell["overrides"]
         )
-        if label not in labels:
-            labels.append(label)
-        runs[(label, cell["protocol"], cell["seed"])] = load_run_document(
-            cell["protocol"], cell["run"]
-        )
-    scenarios = [label for label in doc["scenarios"] if label in labels]
-    scenarios += [label for label in labels if label not in scenarios]
+        cells[(label, cell["protocol"], cell["seed"])] = cell
+    scenarios = list(doc["scenarios"])
+    scenarios += dict.fromkeys(
+        label for label, _protocol, _seed in cells if label not in scenarios
+    )
+    runs: dict[tuple[str, str, int], _LoadedRun] = {}
+    for coordinate in itertools.product(scenarios, doc["protocols"], doc["seeds"]):
+        label, protocol, seed = coordinate
+        where = f"row {label!r}, protocol {protocol!r}, seed {seed}"
+        if coordinate not in cells:
+            raise ValueError(f"the grid report has no cell for {where}")
+        try:
+            runs[coordinate] = load_run_document(protocol, cells[coordinate]["run"])
+        except (KeyError, TypeError, ValueError) as error:
+            raise ValueError(
+                f"the cell for {where} does not restore: "
+                f"{type(error).__name__}: {error}"
+            ) from None
     return LoadedGridReport(
         base_config=doc["base_config"],
         protocols=list(doc["protocols"]),

@@ -8,10 +8,8 @@ Subcommands:
   Figures 2-4 plus the §5.2 claim checks, optionally under a
   registered scenario (``--scenario``) and optionally persisting the
   grid report (``--save``);
-- ``claims``   — evaluate the claim checks on a fresh run or a saved
-  one-seed, one-row grid report;
-- ``ablation`` — run one ablation sweep (a1..a8, ext, ext2) and check
-  its direction claims;
+- ``ablation`` — run one ablation sweep (a1..a8, ext, ext2) on one or
+  more seeds (``--seeds``) and judge its direction claims over them;
 - ``report``   — emit the markdown paper-vs-measured report;
 - ``sweep``    — run a protocol × scenario × seed grid (a storeless
   ``GridRunner``: each distinct topology is built once and
@@ -26,6 +24,8 @@ Subcommands:
   can fan its claimed cells across ``--workers`` fork processes that
   inherit parent-built blueprints; ``grid status``
   shows stored/claimed/pending counts and the active claims;
+  ``grid check`` judges the §5.2 claim table per seed on the grid's
+  stored cells (or a saved grid report, ``--load``) without executing;
   ``grid watch`` is the live view — it polls the store and claims,
   rendering stored/claimed/pending, per-runner throughput (from the
   telemetry sidecars committed cells leave next to their documents),
@@ -51,15 +51,15 @@ Subcommands:
   ``--select``/``--ignore`` to narrow the rule set, and
   ``--explain RPRxxx`` for each rule's rationale with an
   offending/fixed example; exits nonzero on findings;
-- ``seed-sweep`` — claim robustness across several seeds;
 - ``info``     — show the §5.1 configuration and the system inventory.
 
 Examples::
 
     repro-locaware figures --queries 500 --save run.json
     repro-locaware compare --scenario flash-crowd --queries 500
-    repro-locaware claims --load run.json
+    repro-locaware grid check --load run.json
     repro-locaware ablation a6
+    repro-locaware ablation a5 --seeds 1 2 3 4 5
     repro-locaware report --load run.json > measured.md
     repro-locaware sweep --scenarios flash-crowd diurnal --workers 4
     repro-locaware sweep --workers 4 --out sweep.json
@@ -69,6 +69,7 @@ Examples::
         --set ttl=5,7 --seeds 1 2 --queries 200 --workers 4
     repro-locaware grid run --store shared --runner-id worker-2 &
     repro-locaware grid status --store shared --config small --seeds 1 2
+    repro-locaware grid check --store results --seeds 1 2 3 --queries 1000
     repro-locaware grid watch --store shared --config small --seeds 1 2
     repro-locaware grid report --store results
     repro-locaware grid ls --store results
@@ -79,7 +80,6 @@ Examples::
     repro-locaware lint src tests benchmarks
     repro-locaware lint --format json --select RPR003 RPR004
     repro-locaware lint --explain RPR003
-    repro-locaware seed-sweep --seeds 1 2 3 --queries 1000
 """
 
 from __future__ import annotations
@@ -92,7 +92,8 @@ from collections.abc import Sequence
 
 from .analysis import (
     ComparisonSlice,
-    check_paper_claims,
+    check_report,
+    claim_verdicts,
     claims_report,
     comparison_report,
     comparison_slice,
@@ -145,14 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--chart", action="store_true", help="also render ASCII line charts"
     )
 
-    claims = sub.add_parser("claims", help="evaluate the §5.2 claim checks")
-    _add_run_options(claims)
-    _add_load_option(claims)
-
     ablation = sub.add_parser("ablation", help="run one ablation sweep")
     ablation.add_argument("id", choices=list(ablations.ABLATIONS), help="ablation id")
     ablation.add_argument("--queries", type=int, default=400)
-    ablation.add_argument("--seed", type=int, default=20090322)
+    ablation.add_argument("--seeds", type=int, nargs="+", default=[20090322])
 
     report = sub.add_parser("report", help="emit the markdown measured report")
     _add_run_options(report)
@@ -231,6 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
         "plus the active claims",
     )
     _add_grid_axis_options(grid_status)
+
+    grid_check = grid_sub.add_parser(
+        "check", help="judge the claim table per seed on a stored or saved grid"
+    )
+    _add_grid_axis_options(grid_check)
+    _add_load_option(grid_check)
 
     grid_watch = grid_sub.add_parser(
         "watch",
@@ -399,12 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the registered rules and exit",
     )
 
-    seed_sweep = sub.add_parser(
-        "seed-sweep", help="claim robustness across seeds"
-    )
-    seed_sweep.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    seed_sweep.add_argument("--queries", type=int, default=1000)
-
     sub.add_parser("info", help="show the paper configuration")
     return parser
 
@@ -419,8 +416,7 @@ def _add_load_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--load",
         metavar="FILE",
-        help="use a saved grid-report document of one row and one seed "
-        "(figures --save, sweep --out)",
+        help="use a saved grid-report document (figures --save, sweep --out)",
     )
 
 
@@ -477,8 +473,8 @@ def _add_backend_option(parser: argparse.ArgumentParser) -> None:
 
 def _add_grid_axis_options(parser: argparse.ArgumentParser) -> None:
     """The store + grid-axis flags shared by ``grid run``, ``grid
-    status`` and ``grid watch`` (status must describe exactly the grid
-    run executes)."""
+    status``, ``grid watch`` and ``grid check`` (status and check must
+    describe exactly the grid run executes)."""
     parser.add_argument(
         "--store",
         metavar="DIR",
@@ -527,15 +523,20 @@ def _run_grid(spec: GridSpec, out) -> GridReport:
     return report
 
 
+def _load_report(path: str, read=lambda report: report):
+    """``read`` of the grid report saved at ``path``; errors name the file."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return read(load_grid_report_document(handle))
+        except ValueError as error:
+            raise ValueError(f"{path}: {error}") from None
+
+
 def _load_or_run(args: argparse.Namespace, out) -> ComparisonSlice:
     """``--load FILE``'s one (row, seed) slice, or a fresh run's."""
     if args.load is None:
         return comparison_slice(_run_grid(_comparison_spec(args), out))
-    with open(args.load, encoding="utf-8") as handle:
-        try:
-            return comparison_slice(load_grid_report_document(handle))
-        except ValueError as error:
-            raise ValueError(f"{args.load}: {error}") from None
+    return _load_report(args.load, comparison_slice)
 
 
 def _open_destination(path: str | None):
@@ -573,44 +574,49 @@ def _cmd_figures(args: argparse.Namespace, out) -> int:
                 )
                 print(chart, file=out)
                 print(file=out)
-        failures = _print_claims(result, out)
+        held = _print_verdicts(report, out)
         if handle is not None:
             save_grid_report(report, handle)
             print(f"saved result to {args.save}", file=out)
-    return 1 if failures else 0
+    return 0 if held else 1
 
 
-def _print_claims(result: ComparisonSlice, out) -> int:
-    checks = check_paper_claims(result)
-    if result.row != "baseline":
-        print(
-            f"note: this run used scenario {result.row!r}; the §5.2 claim "
-            "checks target the baseline regime",
-            file=out,
-        )
-    print(render_claim_lines(checks), file=out)
-    return sum(not check.holds for check in checks)
-
-
-def _cmd_claims(args: argparse.Namespace, out) -> int:
-    try:
-        return 1 if _print_claims(_load_or_run(args, out), out) else 0
-    except (ValueError, OSError) as error:
-        print(f"error: {error}", file=out)
-        return 2
+def _print_verdicts(report, out) -> bool:
+    """The claim table's verdicts per row label; whether all hold."""
+    verdicts = check_report(report)
+    for i, (row, row_verdicts) in enumerate(verdicts.items()):
+        if len(verdicts) > 1:
+            print(f"\n== {row} ==" if i else f"== {row} ==", file=out)
+        if row.partition(" @ ")[0] != "baseline":
+            print(
+                f"note: this run used scenario {row!r}; the §5.2 claim "
+                "checks target the baseline regime",
+                file=out,
+            )
+        print(render_claim_lines(row_verdicts), file=out)
+    return all(v.holds for row_verdicts in verdicts.values() for v in row_verdicts)
 
 
 def _cmd_ablation(args: argparse.Namespace, out) -> int:
     entry = ablations.ABLATIONS[args.id]
+    several = len(args.seeds) > 1
+    per_seed = {}
     try:
-        result = ablations.run_ablation(entry, paper_config(seed=args.seed), args.queries)
+        if len(set(args.seeds)) != len(args.seeds):
+            raise ValueError(f"duplicate entries on the seed axis: {args.seeds}")
+        for seed in args.seeds:
+            result = ablations.run_ablation(
+                entry, paper_config(seed=seed), args.queries
+            )
+            table = f"seed {seed}\n{result.render()}\n" if several else result.render()
+            print(table, file=out)
+            per_seed[seed] = entry.check(result)
     except ValueError as error:
         print(f"error: {error}", file=out)
         return 2
-    checks = entry.check(result)
-    print(result.render(), file=out)
-    print(render_claim_lines(checks), file=out)
-    return 1 if any(not check.holds for check in checks) else 0
+    verdicts = claim_verdicts(per_seed)
+    print(render_claim_lines(verdicts), file=out)
+    return 0 if all(verdict.holds for verdict in verdicts) else 1
 
 
 def _cmd_report(args: argparse.Namespace, out) -> int:
@@ -903,6 +909,44 @@ def _watch_snapshot(store, claims, keys, window_s, now):
     return "\n".join(lines), done
 
 
+def _stored_report(args: argparse.Namespace) -> GridReport:
+    """The grid of the axis flags, read from its stored cells without
+    executing any; missing or unrestorable cells are a counted error."""
+    from .analysis import load_grid_cell_document
+    from .results import CorruptResultError, ResultStore
+
+    spec = _grid_spec_from_args(args)
+    store = ResultStore(args.store, backend=args.backend)
+    report = GridReport(spec=spec)
+    cells = spec.expand()
+    for cell in cells:
+        key = spec.cell_key(cell)
+        try:
+            report.runs[cell] = load_grid_cell_document(store.get(key))
+        except (KeyError, TypeError, ValueError, CorruptResultError):
+            pass  # counted as missing below
+    missing = len(cells) - len(report.runs)
+    if missing:
+        raise ValueError(
+            f"{missing} of {len(cells)} cell(s) of the grid are missing or "
+            f"corrupt in store {args.store}; run `grid run` with the same "
+            "options first"
+        )
+    return report
+
+
+def _cmd_grid_check(args: argparse.Namespace, out) -> int:
+    """The claim table's verdicts per seed on a stored or saved grid."""
+    from .sim.errors import ConfigurationError
+
+    try:
+        report = _load_report(args.load) if args.load else _stored_report(args)
+        return 0 if _print_verdicts(report, out) else 1
+    except (ValueError, ConfigurationError, OSError) as error:
+        print(f"error: {error}", file=out)
+        return 2
+
+
 def _cmd_grid_watch(args: argparse.Namespace, out) -> int:
     """Poll the store + claims until the grid completes (or --once)."""
     from .results import ClaimStore, ResultStore
@@ -1148,6 +1192,7 @@ def _cmd_grid(args: argparse.Namespace, out) -> int:
     return {
         "run": _cmd_grid_run,
         "status": _cmd_grid_status,
+        "check": _cmd_grid_check,
         "watch": _cmd_grid_watch,
         "report": _cmd_grid_report,
         "ls": _cmd_grid_ls,
@@ -1280,22 +1325,6 @@ def _cmd_lint(args: argparse.Namespace, out) -> int:
     return 1 if findings else 0
 
 
-def _cmd_seed_sweep(args: argparse.Namespace, out) -> int:
-    from .experiments.robustness import run_seed_sweep
-
-    try:
-        sweep = run_seed_sweep(
-            args.seeds,
-            max_queries=args.queries,
-            progress=lambda m: print(f"  {m}", file=out, flush=True),
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=out)
-        return 2
-    print(sweep.render(), file=out)
-    return 0 if sweep.all_claims_always_hold() else 1
-
-
 def _cmd_info(args: argparse.Namespace, out) -> int:
     config = paper_config()
     print("Paper configuration (§5.1):", file=out)
@@ -1312,14 +1341,12 @@ def _cmd_info(args: argparse.Namespace, out) -> int:
 _COMMANDS = {
     "figures": _cmd_figures,
     "compare": _cmd_figures,
-    "claims": _cmd_claims,
     "ablation": _cmd_ablation,
     "report": _cmd_report,
     "sweep": _cmd_sweep,
     "grid": _cmd_grid,
     "trace": _cmd_trace,
     "lint": _cmd_lint,
-    "seed-sweep": _cmd_seed_sweep,
     "info": _cmd_info,
 }
 

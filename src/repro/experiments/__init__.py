@@ -17,7 +17,6 @@ from .grid import (
     ScenarioSpec,
     execute_cells,
 )
-from .robustness import SeedSweepResult, run_seed_sweep
 from .runner import (
     DEFAULT_PROTOCOL_ORDER,
     PROTOCOL_REGISTRY,
@@ -55,8 +54,6 @@ __all__ = [
     "fig3_search_traffic",
     "fig4_success_rate",
     "ablations",
-    "SeedSweepResult",
-    "run_seed_sweep",
     "ScenarioSpec",
     "GridCell",
     "GridSpec",

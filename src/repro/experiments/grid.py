@@ -14,10 +14,11 @@ a repeated one costs zero executions.
 
 This module is also the single sweep engine: ``repro sweep``, the
 ablations and the one-seed comparison behind ``repro figures`` run a
-storeless :class:`GridRunner`, and :func:`~repro.experiments.
-robustness.run_seed_sweep` drives its cells through
-:func:`execute_cells`, so serial/parallel equivalence and blueprint
-reuse are implemented (and tested) exactly once.
+storeless :class:`GridRunner`, and a claim check over seeds is ``repro
+grid run --seeds …`` followed by ``repro grid check``
+(:func:`repro.analysis.check_report` on the stored cells), so
+serial/parallel equivalence and blueprint reuse are implemented (and
+tested) exactly once.
 
 Usage::
 
@@ -32,7 +33,7 @@ Usage::
     report = GridRunner(spec, workers=4, store=ResultStore("results")).run()
     print(render_sweep_report(report))
 
-``repro grid run|report|ls`` is the CLI face of this module.
+``repro grid run|check|report|ls`` is the CLI face of this module.
 """
 
 from __future__ import annotations

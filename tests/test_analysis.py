@@ -288,18 +288,14 @@ class TestClaimTable:
             (c.figure for c in PAPER_CLAIMS), key=ids.index
         )
 
-    def test_spread_labels_are_unique(self):
-        labels = [c.spread for c in PAPER_CLAIMS if c.spread]
-        assert len(set(labels)) == len(labels) == 4
-
     def test_render_claim_lines(self):
-        from repro.analysis import ClaimCheck
+        from repro.analysis import ClaimCheck, claim_verdicts
 
         checks = [
             ClaimCheck("A", True, "a detail", 0.5),
             ClaimCheck("B", False, "b detail", math.nan),
         ]
-        assert render_claim_lines(checks) == (
+        assert render_claim_lines(claim_verdicts({1: checks})) == (
             "[PASS] A\n       a detail\n[FAIL] B\n       b detail\n"
             "\n1/2 paper claims hold"
         )

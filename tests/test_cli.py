@@ -69,6 +69,32 @@ class TestAblationCommand:
         assert text.endswith("\n0/1 paper claims hold\n")
 
 
+class TestAblationSeeds:
+    def test_seeds_parse_and_seed_is_its_prefix(self):
+        parse = build_parser().parse_args
+        assert parse(["ablation", "a5"]).seeds == [20090322]
+        assert parse(["ablation", "a5", "--seed", "5"]).seeds == [5]
+        assert parse(["ablation", "a5", "--seeds", "1", "2"]).seeds == [1, 2]
+
+    def test_one_table_per_seed_then_k_of_n_per_row(self):
+        code, text = run_cli("ablation", "a6", "--seeds", "1", "2", "--queries", "20")
+        assert text.startswith("seed 1\nA6: Bloom update overhead")
+        assert "\nseed 2\nA6: Bloom update overhead" in text
+        lines = [line for line in text.splitlines() if line.startswith("[")]
+        assert len(lines) == len(ABLATIONS["a6"].claims)
+        for line, claim in zip(lines, ABLATIONS["a6"].claims):
+            assert line.split("] ", 1)[1].startswith(f"A6: {claim.text}  (")
+            assert line.endswith("/2 seeds)")
+        held = sum(line.startswith("[PASS]") for line in lines)
+        assert f"\n{held}/{len(lines)} paper claims hold on all 2 seeds; " in text
+        assert code == (0 if held == len(lines) else 1)
+
+    def test_duplicate_seeds_are_a_clean_error(self):
+        code, text = run_cli("ablation", "a6", "--seeds", "1", "1", "--queries", "20")
+        assert code == 2
+        assert text == "error: duplicate entries on the seed axis: [1, 1]\n"
+
+
 class TestInfo:
     def test_info_prints_paper_config(self):
         code, text = run_cli("info")
@@ -134,11 +160,6 @@ class TestSweepCommand:
         assert code == 2
         assert "error: duplicate entries on the protocol axis" in text
 
-    def test_seed_sweep_rejects_duplicate_seeds_cleanly(self):
-        code, text = run_cli("seed-sweep", "--seeds", "1", "1", "--queries", "5")
-        assert code == 2
-        assert "error:" in text and "duplicate" in text
-
     def test_sweep_runs_small_grid_in_parallel(self):
         code, text = run_cli(
             "sweep",
@@ -159,26 +180,18 @@ class TestSweepCommand:
         """One declaration of the axis flags, two sets of defaults."""
         sweep = build_parser().parse_args(["sweep"])
         assert (sweep.scenarios, sweep.seeds) == (None, [20090322, 20090323])
-        for command in ("run", "status", "watch"):
+        for command in ("run", "status", "watch", "check"):
             grid = build_parser().parse_args(["grid", command])
             assert (grid.scenarios, grid.seeds) == (["baseline"], [20090322])
         for args in (sweep, grid):
             assert args.protocols == ["flooding", "dicas", "dicas-keys", "locaware"]
             assert (args.queries, args.bucket, args.config) == (200, None, "paper")
 
-    def test_seed_sweep_tallies_the_claim_table(self):
-        code, text = run_cli("seed-sweep", "--seeds", "11", "--queries", "40")
-        assert code in (0, 1)
-        for claim in PAPER_CLAIMS:
-            assert f"{claim.statement}  " in text
-            if claim.spread:
-                assert f"{claim.spread}  " in text
-        assert text.count("/1\n") == len(PAPER_CLAIMS)
-
-    def test_seed_sweep_parses(self):
-        args = build_parser().parse_args(["seed-sweep", "--seeds", "1", "2"])
-        assert args.command == "seed-sweep"
-        assert args.seeds == [1, 2]
+    @pytest.mark.parametrize("command", ["seed-sweep", "claims"])
+    def test_replaced_commands_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def claim_lines(text):
@@ -193,7 +206,7 @@ def claim_lines(text):
 
 
 class TestRoundtrip:
-    """figures --save → claims --load → report --load, on a saved doc."""
+    """figures --save → grid check --load → report --load, on a saved doc."""
 
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
@@ -205,10 +218,11 @@ class TestRoundtrip:
         assert f"saved result to {path}" in text
         return path, text
 
-    def test_claims_load(self, saved):
+    def test_grid_check_load(self, saved):
         path, figures_text = saved
-        code, text = run_cli("claims", "--load", str(path))
+        code, text = run_cli("grid", "check", "--load", str(path))
         assert code in (0, 1)
+        assert code == int("[FAIL]" in figures_text)
         assert "paper claims hold" in text
         assert claim_lines(text) == claim_lines(figures_text)
         assert claim_lines(text)[::2] == [
@@ -232,23 +246,41 @@ class TestRoundtrip:
 
 
 class TestLoadFailsCleanly:
-    """claims / report --load: every unreadable input is `error: …`,
+    """report / grid check --load: every unreadable input is `error: …`,
     exit 2, never a traceback."""
 
-    @pytest.fixture(params=["claims", "report"])
+    @pytest.fixture(
+        params=[("report",), ("grid", "check")], ids=["report", "grid-check"]
+    )
     def command(self, request):
         return request.param
 
+    @pytest.fixture(scope="class")
+    def saved_doc(self, tmp_path_factory):
+        """A small one-seed comparison's grid-report document."""
+        path = tmp_path_factory.mktemp("damaged") / "run.json"
+        code, _ = run_cli(
+            "sweep", "--config", "small", "--scenarios", "baseline",
+            "--seeds", "20090322", "--queries", "10", "--out", str(path),
+        )
+        assert code == 0
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    def _damaged(self, doc, tmp_path):
+        path = tmp_path / "damaged.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
     def test_missing_file(self, command, tmp_path):
         path = tmp_path / "nope.json"
-        code, text = run_cli(command, "--load", str(path))
+        code, text = run_cli(*command, "--load", str(path))
         assert code == 2
         assert text.startswith("error: ") and "nope.json" in text
 
     def test_not_json(self, command, tmp_path):
         path = tmp_path / "run.json"
         path.write_text("not json at all")
-        code, text = run_cli(command, "--load", str(path))
+        code, text = run_cli(*command, "--load", str(path))
         assert code == 2
         assert text.startswith(f"error: {path}: ")
 
@@ -256,12 +288,51 @@ class TestLoadFailsCleanly:
     def test_wrong_kind_is_named(self, command, kind, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"kind": kind, "format_version": 1}))
-        code, text = run_cli(command, "--load", str(path))
+        code, text = run_cli(*command, "--load", str(path))
         assert code == 2
         assert text == (
             f"error: {path}: not a grid-report document: kind={kind!r}\n"
         )
 
+    def test_a_dropped_cell_is_named(self, command, saved_doc, tmp_path):
+        doc = dict(saved_doc, cells=[
+            cell for cell in saved_doc["cells"] if cell["protocol"] != "dicas"
+        ])
+        path = self._damaged(doc, tmp_path)
+        code, text = run_cli(*command, "--load", str(path))
+        assert code == 2
+        assert text == (
+            f"error: {path}: the grid report has no cell for row "
+            "'baseline', protocol 'dicas', seed 20090322\n"
+        )
+
+    def test_a_cell_without_its_summary_is_named(
+        self, command, saved_doc, tmp_path
+    ):
+        doc = json.loads(json.dumps(saved_doc))
+        (cell,) = [c for c in doc["cells"] if c["protocol"] == "locaware"]
+        del cell["run"]["summary"]
+        path = self._damaged(doc, tmp_path)
+        code, text = run_cli(*command, "--load", str(path))
+        assert code == 2
+        assert text == (
+            f"error: {path}: the cell for row 'baseline', protocol "
+            "'locaware', seed 20090322 does not restore: KeyError: "
+            "'summary'\n"
+        )
+
+    def test_a_declared_seed_without_cells_is_named(
+        self, command, saved_doc, tmp_path
+    ):
+        path = self._damaged(dict(saved_doc, seeds=[1, 2]), tmp_path)
+        code, text = run_cli(*command, "--load", str(path))
+        assert code == 2
+        assert text == (
+            f"error: {path}: the grid report has no cell for row "
+            "'baseline', protocol 'flooding', seed 1\n"
+        )
+
+    @pytest.mark.parametrize("command", [("report",)], ids=["report"])
     def test_many_slices_are_named(self, command, tmp_path):
         path = tmp_path / "sweep.json"
         code, _ = run_cli(
@@ -270,7 +341,7 @@ class TestLoadFailsCleanly:
             "--queries", "5", "--out", str(path),
         )
         assert code == 0
-        code, text = run_cli(command, "--load", str(path))
+        code, text = run_cli(*command, "--load", str(path))
         assert code == 2
         assert text.startswith(f"error: {path}: ")
         assert "rows: baseline, diurnal; seeds: 1, 2" in text
@@ -773,8 +844,93 @@ class TestGridStatusCommand:
         assert "does not accept parameter" in text
 
 
+class TestGridCheckCommand:
+    """grid check: the claim table's verdicts per seed on a stored grid."""
+
+    def _axes(self, store, *seeds, extra=()):
+        return (
+            "--store", str(store),
+            "--config", "small",
+            "--seeds", *(seeds or ("11", "12")),
+            "--queries", "40",
+            *extra,
+        )
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        store = tmp_path_factory.mktemp("check") / "store"
+        code, _ = run_cli("grid", "run", *self._axes(store))
+        assert code == 0
+        return store
+
+    def test_grid_check_parses(self):
+        args = build_parser().parse_args(
+            ["grid", "check", "--seeds", "1", "2", "--load", "r.json"]
+        )
+        assert (args.grid_command, args.seeds, args.load) == (
+            "check", [1, 2], "r.json"
+        )
+
+    def test_grid_check_tallies_the_claim_table(self, store):
+        code, text = run_cli("grid", "check", *self._axes(store))
+        lines = [line for line in text.splitlines() if line.startswith("[")]
+        assert len(lines) == len(PAPER_CLAIMS)
+        for line, claim in zip(lines, PAPER_CLAIMS):
+            tag, rest = line.split("] ", 1)
+            held = int(rest.rsplit("(", 1)[1].split("/")[0])
+            assert rest == f"{claim.statement}  ({held}/2 seeds)"
+            assert tag[1:] == {2: "PASS", 0: "FAIL"}.get(held, "UNRESOLVED")
+        assert code == (0 if all(line.startswith("[PASS]") for line in lines) else 1)
+        assert "note:" not in text
+
+    def test_missing_cells_are_counted_and_exit_2(self, store):
+        code, text = run_cli("grid", "check", *self._axes(store, "11", "12", "13"))
+        assert code == 2
+        assert text == (
+            f"error: 4 of 12 cell(s) of the grid are missing or corrupt in "
+            f"store {store}; run `grid run` with the same options first\n"
+        )
+
+    def test_an_empty_store_exits_2(self, tmp_path):
+        code, text = run_cli("grid", "check", *self._axes(tmp_path / "none"))
+        assert code == 2
+        assert text.startswith("error: 8 of 8 cell(s) of the grid are missing")
+
+    def test_a_corrupt_cell_is_counted_not_a_traceback(self, tmp_path):
+        from repro.experiments import GridSpec, small_config
+        from repro.results import ResultStore
+
+        store = tmp_path / "store"
+        assert run_cli("grid", "run", *self._axes(store, "11"))[0] == 0
+        spec = GridSpec(base_config=small_config(), seeds=(11,), max_queries=40)
+        key = spec.cell_key(spec.expand()[0])
+        document = ResultStore(store).get(key)
+        del document["run"]["summary"]
+        ResultStore(store).put(key, document)
+        code, text = run_cli("grid", "check", *self._axes(store, "11"))
+        assert code == 2
+        assert text.startswith("error: 1 of 4 cell(s) of the grid are missing")
+
+    def test_duplicate_seeds_are_a_clean_error(self, tmp_path):
+        code, text = run_cli("grid", "check", *self._axes(tmp_path, "1", "1"))
+        assert code == 2
+        assert "error: duplicate entries on the seed axis" in text
+
+    def test_an_override_axis_gives_one_block_per_row(self, tmp_path):
+        store = tmp_path / "store"
+        axes = self._axes(store, extra=("--set", "ttl=3,5"))
+        assert run_cli("grid", "run", *axes)[0] == 0
+        code, text = run_cli("grid", "check", *axes)
+        assert code in (0, 1)
+        assert text.startswith("== baseline @ ttl=3 ==\n[")
+        assert "\n\n== baseline @ ttl=5 ==\n[" in text
+        lines = [line for line in text.splitlines() if line.startswith("[")]
+        assert len(lines) == 2 * len(PAPER_CLAIMS)
+        assert "note:" not in text
+
+
 class TestClaimsScenarioNote:
-    def test_loaded_scenario_document_is_flagged_in_claims(self, tmp_path):
+    def test_loaded_scenario_document_is_flagged_in_grid_check(self, tmp_path):
         from repro.analysis import save_grid_report
         from repro.experiments import GridRunner, GridSpec, small_config
 
@@ -788,9 +944,10 @@ class TestClaimsScenarioNote:
         path = tmp_path / "run.json"
         with open(path, "w", encoding="utf-8") as handle:
             save_grid_report(GridRunner(spec).run(), handle)
-        _code, text = run_cli("claims", "--load", str(path))
-        assert "scenario 'cold-start'" in text
-        assert "baseline regime" in text
+        _code, text = run_cli("grid", "check", "--load", str(path))
+        assert text.startswith(
+            "note: this run used scenario 'cold-start'; the §5.2 claim "
+            "checks target the baseline regime\n[")
 
 
 class TestTraceCommand:

@@ -7,6 +7,8 @@ re-executes exactly that cell; and the aggregate of a resumed run is
 byte-identical to an uninterrupted one.
 """
 
+import math
+
 import pytest
 
 from repro.analysis import aggregate_sweep, render_sweep_report
@@ -611,43 +613,46 @@ def test_bytes_that_do_not_decode_are_quarantined_too(tmp_path):
     assert store.path_for(victim).with_name(f"{victim}.json.corrupt").is_file()
 
 
-class TestSeedSweepOnGridEngine:
-    """`run_seed_sweep` is now a one-scenario grid — same results."""
+class TestClaimCheckOnGridEngine:
+    """The referee reads a plain grid report — same verdicts as the
+    claim table on direct runs, at any worker count."""
+
+    @staticmethod
+    def _verdicts(seeds, max_queries, workers=1):
+        from repro.analysis import check_report
+
+        spec = GridSpec(
+            base_config=_base_config(seed=0), seeds=seeds, max_queries=max_queries
+        )
+        return check_report(GridRunner(spec, workers=workers).run())
 
     def test_matches_direct_comparison(self):
-        from repro.analysis import PAPER_CLAIMS, ComparisonSlice, check_paper_claims
-        from repro.experiments import (
-            DEFAULT_PROTOCOL_ORDER,
-            run_protocol,
-            run_seed_sweep,
-        )
+        from repro.analysis import ComparisonSlice, check_paper_claims
+        from repro.experiments import DEFAULT_PROTOCOL_ORDER, run_protocol
 
-        base = _base_config(seed=0)
-        sweep = run_seed_sweep([11], base=base, max_queries=40)
+        (verdicts,) = self._verdicts((11,), 40).values()
         direct = {
             name: run_protocol(
-                base.replace(seed=11), name, max_queries=40, bucket_width=5
+                _base_config(seed=11), name, max_queries=40, bucket_width=5
             )
             for name in DEFAULT_PROTOCOL_ORDER
         }
         checks = check_paper_claims(ComparisonSlice("baseline", 11, direct))
-        assert sweep.claim_passes == {
-            check.claim: (1 if check.holds else 0) for check in checks
-        }
-        assert repr(sweep.spreads) == repr({
-            claim.spread: [check.value]
-            for claim, check in zip(PAPER_CLAIMS, checks)
-            if claim.spread
-        })
+        assert [verdict.checks for verdict in verdicts] == [
+            ((11, check),) for check in checks
+        ]
+        assert repr([v.spread for v in verdicts]) == repr([
+            None if math.isnan(c.value) else (c.value, c.value, c.value)
+            for c in checks
+        ])
 
-    def test_workers_do_not_change_the_tally(self):
-        from repro.experiments import run_seed_sweep
-
-        base = _base_config(seed=0)
-        serial = run_seed_sweep([11, 12], base=base, max_queries=30)
-        parallel = run_seed_sweep([11, 12], base=base, max_queries=30, workers=3)
-        assert serial.claim_passes == parallel.claim_passes
-        assert repr(serial.spreads) == repr(parallel.spreads)
+    def test_workers_do_not_change_the_verdicts(self):
+        serial = self._verdicts((11, 12), 30)
+        parallel = self._verdicts((11, 12), 30, workers=3)
+        assert serial == parallel
+        assert repr(
+            [v.spread for v in serial["baseline"]]
+        ) == repr([v.spread for v in parallel["baseline"]])
 
 
 def _blueprint_probe(fingerprint):

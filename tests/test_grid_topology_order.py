@@ -322,13 +322,15 @@ def annotated_scenario():
 
 #: Text a JSON encoder has to escape, or must not: quotes, backslashes,
 #: control characters, non-ASCII, and near misses of the placeholder.
+#: The placeholder itself is refused by design (the test after the
+#: property), so generated text never equals it.
 _AWKWARD = st.one_of(
     st.text(max_size=12),
     st.sampled_from(
         ['"', "\\", '\\"', '","protocol":"locaware', "naïve — ٣ 日本", "\x00",
          "\x00protocol", _PROTOCOL_SLOT + "x", '"' + _PROTOCOL_SLOT + '"']
     ),
-)
+).filter(lambda text: text != _PROTOCOL_SLOT)
 _OVERRIDES = st.lists(
     st.sampled_from(
         [{}, {"ttl": 5}, {"index_capacity": 10, "ttl": 6}, {"zipf_exponent": 0.5},

@@ -16,9 +16,11 @@ from .distributions import (
 )
 from .paper_claims import (
     PAPER_CLAIMS,
+    Claim,
     ClaimCheck,
     ClaimVerdict,
-    PaperClaim,
+    ResultTable,
+    check_claims,
     check_paper_claims,
     check_report,
     claim_verdicts,
@@ -59,9 +61,11 @@ __all__ = [
     "collect_series",
     "summarize_outcomes",
     "PAPER_CLAIMS",
-    "PaperClaim",
+    "Claim",
     "ClaimCheck",
     "ClaimVerdict",
+    "ResultTable",
+    "check_claims",
     "check_paper_claims",
     "claim_verdicts",
     "check_report",

@@ -1,67 +1,118 @@
-"""The paper's §5.2 claims, declared once, and the one referee.
+"""The claim tables' one row type, the paper's §5.2 rows, and the one referee.
 
-:data:`PAPER_CLAIMS` is the one table of what Figures 2-4 must show on
-a measured :class:`~repro.analysis.comparison.ComparisonSlice` — who
-wins, and roughly by how much; absolute numbers depend on the
-substrate, so a row tests a *shape* and carries the paper's magnitude
-in its statement:
+A claim row (:class:`Claim`) is a statement and the comparisons it
+reads off a :class:`ResultTable`; it holds when it makes at least one
+comparison and every one holds, so a NaN refutes the row that reads it.
+A row may declare a headline cell: the number a verdict spreads over
+seeds (a reduction, a gain, an excess); without one it is NaN.
+:func:`check_claims` is the one check of a table's rows.  Two tables of
+rows exist:
+
+- :data:`PAPER_CLAIMS`, per figure: what Figures 2-4 must show on the
+  :func:`figure_table` of a measured
+  :class:`~repro.analysis.comparison.ComparisonSlice` (one row per
+  protocol: its means, its distance half-means, and the relative
+  changes the rows compare);
+- :data:`~repro.experiments.ablations.ABLATIONS`, per ablation: the
+  directions each ablation's table must show.
+
+Absolute numbers depend on the substrate, so a figure row tests a
+*shape* and carries the paper's magnitude in its statement:
 
 1. Fig 2 — Locaware's mean download distance is below every
    baseline's (paper: ≈14% lower), stays below flooding's in both
-   halves of the run, and *improves* (decreases) as queries accumulate;
+   halves of the run, and *improves* (its second-half mean is below its
+   first-half mean);
 2. Fig 3 — each index-caching protocol cuts search traffic versus
    flooding by more than 90% (paper: ≈98%), and the three sit within
    3× of each other (the paper plots them nearly on top of each other);
 3. Fig 4 — flooding has the strictly best success rate; Locaware
    beats Dicas (paper: ≈+23%) and Dicas-Keys (paper: ≈+33%).
 
-A NaN (a protocol with no downloads, a series too short to split)
-refutes the row that needs it.
-
-:func:`check_paper_claims` checks the table on one slice;
-:func:`claim_verdicts` judges each row over seeds — it **holds** on
-every seed, **fails** on every seed, or is **unresolved** (not a pass);
-:func:`check_report` does that for every row label of a grid report;
-:func:`render_claim_lines` prints verdicts.  ``repro figures`` and
-``repro grid check`` print :func:`check_report`, ``repro ablation``
-judges its own table with :func:`claim_verdicts`.
+:func:`check_paper_claims` checks the figure rows on one slice;
+:func:`claim_verdicts` judges each row of either table over seeds — it
+**holds** on every seed, **fails** on every seed, or is **unresolved**
+(not a pass); :func:`check_report` does that for every row label of a
+grid report; :func:`render_claim_lines` prints verdicts.  ``repro
+figures`` and ``repro grid check`` print :func:`check_report`, ``repro
+ablation`` judges its own table with :func:`claim_verdicts`.
 """
 
 from __future__ import annotations
 
+import enum
 import math
+import operator
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any
+from typing import Any, NamedTuple
 
-from .collectors import MetricSeries, OutcomeSummary
 from .comparison import ComparisonSlice, comparison_slice
-from .tables import format_percent
+from .tables import format_percent, format_table
 
 __all__ = [
     "PAPER_CLAIMS",
+    "Claim",
     "ClaimCheck",
     "ClaimVerdict",
-    "PaperClaim",
+    "Comparison",
+    "ResultTable",
+    "Row",
+    "all_of",
+    "check_claims",
     "check_paper_claims",
     "check_report",
     "claim_verdicts",
+    "each_row",
+    "figure_table",
     "relative_change",
     "render_claim_lines",
+    "steps",
+    "vs",
 ]
 
 _PROTOCOLS = ("flooding", "dicas", "dicas-keys", "locaware")
 _BASELINES = ("flooding", "dicas", "dicas-keys")
 _CACHING = ("dicas", "dicas-keys", "locaware")
 
-Summaries = dict[str, OutcomeSummary]
-Series = dict[str, MetricSeries]
+
+@dataclass
+class ResultTable:
+    """Measurements labelled by their first column: an ablation's table,
+    or the :func:`figure_table` of a comparison slice."""
+
+    experiment_id: str
+    title: str
+    headers: list[str]
+    rows: list[list[Any]] = field(default_factory=list)
+
+    def render(self) -> str:
+        """The table as ASCII."""
+        return format_table(self.headers, self.rows, title=f"{self.experiment_id}: {self.title}")
+
+    def column(self, header: str) -> list[Any]:
+        """All values of one column (for assertions in benches/tests)."""
+        index = self.headers.index(header)
+        return [row[index] for row in self.rows]
+
+
+class Comparison(NamedTuple):
+    """One comparison a claim makes: ``lhs op rhs``, ``rhs`` being the
+    threshold already computed."""
+
+    what: str
+    lhs: float
+    op: str
+    rhs: float
+
+
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
 class ClaimCheck:
-    """One verified (or refuted) paper claim."""
+    """One verified (or refuted) claim row."""
 
     claim: str
     holds: bool
@@ -72,19 +123,99 @@ class ClaimCheck:
 
 
 @dataclass(frozen=True)
-class PaperClaim:
-    """One row of :data:`PAPER_CLAIMS`."""
+class Claim:
+    """One row of a claim table."""
 
-    figure: str
-    """The figure it belongs to (``Figure.EXPERIMENT_ID``)."""
     text: str
-    test: Callable[[Summaries, Series], tuple[bool, str, float]]
-    """``(summaries, series)`` → ``(holds, detail, headline value)``."""
+    """The statement, printed after its table's tag (``Fig2: …``, ``A1: …``)."""
+    compare: Callable[[ResultTable], list[Comparison]]
+    headline: tuple[str, Any] | None = None
+    """The ``(header, row)`` cell that is the row's headline value (NaN if ``None``)."""
 
-    @property
-    def statement(self) -> str:
-        """The printed claim: ``text`` after the figure (``Fig2: …``)."""
-        return f"{self.figure.capitalize()}: {self.text}"
+
+def check_claims(tag: str, claims: Sequence[Claim], table: ResultTable) -> list[ClaimCheck]:
+    """Every row of ``claims`` on ``table``, in order: a row holds when
+    it made a comparison and every one holds."""
+    checks = []
+    for claim in claims:
+        comparisons = claim.compare(table)
+        holds = bool(comparisons) and all(_OPS[c.op](c.lhs, c.rhs) for c in comparisons)
+        detail = "; ".join(f"{c.what}: {c.lhs:.4g} {c.op} {c.rhs:.4g}" for c in comparisons)
+        value = math.nan if claim.headline is None else _cell(table, *claim.headline)[1]
+        checks.append(ClaimCheck(f"{tag}: {claim.text}", holds, detail or "no rows", value))
+    return checks
+
+
+# --- comparisons, read off a table ------------------------------------------
+
+
+class Row(enum.Enum):
+    """A row named by its place in the table rather than by its label."""
+
+    FIRST = 0
+    LAST = -1
+
+
+def _cell(table: ResultTable, header: str, row: Any) -> tuple[str, float]:
+    """``header``'s value on ``row`` (a label or a :class:`Row`), and
+    its name; NaN if the table has no such row."""
+    labels, values = table.column(table.headers[0]), table.column(header)
+    if isinstance(row, Row) and labels:
+        row = labels[row.value]
+    name = f"{header}[{row.name.lower() if isinstance(row, Row) else row}]"
+    return name, values[labels.index(row)] if row in labels else math.nan
+
+
+def _same(value: float) -> float:
+    return value
+
+
+def vs(
+    lhs: tuple[str, Any], op: str, rhs: tuple[str, Any] | float,
+    table: ResultTable, *, bound: Callable[[float], float] = _same,
+) -> list[Comparison]:
+    """One cell against another cell's ``bound`` (or a constant)."""
+    what, value = _cell(table, *lhs)
+    if isinstance(rhs, tuple):
+        rhs_what, rhs_value = _cell(table, *rhs)
+        what = f"{what} vs {rhs_what}"
+        rhs = bound(rhs_value)
+    return [Comparison(what, value, op, rhs)]
+
+
+def each_row(
+    header: str, op: str, rhs: str | float,
+    table: ResultTable, *, bound: Callable[[float], float] = _same,
+) -> list[Comparison]:
+    """``header`` against column ``rhs``'s ``bound`` (or a constant) on every row."""
+    labels, values = table.column(table.headers[0]), table.column(header)
+    limits = (
+        [bound(v) for v in table.column(rhs)] if isinstance(rhs, str)
+        else [rhs] * len(values)
+    )
+    return [
+        Comparison(f"{header}[{label}]", value, op, limit)
+        for label, value, limit in zip(labels, values, limits, strict=True)
+    ]
+
+
+def steps(header: str, op: str, table: ResultTable) -> list[Comparison]:
+    """Each row of ``header`` against the next: ``>=`` is falling, ``<=`` rising."""
+    labels, values = table.column(table.headers[0]), table.column(header)
+    return [
+        Comparison(f"{header}[{a}→{b}]", x, op, y)
+        for a, b, x, y in zip(labels, labels[1:], values, values[1:])
+    ]
+
+
+def all_of(
+    *parts: Callable[[ResultTable], list[Comparison]],
+) -> Callable[[ResultTable], list[Comparison]]:
+    """Every comparison of ``parts``, in order: one row making them all."""
+    return lambda table: [c for part in parts for c in part(table)]
+
+
+# --- the figure rows ---------------------------------------------------------
 
 
 def relative_change(new: float, base: float) -> float:
@@ -92,13 +223,6 @@ def relative_change(new: float, base: float) -> float:
     if base == 0 or math.isnan(new) or math.isnan(base):
         return math.nan
     return (new - base) / base
-
-
-def _pct(value: float) -> str:
-    """Signed percent string (``'n/a'`` for NaN)."""
-    if math.isnan(value):
-        return "n/a"
-    return f"{value * 100:+.1f}%"
 
 
 def _halves(values: Sequence[float]) -> tuple[float, float]:
@@ -115,150 +239,22 @@ def _halves(values: Sequence[float]) -> tuple[float, float]:
     return sum(clean[:mid]) / mid, sum(clean[mid:]) / (len(clean) - mid)
 
 
-def _distance_halves(series: MetricSeries) -> tuple[float, float]:
-    return _halves(series.download_distance.windowed_means())
+_HALVES = ("dist_ms 1st half", "dist_ms 2nd half")
+_FIGURE_HEADERS = [
+    "protocol", "success", "dist_ms", "msgs", *_HALVES,
+    "dist_ms trend",  # the second half-mean's change from the first
+    "locaware dist_ms cut",  # Locaware's distance cut vs this protocol
+    "locaware half cut",  # ... in the worse half for Locaware
+    "msgs cut",  # this protocol's traffic cut vs flooding
+    "msgs/lightest",  # its traffic over the lightest caching protocol's
+    "caching excess",  # the heaviest caching protocol's, less 1 (every row)
+    "locaware success gain",  # Locaware's relative success gain vs this protocol
+]
 
 
-def _distance_below_baselines(summaries: Summaries, series: Series):
-    loc = summaries["locaware"].mean_download_distance_ms
-    baselines = {n: summaries[n].mean_download_distance_ms for n in _BASELINES}
-    reductions = {n: -relative_change(loc, d) for n, d in baselines.items()}
-    return (
-        all(loc < d for d in baselines.values()),
-        f"locaware={loc:.1f}ms; reductions: "
-        + ", ".join(f"{n}={_pct(r)}" for n, r in reductions.items()),
-        reductions["flooding"],
-    )
-
-
-def _distance_below_flooding_throughout(summaries: Summaries, series: Series):
-    (loc1, loc2), (flood1, flood2) = (
-        _distance_halves(series[n]) for n in ("locaware", "flooding")
-    )
-    first = -relative_change(loc1, flood1)
-    second = -relative_change(loc2, flood2)
-    return (
-        first > 0 and second > 0,
-        f"reduction vs flooding: first half={_pct(first)}, "
-        f"second half={_pct(second)}",
-        math.nan if math.isnan(first + second) else min(first, second),
-    )
-
-
-def _distance_improves(summaries: Summaries, series: Series):
-    first, second = _distance_halves(series["locaware"])
-    trend = relative_change(second, first)
-    return (
-        not math.isnan(trend) and trend < 0,
-        f"first→last bucket change = {_pct(trend)}",
-        trend,
-    )
-
-
-def _cuts_traffic(name: str, summaries: Summaries, series: Series, by: float):
-    flood = summaries["flooding"].mean_messages
-    msgs = summaries[name].mean_messages
-    reduction = -relative_change(msgs, flood)
-    return (
-        not math.isnan(reduction) and reduction > by,
-        f"{name}={msgs:.1f} msg/q vs flooding={flood:.1f} "
-        f"({_pct(reduction)} reduction)",
-        reduction,
-    )
-
-
-def _caching_traffic_close(summaries: Summaries, series: Series, within: float):
-    msgs = {n: summaries[n].mean_messages for n in _CACHING}
-    low, high = min(msgs.values()), max(msgs.values())
-    ratio = high / low if low > 0 else math.nan
-    return (
-        not math.isnan(ratio) and ratio < within,
-        ("n/a" if math.isnan(ratio) else f"max/min = {ratio:.2f}x") + " ("
-        + ", ".join(f"{n}={m:.1f}" for n, m in msgs.items())
-        + " msg/q)",
-        ratio,
-    )
-
-
-def _flooding_best(summaries: Summaries, series: Series):
-    rates = {n: summaries[n].success_rate for n in _PROTOCOLS}
-    return (
-        all(rates["flooding"] > rates[n] for n in _CACHING),
-        ", ".join(f"{n}={_pct(r)}" for n, r in sorted(rates.items())),
-        math.nan,
-    )
-
-
-def _locaware_beats(name: str, summaries: Summaries, series: Series):
-    gain = relative_change(
-        summaries["locaware"].success_rate, summaries[name].success_rate
-    )
-    return (
-        not math.isnan(gain) and gain > 0,
-        f"locaware vs {name} = {_pct(gain)}",
-        gain,
-    )
-
-
-PAPER_CLAIMS: tuple[PaperClaim, ...] = (
-    PaperClaim(
-        "fig2",
-        "Locaware download distance below every baseline (~14% in paper)",
-        _distance_below_baselines,
-    ),
-    PaperClaim(
-        "fig2",
-        "Locaware download distance below flooding in both halves of the run",
-        _distance_below_flooding_throughout,
-    ),
-    PaperClaim(
-        "fig2",
-        "Locaware distance improves as queries accumulate",
-        _distance_improves,
-    ),
-    PaperClaim(
-        "fig3",
-        "locaware cuts search traffic vs flooding (~98% in paper)",
-        partial(_cuts_traffic, "locaware", by=0.9),
-    ),
-    PaperClaim(
-        "fig3",
-        "dicas cuts search traffic vs flooding (~98% in paper)",
-        partial(_cuts_traffic, "dicas", by=0.9),
-    ),
-    PaperClaim(
-        "fig3",
-        "dicas-keys cuts search traffic vs flooding (~98% in paper)",
-        partial(_cuts_traffic, "dicas-keys", by=0.9),
-    ),
-    PaperClaim(
-        "fig3",
-        "the three caching protocols' traffic is within 3x of each other",
-        partial(_caching_traffic_close, within=3.0),
-    ),
-    PaperClaim(
-        "fig4",
-        "flooding has the best success rate",
-        _flooding_best,
-    ),
-    PaperClaim(
-        "fig4",
-        "Locaware beats Dicas on success rate (+23% in paper)",
-        partial(_locaware_beats, "dicas"),
-    ),
-    PaperClaim(
-        "fig4",
-        "Locaware beats Dicas-Keys on success rate (+33% in paper)",
-        partial(_locaware_beats, "dicas-keys"),
-    ),
-)
-
-
-def check_paper_claims(
-    result: ComparisonSlice, figure: str | None = None
-) -> list[ClaimCheck]:
-    """Check :data:`PAPER_CLAIMS` (only ``figure``'s rows, if given) on
-    one comparison slice, in table order.
+def figure_table(result: ComparisonSlice) -> ResultTable:
+    """The table :data:`PAPER_CLAIMS` reads off one comparison slice:
+    one row per protocol (flooding, dicas, dicas-keys, locaware).
 
     The slice must hold the paper's four protocols; :class:`ValueError`
     names any that are missing.
@@ -267,10 +263,112 @@ def check_paper_claims(
     missing = set(_PROTOCOLS) - set(summaries)
     if missing:
         raise ValueError(f"missing protocols for claim checks: {sorted(missing)}")
+    halves = {
+        name: _halves(series[name].download_distance.windowed_means()) for name in _PROTOCOLS
+    }
+    loc, flood = summaries["locaware"], summaries["flooding"]
+    lightest = min(summaries[name].mean_messages for name in _CACHING)
+    over_lightest = {
+        name: summaries[name].mean_messages / lightest if lightest > 0 else math.nan
+        for name in _PROTOCOLS
+    }
+    caching = [over_lightest[name] for name in _CACHING]
+    excess = math.nan if any(map(math.isnan, caching)) else max(caching) - 1
+    rows = []
+    for name in _PROTOCOLS:
+        own = summaries[name]
+        half_cuts = [
+            -relative_change(mine, theirs)
+            for mine, theirs in zip(halves["locaware"], halves[name], strict=True)
+        ]
+        rows.append([
+            name, own.success_rate, own.mean_download_distance_ms, own.mean_messages,
+            *halves[name],
+            relative_change(halves[name][1], halves[name][0]),
+            -relative_change(loc.mean_download_distance_ms, own.mean_download_distance_ms),
+            math.nan if any(map(math.isnan, half_cuts)) else min(half_cuts),
+            -relative_change(own.mean_messages, flood.mean_messages),
+            over_lightest[name],
+            excess,
+            relative_change(loc.success_rate, own.success_rate),
+        ])
+    return ResultTable(
+        "FIG2-4", f"{result.row}, seed {result.seed}", list(_FIGURE_HEADERS), rows
+    )
+
+
+#: Figure id (``Figure.EXPERIMENT_ID``) → its rows, in figure order.
+PAPER_CLAIMS: dict[str, tuple[Claim, ...]] = {
+    "fig2": (
+        Claim(
+            "Locaware download distance below every baseline (~14% in paper)",
+            all_of(*(
+                partial(vs, ("dist_ms", "locaware"), "<", ("dist_ms", name))
+                for name in _BASELINES
+            )),
+            headline=("locaware dist_ms cut", "flooding"),
+        ),
+        Claim(
+            "Locaware download distance below flooding in both halves of the run",
+            all_of(*(
+                partial(vs, (half, "locaware"), "<", (half, "flooding")) for half in _HALVES
+            )),
+            headline=("locaware half cut", "flooding"),
+        ),
+        Claim(
+            "Locaware distance improves as queries accumulate",
+            partial(vs, (_HALVES[1], "locaware"), "<", (_HALVES[0], "locaware")),
+            headline=("dist_ms trend", "locaware"),
+        ),
+    ),
+    "fig3": (
+        *(
+            Claim(
+                f"{name} cuts search traffic vs flooding (~98% in paper)",
+                partial(vs, ("msgs cut", name), ">", 0.9),
+                headline=("msgs cut", name),
+            )
+            for name in ("locaware", "dicas", "dicas-keys")
+        ),
+        Claim(
+            "the three caching protocols' traffic is within 3x of each other",
+            all_of(*(partial(vs, ("msgs/lightest", name), "<", 3.0) for name in _CACHING)),
+            headline=("caching excess", "locaware"),
+        ),
+    ),
+    "fig4": (
+        Claim(
+            "flooding has the best success rate",
+            all_of(*(
+                partial(vs, ("success", "flooding"), ">", ("success", name))
+                for name in _CACHING
+            )),
+        ),
+        *(
+            Claim(
+                f"Locaware beats {label} on success rate ({paper} in paper)",
+                partial(vs, ("locaware success gain", name), ">", 0.0),
+                headline=("locaware success gain", name),
+            )
+            for name, label, paper in (
+                ("dicas", "Dicas", "+23%"), ("dicas-keys", "Dicas-Keys", "+33%")
+            )
+        ),
+    ),
+}
+
+
+def check_paper_claims(
+    result: ComparisonSlice, figure: str | None = None
+) -> list[ClaimCheck]:
+    """Check :data:`PAPER_CLAIMS` (only ``figure``'s rows, if given) on
+    one comparison slice's :func:`figure_table`, in table order."""
+    table = figure_table(result)
     return [
-        ClaimCheck(claim.statement, *claim.test(summaries, series))
-        for claim in PAPER_CLAIMS
-        if figure is None or claim.figure == figure
+        check
+        for tag, claims in PAPER_CLAIMS.items()
+        if figure in (None, tag)
+        for check in check_claims(tag.capitalize(), claims, table)
     ]
 
 
@@ -362,7 +460,7 @@ def render_claim_lines(verdicts: Sequence[ClaimVerdict]) -> str:
         heading, detail = _verdict_lines(verdict)
         lines += [heading, f"       {detail}"]
     held = sum(verdict.holds for verdict in verdicts)
-    lines.append(f"\n{held}/{len(verdicts)} paper claims hold")
+    lines.append(f"\n{held}/{len(verdicts)} claims hold")
     seeds = len(verdicts[0].checks) if verdicts else 1
     if seeds > 1:
         failed = sum(verdict.held == 0 for verdict in verdicts)

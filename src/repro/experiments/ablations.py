@@ -7,7 +7,7 @@ labels the table prints), how its table is read off the runs, and the
 direction claims the table must satisfy.  :func:`run_ablation` runs
 any entry as a storeless :class:`~repro.experiments.grid.GridRunner`
 on the base config's seed; :meth:`Ablation.check` tests its claims on
-the resulting :class:`AblationResult`.
+the resulting :class:`~repro.analysis.paper_claims.ResultTable`.
 
 - A1 — §5.1's landmark-count discussion (4 landmarks → 24 locIds vs 5
   → 120: too many localities scatter peers and locId matches vanish);
@@ -28,82 +28,46 @@ the resulting :class:`AblationResult`.
   protocol axis);
 - EXT2 — the ``popularity-shift`` scenario.
 
-A claim is a list of comparisons read off the table; it holds when
-there is at least one and every one holds, so a NaN fails its row.
-``repro ablation ID`` prints the table and its ``[PASS]`` / ``[FAIL]``
-lines, and ``benchmarks/test_ablations.py`` gates every entry on them.
+A claim row is the figure rows' type,
+:class:`~repro.analysis.paper_claims.Claim`: comparisons read off the
+table (``vs``, ``each_row``, ``steps``), checked by the one
+:func:`~repro.analysis.paper_claims.check_claims`.  It holds when there
+is at least one comparison and every one holds, so a NaN fails its row;
+no ablation row declares a headline cell.  ``repro ablation ID`` prints
+the table and its ``[PASS]`` / ``[FAIL]`` lines, and
+``benchmarks/test_ablations.py`` gates every entry on them.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-import operator
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Any, NamedTuple
+from typing import Any
 
-from ..analysis.paper_claims import ClaimCheck
-from ..analysis.tables import format_table
+from ..analysis.paper_claims import (
+    Claim,
+    ClaimCheck,
+    ResultTable,
+    Row,
+    all_of,
+    check_claims,
+    each_row,
+    steps,
+    vs,
+)
 from ..bloom.params import false_positive_rate
 from ..sim.config import SimulationConfig
 from .grid import GridRunner, GridSpec, blueprint_for
 from .runner import ProtocolRun
 from .setup import paper_config
 
-__all__ = [
-    "ABLATIONS",
-    "Ablation",
-    "AblationClaim",
-    "AblationResult",
-    "Comparison",
-    "run_ablation",
-]
-
-
-@dataclass
-class AblationResult:
-    """A sweep's rows, ready to render as the bench's output table."""
-
-    experiment_id: str
-    title: str
-    headers: list[str]
-    rows: list[list[Any]] = field(default_factory=list)
-
-    def render(self) -> str:
-        """The ablation as an ASCII table."""
-        return format_table(self.headers, self.rows, title=f"{self.experiment_id}: {self.title}")
-
-    def column(self, header: str) -> list[Any]:
-        """All values of one column (for assertions in benches/tests)."""
-        index = self.headers.index(header)
-        return [row[index] for row in self.rows]
+__all__ = ["ABLATIONS", "Ablation", "run_ablation"]
 
 
 Rows = list[list[ProtocolRun]]
 Reader = Callable[["Ablation", Rows], tuple[list[str], list[list[Any]]]]
-
-
-class Comparison(NamedTuple):
-    """One comparison a claim makes: ``lhs op rhs``, ``rhs`` being the
-    threshold already computed."""
-
-    what: str
-    lhs: float
-    op: str
-    rhs: float
-
-
-_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-
-@dataclass(frozen=True)
-class AblationClaim:
-    """One direction an ablation's table must show."""
-
-    text: str
-    compare: Callable[[AblationResult], list[Comparison]]
 
 
 @dataclass(frozen=True)
@@ -116,7 +80,7 @@ class Ablation:
     protocols: tuple[str, ...]
     read: Reader
     """``(entry, runs per axis value)`` → ``(headers, table rows)``."""
-    claims: tuple[AblationClaim, ...]
+    claims: tuple[Claim, ...]
     axis_header: str = ""
     labels: tuple[Any, ...] = (None,)
     """The axis values as the table prints them (one baseline row by default)."""
@@ -125,21 +89,9 @@ class Ablation:
     scenario: Callable[[Any], Any] | None = None
     """A label's scenario, for an axis over scenarios instead."""
 
-    def check(self, result: AblationResult) -> list[ClaimCheck]:
-        """Every claim on ``result``, in table order."""
-        return [
-            _verdict(f"{self.id.upper()}: {claim.text}", claim.compare(result))
-            for claim in self.claims
-        ]
-
-
-def _verdict(statement: str, comparisons: list[Comparison]) -> ClaimCheck:
-    """A row holds when it made a comparison and every one holds."""
-    holds = bool(comparisons) and all(
-        _OPS[c.op](c.lhs, c.rhs) for c in comparisons
-    )
-    detail = "; ".join(f"{c.what}: {c.lhs:.4g} {c.op} {c.rhs:.4g}" for c in comparisons)
-    return ClaimCheck(statement, holds, detail or "no rows", math.nan)
+    def check(self, table: ResultTable) -> list[ClaimCheck]:
+        """Every claim on ``table``, in table order."""
+        return check_claims(self.id.upper(), self.claims, table)
 
 
 def _grid_rows(
@@ -174,7 +126,7 @@ def _grid_rows(
 
 def run_ablation(
     entry: Ablation, base: SimulationConfig | None, max_queries: int
-) -> AblationResult:
+) -> ResultTable:
     """Run ``entry``'s axis over its protocols on ``base``'s seed and
     read its table (``base`` defaults to :func:`paper_config`).
 
@@ -187,7 +139,7 @@ def run_ablation(
     if entry.scenario is not None:
         axis["scenarios"] = [entry.scenario(label) for label in entry.labels]
     headers, rows = entry.read(entry, _grid_rows(base, max_queries, entry.protocols, **axis))
-    return AblationResult(entry.id.upper(), entry.title, headers, rows)
+    return ResultTable(entry.id.upper(), entry.title, headers, rows)
 
 
 # --- readers ---------------------------------------------------------------
@@ -284,68 +236,6 @@ def _read_variants(entry: Ablation, rows: Rows):
     ]
 
 
-# --- claim comparisons -----------------------------------------------------
-
-
-class _Row(enum.Enum):
-    """A row named by its place in the table rather than by its label."""
-
-    FIRST = 0
-    LAST = -1
-
-
-def _cell(result: AblationResult, header: str, row: Any) -> tuple[str, float]:
-    """``header``'s value on ``row`` (a label or a :class:`_Row`), and
-    its name; NaN if the table has no such row."""
-    labels, values = result.column(result.headers[0]), result.column(header)
-    if isinstance(row, _Row) and labels:
-        row = labels[row.value]
-    name = f"{header}[{row.name.lower() if isinstance(row, _Row) else row}]"
-    return name, values[labels.index(row)] if row in labels else math.nan
-
-
-def _same(value: float) -> float:
-    return value
-
-
-def _vs(
-    lhs: tuple[str, Any], op: str, rhs: tuple[str, Any] | float,
-    result: AblationResult, *, bound: Callable[[float], float] = _same,
-) -> list[Comparison]:
-    """One cell against another cell's ``bound`` (or a constant)."""
-    what, value = _cell(result, *lhs)
-    if isinstance(rhs, tuple):
-        rhs_what, rhs_value = _cell(result, *rhs)
-        what = f"{what} vs {rhs_what}"
-        rhs = bound(rhs_value)
-    return [Comparison(what, value, op, rhs)]
-
-
-def _each_row(
-    header: str, op: str, rhs: str | float,
-    result: AblationResult, *, bound: Callable[[float], float] = _same,
-) -> list[Comparison]:
-    """``header`` against column ``rhs``'s ``bound`` (or a constant) on every row."""
-    labels, values = result.column(result.headers[0]), result.column(header)
-    limits = (
-        [bound(v) for v in result.column(rhs)] if isinstance(rhs, str)
-        else [rhs] * len(values)
-    )
-    return [
-        Comparison(f"{header}[{label}]", value, op, limit)
-        for label, value, limit in zip(labels, values, limits, strict=True)
-    ]
-
-
-def _steps(header: str, op: str, result: AblationResult) -> list[Comparison]:
-    """Each row of ``header`` against the next: ``>=`` is falling, ``<=`` rising."""
-    labels, values = result.column(result.headers[0]), result.column(header)
-    return [
-        Comparison(f"{header}[{a}→{b}]", x, op, y)
-        for a, b, x, y in zip(labels, labels[1:], values, values[1:])
-    ]
-
-
 def _churn(session_s: Any) -> dict[str, Any]:
     """A5: ``"off"``, or sessions of that mean with a quarter as downtime."""
     if session_s == "off":
@@ -372,13 +262,13 @@ ABLATIONS: dict[str, Ablation] = {
             override=lambda count: {"num_landmarks": count},
             read=_read_landmarks,
             claims=(
-                AblationClaim(
+                Claim(
                     "locality population shrinks as landmarks are added",
-                    partial(_steps, "peers/locId", ">="),
+                    partial(steps, "peers/locId", ">="),
                 ),
-                AblationClaim(
+                Claim(
                     "every landmark count finds downloads",
-                    partial(_each_row, "success", ">", 0.0),
+                    partial(each_row, "success", ">", 0.0),
                 ),
             ),
         ),
@@ -389,16 +279,16 @@ ABLATIONS: dict[str, Ablation] = {
             override=lambda bits: {"bloom_bits": bits},
             read=_read_bloom_size,
             claims=(
-                AblationClaim("FPR falls as bits grow", partial(_steps, "est_fpr", ">=")),
-                AblationClaim(
+                Claim("FPR falls as bits grow", partial(steps, "est_fpr", ">=")),
+                Claim(
                     "a saturated 150-bit filter costs at least 0.95x the "
                     "traffic of the paper's 1200 bits",
-                    partial(_vs, ("msgs/query", 150), ">=", ("msgs/query", 1200),
+                    partial(vs, ("msgs/query", 150), ">=", ("msgs/query", 1200),
                             bound=lambda msgs: msgs * 0.95),
                 ),
-                AblationClaim(
+                Claim(
                     "every filter size finds downloads",
-                    partial(_each_row, "success", ">", 0.0),
+                    partial(each_row, "success", ">", 0.0),
                 ),
             ),
         ),
@@ -409,15 +299,15 @@ ABLATIONS: dict[str, Ablation] = {
             override=lambda capacity: {"index_capacity": capacity},
             read=partial(_per_protocol, ("success",)),
             claims=(
-                AblationClaim(
+                Claim(
                     "more cache does not hurt: Locaware at 50 filenames keeps "
                     "at least 0.9x its success at 2",
-                    partial(_vs, ("locaware success", 50), ">=", ("locaware success", 2),
+                    partial(vs, ("locaware success", 50), ">=", ("locaware success", 2),
                             bound=lambda rate: rate * 0.9),
                 ),
-                AblationClaim(
+                Claim(
                     "every Dicas success rate is a rate (>= 0)",
-                    partial(_each_row, "dicas success", ">=", 0.0),
+                    partial(each_row, "dicas success", ">=", 0.0),
                 ),
             ),
         ),
@@ -428,20 +318,20 @@ ABLATIONS: dict[str, Ablation] = {
             override=lambda ttl: {"ttl": ttl},
             read=partial(_per_protocol, ("success", "msgs")),
             claims=(
-                AblationClaim(
+                Claim(
                     "flooding traffic grows with TTL",
-                    partial(_steps, "flooding msgs", "<="),
+                    partial(steps, "flooding msgs", "<="),
                 ),
-                AblationClaim(
+                Claim(
                     "at the largest TTL Locaware sends under a fifth of "
                     "flooding's messages",
-                    partial(_vs, ("locaware msgs", _Row.LAST), "<",
-                            ("flooding msgs", _Row.LAST), bound=lambda msgs: msgs / 5),
+                    partial(vs, ("locaware msgs", Row.LAST), "<",
+                            ("flooding msgs", Row.LAST), bound=lambda msgs: msgs / 5),
                 ),
-                AblationClaim(
+                Claim(
                     "larger scope does not reduce flooding success",
-                    partial(_vs, ("flooding success", _Row.LAST), ">=",
-                            ("flooding success", _Row.FIRST)),
+                    partial(vs, ("flooding success", Row.LAST), ">=",
+                            ("flooding success", Row.FIRST)),
                 ),
             ),
         ),
@@ -452,10 +342,10 @@ ABLATIONS: dict[str, Ablation] = {
             override=_churn,
             read=partial(_per_protocol, ("success",)),
             claims=tuple(
-                AblationClaim(
+                Claim(
                     f"the heaviest churn does not beat the churn-free run "
                     f"by more than 0.02 ({protocol})",
-                    partial(_vs, (f"{protocol} success", _Row.LAST), "<=",
+                    partial(vs, (f"{protocol} success", Row.LAST), "<=",
                             (f"{protocol} success", "off"), bound=lambda rate: rate + 0.02),
                 )
                 for protocol in ("dicas", "locaware")
@@ -466,17 +356,17 @@ ABLATIONS: dict[str, Ablation] = {
             protocols=("locaware",),
             read=_read_bloom_overhead,
             claims=(
-                AblationClaim(
+                Claim(
                     "the run exercises Bloom updates",
-                    partial(_vs, ("value", "bloom update pushes"), ">", 0),
+                    partial(vs, ("value", "bloom update pushes"), ">", 0),
                 ),
-                AblationClaim(
+                Claim(
                     "the mean update stays within 4x the paper's 132-bit bound",
-                    partial(_vs, ("value", "mean update size (bits)"), "<=", 4 * 132),
+                    partial(vs, ("value", "mean update size (bits)"), "<=", 4 * 132),
                 ),
-                AblationClaim(
+                Claim(
                     "Bloom maintenance sends fewer messages than search",
-                    partial(_vs, ("value", "bloom/search message ratio"), "<", 1.0),
+                    partial(vs, ("value", "bloom/search message ratio"), "<", 1.0),
                 ),
             ),
         ),
@@ -487,13 +377,13 @@ ABLATIONS: dict[str, Ablation] = {
             override=lambda m: {"group_count": m},
             read=partial(_per_protocol, ("success", "msgs")),
             claims=(
-                AblationClaim(
+                Claim(
                     "broad Dicas groups (M=2) cost at least the traffic of narrow ones (M=16)",
-                    partial(_vs, ("dicas msgs", 2), ">=", ("dicas msgs", 16)),
+                    partial(vs, ("dicas msgs", 2), ">=", ("dicas msgs", 16)),
                 ),
-                AblationClaim(
+                Claim(
                     "every M finds Locaware downloads",
-                    partial(_each_row, "locaware success", ">", 0.0),
+                    partial(each_row, "locaware success", ">", 0.0),
                 ),
             ),
         ),
@@ -509,13 +399,13 @@ ABLATIONS: dict[str, Ablation] = {
             override=lambda label: dict(zip(_SUBSTRATE_FIELDS, label.split("/"), strict=True)),
             read=partial(_per_protocol, ("success", "dist_ms", "msgs")),
             claims=(
-                AblationClaim(
+                Claim(
                     "Locaware downloads closer than flooding on every substrate",
-                    partial(_each_row, "locaware dist_ms", "<", "flooding dist_ms"),
+                    partial(each_row, "locaware dist_ms", "<", "flooding dist_ms"),
                 ),
-                AblationClaim(
+                Claim(
                     "Locaware sends under a fifth of flooding's messages on every substrate",
-                    partial(_each_row, "locaware msgs", "<", "flooding msgs",
+                    partial(each_row, "locaware msgs", "<", "flooding msgs",
                             bound=lambda msgs: msgs / 5),
                 ),
             ),
@@ -525,14 +415,14 @@ ABLATIONS: dict[str, Ablation] = {
             protocols=("locaware", "locaware+locrouting"),
             read=_read_variants,
             claims=(
-                AblationClaim(
+                Claim(
                     "location-aware routing keeps at least 0.7x Locaware's success",
-                    partial(_vs, ("success", "locaware+locrouting"), ">=",
+                    partial(vs, ("success", "locaware+locrouting"), ">=",
                             ("success", "locaware"), bound=lambda rate: rate * 0.7),
                 ),
-                AblationClaim(
+                Claim(
                     "location-aware routing's distance stays within 1.25x Locaware's",
-                    partial(_vs, ("distance_ms", "locaware+locrouting"), "<=",
+                    partial(vs, ("distance_ms", "locaware+locrouting"), "<=",
                             ("distance_ms", "locaware"), bound=lambda ms: ms * 1.25),
                 ),
             ),
@@ -544,17 +434,17 @@ ABLATIONS: dict[str, Ablation] = {
             scenario=_drift,
             read=partial(_per_protocol, ("success",)),
             claims=(
-                AblationClaim(
+                Claim(
                     "the fastest drift does not beat a stationary workload "
                     "by more than 0.05 (Locaware)",
-                    partial(_vs, ("locaware success", _Row.LAST), "<=",
+                    partial(vs, ("locaware success", Row.LAST), "<=",
                             ("locaware success", "stationary"), bound=lambda rate: rate + 0.05),
                 ),
-                AblationClaim(
+                Claim(
                     "every Dicas success rate lies in [0, 1]",
-                    lambda result: (
-                        _each_row("dicas success", ">=", 0.0, result)
-                        + _each_row("dicas success", "<=", 1.0, result)
+                    all_of(
+                        partial(each_row, "dicas success", ">=", 0.0),
+                        partial(each_row, "dicas success", "<=", 1.0),
                     ),
                 ),
             ),

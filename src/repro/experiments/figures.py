@@ -7,7 +7,7 @@ figure as a namespace (``from repro.experiments import
 fig2_download_distance as fig2``; ``fig2.TITLE``,
 ``fig2.render(result)``), hence the constant-style field names.  The
 shapes the paper reports for a figure are its rows of
-:data:`~repro.analysis.paper_claims.PAPER_CLAIMS` (``figure`` ==
+:data:`~repro.analysis.paper_claims.PAPER_CLAIMS` (keyed by
 ``EXPERIMENT_ID``), which ``benchmarks/test_figures.py`` gates.
 """
 

@@ -185,28 +185,38 @@ def check(checks, fragment):
     return found
 
 
+def statements(figure=None):
+    """The printed statement of every figure row (only ``figure``'s, if given)."""
+    return [
+        f"{tag.capitalize()}: {claim.text}"
+        for tag, claims in PAPER_CLAIMS.items()
+        if figure in (None, tag)
+        for claim in claims
+    ]
+
+
 class TestClaimChecks:
+    """How the figure table is read off a slice; the rows' thresholds are
+    mutation-checked in ``test_experiments_ablations.py``."""
+
     def test_all_claims_pass_on_paper_shaped_data(self):
         checks = check_paper_claims(paper_slice())
-        assert [c.claim for c in checks] == [c.statement for c in PAPER_CLAIMS]
+        assert [c.claim for c in checks] == statements()
         assert all(c.holds for c in checks)
-
-    def test_distance_claim_fails_when_locaware_worse(self):
-        checks = check_paper_claims(paper_slice(loc_dist=400.0))
-        assert not check(checks, "below every baseline").holds
 
     def test_distance_claim_fails_on_a_baseline_without_downloads(self):
         checks = check_paper_claims(paper_slice(dicas_dist=math.nan))
         distance = check(checks, "below every baseline")
         assert not distance.holds
-        assert "dicas=n/a" in distance.detail
+        assert "dist_ms[locaware] vs dist_ms[dicas]: 200 < nan" in distance.detail
 
     def test_distance_must_stay_below_flooding_in_both_halves(self):
         checks = check_paper_claims(paper_slice())
         halves = check(checks, "both halves")
         assert halves.holds
         assert halves.detail == (
-            "reduction vs flooding: first half=+6.7%, second half=+25.3%"
+            "dist_ms 1st half[locaware] vs dist_ms 1st half[flooding]: 280 < 300; "
+            "dist_ms 2nd half[locaware] vs dist_ms 2nd half[flooding]: 224 < 300"
         )
         assert halves.value == pytest.approx(20.0 / 300.0)
         # Better on average and improving, but above flooding at first.
@@ -217,31 +227,37 @@ class TestClaimChecks:
 
     def test_trend_claim_fails_when_flat(self):
         checks = check_paper_claims(paper_slice(locaware_trend=0.0))
-        assert not check(checks, "improves").holds
+        improves = check(checks, "improves")
+        assert not improves.holds
+        assert improves.value == 0.0
 
-    def test_success_ordering_claims(self):
-        checks = check_paper_claims(paper_slice(loc_rate=0.3, dicas_rate=0.4))
-        assert not check(checks, "beats Dicas on").holds
+    def test_a_series_too_short_to_split_refutes_the_half_rows(self):
+        from repro.analysis import MetricSeries
+        from repro.sim import BucketedSeries
 
-    def test_flooding_must_be_strictly_best(self):
-        checks = check_paper_claims(paper_slice(loc_rate=0.9))
-        assert not check(checks, "flooding has the best").holds
-        assert check(checks, "beats Dicas on").holds
-
-    def test_every_caching_protocol_must_cut_traffic(self):
-        checks = check_paper_claims(paper_slice(keys_msgs=120.0))
-        assert not check(checks, "dicas-keys cuts").holds
-        assert check(checks, "dicas cuts").holds
-        assert check(checks, "within 3x").holds
+        result = paper_slice()
+        distance = BucketedSeries("d", 10)
+        for i in range(1, 11):
+            distance.record(i, 200.0)
+        old = result.runs["locaware"].series
+        result.runs["locaware"].series = MetricSeries(
+            distance, old.search_traffic, old.success_rate
+        )
+        checks = check_paper_claims(result)
+        for fragment in ("both halves", "improves"):
+            assert not check(checks, fragment).holds
+            assert math.isnan(check(checks, fragment).value)
+        assert check(checks, "below every baseline").holds
 
     def test_caching_protocols_must_stay_within_3x(self):
         checks = check_paper_claims(paper_slice(keys_msgs=95.0))
         spread = check(checks, "within 3x")
-        assert spread.holds and spread.value == pytest.approx(1.9)
+        assert spread.holds and spread.value == pytest.approx(0.9)
         checks = check_paper_claims(paper_slice(keys_msgs=150.0))
         spread = check(checks, "within 3x")
         assert not spread.holds
-        assert spread.detail.startswith("max/min = 3.00x (dicas=50.0, ")
+        assert spread.value == pytest.approx(2.0)
+        assert "msgs/lightest[dicas-keys]: 3 < 3" in spread.detail
 
     def test_headline_values_are_the_spread_quantities(self):
         checks = check_paper_claims(paper_slice())
@@ -249,14 +265,14 @@ class TestClaimChecks:
         assert check(checks, "below every baseline").value == pytest.approx(
             170.0 / 370.0
         )
+        assert check(checks, "improves").value == pytest.approx(-0.2)
         assert check(checks, "beats Dicas on").value == pytest.approx(0.25)
+        assert check(checks, "within 3x").value == 0.0
 
     def test_figure_selects_its_rows(self):
         for figure in ("fig2", "fig3", "fig4"):
             checks = check_paper_claims(paper_slice(), figure)
-            assert [c.claim for c in checks] == [
-                c.statement for c in PAPER_CLAIMS if c.figure == figure
-            ]
+            assert [c.claim for c in checks] == statements(figure)
             assert checks
         assert check_paper_claims(paper_slice(), "fig9") == []
 
@@ -279,14 +295,10 @@ class TestClaimTable:
     def test_rows_are_unique_and_belong_to_a_figure(self):
         from repro.experiments import FIGURES
 
-        statements = [c.statement for c in PAPER_CLAIMS]
-        assert len(set(statements)) == len(statements)
-        ids = [figure.EXPERIMENT_ID for figure in FIGURES]
-        assert {c.figure for c in PAPER_CLAIMS} == set(ids)
+        assert len(set(statements())) == len(statements())
         # Rows run in figure order, so every surface prints them so.
-        assert [c.figure for c in PAPER_CLAIMS] == sorted(
-            (c.figure for c in PAPER_CLAIMS), key=ids.index
-        )
+        assert list(PAPER_CLAIMS) == [figure.EXPERIMENT_ID for figure in FIGURES]
+        assert all(PAPER_CLAIMS.values())
 
     def test_render_claim_lines(self):
         from repro.analysis import ClaimCheck, claim_verdicts
@@ -297,7 +309,25 @@ class TestClaimTable:
         ]
         assert render_claim_lines(claim_verdicts({1: checks})) == (
             "[PASS] A\n       a detail\n[FAIL] B\n       b detail\n"
-            "\n1/2 paper claims hold"
+            "\n1/2 claims hold"
+        )
+
+    def test_the_traffic_spread_prints_as_an_excess(self):
+        """Regression: the "within 3x" headline was the max/min ratio, so
+        its spread over seeds printed 1.04 as "104.0%"."""
+        from repro.analysis import claim_verdicts
+
+        verdicts = claim_verdicts({
+            seed: check_paper_claims(paper_slice(keys_msgs=msgs))
+            for seed, msgs in ((1, 52.0), (2, 53.0), (3, 54.5))
+        })
+        lines = render_claim_lines(verdicts).splitlines()
+        row = lines.index(
+            "[PASS] Fig3: the three caching protocols' traffic is within 3x "
+            "of each other  (3/3 seeds)"
+        )
+        assert lines[row + 1] == (
+            "       min/mean/max 4.0% / 6.3% / 9.0%; no seed failed"
         )
 
 

@@ -7,7 +7,6 @@ import math
 import pytest
 
 from repro.analysis import (
-    PAPER_CLAIMS,
     check_paper_claims,
     claims_report,
     comparison_report,
@@ -17,6 +16,7 @@ from repro.analysis import (
     save_grid_report,
 )
 from repro.experiments import GridRunner, GridSpec, small_config
+from test_analysis import statements
 
 
 def _roundtrip(report):
@@ -63,8 +63,8 @@ class TestMarkdown:
 
     def test_claims_report_lists_all_claims(self, comparison):
         text = claims_report(comparison)
-        for claim in PAPER_CLAIMS:
-            assert f"| {claim.statement} | " in text
+        for statement in statements():
+            assert f"| {statement} | " in text
         assert text.count("Fig2") == 3
         assert text.count("Fig3") == 4
         assert text.count("Fig4") == 3

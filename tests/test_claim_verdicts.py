@@ -13,7 +13,6 @@ import math
 import pytest
 
 from repro.analysis import (
-    PAPER_CLAIMS,
     ClaimCheck,
     check_report,
     claim_verdicts,
@@ -23,6 +22,7 @@ from repro.analysis import (
 )
 from repro.cli import main
 from repro.experiments import GridRunner, GridSpec, small_config
+from test_analysis import statements
 
 
 def checks(*rows):
@@ -52,7 +52,7 @@ class TestClaimVerdicts:
         assert render_claim_lines([verdict]) == (
             "[UNRESOLVED] A  (1/3 seeds)\n"
             "       min/mean/max 0.0% / 0.0% / 0.0%; failed on seed(s) 7, 9\n"
-            "\n0/1 paper claims hold on all 3 seeds; 0 fail on all, 1 unresolved"
+            "\n0/1 claims hold on all 3 seeds; 0 fail on all, 1 unresolved"
         )
 
     def test_a_nan_is_left_out_of_the_spread(self):
@@ -65,14 +65,14 @@ class TestClaimVerdicts:
         assert verdict.spread is None
         assert render_claim_lines([verdict]) == (
             "[PASS] A  (2/2 seeds)\n       no seed failed\n"
-            "\n1/1 paper claims hold on all 2 seeds; 0 fail on all, 0 unresolved"
+            "\n1/1 claims hold on all 2 seeds; 0 fail on all, 0 unresolved"
         )
 
     def test_one_seed_renders_as_the_one_seed_lines(self):
         one = checks((True, 0.5), (False, math.nan))
         assert render_claim_lines(claim_verdicts({20090322: one})) == (
             "[PASS] A\n       detail 0\n[FAIL] B\n       detail 1\n"
-            "\n1/2 paper claims hold"
+            "\n1/2 claims hold"
         )
 
     def test_an_empty_seed_axis_is_rejected(self):
@@ -100,7 +100,7 @@ class TestCheckReport:
     def test_one_verdict_per_row_with_counts_in_range(self, live):
         (row, verdicts), = check_report(live).items()
         assert row == "baseline"
-        assert [v.claim for v in verdicts] == [c.statement for c in PAPER_CLAIMS]
+        assert [v.claim for v in verdicts] == statements()
         for verdict in verdicts:
             assert type(verdict.held) is int
             assert 0 <= verdict.held <= 2

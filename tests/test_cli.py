@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from repro.analysis import PAPER_CLAIMS
+from repro.analysis import Claim
 from repro.cli import build_parser, main
-from repro.experiments.ablations import ABLATIONS, AblationClaim
+from repro.experiments.ablations import ABLATIONS
+from test_analysis import statements
 
 
 def run_cli(*argv):
@@ -54,11 +55,11 @@ class TestAblationCommand:
             f"A6: {claim.text}" for claim in ABLATIONS["a6"].claims
         ]
         held = sum(line.startswith("[PASS]") for line in lines)
-        assert text.endswith(f"\n{held}/{len(lines)} paper claims hold\n")
+        assert text.endswith(f"\n{held}/{len(lines)} claims hold\n")
         assert code == (0 if held == len(lines) else 1)
 
     def test_a_failing_row_prints_fail_and_exits_1(self, monkeypatch):
-        never = AblationClaim("a row no table satisfies", lambda result: [])
+        never = Claim("a row no table satisfies", lambda table: [])
         monkeypatch.setitem(
             ABLATIONS, "a6",
             dataclasses.replace(ABLATIONS["a6"], claims=(never,)),
@@ -66,7 +67,7 @@ class TestAblationCommand:
         code, text = run_cli("ablation", "a6", "--queries", "20")
         assert code == 1
         assert "[FAIL] A6: a row no table satisfies\n       no rows\n" in text
-        assert text.endswith("\n0/1 paper claims hold\n")
+        assert text.endswith("\n0/1 claims hold\n")
 
 
 class TestAblationSeeds:
@@ -86,7 +87,7 @@ class TestAblationSeeds:
             assert line.split("] ", 1)[1].startswith(f"A6: {claim.text}  (")
             assert line.endswith("/2 seeds)")
         held = sum(line.startswith("[PASS]") for line in lines)
-        assert f"\n{held}/{len(lines)} paper claims hold on all 2 seeds; " in text
+        assert f"\n{held}/{len(lines)} claims hold on all 2 seeds; " in text
         assert code == (0 if held == len(lines) else 1)
 
     def test_duplicate_seeds_are_a_clean_error(self):
@@ -223,13 +224,13 @@ class TestRoundtrip:
         code, text = run_cli("grid", "check", "--load", str(path))
         assert code in (0, 1)
         assert code == int("[FAIL]" in figures_text)
-        assert "paper claims hold" in text
+        assert "claims hold" in text
         assert claim_lines(text) == claim_lines(figures_text)
         assert claim_lines(text)[::2] == [
-            line[:7] + claim.statement
-            for line, claim in zip(claim_lines(text)[::2], PAPER_CLAIMS)
+            line[:7] + statement
+            for line, statement in zip(claim_lines(text)[::2], statements())
         ]
-        assert len(claim_lines(text)) == 2 * len(PAPER_CLAIMS)
+        assert len(claim_lines(text)) == 2 * len(statements())
 
     def test_report_load(self, saved):
         code, text = run_cli("report", "--load", str(saved[0]))
@@ -874,11 +875,11 @@ class TestGridCheckCommand:
     def test_grid_check_tallies_the_claim_table(self, store):
         code, text = run_cli("grid", "check", *self._axes(store))
         lines = [line for line in text.splitlines() if line.startswith("[")]
-        assert len(lines) == len(PAPER_CLAIMS)
-        for line, claim in zip(lines, PAPER_CLAIMS):
+        assert len(lines) == len(statements())
+        for line, statement in zip(lines, statements()):
             tag, rest = line.split("] ", 1)
             held = int(rest.rsplit("(", 1)[1].split("/")[0])
-            assert rest == f"{claim.statement}  ({held}/2 seeds)"
+            assert rest == f"{statement}  ({held}/2 seeds)"
             assert tag[1:] == {2: "PASS", 0: "FAIL"}.get(held, "UNRESOLVED")
         assert code == (0 if all(line.startswith("[PASS]") for line in lines) else 1)
         assert "note:" not in text
@@ -925,7 +926,7 @@ class TestGridCheckCommand:
         assert text.startswith("== baseline @ ttl=3 ==\n[")
         assert "\n\n== baseline @ ttl=5 ==\n[" in text
         lines = [line for line in text.splitlines() if line.startswith("[")]
-        assert len(lines) == 2 * len(PAPER_CLAIMS)
+        assert len(lines) == 2 * len(statements())
         assert "note:" not in text
 
 

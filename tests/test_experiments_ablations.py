@@ -1,18 +1,14 @@
-"""Tests for the ablation table: small-scale runs and the claim rows."""
+"""Tests for the ablation table (small-scale runs) and for the claim rows
+of both claim tables: the ablations' and the figures'."""
 
 import dataclasses
 import math
 
 import pytest
 
-from repro.analysis import ClaimCheck
+from repro.analysis import PAPER_CLAIMS, ClaimCheck, ResultTable, check_claims
 from repro.experiments import run_protocol, small_config
-from repro.experiments.ablations import (
-    ABLATIONS,
-    AblationResult,
-    _grid_rows,
-    run_ablation,
-)
+from repro.experiments.ablations import ABLATIONS, _grid_rows, run_ablation
 from repro.overlay import blueprint
 from repro.overlay.blueprint import NetworkBlueprint
 from test_determinism import run_fingerprint
@@ -28,15 +24,15 @@ def narrowed(entry_id, **fields):
     return dataclasses.replace(ABLATIONS[entry_id], **fields)
 
 
-class TestAblationResult:
+class TestResultTable:
     def test_render_contains_title_and_rows(self):
-        result = AblationResult("AX", "demo", ["a", "b"], [[1, 2.5], [3, 4.0]])
+        result = ResultTable("AX", "demo", ["a", "b"], [[1, 2.5], [3, 4.0]])
         text = result.render()
         assert "AX: demo" in text
         assert "2.50" in text
 
     def test_column_accessor(self):
-        result = AblationResult("AX", "demo", ["a", "b"], [[1, 2], [3, 4]])
+        result = ResultTable("AX", "demo", ["a", "b"], [[1, 2], [3, 4]])
         assert result.column("a") == [1, 3]
         with pytest.raises(ValueError):
             result.column("missing")
@@ -209,14 +205,29 @@ class TestAblationTable:
             assert len(set(entry.labels)) == len(entry.labels)
 
 
-# --- the claim rows, on hand-made tables ----------------------------------
+# --- the claim rows of both tables, on hand-made tables ---------------------
 
 _SUBSTRATES = (
     "euclidean/clustered", "euclidean/uniform", "router/clustered", "router/uniform"
 )
 
-#: One table per entry on which every row holds (headers as the entry's
-#: reader writes them).
+#: The figure table (``figure_table``'s headers) on which every figure row holds.
+_FIGURES = (
+    [
+        "protocol", "success", "dist_ms", "msgs", "dist_ms 1st half", "dist_ms 2nd half",
+        "dist_ms trend", "locaware dist_ms cut", "locaware half cut", "msgs cut",
+        "msgs/lightest", "caching excess", "locaware success gain",
+    ],
+    [
+        ["flooding", 0.9, 370.0, 1000.0, 300.0, 300.0, 0.0, 0.46, 0.067, 0.0, 20.0, 0.0, -0.44],
+        ["dicas", 0.4, 350.0, 50.0, 300.0, 300.0, 0.0, 0.43, 0.067, 0.95, 1.0, 0.0, 0.25],
+        ["dicas-keys", 0.35, 350.0, 50.0, 300.0, 300.0, 0.0, 0.43, 0.067, 0.95, 1.0, 0.0, 0.43],
+        ["locaware", 0.5, 200.0, 50.0, 280.0, 224.0, -0.2, 0.0, 0.0, 0.95, 1.0, 0.0, 0.0],
+    ],
+)
+
+#: One table per entry (ablation or figure) on which every row holds
+#: (headers as the entry's reader writes them).
 _HOLDING = {
     "a1": (
         ["landmarks", "locIds", "peers/locId", "locId matches", "success", "distance_ms"],
@@ -292,7 +303,25 @@ _HOLDING = {
         ["shift_interval_s", "dicas success", "locaware success"],
         [["stationary", 0.5, 0.4], [1200.0, 0.5, 0.4], [300.0, 0.5, 0.4]],
     ),
+    "fig2": _FIGURES,
+    "fig3": _FIGURES,
+    "fig4": _FIGURES,
 }
+
+#: Every entry of both claim tables: the ablations, then the figures.
+_ENTRIES = [*ABLATIONS, *PAPER_CLAIMS]
+
+
+def claims_of(entry_id):
+    return PAPER_CLAIMS[entry_id] if entry_id in PAPER_CLAIMS else ABLATIONS[entry_id].claims
+
+
+def entry_checks(entry_id, table) -> list[ClaimCheck]:
+    """Entry ``entry_id``'s rows on ``table``: a figure's through
+    ``check_claims``, an ablation's through ``Ablation.check``."""
+    if entry_id in PAPER_CLAIMS:
+        return check_claims(entry_id.capitalize(), PAPER_CLAIMS[entry_id], table)
+    return ABLATIONS[entry_id].check(table)
 
 
 def hand_made(entry_id, edits=None):
@@ -302,12 +331,12 @@ def hand_made(entry_id, edits=None):
     for (label, header), value in (edits or {}).items():
         (row,) = [row for row in rows if row[0] == label]
         row[headers.index(header)] = value
-    return AblationResult(entry_id.upper(), "hand-made", list(headers), rows)
+    return ResultTable(entry_id.upper(), "hand-made", list(headers), rows)
 
 
 def row_check(entry_id, index, edits=None) -> ClaimCheck:
     """Claim row ``index`` of entry ``entry_id`` on the edited table."""
-    return ABLATIONS[entry_id].check(hand_made(entry_id, edits))[index]
+    return entry_checks(entry_id, hand_made(entry_id, edits))[index]
 
 
 nan = math.nan
@@ -315,7 +344,7 @@ nan = math.nan
 #: ``(entry, claim row, edits, holds)``: for every row a holding and a
 #: failing case on either side of its threshold (so a moved threshold
 #: or a flipped strictness fails one of them), and a NaN case where the
-#: row reads a distance or a mean.
+#: row reads a distance or a mean.  A tie refutes every strict row.
 _CASES = [
     # A1: peers/locId non-increasing (ties hold); every success > 0.
     ("a1", 0, {(5, "peers/locId"): 41.7}, True),
@@ -401,22 +430,64 @@ _CASES = [
     ("ext2", 1, {(1200.0, "dicas success"): -1e-9}, False),
     ("ext2", 1, {(300.0, "dicas success"): 1.0 + 1e-9}, False),
     ("ext2", 1, {(300.0, "dicas success"): nan}, False),
+    # Fig2: Locaware's distance < every baseline's; < flooding's in each
+    # half; its second half-mean < its first.
+    ("fig2", 0, {("locaware", "dist_ms"): 349.9}, True),
+    ("fig2", 0, {("locaware", "dist_ms"): 350.0}, False),
+    ("fig2", 0, {("locaware", "dist_ms"): nan}, False),
+    ("fig2", 0, {("dicas", "dist_ms"): nan}, False),
+    ("fig2", 1, {("locaware", "dist_ms 2nd half"): 299.9}, True),
+    ("fig2", 1, {("locaware", "dist_ms 2nd half"): 300.0}, False),
+    ("fig2", 1, {("locaware", "dist_ms 1st half"): 300.0}, False),
+    ("fig2", 1, {("flooding", "dist_ms 1st half"): nan}, False),
+    ("fig2", 2, {("locaware", "dist_ms 2nd half"): 279.9}, True),
+    ("fig2", 2, {("locaware", "dist_ms 2nd half"): 280.0}, False),
+    ("fig2", 2, {("locaware", "dist_ms 1st half"): nan}, False),
+    # Fig3: each caching protocol's traffic cut vs flooding > 0.9; each
+    # one's traffic < 3x the lightest's.
+    ("fig3", 0, {("locaware", "msgs cut"): 0.9001}, True),
+    ("fig3", 0, {("locaware", "msgs cut"): 0.9}, False),
+    ("fig3", 0, {("locaware", "msgs cut"): nan}, False),
+    ("fig3", 1, {("dicas", "msgs cut"): 0.9001}, True),
+    ("fig3", 1, {("dicas", "msgs cut"): 0.9}, False),
+    ("fig3", 1, {("dicas", "msgs cut"): nan}, False),
+    ("fig3", 2, {("dicas-keys", "msgs cut"): 0.9001}, True),
+    ("fig3", 2, {("dicas-keys", "msgs cut"): 0.9}, False),
+    ("fig3", 2, {("dicas-keys", "msgs cut"): nan}, False),
+    ("fig3", 3, {("dicas-keys", "msgs/lightest"): 2.999}, True),
+    ("fig3", 3, {("dicas-keys", "msgs/lightest"): 3.0}, False),
+    ("fig3", 3, {("locaware", "msgs/lightest"): nan}, False),
+    # Fig4: flooding's success > every caching protocol's; Locaware's
+    # relative success gain vs Dicas and vs Dicas-Keys > 0.
+    ("fig4", 0, {("locaware", "success"): 0.8999}, True),
+    ("fig4", 0, {("locaware", "success"): 0.9}, False),
+    ("fig4", 0, {("dicas-keys", "success"): 0.9}, False),
+    ("fig4", 0, {("flooding", "success"): nan}, False),
+    ("fig4", 1, {("dicas", "locaware success gain"): 1e-9}, True),
+    ("fig4", 1, {("dicas", "locaware success gain"): 0.0}, False),
+    ("fig4", 1, {("dicas", "locaware success gain"): nan}, False),
+    ("fig4", 2, {("dicas-keys", "locaware success gain"): 1e-9}, True),
+    ("fig4", 2, {("dicas-keys", "locaware success gain"): 0.0}, False),
+    ("fig4", 2, {("dicas-keys", "locaware success gain"): nan}, False),
 ]
 
 
 class TestAblationClaims:
+    """Every row of both claim tables, through the one check."""
+
     def test_every_row_holds_on_the_holding_tables(self):
-        for entry_id, entry in ABLATIONS.items():
-            checks = entry.check(hand_made(entry_id))
+        for entry_id in _ENTRIES:
+            checks = entry_checks(entry_id, hand_made(entry_id))
+            tag = entry_id.capitalize() if entry_id in PAPER_CLAIMS else entry_id.upper()
             assert [c.claim for c in checks] == [
-                f"{entry_id.upper()}: {claim.text}" for claim in entry.claims
+                f"{tag}: {claim.text}" for claim in claims_of(entry_id)
             ]
             assert all(c.holds for c in checks), (entry_id, checks)
 
     def test_every_row_has_a_holding_and_a_failing_case(self):
         covered = {(e, i, holds) for e, i, _, holds in _CASES}
-        for entry_id, entry in ABLATIONS.items():
-            for index in range(len(entry.claims)):
+        for entry_id in _ENTRIES:
+            for index in range(len(claims_of(entry_id))):
                 assert {(entry_id, index, True), (entry_id, index, False)} <= covered
 
     @pytest.mark.parametrize(
@@ -444,9 +515,9 @@ class TestAblationClaims:
         assert check.detail == "msgs/query[150] vs msgs/query[1200]: 120 >= nan"
 
     def test_an_empty_table_fails_every_row(self):
-        for entry_id, entry in ABLATIONS.items():
+        for entry_id in _ENTRIES:
             headers, _ = _HOLDING[entry_id]
-            checks = entry.check(AblationResult("X", "empty", list(headers), []))
+            checks = entry_checks(entry_id, ResultTable("X", "empty", list(headers), []))
             assert not any(c.holds for c in checks), entry_id
 
     def test_detail_lists_every_comparison(self):
@@ -456,3 +527,20 @@ class TestAblationClaims:
             "locaware msgs[euclidean/clustered]: 50 < 200"
         )
         assert math.isnan(check.value)
+
+    def test_a_figure_row_reads_its_headline_cell(self):
+        """The headline is the declared cell; a row without one is NaN."""
+        edits = {("dicas-keys", "caching excess"): 0.9, ("locaware", "caching excess"): 0.7}
+        assert row_check("fig3", 3, edits).value == 0.7
+        assert row_check("fig2", 0).value == 0.46
+        assert math.isnan(row_check("fig4", 0).value)
+
+    def test_figure_details_name_the_cells_they_compare(self):
+        assert row_check("fig2", 2).detail == (
+            "dist_ms 2nd half[locaware] vs dist_ms 1st half[locaware]: 224 < 280"
+        )
+        assert row_check("fig4", 0).detail == (
+            "success[flooding] vs success[dicas]: 0.9 > 0.4; "
+            "success[flooding] vs success[dicas-keys]: 0.9 > 0.35; "
+            "success[flooding] vs success[locaware]: 0.9 > 0.5"
+        )

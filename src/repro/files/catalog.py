@@ -103,6 +103,14 @@ class FileCatalog:
         # is a repeated keyword set: the by-filename map is the
         # duplicate check and the catalog's index in one.
         vocabulary = pool._keywords
+        size = len(vocabulary)
+        bits = size.bit_length()
+        getrandbits = rng.getrandbits
+        # random.Random.sample(vocabulary, k) takes its set branch when
+        # size > 21 and k <= 5: that branch is drawn inline below, the
+        # same getrandbits words in the same order
+        # (tests/test_property_inline_draws.py pins it to the stdlib).
+        inline = 0 <= keywords_per_file <= 5 and size > 21
         sample = rng.sample
         join = FILENAME_SEPARATOR.join
         records: list[FileRecord] = []
@@ -115,7 +123,16 @@ class FileCatalog:
                     "keyword pool too small for the requested catalog"
                 )
             attempts_left -= 1
-            keywords = sample(vocabulary, keywords_per_file)
+            if inline:
+                picked: list[int] = []
+                for _ in range(keywords_per_file):
+                    r = getrandbits(bits)
+                    while r >= size or r in picked:
+                        r = getrandbits(bits)
+                    picked.append(r)
+                keywords = [vocabulary[r] for r in picked]
+            else:
+                keywords = sample(vocabulary, keywords_per_file)
             filename = join(sorted(keywords))
             if filename in by_filename:
                 continue

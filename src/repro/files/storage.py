@@ -55,8 +55,24 @@ class FileStore:
         return True
 
     def add_many(self, file_ids: Iterable[int]) -> int:
-        """Share several files; returns how many were newly added."""
-        return sum(1 for fid in file_ids if self.add(fid))
+        """Share several files; returns how many were newly added.
+
+        One pass, with the postings :meth:`add` would leave.
+        """
+        files = self._files
+        inverted = self._inverted
+        keywords = self._catalog.keywords
+        added = 0
+        for file_id in file_ids:
+            if file_id in files:
+                continue
+            files.add(file_id)
+            own = (file_id,)
+            for kw in keywords(file_id):
+                posting = inverted.get(kw)
+                inverted[kw] = own if posting is None else posting + own
+            added += 1
+        return added
 
     def remove(self, file_id: int) -> bool:
         """Stop sharing ``file_id``.  Returns ``False`` if absent."""

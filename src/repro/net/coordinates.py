@@ -72,9 +72,17 @@ def clustered_points(
     if spread < 0:
         raise ValueError(f"spread must be non-negative, got {spread}")
     centres = [(rng.random(), rng.random()) for _ in range(num_clusters)]
+    # The cluster is random.Random.randrange(num_clusters) drawn inline:
+    # the same getrandbits words in the same order
+    # (tests/test_property_inline_draws.py pins it to the stdlib).
+    getrandbits = rng.getrandbits
+    bits = num_clusters.bit_length()
     points: list[Point] = []
     for _ in range(count):
-        cx, cy = centres[rng.randrange(num_clusters)]
+        cluster = getrandbits(bits)
+        while cluster >= num_clusters:
+            cluster = getrandbits(bits)
+        cx, cy = centres[cluster]
         x = min(1.0, max(0.0, rng.gauss(cx, spread)))
         y = min(1.0, max(0.0, rng.gauss(cy, spread)))
         points.append(Point(x, y))

@@ -16,11 +16,10 @@ number system), a bijection between permutations of ``k`` elements and
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .coordinates import Point, random_points
+from .coordinates import Point
 from .latency import LatencyModel
 
 __all__ = [
@@ -94,8 +93,7 @@ class LandmarkSet:
     Parameters
     ----------
     positions:
-        Landmark coordinates.  Use :meth:`place_random` or
-        :meth:`place_spread` to create them.
+        Landmark coordinates.  Use :meth:`place_spread` to create them.
     model:
         The latency model used for a peer's RTT measurements.
     """
@@ -105,13 +103,6 @@ class LandmarkSet:
             raise ValueError("at least one landmark is required")
         self._positions = list(positions)
         self._model = model
-
-    @classmethod
-    def place_random(
-        cls, count: int, model: LatencyModel, rng: random.Random
-    ) -> LandmarkSet:
-        """Drop ``count`` landmarks uniformly at random."""
-        return cls(random_points(count, rng), model)
 
     @classmethod
     def place_spread(cls, count: int, model: LatencyModel) -> LandmarkSet:

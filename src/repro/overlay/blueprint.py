@@ -39,6 +39,7 @@ sizes, churn) varying freely.
 
 from __future__ import annotations
 
+import random
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -66,6 +67,48 @@ _build_count = 0
 def build_count() -> int:
     """How many :meth:`NetworkBlueprint.build` calls this process has run."""
     return _build_count
+
+
+def _gids_and_shares(
+    num_peers: int,
+    group_count: int,
+    num_files: int,
+    files_per_peer: int,
+    gid_rng: random.Random,
+    share_rng: random.Random,
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Every peer's group id and initial shares, in peer-id order.
+
+    A gid is ``gid_rng.randrange(group_count)`` and a peer's shares are
+    ``share_rng.sample(range(num_files), files_per_peer)``.  The gid and
+    the set branch of ``sample`` (``num_files > 21``,
+    ``files_per_peer <= 5``) are drawn inline: the same getrandbits
+    words in the same order (tests/test_property_inline_draws.py pins
+    both to the stdlib).
+    """
+    gid_bits = group_count.bit_length()
+    share_bits = num_files.bit_length()
+    gid_getrandbits = gid_rng.getrandbits
+    share_getrandbits = share_rng.getrandbits
+    inline_shares = 0 <= files_per_peer <= 5 and num_files > 21
+    gids = []
+    shares = []
+    for _pid in range(num_peers):
+        if inline_shares:
+            picked: list[int] = []
+            for _ in range(files_per_peer):
+                r = share_getrandbits(share_bits)
+                while r >= num_files or r in picked:
+                    r = share_getrandbits(share_bits)
+                picked.append(r)
+            shares.append(tuple(picked))
+        else:
+            shares.append(tuple(share_rng.sample(range(num_files), files_per_peer)))
+        r = gid_getrandbits(gid_bits)
+        while r >= group_count:
+            r = gid_getrandbits(gid_bits)
+        gids.append(r)
+    return tuple(gids), tuple(shares)
 
 
 @dataclass(frozen=True)
@@ -135,22 +178,21 @@ class NetworkBlueprint:
             pool,
             streams.stream("catalog"),
         )
-        gid_rng = streams.stream("gids")
-        share_rng = streams.stream("shares")
-        gids = []
-        initial_shares = []
-        for _pid in range(config.num_peers):
-            initial_shares.append(
-                tuple(share_rng.sample(range(config.num_files), config.files_per_peer))
-            )
-            gids.append(gid_rng.randrange(config.group_count))
+        gids, initial_shares = _gids_and_shares(
+            config.num_peers,
+            config.group_count,
+            config.num_files,
+            config.files_per_peer,
+            streams.stream("gids"),
+            streams.stream("shares"),
+        )
         return cls(
             config=config,
             underlay=underlay,
             graph=graph,
             catalog=catalog,
-            gids=tuple(gids),
-            initial_shares=tuple(initial_shares),
+            gids=gids,
+            initial_shares=initial_shares,
             fingerprint=config.topology_fingerprint(),
         )
 

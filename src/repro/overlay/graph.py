@@ -84,10 +84,19 @@ def _random_rows(
         for a, b in rng.sample(all_pairs, target_edges):
             add_edge(a, b)
     else:
+        # Each endpoint is random.Random.randrange(num_peers) drawn
+        # inline: the same getrandbits words in the same order
+        # (tests/test_property_inline_draws.py pins it to the stdlib).
+        getrandbits = rng.getrandbits
+        bits = num_peers.bit_length()
         added = 0
         while added < target_edges:
-            a = rng.randrange(num_peers)
-            b = rng.randrange(num_peers)
+            a = getrandbits(bits)
+            while a >= num_peers:
+                a = getrandbits(bits)
+            b = getrandbits(bits)
+            while b >= num_peers:
+                b = getrandbits(bits)
             if a == b or b in membership[a]:
                 continue
             add_edge(a, b)

@@ -23,10 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections.abc import Iterable, Sequence
-from typing import TypeVar
-
-T = TypeVar("T")
+from collections.abc import Iterable
 
 __all__ = ["RandomStreams", "derive_seed"]
 
@@ -98,28 +95,6 @@ class RandomStreams:
     def names(self) -> list[str]:
         """Names of every stream created so far, in creation order."""
         return list(self._streams)
-
-    def spawn(self, name: str) -> RandomStreams:
-        """Create a child factory whose master seed is derived from ``name``.
-
-        Useful when a subsystem itself needs several sub-streams without
-        risking name collisions with its siblings.
-        """
-        return RandomStreams(derive_seed(self._master_seed, f"spawn:{name}"))
-
-    # -- convenience draws ------------------------------------------------
-
-    def shuffled(self, name: str, items: Iterable[T]) -> list[T]:
-        """Return ``items`` as a new list, shuffled with the named stream."""
-        out = list(items)
-        self.stream(name).shuffle(out)
-        return out
-
-    def choice(self, name: str, items: Sequence[T]) -> T:
-        """Pick one element of ``items`` with the named stream."""
-        if not items:
-            raise ValueError("cannot choose from an empty sequence")
-        return self.stream(name).choice(items)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomStreams(master_seed={self._master_seed}, streams={self.names()!r})"

@@ -16,8 +16,26 @@ from __future__ import annotations
 
 import bisect
 import random
+from functools import lru_cache
 
 __all__ = ["ZipfSampler"]
+
+
+@lru_cache(maxsize=4, typed=True)
+def _cdf(num_items: int, exponent: float) -> tuple[float, ...]:
+    """The rank CDF, a pure function of ``(num_items, exponent)``.
+
+    Keyed by type too, so an ``int`` exponent keeps its own arithmetic.
+    """
+    # rank r (1-based) gets weight 1 / r^s.
+    weights = [1.0 / ((r + 1) ** exponent) for r in range(num_items)]
+    total = sum(weights)
+    cdf: list[float] = []
+    acc = 0.0
+    for w in weights:
+        acc += w
+        cdf.append(acc / total)
+    return tuple(cdf)
 
 
 class ZipfSampler:
@@ -42,14 +60,7 @@ class ZipfSampler:
         self._num_items = num_items
         self._exponent = exponent
         self._rng = rng
-        # rank r (1-based) gets weight 1 / r^s.
-        weights = [1.0 / ((r + 1) ** exponent) for r in range(num_items)]
-        total = sum(weights)
-        self._cdf: list[float] = []
-        acc = 0.0
-        for w in weights:
-            acc += w
-            self._cdf.append(acc / total)
+        self._cdf = _cdf(num_items, exponent)
         # Map ranks to item ids with a random permutation: popularity
         # must not correlate with catalog generation order.
         self._rank_to_item = list(range(num_items))

@@ -5,7 +5,9 @@ queries on 60 peers.  ``tests/golden/worlds.json`` pins the world
 itself: one sha256 per ``NetworkBlueprint.build`` for seeds {1, 2} ×
 {euclidean, router} at 60 and 600 peers, plus the 6000-peer router
 world of seed 1 (the ``small_config`` ratios the benchmark uses: 3
-files per peer, 9x keyword pool), over
+files per peer, 9x keyword pool), the 1000-peer world at the
+``paper_config`` ratios, and one 60-peer world per build branch those
+leave out (``VARIANTS``), over
 
 - every peer's locId,
 - the latency model's placement, through ``latency_ms`` of a fixed
@@ -40,32 +42,47 @@ PEERS = (60, 600)
 SEEDS = (1, 2)
 PAIR_SAMPLE = 500
 
-WORLDS = [
-    (model, peers, seed)
-    for model in LATENCY_MODELS
-    for peers in PEERS
-    for seed in SEEDS
-] + [("router", 6000, 1)]  # the population idle_6k runs
+#: Config changes of the worlds that take the build's other branches.
+VARIANTS = {
+    "uniform": {"peer_placement": "uniform"},  # no cluster draws
+    "pool20": {"keyword_pool_size": 20},  # random.sample's list branch (pool <= 21)
+    "kw6": {"keywords_per_file": 6},  # random.sample's list branch (k > 5)
+    "dense": {"mean_degree": 40},  # the dense-regime G(n, M) overlay
+}
+
+WORLDS = (
+    [
+        (model, peers, seed, None)
+        for model in LATENCY_MODELS
+        for peers in PEERS
+        for seed in SEEDS
+    ]
+    + [("router", 6000, 1, None)]  # the population idle_6k runs
+    + [("euclidean", 1000, 1, None)]  # paper_config: 3000 files, 9000 keywords
+    + [("euclidean", 60, 1, variant) for variant in VARIANTS]
+)
 
 
-def world_name(model, peers, seed):
-    return f"{model}/{peers}peers/seed{seed}"
+def world_name(model, peers, seed, variant=None):
+    name = f"{model}/{peers}peers/seed{seed}"
+    return name if variant is None else f"{name}/{variant}"
 
 
 def world_config(model, peers, seed, **changes):
     """``small_config`` at the benchmark's ratios, for any population."""
-    return small_config(seed=seed).replace(
-        num_peers=peers,
-        num_files=3 * peers,
-        keyword_pool_size=9 * peers,
-        latency_model=model,
-        **changes,
-    )
+    ratios = {
+        "num_peers": peers,
+        "num_files": 3 * peers,
+        "keyword_pool_size": 9 * peers,
+        "latency_model": model,
+    }
+    return small_config(seed=seed).replace(**{**ratios, **changes})
 
 
-def world_digest(model, peers, seed):
+def world_digest(model, peers, seed, variant=None):
     """sha256 of one freshly built world."""
-    world = NetworkBlueprint.build(world_config(model, peers, seed))
+    changes = VARIANTS[variant] if variant is not None else {}
+    world = NetworkBlueprint.build(world_config(model, peers, seed, **changes))
     pick = random.Random(peers).randrange  # the sample depends on the size only
     latency_ms = world.underlay.latency_ms
     parts = {

@@ -18,6 +18,10 @@ instead of timing them, which does not on a shared host:
   no message reaches the heap through ``Simulator.schedule_at``;
 - the two per-hop messages are tuples: immutable for real, hashable,
   and their copies equal field-by-field construction;
+- a world is drawn, not called: building one calls
+  ``random.Random.sample`` and ``randrange`` no time, and instantiating
+  it fills each peer's store with one ``FileStore.add_many`` and no
+  ``add``;
 - a stored cell costs a warm ``GridRunner.run`` one key, one read and
   one parse: one ``doc_get_raw`` and no ``doc_has`` per cell, one config
   dict and one encoded key payload per row, one key check per store
@@ -25,6 +29,7 @@ instead of timing them, which does not on a shared host:
 """
 
 import inspect
+import random
 import threading
 
 import pytest
@@ -47,6 +52,7 @@ from repro.experiments import (
     run_protocol,
     small_config,
 )
+from repro.files import FileStore
 from repro.overlay import (
     NetworkBlueprint,
     OverlayGraph,
@@ -124,6 +130,36 @@ class TestDegreeCalls:
         assert run_fingerprint(cached) == run_fingerprint(per_hop)
         assert cached.metric_snapshot["counter.churn.leaves"] > 0
         assert 0 < cached_calls[0] < per_hop_calls[0]
+
+
+class TestAWorldIsDrawnNotCalled:
+    """A build draws its randrange / sample results from getrandbits
+    inline, and an initial store is filled in one pass."""
+
+    PEERS = 600
+
+    def test_a_600_peer_build_calls_neither_sample_nor_randrange(self):
+        config = world_config("router", self.PEERS, seed=11)
+        with pytest.MonkeyPatch.context() as mp:
+            samples = count_calls(mp, random.Random, "sample")
+            randranges = count_calls(mp, random.Random, "randrange")
+            # The tally is live: the wrappers see a call made through them.
+            random.Random(1).sample(range(9), 2)
+            random.Random(1).randrange(9)
+            assert (samples[0], randranges[0]) == (1, 1)
+            NetworkBlueprint.build(config)
+        assert (samples[0], randranges[0]) == (1, 1)
+
+    def test_instantiate_fills_each_store_with_one_add_many(self):
+        blueprint = NetworkBlueprint.build(world_config("router", self.PEERS, seed=11))
+        with pytest.MonkeyPatch.context() as mp:
+            bulk = count_calls(mp, FileStore, "add_many")
+            single = count_calls(mp, FileStore, "add")
+            network = blueprint.instantiate()
+        assert (bulk[0], single[0]) == (self.PEERS, 0)
+        assert [peer.store.file_ids() for peer in network.peers] == [
+            set(shares) for shares in blueprint.initial_shares
+        ]
 
 
 class TestAForwardIsOneSend:

@@ -131,12 +131,6 @@ class TestLandmarkSet:
         with pytest.raises(ValueError):
             permutation_to_locid([0, 0, 1, 2])
 
-    def test_place_random_deterministic(self):
-        model = EuclideanLatencyModel()
-        a = LandmarkSet.place_random(3, model, random.Random(5))
-        b = LandmarkSet.place_random(3, model, random.Random(5))
-        assert [p.as_tuple() for p in a.positions] == [p.as_tuple() for p in b.positions]
-
     def test_place_spread_too_many_rejected(self):
         with pytest.raises(ValueError):
             LandmarkSet.place_spread(10, EuclideanLatencyModel())

@@ -49,27 +49,6 @@ class TestRandomStreams:
         streams.stream("second")
         assert streams.names() == ["first", "second"]
 
-    def test_spawn_creates_distinct_family(self):
-        parent = RandomStreams(5)
-        child = parent.spawn("sub")
-        assert parent.stream("x").random() != child.stream("x").random()
-
-    def test_spawn_is_deterministic(self):
-        a = RandomStreams(5).spawn("sub").stream("x").random()
-        b = RandomStreams(5).spawn("sub").stream("x").random()
-        assert a == b
-
-    def test_shuffled_returns_new_list(self):
-        streams = RandomStreams(3)
-        items = [1, 2, 3, 4, 5]
-        shuffled = streams.shuffled("s", items)
-        assert sorted(shuffled) == items
-        assert items == [1, 2, 3, 4, 5]
-
-    def test_choice_from_empty_rejected(self):
-        with pytest.raises(ValueError):
-            RandomStreams(3).choice("c", [])
-
     def test_master_seed_property(self):
         assert RandomStreams(17).master_seed == 17
 

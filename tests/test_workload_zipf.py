@@ -19,6 +19,15 @@ class TestZipfSampler:
         b = ZipfSampler(100, 1.0, random.Random(3)).sample_many(50)
         assert a == b
 
+    def test_one_cdf_per_population(self):
+        """The CDF is shared by equal populations; the rank shuffle is not."""
+        a = ZipfSampler(100, 1.0, random.Random(3))
+        b = ZipfSampler(100, 1.0, random.Random(4))
+        assert a._cdf is b._cdf
+        assert a._rank_to_item != b._rank_to_item
+        assert ZipfSampler(100, 1, random.Random(3))._cdf is not a._cdf
+        assert ZipfSampler(100, 1.2, random.Random(3))._cdf != a._cdf
+
     def test_rank1_probability_matches_theory(self):
         """P(rank 1) = (1/1) / H_{n,s}."""
         n, s = 1000, 1.0

@@ -35,6 +35,7 @@ import gc
 import json
 import os
 import statistics
+import sys
 import time
 from collections.abc import Callable
 from pathlib import Path
@@ -50,6 +51,11 @@ from repro.experiments import (
     GridSpec,
     bench_config,
 )
+
+# The reference substrates (``reference_bloom``, ``reference_latency``)
+# live next to the tests that hold the production ones to them;
+# ``test_perf_scale.py`` times the production path against them.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
 
 
 def _env_int(name: str, default: int) -> int:

@@ -15,8 +15,9 @@ table — peers × queries/sec of wall-clock — and two hard gates:
   held to 1.0 plus what the seed-style run differs from itself by on
   this host at this moment (``conftest.time_interleaved``);
 - at the largest N, the bound latency path (``Underlay.latency_ms``)
-  must beat the O(R)-scan reference path (``Underlay.scan_latency_ms``)
-  by a hard-asserted factor on the router model.
+  must beat the O(R)-scan reference path
+  (``tests/reference_latency.py:scan_latency_ms``) by a hard-asserted
+  factor on the router model.
 
 Scale is tunable so CI can run a cheap pass and a workstation can push
 the frontier out:
@@ -30,6 +31,7 @@ Results land in ``BENCH_scale.json`` at the repo root (under
 the frontier over time.
 """
 
+import functools
 import os
 import random
 import statistics
@@ -37,11 +39,12 @@ import time
 
 import pytest
 from conftest import time_interleaved, write_bench_json
+from reference_bloom import ByteBloomFilter
+from reference_latency import scan_latency_ms, scan_rtt_ms
 
 import repro.bloom.counting as counting_module
 import repro.bloom.delta as delta_module
 import repro.core.bloom_router as bloom_router_module
-from repro.bloom.bloom_filter import ByteBloomFilter
 from repro.experiments import run_protocol, small_config
 from repro.net.latency import RouterLevelLatencyModel
 from repro.net.underlay import Underlay
@@ -108,7 +111,7 @@ def _scale_config(num_peers, seed=11):
 
 
 def _patch_seed_substrate(mp):
-    """Monkeypatch the retained legacy backends back in: bytearray
+    """Monkeypatch the reference backends of ``tests/`` in: bytearray
     blooms, per-call model-scan latency.  Mirrors
     tests/test_substrate_equivalence.py, which proves the two
     substrates byte-identical — so this comparison is pure wall-clock,
@@ -118,8 +121,8 @@ def _patch_seed_substrate(mp):
     mp.setattr(bloom_router_module, "BloomFilter", ByteBloomFilter)
     mp.setattr(counting_module, "BloomFilter", ByteBloomFilter)
     mp.setattr(delta_module, "BloomFilter", ByteBloomFilter)
-    mp.setattr(Underlay, "latency_ms", Underlay.scan_latency_ms)
-    mp.setattr(Underlay, "rtt_ms", Underlay.scan_rtt_ms)
+    mp.setattr(Underlay, "latency_ms", scan_latency_ms)
+    mp.setattr(Underlay, "rtt_ms", scan_rtt_ms)
     # Message timing calls the seconds closure an underlay binds at
     # construction, so the scan closure goes on every underlay built
     # under the patch (the seed-style blueprint is built under it).
@@ -127,7 +130,7 @@ def _patch_seed_substrate(mp):
 
     def scan_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        self.latency_s = lambda a, b: self.scan_latency_ms(a, b) / 1000.0
+        self.latency_s = lambda a, b: scan_latency_ms(self, a, b) / 1000.0
 
     mp.setattr(Underlay, "__init__", scan_init)
 
@@ -190,7 +193,7 @@ def _latency_microbench(num_peers):
             fn(a, b)
 
     fast_s = _best_of(3, lambda: drive(underlay.latency_ms))
-    scan_s = _best_of(3, lambda: drive(underlay.scan_latency_ms))
+    scan_s = _best_of(3, lambda: drive(functools.partial(scan_latency_ms, underlay)))
     return fast_s, scan_s, len(pairs)
 
 

@@ -8,12 +8,6 @@ from .collectors import (
     summarize_outcomes,
 )
 from .comparison import ComparisonSlice, comparison_slice
-from .distributions import (
-    DistanceDistribution,
-    cdf_points,
-    distance_distribution,
-    percentile,
-)
 from .paper_claims import (
     PAPER_CLAIMS,
     Claim,
@@ -28,14 +22,10 @@ from .paper_claims import (
     render_claim_lines,
 )
 from .persistence import (
-    LoadedGridReport,
     grid_cell_to_document,
-    grid_report_to_document,
     load_grid_cell_document,
-    load_grid_report_document,
     load_run_document,
     run_to_document,
-    save_grid_report,
 )
 from .report import claims_report, comparison_report, markdown_table
 from .sweep_report import (
@@ -80,17 +70,9 @@ __all__ = [
     "load_run_document",
     "grid_cell_to_document",
     "load_grid_cell_document",
-    "grid_report_to_document",
-    "save_grid_report",
-    "load_grid_report_document",
-    "LoadedGridReport",
     "markdown_table",
     "comparison_report",
     "claims_report",
-    "percentile",
-    "DistanceDistribution",
-    "distance_distribution",
-    "cdf_points",
     "render_chart",
     "render_figure_chart",
     "SweepRow",

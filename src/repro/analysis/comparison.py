@@ -2,10 +2,10 @@
 
 §5.2 compares the four protocols on one identical workload — in a
 grid, one row label and one seed.  :func:`comparison_slice` takes that
-slice from a live :class:`~repro.experiments.grid.GridReport` or a
-restored :class:`~repro.analysis.persistence.LoadedGridReport` alike;
-the figures (``repro.experiments.figures``), the markdown report and
-the claim table (:mod:`repro.analysis.paper_claims`) read it.
+slice from a :class:`~repro.experiments.grid.GridReport`, whether its
+runs were executed or loaded from a result store; the figures
+(``repro.experiments.figures``), the markdown report and the claim
+table (:mod:`repro.analysis.paper_claims`) read it.
 """
 
 from __future__ import annotations

@@ -4,18 +4,16 @@ Persisting results lets plots be re-rendered and claim checks be
 re-evaluated without re-simulating, and makes results diffable
 artefacts.  The format is deliberately plain JSON (no pickles).
 
-Two document kinds share one per-run encoding
-(:func:`run_to_document` / :func:`load_run_document`):
-
-- ``grid-cell``   — one completed grid cell, as persisted by the
-  content-addressed :class:`~repro.results.store.ResultStore`;
-- ``grid-report`` — a whole grid (axes + every cell), written by
-  ``repro sweep --out``, ``repro figures --save`` and
-  :func:`save_grid_report`, restored by
-  :func:`load_grid_report_document` into a :class:`LoadedGridReport`
-  that :func:`repro.analysis.aggregate_sweep`,
-  :func:`repro.analysis.comparison_slice` and
-  :func:`repro.analysis.check_report` consume unchanged.
+One document kind, ``grid-cell``, holds one completed grid cell as
+persisted by the content-addressed
+:class:`~repro.results.store.ResultStore`; its run is the per-run
+encoding of :func:`run_to_document` / :func:`load_run_document`.  A
+whole grid is persisted only as its cells in a store: a
+:class:`~repro.experiments.grid.GridRunner` over that store loads them
+back into the same :class:`~repro.experiments.grid.GridReport` a live
+run returns, which :func:`repro.analysis.aggregate_sweep`,
+:func:`repro.analysis.comparison_slice` and
+:func:`repro.analysis.check_report` consume.
 
 Floats round-trip exactly (JSON uses ``repr``-exact encoding), so an
 aggregate computed from restored documents is byte-identical to one
@@ -24,11 +22,9 @@ computed from the live runs — the property grid resume relies on.
 
 from __future__ import annotations
 
-import itertools
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, IO
+from typing import Any
 
 from ..results.keys import cell_label
 from ..sim.metrics import BucketedSeries
@@ -39,10 +35,6 @@ __all__ = [
     "load_run_document",
     "grid_cell_to_document",
     "load_grid_cell_document",
-    "grid_report_to_document",
-    "save_grid_report",
-    "load_grid_report_document",
-    "LoadedGridReport",
 ]
 
 _FORMAT_VERSION = 1
@@ -233,136 +225,3 @@ def load_grid_cell_document(doc: dict[str, Any]) -> _LoadedRun:
     """Restore the run of a stored grid cell."""
     _check_kind(doc, "grid-cell")
     return load_run_document(doc["cell"]["protocol"], doc["run"])
-
-
-def grid_report_to_document(report: Any) -> dict[str, Any]:
-    """Serialise a :class:`~repro.experiments.grid.GridReport` (axes +
-    every cell) to a dict.
-
-    Cells are sorted by (label, protocol, seed) so the document is
-    byte-stable whatever completion order the worker pool produced.
-    """
-    cells: list[dict[str, Any]] = []
-    for cell, run in report.runs.items():
-        name, params, overrides = _cell_axes(cell)
-        cells.append(
-            {
-                "protocol": cell.protocol,
-                "scenario": {"name": name, "params": params},
-                "overrides": overrides,
-                "seed": cell.seed,
-                "label": cell_label(name, params, overrides),
-                "run": run_to_document(run),
-            }
-        )
-    cells.sort(key=lambda c: (c["label"], c["protocol"], c["seed"]))
-    base_config = report.base_config
-    config_doc = (
-        base_config.to_dict() if hasattr(base_config, "to_dict") else base_config
-    )
-    return {
-        "format_version": _FORMAT_VERSION,
-        "kind": "grid-report",
-        "base_config": config_doc,
-        "protocols": list(report.protocols),
-        "scenarios": list(report.scenarios),
-        "seeds": list(report.seeds),
-        "max_queries": report.max_queries,
-        "bucket_width": report.bucket_width,
-        "cells": cells,
-    }
-
-
-def save_grid_report(report: Any, out: IO[str]) -> None:
-    """Write a sweep/grid report document as indented, strict JSON.
-
-    NaN metrics were already encoded as ``null`` by
-    :func:`run_to_document`; ``allow_nan=False`` guarantees nothing
-    else smuggles a non-standard token into the file.
-    """
-    json.dump(
-        grid_report_to_document(report),
-        out,
-        indent=2,
-        sort_keys=True,
-        allow_nan=False,
-    )
-    out.write("\n")
-
-
-@dataclass
-class LoadedGridReport:
-    """A grid-report document restored from JSON.
-
-    Offers the accessors :func:`repro.analysis.aggregate_sweep`,
-    :func:`repro.analysis.render_sweep_report` and
-    :func:`repro.analysis.comparison_slice` need (``protocols``,
-    ``scenarios`` — row labels — ``seeds``, ``max_queries``,
-    ``run_for()``, ``seed_runs()``), so persisted grids render
-    identically to live ones.
-    """
-
-    base_config: dict[str, Any]
-    protocols: list[str]
-    scenarios: list[str]
-    seeds: list[int]
-    max_queries: int
-    bucket_width: int
-    runs: dict[tuple[str, str, int], _LoadedRun]
-
-    @property
-    def num_cells(self) -> int:
-        """How many cells the document carried."""
-        return len(self.runs)
-
-    def run_for(self, protocol: str, scenario: str, seed: int) -> _LoadedRun:
-        """The restored run of one cell (scenario = its row label)."""
-        return self.runs[(scenario, protocol, seed)]
-
-    def seed_runs(self, protocol: str, scenario: str) -> list[_LoadedRun]:
-        """One (scenario-label, protocol) row across all seeds."""
-        return [self.run_for(protocol, scenario, seed) for seed in self.seeds]
-
-
-def load_grid_report_document(source: IO[str]) -> LoadedGridReport:
-    """Restore a document written by :func:`save_grid_report`.
-
-    Every (row label, protocol, seed) the document's axes declare must
-    have a cell whose run restores; :class:`ValueError` names the first
-    that does not.
-    """
-    doc = json.load(source)
-    _check_kind(doc, "grid-report")
-    cells: dict[tuple[str, str, int], dict[str, Any]] = {}
-    for cell in doc["cells"]:
-        scenario = cell["scenario"]
-        label = cell.get("label") or cell_label(
-            scenario["name"], scenario["params"], cell["overrides"]
-        )
-        cells[(label, cell["protocol"], cell["seed"])] = cell
-    scenarios = list(doc["scenarios"])
-    scenarios += dict.fromkeys(
-        label for label, _protocol, _seed in cells if label not in scenarios
-    )
-    runs: dict[tuple[str, str, int], _LoadedRun] = {}
-    for coordinate in itertools.product(scenarios, doc["protocols"], doc["seeds"]):
-        label, protocol, seed = coordinate
-        where = f"row {label!r}, protocol {protocol!r}, seed {seed}"
-        if coordinate not in cells:
-            raise ValueError(f"the grid report has no cell for {where}")
-        try:
-            runs[coordinate] = load_run_document(protocol, cells[coordinate]["run"])
-        except (KeyError, TypeError, ValueError) as error:
-            raise ValueError(
-                f"the cell for {where} does not restore: "
-                f"{type(error).__name__}: {error}"
-            ) from None
-    return LoadedGridReport(
-        base_config=doc["base_config"],
-        protocols=list(doc["protocols"]),
-        scenarios=scenarios,
-        seeds=list(doc["seeds"]),
-        max_queries=doc["max_queries"],
-        bucket_width=doc["bucket_width"],
-        runs=runs,
-    )

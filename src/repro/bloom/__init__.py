@@ -5,7 +5,7 @@ filters over cached filenames, deletion support for cache evictions,
 and the changed-bit update protocol of footnote 1.
 """
 
-from .bloom_filter import BloomFilter, ByteBloomFilter, element_mask, element_positions
+from .bloom_filter import BloomFilter, element_mask, element_positions
 from .counting import CountingBloomFilter
 from .delta import BloomDelta, DeltaCodec, apply_delta, diff
 from .params import (
@@ -17,7 +17,6 @@ from .params import (
 
 __all__ = [
     "BloomFilter",
-    "ByteBloomFilter",
     "element_mask",
     "element_positions",
     "CountingBloomFilter",

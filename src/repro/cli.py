@@ -3,18 +3,16 @@
 Subcommands:
 
 - ``figures`` (alias ``compare``) — run the four-protocol comparison
-  (one seed and one scenario of a storeless ``GridRunner``: the
-  topology is built once and instantiated per protocol) and print
-  Figures 2-4 plus the §5.2 claim checks, optionally under a
-  registered scenario (``--scenario``) and optionally persisting the
-  grid report (``--save``);
+  (one seed and one scenario of a ``GridRunner``: the topology is
+  built once and instantiated per protocol) and print Figures 2-4
+  plus the §5.2 claim checks, optionally under a registered scenario
+  (``--scenario``); with ``--store DIR`` the cells go through a
+  content-addressed result store, so a re-run loads them instead of
+  simulating;
 - ``ablation`` — run one ablation sweep (a1..a8, ext, ext2) on one or
   more seeds (``--seeds``) and judge its direction claims over them;
-- ``report``   — emit the markdown paper-vs-measured report;
-- ``sweep``    — run a protocol × scenario × seed grid (a storeless
-  ``GridRunner``: each distinct topology is built once and
-  instantiated per cell), optionally in parallel worker processes
-  (``--workers``), and persisted with ``--out FILE``;
+- ``report``   — emit the markdown paper-vs-measured report (the same
+  grid as ``figures``, resumed from ``--store DIR`` when given);
 - ``grid``     — parameterised experiment grids over a
   content-addressed result store: ``grid run`` executes (and resumes)
   a protocol × scenario(+params) × config-override × seed grid —
@@ -25,18 +23,19 @@ Subcommands:
   inherit parent-built blueprints; ``grid status``
   shows stored/claimed/pending counts and the active claims;
   ``grid check`` judges the §5.2 claim table per seed on the grid's
-  stored cells (or a saved grid report, ``--load``) without executing;
+  stored cells without executing;
   ``grid watch`` is the live view — it polls the store and claims,
   rendering stored/claimed/pending, per-runner throughput (from the
   telemetry sidecars committed cells leave next to their documents),
   and an ETA, while concurrent ``grid run`` processes fill the store;
   ``grid run --profile DIR`` dumps per-batch cProfile artifacts;
   ``grid report`` aggregates a store from disk, ``grid ls`` lists the
-  stored cells; every store-touching subcommand takes ``--backend
-  {auto,json,sqlite}`` to pick between the sharded-JSON file layout
-  and a single WAL-mode SQLite database (one fsync per committed
-  batch; ``auto`` detects an existing SQLite store), and ``grid
-  migrate SRC DST`` copies a store across backends byte-identically;
+  stored cells; every store-touching ``grid`` subcommand takes
+  ``--backend {auto,json,sqlite}`` to pick between the sharded-JSON
+  file layout and a single WAL-mode SQLite database (one fsync per
+  committed batch; ``auto`` detects an existing SQLite store), and
+  ``grid migrate SRC DST`` copies a store across backends
+  byte-identically;
 - ``trace``    — observability for single cells: ``trace run`` executes
   one cell with JSONL tracing on and prints its telemetry (wall-clock
   phases, events/sec, per-kind event counts); ``trace summarize``
@@ -51,19 +50,17 @@ Subcommands:
   ``--select``/``--ignore`` to narrow the rule set, and
   ``--explain RPRxxx`` for each rule's rationale with an
   offending/fixed example; exits nonzero on findings;
-- ``info``     — show the §5.1 configuration and the system inventory.
+- ``info``     — show the §5.1 configuration and the system inventory,
+  one line per registered scenario included.
 
 Examples::
 
-    repro-locaware figures --queries 500 --save run.json
+    repro-locaware figures --queries 500 --bucket 100 --store results
     repro-locaware compare --scenario flash-crowd --queries 500
-    repro-locaware grid check --load run.json
+    repro-locaware grid check --store results --queries 500 --bucket 100
+    repro-locaware report --queries 500 --bucket 100 --store results > measured.md
     repro-locaware ablation a6
     repro-locaware ablation a5 --seeds 1 2 3 4 5
-    repro-locaware report --load run.json > measured.md
-    repro-locaware sweep --scenarios flash-crowd diurnal --workers 4
-    repro-locaware sweep --workers 4 --out sweep.json
-    repro-locaware sweep --list
     repro-locaware grid run --store results --config small \\
         --scenarios baseline churn-storm:storm_session_s=120 \\
         --set ttl=5,7 --seeds 1 2 --queries 200 --workers 4
@@ -85,22 +82,18 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 import time
 from collections.abc import Sequence
 
 from .analysis import (
-    ComparisonSlice,
     check_report,
     claim_verdicts,
     claims_report,
     comparison_report,
     comparison_slice,
-    load_grid_report_document,
     render_claim_lines,
     render_figure_chart,
-    save_grid_report,
 )
 from .experiments import (
     BENCH_BUCKET_WIDTH,
@@ -140,9 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: the paper's baseline regime)",
     )
     figures.add_argument(
-        "--save", metavar="FILE", help="persist the run as a grid-report JSON document"
-    )
-    figures.add_argument(
         "--chart", action="store_true", help="also render ASCII line charts"
     )
 
@@ -153,26 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="emit the markdown measured report")
     _add_run_options(report)
-    _add_load_option(report)
-
-    sweep = sub.add_parser(
-        "sweep", help="run a protocol × scenario × seed grid (parallelisable)"
-    )
-    _add_axis_options(sweep, scenarios=None, seeds=[20090322, 20090323])
-    sweep.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (1 = serial; results are identical either way)",
-    )
-    sweep.add_argument(
-        "--list", action="store_true", help="list registered scenarios and exit"
-    )
-    sweep.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="persist the sweep report as a grid-report JSON document "
-        "(reload with repro.analysis.load_grid_report_document)",
-    )
 
     grid = sub.add_parser(
         "grid",
@@ -230,10 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_axis_options(grid_status)
 
     grid_check = grid_sub.add_parser(
-        "check", help="judge the claim table per seed on a stored or saved grid"
+        "check", help="judge the claim table per seed on a stored grid"
     )
     _add_grid_axis_options(grid_check)
-    _add_load_option(grid_check)
 
     grid_watch = grid_sub.add_parser(
         "watch",
@@ -407,28 +376,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    """The comparison flags ``figures`` and ``report`` share."""
     parser.add_argument("--queries", type=int, default=BENCH_MAX_QUERIES)
     parser.add_argument("--bucket", type=int, default=BENCH_BUCKET_WIDTH)
     parser.add_argument("--seed", type=int, default=20090322)
-
-
-def _add_load_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--load",
-        metavar="FILE",
-        help="use a saved grid-report document (figures --save, sweep --out)",
+        "--store",
+        metavar="DIR",
+        default=None,
+        help="result-store directory: stored cells are loaded, missing "
+        "ones executed and committed (default: run without a store)",
     )
 
 
-def _add_axis_options(
-    parser: argparse.ArgumentParser,
-    scenarios: list[str] | None,
-    seeds: list[int],
-) -> None:
-    """The grid-axis flags ``sweep`` and ``grid run|status|watch``
-    share; each command passes its own scenario and seed defaults
-    (``None`` scenarios: every registered one)."""
-    shown = " ".join(scenarios) if scenarios else "every registered scenario"
+def _add_axis_options(parser: argparse.ArgumentParser) -> None:
+    """The grid-axis flags of ``grid run|status|check|watch``."""
     parser.add_argument(
         "--protocols",
         nargs="+",
@@ -440,13 +402,13 @@ def _add_axis_options(
     parser.add_argument(
         "--scenarios",
         nargs="+",
-        default=scenarios,
+        default=["baseline"],
         metavar="NAME[:K=V,...]",
         help="scenario axis; parameter overrides attach after a colon, "
-        f"e.g. churn-storm:storm_session_s=120 (default: {shown})",
+        "e.g. churn-storm:storm_session_s=120 (default: baseline)",
     )
     parser.add_argument(
-        "--seeds", type=int, nargs="+", default=seeds,
+        "--seeds", type=int, nargs="+", default=[20090322],
         help="master seeds, one full grid slice per seed",
     )
     parser.add_argument("--queries", type=int, default=200)
@@ -489,7 +451,7 @@ def _add_grid_axis_options(parser: argparse.ArgumentParser) -> None:
         help="JSON grid spec (GridSpec.to_dict format); overrides the "
         "axis flags below",
     )
-    _add_axis_options(parser, scenarios=["baseline"], seeds=[20090322])
+    _add_axis_options(parser)
     parser.add_argument(
         "--set",
         dest="overrides",
@@ -512,9 +474,16 @@ def _comparison_spec(args: argparse.Namespace) -> GridSpec:
     )
 
 
-def _run_grid(spec: GridSpec, out) -> GridReport:
+def _run_grid(spec: GridSpec, out, store: str | None) -> GridReport:
+    """Run ``spec``, through the result store at ``store`` if given:
+    stored cells load, missing ones execute and commit."""
+    from .results import ResultStore
+
+    runner = GridRunner(
+        spec, store=ResultStore(store) if store is not None else None
+    )
     started = time.time()
-    report = GridRunner(spec).run(
+    report = runner.run(
         progress=lambda m: print(
             f"  [{time.time() - started:6.1f}s] {m}", file=out, flush=True
         )
@@ -523,62 +492,26 @@ def _run_grid(spec: GridSpec, out) -> GridReport:
     return report
 
 
-def _load_report(path: str, read=lambda report: report):
-    """``read`` of the grid report saved at ``path``; errors name the file."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return read(load_grid_report_document(handle))
-        except ValueError as error:
-            raise ValueError(f"{path}: {error}") from None
-
-
-def _load_or_run(args: argparse.Namespace, out) -> ComparisonSlice:
-    """``--load FILE``'s one (row, seed) slice, or a fresh run's."""
-    if args.load is None:
-        return comparison_slice(_run_grid(_comparison_spec(args), out))
-    return _load_report(args.load, comparison_slice)
-
-
-def _open_destination(path: str | None):
-    """``path`` opened for writing *now*, as a context manager.
-
-    Commands that persist their result open the destination before the
-    run, so an unwritable path is a bad argument (``error: …``, exit
-    2) instead of a traceback after minutes of simulation.  ``None``
-    gives a null context yielding ``None``.
-    """
-    if path is None:
-        return contextlib.nullcontext()
-    return open(path, "w", encoding="utf-8")
-
-
 def _cmd_figures(args: argparse.Namespace, out) -> int:
     try:
-        spec = _comparison_spec(args)
-        destination = _open_destination(args.save)
+        report = _run_grid(_comparison_spec(args), out, args.store)
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=out)
         return 2
-    with destination as handle:
-        report = _run_grid(spec, out)
-        result = comparison_slice(report)
-        for module in FIGURES:
-            print(module.render(result), file=out)
+    result = comparison_slice(report)
+    for module in FIGURES:
+        print(module.render(result), file=out)
+        print(file=out)
+        if args.chart:
+            chart = render_figure_chart(
+                result.bucket_edges(),
+                module.figure_series(result),
+                title=module.TITLE,
+                y_label=module.Y_LABEL,
+            )
+            print(chart, file=out)
             print(file=out)
-            if args.chart:
-                chart = render_figure_chart(
-                    result.bucket_edges(),
-                    module.figure_series(result),
-                    title=module.TITLE,
-                    y_label=module.Y_LABEL,
-                )
-                print(chart, file=out)
-                print(file=out)
-        held = _print_verdicts(report, out)
-        if handle is not None:
-            save_grid_report(report, handle)
-            print(f"saved result to {args.save}", file=out)
-    return 0 if held else 1
+    return 0 if _print_verdicts(report, out) else 1
 
 
 def _print_verdicts(report, out) -> bool:
@@ -621,7 +554,8 @@ def _cmd_ablation(args: argparse.Namespace, out) -> int:
 
 def _cmd_report(args: argparse.Namespace, out) -> int:
     try:
-        result = _load_or_run(args, out)
+        report = _run_grid(_comparison_spec(args), out, args.store)
+        result = comparison_slice(report)
         text = (
             f"{comparison_report(result)}\n\n### Claim checks\n\n"
             f"{claims_report(result)}"
@@ -630,51 +564,6 @@ def _cmd_report(args: argparse.Namespace, out) -> int:
         print(f"error: {error}", file=out)
         return 2
     print(text, file=out)
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace, out) -> int:
-    from .analysis import render_sweep_report
-    from .scenarios import SCENARIO_REGISTRY, scenario_names
-
-    if args.list:
-        print("Registered scenarios:", file=out)
-        for name in scenario_names():
-            print(f"  {name:<18} {SCENARIO_REGISTRY[name].description}", file=out)
-        return 0
-    scenarios = args.scenarios if args.scenarios else scenario_names()
-    base = small_config() if args.config == "small" else paper_config()
-    try:
-        runner = GridRunner(
-            GridSpec(
-                base_config=base,
-                protocols=args.protocols,
-                scenarios=scenarios,
-                seeds=args.seeds,
-                max_queries=args.queries,
-                bucket_width=args.bucket,
-            ),
-            workers=args.workers,
-        )
-        destination = _open_destination(args.out)
-    except (ValueError, OSError) as error:
-        print(f"error: {error}", file=out)
-        return 2
-    with destination as handle:
-        started = time.time()
-        report = runner.run(
-            progress=lambda m: print(
-                f"  [{time.time() - started:6.1f}s] {m}", file=out, flush=True
-            )
-        )
-        print(
-            f"  {report.num_cells} cells in {time.time() - started:.1f}s\n",
-            file=out,
-        )
-        print(render_sweep_report(report), file=out)
-        if handle is not None:
-            save_grid_report(report, handle)
-            print(f"\nsaved report to {args.out}", file=out)
     return 0
 
 
@@ -936,12 +825,11 @@ def _stored_report(args: argparse.Namespace) -> GridReport:
 
 
 def _cmd_grid_check(args: argparse.Namespace, out) -> int:
-    """The claim table's verdicts per seed on a stored or saved grid."""
+    """The claim table's verdicts per seed on a stored grid."""
     from .sim.errors import ConfigurationError
 
     try:
-        report = _load_report(args.load) if args.load else _stored_report(args)
-        return 0 if _print_verdicts(report, out) else 1
+        return 0 if _print_verdicts(_stored_report(args), out) else 1
     except (ValueError, ConfigurationError, OSError) as error:
         print(f"error: {error}", file=out)
         return 2
@@ -1218,7 +1106,9 @@ def _cmd_trace_run(args: argparse.Namespace, out) -> int:
             base,
             args.protocol,
             max_queries=args.queries,
-            bucket_width=args.bucket or max(1, args.queries // 8),
+            bucket_width=(
+                args.bucket if args.bucket is not None else max(1, args.queries // 8)
+            ),
             scenario=scenario,
             trace_path=args.out,
             trace_kinds=args.kinds,
@@ -1330,11 +1220,13 @@ def _cmd_info(args: argparse.Namespace, out) -> int:
     print("Paper configuration (§5.1):", file=out)
     for key, value in sorted(config.to_dict().items()):
         print(f"  {key:<24} {value}", file=out)
-    from .scenarios import scenario_names
+    from .scenarios import SCENARIO_REGISTRY, scenario_names
 
     print("\nProtocols:", ", ".join(PROTOCOL_REGISTRY), file=out)
     print("Ablations:", ", ".join(ablations.ABLATIONS), file=out)
-    print("Scenarios:", ", ".join(scenario_names()), file=out)
+    print("Scenarios:", file=out)
+    for name in scenario_names():
+        print(f"  {name:<18} {SCENARIO_REGISTRY[name].description}", file=out)
     return 0
 
 
@@ -1343,7 +1235,6 @@ _COMMANDS = {
     "compare": _cmd_figures,
     "ablation": _cmd_ablation,
     "report": _cmd_report,
-    "sweep": _cmd_sweep,
     "grid": _cmd_grid,
     "trace": _cmd_trace,
     "lint": _cmd_lint,

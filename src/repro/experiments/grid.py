@@ -12,13 +12,15 @@ cell under its content-addressed key and *skips* every cell the store
 already holds.  An interrupted 500-cell sweep restarts at full speed;
 a repeated one costs zero executions.
 
-This module is also the single sweep engine: ``repro sweep``, the
-ablations and the one-seed comparison behind ``repro figures`` run a
-storeless :class:`GridRunner`, and a claim check over seeds is ``repro
-grid run --seeds …`` followed by ``repro grid check``
+This module is also the single sweep engine: the ablations run a
+storeless :class:`GridRunner`, the one-seed comparison behind ``repro
+figures`` / ``repro report`` runs one with or without a store
+(``--store``), and a claim check over seeds is ``repro grid run
+--seeds …`` followed by ``repro grid check``
 (:func:`repro.analysis.check_report` on the stored cells), so
 serial/parallel equivalence and blueprint reuse are implemented (and
-tested) exactly once.
+tested) exactly once.  The store is the only persisted form of a grid:
+every reader receives a :class:`GridReport`.
 
 Usage::
 
@@ -648,14 +650,6 @@ class GridReport:
         return [
             self.run_for(protocol, scenario, seed) for seed in self.spec.seeds
         ]
-
-    def mean_over_seeds(
-        self, protocol: str, scenario: str, metric: Callable[[Any], float]
-    ) -> float:
-        """Average ``metric(run)`` across the seeds of one row (NaNs skipped)."""
-        values = [metric(run) for run in self.seed_runs(protocol, scenario)]
-        clean = [v for v in values if not math.isnan(v)]
-        return sum(clean) / len(clean) if clean else math.nan
 
 
 def _note(

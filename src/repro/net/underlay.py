@@ -143,17 +143,6 @@ class Underlay:
         """Round-trip time between peers ``a`` and ``b`` in milliseconds."""
         return 2.0 * self._pair_latency(a, b)
 
-    def scan_latency_ms(self, a: int, b: int) -> float:
-        """Reference latency via the model's per-call path (two
-        nearest-router searches for the router model).  Kept for the
-        substrate-equivalence suite and the scale benchmark's
-        fast-vs-scan speedup assertion."""
-        return self._model.latency_ms(self._positions[a], self._positions[b])
-
-    def scan_rtt_ms(self, a: int, b: int) -> float:
-        """Reference RTT via the model's per-call path."""
-        return self._model.rtt_ms(self._positions[a], self._positions[b])
-
     def locid_histogram(self) -> dict[int, int]:
         """How many peers share each locId (diagnostic for §5.1's
         landmark-count discussion)."""

@@ -99,7 +99,7 @@ class Scenario:
     #: Registry key, e.g. ``"flash-crowd"``.  Must be unique.
     name: str = ""
 
-    #: One-line human description (shown by ``repro sweep --list``).
+    #: One-line human description (shown by ``repro info``).
     description: str = ""
 
     #: Whether :meth:`configure` may change a topology-affecting field

@@ -1,6 +1,6 @@
 """The built-in scenario library.
 
-Seven registered scenarios (``repro sweep --list`` prints this table):
+Seven registered scenarios (``repro info`` prints this table):
 
 - ``baseline``         — the paper's §5.1 stationary Zipf workload;
 - ``flash-crowd``      — sudden popularity spike on one catalog file;

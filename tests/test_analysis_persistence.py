@@ -1,29 +1,30 @@
 """Tests for JSON persistence and markdown reporting of results."""
 
-import io
-import json
 import math
 
 import pytest
 
 from repro.analysis import (
+    aggregate_sweep,
     check_paper_claims,
     claims_report,
     comparison_report,
     comparison_slice,
-    load_grid_report_document,
     markdown_table,
-    save_grid_report,
 )
 from repro.experiments import GridRunner, GridSpec, small_config
+from repro.results import ResultStore
 from test_analysis import statements
 
 
-def _roundtrip(report):
-    buffer = io.StringIO()
-    save_grid_report(report, buffer)
-    buffer.seek(0)
-    return load_grid_report_document(buffer)
+def _stored(report, root):
+    """``report``'s grid run cold through a store at ``root``, then read
+    back warm: every run of the returned report was loaded from its
+    stored document, none executed."""
+    GridRunner(report.spec, store=ResultStore(root)).run()
+    warm = GridRunner(report.spec, store=ResultStore(root)).run()
+    assert (warm.executed, warm.cached) == (0, report.num_cells)
+    return warm
 
 
 @pytest.fixture(scope="module")
@@ -70,78 +71,18 @@ class TestMarkdown:
         assert text.count("Fig4") == 3
 
 
-class TestGridReportDocuments:
-    """Sweep/grid reports round-trip through the store document format:
-    axes, row labels, and every per-run number survive, and the
-    aggregate of a restored report matches the live one exactly."""
+class TestStoredGridReports:
+    """A grid read back from a result store answers what the live grid
+    did: NaN distances, parameterised row labels and claim checks
+    survive the ``grid-cell`` documents."""
 
     @pytest.fixture(scope="class")
-    def sweep_report(self):
-        return GridRunner(
-            GridSpec(
-                base_config=small_config(seed=3).replace(
-                    query_rate_per_peer=0.02
-                ),
-                protocols=("flooding", "locaware"),
-                scenarios=("baseline", "diurnal"),
-                seeds=(1, 2),
-                max_queries=12,
-            )
-        ).run()
+    def stored_comparison(self, comparison_report_run, tmp_path_factory):
+        return _stored(comparison_report_run, tmp_path_factory.mktemp("store"))
 
-    def test_document_structure(self, sweep_report):
-        from repro.analysis import grid_report_to_document
-
-        doc = grid_report_to_document(sweep_report)
-        assert doc["kind"] == "grid-report"
-        assert doc["protocols"] == ["flooding", "locaware"]
-        assert doc["scenarios"] == ["baseline", "diurnal"]
-        assert len(doc["cells"]) == sweep_report.num_cells
-        assert json.dumps(doc)  # JSON-serialisable
-
-    def test_axes_roundtrip(self, sweep_report):
-        loaded = _roundtrip(sweep_report)
-        assert loaded.protocols == list(sweep_report.protocols)
-        assert loaded.scenarios == list(sweep_report.scenarios)
-        assert loaded.seeds == list(sweep_report.seeds)
-        assert loaded.max_queries == sweep_report.max_queries
-        assert loaded.num_cells == sweep_report.num_cells
-
-    def test_aggregate_matches_live_report(self, sweep_report):
-        from repro.analysis import aggregate_sweep, render_sweep_report
-
-        loaded = _roundtrip(sweep_report)
-        assert repr(aggregate_sweep(loaded)) == repr(aggregate_sweep(sweep_report))
-        assert render_sweep_report(loaded) == render_sweep_report(sweep_report)
-
-    def test_summaries_roundtrip_exactly(self, sweep_report):
-        loaded = _roundtrip(sweep_report)
-        for scenario in sweep_report.scenarios:
-            for protocol in sweep_report.protocols:
-                for seed in sweep_report.seeds:
-                    live = sweep_report.run_for(protocol, scenario, seed)
-                    restored = loaded.run_for(protocol, scenario, seed)
-                    assert restored.summary.queries == live.summary.queries
-                    assert restored.locally_satisfied == live.locally_satisfied
-                    assert restored.sim_time_s == live.sim_time_s
-
-    def test_document_is_byte_stable(self, sweep_report):
-        a, b = io.StringIO(), io.StringIO()
-        save_grid_report(sweep_report, a)
-        save_grid_report(sweep_report, b)
-        assert a.getvalue() == b.getvalue()
-
-    def test_roundtrip_preserves_series(self, sweep_report):
-        loaded = _roundtrip(sweep_report)
-        for cell, run in sweep_report.runs.items():
-            restored = loaded.run_for(cell.protocol, cell.label, cell.seed)
-            assert restored.series.search_traffic.windowed_means() == (
-                pytest.approx(run.series.search_traffic.windowed_means(), nan_ok=True)
-            )
-
-    def test_nan_distances_roundtrip(self, comparison_report_run):
+    def test_nan_distances_roundtrip(self, comparison_report_run, stored_comparison):
         """Failed-query NaNs must survive the None encoding."""
-        loaded = comparison_slice(_roundtrip(comparison_report_run))
+        loaded = comparison_slice(stored_comparison)
         for name, run in comparison_slice(comparison_report_run).runs.items():
             original = run.series.download_distance.windowed_means()
             restored = loaded.runs[name].series.download_distance.windowed_means()
@@ -149,23 +90,15 @@ class TestGridReportDocuments:
             for a, b in zip(original, restored):
                 assert (math.isnan(a) and math.isnan(b)) or a == pytest.approx(b)
 
-    def test_claim_checks_work_on_loaded_results(self, comparison_report_run):
+    def test_claim_checks_work_on_loaded_results(
+        self, comparison_report_run, stored_comparison
+    ):
         live = comparison_slice(comparison_report_run)
-        loaded = comparison_slice(_roundtrip(comparison_report_run))
+        loaded = comparison_slice(stored_comparison)
         assert loaded.bucket_edges() == live.bucket_edges()
         assert check_paper_claims(loaded) == check_paper_claims(live)
 
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(ValueError, match="not a grid-report"):
-            load_grid_report_document(io.StringIO('{"kind": "comparison"}'))
-
-    def test_wrong_version_rejected(self):
-        doc = '{"kind": "grid-report", "format_version": 999, "cells": []}'
-        with pytest.raises(ValueError, match="format version 999"):
-            load_grid_report_document(io.StringIO(doc))
-
-    def test_grid_report_with_parameterised_rows_roundtrips(self):
-        from repro.analysis import aggregate_sweep
+    def test_grid_report_with_parameterised_rows_roundtrips(self, tmp_path):
         spec = GridSpec(
             base_config=small_config(seed=3).replace(query_rate_per_peer=0.02),
             protocols=("flooding",),
@@ -175,8 +108,8 @@ class TestGridReportDocuments:
             max_queries=10,
         )
         report = GridRunner(spec).run()
-        loaded = _roundtrip(report)
-        assert loaded.scenarios == ["diurnal[amplitude=0.3] @ ttl=5"]
+        loaded = _stored(report, tmp_path)
+        assert loaded.scenarios == ("diurnal[amplitude=0.3] @ ttl=5",)
         assert repr(aggregate_sweep(loaded)) == repr(aggregate_sweep(report))
 
 
@@ -215,9 +148,15 @@ class TestGridCellDocuments:
         with pytest.raises(ValueError, match="not a grid-cell"):
             load_grid_cell_document({"kind": "comparison"})
 
+    def test_wrong_version_rejected(self):
+        from repro.analysis import load_grid_cell_document
+
+        with pytest.raises(ValueError, match="format version 999"):
+            load_grid_cell_document({"kind": "grid-cell", "format_version": 999})
+
 
 class TestComparisonSlice:
-    """One (row, seed) of a live or a restored grid report."""
+    """One (row, seed) of a grid report."""
 
     def test_the_only_slice_is_the_default(self, sweep_report_one_row):
         result = comparison_slice(sweep_report_one_row)
@@ -253,8 +192,8 @@ class TestComparisonSlice:
 
 
 class TestScenarioProvenance:
-    """A persisted scenario comparison must say which regime produced it
-    and record the configuration the runs actually used."""
+    """A scenario comparison must say which regime produced it, stored
+    or not, and record the configuration the runs actually used."""
 
     @pytest.fixture(scope="class")
     def cold_start(self):
@@ -278,5 +217,5 @@ class TestScenarioProvenance:
         # config it actually used, not the base config.
         assert result.runs["flooding"].config.files_per_peer == 1
 
-    def test_scenario_roundtrips_through_load(self, cold_start):
-        assert comparison_slice(_roundtrip(cold_start)).row == "cold-start"
+    def test_scenario_roundtrips_through_the_store(self, cold_start, tmp_path):
+        assert comparison_slice(_stored(cold_start, tmp_path)).row == "cold-start"

@@ -4,7 +4,7 @@
 seeds into one verdict per row (holds on every seed, fails on every
 seed, or unresolved), :func:`repro.analysis.check_report` applies it to
 every row label of a grid report, and ``repro grid check`` prints it
-for a stored grid or a saved report.  The three sources must agree.
+for a stored grid.  A live grid and its stored cells must agree.
 """
 
 import io
@@ -16,12 +16,11 @@ from repro.analysis import (
     ClaimCheck,
     check_report,
     claim_verdicts,
-    load_grid_report_document,
     render_claim_lines,
-    save_grid_report,
 )
 from repro.cli import main
 from repro.experiments import GridRunner, GridSpec, small_config
+from repro.results import ResultStore
 from test_analysis import statements
 
 
@@ -112,24 +111,19 @@ class TestCheckReport:
         low, mean, high = traffic.spread
         assert 0.0 < low <= mean <= high < 1.0  # caching always reduces traffic
 
-    def test_live_saved_and_stored_give_one_answer(self, live, tmp_path):
-        buffer = io.StringIO()
-        save_grid_report(live, buffer)
-        buffer.seek(0)
-        loaded = load_grid_report_document(buffer)
+    def test_live_and_stored_give_one_answer(self, live, tmp_path):
         expected = check_report(live)
+        axes = ("--store", str(tmp_path / "store"), "--config", "small",
+                "--seeds", "1", "2", "--queries", "40")
+        assert _text("grid", "run", *axes)[0] == 0
+        loaded = GridRunner(live.spec, store=ResultStore(tmp_path / "store")).run()
+        assert (loaded.executed, loaded.cached) == (0, live.num_cells)
         assert check_report(loaded) == expected
         assert [v.spread for v in check_report(loaded)["baseline"]] == [
             v.spread for v in expected["baseline"]
         ]
 
-        saved = tmp_path / "report.json"
-        saved.write_text(buffer.getvalue(), encoding="utf-8")
-        axes = ("--store", str(tmp_path / "store"), "--config", "small",
-                "--seeds", "1", "2", "--queries", "40")
-        assert _text("grid", "run", *axes)[0] == 0
         stored = _text("grid", "check", *axes)
-        assert stored == _text("grid", "check", "--load", str(saved))
         held = all(v.holds for v in expected["baseline"])
         assert stored == (
             int(not held), render_claim_lines(expected["baseline"]) + "\n"

@@ -31,7 +31,7 @@ class TestParser:
         args = build_parser().parse_args(["figures"])
         assert args.command == "figures"
         assert args.queries > 0
-        assert args.save is None
+        assert args.store is None
 
     def test_ablation_ids(self):
         for ablation_id in ABLATIONS:
@@ -116,54 +116,65 @@ class TestInfo:
         _, text = run_cli("info")
         assert f"Ablations: {', '.join(ABLATIONS)}\n" in text
 
+    def test_info_lists_every_registered_scenario_with_its_description(self):
+        from repro.scenarios import SCENARIO_REGISTRY, scenario_names
 
-class TestSweepCommand:
-    def test_sweep_defaults(self):
-        args = build_parser().parse_args(["sweep"])
-        assert args.command == "sweep"
-        assert args.workers == 1
-        assert args.scenarios is None
-        assert args.config == "paper"
-
-    def test_sweep_list_scenarios(self):
-        code, text = run_cli("sweep", "--list")
-        assert code == 0
+        _, text = run_cli("info")
+        listed = text.split("\nScenarios:\n", 1)[1].splitlines()
+        assert listed == [
+            f"  {name:<18} {SCENARIO_REGISTRY[name].description}"
+            for name in scenario_names()
+        ]
         for name in (
             "baseline", "flash-crowd", "regional-hotspot",
             "churn-storm", "cold-start", "diurnal", "popularity-shift",
         ):
-            assert name in text
+            assert name in scenario_names()
 
-    def test_sweep_parses_popularity_shift_interval(self):
+
+class TestGridRunAxes:
+    """The axis flags of ``grid run|status|check|watch``, and the
+    commands and flags the store-backed grid replaced."""
+
+    def test_grid_parses_popularity_shift_interval(self):
         from repro.experiments.grid import ScenarioSpec
 
         args = build_parser().parse_args(
-            ["sweep", "--scenarios", "popularity-shift:interval_s=200"]
+            ["grid", "run", "--scenarios", "popularity-shift:interval_s=200"]
         )
         (entry,) = args.scenarios
         assert ScenarioSpec.parse(entry).make().interval_s == 200
 
-    def test_sweep_rejects_unknown_scenario_cleanly(self):
-        code, text = run_cli("sweep", "--scenarios", "meteor-strike", "--queries", "5")
-        assert code == 2
-        assert "unknown scenario 'meteor-strike'" in text
-        assert "flash-crowd" in text  # the error lists the known names
-
-    def test_sweep_rejects_duplicate_seeds_cleanly(self):
-        code, text = run_cli("sweep", "--seeds", "1", "1", "--queries", "5")
-        assert code == 2
-        assert "error: duplicate entries on the seed axis" in text
-
-    def test_sweep_rejects_duplicate_protocols_cleanly(self):
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            (
+                ["--scenarios", "meteor-strike"],
+                "unknown scenario 'meteor-strike'",
+            ),
+            (["--seeds", "1", "1"], "error: duplicate entries on the seed axis"),
+            (
+                ["--protocols", "flooding", "flooding"],
+                "error: duplicate entries on the protocol axis",
+            ),
+        ],
+        ids=["unknown-scenario", "duplicate-seeds", "duplicate-protocols"],
+    )
+    def test_grid_run_rejects_bad_axes_cleanly(self, axes, message, tmp_path):
+        store = tmp_path / "store"
         code, text = run_cli(
-            "sweep", "--protocols", "flooding", "flooding", "--queries", "5"
+            "grid", "run", "--store", str(store), *axes, "--queries", "5"
         )
         assert code == 2
-        assert "error: duplicate entries on the protocol axis" in text
+        assert message in text
+        if "scenario" in message:
+            assert "flash-crowd" in text  # the error lists the known names
+        assert not store.exists()  # nothing ran
 
-    def test_sweep_runs_small_grid_in_parallel(self):
+    def test_grid_runs_small_grid_in_parallel(self, tmp_path):
         code, text = run_cli(
-            "sweep",
+            "grid", "run",
+            "--store", str(tmp_path / "store"),
             "--config", "small",
             "--protocols", "flooding", "locaware",
             "--scenarios", "flash-crowd", "baseline",
@@ -172,27 +183,63 @@ class TestSweepCommand:
             "--workers", "2",
         )
         assert code == 0
-        assert "8 cells" in text
+        assert "total=8 executed=8 cached=0" in text
         assert "scenario: flash-crowd" in text
         assert "scenario: baseline" in text
         assert "locaware across scenarios" in text
 
-    def test_sweep_and_grid_keep_their_own_axis_defaults(self):
-        """One declaration of the axis flags, two sets of defaults."""
-        sweep = build_parser().parse_args(["sweep"])
-        assert (sweep.scenarios, sweep.seeds) == (None, [20090322, 20090323])
+    def test_grid_commands_share_one_set_of_axis_defaults(self):
         for command in ("run", "status", "watch", "check"):
-            grid = build_parser().parse_args(["grid", command])
-            assert (grid.scenarios, grid.seeds) == (["baseline"], [20090322])
-        for args in (sweep, grid):
+            args = build_parser().parse_args(["grid", command])
+            assert (args.scenarios, args.seeds) == (["baseline"], [20090322])
             assert args.protocols == ["flooding", "dicas", "dicas-keys", "locaware"]
             assert (args.queries, args.bucket, args.config) == (200, None, "paper")
 
-    @pytest.mark.parametrize("command", ["seed-sweep", "claims"])
+    @pytest.mark.parametrize("command", ["seed-sweep", "claims", "sweep"])
     def test_replaced_commands_are_gone(self, command, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args([command])
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["grid", "run"], "--reuse-builds"),
+            (["grid", "run"], "--out"),
+            (["figures"], "--save"),
+            (["report"], "--load"),
+            (["grid", "check"], "--load"),
+        ],
+        ids=[
+            "grid-run-reuse-builds", "grid-run-out", "figures-save",
+            "report-load", "grid-check-load",
+        ],
+    )
+    def test_flag_is_gone(self, command, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command, flag, "x"])
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_default_grid_builds_each_world_once(self, tmp_path):
+        """2 scenarios × 2 seeds × 4 protocols = 16 cells; baseline and
+        flash-crowd share a topology, so 2 worlds, not 16 builds."""
+        from repro.experiments.grid import _BLUEPRINT_CACHE
+        from repro.overlay.blueprint import build_count
+
+        _BLUEPRINT_CACHE.clear()
+        before = build_count()
+        code, text = run_cli(
+            "grid", "run",
+            "--store", str(tmp_path / "store"),
+            "--config", "small",
+            "--seeds", "1", "2",
+            "--scenarios", "baseline", "flash-crowd",
+            "--queries", "10",
+        )
+        assert code == 0
+        assert "total=16 executed=16 cached=0" in text
+        assert build_count() - before == 2
+        _BLUEPRINT_CACHE.clear()
 
 
 def claim_lines(text):
@@ -206,146 +253,87 @@ def claim_lines(text):
     ]
 
 
-class TestRoundtrip:
-    """figures --save → grid check --load → report --load, on a saved doc."""
+def without_progress(text):
+    """``text`` minus the wall-clock lines a run prints: the ``[i/n]``
+    progress lines and the ``done in`` line."""
+    return "\n".join(
+        line
+        for line in text.splitlines()
+        if not line.startswith(("  [", "  done in "))
+    )
+
+
+class TestStoreRoundtrip:
+    """figures --store → figures --store (warm) → report --store →
+    grid check --store: one grid, persisted once, read by every
+    command; and each output equals the storeless command's."""
+
+    FLAGS = ("--queries", "60", "--bucket", "20")
 
     @pytest.fixture(scope="class")
-    def saved(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("cli") / "run.json"
-        code, text = run_cli(
-            "figures", "--queries", "60", "--bucket", "20", "--save", str(path)
-        )
-        assert code in (0, 1)
-        assert f"saved result to {path}" in text
-        return path, text
+    def runs(self, tmp_path_factory):
+        from repro.experiments.grid import _BLUEPRINT_CACHE
+        from repro.overlay.blueprint import build_count
 
-    def test_grid_check_load(self, saved):
-        path, figures_text = saved
-        code, text = run_cli("grid", "check", "--load", str(path))
-        assert code in (0, 1)
-        assert code == int("[FAIL]" in figures_text)
+        store = tmp_path_factory.mktemp("cli") / "store"
+        storeless = run_cli("figures", *self.FLAGS)
+        cold = run_cli("figures", *self.FLAGS, "--store", str(store))
+        _BLUEPRINT_CACHE.clear()
+        before = build_count()
+        warm = run_cli("figures", *self.FLAGS, "--store", str(store))
+        warm_builds = build_count() - before
+        return store, storeless, cold, warm, warm_builds
+
+    def test_figures_through_a_store_print_the_storeless_figures(self, runs):
+        _store, storeless, cold, warm, _builds = runs
+        assert storeless[0] in (0, 1)
+        assert "[1/4]" in storeless[1] and "[1/4]" in cold[1]
+        for code, text in (cold, warm):
+            assert code == storeless[0]
+            assert without_progress(text) == without_progress(storeless[1])
+        assert claim_lines(storeless[1]) and "Figure 2" in storeless[1]
+
+    def test_a_warm_rerun_executes_and_builds_nothing(self, runs):
+        _store, _storeless, _cold, warm, warm_builds = runs
+        assert "[1/" not in warm[1]
+        assert warm_builds == 0
+
+    def test_report_reads_the_store(self, runs):
+        store = runs[0]
+        code, text = run_cli("report", *self.FLAGS, "--store", str(store))
+        assert code == 0
+        assert "[1/" not in text  # every cell loaded, none executed
+        assert "Figure 2 series" in text
+        assert "### Claim checks" in text
+        storeless = run_cli("report", *self.FLAGS)
+        assert storeless[0] == 0
+        assert without_progress(text) == without_progress(storeless[1])
+
+    def test_grid_check_reads_the_same_cells(self, runs):
+        store, _storeless, cold, _warm, _builds = runs
+        code, text = run_cli("grid", "check", "--store", str(store), *self.FLAGS)
+        assert code == cold[0]
+        assert code == int("[FAIL]" in cold[1])
         assert "claims hold" in text
-        assert claim_lines(text) == claim_lines(figures_text)
+        assert claim_lines(text) == claim_lines(cold[1])
         assert claim_lines(text)[::2] == [
             line[:7] + statement
             for line, statement in zip(claim_lines(text)[::2], statements())
         ]
         assert len(claim_lines(text)) == 2 * len(statements())
 
-    def test_report_load(self, saved):
-        code, text = run_cli("report", "--load", str(saved[0]))
-        assert code == 0
-        assert "Figure 2 series" in text
-        assert "### Claim checks" in text
-
-    def test_saved_file_is_valid_json(self, saved):
-        with open(saved[0], encoding="utf-8") as handle:
-            doc = json.load(handle)
-        assert doc["kind"] == "grid-report"
-        assert doc["protocols"] == ["flooding", "dicas", "dicas-keys", "locaware"]
-        assert (doc["scenarios"], doc["seeds"]) == (["baseline"], [20090322])
-
-
-class TestLoadFailsCleanly:
-    """report / grid check --load: every unreadable input is `error: …`,
-    exit 2, never a traceback."""
-
-    @pytest.fixture(
-        params=[("report",), ("grid", "check")], ids=["report", "grid-check"]
-    )
-    def command(self, request):
-        return request.param
-
-    @pytest.fixture(scope="class")
-    def saved_doc(self, tmp_path_factory):
-        """A small one-seed comparison's grid-report document."""
-        path = tmp_path_factory.mktemp("damaged") / "run.json"
-        code, _ = run_cli(
-            "sweep", "--config", "small", "--scenarios", "baseline",
-            "--seeds", "20090322", "--queries", "10", "--out", str(path),
-        )
-        assert code == 0
-        return json.loads(path.read_text(encoding="utf-8"))
-
-    def _damaged(self, doc, tmp_path):
-        path = tmp_path / "damaged.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        return path
-
-    def test_missing_file(self, command, tmp_path):
-        path = tmp_path / "nope.json"
-        code, text = run_cli(*command, "--load", str(path))
-        assert code == 2
-        assert text.startswith("error: ") and "nope.json" in text
-
-    def test_not_json(self, command, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text("not json at all")
-        code, text = run_cli(*command, "--load", str(path))
-        assert code == 2
-        assert text.startswith(f"error: {path}: ")
-
-    @pytest.mark.parametrize("kind", ["comparison", "grid-cell"])
-    def test_wrong_kind_is_named(self, command, kind, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"kind": kind, "format_version": 1}))
-        code, text = run_cli(*command, "--load", str(path))
-        assert code == 2
-        assert text == (
-            f"error: {path}: not a grid-report document: kind={kind!r}\n"
-        )
-
-    def test_a_dropped_cell_is_named(self, command, saved_doc, tmp_path):
-        doc = dict(saved_doc, cells=[
-            cell for cell in saved_doc["cells"] if cell["protocol"] != "dicas"
-        ])
-        path = self._damaged(doc, tmp_path)
-        code, text = run_cli(*command, "--load", str(path))
-        assert code == 2
-        assert text == (
-            f"error: {path}: the grid report has no cell for row "
-            "'baseline', protocol 'dicas', seed 20090322\n"
-        )
-
-    def test_a_cell_without_its_summary_is_named(
-        self, command, saved_doc, tmp_path
+    @pytest.mark.parametrize("command", ["figures", "report"])
+    def test_a_store_that_is_a_file_fails_before_any_cell_runs(
+        self, command, tmp_path
     ):
-        doc = json.loads(json.dumps(saved_doc))
-        (cell,) = [c for c in doc["cells"] if c["protocol"] == "locaware"]
-        del cell["run"]["summary"]
-        path = self._damaged(doc, tmp_path)
-        code, text = run_cli(*command, "--load", str(path))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        code, text = run_cli(command, *self.FLAGS, "--store", str(blocker))
         assert code == 2
-        assert text == (
-            f"error: {path}: the cell for row 'baseline', protocol "
-            "'locaware', seed 20090322 does not restore: KeyError: "
-            "'summary'\n"
-        )
-
-    def test_a_declared_seed_without_cells_is_named(
-        self, command, saved_doc, tmp_path
-    ):
-        path = self._damaged(dict(saved_doc, seeds=[1, 2]), tmp_path)
-        code, text = run_cli(*command, "--load", str(path))
-        assert code == 2
-        assert text == (
-            f"error: {path}: the grid report has no cell for row "
-            "'baseline', protocol 'flooding', seed 1\n"
-        )
-
-    @pytest.mark.parametrize("command", [("report",)], ids=["report"])
-    def test_many_slices_are_named(self, command, tmp_path):
-        path = tmp_path / "sweep.json"
-        code, _ = run_cli(
-            "sweep", "--config", "small", "--protocols", "flooding",
-            "--scenarios", "baseline", "diurnal", "--seeds", "1", "2",
-            "--queries", "5", "--out", str(path),
-        )
-        assert code == 0
-        code, text = run_cli(*command, "--load", str(path))
-        assert code == 2
-        assert text.startswith(f"error: {path}: ")
-        assert "rows: baseline, diurnal; seeds: 1, 2" in text
+        assert text.startswith("error: ")
+        assert "blocker" in text
+        assert "[1/" not in text
+        assert blocker.read_text() == "not a directory"
 
 
 class TestCompareCommand:
@@ -367,118 +355,6 @@ class TestCompareCommand:
         code, text = run_cli("compare", "--scenario", "meteor-strike", "--queries", "5")
         assert code == 2
         assert "unknown scenario 'meteor-strike'" in text
-
-
-class TestSweepReuseBuilds:
-    @pytest.mark.parametrize("command", [["sweep"], ["grid", "run"]])
-    def test_flag_is_gone(self, command, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([*command, "--reuse-builds"])
-        assert "unrecognized arguments: --reuse-builds" in capsys.readouterr().err
-
-    def test_default_sweep_builds_each_world_once(self):
-        """2 scenarios × 2 seeds × 4 protocols = 16 cells; baseline and
-        flash-crowd share a topology, so 2 worlds, not 16 builds."""
-        from repro.experiments.grid import _BLUEPRINT_CACHE
-        from repro.overlay.blueprint import build_count
-
-        _BLUEPRINT_CACHE.clear()
-        before = build_count()
-        code, text = run_cli(
-            "sweep",
-            "--config", "small",
-            "--seeds", "1", "2",
-            "--scenarios", "baseline", "flash-crowd",
-            "--queries", "10",
-        )
-        assert code == 0
-        assert "16 cells" in text
-        assert build_count() - before == 2
-        _BLUEPRINT_CACHE.clear()
-
-    def test_sweep_runs_with_reuse_builds(self):
-        code, text = run_cli(
-            "sweep",
-            "--config", "small",
-            "--protocols", "flooding", "locaware",
-            "--scenarios", "baseline",
-            "--seeds", "1", "2",
-            "--queries", "10",
-            "--workers", "2",
-        )
-        assert code == 0
-        assert "4 cells" in text
-
-
-class TestSweepOut:
-    def test_sweep_out_persists_a_loadable_grid_report(self, tmp_path):
-        from repro.analysis import load_grid_report_document
-
-        path = tmp_path / "sweep.json"
-        code, text = run_cli(
-            "sweep",
-            "--config", "small",
-            "--protocols", "flooding",
-            "--scenarios", "baseline",
-            "--seeds", "1",
-            "--queries", "10",
-            "--out", str(path),
-        )
-        assert code == 0
-        assert f"saved report to {path}" in text
-        with open(path, encoding="utf-8") as handle:
-            loaded = load_grid_report_document(handle)
-        assert loaded.protocols == ["flooding"]
-        assert loaded.scenarios == ["baseline"]
-        assert loaded.num_cells == 1
-
-    def test_sweep_out_bytes_equal_the_saved_grid_report(self, tmp_path):
-        from repro.analysis import save_grid_report
-        from repro.experiments import GridRunner, GridSpec, small_config
-
-        path = tmp_path / "sweep.json"
-        code, _ = run_cli(
-            "sweep",
-            "--config", "small",
-            "--protocols", "flooding", "locaware",
-            "--scenarios", "baseline", "cold-start",
-            "--seeds", "1", "2",
-            "--queries", "10",
-            "--out", str(path),
-        )
-        assert code == 0
-        spec = GridSpec(
-            base_config=small_config(),
-            protocols=("flooding", "locaware"),
-            scenarios=("baseline", "cold-start"),
-            seeds=(1, 2),
-            max_queries=10,
-        )
-        expected = io.StringIO()
-        save_grid_report(GridRunner(spec).run(), expected)
-        assert path.read_text(encoding="utf-8") == expected.getvalue()
-
-    def test_sweep_unwritable_out_fails_before_any_cell_runs(self, tmp_path):
-        code, text = run_cli(
-            "sweep",
-            "--config", "small",
-            "--queries", "10",
-            "--out", str(tmp_path / "missing" / "sweep.json"),
-        )
-        assert code == 2
-        assert text.startswith("error: ")
-        assert "sweep.json" in text
-
-
-class TestFiguresSave:
-    def test_figures_unwritable_save_fails_before_the_run(self, tmp_path):
-        # Paper scale: only an immediate refusal returns in test time.
-        code, text = run_cli(
-            "figures", "--save", str(tmp_path / "missing" / "run.json")
-        )
-        assert code == 2
-        assert text.startswith("error: ")
-        assert "run.json" in text
 
 
 class TestGridCommand:
@@ -866,11 +742,9 @@ class TestGridCheckCommand:
 
     def test_grid_check_parses(self):
         args = build_parser().parse_args(
-            ["grid", "check", "--seeds", "1", "2", "--load", "r.json"]
+            ["grid", "check", "--seeds", "1", "2", "--store", "s"]
         )
-        assert (args.grid_command, args.seeds, args.load) == (
-            "check", [1, 2], "r.json"
-        )
+        assert (args.grid_command, args.seeds, args.store) == ("check", [1, 2], "s")
 
     def test_grid_check_tallies_the_claim_table(self, store):
         code, text = run_cli("grid", "check", *self._axes(store))
@@ -931,21 +805,14 @@ class TestGridCheckCommand:
 
 
 class TestClaimsScenarioNote:
-    def test_loaded_scenario_document_is_flagged_in_grid_check(self, tmp_path):
-        from repro.analysis import save_grid_report
-        from repro.experiments import GridRunner, GridSpec, small_config
-
-        spec = GridSpec(
-            base_config=small_config().replace(query_rate_per_peer=0.02),
-            scenarios=("cold-start",),
-            seeds=(11,),
-            max_queries=15,
-            bucket_width=5,
+    def test_stored_scenario_grid_is_flagged_in_grid_check(self, tmp_path):
+        axes = (
+            "--store", str(tmp_path / "store"), "--config", "small",
+            "--scenarios", "cold-start", "--seeds", "11",
+            "--queries", "15", "--bucket", "5",
         )
-        path = tmp_path / "run.json"
-        with open(path, "w", encoding="utf-8") as handle:
-            save_grid_report(GridRunner(spec).run(), handle)
-        _code, text = run_cli("grid", "check", "--load", str(path))
+        assert run_cli("grid", "run", *axes)[0] == 0
+        _code, text = run_cli("grid", "check", *axes)
         assert text.startswith(
             "note: this run used scenario 'cold-start'; the §5.2 claim "
             "checks target the baseline regime\n[")
@@ -982,13 +849,22 @@ class TestTraceCommand:
         }
         assert kinds == {"query.issue"}
 
-    def test_trace_run_rejects_unknown_scenario(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--scenario", "no-such-scenario"], "unknown scenario"),
+            (["--bucket", "0"], "bucket_width must be >= 1, got 0"),
+            (["--bucket", "-3"], "bucket_width must be >= 1, got -3"),
+        ],
+        ids=["unknown-scenario", "bucket-0", "bucket-negative"],
+    )
+    def test_trace_run_rejects_bad_arguments(self, tmp_path, argv, message):
         code, output = run_cli(
-            "trace", "run", "--scenario", "no-such-scenario",
+            "trace", "run", "--config", "small", "--queries", "10", *argv,
             "--out", str(tmp_path / "t.jsonl"),
         )
         assert code == 2
-        assert "error" in output
+        assert output.startswith("error: ") and message in output
 
     @pytest.mark.parametrize(
         "protocol", ["flooding", "dicas", "dicas-keys", "locaware"]

@@ -188,10 +188,6 @@ class TestRun:
         run = report.run_for("locaware", "baseline", 2)
         assert run.protocol_name == "locaware"
         assert len(report.seed_runs("flooding", "diurnal")) == 2
-        mean = report.mean_over_seeds(
-            "flooding", "baseline", lambda r: r.summary.queries
-        )
-        assert mean > 0
 
     def test_progress_lines_one_per_cell(self):
         lines = []

@@ -2,10 +2,10 @@
 
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_bloom import ByteBloomFilter
 
 from repro.bloom import (
     BloomFilter,
-    ByteBloomFilter,
     CountingBloomFilter,
     DeltaCodec,
     apply_delta,

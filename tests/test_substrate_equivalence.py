@@ -11,8 +11,9 @@ The scale refactor swapped three substrates under the simulator —
 metric snapshots) must stay *byte-identical*.  This suite proves it by
 running full simulations twice: once on the production (new) substrate
 and once with the reference backends monkeypatched in (the tests-only
-:class:`reference_graph.DictOverlayGraph`, the retained
-:class:`ByteBloomFilter`, the underlay's ``scan_*`` latency path), then
+:class:`reference_graph.DictOverlayGraph`, the tests-only
+:class:`reference_bloom.ByteBloomFilter`, the per-call ``scan_*``
+latency path of ``reference_latency``), then
 comparing ``run_fingerprint`` output.
 
 Component-level sections pin the equivalences individually so a
@@ -26,14 +27,16 @@ import random
 
 import pytest
 
+import reference_latency
 import repro.bloom.counting as counting_module
 import repro.bloom.delta as delta_module
 import repro.core.bloom_router as bloom_router_module
 import repro.overlay.blueprint as blueprint_module
+from reference_bloom import ByteBloomFilter
 from reference_graph import DictOverlayGraph
+from reference_latency import scan_latency_ms, scan_rtt_ms
 from repro.bloom.bloom_filter import (
     BloomFilter,
-    ByteBloomFilter,
     _combined_mask,
     element_positions,
     positions_cache_clear,
@@ -47,16 +50,19 @@ from test_determinism import _config, run_fingerprint
 
 
 def patch_scan_latency_s(mp: pytest.MonkeyPatch) -> None:
-    """Time messages through ``Underlay.scan_latency_ms``.
+    """Time messages through ``reference_latency.scan_latency_ms``.
 
     A network calls the seconds closure its underlay bound at
     construction, not a class attribute, so the scan closure has to be
-    set on every underlay built under the patch."""
+    set on every underlay built under the patch.  It looks the scan
+    function up per call, so a test can count the calls."""
     init = Underlay.__init__
 
     def scan_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        self.latency_s = lambda a, b: self.scan_latency_ms(a, b) / 1000.0
+        self.latency_s = (
+            lambda a, b: reference_latency.scan_latency_ms(self, a, b) / 1000.0
+        )
 
     mp.setattr(Underlay, "__init__", scan_init)
 
@@ -67,8 +73,8 @@ def patch_legacy_substrate(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(bloom_router_module, "BloomFilter", ByteBloomFilter)
     mp.setattr(counting_module, "BloomFilter", ByteBloomFilter)
     mp.setattr(delta_module, "BloomFilter", ByteBloomFilter)
-    mp.setattr(Underlay, "latency_ms", Underlay.scan_latency_ms)
-    mp.setattr(Underlay, "rtt_ms", Underlay.scan_rtt_ms)
+    mp.setattr(Underlay, "latency_ms", scan_latency_ms)
+    mp.setattr(Underlay, "rtt_ms", scan_rtt_ms)
     patch_scan_latency_s(mp)
 
 
@@ -111,7 +117,6 @@ class TestFullRunEquivalence:
             return sorted(seen)
 
         scans = []
-        scan_latency_ms = Underlay.scan_latency_ms
 
         def counted_scan(underlay, a, b):
             scans.append((a, b))
@@ -120,7 +125,7 @@ class TestFullRunEquivalence:
         with pytest.MonkeyPatch.context() as mp:
             patch_legacy_substrate(mp)
             network = NetworkBlueprint.build(config).instantiate()
-            mp.setattr(Underlay, "scan_latency_ms", counted_scan)
+            mp.setattr(reference_latency, "scan_latency_ms", counted_scan)
             legacy = arrivals(network)
         assert scans == [(0, dst) for dst in targets]
         assert legacy == [
@@ -129,7 +134,7 @@ class TestFullRunEquivalence:
         ]
         scans.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Underlay, "scan_latency_ms", counted_scan)
+            mp.setattr(reference_latency, "scan_latency_ms", counted_scan)
             fast = arrivals(NetworkBlueprint.build(config).instantiate())
         assert scans == []
         assert fast == legacy
@@ -280,9 +285,9 @@ class TestLatencyPathEquivalence:
         rng = random.Random(13)
         for _ in range(2000):
             a, b = rng.randrange(300), rng.randrange(300)
-            assert underlay.latency_ms(a, b) == underlay.scan_latency_ms(a, b)
-            assert underlay.rtt_ms(a, b) == underlay.scan_rtt_ms(a, b)
-            assert underlay.latency_s(a, b) == underlay.scan_latency_ms(a, b) / 1000.0
+            assert underlay.latency_ms(a, b) == scan_latency_ms(underlay, a, b)
+            assert underlay.rtt_ms(a, b) == scan_rtt_ms(underlay, a, b)
+            assert underlay.latency_s(a, b) == scan_latency_ms(underlay, a, b) / 1000.0
 
 
 class TestMemoisedPositions:

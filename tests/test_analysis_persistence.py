@@ -73,12 +73,91 @@ class TestMarkdown:
 
 class TestStoredGridReports:
     """A grid read back from a result store answers what the live grid
-    did: NaN distances, parameterised row labels and claim checks
-    survive the ``grid-cell`` documents."""
+    did: axes, row labels, every per-run number, NaN distances and
+    claim checks survive the ``grid-cell`` documents, and the
+    aggregate of a stored grid matches the live one exactly."""
 
     @pytest.fixture(scope="class")
     def stored_comparison(self, comparison_report_run, tmp_path_factory):
         return _stored(comparison_report_run, tmp_path_factory.mktemp("store"))
+
+    @pytest.fixture(scope="class")
+    def sweep_report(self):
+        return GridRunner(
+            GridSpec(
+                base_config=small_config(seed=3).replace(
+                    query_rate_per_peer=0.02
+                ),
+                protocols=("flooding", "locaware"),
+                scenarios=("baseline", "diurnal"),
+                seeds=(1, 2),
+                max_queries=12,
+            )
+        ).run()
+
+    @pytest.fixture(scope="class")
+    def sweep_store(self, sweep_report, tmp_path_factory):
+        root = tmp_path_factory.mktemp("sweep")
+        return root, _stored(sweep_report, root)
+
+    def test_one_grid_cell_document_per_cell(self, sweep_report, sweep_store):
+        root, _loaded = sweep_store
+        store = ResultStore(root)
+        spec = sweep_report.spec
+        assert sorted(store.keys()) == sorted(
+            spec.cell_key(cell) for cell in spec.expand()
+        )
+        for key in store.keys():
+            document = store.get(key)
+            assert document["kind"] == "grid-cell"
+            assert document["key"] == key
+            assert document["max_queries"] == sweep_report.max_queries
+
+    def test_axes_roundtrip(self, sweep_report, sweep_store):
+        _root, loaded = sweep_store
+        assert loaded.protocols == sweep_report.protocols
+        assert loaded.scenarios == sweep_report.scenarios
+        assert loaded.seeds == sweep_report.seeds
+        assert loaded.max_queries == sweep_report.max_queries
+        assert loaded.num_cells == sweep_report.num_cells
+
+    def test_aggregate_matches_live_report(self, sweep_report, sweep_store):
+        from repro.analysis import render_sweep_report
+
+        _root, loaded = sweep_store
+        assert repr(aggregate_sweep(loaded)) == repr(aggregate_sweep(sweep_report))
+        assert render_sweep_report(loaded) == render_sweep_report(sweep_report)
+
+    def test_summaries_roundtrip_exactly(self, sweep_report, sweep_store):
+        _root, loaded = sweep_store
+        for scenario in sweep_report.scenarios:
+            for protocol in sweep_report.protocols:
+                for seed in sweep_report.seeds:
+                    live = sweep_report.run_for(protocol, scenario, seed)
+                    restored = loaded.run_for(protocol, scenario, seed)
+                    assert restored.summary.queries == live.summary.queries
+                    assert restored.locally_satisfied == live.locally_satisfied
+                    assert restored.sim_time_s == live.sim_time_s
+
+    def test_roundtrip_preserves_series(self, sweep_report, sweep_store):
+        _root, loaded = sweep_store
+        for cell, run in sweep_report.runs.items():
+            restored = loaded.run_for(cell.protocol, cell.label, cell.seed)
+            assert restored.series.search_traffic.windowed_means() == (
+                pytest.approx(run.series.search_traffic.windowed_means(), nan_ok=True)
+            )
+
+    def test_stored_documents_are_byte_stable(
+        self, sweep_report, sweep_store, tmp_path
+    ):
+        """The same grid committed to two stores gives the same bytes
+        under the same keys."""
+        root, _loaded = sweep_store
+        GridRunner(sweep_report.spec, store=ResultStore(tmp_path)).run()
+        first, second = ResultStore(root), ResultStore(tmp_path)
+        assert sorted(first.keys()) == sorted(second.keys())
+        for key in first.keys():
+            assert first.get_raw(key) == second.get_raw(key)
 
     def test_nan_distances_roundtrip(self, comparison_report_run, stored_comparison):
         """Failed-query NaNs must survive the None encoding."""

@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import argparse
 import dataclasses
 import io
 import json
+import shutil
 
 import pytest
 
@@ -44,6 +46,64 @@ class TestParser:
         code, text = run_cli("ablation", "a6", "--queries", "0")
         assert code == 2
         assert text == "error: max_queries must be >= 1, got 0\n"
+
+
+def command_flags(parser=None, prefix=""):
+    """Each runnable command (``"grid run"``, …) mapped to the set of
+    flags it accepts, ``--help`` aside; aliases are skipped."""
+    parser = parser or build_parser()
+    commands, flags = {}, set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                if sub.prog.rsplit(" ", 1)[-1] == name:  # not an alias
+                    commands.update(command_flags(sub, f"{prefix} {name}".strip()))
+        elif "--help" not in action.option_strings:
+            flags.update(action.option_strings)
+    if prefix and not commands:
+        commands[prefix] = flags
+    return commands
+
+
+_GRID_AXIS_FLAGS = {
+    "--store", "--backend", "--spec", "--protocols", "--scenarios",
+    "--seeds", "--queries", "--bucket", "--config", "--set",
+}
+
+
+class TestCommandFlags:
+    """The settable flags of every command, pinned: a knob added to or
+    dropped from the CLI fails here until it is declared."""
+
+    EXPECTED = {
+        "figures": {
+            "--queries", "--bucket", "--seed", "--store", "--scenario", "--chart",
+        },
+        "report": {"--queries", "--bucket", "--seed", "--store"},
+        "ablation": {"--queries", "--seeds"},
+        "grid run": _GRID_AXIS_FLAGS
+        | {"--workers", "--runner-id", "--lease-ttl", "--profile"},
+        "grid status": _GRID_AXIS_FLAGS,
+        "grid check": _GRID_AXIS_FLAGS,
+        "grid watch": _GRID_AXIS_FLAGS | {"--interval", "--once", "--window"},
+        "grid report": {"--store", "--backend"},
+        "grid ls": {"--store", "--backend"},
+        "grid migrate": {"--from-backend", "--to-backend"},
+        "trace run": {
+            "--protocol", "--scenario", "--config", "--seed", "--queries",
+            "--bucket", "--out", "--kinds",
+        },
+        "trace summarize": {"--query"},
+        "lint": {"--format", "--select", "--ignore", "--explain", "--rules"},
+        "info": set(),
+    }
+
+    def test_every_command_is_declared(self):
+        assert sorted(command_flags()) == sorted(self.EXPECTED)
+
+    @pytest.mark.parametrize("command", sorted(EXPECTED))
+    def test_command_accepts_exactly_its_flags(self, command):
+        assert command_flags()[command] == self.EXPECTED[command]
 
 
 class TestAblationCommand:
@@ -334,6 +394,141 @@ class TestStoreRoundtrip:
         assert "blocker" in text
         assert "[1/" not in text
         assert blocker.read_text() == "not a directory"
+
+
+def _drop(store, key):
+    store.delete(key)
+
+
+def _not_json(store, key):
+    store.path_for(key).write_text("{not json")
+
+
+def _not_a_document(store, key):
+    store.path_for(key).write_text("[1, 2]")
+
+
+def _no_summary(store, key):
+    document = store.get(key)
+    del document["run"]["summary"]
+    store.put(key, document)
+
+
+class TestStoreResume:
+    """``figures`` / ``report --store`` resume whatever the store holds:
+    a lost or damaged cell is executed again on its own, a store that
+    ``grid run`` filled (either backend) is read without executing, and
+    the grid commands read what ``figures`` stored."""
+
+    FLAGS = TestStoreRoundtrip.FLAGS
+
+    @pytest.fixture(scope="class")
+    def filled(self, tmp_path_factory):
+        store = tmp_path_factory.mktemp("resume") / "store"
+        assert run_cli("figures", *self.FLAGS, "--store", str(store))[0] in (0, 1)
+        return store
+
+    @pytest.fixture(scope="class")
+    def storeless(self):
+        return {
+            command: run_cli(command, *self.FLAGS) for command in ("figures", "report")
+        }
+
+    @staticmethod
+    def _flooding_key():
+        from repro.experiments import GridSpec, paper_config
+
+        spec = GridSpec(
+            base_config=paper_config(),
+            scenarios=("baseline",),
+            seeds=(20090322,),
+            max_queries=60,
+            bucket_width=20,
+        )
+        (cell,) = [cell for cell in spec.expand() if cell.protocol == "flooding"]
+        return spec.cell_key(cell)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [_drop, _not_json, _not_a_document, _no_summary],
+        ids=["dropped", "not-json", "not-a-document", "no-summary"],
+    )
+    @pytest.mark.parametrize("command", ["figures", "report"])
+    def test_a_damaged_cell_is_executed_again_alone(
+        self, command, damage, filled, storeless, tmp_path
+    ):
+        from repro.results import ResultStore
+
+        store = tmp_path / "store"
+        shutil.copytree(filled, store)
+        key = self._flooding_key()
+        damage(ResultStore(store), key)
+        code, text = run_cli(command, *self.FLAGS, "--store", str(store))
+        assert code == storeless[command][0]
+        assert without_progress(text) == without_progress(storeless[command][1])
+        executed = [line for line in text.splitlines() if "/4] " in line]
+        assert len(executed) == 1
+        assert "baseline × flooding" in executed[0]
+        assert ResultStore(store).get_raw(key) == ResultStore(filled).get_raw(key)
+
+    @pytest.mark.parametrize("backend", ["json", "sqlite"])
+    @pytest.mark.parametrize("command", ["figures", "report"])
+    def test_a_store_grid_run_filled_is_read_without_executing(
+        self, command, backend, storeless, tmp_path
+    ):
+        store = tmp_path / "store"
+        code, text = run_cli(
+            "grid", "run", "--store", str(store), "--backend", backend, *self.FLAGS
+        )
+        assert code == 0
+        assert "total=4 executed=4 cached=0" in text
+        code, text = run_cli(command, *self.FLAGS, "--store", str(store))
+        assert code == storeless[command][0]
+        assert "/4] " not in text
+        assert without_progress(text) == without_progress(storeless[command][1])
+
+    def test_another_query_budget_is_another_grid(self, filled, tmp_path):
+        from repro.results import ResultStore
+
+        store = tmp_path / "store"
+        shutil.copytree(filled, store)
+        code, text = run_cli(
+            "figures", "--queries", "40", "--bucket", "20", "--store", str(store)
+        )
+        assert code in (0, 1)
+        assert "[4/4] baseline × locaware" in text
+        assert len(ResultStore(store)) == 8
+
+    def test_a_scenario_comparison_resumes_under_its_own_row(self, tmp_path):
+        argv = (
+            "figures", *self.FLAGS, "--scenario", "flash-crowd",
+            "--store", str(tmp_path / "store"),
+        )
+        cold = run_cli(*argv)
+        warm = run_cli(*argv)
+        assert "[4/4] flash-crowd × locaware" in cold[1]
+        assert "/4] " not in warm[1]
+        assert warm[0] == cold[0]
+        assert without_progress(warm[1]) == without_progress(cold[1])
+        assert "note: this run used scenario 'flash-crowd'" in warm[1]
+
+    def test_grid_ls_lists_the_cells_figures_stored(self, filled):
+        code, text = run_cli("grid", "ls", "--store", str(filled))
+        assert code == 0
+        assert f"Result store {filled}: 4 cells" in text
+        for protocol in ("flooding", "dicas", "dicas-keys", "locaware"):
+            assert f" {protocol}  20090322       60" in text
+
+    def test_grid_report_aggregates_the_cells_figures_stored(self, filled):
+        code, text = run_cli("grid", "report", "--store", str(filled))
+        assert code == 0
+        assert f"Result store {filled}: 4 cells, 4 rows" in text
+        assert "scenario: baseline (mean over 1 seeds)" in text
+
+    def test_grid_status_counts_the_cells_figures_stored(self, filled):
+        code, text = run_cli("grid", "status", "--store", str(filled), *self.FLAGS)
+        assert code == 0
+        assert "grid: total=4 stored=4 claimed=0 pending=0" in text
 
 
 class TestCompareCommand:

@@ -54,7 +54,7 @@ class BloomRouter:
         self._codec = DeltaCodec(self._bits, self._hashes)
         self._period = network.config.bloom_update_period_s
         self._rng = network.streams.stream("bloom-router")
-        self._processes: dict[int, PeriodicProcess] = {}
+        self._pushes: PeriodicProcess | None = None
         self._membership_tests = network.metrics.counter("bloom.membership_tests")
 
     # -- state ------------------------------------------------------------
@@ -83,24 +83,27 @@ class BloomRouter:
 
     def start(self) -> None:
         """Arm every peer's periodic update push, phase-staggered so the
-        pushes do not all land on the same simulation instant."""
-        for peer in self._network.peers:
-            self._arm(peer.peer_id)
+        pushes do not all land on the same simulation instant.
 
-    def _arm(self, peer_id: int) -> None:
-        initial = self._rng.uniform(0.0, self._period)
-        self._processes[peer_id] = PeriodicProcess(
+        One calendar holds every peer, each at a phase drawn uniformly
+        within one period, in peer order.  Starting a router that is
+        already started raises :class:`RuntimeError`.
+        """
+        if self._pushes is not None:
+            raise RuntimeError("BloomRouter.start() called twice without stop()")
+        uniform, period = self._rng.uniform, self._period
+        self._pushes = PeriodicProcess(
             self._network.sim,
-            self._period,
-            lambda pid=peer_id: self._push_updates(pid),
-            initial_delay=initial,
+            period,
+            self._push_updates,
+            ((peer.peer_id, uniform(0.0, period)) for peer in self._network.peers),
         )
 
     def stop(self) -> None:
         """Stop every periodic push (end of an experiment)."""
-        for process in self._processes.values():
-            process.stop()
-        self._processes.clear()
+        if self._pushes is not None:
+            self._pushes.stop()
+            self._pushes = None
 
     def _push_updates(self, peer_id: int) -> None:
         peer = self._network.peer(peer_id)

@@ -484,9 +484,3 @@ class SearchProtocol:
     def pending_queries(self) -> int:
         """Queries issued but not yet finalised."""
         return len(self._contexts)
-
-    def run_until_quiescent(self, settle_s: float | None = None) -> None:
-        """Drain the event queue (plus an optional settle margin)."""
-        self.network.sim.run()
-        if settle_s:
-            self.network.sim.run(until=self.network.sim.now + settle_s)

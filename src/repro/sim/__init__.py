@@ -2,8 +2,9 @@
 
 Public surface:
 
-- :class:`Simulator`, :data:`Event`, :class:`PeriodicProcess` —
-  the event loop;
+- :class:`Simulator`, :data:`Event` — the event loop;
+- :class:`PeriodicProcess` — a calendar of recurring ticks that share
+  one period, one heap entry for all its members;
 - :class:`RandomStreams` — deterministic named randomness;
 - :class:`SimulationConfig` — every knob of the reproduction, defaults
   matching the paper's §5.1 setup;

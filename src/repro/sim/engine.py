@@ -26,12 +26,19 @@ cancelled before and dropped, or went with :meth:`Simulator.clear` — is
 a no-op and leaves nothing behind.
 Ending a run from inside an event (:meth:`Simulator.stop`) rides on the
 same note set, so the events that never ask for it pay nothing either.
-:class:`PeriodicProcess` provides the recurring timers used for e.g.
-Bloom-filter update propagation.
+
+:class:`PeriodicProcess` is a calendar of recurring ticks -- every
+peer's Bloom-filter update push shares one -- that keeps a single heap
+entry however many members it drives.  Each tick carries the sequence
+number one event per member would have had, reserved when that member
+is armed, so the calendar fires exactly the events, in exactly the
+order, that one recurring event per member would; only the queue is
+shorter.  Its members' phases must lie within one period of each other.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Iterable
 from heapq import heappop, heappush
 from math import inf, isfinite
@@ -49,6 +56,13 @@ Event = tuple[float, int, Callable[..., None], tuple]
 #: event carries it (sequence numbers start at 0), and a non-empty set
 #: is the one condition :meth:`Simulator.run` already tests per event.
 _STOP = -1
+
+
+def _bad_delay(delay: float) -> SchedulingError:
+    """The error for a delay that fails ``0 <= delay < inf``."""
+    if isfinite(delay):
+        return SchedulingError(f"cannot schedule into the past (delay={delay!r})")
+    return SchedulingError(f"delay must be finite, got {delay!r}")
 
 
 def _bad_time(time: float, now: float) -> SchedulingError:
@@ -120,22 +134,24 @@ class Simulator:
         # False for NaN, +-inf and negative delays alike; which of them
         # it was matters only to the message.
         if not 0 <= delay < inf:
-            if isfinite(delay):
-                raise SchedulingError(f"cannot schedule into the past (delay={delay!r})")
-            raise SchedulingError(f"delay must be finite, got {delay!r}")
+            raise _bad_delay(delay)
         return self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
         if not self._now <= time < inf:
             raise _bad_time(time, self._now)
-        queue = self._queue
         event = (time, self._seq, callback, args)
         self._seq += 1
+        self._push(event)
+        return event
+
+    def _push(self, event: Event) -> None:
+        """Put ``event`` on the heap, its sequence number already taken."""
+        queue = self._queue
         heappush(queue, event)
         if len(queue) > self._queue_peak:
             self._queue_peak = len(queue)
-        return event
 
     def schedule_fanout(
         self,
@@ -311,36 +327,71 @@ class Simulator:
 
 
 class PeriodicProcess:
-    """A recurring event: runs ``callback()`` every ``period`` seconds.
+    """A calendar of recurring ticks: members that share one period.
 
-    Used for the Bloom-filter update push in Locaware (§4.2 of the
-    paper: peers periodically propagate filter deltas to neighbors).
+    Each member ticks every ``period`` seconds from its own phase, and
+    each tick calls ``callback(member)``.  Used for the Bloom-filter
+    update push in Locaware (§4.2 of the paper: peers periodically
+    propagate filter deltas to neighbors), where one calendar holds
+    every peer.  ``phases`` gives the members as ``(member,
+    initial_delay)`` pairs, ``initial_delay`` being the delay to the
+    member's first tick; without it the calendar has one member,
+    ``None``, whose first tick fires one full period from now.
 
-    The process re-arms itself after each tick until :meth:`stop` is
-    called.  The first tick fires after ``initial_delay`` (defaults to
-    one full period).
+    However many members it has, the calendar keeps one event on the
+    heap: the tick of the member due next.  When that event fires the
+    calendar calls the member's callback, re-arms the member one period
+    later and pushes the event of the new head.  Each tick still carries
+    the sequence number it would have had as an event of its own,
+    reserved when the member is armed -- at construction, in ``phases``
+    order, and on each re-arm after the callback returns -- so it ties
+    with other events at the same timestamp exactly as one
+    ``schedule`` per member would.  Phases must lie within one period
+    of each other (:class:`~repro.sim.errors.SchedulingError`
+    otherwise): then a re-armed member always sorts after every member
+    still waiting, and a deque in firing order is the whole calendar.
+
+    :meth:`stop` ends every member's ticks.  A callback that raises ends
+    the calendar too: nothing is re-armed after it.
     """
 
     def __init__(
         self,
         sim: Simulator,
         period: float,
-        callback: Callable[[], None],
-        initial_delay: float | None = None,
+        callback: Callable[[Any], None],
+        phases: Iterable[tuple[Any, float]] | None = None,
     ) -> None:
         if period <= 0 or not isfinite(period):
             raise SchedulingError(f"period must be positive and finite, got {period!r}")
+        if phases is None:
+            phases = ((None, period),)
+        now, seq = sim.now, sim._seq
+        calendar = []
+        for member, delay in phases:
+            if not 0 <= delay < inf:
+                raise _bad_delay(delay)
+            calendar.append((now + delay, seq + len(calendar), member))
+        calendar.sort()
+        if calendar and calendar[-1][0] > calendar[0][0] + period:
+            raise SchedulingError(
+                f"phases spread over {calendar[-1][0] - calendar[0][0]!r} s, "
+                f"more than one period ({period!r} s)"
+            )
+        sim._seq = seq + len(calendar)
         self._sim = sim
         self._period = period
         self._callback = callback
         self._stopped = False
         self._ticks = 0
-        delay = period if initial_delay is None else initial_delay
-        self._event: Event | None = sim.schedule(delay, self._tick)
+        self._calendar = deque(calendar)
+        self._event: Event | None = None
+        if calendar:
+            self._push_head()
 
     @property
     def ticks(self) -> int:
-        """Number of times the callback has fired."""
+        """Number of times the callback has fired, over all members."""
         return self._ticks
 
     @property
@@ -348,23 +399,36 @@ class PeriodicProcess:
         """Whether :meth:`stop` has been called."""
         return self._stopped
 
+    def _push_head(self) -> None:
+        time, seq, _member = self._calendar[0]
+        self._event = event = (time, seq, self._tick, ())
+        self._sim._push(event)
+
     def _tick(self) -> None:
+        calendar = self._calendar
+        time, _seq, member = calendar.popleft()
+        self._ticks += 1
+        self._callback(member)
         if self._stopped:
             return
-        self._ticks += 1
-        self._callback()
-        if not self._stopped:
-            self._event = self._sim.schedule(self._period, self._tick)
+        # The clock still reads ``time``: this is ``schedule(period)``
+        # for the member, its sequence number taken now and kept.
+        sim = self._sim
+        calendar.append((time + self._period, sim._seq, member))
+        sim._seq += 1
+        self._push_head()
 
     def stop(self) -> None:
-        """Stop the process; the pending tick (if any) is cancelled.
+        """Stop every member; the pending tick (if any) is cancelled.
 
-        The process lets go of that event too — its callback is the
-        process's own ``_tick`` — so a stopped process is no reference
-        cycle.  Stopping again is a no-op.
+        The calendar lets go of that event too -- its callback is the
+        calendar's own ``_tick`` -- so a stopped calendar is no
+        reference cycle.  Stopping again is a no-op.
         """
         if self._stopped:
             return
         self._stopped = True
-        self._sim.cancel(self._event)
-        self._event = None
+        self._calendar.clear()
+        if self._event is not None:
+            self._sim.cancel(self._event)
+            self._event = None

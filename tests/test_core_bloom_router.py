@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.bloom.delta import DeltaCodec
 from repro.core import BloomRouter
 from repro.overlay import P2PNetwork
@@ -34,6 +36,19 @@ class TestState:
         row = network.graph.neighbors_view(0)
         assert router.neighbors_matching(network.peer(0), row, ["kw1"]) == []
         assert all(peer.protocol_state == {} for peer in network.peers)
+
+    def test_a_second_start_is_refused_and_stop_ends_every_tick(self):
+        network = make_network(period=10.0)
+        router = BloomRouter(network)
+        router.start()
+        with pytest.raises(RuntimeError, match="twice"):
+            router.start()
+        router.stop()
+        assert network.sim.run(until=100.0) == 0
+        # Stopped, the router may start again.
+        router.start()
+        assert network.sim.run(until=200.0) >= network.config.num_peers
+        router.stop()
 
     def test_state_of_creates_on_demand(self):
         network = make_network()

@@ -15,7 +15,10 @@ protocol × {baseline, churn-storm, flash-crowd} × seeds {1, 2} cell at
     (all its fields: ``issued_at``, ``messages``, ``provider``, …).
 
 A change that claims "byte-identical results" proves it by leaving this
-file alone.  A re-baseline that moves run-level bookkeeping only (how
+file alone.  The ledger holds under any ``PYTHONHASHSEED``:
+:class:`TestHashSeedEnvelope` recomputes one cell per protocol in
+subprocesses under ``0``, ``1`` and ``random`` and finds the ledger's
+digests each time.  A re-baseline that moves run-level bookkeeping only (how
 long a cell keeps running after its last query, say) regenerates the
 ``document`` column and must leave the ``science`` column alone; the
 diff of this file then *is* the proof that no figure can have moved.
@@ -31,11 +34,14 @@ Moving those takes the explicit ``--science`` argument.
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.persistence import run_to_document
 from repro.experiments import PROTOCOL_REGISTRY, run_protocol, small_config
 from repro.results.keys import canonical_json
@@ -57,6 +63,13 @@ CELLS = [
     for protocol in sorted(PROTOCOL_REGISTRY)
     for scenario in SCENARIOS
     for seed in SEEDS
+]
+
+#: One cell per protocol for :class:`TestHashSeedEnvelope`: under a
+#: churn storm peers leave, rejoin and rewire, the most set- and
+#: dict-shaped work a cell does.
+ENVELOPE_CELLS = [
+    ("router", protocol, "churn-storm", 1) for protocol in sorted(PROTOCOL_REGISTRY)
 ]
 
 
@@ -109,6 +122,33 @@ def test_run_document_matches_golden(golden, cell):
     # Science first: if both moved, that is the failure worth reading.
     assert digests["science"] == expected["science"]
     assert digests["document"] == expected["document"]
+
+
+class TestHashSeedEnvelope:
+    """String hashing is randomised per process unless ``PYTHONHASHSEED``
+    pins it, so a result that leaned on the iteration order of a set or
+    dict of strings would differ between two processes.  Each hash seed
+    runs in a fresh interpreter and must reproduce the ledger."""
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "random"])
+    def test_ledger_cells_match_under_the_hash_seed(self, golden, hash_seed):
+        script = (
+            "import json\n"
+            "from test_golden_documents import ENVELOPE_CELLS, cell_digests, cell_name\n"
+            "print(json.dumps({cell_name(*c): cell_digests(*c) for c in ENVELOPE_CELLS}))"
+        )
+        path = os.pathsep.join(
+            [str(Path(repro.__file__).parents[1]), str(Path(__file__).parent)]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {
+            cell_name(*cell): golden[cell_name(*cell)] for cell in ENVELOPE_CELLS
+        }
 
 
 def regenerate(argv):

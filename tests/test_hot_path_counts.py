@@ -16,6 +16,11 @@ instead of timing them, which does not on a shared host:
 - a forward is one send: a cell's ``P2PNetwork.send`` calls are its
   non-empty forwards plus its response hops plus its Bloom pushes, and
   no message reaches the heap through ``Simulator.schedule_at``;
+- every peer's Bloom tick shares one engine entry: starting the router
+  queues one event whatever the population, stopping it leaves no live
+  tick, and a Locaware cell's queue peak is its traffic's, within a few
+  entries of the Dicas cell on the same world — not its traffic's plus
+  one entry per peer;
 - the two per-hop messages are tuples: immutable for real, hashable,
   and their copies equal field-by-field construction;
 - a world is drawn, not called: building one calls
@@ -43,6 +48,7 @@ import repro.results.backends as backends_module
 import repro.results.claims as claims_module
 import repro.results.store as store_module
 from repro.bloom.delta import DeltaCodec
+from repro.core import BloomRouter
 from repro.experiments import (
     PROTOCOL_REGISTRY,
     GridRunner,
@@ -240,6 +246,37 @@ class TestStateFollowsUse:
         )
         # > 0: something was cached, so the bound is not vacuous.
         assert 0 < holders <= writes < self.PEERS
+
+
+class TestBloomTicksShareOneEntry:
+    @pytest.mark.parametrize("peers", [60, 600])
+    def test_start_queues_one_event_and_stop_leaves_no_live_tick(self, peers):
+        config = world_config("router", peers, seed=11)
+        network = NetworkBlueprint.build(config).instantiate()
+        sim, router = network.sim, BloomRouter(network)
+        assert sim.pending_events == 0
+        router.start()
+        # One heap entry; one sequence number reserved per peer.
+        assert (sim.pending_events, sim._seq) == (1, peers)
+        sim.run(until=2.5 * network.config.bloom_update_period_s)
+        assert sim.events_processed >= 2 * peers
+        router.stop()
+        assert sim.peek_time() is None and sim.pending_events == 0
+        assert sim.run(until=10 * network.config.bloom_update_period_s) == 0
+
+    def test_a_locaware_queue_peaks_with_its_traffic_not_its_population(self):
+        config = world_config("router", 600, seed=11, query_rate_per_peer=0.02)
+        blueprint = NetworkBlueprint.build(config)
+        peaks = {
+            protocol: run_protocol(
+                config, protocol, max_queries=200, bucket_width=30,
+                blueprint=blueprint,
+            ).telemetry.engine["queue_peak"]
+            for protocol in ("dicas", "locaware")
+        }
+        # Measured: 430 and 431; with a heap entry per peer Locaware's
+        # peak read 1030.
+        assert peaks["locaware"] <= peaks["dicas"] + 10
 
 
 class TestMessagesAreTuples:

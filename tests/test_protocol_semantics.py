@@ -58,25 +58,6 @@ class TestAnyMatchingFileSatisfies:
         assert not network.peer(0).store.contains(target)
 
 
-class TestRunUntilQuiescent:
-    def test_drains_queue(self):
-        network = P2PNetwork.build(SimulationConfig.small(seed=5))
-        protocol = FloodingProtocol(network)
-        for peer in network.peers:
-            peer.store.clear()
-        network.peer(20).store.add(7)
-        protocol.issue_query(0, 7, tuple(sorted(network.catalog.keywords(7))))
-        protocol.run_until_quiescent()
-        assert protocol.pending_queries == 0
-        assert len(protocol.outcomes) == 1
-
-    def test_settle_margin_advances_clock(self):
-        network = P2PNetwork.build(SimulationConfig.small(seed=5))
-        protocol = FloodingProtocol(network)
-        protocol.run_until_quiescent(settle_s=10.0)
-        assert network.sim.now >= 10.0
-
-
 class TestCatalogEdgeCases:
     def test_duplicate_filename_rejected(self):
         pool = KeywordPool(10)

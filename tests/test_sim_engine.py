@@ -593,21 +593,21 @@ class TestPeriodicProcess:
     def test_fires_every_period(self):
         sim = Simulator()
         times = []
-        PeriodicProcess(sim, 2.0, lambda: times.append(sim.now))
+        PeriodicProcess(sim, 2.0, lambda _: times.append(sim.now))
         sim.run(until=7.0)
         assert times == [2.0, 4.0, 6.0]
 
     def test_initial_delay_overrides_first_tick(self):
         sim = Simulator()
         times = []
-        PeriodicProcess(sim, 2.0, lambda: times.append(sim.now), initial_delay=0.5)
+        PeriodicProcess(sim, 2.0, lambda _: times.append(sim.now), phases=[(None, 0.5)])
         sim.run(until=5.0)
         assert times == [0.5, 2.5, 4.5]
 
     def test_stop_halts_future_ticks(self):
         sim = Simulator()
         times = []
-        proc = PeriodicProcess(sim, 1.0, lambda: times.append(sim.now))
+        proc = PeriodicProcess(sim, 1.0, lambda _: times.append(sim.now))
         sim.schedule(2.5, proc.stop)
         sim.run(until=10.0)
         assert times == [1.0, 2.0]
@@ -615,7 +615,7 @@ class TestPeriodicProcess:
 
     def test_tick_count(self):
         sim = Simulator()
-        proc = PeriodicProcess(sim, 1.0, lambda: None)
+        proc = PeriodicProcess(sim, 1.0, lambda _: None)
         sim.run(until=4.5)
         assert proc.ticks == 4
 
@@ -623,7 +623,7 @@ class TestPeriodicProcess:
         sim = Simulator()
         proc_box = []
 
-        def tick():
+        def tick(_member):
             proc_box[0].stop()
 
         proc_box.append(PeriodicProcess(sim, 1.0, tick))
@@ -636,7 +636,7 @@ class TestPeriodicProcess:
 
     def test_stop_twice_and_after_the_pending_tick_was_dropped(self):
         sim = Simulator()
-        proc = PeriodicProcess(sim, 1.0, lambda: None)
+        proc = PeriodicProcess(sim, 1.0, lambda _: None)
         sim.run(until=2.5)
         proc.stop()
         proc.stop()
@@ -648,7 +648,7 @@ class TestPeriodicProcess:
 
     def test_a_stopped_process_is_freed_by_reference_counting(self):
         sim = Simulator()
-        proc = PeriodicProcess(sim, 1.0, lambda: None)
+        proc = PeriodicProcess(sim, 1.0, lambda _: None)
         process = weakref.ref(proc)
         gc.disable()
         try:
@@ -664,12 +664,12 @@ class TestPeriodicProcess:
 
     def test_nonpositive_period_rejected(self):
         with pytest.raises(SchedulingError):
-            PeriodicProcess(Simulator(), 0.0, lambda: None)
+            PeriodicProcess(Simulator(), 0.0, lambda _: None)
 
     def test_initial_delay_zero_fires_immediately(self):
         sim = Simulator()
         times = []
-        PeriodicProcess(sim, 2.0, lambda: times.append(sim.now), initial_delay=0)
+        PeriodicProcess(sim, 2.0, lambda _: times.append(sim.now), phases=[(None, 0)])
         sim.run(until=5.0)
         assert times == [0.0, 2.0, 4.0]
 
@@ -678,7 +678,7 @@ class TestPeriodicProcess:
         sim.schedule(3.0, lambda: None)
         sim.run()
         times = []
-        PeriodicProcess(sim, 1.0, lambda: times.append(sim.now), initial_delay=0)
+        PeriodicProcess(sim, 1.0, lambda _: times.append(sim.now), phases=[(None, 0)])
         sim.run(until=5.0)
         assert times == [3.0, 4.0, 5.0]
 

@@ -48,7 +48,7 @@ import multiprocessing
 import os
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -97,7 +97,12 @@ _BLUEPRINT_CACHE_PEERS = 8000
 #: worker that already built a cell's topology instantiates it for
 #: every later cell with the same fingerprint instead of rebuilding —
 #: and ``fork``-started workers inherit everything the parent
-#: prewarmed copy-on-write (see :class:`GridWorkerPool`).
+#: prewarmed copy-on-write (see :class:`GridWorkerPool`).  The budget
+#: bounds what is held; a :class:`GridRunner` releases each world from
+#: this (its own process's) cache as soon as the last cell of its walk
+#: on that topology resolves, so a finished world is not kept alive.
+#: Looked up at call time, never bound to a local name: tests and the
+#: benchmark swap or clear it.
 _BLUEPRINT_CACHE = BlueprintCache(
     max_peers=_BLUEPRINT_CACHE_PEERS, max_worlds=_BLUEPRINT_CACHE_WORLDS
 )
@@ -709,6 +714,12 @@ class GridWorkerPool:
     ``prebuild`` is skipped there (a spawned worker re-imports this
     module with an empty cache) and each worker instead builds lazily
     into its own cache, at most once per fingerprint per worker.
+
+    The parent's prewarmed copies are only the fork's source: a
+    :class:`GridRunner` releases each from the parent's cache when its
+    topology's last cell resolves, while every worker keeps its own
+    (inherited or lazily built) worlds, within the cache budget, until
+    the pool closes.
     """
 
     def __init__(
@@ -812,6 +823,9 @@ def execute_cells(
     copy-on-write by fork workers; anything past that budget (and
     everything on platforms without fork) builds lazily, at most once
     per fingerprint per worker — results are byte-identical either way.
+    The worlds stay cached when the cells are done: releasing them is
+    the caller's part (:class:`GridRunner` releases each as the last
+    cell of its topology resolves).
 
     ``pool`` dispatches through a caller-owned persistent
     :class:`GridWorkerPool` instead of forking a fresh one for this
@@ -1007,6 +1021,9 @@ class GridRunner:
         self.store = store
         self.profile_dir = Path(profile_dir) if profile_dir is not None else None
         self._profiled_batches = 0
+        # Topology fingerprint → cells of the current run not resolved
+        # yet (see _resolve).
+        self._unresolved: Counter[str] = Counter()
         self.poll_interval_s = poll_interval_s
         self.heartbeat_interval_s = (
             heartbeat_interval_s
@@ -1037,9 +1054,17 @@ class GridRunner:
     def run(
         self, progress: Callable[[str], None] | None = None
     ) -> GridReport:
-        """Execute every missing cell and assemble the full report."""
+        """Execute every missing cell and assemble the full report.
+
+        Each world is released from the process's blueprint cache when
+        the last cell on it resolves (:meth:`_resolve`), so the run ends
+        holding none of the worlds it walked.
+        """
         cells = self.spec.expand()
         report = GridReport(spec=self.spec)
+        self._unresolved = Counter(
+            self.spec._row(cell)["topology_fingerprint"] for cell in cells
+        )
         if self.store is None:
             with self._profiled_batch():
                 for cell, run in execute_cells(
@@ -1049,9 +1074,27 @@ class GridRunner:
                     progress=progress,
                 ):
                     report.executed += 1
-                    report.runs[cell] = run
+                    self._resolve(report, cell, run)
             return report
         return self._run_with_store(cells, report, progress)
+
+    def _resolve(self, report: GridReport, cell: GridCell, run: Any) -> None:
+        """Record ``cell``'s run; release its world if it was the last
+        unresolved cell on that topology.
+
+        Executed and stored cells alike count, and a cell carried to a
+        later pass (claimed by another runner) counts only when it
+        resolves there — so a world leaves this process's cache exactly
+        when no cell of this run will ask for it again.
+        """
+        report.runs[cell] = run
+        fingerprint = self.spec._row(cell)["topology_fingerprint"]
+        left = self._unresolved[fingerprint] - 1
+        if left:
+            self._unresolved[fingerprint] = left
+        else:
+            del self._unresolved[fingerprint]
+            _BLUEPRINT_CACHE.release(fingerprint)
 
     @contextmanager
     def _profiled_batch(self) -> Iterator[None]:
@@ -1261,8 +1304,8 @@ class GridRunner:
             # same recovery as byte-level corruption — rename it aside
             # and re-execute the cell.
             return self._quarantine_malformed(key, report, progress)
-        report.runs[cell] = run
         report.cached += 1
+        self._resolve(report, cell, run)
         return True
 
     def _quarantine_malformed(
@@ -1341,8 +1384,10 @@ class GridRunner:
                         self.store.put(key, document)
                         self._put_telemetry_sidecar(key, run)
                         committed.append(key)
-                        report.runs[cell] = load_grid_cell_document(document)
                         report.executed += 1
+                        self._resolve(
+                            report, cell, load_grid_cell_document(document)
+                        )
                         done += 1
             # The batch is durable: now (and only now) stop
             # heartbeating and hand the finished cells back.

@@ -57,7 +57,7 @@ from .graph import OverlayGraph
 from .network import P2PNetwork
 from .peer import Peer
 
-__all__ = ["BlueprintCache", "NetworkBlueprint", "build_count"]
+__all__ = ["BlueprintCache", "NetworkBlueprint", "build_count", "build_underlay"]
 
 #: Module-wide tally of topology builds, for benchmarks and tests that
 #: must prove a code path built the world exactly N times.
@@ -111,6 +111,41 @@ def _gids_and_shares(
     return tuple(gids), tuple(shares)
 
 
+def build_underlay(
+    config: SimulationConfig, streams: RandomStreams | None = None
+) -> Underlay:
+    """The underlay of ``config``'s world, alone.
+
+    :meth:`NetworkBlueprint.build` calls this with its own factory, and
+    every named stream is seeded from ``(config.seed, name)`` alone, so
+    the result equals that world's ``underlay`` whether ``streams`` is
+    given or not — a reader that needs only positions and locIds need
+    not build, or keep, the whole world.  Draws the ``router-topology``
+    and ``underlay`` streams.
+    """
+    if streams is None:
+        streams = RandomStreams(config.seed)
+    if config.latency_model == "router":
+        from ..net.latency import RouterLevelLatencyModel
+
+        model = RouterLevelLatencyModel(
+            streams.stream("router-topology"),
+            min_latency_ms=config.min_latency_ms,
+            max_latency_ms=config.max_latency_ms,
+        )
+    else:
+        model = None  # Underlay.build defaults to the Euclidean model
+    return Underlay.build(
+        config.num_peers,
+        streams.stream("underlay"),
+        min_latency_ms=config.min_latency_ms,
+        max_latency_ms=config.max_latency_ms,
+        num_landmarks=config.num_landmarks,
+        clustered=(config.peer_placement == "clustered"),
+        model=model,
+    )
+
+
 @dataclass(frozen=True)
 class NetworkBlueprint:
     """The immutable world of one simulated system, ready to instantiate."""
@@ -149,25 +184,7 @@ class NetworkBlueprint:
         global _build_count
         _build_count += 1
         streams = RandomStreams(config.seed)
-        if config.latency_model == "router":
-            from ..net.latency import RouterLevelLatencyModel
-
-            model = RouterLevelLatencyModel(
-                streams.stream("router-topology"),
-                min_latency_ms=config.min_latency_ms,
-                max_latency_ms=config.max_latency_ms,
-            )
-        else:
-            model = None  # Underlay.build defaults to the Euclidean model
-        underlay = Underlay.build(
-            config.num_peers,
-            streams.stream("underlay"),
-            min_latency_ms=config.min_latency_ms,
-            max_latency_ms=config.max_latency_ms,
-            num_landmarks=config.num_landmarks,
-            clustered=(config.peer_placement == "clustered"),
-            model=model,
-        )
+        underlay = build_underlay(config, streams)
         graph = OverlayGraph.random(
             config.num_peers, config.mean_degree, streams.stream("overlay")
         )
@@ -266,6 +283,11 @@ class BlueprintCache:
     A miss evicts least-recently-used worlds *before* it builds, so a
     victim is never alive during the build that replaces it, and a
     world larger than the whole budget is held alone.
+
+    The budget bounds what a process may hold, not how long it holds
+    it: a caller that knows no later cell runs on a world hands it back
+    with :meth:`release` (a grid run does, as each topology's last cell
+    resolves), so a world is built again only if it is asked for again.
     """
 
     def __init__(self, max_peers: int, max_worlds: int) -> None:
@@ -285,7 +307,7 @@ class BlueprintCache:
         )
 
     def get(self, config: SimulationConfig) -> NetworkBlueprint:
-        """The blueprint for ``config``, built at most once per process."""
+        """The blueprint for ``config``, built only if it is not cached."""
         fingerprint = config.topology_fingerprint()
         blueprint = self._blueprints.get(fingerprint)
         if blueprint is not None:
@@ -321,6 +343,11 @@ class BlueprintCache:
                 self.get(config)
                 built += 1
         return built
+
+    def release(self, fingerprint: str) -> None:
+        """Drop the world cached under ``fingerprint``, if any (the
+        inverse of :meth:`get`, for a caller done with that world)."""
+        self._blueprints.pop(fingerprint, None)
 
     def __contains__(self, fingerprint: str) -> bool:
         return fingerprint in self._blueprints

@@ -1010,48 +1010,64 @@ class TestCappedPrebuild:
         assert [config.num_peers for config in prebuild] == [60, 30]
 
 
+@pytest.fixture
+def most_worlds_alive(monkeypatch):
+    """A one-item list: the most blueprints ever alive at once while the
+    test runs, counted with a weakref finalizer on every build."""
+    import weakref
+
+    from repro.overlay.blueprint import NetworkBlueprint
+
+    alive = [0]
+    most_alive = [0]
+    real_build = NetworkBlueprint.build.__func__
+
+    def counting_build(cls, config):
+        blueprint = real_build(cls, config)
+        alive[0] += 1
+        most_alive[0] = max(most_alive[0], alive[0])
+        weakref.finalize(blueprint, lambda: alive.__setitem__(0, alive[0] - 1))
+        return blueprint
+
+    monkeypatch.setattr(NetworkBlueprint, "build", classmethod(counting_build))
+    return most_alive
+
+
+@pytest.fixture
+def default_budget_cache(swap_blueprint_cache):
+    """An empty process cache with the production budget."""
+    from repro.experiments import grid
+
+    return swap_blueprint_cache(
+        max_peers=grid._BLUEPRINT_CACHE_PEERS,
+        max_worlds=grid._BLUEPRINT_CACHE_WORLDS,
+    )
+
+
 class TestOneWorldAliveOverBudget:
     """Over budget — a 6000-peer grid in production — the cache holds
     one world, and the one it evicts is freed before its replacement
     is built."""
 
     def test_serial_three_seed_grid_never_holds_two_worlds(
-        self, tmp_path, monkeypatch, swap_blueprint_cache
+        self, tmp_path, most_worlds_alive, swap_blueprint_cache
     ):
-        import weakref
-
-        from repro.overlay.blueprint import NetworkBlueprint, build_count
+        from repro.overlay.blueprint import build_count
 
         swap_blueprint_cache(max_peers=60)
-        alive = [0]
-        most_alive = [0]
-        real_build = NetworkBlueprint.build.__func__
-
-        def counting_build(cls, config):
-            blueprint = real_build(cls, config)
-            alive[0] += 1
-            most_alive[0] = max(most_alive[0], alive[0])
-            weakref.finalize(
-                blueprint, lambda: alive.__setitem__(0, alive[0] - 1)
-            )
-            return blueprint
-
-        monkeypatch.setattr(
-            NetworkBlueprint, "build", classmethod(counting_build)
-        )
         spec = _spec(seeds=(1, 2, 3), max_queries=5)
         before = build_count()
         report = GridRunner(spec, store=ResultStore(tmp_path)).run()
         assert report.executed == spec.num_cells
         assert build_count() - before == 3
-        assert most_alive[0] == 1
+        assert most_worlds_alive[0] == 1
 
-    def test_consecutive_runs_under_budget_build_each_world_once(
+    def test_consecutive_runs_build_each_world_once_per_run(
         self, eight_world_cache
     ):
-        """The reuse ``experiments/ablations.py:_grid_rows`` lives on:
-        a second ``GridRunner.run`` over the same seeds with different
-        run-time-only overrides finds every world still cached."""
+        """A run releases its worlds when it is done with them, so a
+        second ``GridRunner.run`` over the same seeds (run-time-only
+        overrides changed) builds them again — once each."""
         from repro.overlay.blueprint import build_count
 
         before = build_count()
@@ -1061,8 +1077,100 @@ class TestOneWorldAliveOverBudget:
             )
             report = GridRunner(spec).run()
             assert report.num_cells == spec.num_cells
-        assert build_count() - before == 3
-        assert len(eight_world_cache) == 3
+            assert len(eight_world_cache) == 0
+        assert build_count() - before == 6
+
+
+class TestWorldLifetime:
+    """Under budget too, a grid run holds a world only while a cell of
+    its walk still needs it: the world is released when the last cell
+    on its topology resolves, executed or loaded from the store."""
+
+    SEEDS = (1, 2, 3)
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["storeless", "store"])
+    def test_serial_grid_holds_one_world_and_ends_with_none(
+        self, tmp_path, stored, default_budget_cache, most_worlds_alive
+    ):
+        from repro.overlay.blueprint import build_count
+
+        spec = _spec(seeds=self.SEEDS, max_queries=5)
+        store = ResultStore(tmp_path) if stored else None
+        before = build_count()
+        report = GridRunner(spec, store=store).run()
+        assert report.executed == spec.num_cells
+        assert build_count() - before == len(self.SEEDS)
+        assert most_worlds_alive[0] == 1
+        assert len(default_budget_cache) == 0
+
+    def test_a_warm_store_run_releases_what_it_finds_cached(
+        self, tmp_path, default_budget_cache
+    ):
+        """Loaded cells resolve too: worlds cached before a fully stored
+        run are gone after it, and none was built."""
+        from repro.overlay.blueprint import build_count
+
+        spec = _spec(seeds=self.SEEDS, max_queries=5)
+        store = ResultStore(tmp_path)
+        GridRunner(spec, store=store).run()
+        for cell in spec.expand():
+            default_budget_cache.get(spec.cell_build_config(cell))
+        assert len(default_budget_cache) == len(self.SEEDS)
+        before = build_count()
+        report = GridRunner(spec, store=store).run()
+        assert (report.executed, report.cached) == (0, spec.num_cells)
+        assert build_count() - before == 0
+        assert len(default_budget_cache) == 0
+
+    def test_a_foreign_claim_keeps_its_world_until_the_cell_resolves(
+        self, tmp_path, default_budget_cache
+    ):
+        """While another runner holds one cell's claim, that cell's
+        world stays cached and every other world is released; once the
+        claim is given up, the cell runs on the kept world — one build
+        per topology, none repeated."""
+        from repro.overlay.blueprint import build_count
+        from repro.results import ClaimStore
+
+        spec = _spec(seeds=self.SEEDS, max_queries=5)
+        store = ResultStore(tmp_path)
+        cell = spec.expand()[0]
+        key = spec.cell_key(cell)
+        fingerprint = spec.cell_build_config(cell).topology_fingerprint()
+        other = ClaimStore(store.root, runner_id="other", lease_ttl_s=60.0)
+        assert other.try_claim(key)
+        held_while_waiting = []
+
+        def progress(line):
+            if line.startswith("waiting:"):
+                held_while_waiting.append(
+                    (fingerprint in default_budget_cache, len(default_budget_cache))
+                )
+                other.release(key)
+
+        before = build_count()
+        report = GridRunner(spec, store=store, poll_interval_s=0.0).run(
+            progress=progress
+        )
+        assert held_while_waiting == [(True, 1)]
+        assert report.executed == spec.num_cells
+        assert build_count() - before == len(self.SEEDS)
+        assert len(default_budget_cache) == 0
+
+    @_fork_only
+    def test_a_parallel_store_run_leaves_the_parent_cache_empty(
+        self, tmp_path, default_budget_cache
+    ):
+        from repro.overlay.blueprint import build_count
+
+        spec = _spec(seeds=self.SEEDS, max_queries=5)
+        before = build_count()
+        report = GridRunner(spec, workers=2, store=ResultStore(tmp_path)).run()
+        assert report.executed == spec.num_cells
+        # The parent prewarmed every world for the fork, then let each
+        # go as its last cell came back.
+        assert build_count() - before == len(self.SEEDS)
+        assert len(default_budget_cache) == 0
 
 
 class _SteppingClock:

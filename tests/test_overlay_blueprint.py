@@ -5,7 +5,7 @@ import weakref
 import pytest
 
 from repro.overlay import NetworkBlueprint, P2PNetwork
-from repro.overlay.blueprint import BlueprintCache, build_count
+from repro.overlay.blueprint import BlueprintCache, build_count, build_underlay
 from repro.sim import SimulationConfig
 from repro.sim.config import BUILD_STREAM_NAMES
 
@@ -44,6 +44,21 @@ class TestBuild:
         for pid in range(scratch.config.num_peers):
             assert scratch.graph.neighbors(pid) == blueprint.graph.neighbors(pid)
             assert scratch.underlay.locid_of(pid) == blueprint.underlay.locid_of(pid)
+
+    @pytest.mark.parametrize("latency_model", ["euclidean", "router"])
+    def test_the_underlay_helper_draws_the_worlds_underlay(self, latency_model):
+        """A reader that needs only locIds (ablation A1) rebuilds the
+        underlay alone; it must be the one the world was built with,
+        and building it is no world build."""
+        config = _config(seed=5, latency_model=latency_model, num_landmarks=5)
+        world = NetworkBlueprint.build(config).underlay
+        before = build_count()
+        alone = build_underlay(config)
+        assert build_count() == before
+        assert alone.locid_histogram() == world.locid_histogram()
+        assert [alone.locid_of(pid) for pid in range(config.num_peers)] == [
+            world.locid_of(pid) for pid in range(config.num_peers)
+        ]
 
 
 class TestInstantiate:
@@ -192,6 +207,21 @@ class TestBlueprintCache:
         assert a.topology_fingerprint() in cache
         assert b.topology_fingerprint() not in cache
         assert c.topology_fingerprint() in cache
+
+    def test_release_drops_one_world_and_a_later_get_rebuilds_it(self):
+        cache = BlueprintCache(max_peers=8000, max_worlds=8)
+        a, b = _config(seed=1), _config(seed=2)
+        world_a = weakref.ref(cache.get(a))
+        cache.get(b)
+        cache.release(a.topology_fingerprint())
+        assert world_a() is None  # the cache held the only reference
+        assert a.topology_fingerprint() not in cache
+        assert b.topology_fingerprint() in cache
+        cache.release(a.topology_fingerprint())  # not held: a no-op
+        assert len(cache) == 1
+        before = build_count()
+        cache.get(a)
+        assert build_count() == before + 1
 
     def test_clear_empties_it(self):
         cache = BlueprintCache(max_peers=120, max_worlds=8)

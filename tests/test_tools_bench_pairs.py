@@ -1,15 +1,17 @@
 """Smoke test of ``tools/bench_pairs.py``, the parent/head pair runner.
 
-Both trees are this checkout, so whatever the host does to the timings
-there is nothing to claim — and two pairs are fewer than the ten the
-verdict needs anyway.  The run goes through the real contract command
-of ``BENCHMARK.json`` at smoke scale and must write nothing into ``bench/``.
-It takes two workloads in one command, the way a claim (one workload) is
-checked together with its guards (the others).
+Both trees are one clean copy of this checkout (no bytecode caches, which
+the tool refuses), so whatever the host does to the timings there is
+nothing to claim — and two pairs are fewer than the ten the verdict needs
+anyway.  The run goes through the real contract command of
+``BENCHMARK.json`` at smoke scale and must write nothing into the tree,
+bytecode included.  It takes two workloads in one command, the way a
+claim (one workload) is checked together with its guards (the others).
 """
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -29,19 +31,27 @@ def bench_pairs():
     return module
 
 
-def _bench_files():
-    """Everything under ``bench/`` but the interpreter's bytecode caches."""
-    return sorted(
-        str(path) for path in (ROOT / "bench").rglob("*")
-        if "__pycache__" not in path.parts
-    )
+@pytest.fixture
+def clean_tree(tmp_path):
+    """What the contract command reads of this checkout, copied without
+    bytecode caches or earlier bench output."""
+    tree = tmp_path / "tree"
+    ignore = shutil.ignore_patterns("__pycache__", "out")
+    for name in ("src", "bench"):
+        shutil.copytree(ROOT / name, tree / name, ignore=ignore)
+    shutil.copy(ROOT / "BENCHMARK.json", tree / "BENCHMARK.json")
+    return tree
 
 
-def test_identical_trees_make_no_claim():
-    before = _bench_files()
+def _files(tree):
+    return sorted(str(path) for path in tree.rglob("*"))
+
+
+def test_identical_trees_make_no_claim(clean_tree):
+    before = _files(clean_tree)
     done = subprocess.run(
         [
-            sys.executable, str(TOOL), str(ROOT), str(ROOT),
+            sys.executable, str(TOOL), str(clean_tree), str(clean_tree),
             "--workload", "dense_600,grid_resume", "--scale", "smoke",
             "--seconds", "0.5", "--pairs", "2", "--first-seed", "5",
         ],
@@ -62,7 +72,24 @@ def test_identical_trees_make_no_claim():
     assert out.count("\n  guard: ") == len(workloads) * len(END_TO_END)
     assert out.count("parent: failed 0 / attempted") == len(workloads)
     assert out.count("head: failed 0 / attempted") == len(workloads)
-    assert _bench_files() == before  # not even the default bench/out/
+    # Not even the default bench/out/, nor a __pycache__.
+    assert _files(clean_tree) == before
+
+
+@pytest.mark.parametrize("where", ["src/repro", "bench"])
+def test_a_tree_with_bytecode_caches_is_refused(clean_tree, tmp_path, where):
+    cache = clean_tree / where / "__pycache__"
+    cache.mkdir()
+    other = tmp_path / "other"
+    shutil.copytree(clean_tree, other, ignore=shutil.ignore_patterns("__pycache__"))
+    for parent, head, side in ((clean_tree, other, "parent"), (other, clean_tree, "head")):
+        done = subprocess.run(
+            [sys.executable, str(TOOL), str(parent), str(head),
+             "--workload", "dense_600", "--pairs", "1"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert f"{side} tree has a bytecode cache at {cache}" in done.stderr
 
 
 def test_an_unknown_workload_in_the_list_is_a_usage_error():

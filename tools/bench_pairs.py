@@ -38,14 +38,20 @@ clock) are compared pair by pair instead: ``same`` or ``MOVED``.
 
 Stand-alone on purpose: standard library only, nothing imported from
 ``bench/``, and the children are sent to a temporary ``--out-dir``, so
-nothing is written into either tree.  Exits 2 on a usage error, 1 if a
-child fails to run, 0 otherwise — the verdict is printed, not returned.
+nothing is written into either tree.  Both trees must be free of
+bytecode caches under ``src/`` and ``bench/``, and the children run with
+``PYTHONDONTWRITEBYTECODE=1`` so they stay that way: a tree whose modules
+load from a stale cache starts measurably faster than one that compiles
+them (enough to turn ``setup_s`` into a false ``WORSE``).  Exits 2 on a
+usage error or a cached tree (naming the directory), 1 if a child fails
+to run, 0 otherwise — the verdict is printed, not returned.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -57,6 +63,8 @@ from typing import Any
 MIN_PAIRS = 10
 #: Share of all pairs run that head must win; ties count for neither side.
 WIN_SHARE = 0.9
+#: Where a tree's bytecode caches would skew its timings against the other's.
+SOURCE_DIRS = ("src", "bench")
 #: Units read from a host clock or the host's memory; a per-layer metric
 #: in any other unit is an exact count of the deterministic simulation.
 TIMED_UNITS = {"s", "1/s", "ratio", "MB"}
@@ -65,6 +73,16 @@ TIMED_UNITS = {"s", "1/s", "ratio", "MB"}
 def contract(tree: Path) -> dict[str, Any]:
     """The tree's ``BENCHMARK.json``."""
     return json.loads((tree / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+def bytecode_caches(tree: Path) -> list[Path]:
+    """Every ``__pycache__`` directory under the tree's ``SOURCE_DIRS``."""
+    return sorted(
+        path
+        for name in SOURCE_DIRS
+        if (tree / name).is_dir()
+        for path in (tree / name).rglob("__pycache__")
+    )
 
 
 def run_once(
@@ -77,7 +95,10 @@ def run_once(
         "--seconds", str(seconds), "--trace", str(int(trace)), "--scale", scale,
         "--out-dir", str(out_dir),
     ]
-    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    done = subprocess.run(
+        command, cwd=tree, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(command)} (in {tree}) failed:\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
@@ -204,6 +225,13 @@ def main(argv: list[str] | None = None) -> int:
     for side, tree in trees.items():
         if not (tree / "BENCHMARK.json").is_file():
             parser.error(f"{side} tree {tree} has no BENCHMARK.json")
+        caches = bytecode_caches(tree)
+        if caches:
+            parser.error(
+                f"{side} tree has a bytecode cache at {caches[0]} "
+                f"({len(caches)} in all under {'/, '.join(SOURCE_DIRS)}/); "
+                "delete them so neither side loads stale bytecode"
+            )
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     declared = contract(trees["head"])

@@ -14,7 +14,8 @@ reproducibility of routing decisions).
 
 Hot-path layout: the probe positions of an element depend only on
 ``(element, bits, hashes)``, so they are memoised — one BLAKE2b per
-*distinct* keyword per filter geometry, not one per membership test.
+*distinct* keyword per filter geometry, not one per membership test;
+the run that ends a cell empties them (:func:`positions_cache_clear`).
 The bit vector itself is a single Python int (:class:`BloomFilter`), so
 an insert or a k-probe membership test is one mask OR/AND on a 1200-bit
 word instead of k byte-indexed loads, and union/compare are O(words).
@@ -44,9 +45,10 @@ def element_positions(element: str, bits: int, hashes: int) -> tuple[int, ...]:
 
     Exposed at module level because the plain and counting filters must
     agree on positions exactly (the counting filter exports a plain
-    bit-vector view of itself).  Memoised: the keyword vocabulary of a
-    run is small and static, so each distinct ``(element, bits,
-    hashes)`` triple pays for its BLAKE2b digest once.
+    bit-vector view of itself).  Memoised for one cell: the keyword
+    vocabulary of a run is small and static, so each distinct
+    ``(element, bits, hashes)`` triple pays for its BLAKE2b digest once
+    per cell.
     """
     if bits <= 0:
         raise ValueError(f"bits must be positive, got {bits}")
@@ -64,21 +66,13 @@ def element_mask(element: str, bits: int, hashes: int) -> int:
     return mask
 
 
-#: Entries kept by :func:`_combined_mask`.  A 60 000-peer catalog has
-#: 180 000 filenames, and a run queries far fewer keyword tuples than it
-#: has files, so one cell never evicts; the bound only stops a
-#: long-lived grid worker from keeping every tuple of every topology it
-#: ever ran.
-_COMBINED_MEMO_SIZE = 1 << 18
-
-
-@lru_cache(maxsize=_COMBINED_MEMO_SIZE)
+@lru_cache(maxsize=None)
 def _combined_mask(elements: tuple[str, ...], bits: int, hashes: int) -> int:
     """The OR of :func:`element_mask` over ``elements`` (0 for ``()``).
 
     A filter contains every element iff it covers this mask, so a query's
     keyword tuple costs one AND per filter tested instead of one per
-    keyword, and nothing but a dict lookup after its first hop.
+    keyword, and a dict lookup after its first hop until the cell ends.
     """
     mask = 0
     for element in elements:
@@ -92,7 +86,7 @@ def positions_cache_info():
 
 
 def positions_cache_clear() -> None:
-    """Drop the memoised positions/masks (for tests)."""
+    """Drop the memoised positions and masks (at the end of a cell)."""
     _positions_cached.cache_clear()
     element_mask.cache_clear()
     _combined_mask.cache_clear()

@@ -25,6 +25,7 @@ from ..analysis.collectors import (
     collect_series,
     summarize_outcomes,
 )
+from ..bloom.bloom_filter import positions_cache_clear
 from ..core.locaware import LocawareProtocol, LocawareRoutingProtocol
 from ..overlay.blueprint import NetworkBlueprint
 from ..overlay.churn import ChurnProcess
@@ -33,6 +34,7 @@ from ..protocols.base import QueryOutcome, SearchProtocol
 from ..protocols.dicas import DicasProtocol
 from ..protocols.dicas_keys import DicasKeysProtocol
 from ..protocols.flooding import FloodingProtocol
+from ..protocols.groups import hash_cache_clear
 from ..scenarios import Scenario, ScenarioContext, get_scenario
 from ..sim.config import SimulationConfig
 from ..sim.gc_pause import gc_paused
@@ -238,8 +240,11 @@ def run_protocol(
     if collect_telemetry:
         run.telemetry = collect_run_telemetry(network, timers, tracer=tracer)
     # What the settled run left queued reaches back to the network that
-    # owns the queue; without it the network is freed on return.
+    # owns the queue; without it the network is freed on return.  The
+    # hash memos hold this cell's filenames and keywords: empty them too.
     network.sim.clear()
+    hash_cache_clear()
+    positions_cache_clear()
     return run
 
 

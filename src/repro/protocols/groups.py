@@ -24,21 +24,14 @@ from ..files.keywords import canonical_form
 __all__ = ["stable_hash", "file_group", "query_group_guess", "keyword_groups"]
 
 
-#: Entries kept by each memo below.  Above one 60 000-peer catalog
-#: (180 000 filenames), so a cell never evicts what it will hash again;
-#: bounded because filenames differ per catalog seed and a grid worker
-#: lives through many topologies.
-_MEMO_SIZE = 1 << 18
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=None)
 def stable_hash(text: str) -> int:
     """A process-stable 64-bit hash of ``text``.
 
-    Memoised: caching hashes the same filenames on every passing
-    response and routing the same keyword sets on every query, so each
-    distinct string pays for its BLAKE2b digest once while the memo
-    holds it.
+    Memoised for one cell: caching hashes the same filenames on every
+    passing response and routing the same keyword sets on every query,
+    so each distinct string pays for its BLAKE2b digest once per cell.
+    The run that ends the cell empties the memo (:func:`hash_cache_clear`).
     """
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
@@ -56,15 +49,16 @@ def query_group_guess(query_keywords: Iterable[str], group_count: int) -> int:
 
     Treats the canonicalised keyword set as if it were the full
     filename.  Matches :func:`file_group` iff the query carries every
-    keyword of the filename.  Memoised per keyword tuple: a query asks
-    on every hop, and the answer is fixed when it is issued.
+    keyword of the filename.  Memoised per keyword tuple for one cell,
+    like :func:`stable_hash`: a query asks on every hop, and the answer
+    is fixed when it is issued.
     """
     if type(query_keywords) is not tuple:
         query_keywords = tuple(query_keywords)
     return _group_guess(query_keywords, group_count)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=None)
 def _group_guess(query_keywords: tuple[str, ...], group_count: int) -> int:
     return file_group(canonical_form(query_keywords), group_count)
 
@@ -74,3 +68,9 @@ def keyword_groups(keywords: Iterable[str], group_count: int) -> set[int]:
     if group_count < 1:
         raise ValueError(f"group_count must be >= 1, got {group_count}")
     return {stable_hash(kw) % group_count for kw in keywords}
+
+
+def hash_cache_clear() -> None:
+    """Drop the memoised hashes and group guesses (at the end of a cell)."""
+    stable_hash.cache_clear()
+    _group_guess.cache_clear()

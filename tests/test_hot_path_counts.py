@@ -21,6 +21,10 @@ instead of timing them, which does not on a shared host:
   tick, and a Locaware cell's queue peak is its traffic's, within a few
   entries of the Dicas cell on the same world — not its traffic's plus
   one entry per peer;
+- a hash memo hashes each key once per cell: within a 600-peer
+  Locaware cell each memo's misses are the distinct filenames, keyword
+  tuples and keywords it was asked for, so scoping the memos to a cell
+  costs no hit inside it;
 - the two per-hop messages are tuples: immutable for real, hashable,
   and their copies equal field-by-field construction;
 - a world is drawn, not called: building one calls
@@ -41,6 +45,7 @@ import pytest
 from reference_graph import DictOverlayGraph
 from test_determinism import run_fingerprint
 from test_golden_worlds import world_config
+from test_protocol_groups import HASH_MEMOS, clear_hash_memos, run_cell_watching_memos
 
 import repro.experiments.grid as grid_module
 import repro.overlay.blueprint as blueprint_module
@@ -277,6 +282,27 @@ class TestBloomTicksShareOneEntry:
         # Measured: 430 and 431; with a heap entry per peer Locaware's
         # peak read 1030.
         assert peaks["locaware"] <= peaks["dicas"] + 10
+
+
+class TestHashMemosHitWithinACell:
+    def test_misses_are_the_distinct_keys_asked(self):
+        config = world_config("router", 600, seed=11, query_rate_per_peer=0.02)
+        asked = {name: set() for name in HASH_MEMOS}
+        clear_hash_memos()
+        with pytest.MonkeyPatch.context() as mp:
+            for name, (module, memo) in HASH_MEMOS.items():
+
+                def asking(*args, memo=memo, keys=asked[name]):
+                    keys.add(args)
+                    return memo(*args)
+
+                asking.cache_clear = memo.cache_clear  # the cell's end clears
+                mp.setattr(module, name, asking)
+            _, at_end = run_cell_watching_memos(mp, config, "locaware", 300)
+        for name, keys in asked.items():
+            assert at_end[name].misses == len(keys), name
+            # Not vacuous: the cell asks again for what it hashed.
+            assert at_end[name].hits > 0, name
 
 
 class TestMessagesAreTuples:

@@ -1,8 +1,53 @@
-"""Unit tests for group-id hashing."""
+"""Unit tests for group-id hashing, and the lifetime of every hash memo."""
 
 import pytest
 
-from repro.protocols import file_group, keyword_groups, query_group_guess, stable_hash
+from repro.bloom import bloom_filter
+from repro.experiments import run_protocol, small_config
+from repro.protocols import (
+    file_group,
+    groups,
+    keyword_groups,
+    query_group_guess,
+    stable_hash,
+)
+from repro.sim import Simulator
+
+#: Every process-wide hash memo, by name: the two Gid memos here and
+#: the three Bloom memos (probe positions, element mask, keyword-tuple
+#: mask).  Held as imported, so a test that wraps the module globals
+#: still reads the memos themselves.
+HASH_MEMOS = {
+    "stable_hash": (groups, groups.stable_hash),
+    "_group_guess": (groups, groups._group_guess),
+    "_positions_cached": (bloom_filter, bloom_filter._positions_cached),
+    "element_mask": (bloom_filter, bloom_filter.element_mask),
+    "_combined_mask": (bloom_filter, bloom_filter._combined_mask),
+}
+
+
+def clear_hash_memos():
+    groups.hash_cache_clear()
+    bloom_filter.positions_cache_clear()
+
+
+def memo_infos():
+    return {name: memo.cache_info() for name, (_, memo) in HASH_MEMOS.items()}
+
+
+def run_cell_watching_memos(mp, config, protocol, queries):
+    """Run one cell; returns it and each memo's ``cache_info`` as the
+    cell ends (when ``run_protocol`` drops the simulator's leftovers)."""
+    at_end = {}
+    clear = Simulator.clear
+
+    def watching_clear(sim):
+        at_end.update(memo_infos())
+        clear(sim)
+
+    mp.setattr(Simulator, "clear", watching_clear)
+    run = run_protocol(config, protocol, max_queries=queries, bucket_width=30)
+    return run, at_end
 
 
 class TestStableHash:
@@ -57,14 +102,6 @@ class TestQueryGroupGuess:
             with pytest.raises(ValueError):
                 query_group_guess(("kw1",), 0)
 
-    def test_memos_are_bounded_above_one_large_catalog(self):
-        """A 60 000-peer catalog has 180 000 filenames: one cell must fit,
-        a worker's whole life must not."""
-        from repro.protocols.groups import _group_guess
-
-        for memo in (stable_hash, _group_guess):
-            assert 180_000 < memo.cache_info().maxsize < 10**6
-
     def test_guess_is_order_independent(self):
         assert query_group_guess(["b", "a"], 8) == query_group_guess(["a", "b"], 8)
 
@@ -79,6 +116,32 @@ class TestQueryGroupGuess:
             if query_group_guess(partial, 8) != file_group(filename, 8):
                 misses += 1
         assert misses > trials * 0.7
+
+
+class TestMemosLiveForOneCell:
+    """No hash memo outlives its cell: ``run_protocol`` empties all five
+    as the cell ends, so a second identical cell hashes exactly what the
+    first did, and a process that runs many cells keeps none of them."""
+
+    @pytest.mark.parametrize("protocol", ["locaware", "dicas-keys"])
+    def test_a_cell_leaves_every_memo_empty(self, protocol):
+        config = small_config(seed=5)
+        assert config.num_peers == 60
+        clear_hash_memos()
+        with pytest.MonkeyPatch.context() as mp:
+            first, first_end = run_cell_watching_memos(mp, config, protocol, 60)
+            assert {info.currsize for info in memo_infos().values()} == {0}
+            second, second_end = run_cell_watching_memos(mp, config, protocol, 60)
+            assert {info.currsize for info in memo_infos().values()} == {0}
+        assert second.summary == first.summary
+        # Hits, misses and sizes alike: nothing the first cell hashed
+        # was still there for the second.
+        assert second_end == first_end
+        # Not vacuous: both protocols hash keywords to groups, and only
+        # Locaware tests queries against Bloom filters.
+        assert first_end["stable_hash"].misses > 0
+        bloom_misses = first_end["_combined_mask"].misses
+        assert bloom_misses > 0 if protocol == "locaware" else bloom_misses == 0
 
 
 class TestKeywordGroups:

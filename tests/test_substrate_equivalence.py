@@ -38,6 +38,7 @@ from reference_latency import scan_latency_ms, scan_rtt_ms
 from repro.bloom.bloom_filter import (
     BloomFilter,
     _combined_mask,
+    element_mask,
     element_positions,
     positions_cache_clear,
     positions_cache_info,
@@ -322,17 +323,19 @@ class TestMemoisedPositions:
         element_positions("kw", 1201, 4)
         assert positions_cache_info().currsize == before
 
-    def test_keyword_tuple_masks_are_bounded_and_cleared(self):
-        # Above one 60 000-peer catalog (180 000 filenames), but bounded.
-        assert 180_000 < _combined_mask.cache_info().maxsize < 10**6
+    def test_keyword_tuple_masks_live_until_their_cell_ends(self):
         bf = BloomFilter(1200, 4)
         bf.add_all(["kw1", "kw2"])
         for _ in range(20):
             assert bf.contains_all(("kw1", "kw2"))
         info = _combined_mask.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 19, 1)
-        positions_cache_clear()
+        # A cell empties the three Bloom memos as it ends, what it
+        # hashed itself and what was there before it alike.
+        run_protocol(_config(), "locaware", max_queries=60, bucket_width=30)
         assert _combined_mask.cache_info().currsize == 0
+        assert element_mask.cache_info().currsize == 0
+        assert positions_cache_info().currsize == 0
 
     def test_validation_still_raises(self):
         with pytest.raises(ValueError):

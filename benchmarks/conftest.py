@@ -49,7 +49,7 @@ from repro.experiments import (
     BENCH_MAX_QUERIES,
     GridRunner,
     GridSpec,
-    bench_config,
+    paper_config,
 )
 
 # The reference substrates (``reference_bloom``, ``reference_latency``)
@@ -169,7 +169,7 @@ def figure_comparison():
     """The shared §5.1 four-protocol comparison behind Figures 2-4: one
     seed and one scenario of a storeless grid."""
     spec = GridSpec(
-        base_config=bench_config(),
+        base_config=paper_config(),
         seeds=(bench_seed(),),
         max_queries=bench_queries(),
         bucket_width=BENCH_BUCKET_WIDTH,

@@ -9,9 +9,9 @@ import random
 
 
 from repro.bloom import BloomFilter, CountingBloomFilter
-from repro.core import LocationAwareIndex
 from repro.files import FileCatalog, KeywordPool
 from repro.overlay import ProviderEntry
+from repro.protocols import LocationAwareIndex
 from repro.sim import Simulator
 from repro.workload import ZipfSampler
 

@@ -41,20 +41,16 @@ def mechanism_demo() -> None:
         departed, alive = 30, 40
         network.peer(alive).store.add(file_id)
 
-        # Both protocols cached `departed` as the provider before it left;
-        # Locaware's entry also remembers `alive` (an earlier requestor).
-        if cls is DicasProtocol:
-            protocol.index_of(network.peer(0)).put(
-                filename, ProviderEntry(departed, None)
-            )
-        else:
-            protocol.index_of(network.peer(0)).put(
-                filename,
-                [
-                    ProviderEntry(alive, network.peer(alive).locid),
-                    ProviderEntry(departed, network.peer(departed).locid),
-                ],
-            )
+        # Both indexes heard of `alive` (an earlier requestor), then of
+        # `departed`; Dicas's keeps only the newest provider (p_f = 1),
+        # Locaware's keeps both.
+        protocol.index_of(network.peer(0)).put(
+            filename,
+            [
+                ProviderEntry(alive, network.peer(alive).locid),
+                ProviderEntry(departed, network.peer(departed).locid),
+            ],
+        )
         network.peer(departed).alive = False  # churn strikes
 
         protocol.issue_query(0, file_id, keywords)

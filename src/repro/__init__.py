@@ -24,17 +24,13 @@ Higher-level experiment drivers (the paper's figures) live in
 :mod:`repro.experiments`; measurement helpers in :mod:`repro.analysis`.
 """
 
-from .core import (
-    BloomRouter,
-    LocationAwareIndex,
-    LocationAwareSelector,
-    LocawareProtocol,
-)
+from .core import BloomRouter, LocationAwareSelector, LocawareProtocol
 from .overlay import ChurnProcess, OverlayGraph, P2PNetwork, Peer
 from .protocols import (
     DicasKeysProtocol,
     DicasProtocol,
     FloodingProtocol,
+    LocationAwareIndex,
     QueryOutcome,
     SearchProtocol,
 )

@@ -19,14 +19,6 @@ def format_percent(value: float, digits: int = 1) -> str:
     return f"{value * 100:.{digits}f}%"
 
 
-def _format_cell(value: object, width: int) -> str:
-    if isinstance(value, float):
-        text = "n/a" if math.isnan(value) else f"{value:.2f}"
-    else:
-        text = str(value)
-    return text.rjust(width)
-
-
 def format_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],

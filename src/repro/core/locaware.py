@@ -3,11 +3,12 @@
 Locaware composes three mechanisms on top of the shared query
 lifecycle:
 
-1. **Location-aware index caching** (§4.1,
-   :class:`~repro.core.response_index.LocationAwareIndex`): reverse-path
-   peers whose Gid matches the filename cache *all* providers advertised
-   by a passing response, plus the requestor itself as a brand-new
-   provider.
+1. **Location-aware index caching** (§4.1, Dicas's response index
+   and caching path with p_f providers per filename instead of one,
+   :class:`~repro.protocols.index_cache.LocationAwareIndex`):
+   reverse-path peers whose Gid matches the filename cache *all*
+   providers advertised by a passing response, plus the requestor
+   itself as a brand-new provider.
 2. **Bloom-filter keyword routing** (§4.2,
    :class:`~repro.core.bloom_router.BloomRouter`): queries follow
    neighbors whose (periodically pushed) keyword filter contains every
@@ -25,28 +26,27 @@ requestor.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cached_property
 
 from ..overlay.messages import ProviderEntry, Query, QueryResponse
 from ..overlay.network import P2PNetwork
 from ..overlay.peer import Peer
-from ..protocols.base import QueryContext, SearchProtocol
-from ..protocols.groups import file_group, query_group_guess
+from ..protocols.base import QueryContext
+from ..protocols.dicas import INDEX_KEY, DicasProtocol
+from ..protocols.groups import query_group_guess
+from ..protocols.index_cache import IndexUpdate
 from ..sim.metrics import Counter
 from .bloom_router import BloomRouter
 from .provider_selection import LocationAwareSelector
-from .response_index import LocationAwareIndex
 
 __all__ = ["LocawareProtocol", "LocawareRoutingProtocol"]
 
-_INDEX_KEY = "locaware_index"
 
-
-class LocawareProtocol(SearchProtocol):
+class LocawareProtocol(DicasProtocol):
     """Location-aware index caching with Bloom-filter keyword routing."""
 
     name = "locaware"
-    forward_after_hit = False  # §4.2: propagation stops at a satisfying node
     location_aware_routing = False
 
     def __init__(self, network: P2PNetwork) -> None:
@@ -78,57 +78,34 @@ class LocawareProtocol(SearchProtocol):
         """Stop background processes (end of experiment)."""
         self.bloom_router.stop()
 
-    def index_of(self, peer: Peer) -> LocationAwareIndex:
-        """The peer's location-aware response index, made on first use."""
-        index = peer.protocol_state.get(_INDEX_KEY)
-        if index is None:
-            index = LocationAwareIndex(
-                self.config.index_capacity, self.config.max_providers_per_file
-            )
-            peer.protocol_state[_INDEX_KEY] = index
-        return index
+    @property
+    def providers_per_file(self) -> int:
+        """§4.1.2: "the most recent p_f entries replace the oldest ones"."""
+        return self.config.max_providers_per_file
 
     # -- caching (§4.1) ------------------------------------------------------
 
-    def _matches_gid(self, peer: Peer, filename: str) -> bool:
-        return peer.gid == file_group(filename, self.config.group_count)
+    def _transit_entries(self, response: QueryResponse) -> tuple[ProviderEntry, ...]:
+        """§4.1.2: all advertised providers + the requestor."""
+        return response.providers + (
+            ProviderEntry(response.origin, response.origin_locid),
+        )
 
     def _cache_entries(
-        self, peer: Peer, filename: str, providers: tuple[ProviderEntry, ...]
-    ) -> None:
+        self, peer: Peer, filename: str, providers: Sequence[ProviderEntry]
+    ) -> IndexUpdate:
         """Admit providers into the peer's index, syncing the Bloom filter."""
-        index = self.index_of(peer)
-        update = index.put(filename, providers)
-        keywords = self.network.catalog.by_filename(filename)
-        if update.inserted_filename and keywords is not None:
-            self.bloom_router.filename_cached(peer, keywords.keywords)
-            self.network.metrics.counter("index.inserts").increment()
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.network.sim.now, "cache.insert",
-                    peer=peer.peer_id, filename=filename,
-                )
+        update = super()._cache_entries(peer, filename, providers)
+        catalog = self.network.catalog
+        if update.inserted_filename:
+            record = catalog.by_filename(filename)
+            if record is not None:
+                self.bloom_router.filename_cached(peer, record.keywords)
         for evicted in update.evicted_filenames:
-            record = self.network.catalog.by_filename(evicted)
+            record = catalog.by_filename(evicted)
             if record is not None:
                 self.bloom_router.filename_evicted(peer, record.keywords)
-            self.network.metrics.counter("index.evictions").increment()
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.network.sim.now, "cache.evict",
-                    peer=peer.peer_id, filename=evicted,
-                )
-
-    def on_response_transit(self, peer: Peer, response: QueryResponse) -> None:
-        """§4.1.2: matching-Gid peers cache all providers + the requestor."""
-        if not self._matches_gid(peer, response.filename):
-            return
-        requestor_entry = ProviderEntry(
-            response.origin, response.origin_locid
-        )
-        self._cache_entries(
-            peer, response.filename, response.providers + (requestor_entry,)
-        )
+        return update
 
     # -- answering (§4.1.2) ------------------------------------------------
 
@@ -149,40 +126,12 @@ class LocawareProtocol(SearchProtocol):
         combined = matching + others
         return tuple(combined[: self.config.max_providers_per_file])
 
-    def check_index(self, peer: Peer, query: Query) -> QueryResponse | None:
-        index = peer.protocol_state.get(_INDEX_KEY)
-        if index is None:  # session state not (re)built yet: nothing cached
-            return None
-        hit = index.lookup(query.keywords)
-        if hit is None:
-            return None
-        filename, providers = hit
-        ordered = self._ordered_providers(providers, query.origin, query.origin_locid)
-        if not ordered:
-            return None
-        record = self.network.catalog.by_filename(filename)
-        if record is None:
-            return None
-        self.network.metrics.counter("index.hits").increment()
-        response = QueryResponse(
-            query_id=query.query_id,
-            origin=query.origin,
-            origin_locid=query.origin_locid,
-            keywords=query.keywords,
-            file_id=record.file_id,
-            filename=filename,
-            providers=ordered,
-            responder=peer.peer_id,
-            reverse_path=tuple(reversed(query.path)),
-        )
-        # §4.1.2: "Peer B then adds in its RI the entry (E, 1) as a new
-        # provider of f" — the requestor becomes a provider.
+    def _after_index_hit(self, peer: Peer, query: Query, filename: str) -> None:
+        """§4.1.2: "Peer B then adds in its RI the entry (E, 1) as a new
+        provider of f" — the requestor becomes a provider."""
         self._cache_entries(
-            peer,
-            filename,
-            (ProviderEntry(query.origin, query.origin_locid),),
+            peer, filename, (ProviderEntry(query.origin, query.origin_locid),)
         )
-        return response
 
     def build_store_response(
         self, peer: Peer, query: Query, file_id: int
@@ -190,7 +139,7 @@ class LocawareProtocol(SearchProtocol):
         """A file-store hit advertises the holder plus any providers its
         index happens to know for the same file."""
         filename = self.network.catalog.filename(file_id)
-        index = peer.protocol_state.get(_INDEX_KEY)
+        index = peer.protocol_state.get(INDEX_KEY)
         known = index.providers_of(filename) if index is not None else ()
         providers = (ProviderEntry(peer.peer_id, peer.locid),) + tuple(
             p for p in known if p.peer_id != peer.peer_id
@@ -200,17 +149,7 @@ class LocawareProtocol(SearchProtocol):
         )
         if not ordered:
             ordered = (ProviderEntry(peer.peer_id, peer.locid),)
-        return QueryResponse(
-            query_id=query.query_id,
-            origin=query.origin,
-            origin_locid=query.origin_locid,
-            keywords=query.keywords,
-            file_id=file_id,
-            filename=filename,
-            providers=ordered,
-            responder=peer.peer_id,
-            reverse_path=tuple(reversed(query.path)),
-        )
+        return self._answer(peer, query, file_id, filename, ordered)
 
     # -- routing (§4.2) -------------------------------------------------------
 

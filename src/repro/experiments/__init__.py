@@ -28,19 +28,13 @@ from .runner import (
 from .setup import (
     BENCH_BUCKET_WIDTH,
     BENCH_MAX_QUERIES,
-    DEFAULT_BUCKET_WIDTH,
-    DEFAULT_MAX_QUERIES,
-    bench_config,
     paper_config,
     small_config,
 )
 
 __all__ = [
     "paper_config",
-    "bench_config",
     "small_config",
-    "DEFAULT_MAX_QUERIES",
-    "DEFAULT_BUCKET_WIDTH",
     "BENCH_MAX_QUERIES",
     "BENCH_BUCKET_WIDTH",
     "PROTOCOL_REGISTRY",

@@ -1,15 +1,13 @@
 """Experiment configurations.
 
-Three presets:
+Two presets:
 
 - :func:`paper_config` — the exact §5.1 parameters (1000 peers, 3000
   files, 0.00083 q/s/peer, TTL 7, 4 landmarks, 50-filename caches,
-  1200-bit filters);
-- :func:`bench_config` — the same *system* at a reduced query volume,
-  sized so the full four-protocol comparison regenerates on a laptop in
-  minutes (flooding at 1000 peers costs thousands of messages per
-  query; the bucketed trends stabilise well before the paper's full
-  horizon);
+  1200-bit filters); benches run it as-is at a shorter query horizon
+  (``BENCH_MAX_QUERIES``): simulation wall time is governed by the
+  event count, not by virtual time, so there is no reason to distort
+  the paper's query rate;
 - :func:`small_config` — miniature population for unit/integration
   tests (milliseconds per run).
 
@@ -24,18 +22,10 @@ from ..sim.config import SimulationConfig
 
 __all__ = [
     "paper_config",
-    "bench_config",
     "small_config",
-    "DEFAULT_MAX_QUERIES",
-    "DEFAULT_BUCKET_WIDTH",
     "BENCH_MAX_QUERIES",
     "BENCH_BUCKET_WIDTH",
 ]
-
-#: Query horizon for a full paper-scale run.
-DEFAULT_MAX_QUERIES = 2000
-#: Figure bucket width for a full paper-scale run.
-DEFAULT_BUCKET_WIDTH = 200
 
 #: Query horizon used by the benchmark harness.
 BENCH_MAX_QUERIES = 1500
@@ -45,17 +35,6 @@ BENCH_BUCKET_WIDTH = 250
 
 def paper_config(seed: int = 20090322) -> SimulationConfig:
     """The exact §5.1 configuration."""
-    return SimulationConfig(seed=seed)
-
-
-def bench_config(seed: int = 20090322) -> SimulationConfig:
-    """The paper's exact configuration — benches run it as-is.
-
-    Simulation wall time is governed by the *event count* (dominated by
-    flooding's per-query fan-out), not by virtual time, so there is no
-    reason to distort the paper's query rate; benches simply run a
-    shorter query horizon (``BENCH_MAX_QUERIES``).
-    """
     return SimulationConfig(seed=seed)
 
 

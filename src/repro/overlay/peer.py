@@ -50,10 +50,6 @@ class LivenessTable:
         """Population size (alive or not)."""
         return len(self.flags)
 
-    def is_alive(self, peer_id: int) -> bool:
-        """Whether ``peer_id`` is up."""
-        return bool(self.flags[peer_id])
-
     def set_alive(self, peer_id: int, value: bool) -> None:
         """Flip ``peer_id``'s flag, keeping count and id cache coherent."""
         flag = 1 if value else 0

@@ -2,7 +2,8 @@
 
 The Locaware protocol itself lives in :mod:`repro.core`; this package
 holds everything it is compared against (§5.1): blind flooding, Dicas,
-and Dicas-Keys, together with the lifecycle machinery all four share.
+and Dicas-Keys, together with the lifecycle machinery all four share
+and the response index Dicas, Dicas-Keys and Locaware keep.
 """
 
 from .base import QueryContext, QueryOutcome, SearchProtocol
@@ -10,7 +11,7 @@ from .dicas import DicasProtocol
 from .dicas_keys import DicasKeysProtocol
 from .flooding import FloodingProtocol
 from .groups import file_group, keyword_groups, query_group_guess, stable_hash
-from .index_cache import PlainIndexCache
+from .index_cache import IndexUpdate, LocationAwareIndex
 
 __all__ = [
     "SearchProtocol",
@@ -19,7 +20,8 @@ __all__ = [
     "FloodingProtocol",
     "DicasProtocol",
     "DicasKeysProtocol",
-    "PlainIndexCache",
+    "LocationAwareIndex",
+    "IndexUpdate",
     "stable_hash",
     "file_group",
     "query_group_guess",

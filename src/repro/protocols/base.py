@@ -324,14 +324,29 @@ class SearchProtocol:
     ) -> QueryResponse:
         """Response for a file-store hit.  Subclasses may extend the
         provider list (Locaware adds cached providers)."""
+        return self._answer(
+            peer, query, file_id, self.network.catalog.filename(file_id),
+            (ProviderEntry(peer.peer_id, peer.locid),),
+        )
+
+    def _answer(
+        self,
+        peer: Peer,
+        query: Query,
+        file_id: int,
+        filename: str,
+        providers: tuple[ProviderEntry, ...],
+    ) -> QueryResponse:
+        """The response ``peer`` sends back for ``query`` — from its file
+        store or its response index — advertising ``providers``."""
         return QueryResponse(
             query_id=query.query_id,
             origin=query.origin,
             origin_locid=query.origin_locid,
             keywords=query.keywords,
             file_id=file_id,
-            filename=self.network.catalog.filename(file_id),
-            providers=(ProviderEntry(peer.peer_id, peer.locid),),
+            filename=filename,
+            providers=providers,
             responder=peer.peer_id,
             reverse_path=tuple(reversed(query.path)),
         )

@@ -37,8 +37,9 @@ class DicasKeysProtocol(DicasProtocol):
 
     name = "dicas-keys"
 
-    def _cache_groups(self, keywords: Sequence[str]) -> set[int]:
-        return keyword_groups(keywords, self.config.group_count)
+    def _cache_groups(self, response: QueryResponse) -> set[int]:
+        """Every group of a keyword of the query that produced ``response``."""
+        return keyword_groups(response.keywords, self.config.group_count)
 
     def _routing_group(self, keywords: Sequence[str]) -> int:
         """The designated keyword's group (first in canonical order)."""
@@ -53,16 +54,3 @@ class DicasKeysProtocol(DicasProtocol):
         return self._route_to_group(
             peer, query.last_hop, self._routing_group(query.keywords)
         )
-
-    def on_response_transit(self, peer: Peer, response: QueryResponse) -> None:
-        """Cache whenever the peer's Gid matches any query keyword's hash."""
-        if peer.gid not in self._cache_groups(response.keywords):
-            return
-        provider = response.providers[0]
-        self.index_of(peer).put(response.filename, provider)
-        self.network.metrics.counter("index.inserts").increment()
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.network.sim.now, "cache.insert",
-                peer=peer.peer_id, filename=response.filename,
-            )

@@ -270,14 +270,6 @@ class MetricRegistry:
         """Sorted names of every registered counter."""
         return sorted(self._counters)
 
-    def summary_names(self) -> list[str]:
-        """Sorted names of every registered summary."""
-        return sorted(self._summaries)
-
-    def series_names(self) -> list[str]:
-        """Sorted names of every registered series."""
-        return sorted(self._series)
-
     def snapshot(self) -> dict[str, float]:
         """Flat dict of every registered metric, for reports.
 

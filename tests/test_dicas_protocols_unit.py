@@ -1,6 +1,7 @@
 """Unit tests for Dicas and Dicas-Keys protocol internals."""
 
 
+from repro.experiments import run_protocol
 from repro.overlay import P2PNetwork, ProviderEntry, Query, QueryResponse
 from repro.protocols import (
     DicasKeysProtocol,
@@ -32,14 +33,14 @@ def make_query(network, origin=0, keywords=("kw1",), path=None):
     )
 
 
-def make_response(network, file_id, origin=0, provider=None):
+def make_response(network, file_id, origin=0, provider=None, keywords=None):
     record = network.catalog.record(file_id)
     provider = provider or ProviderEntry(9, 2)
     return QueryResponse(
         query_id=1,
         origin=origin,
         origin_locid=network.peer(origin).locid,
-        keywords=tuple(sorted(record.keywords)),
+        keywords=tuple(sorted(record.keywords) if keywords is None else keywords),
         file_id=file_id,
         filename=record.filename,
         providers=(provider,),
@@ -98,7 +99,7 @@ class TestDicasCaching:
         network, protocol = make(DicasProtocol)
         record = network.catalog.record(3)
         peer = network.peer(1)
-        protocol.index_of(peer).put(record.filename, ProviderEntry(9, None))
+        protocol.index_of(peer).put(record.filename, [ProviderEntry(9, None)])
         query = make_query(network, keywords=sorted(record.keywords)[:1])
         response = protocol.check_index(peer, query)
         assert response is not None
@@ -110,7 +111,7 @@ class TestDicasCaching:
         peer = network.peer(1)
         for fid in range(3):
             protocol.index_of(peer).put(
-                network.catalog.filename(fid), ProviderEntry(fid, None)
+                network.catalog.filename(fid), [ProviderEntry(fid, None)]
             )
         assert protocol.index_of(peer).size == 2
 
@@ -122,7 +123,8 @@ class TestDicasKeys:
 
     def test_cache_groups_cover_all_keywords(self):
         network, protocol = make(DicasKeysProtocol)
-        groups = protocol._cache_groups(("kw1", "kw2", "kw3"))
+        response = make_response(network, 3, keywords=("kw1", "kw2", "kw3"))
+        groups = protocol._cache_groups(response)
         assert groups == {
             stable_hash(kw) % network.config.group_count
             for kw in ("kw1", "kw2", "kw3")
@@ -133,8 +135,8 @@ class TestDicasKeys:
         cached under several keyword groups."""
         network, protocol = make(DicasKeysProtocol)
         record = network.catalog.record(3)
-        groups = protocol._cache_groups(tuple(sorted(record.keywords)))
         response = make_response(network, 3)
+        groups = protocol._cache_groups(response)
         cached_gids = set()
         for gid in range(network.config.group_count):
             peer = next(p for p in network.peers if p.gid == gid)
@@ -150,7 +152,8 @@ class TestDicasKeys:
         record = network.catalog.record(3)
         kws = sorted(record.keywords)
         placements = {
-            frozenset(protocol._cache_groups((kw,))) for kw in kws
+            frozenset(protocol._cache_groups(make_response(network, 3, keywords=(kw,))))
+            for kw in kws
         }
         # With 3 keywords and M=4 it is overwhelmingly likely at least
         # two keywords hash to different groups for some catalog file;
@@ -164,3 +167,29 @@ class TestDicasKeys:
                     found_differing = True
                     break
             assert found_differing
+
+
+class TestIndexCounters:
+    """One meaning for ``index.inserts`` / ``index.evictions`` in every
+    caching protocol: a new filename, a filename pushed out."""
+
+    def test_refresh_is_not_an_insert(self):
+        network, protocol = make(DicasProtocol)
+        record = network.catalog.record(3)
+        group = file_group(record.filename, network.config.group_count)
+        peer = next(p for p in network.peers if p.gid == group)
+        protocol.on_response_transit(peer, make_response(network, 3))
+        protocol.on_response_transit(
+            peer, make_response(network, 3, provider=ProviderEntry(11, 1))
+        )
+        assert network.metrics.counter("index.inserts").value == 1
+        assert protocol.index_of(peer).providers_of(record.filename) == [
+            ProviderEntry(11, 1)
+        ]
+
+    def test_dicas_cell_counts_evictions(self):
+        config = SimulationConfig.small(seed=5).replace(index_capacity=2)
+        run = run_protocol(config, "dicas", max_queries=200, bucket_width=50)
+        index = run.telemetry.protocol["index"]
+        assert index["evictions"] > 0
+        assert index["inserts"] >= index["evictions"]

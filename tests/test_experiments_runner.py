@@ -8,7 +8,6 @@ from repro.experiments import (
     PROTOCOL_REGISTRY,
     GridRunner,
     GridSpec,
-    bench_config,
     drive_until_settled,
     fig2_download_distance,
     fig3_search_traffic,
@@ -46,9 +45,6 @@ class TestConfigs:
         assert config.num_peers == 1000
         assert config.ttl == 7
         assert config.bloom_bits == 1200
-
-    def test_bench_config_is_paper_config(self):
-        assert bench_config() == paper_config()
 
     def test_small_config_is_small(self):
         assert small_config().num_peers < 200

@@ -4,10 +4,10 @@ from collections import OrderedDict
 
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_index_cache import PlainIndexCache
 
-from repro.core import LocationAwareIndex
 from repro.overlay import BoundedSet, ProviderEntry
-from repro.protocols import PlainIndexCache
+from repro.protocols import LocationAwareIndex
 
 # Small universes force collisions, evictions, and refreshes.
 filenames = st.sampled_from([f"kw{a}-kw{b}" for a in "abcd" for b in "wxyz"])
@@ -34,7 +34,7 @@ class TestLocationAwareIndexProperties:
             index.put(filename, [ProviderEntry(p, l) for p, l in providers])
             assert index.size <= capacity
             for cached in index.filenames():
-                assert 1 <= index.provider_count(cached) <= max_providers
+                assert 1 <= len(index.providers_of(cached)) <= max_providers
 
     @given(ops=index_ops())
     def test_matches_reference_model(self, ops):
@@ -79,36 +79,75 @@ class TestLocationAwareIndexProperties:
         assert len(evicted_total) + index.size == inserted_total
 
 
-class TestPlainIndexCacheProperties:
+class TestOneProviderIndexProperties:
+    """Dicas's response index is Locaware's at p_f = 1 (§3.2)."""
+
     @given(
         ops=st.lists(st.tuples(filenames, peer_ids), min_size=1, max_size=60),
         capacity=st.integers(1, 6),
     )
     def test_lru_matches_model(self, ops, capacity):
-        cache = PlainIndexCache(capacity)
+        index = LocationAwareIndex(capacity, 1)
         model: "OrderedDict[str, int]" = OrderedDict()
         for filename, peer in ops:
-            cache.put(filename, ProviderEntry(peer, None))
+            index.put(filename, [ProviderEntry(peer, None)])
             if filename in model:
                 model.move_to_end(filename)
             model[filename] = peer
             while len(model) > capacity:
                 model.popitem(last=False)
-        assert cache.filenames() == list(model)
+        assert index.filenames() == list(model)
         for filename, peer in model.items():
-            assert cache.get(filename) == ProviderEntry(peer, None)
+            assert index.providers_of(filename) == [ProviderEntry(peer, None)]
 
     @given(ops=st.lists(st.tuples(filenames, peer_ids), min_size=1, max_size=40))
     def test_lookup_consistent_with_contents(self, ops):
-        cache = PlainIndexCache(5)
+        index = LocationAwareIndex(5, 1)
         for filename, peer in ops:
-            cache.put(filename, ProviderEntry(peer, None))
-        for filename in cache.filenames():
+            index.put(filename, [ProviderEntry(peer, None)])
+        for filename in index.filenames():
             keywords = filename.split("-")
-            hit = cache.lookup(keywords)
+            hit = index.lookup(keywords)
             assert hit is not None
-            hit_filename, _provider = hit
+            hit_filename, _providers = hit
             assert set(keywords) <= set(hit_filename.split("-"))
+
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("put"), filenames, peer_ids, locids),
+                st.tuples(
+                    st.just("lookup"),
+                    st.lists(st.sampled_from(["kwa", "kwb", "kwx", "kwz", "kwq"]),
+                             max_size=3),
+                ),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        capacity=st.integers(1, 6),
+    )
+    def test_agrees_with_the_single_provider_oracle(self, ops, capacity):
+        """Any put/lookup sequence: same filename order, same lookup
+        answers, same evicted names as the reference plain cache."""
+        index = LocationAwareIndex(capacity, 1)
+        oracle = PlainIndexCache(capacity)
+        for op in ops:
+            if op[0] == "put":
+                _, filename, peer, locid = op
+                provider = ProviderEntry(peer, locid)
+                update = index.put(filename, [provider])
+                evicted = oracle.put(filename, provider)
+                assert update.evicted_filenames == (
+                    () if evicted is None else (evicted,)
+                )
+            else:
+                hit, expected = index.lookup(op[1]), oracle.lookup(op[1])
+                if expected is None:
+                    assert hit is None
+                else:
+                    assert hit == (expected[0], [expected[1]])
+            assert index.filenames() == oracle.filenames()
 
 
 class TestBoundedSetProperties:

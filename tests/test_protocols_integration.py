@@ -165,7 +165,7 @@ class TestDicasBehaviour:
 
         for peer in network.peers:
             if peer.peer_id != 0:
-                protocol.index_of(peer).put(filename, ProviderEntry(provider_id, None))
+                protocol.index_of(peer).put(filename, [ProviderEntry(provider_id, None)])
         keywords = tuple(sorted(network.catalog.keywords(7)))
         protocol.issue_query(0, 7, keywords)
         network.sim.run()

@@ -37,7 +37,7 @@ def mechanism_demo() -> None:
             peer.store.clear()
         file_id = 7
         filename = network.catalog.filename(file_id)
-        keywords = tuple(sorted(network.catalog.keywords(file_id)))
+        keywords = network.catalog.keywords(file_id)
         departed, alive = 30, 40
         network.peer(alive).store.add(file_id)
 

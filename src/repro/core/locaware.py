@@ -98,13 +98,13 @@ class LocawareProtocol(DicasProtocol):
         update = super()._cache_entries(peer, filename, providers)
         catalog = self.network.catalog
         if update.inserted_filename:
-            record = catalog.by_filename(filename)
-            if record is not None:
-                self.bloom_router.filename_cached(peer, record.keywords)
+            file_id = catalog.file_id(filename)
+            if file_id is not None:
+                self.bloom_router.filename_cached(peer, catalog.keywords(file_id))
         for evicted in update.evicted_filenames:
-            record = catalog.by_filename(evicted)
-            if record is not None:
-                self.bloom_router.filename_evicted(peer, record.keywords)
+            file_id = catalog.file_id(evicted)
+            if file_id is not None:
+                self.bloom_router.filename_evicted(peer, catalog.keywords(file_id))
         return update
 
     # -- answering (§4.1.2) ------------------------------------------------

@@ -6,7 +6,9 @@ that is the *natural replication* Locaware leverages (§4.1.2).  The
 store indexes its contents by keyword so that the per-message local
 lookup done by every protocol ("can I satisfy this query from my own
 files?", §3.1) is proportional to the smallest posting list rather
-than to the store size.
+than to the store size.  The postings are the whole store: a file is
+shared iff it is in the posting of its first keyword, and a count keeps
+the size.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ __all__ = ["FileStore"]
 class FileStore:
     """The set of files a single peer currently shares."""
 
+    __slots__ = ("_catalog", "_size", "_inverted")
+
     def __init__(self, catalog: FileCatalog) -> None:
         self._catalog = catalog
-        self._files: set[int] = set()
+        self._size = 0
         # keyword -> ids of the shared files carrying it.  Immutable
         # tuples replaced on change: a file's keywords share one
         # ``(file_id,)``, so a posting costs what it holds.
@@ -32,26 +36,27 @@ class FileStore:
     @property
     def size(self) -> int:
         """Number of files currently shared."""
-        return len(self._files)
+        return self._size
 
     def file_ids(self) -> set[int]:
-        """A copy of the shared file-id set."""
-        return set(self._files)
+        """A fresh set of the shared file ids."""
+        return set().union(*self._inverted.values())
 
     def contains(self, file_id: int) -> bool:
         """Whether ``file_id`` is currently shared."""
-        return file_id in self._files
+        return file_id in self._inverted.get(self._catalog.keywords(file_id)[0], ())
 
     def add(self, file_id: int) -> bool:
         """Share ``file_id``.  Returns ``False`` if it was already shared."""
-        if file_id in self._files:
-            return False
-        self._files.add(file_id)
+        keywords = self._catalog.keywords(file_id)
         inverted = self._inverted
+        if file_id in inverted.get(keywords[0], ()):
+            return False
         own = (file_id,)
-        for kw in self._catalog.keywords(file_id):
+        for kw in keywords:
             posting = inverted.get(kw)
             inverted[kw] = own if posting is None else posting + own
+        self._size += 1
         return True
 
     def add_many(self, file_ids: Iterable[int]) -> int:
@@ -59,26 +64,26 @@ class FileStore:
 
         One pass, with the postings :meth:`add` would leave.
         """
-        files = self._files
         inverted = self._inverted
         keywords = self._catalog.keywords
         added = 0
         for file_id in file_ids:
-            if file_id in files:
+            file_keywords = keywords(file_id)
+            if file_id in inverted.get(file_keywords[0], ()):
                 continue
-            files.add(file_id)
             own = (file_id,)
-            for kw in keywords(file_id):
+            for kw in file_keywords:
                 posting = inverted.get(kw)
                 inverted[kw] = own if posting is None else posting + own
             added += 1
+        self._size += added
         return added
 
     def remove(self, file_id: int) -> bool:
         """Stop sharing ``file_id``.  Returns ``False`` if absent."""
-        if file_id not in self._files:
+        if not self.contains(file_id):
             return False
-        self._files.discard(file_id)
+        self._size -= 1
         inverted = self._inverted
         for kw in self._catalog.keywords(file_id):
             posting = tuple(fid for fid in inverted[kw] if fid != file_id)
@@ -90,7 +95,7 @@ class FileStore:
 
     def clear(self) -> None:
         """Drop every shared file (peer departure)."""
-        self._files.clear()
+        self._size = 0
         self._inverted.clear()
 
     def matching_files(self, query_keywords: Iterable[str]) -> set[int]:

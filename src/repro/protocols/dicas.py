@@ -141,11 +141,11 @@ class DicasProtocol(SearchProtocol):
         ordered = self._ordered_providers(providers, query.origin, query.origin_locid)
         if not ordered:
             return None
-        record = self.network.catalog.by_filename(filename)
-        if record is None:
+        file_id = self.network.catalog.file_id(filename)
+        if file_id is None:
             return None
         self.network.metrics.counter("index.hits").increment()
-        response = self._answer(peer, query, record.file_id, filename, ordered)
+        response = self._answer(peer, query, file_id, filename, ordered)
         self._after_index_hit(peer, query, filename)
         return response
 

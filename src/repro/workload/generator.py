@@ -144,7 +144,7 @@ class QueryWorkload:
     def _pick_keywords(self, file_id: int) -> tuple[str, ...]:
         """1–3 random keywords of the queried filename (§5.1)."""
         config = self._network.config
-        all_keywords = sorted(self._network.catalog.keywords(file_id))
+        all_keywords = self._network.catalog.keywords(file_id)
         upper = min(config.max_query_keywords, len(all_keywords))
         lower = min(config.min_query_keywords, upper)
         count = self._rng.randint(lower, upper)

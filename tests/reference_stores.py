@@ -28,6 +28,10 @@ class SetFileStore:
         self._files: set[int] = set()
         self._inverted: dict[str, set[int]] = {}
 
+    @property
+    def size(self) -> int:
+        return len(self._files)
+
     def file_ids(self) -> set[int]:
         return set(self._files)
 
@@ -41,6 +45,9 @@ class SetFileStore:
         for kw in self._catalog.keywords(file_id):
             self._inverted.setdefault(kw, set()).add(file_id)
         return True
+
+    def add_many(self, file_ids) -> int:
+        return sum(self.add(file_id) for file_id in file_ids)
 
     def remove(self, file_id: int) -> bool:
         if file_id not in self._files:

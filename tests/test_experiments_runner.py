@@ -315,7 +315,7 @@ class TestStopAtSettle:
 
         def ask_for_an_own_file(origin, _file_id, _keywords):
             own = min(network.peer(origin).store.file_ids())
-            keywords = tuple(sorted(network.catalog.keywords(own)))
+            keywords = network.catalog.keywords(own)
             return protocol.issue_query(origin, own, keywords)
 
         workload = QueryWorkload(network, ask_for_an_own_file, max_queries=1)

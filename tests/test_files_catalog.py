@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.files import FileCatalog, KeywordPool
+from repro.files import FileCatalog, FileRecord, KeywordPool, join_keywords
+from repro.files.keywords import _vocabulary
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +20,11 @@ class TestGeneration:
     def test_file_ids_dense(self, catalog):
         for fid in range(300):
             assert catalog.record(fid).file_id == fid
+
+    def test_a_record_is_only_made_for_a_file_id(self, catalog):
+        for fid in (-1, 300):
+            with pytest.raises(IndexError):
+                catalog.record(fid)
 
     def test_filenames_distinct(self, catalog):
         names = {catalog.filename(fid) for fid in range(300)}
@@ -42,10 +48,27 @@ class TestGeneration:
 class TestLookups:
     def test_by_filename_roundtrip(self, catalog):
         record = catalog.record(42)
-        assert catalog.by_filename(record.filename) is record
+        assert catalog.by_filename(record.filename) == record
+        assert catalog.file_id(record.filename) == 42
 
     def test_by_filename_missing(self, catalog):
         assert catalog.by_filename("not-a-file") is None
+        assert catalog.file_id("not-a-file") is None
+        assert catalog.file_id("") is None
+
+    def test_lookup_wants_the_canonical_filename(self, catalog):
+        """A filename is its keywords in sorted order; any other order of
+        the same keywords names no file."""
+        keywords = catalog.keywords(42)
+        assert catalog.file_id("-".join(reversed(keywords))) is None
+        assert catalog.file_id("-".join(keywords[:2])) is None
+
+    def test_keywords_are_a_sorted_tuple(self, catalog):
+        for fid in range(0, 300, 7):
+            keywords = catalog.keywords(fid)
+            assert type(keywords) is tuple
+            assert list(keywords) == sorted(keywords)
+            assert catalog.filename(fid) == join_keywords(keywords)
 
     def test_keyword_document_frequency(self, catalog):
         record = catalog.record(0)
@@ -91,6 +114,44 @@ class TestMatching:
         """matching_files must equal the brute-force scan."""
         query = list(catalog.record(99).keywords)[:1]
         brute = {
-            r.file_id for r in catalog.all_records() if r.matches_keywords(query)
+            r.file_id for r in catalog.all_records() if r.keywords >= set(query)
         }
         assert catalog.matching_files(query) == brute
+
+
+class TestConstructorValidation:
+    """``FileCatalog(records, pool)`` keeps only what it can vouch for."""
+
+    def _record(self, file_id, *indices):
+        keywords = [f"kw{idx:06d}" for idx in indices]
+        return FileRecord(file_id, join_keywords(keywords), frozenset(keywords))
+
+    def test_accepts_dense_canonical_records(self):
+        records = [self._record(0, 1, 2), self._record(1, 1, 3)]
+        catalog = FileCatalog(records, KeywordPool(10))
+        assert catalog.all_records() == records
+        assert catalog.keywords(1) == ("kw000001", "kw000003")
+        assert catalog.file_id("kw000001-kw000003") == 1
+
+    def test_record_id_must_be_its_position(self):
+        with pytest.raises(ValueError):
+            FileCatalog([self._record(5, 1, 2)], KeywordPool(10))
+        with pytest.raises(ValueError):
+            FileCatalog([self._record(0, 1, 2), self._record(2, 1, 3)], KeywordPool(10))
+
+    def test_filename_must_be_the_join_of_its_keywords(self):
+        for filename in ("kw000002-kw000001", "kw000001-kw000002", "kw000001-kw000003-"):
+            record = FileRecord(0, filename, frozenset(["kw000001", "kw000003"]))
+            with pytest.raises(ValueError):
+                FileCatalog([record], KeywordPool(10))
+
+
+class TestVocabularyOrder:
+    """``generate`` sorts drawn indices and maps them to strings; that is
+    the string sort only because a pool's tokens share one width."""
+
+    @pytest.mark.parametrize("size", [1, 9, 10, 11, 999, 1000, 1001, 9000, 54000])
+    def test_index_order_is_string_order(self, size):
+        vocabulary = _vocabulary(size)
+        assert list(vocabulary) == sorted(vocabulary)
+        assert len({len(token) for token in vocabulary}) == 1

@@ -69,7 +69,7 @@ class TestMatching:
 
     def test_no_match_for_foreign_keywords(self, store, catalog):
         store.add(10)
-        foreign = catalog.keywords(11) - catalog.keywords(10)
+        foreign = set(catalog.keywords(11)) - set(catalog.keywords(10))
         assert 10 not in store.matching_files(list(foreign)[:1])
 
     def test_match_reflects_removal(self, store, catalog):

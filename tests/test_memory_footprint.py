@@ -8,11 +8,14 @@ cell's set-up; the structural checks below say the same without
 depending on any interpreter's object sizes.
 
 Per peer, in bytes, when the bounds were set (CPython 3.11): build
-2 545 (2 716 while ``Point`` and ``FileRecord`` carried a ``__dict__``
-each, 4 070 with the catalog's eager inverted index on top),
-instantiate + protocol + start 1 710 (2 530 with an index and three
-filters made per peer up front, 5 430 with a ``set`` per stored keyword
-and a zero-filled counter array per filter on top).
+1 721 (2 534 while the catalog held a ``FileRecord``, a ``frozenset``
+of keywords and a filename string per file, 2 716 while ``Point`` and
+``FileRecord`` carried a ``__dict__`` each, 4 070 with the catalog's
+eager inverted index on top), instantiate + protocol + start 931
+(1 192 with a file-id ``set`` and an instance ``__dict__`` per store,
+2 530 with an index and three filters made per peer up front, 5 430
+with a ``set`` per stored keyword and a zero-filled counter array per
+filter on top).
 """
 
 import random
@@ -26,8 +29,8 @@ from repro.files import FileCatalog, FileStore, KeywordPool
 from repro.overlay import NetworkBlueprint
 
 PEERS = 600
-BUILD_BYTES_PER_PEER = 3100
-START_BYTES_PER_PEER = 2400
+BUILD_BYTES_PER_PEER = 2000
+START_BYTES_PER_PEER = 1100
 
 
 def _bench_config(seed=11):
@@ -84,3 +87,26 @@ def test_no_set_is_reachable_from_a_fresh_stores_postings():
         assert type(keyword) is str
         assert type(posting) is tuple
         assert all(type(file_id) is int for file_id in posting)
+
+
+def test_a_store_is_its_postings_and_a_count():
+    catalog = FileCatalog.generate(30, 3, KeywordPool(20), random.Random(2))
+    store = FileStore(catalog)
+    store.add_many([0, 1, 2])
+    assert not hasattr(store, "__dict__")
+    assert set(FileStore.__slots__) == {"_catalog", "_size", "_inverted"}
+    assert store._size == store.size == 3
+
+
+def test_a_catalog_file_is_one_tuple_of_vocabulary_strings():
+    pool = KeywordPool(20)
+    catalog = FileCatalog.generate(30, 3, pool, random.Random(2))
+    vocabulary = pool.all_keywords()
+    assert sorted(vars(catalog)) == ["_ids", "_keywords", "_pool"]
+    assert len(catalog._keywords) == len(catalog._ids) == 30
+    for file_id, keywords in enumerate(catalog._keywords):
+        assert type(keywords) is tuple
+        assert all(kw is vocabulary[int(kw[2:])] for kw in keywords)
+        # The map's key is the list's own tuple, not a copy.
+        assert catalog._ids[keywords] == file_id
+        assert next(k for k in catalog._ids if k == keywords) is keywords

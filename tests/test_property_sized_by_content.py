@@ -1,6 +1,7 @@
 """Content-sized structures answer exactly what population-sized ones did.
 
-``FileStore`` postings (immutable tuples replaced on change) and
+``FileStore`` postings (immutable tuples replaced on change, the whole
+store beside a count: no file-id set) and
 ``CountingBloomFilter`` counters (a dict of the non-zero ones) are
 driven through random operation sequences next to the references in
 ``tests/reference_stores.py`` and compared after every step;
@@ -32,6 +33,7 @@ _file_ids = st.integers(0, _CATALOG.num_files - 1)
 _store_ops = st.lists(
     st.one_of(
         st.tuples(st.just("add"), _file_ids),
+        st.tuples(st.just("add_many"), st.lists(_file_ids, max_size=5)),
         st.tuples(st.just("remove"), _file_ids),
         st.tuples(st.just("clear"), st.none()),
     ),
@@ -48,13 +50,15 @@ _queries = st.lists(
 @given(ops=_store_ops, queries=_queries)
 def test_file_store_matches_set_per_keyword_reference(ops, queries):
     live, reference = FileStore(_CATALOG), SetFileStore(_CATALOG)
-    for op, file_id in ops:
+    for op, arg in ops:
         if op == "clear":
             assert live.clear() is reference.clear() is None
         else:
-            assert getattr(live, op)(file_id) == getattr(reference, op)(file_id)
+            assert getattr(live, op)(arg) == getattr(reference, op)(arg)
+        # The live store keeps no file-id set: these are read off its
+        # postings and its count.
         assert live.file_ids() == reference.file_ids()
-        assert live.size == len(reference.file_ids())
+        assert live.size == reference.size == len(reference.file_ids())
         for file_id in range(_CATALOG.num_files):
             assert live.contains(file_id) == reference.contains(file_id)
         for query in queries:

@@ -165,5 +165,5 @@ def test_first_match_is_the_smallest_matching_file(shared, dropped, query):
     assert store.first_match(tuple(query)) == expected
     assert store.first_match(iter(query)) == expected
     assert matches == {
-        fid for fid in shared - dropped if query and _CATALOG.keywords(fid) >= set(query)
+        fid for fid in shared - dropped if query and set(_CATALOG.keywords(fid)) >= set(query)
     }

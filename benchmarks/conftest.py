@@ -12,9 +12,7 @@ cheap pass:
 - ``REPRO_BENCH_ABLATION_QUERIES`` — ablation-bench horizon per run
   (default 400; ``test_ablations.py`` shortens A4's and A8's);
 - ``REPRO_BENCH_SEED``     — master seed of the figure bench (default:
-  the paper-date seed; the ablation bench runs ``paper_config()``'s);
-- ``REPRO_BENCH_STORE_CELLS`` — cell count for the store-backend
-  crossover bench (default 10000).
+  the paper-date seed; the ablation bench runs ``paper_config()``'s).
 
 Output: the figure and ablation benches print their figure or table
 through ``capsys.disabled()`` (the ``show`` fixture), so it appears on
@@ -89,11 +87,6 @@ def ablation_queries() -> int:
 def bench_seed() -> int:
     """Master seed for every bench (env-tunable)."""
     return _env_int("REPRO_BENCH_SEED", 20090322)
-
-
-def store_cells() -> int:
-    """Store-backend bench cell count (env-tunable)."""
-    return _env_int("REPRO_BENCH_STORE_CELLS", 10_000)
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -175,12 +168,6 @@ def figure_comparison():
         bucket_width=BENCH_BUCKET_WIDTH,
     )
     return comparison_slice(GridRunner(spec).run())
-
-
-@pytest.fixture()
-def store_bench_cells() -> int:
-    """The store-backend bench's cell count (``REPRO_BENCH_STORE_CELLS``)."""
-    return store_cells()
 
 
 @pytest.fixture()

@@ -30,12 +30,8 @@ Subcommands:
   and an ETA, while concurrent ``grid run`` processes fill the store;
   ``grid run --profile DIR`` dumps per-batch cProfile artifacts;
   ``grid report`` aggregates a store from disk, ``grid ls`` lists the
-  stored cells; every store-touching ``grid`` subcommand takes
-  ``--backend {auto,json,sqlite}`` to pick between the sharded-JSON
-  file layout and a single WAL-mode SQLite database (one fsync per
-  committed batch; ``auto`` detects an existing SQLite store), and
-  ``grid migrate SRC DST`` copies a store across backends
-  byte-identically;
+  stored cells; a store is a directory of sharded JSON files
+  (``<key[:2]>/<key>.json``), so copying one is ``cp -r``;
 - ``trace``    — observability for single cells: ``trace run`` executes
   one cell with JSONL tracing on and prints its telemetry (wall-clock
   phases, events/sec, per-kind event counts); ``trace summarize``
@@ -70,8 +66,6 @@ Examples::
     repro-locaware grid watch --store shared --config small --seeds 1 2
     repro-locaware grid report --store results
     repro-locaware grid ls --store results
-    repro-locaware grid run --store bigstore --backend sqlite --seeds 1 2
-    repro-locaware grid migrate results results-sqlite
     repro-locaware trace run --protocol locaware --config small --out t.jsonl
     repro-locaware trace summarize t.jsonl --query 3
     repro-locaware lint src tests benchmarks
@@ -237,31 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="aggregate a result store incrementally from disk"
     )
     grid_report.add_argument("--store", metavar="DIR", default="results")
-    _add_backend_option(grid_report)
 
     grid_ls = grid_sub.add_parser("ls", help="list the stored cells")
     grid_ls.add_argument("--store", metavar="DIR", default="results")
-    _add_backend_option(grid_ls)
-
-    grid_migrate = grid_sub.add_parser(
-        "migrate",
-        help="copy a result store to another backend byte-identically "
-        "(documents and telemetry sidecars; active claims stay behind)",
-    )
-    grid_migrate.add_argument("src", metavar="SRC", help="source store")
-    grid_migrate.add_argument("dst", metavar="DST", help="destination store")
-    grid_migrate.add_argument(
-        "--from-backend",
-        choices=("auto", "json", "sqlite"),
-        default="auto",
-        help="source backend (default: auto-detect)",
-    )
-    grid_migrate.add_argument(
-        "--to-backend",
-        choices=("auto", "json", "sqlite"),
-        default="auto",
-        help="destination backend (default: the opposite of the source)",
-    )
 
     trace = sub.add_parser(
         "trace",
@@ -421,18 +393,6 @@ def _add_axis_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_backend_option(parser: argparse.ArgumentParser) -> None:
-    """The ``--backend`` flag shared by every store-touching command."""
-    parser.add_argument(
-        "--backend",
-        choices=("auto", "json", "sqlite"),
-        default="auto",
-        help="result-store backend: sharded JSON files or one WAL-mode "
-        "SQLite database; 'auto' (default) detects an existing SQLite "
-        "store by its store.sqlite file and otherwise uses json",
-    )
-
-
 def _add_grid_axis_options(parser: argparse.ArgumentParser) -> None:
     """The store + grid-axis flags shared by ``grid run``, ``grid
     status``, ``grid watch`` and ``grid check`` (status and check must
@@ -443,7 +403,6 @@ def _add_grid_axis_options(parser: argparse.ArgumentParser) -> None:
         default="results",
         help="result-store directory (default: results)",
     )
-    _add_backend_option(parser)
     parser.add_argument(
         "--spec",
         metavar="FILE",
@@ -632,7 +591,7 @@ def _cmd_grid_run(args: argparse.Namespace, out) -> int:
         runner = GridRunner(
             spec,
             workers=args.workers,
-            store=ResultStore(args.store, backend=args.backend),
+            store=ResultStore(args.store),
             runner_id=args.runner_id,
             lease_ttl_s=lease_ttl,
             profile_dir=args.profile,
@@ -667,7 +626,7 @@ def _cmd_grid_run(args: argparse.Namespace, out) -> int:
         f"cached={report.cached}{quarantined} in {time.time() - started:.1f}s",
         file=out,
     )
-    print(f"  store: {args.store} [{runner.store.backend_name}]\n", file=out)
+    print(f"  store: {args.store}\n", file=out)
     print(render_sweep_report(report), file=out)
     return 0
 
@@ -682,11 +641,8 @@ def _cmd_grid_status(args: argparse.Namespace, out) -> int:
     except (ValueError, ConfigurationError, OSError) as error:
         print(f"error: {error}", file=out)
         return 2
-    store = ResultStore(args.store, backend=args.backend)
-    # Share the store's backend so a SQLite store's claim rows are
-    # visible here — constructing a fresh file-layout ClaimStore
-    # against a row-backed store would silently report zero claims.
-    claims = ClaimStore(store.root, backend=store.backend)
+    store = ResultStore(args.store)
+    claims = ClaimStore(store.root)
     keys = {spec.cell_key(cell) for cell in spec.expand()}
     stored = sum(1 for key in keys if store.has(key))
     # A cell both stored and claimed (crash between commit and
@@ -805,7 +761,7 @@ def _stored_report(args: argparse.Namespace) -> GridReport:
     from .results import CorruptResultError, ResultStore
 
     spec = _grid_spec_from_args(args)
-    store = ResultStore(args.store, backend=args.backend)
+    store = ResultStore(args.store)
     report = GridReport(spec=spec)
     cells = spec.expand()
     for cell in cells:
@@ -851,8 +807,8 @@ def _cmd_grid_watch(args: argparse.Namespace, out) -> int:
     except (ValueError, ConfigurationError, OSError) as error:
         print(f"error: {error}", file=out)
         return 2
-    store = ResultStore(args.store, backend=args.backend)
-    claims = ClaimStore(store.root, backend=store.backend)
+    store = ResultStore(args.store)
+    claims = ClaimStore(store.root)
     keys = {spec.cell_key(cell) for cell in spec.expand()}
     while True:
         now = time.time()
@@ -904,9 +860,7 @@ def _in_flight_note(store, out) -> None:
     """One line about claims other runners currently hold, if any."""
     from .results import ClaimStore
 
-    in_flight = sum(
-        1 for _ in ClaimStore(store.root, backend=store.backend).claims()
-    )
+    in_flight = sum(1 for _ in ClaimStore(store.root).claims())
     if in_flight:
         print(
             f"  note: {in_flight} cell(s) in flight (claimed by active "
@@ -916,7 +870,20 @@ def _in_flight_note(store, out) -> None:
 
 
 def _no_cells_message(store, args, out) -> None:
-    suffix = "" if store.root.is_dir() else " (store directory does not exist)"
+    if store.root.exists() and not store.root.is_dir():
+        suffix = " (not a directory)"
+    elif not store.root.is_dir():
+        suffix = " (store directory does not exist)"
+    elif (store.root / "store.sqlite").is_file():
+        # Left by the SQLite backend, which is gone: name it rather
+        # than report an empty store, and say how to get the cells back.
+        suffix = (
+            " (its store.sqlite was written by the removed SQLite backend; "
+            "cells are deterministic, so `grid run` with the same options "
+            "rebuilds them as JSON)"
+        )
+    else:
+        suffix = ""
     print(f"no cells stored under {args.store}{suffix}", file=out)
 
 
@@ -925,7 +892,7 @@ def _cmd_grid_report(args: argparse.Namespace, out) -> int:
     from .analysis.persistence import load_grid_cell_document
     from .results import ResultStore
 
-    store = ResultStore(args.store, backend=args.backend)
+    store = ResultStore(args.store)
     aggregator = SweepAggregator()
     cells = 0
 
@@ -964,7 +931,7 @@ def _cmd_grid_ls(args: argparse.Namespace, out) -> int:
     from .analysis.tables import format_table
     from .results import ResultStore
 
-    store = ResultStore(args.store, backend=args.backend)
+    store = ResultStore(args.store)
     rows = []
 
     def extract(document):
@@ -997,85 +964,6 @@ def _cmd_grid_ls(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _cmd_grid_migrate(args: argparse.Namespace, out) -> int:
-    """Copy a result store across backends, byte-identically.
-
-    Documents and telemetry sidecars cross as their raw serialized
-    text (the exact bytes the json backend keeps on disk), so the
-    destination answers every read identically to the source — the
-    copy is verified key by key before reporting success.  Claims are
-    transient runner state and are *not* migrated; migrating a store
-    with active claims gets a warning, not a refusal.
-    """
-    from pathlib import Path
-
-    from .results import ClaimStore, ResultStore
-
-    if Path(args.src).resolve() == Path(args.dst).resolve():
-        print("error: SRC and DST must be different directories", file=out)
-        return 2
-    try:
-        src = ResultStore(args.src, backend=args.from_backend)
-        to_backend = args.to_backend
-        if to_backend == "auto" and not Path(args.dst).exists():
-            # The natural migration is a conversion: default the
-            # destination to the backend the source is not.
-            to_backend = "json" if src.backend_name == "sqlite" else "sqlite"
-        dst = ResultStore(args.dst, backend=to_backend)
-    except (ValueError, OSError) as error:
-        print(f"error: {error}", file=out)
-        return 2
-    print(
-        f"migrate: {args.src} [{src.backend_name}] -> "
-        f"{args.dst} [{dst.backend_name}]",
-        file=out,
-    )
-    try:
-        keys = list(src.keys())
-        if not keys:
-            _no_cells_message(src, argparse.Namespace(store=args.src), out)
-            return 1
-        sidecars = 0
-        with dst.batch():
-            for key in keys:
-                dst.put_raw(key, src.get_raw(key))
-                raw_sidecar = src.get_sidecar_raw(key)
-                if raw_sidecar is not None:
-                    dst.put_sidecar_raw(key, raw_sidecar)
-                    sidecars += 1
-        mismatched = [
-            key
-            for key in keys
-            if dst.get_raw(key) != src.get_raw(key)
-            or dst.get_sidecar_raw(key) != src.get_sidecar_raw(key)
-        ]
-        if mismatched:
-            print(
-                f"error: {len(mismatched)} migrated cell(s) differ from "
-                f"the source (first: {mismatched[0][:12]}…)",
-                file=out,
-            )
-            return 2
-        in_flight = sum(
-            1 for _ in ClaimStore(src.root, backend=src.backend).claims()
-        )
-    except (ValueError, KeyError, OSError) as error:
-        print(f"error: {error}", file=out)
-        return 2
-    if in_flight:
-        print(
-            f"  warning: {in_flight} active claim(s) on the source were "
-            "not migrated; runners writing to SRC will not see DST",
-            file=out,
-        )
-    print(
-        f"  migrated {len(keys)} cell(s) and {sidecars} sidecar(s); "
-        "all documents byte-identical",
-        file=out,
-    )
-    return 0
-
-
 def _cmd_grid(args: argparse.Namespace, out) -> int:
     return {
         "run": _cmd_grid_run,
@@ -1084,7 +972,6 @@ def _cmd_grid(args: argparse.Namespace, out) -> int:
         "watch": _cmd_grid_watch,
         "report": _cmd_grid_report,
         "ls": _cmd_grid_ls,
-        "migrate": _cmd_grid_migrate,
     }[args.grid_command](args, out)
 
 

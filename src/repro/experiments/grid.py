@@ -1037,10 +1037,6 @@ class GridRunner:
                 lease_ttl_s=lease_ttl_s,
                 workers=workers,
                 clock=clock,
-                # Share the store's backend so claims and results live
-                # in the same place (same claims/ directory, or the
-                # same SQLite database and connection).
-                backend=store.backend,
             )
             if store is not None
             else None
@@ -1344,51 +1340,48 @@ class GridRunner:
         Workers (when ``pool`` is given) only simulate: every ``(cell,
         run)`` comes back to this parent process, which alone runs the
         commit protocol — durable ``put`` first, release second — so
-        the PR-4 invariants survive ``--workers`` unchanged.  Puts go
-        through :meth:`ResultStore.batch` (one fsync per claimed batch
-        on the sqlite backend, a no-op on json), and every claim is
-        released only *after* the batch context exits — i.e. after its
-        cell's document is durably committed on every backend — so a
-        crash mid-batch leaves stored-but-claimed cells (cleared by
-        the next runner's :meth:`ClaimStore.prune`), never
-        released-but-unstored ones.  The ``ticker`` keeps every
-        still-running claim live in the background, so neither a long
-        batch nor a single long cell can go stale mid-flight.
+        the claim invariants survive ``--workers`` unchanged.  Every
+        claim is released only *after* the loop, i.e. after its cell's
+        document is durably committed, so a crash mid-batch leaves
+        stored-but-claimed cells (cleared by the next runner's
+        :meth:`ClaimStore.prune`), never released-but-unstored ones.
+        The ``ticker`` keeps every still-running claim live in the
+        background, so neither a long batch nor a single long cell can
+        go stale mid-flight.
         """
         held = {keys[cell] for cell in claimed}
         committed: list[str] = []
         done = 0
         try:
             with self._profiled_batch():
-                with self.store.batch():
-                    for cell, run in execute_cells(
-                        self.spec,
-                        claimed,
-                        workers=self.workers,
-                        progress=progress,
-                        progress_offset=report.executed + report.cached,
-                        progress_total=self.spec.num_cells,
-                        pool=pool,
-                    ):
-                        key = keys[cell]
-                        document = grid_cell_to_document(
-                            cell,
-                            run,
-                            key=key,
-                            max_queries=self.spec.max_queries,
-                            bucket_width=self.spec.bucket_width,
-                            topology_fingerprint=self.spec._row(cell)[
-                                "topology_fingerprint"
-                            ],
-                        )
-                        self.store.put(key, document)
-                        self._put_telemetry_sidecar(key, run)
-                        committed.append(key)
-                        report.executed += 1
-                        self._resolve(
-                            report, cell, load_grid_cell_document(document)
-                        )
-                        done += 1
+                for cell, run in execute_cells(
+                    self.spec,
+                    claimed,
+                    workers=self.workers,
+                    progress=progress,
+                    progress_offset=report.executed + report.cached,
+                    progress_total=self.spec.num_cells,
+                    pool=pool,
+                ):
+                    key = keys[cell]
+                    document = grid_cell_to_document(
+                        cell,
+                        run,
+                        key=key,
+                        max_queries=self.spec.max_queries,
+                        bucket_width=self.spec.bucket_width,
+                        topology_fingerprint=self.spec._row(cell)[
+                            "topology_fingerprint"
+                        ],
+                    )
+                    self.store.put(key, document)
+                    self._put_telemetry_sidecar(key, run)
+                    committed.append(key)
+                    report.executed += 1
+                    self._resolve(
+                        report, cell, load_grid_cell_document(document)
+                    )
+                    done += 1
             # The batch is durable: now (and only now) stop
             # heartbeating and hand the finished cells back.
             for key in committed:
@@ -1396,11 +1389,10 @@ class GridRunner:
                 held.discard(key)
         finally:
             # Interrupted mid-batch (exception, KeyboardInterrupt):
-            # buffered puts were still flushed by ``batch()`` on the
-            # way out, so every key in ``held`` is either committed or
-            # never executed — drop the claims we still hold so a
-            # surviving runner can take the cells immediately instead
-            # of after a stale TTL.
+            # every put is durable when it returns, so every key in
+            # ``held`` is either committed or never executed — drop
+            # the claims we still hold so a surviving runner can take
+            # the cells immediately instead of after a stale TTL.
             for key in held:
                 ticker.release(key)
         return done

@@ -2,24 +2,17 @@
 
 The grid runner (:mod:`repro.experiments.grid`) keys every completed
 cell by a SHA-256 over everything that determines its results
-(:mod:`repro.results.keys`) and persists the cell document through a
-pluggable-backend :class:`~repro.results.store.ResultStore` — which
-is what makes interrupted grids resumable and repeated grids free.
-Two backends exist (:mod:`repro.results.backends`): the original
-sharded-JSON file layout and a WAL-mode SQLite database with one
-fsync per committed batch for 10⁴⁺-cell grids.
+(:mod:`repro.results.keys`) and persists the cell document in a
+:class:`~repro.results.store.ResultStore` — a directory of sharded
+JSON files, ``<key[:2]>/<key>.json`` — which is what makes interrupted
+grids resumable and repeated grids free.  Concurrent runners share a
+store through lease claims (:mod:`repro.results.claims`), one
+``claims/<key>.claim`` file per cell in flight.
 
 This package is a leaf: it imports only the standard library, so both
 the experiments and the analysis layers can build on it.
 """
 
-from .backends import (
-    BACKEND_NAMES,
-    JsonStoreBackend,
-    SqliteStoreBackend,
-    StoreBackend,
-    resolve_backend,
-)
 from .claims import DEFAULT_LEASE_TTL_S, Claim, ClaimStore, default_runner_id
 from .keys import (
     SCHEMA_VERSION,
@@ -27,26 +20,25 @@ from .keys import (
     cell_key,
     cell_key_payload,
     cell_label,
+    check_key,
+    is_cell_key,
     scenario_label,
 )
 from .store import CorruptResultError, ResultStore
 
 __all__ = [
-    "BACKEND_NAMES",
     "SCHEMA_VERSION",
     "canonical_json",
     "cell_key",
     "cell_key_payload",
     "cell_label",
+    "check_key",
+    "is_cell_key",
     "scenario_label",
     "Claim",
     "ClaimStore",
     "CorruptResultError",
     "DEFAULT_LEASE_TTL_S",
-    "JsonStoreBackend",
     "ResultStore",
-    "SqliteStoreBackend",
-    "StoreBackend",
     "default_runner_id",
-    "resolve_backend",
 ]

@@ -15,21 +15,13 @@ Claim lifecycle::
                    │                        │
                    └──◀── stale, reclaimed ─┘
 
-This class owns the *policy* — runner identity, lease TTLs, staleness
-arithmetic, who may steal what — while the storage *mechanism* comes
-from the same backend as the result store
-(:mod:`repro.results.backends`):
-
-- the **json** backend keeps one file ``<root>/claims/<key>.claim``
-  per claim.  Creation uses ``O_CREAT | O_EXCL``, so exactly one
-  runner wins a pending cell; stealing a stale claim renames it to a
-  per-thief graveyard name first (``os.rename`` succeeds for exactly
-  one thief) and re-runs the exclusive create.  Pure filesystem — it
-  works on any shared directory where ``O_CREAT | O_EXCL`` is atomic.
-- the **sqlite** backend keeps claims as rows in the store database;
-  ``BEGIN IMMEDIATE`` plays the role of ``O_CREAT | O_EXCL`` and the
-  one-thief-wins steal is a guarded ``UPDATE`` under the same write
-  lock.
+Claims live as one file per cell, ``<root>/claims/<key>.claim``,
+holding the holder's id, its timestamps, lease TTL and worker count.
+Creation uses ``O_CREAT | O_EXCL``, so exactly one runner wins a
+pending cell; stealing a stale claim renames it to a per-thief
+graveyard name first (``os.rename`` succeeds for exactly one thief) and
+re-runs the exclusive create.  Pure filesystem — it works on any shared
+directory where ``O_CREAT | O_EXCL`` is atomic.
 
 The holder re-stamps its heartbeat as it finishes other cells; a
 claim whose heartbeat is older than its lease TTL is *stale* — its
@@ -39,8 +31,7 @@ Two hazards are deliberately tolerated rather than prevented:
 
 - A claim observed mid-write (file created but not yet filled) parses
   as unreadable; it is treated as live until its *mtime* exceeds the
-  TTL, so a torn read never causes an early steal.  (Row-backed
-  claims are always well-formed; this path is json-only.)
+  TTL, so a torn read never causes an early steal.
 - A runner that outlives its own lease (suspended longer than the TTL
   between heartbeats) may race its thief.  Both then execute the same
   cell, but cells are deterministic and content-addressed, so both
@@ -51,6 +42,7 @@ Two hazards are deliberately tolerated rather than prevented:
 
 from __future__ import annotations
 
+import json
 import os
 import socket
 import time
@@ -60,7 +52,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .backends import ClaimRecord, StoreBackend, check_key, resolve_backend
+from .keys import check_key, is_cell_key
 
 __all__ = ["Claim", "ClaimStore", "DEFAULT_LEASE_TTL_S", "default_runner_id"]
 
@@ -120,8 +112,7 @@ class ClaimStore:
     Parameters
     ----------
     root:
-        The *result store* root; file-backed claims live under
-        ``<root>/claims``, row-backed ones in the store database.
+        The *result store* root; claims live under ``<root>/claims``.
     runner_id:
         This process's identity in claims (default: host-pid-nonce).
     lease_ttl_s:
@@ -134,11 +125,6 @@ class ClaimStore:
         throwing at its cells.
     clock:
         Time source (injectable so tests can age leases instantly).
-    backend:
-        Storage mechanism: a name, ``"auto"`` (detects an existing
-        SQLite store), or — the common case inside ``GridRunner`` —
-        the :class:`ResultStore`'s own backend instance, so claims
-        and results share one connection.
     """
 
     def __init__(
@@ -148,14 +134,12 @@ class ClaimStore:
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         workers: int = 1,
         clock: Callable[[], float] = time.time,
-        backend: str | StoreBackend | None = "auto",
     ) -> None:
         if lease_ttl_s < 0:
             raise ValueError(f"lease_ttl_s must be >= 0, got {lease_ttl_s}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.root = Path(root)
-        self.backend = resolve_backend(self.root, backend)
         self.runner_id = runner_id if runner_id is not None else default_runner_id()
         if not self.runner_id or not set(self.runner_id) <= _RUNNER_ID_CHARS:
             raise ValueError(
@@ -168,12 +152,14 @@ class ClaimStore:
 
     @property
     def directory(self) -> Path:
-        """Where file-backed claims live (json backend only)."""
+        """Where the claim files live."""
         return self.root / "claims"
 
     def path_for(self, key: str) -> Path:
-        """The claim file for ``key`` (file backends only)."""
-        return self.backend.claim_path(key)
+        """The claim file for ``key``; every key-taking method builds its
+        path here, so this is where the key is checked."""
+        check_key(key)
+        return self.directory / f"{key}.claim"
 
     # -- taking and keeping a claim ------------------------------------
 
@@ -183,13 +169,17 @@ class ClaimStore:
         A live foreign claim loses the race (returns False); a stale
         one is reclaimed.  Never blocks.
         """
-        self._check_key(key)
-        return self.backend.claim_acquire(
-            key,
-            self.runner_id,
-            self._fresh_fields,
-            lambda record: self._decode(key, record).is_stale(self.clock()),
-        )
+        path = self.path_for(key)
+        if self._create(path):
+            return True
+        claim = self._load(key, path)
+        if claim is None:
+            # Released between our create attempt and the read: one
+            # more exclusive create, then give up to whoever won.
+            return self._create(path)
+        if not claim.is_stale(self.clock()):
+            return False
+        return self._steal(path)
 
     def heartbeat(self, key: str) -> bool:
         """Re-stamp our claim on ``key``; False if the claim was lost.
@@ -199,109 +189,171 @@ class ClaimStore:
         caller should finish anyway (results are deterministic) but
         must not release the thief's claim.
         """
-        self._check_key(key)
-        claim = self._load(key)
+        path = self.path_for(key)
+        claim = self._load(key, path)
         if claim is None or claim.runner_id != self.runner_id:
             return False
-        return self.backend.claim_heartbeat(
-            key, self.runner_id, self._fields(claimed_at=claim.claimed_at)
-        )
+        temporary = self.directory / f".{key}.{self.runner_id}.hb.tmp"
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.write(self._payload(claim.claimed_at, self.clock()))
+        try:
+            os.replace(temporary, path)
+        except FileNotFoundError:
+            # The temp file was swept from under us (an over-eager
+            # cleaner) — the claim itself still stands, so report the
+            # heartbeat as failed rather than crash the batch.
+            return False
+        return True
 
     def release(self, key: str) -> bool:
         """Drop our claim on ``key``; False if we did not hold it."""
-        self._check_key(key)
-        claim = self._load(key)
+        path = self.path_for(key)
+        claim = self._load(key, path)
         if claim is None or claim.runner_id != self.runner_id:
             return False
-        return self.backend.claim_release(key, self.runner_id)
+        try:
+            path.unlink()
+        except FileNotFoundError:
+            return False
+        return True
 
     # -- observing claims ----------------------------------------------
 
     def get(self, key: str) -> Claim | None:
         """The current claim on ``key``, or None if unclaimed."""
-        self._check_key(key)
-        return self._load(key)
+        return self._load(key, self.path_for(key))
 
     def claims(self) -> Iterator[Claim]:
         """Every current claim, sorted by key."""
-        for key, record in self.backend.claim_list():
-            yield self._decode(key, record)
+        if not self.directory.is_dir():
+            return
+        for path in sorted(self.directory.glob("*.claim")):
+            key = path.name[: -len(".claim")]
+            if is_cell_key(key):
+                claim = self._load(key, path)
+                if claim is not None:
+                    yield claim
 
     def prune(self, is_settled: Callable[[str], bool]) -> int:
         """Crash recovery: drop claims whose cell no longer needs one.
 
         Removes claims for keys ``is_settled`` confirms (their result
-        was committed before the holder died), plus — on the json
-        backend — graveyard and heartbeat temp files orphaned by a
-        crash mid-steal or mid-heartbeat, but only litter older than
-        this store's lease TTL, so a runner joining mid-sweep never
-        yanks a live runner's in-flight heartbeat file.  Returns the
-        number of entries removed.  Stale claims on *unsettled* cells
-        are left for :meth:`try_claim`'s reclaim path, which
-        re-executes them exactly once.
+        was committed before the holder died), plus graveyard and
+        heartbeat temp files orphaned by a crash mid-steal or
+        mid-heartbeat, but only litter older than this store's lease
+        TTL, so a runner joining mid-sweep never yanks a live runner's
+        in-flight heartbeat file.  Returns the number of files removed.
+        Stale claims on *unsettled* cells are left for
+        :meth:`try_claim`'s reclaim path, which re-executes them
+        exactly once.
         """
+        if not self.directory.is_dir():
+            return 0
         cutoff = self.clock() - self.lease_ttl_s
-        return self.backend.claim_prune(is_settled, cutoff)
+        removed = 0
+        for path in list(self.directory.glob("*.claim.stale.*")) + list(
+            self.directory.glob(".*.tmp")
+        ):
+            try:
+                if path.stat().st_mtime > cutoff:
+                    continue
+                path.unlink()
+                removed += 1
+            except FileNotFoundError:
+                pass
+        for path in list(self.directory.glob("*.claim")):
+            key = path.name[: -len(".claim")]
+            if is_cell_key(key) and is_settled(key):
+                try:
+                    path.unlink()
+                    removed += 1
+                except FileNotFoundError:
+                    pass
+        return removed
 
     # -- internals -----------------------------------------------------
 
-    def _check_key(self, key: str) -> None:
-        # As in ``ResultStore``: the backend that builds a path from
-        # the key checks it there, the facade checks for the others.
-        if not self.backend.guards_keys:
-            check_key(key)
+    def _load(self, key: str, path: Path) -> Claim | None:
+        """The claim in ``path`` (``key``'s claim file), or None.
 
-    def _load(self, key: str) -> Claim | None:
-        """:meth:`get` for a key the calling method has already checked."""
-        record = self.backend.claim_load(key)
-        if record is None:
-            return None
-        return self._decode(key, record)
-
-    def _fields(self, claimed_at: float) -> dict[str, Any]:
-        return {
-            "runner_id": self.runner_id,
-            "claimed_at": claimed_at,
-            "heartbeat_at": self.clock(),
-            "lease_ttl_s": self.lease_ttl_s,
-            "workers": self.workers,
-        }
-
-    def _fresh_fields(self) -> dict[str, Any]:
-        now = self.clock()
-        return {
-            "runner_id": self.runner_id,
-            "claimed_at": now,
-            "heartbeat_at": now,
-            "lease_ttl_s": self.lease_ttl_s,
-            "workers": self.workers,
-        }
-
-    def _decode(self, key: str, record: ClaimRecord) -> Claim:
-        """Turn one stored record into a :class:`Claim`.
-
-        A record whose payload is missing or malformed — a claim file
-        observed mid-write, or a foreign format — is attributed to
-        nobody and judged by its storage mtime, so a torn read never
-        causes an early steal.
+        A file whose payload is missing or malformed — a claim observed
+        mid-write, or a foreign format — is attributed to nobody and
+        judged by its mtime, so a torn read never causes an early steal.
         """
-        if record.fields is not None:
-            try:
-                return Claim(
-                    key=key,
-                    runner_id=str(record.fields["runner_id"]),
-                    claimed_at=float(record.fields["claimed_at"]),
-                    heartbeat_at=float(record.fields["heartbeat_at"]),
-                    lease_ttl_s=float(record.fields["lease_ttl_s"]),
-                    workers=int(record.fields.get("workers", 1)),
-                )
-            except (KeyError, TypeError, ValueError):
-                pass
+        try:
+            raw = path.read_text(encoding="utf-8")
+        except OSError:
+            return None
+        try:
+            fields = json.loads(raw)
+            return Claim(
+                key=key,
+                runner_id=str(fields["runner_id"]),
+                claimed_at=float(fields["claimed_at"]),
+                heartbeat_at=float(fields["heartbeat_at"]),
+                lease_ttl_s=float(fields["lease_ttl_s"]),
+                workers=int(fields.get("workers", 1)),
+            )
+        except (KeyError, TypeError, ValueError):
+            pass
+        try:
+            mtime = path.stat().st_mtime
+        except FileNotFoundError:
+            return None
         return Claim(
             key=key,
             runner_id="<unreadable>",
-            claimed_at=record.mtime,
-            heartbeat_at=record.mtime,
+            claimed_at=mtime,
+            heartbeat_at=mtime,
             lease_ttl_s=self.lease_ttl_s,
             readable=False,
         )
+
+    def _payload(self, claimed_at: float, heartbeat_at: float) -> str:
+        fields: dict[str, Any] = {
+            "runner_id": self.runner_id,
+            "claimed_at": claimed_at,
+            "heartbeat_at": heartbeat_at,
+            "lease_ttl_s": self.lease_ttl_s,
+            "workers": self.workers,
+        }
+        # allow_nan=False is a no-op for the finite timestamps/TTLs a
+        # claim holds — it backstops the strict-JSON contract (RPR006).
+        return json.dumps(fields, sort_keys=True, allow_nan=False) + "\n"
+
+    def _create(self, path: Path) -> bool:
+        """One exclusive-create attempt; True iff we made the file."""
+        flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+        try:
+            try:
+                fd = os.open(path, flags, 0o644)
+            except FileNotFoundError:
+                # The store's first claim makes the directory.
+                os.makedirs(path.parent, exist_ok=True)
+                fd = os.open(path, flags, 0o644)
+        except FileExistsError:
+            return False
+        now = self.clock()
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(self._payload(now, now))
+        return True
+
+    def _steal(self, path: Path) -> bool:
+        """Reclaim a stale claim; True iff we now hold it.
+
+        The rename moves the stale file to a name no other runner
+        targets, so exactly one of any number of simultaneous thieves
+        wins it; the winner then competes in a normal exclusive create
+        (it may still lose that to a runner that arrived after the
+        rename — fine, *someone* holds the cell exactly once).
+        """
+        grave = path.with_name(f"{path.name}.stale.{self.runner_id}")
+        try:
+            os.rename(path, grave)
+        except FileNotFoundError:
+            return False
+        try:
+            grave.unlink()
+        except FileNotFoundError:
+            pass
+        return self._create(path)

@@ -22,12 +22,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from collections.abc import Mapping
 from typing import Any
 
 __all__ = [
     "SCHEMA_VERSION",
+    "SIDECAR_SUFFIX",
     "canonical_json",
+    "check_key",
+    "is_cell_key",
     "cell_key",
     "cell_key_payload",
     "scenario_label",
@@ -42,6 +46,29 @@ __all__ = [
 #:    ``sim_time_s`` / ``events_processed`` cover [0, settle] instead of
 #:    [0, next multiple of 500 s].  Every per-query field is unchanged.
 SCHEMA_VERSION = 2
+
+#: Filename suffix of telemetry sidecars: ``<key>.telemetry.json``.
+SIDECAR_SUFFIX = ".telemetry.json"
+
+#: What a key may look like: lower-case ASCII hex, eight digits or more.
+#: It is always ``fullmatch``ed, so a trailing newline does not pass.
+_KEY = re.compile(r"[0-9a-f]{8,}")
+
+
+def is_cell_key(name: str) -> bool:
+    """Whether ``name`` is a full content-addressed cell key (64 hex)."""
+    return len(name) == 64 and _KEY.fullmatch(name) is not None
+
+
+def check_key(key: str) -> None:
+    """Reject strings that are not plausible content-addressed keys.
+
+    The guard between a key and a filesystem path: the result and claim
+    stores run it where they build a path from a key, so a public call
+    pays it once per path.
+    """
+    if _KEY.fullmatch(key) is None:
+        raise ValueError(f"malformed result-store key: {key!r}")
 
 
 def canonical_json(payload: Any) -> str:

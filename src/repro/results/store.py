@@ -1,52 +1,42 @@
 """Content-addressed store for completed experiment cells.
 
 One completed grid cell = one JSON document, named by the cell's
-content-addressed key (:mod:`repro.results.keys`).  *Where* documents
-live is a backend decision (:mod:`repro.results.backends`):
+content-addressed key (:mod:`repro.results.keys`), in a sharded file
+layout: ``<root>/<key[:2]>/<key>.json``, with the cell's telemetry
+sidecar next to it as ``<key>.telemetry.json``.  Documents are
+diffable, safe to delete individually, and a store is a directory —
+copy it with ``cp -r``, share it between hosts on any filesystem where
+``os.replace`` is atomic.
 
-- the **json** backend keeps the original sharded-file layout —
-  ``<root>/<key[:2]>/<key>.json``, atomic temp-file + ``os.replace``
-  writes, diffable, safe to delete individually;
-- the **sqlite** backend keeps one WAL-mode database per store with
-  documents as rows and one fsync per committed *batch*, which is
-  what million-cell grids need.
-
-This class owns the *policy* either way: strict canonical JSON
-encoding (``allow_nan=False``, sorted keys), and defensiveness about
-damage it did not cause.  A document that no longer parses (disk
-corruption, a partial copy, a stray editor) is *quarantined* — moved
-out of the store's namespace where no listing sees it — and reported
-via :class:`CorruptResultError` instead of aborting whoever was
-reading; the cell simply re-runs.  :meth:`clean_tmp` sweeps temp files
-orphaned by writers that died mid-``put`` (a no-op for backends
-without litter).  Concurrent runners coordinate through
-:mod:`repro.results.claims`, which shares this store's backend and is
-invisible to every reader here.
+Encoding is strict canonical JSON (``allow_nan=False``, sorted keys),
+and the store is defensive about damage it did not cause.  A document
+that no longer parses (disk corruption, a partial copy, a stray
+editor) is *quarantined* — renamed to ``<key>.json.corrupt``, where no
+listing sees it — and reported via :class:`CorruptResultError` instead
+of aborting whoever was reading; the cell simply re-runs.
+:meth:`ResultStore.clean_tmp` sweeps temp files orphaned by writers
+that died mid-``put``.  Concurrent runners coordinate through
+:mod:`repro.results.claims`, whose ``claims/`` directory is invisible
+to every reader here.
 
 Interrupted writes never leave a truncated document a resumed run
-would mistake for a completed cell: the json backend renames complete
-temp files into place, the sqlite backend commits complete rows — a
-half-written cell simply does not exist.
+would mistake for a completed cell: every write goes to a temp file in
+the document's shard and is renamed into place only when complete, so
+a half-written cell simply does not exist.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
-from .backends import (
-    SIDECAR_SUFFIX,
-    StoreBackend,
-    check_key,
-    is_cell_key,
-    resolve_backend,
-)
+from .keys import SIDECAR_SUFFIX, check_key, is_cell_key
 
-__all__ = ["CorruptResultError", "ResultStore", "check_key", "is_cell_key"]
+__all__ = ["CorruptResultError", "ResultStore"]
 
 
 class CorruptResultError(RuntimeError):
@@ -55,22 +45,16 @@ class CorruptResultError(RuntimeError):
     The offending document is moved out of the store's namespace
     before this is raised, so retrying the read reports the cell as
     absent — callers recover by re-executing the cell, not by
-    crashing.  ``quarantined_to`` is where it went: a path for
-    file-backed stores, an opaque token for row-backed ones, or None
-    if the document vanished first.
+    crashing.  ``quarantined_to`` is where it went, or None if the
+    document vanished first.
     """
 
-    def __init__(
-        self,
-        key: str,
-        quarantined_to: Path | str | None,
-        reason: str,
-    ):
+    def __init__(self, key: str, quarantined_to: Path | None, reason: str):
         self.key = key
         self.quarantined_to = quarantined_to
         self.reason = reason
         where = (
-            f"quarantined to {getattr(quarantined_to, 'name', quarantined_to)}"
+            f"quarantined to {quarantined_to.name}"
             if quarantined_to is not None
             else "already removed"
         )
@@ -80,43 +64,28 @@ class CorruptResultError(RuntimeError):
 
 
 class ResultStore:
-    """A store of content-addressed result documents.
+    """A directory of content-addressed result documents."""
 
-    ``backend`` picks the storage mechanism: a name (``"json"``,
-    ``"sqlite"``), an existing :class:`StoreBackend` instance, or
-    ``"auto"`` (default) which detects an existing SQLite store by its
-    database file and otherwise uses the original JSON file layout —
-    so every pre-existing store keeps working unchanged.
-    """
-
-    #: Filename suffix of telemetry sidecars: ``<key>.telemetry.json``.
-    SIDECAR_SUFFIX = SIDECAR_SUFFIX
-
-    def __init__(
-        self,
-        root: str | Path,
-        backend: str | StoreBackend | None = "auto",
-    ) -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.backend = resolve_backend(self.root, backend)
-
-    @property
-    def backend_name(self) -> str:
-        """Short name of the active backend (``"json"``/``"sqlite"``)."""
-        return self.backend.name
+        # File names are built by string formatting under this prefix
+        # (the root with its trailing separator): a pathlib join per
+        # document costs more than the ``open`` it leads to.
+        self._prefix = os.path.join(self.root, "")
 
     def path_for(self, key: str) -> Path:
-        """Where the document for ``key`` lives (whether or not it exists).
+        """Where the document for ``key`` lives (whether or not it exists)."""
+        return Path(self._doc_file(key))
 
-        Only meaningful for file-backed stores; row-backed backends
-        raise :class:`NotImplementedError`.
-        """
-        return self.backend.doc_path(key)
+    def _doc_file(self, key: str) -> str:
+        """The document's file name; every document method comes through
+        here, so this is where the key is checked."""
+        check_key(key)
+        return f"{self._prefix}{key[:2]}/{key}.json"
 
     def has(self, key: str) -> bool:
         """Whether a completed document is stored under ``key``."""
-        self._check_key(key)
-        return self.backend.doc_has(key)
+        return os.path.isfile(self._doc_file(key))
 
     def get(self, key: str) -> dict[str, Any]:
         """Load the document stored under ``key``.
@@ -126,12 +95,12 @@ class ResultStore:
         reported as :class:`CorruptResultError` — the store heals
         itself instead of failing every future read the same way.
         """
-        self._check_key(key)
+        path = self._doc_file(key)
         try:
-            raw = self.backend.doc_get_raw(key)
+            raw = _read_text(path)
         except UnicodeDecodeError as error:
             raise CorruptResultError(
-                key, self.quarantine(key), str(error)
+                key, self._quarantine(key, path), str(error)
             ) from None
         if raw is None:
             raise KeyError(f"no result stored under key {key!r}")
@@ -139,12 +108,12 @@ class ResultStore:
             document = json.loads(raw)
         except json.JSONDecodeError as error:
             raise CorruptResultError(
-                key, self.quarantine(key), str(error)
+                key, self._quarantine(key, path), str(error)
             ) from None
         if not isinstance(document, dict):
             raise CorruptResultError(
                 key,
-                self.quarantine(key),
+                self._quarantine(key, path),
                 f"expected a JSON object, got {type(document).__name__}",
             )
         return document
@@ -152,26 +121,29 @@ class ResultStore:
     def get_raw(self, key: str) -> str:
         """The stored document text for ``key``, exactly as persisted.
 
-        The raw form is backend-independent (the json backend's file
-        content, byte for byte), which is what makes cross-backend
-        migration byte-identical.  Raises :class:`KeyError` if absent.
+        Raises :class:`KeyError` if absent.
         """
-        self._check_key(key)
-        raw = self.backend.doc_get_raw(key)
+        raw = _read_text(self._doc_file(key))
         if raw is None:
             raise KeyError(f"no result stored under key {key!r}")
         return raw
 
-    def quarantine(self, key: str) -> Path | str | None:
-        """Move the document under ``key`` out of the store's namespace.
+    def quarantine(self, key: str) -> Path | None:
+        """Rename the document under ``key`` to ``<key>.json.corrupt``.
 
-        Returns where it went (``<key>.json.corrupt`` for the json
-        backend, a quarantine-table token for sqlite), or None if the
-        document vanished first — e.g. a concurrent reader quarantined
-        it already.
+        Returns where it went, or None if the document vanished first —
+        e.g. a concurrent reader quarantined it already.
         """
-        self._check_key(key)
-        return self.backend.doc_quarantine(key)
+        return self._quarantine(key, self._doc_file(key))
+
+    @staticmethod
+    def _quarantine(key: str, path: str) -> Path | None:
+        destination = Path(path).with_name(f"{key}.json.corrupt")
+        try:
+            os.replace(path, destination)
+        except FileNotFoundError:
+            return None
+        return destination
 
     def clean_tmp(
         self,
@@ -180,51 +152,49 @@ class ResultStore:
     ) -> int:
         """Remove temp files orphaned by writers that died mid-``put``.
 
-        Only files older than ``max_age_s`` go (a live writer's temp
-        file is seconds old at most); returns how many were removed.
-        Backends without writer litter return 0.
+        Every ``<two characters>/.<anything>.tmp`` under the root older
+        than ``max_age_s`` goes (a live writer's temp file is seconds
+        old at most); returns how many were removed.
         """
-        return self.backend.clean_tmp(max_age_s, clock)
+        cutoff = clock() - max_age_s
+        removed = 0
+        for shard in _entries(self.root):
+            if len(shard.name) != 2:
+                continue
+            for entry in _entries(shard.path):
+                name = entry.name
+                if len(name) > 4 and name.startswith(".") and name.endswith(".tmp"):
+                    try:
+                        if entry.stat().st_mtime <= cutoff:
+                            os.unlink(entry.path)
+                            removed += 1
+                    except FileNotFoundError:
+                        pass
+        return removed
 
     def put(self, key: str, document: dict[str, Any]) -> Path:
-        """Durably persist ``document`` under ``key``.
+        """Durably persist ``document`` under ``key``; returns its file.
 
         The document is serialised first — strictly
         (``allow_nan=False``), so a NaN/Infinity that slipped past the
         producer raises here instead of writing JSON no strict parser
-        can read back — then committed atomically, so concurrent
-        readers (and a crash mid-write) only ever observe complete
-        documents and an encoding error leaves no litter.  Returns the
-        on-disk artifact holding the document (its file, or the store
-        database).
+        can read back — then written to a temp file and renamed into
+        place, so concurrent readers (and a crash mid-write) only ever
+        observe complete documents and an encoding error leaves no
+        litter.
         """
-        self._check_key(key)
+        path = self._doc_file(key)
         encoded = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
-        return self.backend.doc_put_raw(key, encoded + "\n")
-
-    def put_raw(self, key: str, text: str) -> Path:
-        """Persist pre-serialised document text verbatim (migration)."""
-        self._check_key(key)
-        return self.backend.doc_put_raw(key, text)
+        temporary = f"{self._prefix}{key[:2]}/.{key}.{os.getpid()}.tmp"
+        return _write_atomic(path, temporary, encoded + "\n")
 
     def delete(self, key: str) -> bool:
         """Remove the document under ``key``; False if it was absent."""
-        self._check_key(key)
-        return self.backend.doc_delete(key)
-
-    @contextmanager
-    def batch(self) -> Iterator[None]:
-        """Group the puts inside the ``with`` into one durable commit.
-
-        On the sqlite backend this is the difference between one fsync
-        per cell and one per batch; on the json backend every put is
-        already durable when it returns and this is a no-op.  Writes
-        are flushed when the block exits even if the body raised —
-        completed work is never rolled back — so code holding claims
-        must release them *after* this context exits.
-        """
-        with self.backend.batch():
-            yield
+        try:
+            os.unlink(self._doc_file(key))
+            return True
+        except FileNotFoundError:
+            return False
 
     # -- telemetry sidecars ------------------------------------------------
     #
@@ -235,8 +205,13 @@ class ResultStore:
     # semantics ignore it entirely.
 
     def sidecar_path_for(self, key: str) -> Path:
-        """Where the telemetry sidecar for ``key`` lives (file backends)."""
-        return self.backend.sidecar_path(key)
+        """Where the telemetry sidecar for ``key`` lives."""
+        return Path(self._sidecar_file(key))
+
+    def _sidecar_file(self, key: str) -> str:
+        """:meth:`_doc_file` for sidecars, key check included."""
+        check_key(key)
+        return f"{self._prefix}{key[:2]}/{key}{SIDECAR_SUFFIX}"
 
     def put_sidecar(self, key: str, document: dict[str, Any]) -> Path:
         """Durably persist a telemetry sidecar next to ``key``.
@@ -245,9 +220,10 @@ class ResultStore:
         sidecar may be written before, after, or without the cell
         document — readers must treat it as best-effort metadata.
         """
-        self._check_key(key)
+        path = self._sidecar_file(key)
         encoded = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
-        return self.backend.sidecar_put_raw(key, encoded + "\n")
+        temporary = f"{self._prefix}{key[:2]}/.{key}.telemetry.{os.getpid()}.tmp"
+        return _write_atomic(path, temporary, encoded + "\n")
 
     def get_sidecar(self, key: str) -> dict[str, Any] | None:
         """The telemetry sidecar for ``key``, or None.
@@ -256,9 +232,9 @@ class ResultStore:
         sidecars all read as None (no quarantine, no exception) — a
         damaged sidecar must never make a cell look broken.
         """
-        self._check_key(key)
+        path = self._sidecar_file(key)
         try:
-            raw = self.backend.sidecar_get_raw(key)
+            raw = _read_text(path)
         except UnicodeDecodeError:
             return None
         if raw is None:
@@ -269,22 +245,14 @@ class ResultStore:
             return None
         return document if isinstance(document, dict) else None
 
-    def get_sidecar_raw(self, key: str) -> str | None:
-        """The stored sidecar text for ``key`` verbatim, or None."""
-        self._check_key(key)
-        try:
-            return self.backend.sidecar_get_raw(key)
-        except UnicodeDecodeError:
-            return None
-
-    def put_sidecar_raw(self, key: str, text: str) -> Path:
-        """Persist pre-serialised sidecar text verbatim (migration)."""
-        self._check_key(key)
-        return self.backend.sidecar_put_raw(key, text)
-
     def sidecar_keys(self) -> Iterator[str]:
         """Every key that has a telemetry sidecar, in sorted order."""
-        return self.backend.sidecar_keys()
+        if not self.root.is_dir():
+            return
+        for path in sorted(self.root.glob(f"??/*{SIDECAR_SUFFIX}")):
+            key = path.name[: -len(SIDECAR_SUFFIX)]
+            if is_cell_key(key) and key[:2] == path.parent.name:
+                yield key
 
     def keys(self) -> Iterator[str]:
         """Every stored key, in sorted (deterministic) order.
@@ -294,7 +262,12 @@ class ResultStore:
         so a reader iterating the store never trips over a note
         someone dropped next to the results.
         """
-        return self.backend.doc_keys()
+        if not self.root.is_dir():
+            return
+        for path in sorted(self.root.glob("??/*.json")):
+            key = path.stem
+            if is_cell_key(key) and key[:2] == path.parent.name:
+                yield key
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
@@ -302,8 +275,38 @@ class ResultStore:
     def __contains__(self, key: str) -> bool:
         return self.has(key)
 
-    def _check_key(self, key: str) -> None:
-        # Once per call: a backend that builds paths from keys checks
-        # where it builds them, the facade checks for the others.
-        if not self.backend.guards_keys:
-            check_key(key)
+
+def _entries(directory: str | Path) -> list[os.DirEntry[str]]:
+    """What ``directory`` holds; nothing if it is not a directory."""
+    try:
+        with os.scandir(directory) as entries:
+            return list(entries)
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+
+
+def _read_text(path: str) -> str | None:
+    """The file's text, or None if it does not exist.
+
+    May raise :class:`UnicodeDecodeError`; :meth:`ResultStore.get`
+    quarantines that the same way it does a parse failure.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        return None
+
+
+def _write_atomic(path: str, temporary: str, text: str) -> Path:
+    try:
+        handle = open(temporary, "w", encoding="utf-8")
+    except FileNotFoundError:
+        # First file of its shard: the directory is made when it is
+        # found missing, not probed for before every write.
+        os.makedirs(os.path.dirname(temporary), exist_ok=True)
+        handle = open(temporary, "w", encoding="utf-8")
+    with handle:
+        handle.write(text)
+    os.replace(temporary, path)
+    return Path(path)

@@ -26,23 +26,19 @@ class TestEnvParsing:
             "REPRO_BENCH_QUERIES",
             "REPRO_BENCH_ABLATION_QUERIES",
             "REPRO_BENCH_SEED",
-            "REPRO_BENCH_STORE_CELLS",
         ):
             monkeypatch.delenv(name, raising=False)
         assert bench_conftest.bench_queries() == 1500
         assert bench_conftest.ablation_queries() == 400
         assert bench_conftest.bench_seed() == 20090322
-        assert bench_conftest.store_cells() == 10_000
 
     def test_valid_overrides(self, bench_conftest, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_QUERIES", "250")
         monkeypatch.setenv("REPRO_BENCH_ABLATION_QUERIES", "60")
         monkeypatch.setenv("REPRO_BENCH_SEED", "-7")
-        monkeypatch.setenv("REPRO_BENCH_STORE_CELLS", "1500")
         assert bench_conftest.bench_queries() == 250
         assert bench_conftest.ablation_queries() == 60
         assert bench_conftest.bench_seed() == -7
-        assert bench_conftest.store_cells() == 1500
 
     @pytest.mark.parametrize("bad", ["", "abc", "1.5", "1e3", "12 00"])
     def test_malformed_value_raises_usage_error(
@@ -64,9 +60,6 @@ class TestEnvParsing:
         monkeypatch.setenv("REPRO_BENCH_SEED", "paper")
         with pytest.raises(pytest.UsageError, match="REPRO_BENCH_SEED"):
             bench_conftest.bench_seed()
-        monkeypatch.setenv("REPRO_BENCH_STORE_CELLS", "lots")
-        with pytest.raises(pytest.UsageError, match="REPRO_BENCH_STORE_CELLS"):
-            bench_conftest.store_cells()
 
 
 class TestBenchWriteGate:

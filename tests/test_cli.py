@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -66,7 +67,7 @@ def command_flags(parser=None, prefix=""):
 
 
 _GRID_AXIS_FLAGS = {
-    "--store", "--backend", "--spec", "--protocols", "--scenarios",
+    "--store", "--spec", "--protocols", "--scenarios",
     "--seeds", "--queries", "--bucket", "--config", "--set",
 }
 
@@ -86,9 +87,8 @@ class TestCommandFlags:
         "grid status": _GRID_AXIS_FLAGS,
         "grid check": _GRID_AXIS_FLAGS,
         "grid watch": _GRID_AXIS_FLAGS | {"--interval", "--once", "--window"},
-        "grid report": {"--store", "--backend"},
-        "grid ls": {"--store", "--backend"},
-        "grid migrate": {"--from-backend", "--to-backend"},
+        "grid report": {"--store"},
+        "grid ls": {"--store"},
         "trace run": {
             "--protocol", "--scenario", "--config", "--seed", "--queries",
             "--bucket", "--out", "--kinds",
@@ -417,7 +417,7 @@ def _no_summary(store, key):
 class TestStoreResume:
     """``figures`` / ``report --store`` resume whatever the store holds:
     a lost or damaged cell is executed again on its own, a store that
-    ``grid run`` filled (either backend) is read without executing, and
+    ``grid run`` filled is read without executing, and
     the grid commands read what ``figures`` stored."""
 
     FLAGS = TestStoreRoundtrip.FLAGS
@@ -471,15 +471,12 @@ class TestStoreResume:
         assert "baseline × flooding" in executed[0]
         assert ResultStore(store).get_raw(key) == ResultStore(filled).get_raw(key)
 
-    @pytest.mark.parametrize("backend", ["json", "sqlite"])
     @pytest.mark.parametrize("command", ["figures", "report"])
     def test_a_store_grid_run_filled_is_read_without_executing(
-        self, command, backend, storeless, tmp_path
+        self, command, storeless, tmp_path
     ):
         store = tmp_path / "store"
-        code, text = run_cli(
-            "grid", "run", "--store", str(store), "--backend", backend, *self.FLAGS
-        )
+        code, text = run_cli("grid", "run", "--store", str(store), *self.FLAGS)
         assert code == 0
         assert "total=4 executed=4 cached=0" in text
         code, text = run_cli(command, *self.FLAGS, "--store", str(store))
@@ -1180,20 +1177,10 @@ class TestGridProfileOption:
         assert pstats.Stats(str(dumps[0])).total_calls > 0
 
 
-class TestGridBackendOption:
-    """--backend on the grid subcommands, and `grid migrate`."""
-
-    def _run_grid(self, store, *extra):
-        return run_cli(
-            "grid", "run",
-            "--store", str(store),
-            "--config", "small",
-            "--protocols", "flooding", "locaware",
-            "--scenarios", "baseline",
-            "--seeds", "1", "2",
-            "--queries", "10",
-            *extra,
-        )
+class TestGridStoreDirectory:
+    """A result store is a directory of JSON files: copied with ``cp -r``,
+    refused cleanly when it is a file, named when the removed SQLite
+    backend left its database there instead."""
 
     AXIS = (
         "--config", "small",
@@ -1203,118 +1190,158 @@ class TestGridBackendOption:
         "--queries", "10",
     )
 
-    def test_sqlite_cold_then_warm_autodetected(self, tmp_path):
-        store = tmp_path / "store"
-        code, text = self._run_grid(store, "--backend", "sqlite")
+    def _run_grid(self, store):
+        return run_cli("grid", "run", "--store", str(store), *self.AXIS)
+
+    def test_a_copied_store_is_warm(self, tmp_path):
+        code, text = self._run_grid(tmp_path / "store")
         assert code == 0
         assert "total=4 executed=4 cached=0" in text
-        assert f"store: {store} [sqlite]" in text
-        assert (store / "store.sqlite").is_file()
-        # Rows, not files: no ??/ shard directories, only the
-        # database (plus its WAL/shm journal siblings).
-        assert all(
-            p.name.startswith("store.sqlite") for p in store.iterdir()
-        )
-        # The warm run passes no --backend: autodetection must find
-        # the SQLite store and execute nothing.
-        code, text = self._run_grid(store)
-        assert code == 0
-        assert "total=4 executed=0 cached=4" in text
-        assert f"store: {store} [sqlite]" in text
-
-    def test_status_and_watch_see_sqlite_claims(self, tmp_path):
-        from repro.results import ClaimStore, ResultStore
-
-        store_dir = tmp_path / "store"
-        self._run_grid(store_dir, "--backend", "sqlite")
-        store = ResultStore(store_dir)
-        first = next(iter(store.keys()))
-        store.delete(first)  # make one cell pending again...
-        claims = ClaimStore(
-            store_dir, runner_id="busy-runner", backend=store.backend
-        )
-        claims.try_claim(first)  # ...and hold it like a live runner
-        code, text = run_cli(
-            "grid", "status", "--store", str(store_dir), *self.AXIS
-        )
-        assert code == 0
-        assert "total=4 stored=3 claimed=1 pending=0" in text
-        assert "busy-runner" in text
-        code, text = run_cli(
-            "grid", "watch", "--store", str(store_dir), "--once", *self.AXIS
-        )
-        assert code == 0
-        assert "total=4 stored=3 claimed=1 pending=0" in text
-
-    def test_report_and_ls_read_sqlite_stores(self, tmp_path):
-        store = tmp_path / "store"
-        self._run_grid(store, "--backend", "sqlite")
-        code, text = run_cli("grid", "report", "--store", str(store))
-        assert code == 0
-        assert "4 cells" in text
-        code, text = run_cli("grid", "ls", "--store", str(store))
-        assert code == 0
-        assert "4 cells" in text
-
-    def test_migrate_round_trip_is_byte_identical(self, tmp_path):
-        from repro.results import ResultStore
-
-        src = tmp_path / "json-store"
-        self._run_grid(src)
-        code, text = run_cli(
-            "grid", "migrate", str(src), str(tmp_path / "db-store")
-        )
-        assert code == 0
-        assert "[json] -> " in text and "[sqlite]" in text
-        assert "all documents byte-identical" in text
-        code, text = run_cli(
-            "grid", "migrate", str(tmp_path / "db-store"),
-            str(tmp_path / "back"),
-        )
-        assert code == 0
-        assert "all documents byte-identical" in text
-        original, round_tripped = ResultStore(src), ResultStore(
-            tmp_path / "back"
-        )
-        assert round_tripped.backend_name == "json"
-        keys = list(original.keys())
-        assert list(round_tripped.keys()) == keys
-        for key in keys:
-            assert round_tripped.path_for(key).read_bytes() == (
-                original.path_for(key).read_bytes()
-            )
-        # And the migrated store satisfies the grid: warm run, 0 cells.
-        code, text = self._run_grid(tmp_path / "db-store")
+        assert f"  store: {tmp_path / 'store'}\n" in text
+        shutil.copytree(tmp_path / "store", tmp_path / "copy")
+        code, text = self._run_grid(tmp_path / "copy")
         assert code == 0
         assert "total=4 executed=0 cached=4" in text
 
-    def test_migrate_empty_store_fails_cleanly(self, tmp_path):
-        code, text = run_cli(
-            "grid", "migrate", str(tmp_path / "empty"), str(tmp_path / "dst")
-        )
-        assert code == 1
-        assert "no cells stored" in text
+    #: The four cells of ``AXIS``, written by the program before the
+    #: SQLite backend and its ``StoreBackend`` layer were removed
+    #: (``SCHEMA_VERSION`` 2); telemetry sidecars left out.
+    WRITTEN_BEFORE = Path(__file__).resolve().parent / "fixtures" / "store_v2"
 
-    def test_migrate_same_directory_rejected(self, tmp_path):
-        code, text = run_cli(
-            "grid", "migrate", str(tmp_path / "s"), str(tmp_path / "s")
-        )
-        assert code == 2
-        assert "must be different" in text
+    def test_a_store_written_before_the_one_backend_is_warm(self, tmp_path):
+        shutil.copytree(self.WRITTEN_BEFORE, tmp_path / "store")
+        code, text = self._run_grid(tmp_path / "store")
+        assert code == 0
+        assert "total=4 executed=0 cached=4" in text
 
-    def test_unknown_backend_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["grid", "run", "--backend", "parquet"]
-            )
+    @pytest.mark.parametrize("command", ["report", "ls"])
+    def test_report_and_ls_read_a_store_written_before(self, tmp_path, command):
+        shutil.copytree(self.WRITTEN_BEFORE, tmp_path / "store")
+        code, text = run_cli("grid", command, "--store", str(tmp_path / "store"))
+        assert code == 0
+        assert "4 cells" in text
+        assert sorted(p.name for p in (tmp_path / "store").rglob("*.json")) == sorted(
+            p.name for p in self.WRITTEN_BEFORE.rglob("*.json")
+        )  # read-only: nothing quarantined, nothing written
 
-    def test_sqlite_store_pointing_at_a_file_is_a_clean_error(self, tmp_path):
+    def test_a_fresh_store_is_byte_identical_to_one_written_before(self, tmp_path):
+        code, text = self._run_grid(tmp_path / "store")
+        assert code == 0
+        assert "total=4 executed=4 cached=0" in text
+
+        def documents(root):
+            return {
+                str(path.relative_to(root)): path.read_bytes()
+                for path in root.glob("??/*.json")
+                if not path.name.endswith(".telemetry.json")
+            }
+
+        assert documents(tmp_path / "store") == documents(self.WRITTEN_BEFORE)
+
+    def test_a_store_pointing_at_a_file_is_a_clean_error(self, tmp_path):
         not_a_dir = tmp_path / "plain-file"
         not_a_dir.write_text("occupied")
-        code, text = self._run_grid(not_a_dir, "--backend", "sqlite")
+        code, text = self._run_grid(not_a_dir)
         assert code == 2
         assert "error:" in text
         assert "Traceback" not in text
+        assert "/4] " not in text  # refused before any cell ran
+        assert not_a_dir.read_text() == "occupied"
+
+    @pytest.mark.parametrize("command", ["report", "ls"])
+    def test_a_leftover_sqlite_store_is_named_not_silently_empty(
+        self, tmp_path, command
+    ):
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "store.sqlite").write_bytes(b"SQLite format 3\x00")
+        code, text = run_cli("grid", command, "--store", str(store))
+        assert code == 1
+        assert f"no cells stored under {store} (its store.sqlite" in text
+        assert "removed SQLite backend" in text
+        assert "`grid run`" in text and "rebuilds them as JSON" in text
+
+    @pytest.mark.parametrize("command", ["report", "ls"])
+    def test_a_rebuilt_store_reads_its_cells_beside_a_leftover_database(
+        self, tmp_path, command
+    ):
+        store = tmp_path / "store"
+        shutil.copytree(self.WRITTEN_BEFORE, store)
+        (store / "store.sqlite").write_bytes(b"SQLite format 3\x00")
+        code, text = run_cli("grid", command, "--store", str(store))
+        assert code == 0
+        assert "4 cells" in text
+        assert "SQLite" not in text
+
+    @pytest.mark.parametrize("command", ["report", "ls"])
+    def test_an_empty_store_reads_plainly_empty(self, tmp_path, command):
+        store = tmp_path / "store"
+        code, text = run_cli("grid", command, "--store", str(store))
+        assert code == 1
+        assert text.endswith(
+            f"no cells stored under {store} (store directory does not exist)\n"
+        )
+        store.mkdir()
+        (store / "store.sqlite-wal").write_bytes(b"")  # not the database
+        code, text = run_cli("grid", command, "--store", str(store))
+        assert code == 1
+        assert text.endswith(f"no cells stored under {store}\n")
+
+    @pytest.mark.parametrize(
+        "command", ["status", "check", "watch", "report", "ls"]
+    )
+    def test_no_command_trips_over_a_store_that_is_a_file(self, tmp_path, command):
+        not_a_dir = tmp_path / "plain-file"
+        not_a_dir.write_text("occupied")
+        axis = () if command in ("report", "ls") else self.AXIS
+        once = ("--once",) if command == "watch" else ()
+        code, text = run_cli("grid", command, "--store", str(not_a_dir), *axis, *once)
+        assert "Traceback" not in text
+        assert not_a_dir.read_text() == "occupied"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain-file"]
+        if command in ("report", "ls"):
+            assert code == 1
+            assert f"no cells stored under {not_a_dir} (not a directory)" in text
+        elif command == "check":
+            assert code == 2 and "error:" in text
+        else:
+            assert code == 0
+            assert "total=4 stored=0 claimed=0 pending=4" in text
+
+    @pytest.mark.parametrize("command", ["status", "watch"])
+    def test_status_and_watch_see_a_held_claim(self, tmp_path, command):
+        from repro.results import ClaimStore, ResultStore
+
+        store_dir = tmp_path / "store"
+        assert self._run_grid(store_dir)[0] == 0
+        store = ResultStore(store_dir)
+        first = next(iter(store.keys()))
+        store.delete(first)  # one cell pending again...
+        ClaimStore(store_dir, runner_id="busy-runner").try_claim(first)  # ...and held
+        once = ("--once",) if command == "watch" else ()
+        code, text = run_cli("grid", command, "--store", str(store_dir), *self.AXIS, *once)
+        assert code == 0
+        assert "total=4 stored=3 claimed=1 pending=0" in text
+        if command == "status":
+            assert "busy-runner" in text
+
+    @pytest.mark.parametrize(
+        "command", ["run", "status", "watch", "check", "report", "ls"]
+    )
+    def test_no_command_takes_a_backend_flag(self, command, capsys):
+        axis = () if command in ("report", "ls") else self.AXIS
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["grid", command, "--store", "s", *axis, "--backend", "json"]
+            )
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend json" in capsys.readouterr().err
+
+    def test_grid_migrate_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["grid", "migrate", "a", "b"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'migrate'" in capsys.readouterr().err
 
 
 class TestLintCommand:

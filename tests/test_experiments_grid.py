@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+import repro.results.store as store_module
 from repro.analysis import aggregate_sweep, render_sweep_report
 from repro.experiments import (
     GridRunner,
@@ -508,7 +509,41 @@ class TestClaimAwareRunner:
         assert (report.executed, report.cached) == (6, 2)
 
 
-@pytest.mark.parametrize("backend", ["json", "sqlite"])
+    def test_a_batch_is_put_whole_before_any_claim_is_released(
+        self, tmp_path, monkeypatch
+    ):
+        """The commit protocol: every cell of a batch is durably stored
+        before the first of its claims is handed back, so a crash leaves
+        stored-but-claimed cells, never released-but-unstored ones."""
+        from repro.results import ClaimStore
+
+        store = ResultStore(tmp_path)
+        log = []
+        put, release = store.put, ClaimStore.release
+
+        def logged_put(key, document):
+            log.append(("put", key))
+            return put(key, document)
+
+        def logged_release(claims, key):
+            log.append(("release", key))
+            return release(claims, key)
+
+        store.put = logged_put
+        monkeypatch.setattr(ClaimStore, "release", logged_release)
+        report = self._runner(store, workers=2).run()  # batches of 4
+        assert report.executed == 8
+        runs = []
+        for event, key in log:
+            if not runs or runs[-1][0] != event:
+                runs.append((event, set()))
+            runs[-1][1].add(key)
+        assert [event for event, _ in runs] == ["put", "release"] * (len(runs) // 2)
+        for (_, stored), (_, released) in zip(runs[::2], runs[1::2]):
+            assert released == stored
+        assert [len(keys) for event, keys in runs if event == "put"] == [4, 4]
+
+
 class TestSingleProbe:
     """``_load_stored`` asks the store once: ``get``, whose ``KeyError``
     means "not stored".  There is no ``has`` before it for a document
@@ -518,8 +553,8 @@ class TestSingleProbe:
     GRID = TestClaimAwareRunner.GRID
     CELLS = 8
 
-    def _stored(self, tmp_path, backend):
-        store = ResultStore(tmp_path, backend=backend)
+    def _stored(self, tmp_path):
+        store = ResultStore(tmp_path)
         GridRunner(_spec(**self.GRID), store=store).run()
         spec = _spec(**self.GRID)
         return store, spec.cell_key(spec.expand()[3])
@@ -533,31 +568,32 @@ class TestSingleProbe:
 
     @pytest.mark.parametrize("how", ["delete", "quarantine"])
     def test_a_cell_that_vanishes_before_the_read_is_executed_once(
-        self, tmp_path, backend, how, monkeypatch
+        self, tmp_path, how, monkeypatch
     ):
         """Gone between ``keys = …`` and the read — an operator deleted
         it, or a concurrent reader quarantined it: absent, not an error."""
-        store, victim = self._stored(tmp_path, backend)
-        read = type(store.backend).doc_get_raw
+        store, victim = self._stored(tmp_path)
+        victim_file = str(store.path_for(victim))
+        read = store_module._read_text
         reads = []
 
-        def vanishing(backend_self, key):
-            reads.append(key)
-            if key == victim and reads.count(victim) == 1:
+        def vanishing(path):
+            reads.append(path)
+            if path == victim_file and reads.count(path) == 1:
                 if how == "delete":
-                    assert backend_self.doc_delete(key)
+                    assert store.delete(victim)
                 else:
-                    assert backend_self.doc_quarantine(key) is not None
-            return read(backend_self, key)
+                    assert store.quarantine(victim) is not None
+            return read(path)
 
-        monkeypatch.setattr(type(store.backend), "doc_get_raw", vanishing)
+        monkeypatch.setattr(store_module, "_read_text", vanishing)
         report, lines = self._rerun(store)
         assert (report.executed, report.cached, report.quarantined) == (
             1, self.CELLS - 1, 0,
         )
         assert not any("quarantined" in line for line in lines)
         # Looked for twice (before and under the claim), executed once.
-        assert reads.count(victim) == 2
+        assert reads.count(victim_file) == 2
         monkeypatch.undo()
         assert store.has(victim)  # recommitted
         again, _ = self._rerun(store)
@@ -569,9 +605,9 @@ class TestSingleProbe:
         ids=["missing-fields", "mangled-run", "empty"],
     )
     def test_a_wrong_shaped_document_is_quarantined_and_rerun(
-        self, tmp_path, backend, document
+        self, tmp_path, document
     ):
-        store, victim = self._stored(tmp_path, backend)
+        store, victim = self._stored(tmp_path)
         store.put(victim, document)  # valid JSON, not a grid cell
         report, lines = self._rerun(store)
         assert (report.executed, report.cached, report.quarantined) == (
@@ -582,15 +618,16 @@ class TestSingleProbe:
 
     @pytest.mark.parametrize("text", ["{definitely not json", "[1, 2]\n", ""])
     def test_an_undecodable_document_takes_the_same_quarantine_path(
-        self, tmp_path, backend, text
+        self, tmp_path, text
     ):
         from repro.results import CorruptResultError
 
-        store, victim = self._stored(tmp_path, backend)
-        store.put_raw(victim, text)
+        store, victim = self._stored(tmp_path)
+        store.path_for(victim).write_text(text, encoding="utf-8")
         with pytest.raises(CorruptResultError):
-            ResultStore(tmp_path, backend=backend).get(victim)
-        store.put_raw(victim, text)  # the read above quarantined it
+            ResultStore(tmp_path).get(victim)
+        # The read above quarantined it.
+        store.path_for(victim).write_text(text, encoding="utf-8")
         report, lines = self._rerun(store)
         assert (report.executed, report.cached, report.quarantined) == (
             1, self.CELLS - 1, 1,
@@ -599,11 +636,9 @@ class TestSingleProbe:
         assert store.has(victim)  # recommitted
 
 
-
 def test_bytes_that_do_not_decode_are_quarantined_too(tmp_path):
-    """Only a file can hold them; a row holds text."""
     probe = TestSingleProbe()
-    store, victim = probe._stored(tmp_path, "json")
+    store, victim = probe._stored(tmp_path)
     store.path_for(victim).write_bytes(b"\xff\xfe\x00not utf-8")
     report, _ = probe._rerun(store)
     assert (report.executed, report.quarantined) == (1, 1)

@@ -173,7 +173,7 @@ class TestOneBuildPerTopology:
 
 
 _ORDER_SPEC = dict(scenarios=("baseline", "cold-start"), seeds=(3, 4))
-_reference_documents = {}
+_reference_documents = []
 
 
 def _stored_bytes(store, spec):
@@ -183,25 +183,24 @@ def _stored_bytes(store, spec):
     }
 
 
-def _reference(backend):
+def _reference():
     """The topology-ordered ``GridRunner`` run's key → document bytes."""
-    if backend not in _reference_documents:
+    if not _reference_documents:
         spec = _spec(**_ORDER_SPEC)
         with tempfile.TemporaryDirectory() as root:
-            store = ResultStore(Path(root), backend=backend)
+            store = ResultStore(Path(root))
             GridRunner(spec, store=store).run()
-            _reference_documents[backend] = _stored_bytes(store, spec)
-    return _reference_documents[backend]
+            _reference_documents.append(_stored_bytes(store, spec))
+    return _reference_documents[0]
 
 
-@pytest.mark.parametrize("backend", ["json", "sqlite"])
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
-def test_execution_order_cannot_change_a_stored_byte(backend, data):
+def test_execution_order_cannot_change_a_stored_byte(data):
     spec = _spec(**_ORDER_SPEC)
     cells = data.draw(st.permutations(spec.expand()))
     with tempfile.TemporaryDirectory() as root:
-        store = ResultStore(Path(root), backend=backend)
+        store = ResultStore(Path(root))
         for cell, run in execute_cells(spec, cells):
             payload = spec.cell_key_payload(cell)
             key = cell_key(payload)
@@ -216,7 +215,7 @@ def test_execution_order_cannot_change_a_stored_byte(backend, data):
                     topology_fingerprint=payload["topology_fingerprint"],
                 ),
             )
-        assert _stored_bytes(store, spec) == _reference(backend)
+        assert _stored_bytes(store, spec) == _reference()
 
 
 # -- the key payload ---------------------------------------------------------

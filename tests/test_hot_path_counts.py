@@ -32,11 +32,12 @@ instead of timing them, which does not on a shared host:
   it fills each peer's store with one ``FileStore.add_many`` and no
   ``add``;
 - a stored cell costs a warm ``GridRunner.run`` one key, one read and
-  one parse: one ``doc_get_raw`` and no ``doc_has`` per cell, one config
-  dict and one encoded key payload per row, one key check per store
-  call, and no thread.
+  one parse: one document read and no ``ResultStore.has`` per cell, one
+  config dict and one encoded key payload per row, one key check per
+  store call, and no thread.
 """
 
+import collections
 import inspect
 import random
 import threading
@@ -49,7 +50,6 @@ from test_protocol_groups import HASH_MEMOS, clear_hash_memos, run_cell_watching
 
 import repro.experiments.grid as grid_module
 import repro.overlay.blueprint as blueprint_module
-import repro.results.backends as backends_module
 import repro.results.claims as claims_module
 import repro.results.store as store_module
 from repro.bloom.delta import DeltaCodec
@@ -363,7 +363,7 @@ class StoreCallCounter:
                     continue
                 if "key" in inspect.signature(method).parameters:
                     mp.setattr(cls, name, self._public(cls, method))
-        for module in (backends_module, store_module, claims_module):
+        for module in (store_module, claims_module):
             mp.setattr(module, "check_key", self._check(module.check_key))
 
     def _public(self, cls, method):
@@ -387,7 +387,6 @@ class StoreCallCounter:
         return counted
 
 
-@pytest.mark.parametrize("backend", ["json", "sqlite"])
 class TestAStoredCellCostsOneKeyOneReadOneParse:
     PROTOCOLS = ("flooding", "locaware")
     SCENARIOS = ("baseline", "flash-crowd")
@@ -401,9 +400,9 @@ class TestAStoredCellCostsOneKeyOneReadOneParse:
             seeds=self.SEEDS, max_queries=8,
         )
 
-    def test_warm_run(self, tmp_path, backend):
+    def test_warm_run(self, tmp_path):
         def open_store():
-            return ResultStore(tmp_path / "store", backend=backend)
+            return ResultStore(tmp_path / "store")
 
         cold = GridRunner(self.spec(), store=open_store()).run()
         assert (cold.executed, cold.cached) == (self.CELLS, 0)
@@ -411,16 +410,15 @@ class TestAStoredCellCostsOneKeyOneReadOneParse:
         store, spec = open_store(), self.spec()
         threads = threading.active_count()
         with pytest.MonkeyPatch.context() as mp:
-            backend_cls = type(store.backend)
-            reads = count_calls(mp, backend_cls, "doc_get_raw")
-            probes = count_calls(mp, backend_cls, "doc_has")
+            guard = StoreCallCounter(mp)
+            reads = count_calls(mp, store_module, "_read_text")
+            probes = count_calls(mp, ResultStore, "has")
             configs = count_calls(mp, SimulationConfig, "to_dict")
             payloads = count_calls(
                 mp, grid_module, "canonical_json",
                 only=lambda payload: isinstance(payload, dict),
             )
             started = count_calls(mp, threading.Thread, "start")
-            guard = StoreCallCounter(mp)
             warm = GridRunner(spec, store=store).run()
         assert (warm.executed, warm.cached, warm.quarantined) == (0, self.CELLS, 0)
         assert reads[0] == self.CELLS
@@ -434,26 +432,46 @@ class TestAStoredCellCostsOneKeyOneReadOneParse:
         again = GridRunner(self.spec(), store=open_store()).run()
         assert (again.executed, again.cached) == (0, self.CELLS)
 
-    def test_cold_run_checks_a_key_once_per_path_it_builds(
-        self, tmp_path, backend
-    ):
-        store = ResultStore(tmp_path / "store", backend=backend)
+    def test_cold_run(self, tmp_path):
+        """Per executed cell: two reads that miss (before the claim and
+        under it), one claim, one put, one sidecar put, one release, and
+        no existence probe."""
+        store = ResultStore(tmp_path / "store")
+        with pytest.MonkeyPatch.context() as mp:
+            guard = StoreCallCounter(mp)
+            probes = count_calls(mp, ResultStore, "has")
+            cold = GridRunner(self.spec(), store=store).run()
+        assert (cold.executed, cold.cached) == (self.CELLS, 0)
+        assert probes[0] == 0
+        calls = collections.Counter(
+            name for name, _ in guard.per_call if name != "ClaimStore.heartbeat"
+        )
+        assert calls == {
+            "ResultStore.get": 2 * self.CELLS,
+            "ClaimStore.try_claim": self.CELLS,
+            "ResultStore.put": self.CELLS,
+            "ResultStore.put_sidecar": self.CELLS,
+            "ClaimStore.release": self.CELLS,
+        }
+
+    def test_cold_run_checks_a_key_once_per_path_it_builds(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
         threads = threading.active_count()
         with pytest.MonkeyPatch.context() as mp:
             guard = StoreCallCounter(mp)
             cold = GridRunner(self.spec(), store=store).run()
-            if backend == "json":
-                store.path_for("ab" * 32)
-                store.sidecar_path_for("ab" * 32)
+            store.path_for("ab" * 32)
+            store.sidecar_path_for("ab" * 32)
+            ClaimStore(store.root).heartbeat("ab" * 32)
         assert cold.executed == self.CELLS
-        # Every call that takes a key pays the guard; only a json claim
-        # call that reads the claim file and then rewrites or unlinks
-        # it pays twice, once where each path is built.
+        # Every call that takes a key pays the guard exactly once: a
+        # claim call that reads the claim file and then rewrites or
+        # unlinks it builds the path once and uses it for both.
         names = {name for name, _ in guard.per_call}
-        assert {"ResultStore.get", "ResultStore.put", "ClaimStore.try_claim"} <= names
+        assert {
+            "ResultStore.get", "ResultStore.put", "ResultStore.put_sidecar",
+            "ClaimStore.try_claim", "ClaimStore.release", "ClaimStore.heartbeat",
+        } <= names
         for name, checks in guard.per_call:
-            twice = backend == "json" and name in (
-                "ClaimStore.heartbeat", "ClaimStore.release"
-            )
-            assert checks == (2 if twice else 1), (name, checks)
+            assert checks == 1, (name, checks)
         assert threading.active_count() == threads

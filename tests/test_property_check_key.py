@@ -8,10 +8,9 @@ same verdict from both — in particular the ones a regular expression is
 known to get wrong when it is anchored with ``$`` or matched with
 ``re.UNICODE`` digit classes.
 
-Where the guard runs is pinned here too: the json backend, which turns
-keys into paths, checks in every method that takes one (it is exported,
-so it is called without a facade in front of it), and the facades check
-on behalf of a backend that does not.
+Where the guard runs is pinned here too: every public method of the
+result and claim stores that takes a key builds a path from it, and
+rejects a malformed one before it touches the filesystem.
 """
 
 import inspect
@@ -21,12 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.results import ClaimStore, ResultStore
-from repro.results.backends import (
-    JsonStoreBackend,
-    SqliteStoreBackend,
-    check_key,
-    is_cell_key,
-)
+from repro.results.keys import check_key, is_cell_key
 
 HEX = "0123456789abcdef"
 KEY = "0123456789abcdef" * 4
@@ -106,50 +100,51 @@ def key_taking_methods(cls):
 
 
 #: Something harmless for every other argument a key-taking method has.
-FILLER = {
-    "text": "{}\n", "document": {}, "runner_id": "r", "fields": {},
-    "fields_factory": dict, "is_stale": lambda record: False,
-}
+FILLER = {"document": {}}
 
-ESCAPES = ["../x", "../../" + KEY, KEY[:2] + "/../../" + KEY, "/" + KEY, KEY + "/..", ""]
+ESCAPES = [
+    "../x", "../../" + KEY, KEY[:2] + "/../../" + KEY, "/" + KEY, KEY + "/..", "",
+    KEY.upper(), KEY + "\n",
+]
 
 
 def tree(root):
     return sorted(str(path.relative_to(root)) for path in root.rglob("*"))
 
 
+#: Every public key-taking method, by name: a new one must be added here,
+#: and so be covered by the escape test below.
+KEY_TAKING = {
+    ResultStore: [
+        "delete", "get", "get_raw", "get_sidecar", "has", "path_for", "put",
+        "put_sidecar", "quarantine", "sidecar_path_for",
+    ],
+    ClaimStore: ["get", "heartbeat", "path_for", "release", "try_claim"],
+}
+
+
+@pytest.mark.parametrize("facade", [ResultStore, ClaimStore])
+def test_the_key_taking_methods_are_the_ones_named(facade):
+    assert [name for name, _ in key_taking_methods(facade)] == KEY_TAKING[facade]
+
+
 @pytest.mark.parametrize("bad", ESCAPES)
-def test_every_json_backend_method_checks_the_key_it_builds_a_path_from(tmp_path, bad):
-    assert JsonStoreBackend.guards_keys
+@pytest.mark.parametrize("facade", [ResultStore, ClaimStore])
+def test_every_store_method_checks_the_key_it_builds_a_path_from(
+    tmp_path, facade, bad
+):
     (tmp_path / "x").write_text("outside the store")
-    backend = JsonStoreBackend(tmp_path / "store")
-    backend.doc_put_raw(KEY, "{}\n")
-    backend.claim_acquire(KEY, "r", dict, lambda record: False)
+    store = ResultStore(tmp_path / "store")
+    claims = ClaimStore(store.root, "r")
+    store.put(KEY, {})
+    store.put_sidecar(KEY, {})
+    claims.try_claim(KEY)
+    subject = store if facade is ResultStore else claims
     before = tree(tmp_path)
-    methods = list(key_taking_methods(JsonStoreBackend))
-    assert len(methods) >= 14  # doc_* x6, sidecar_* x3, claim_* x5
+    methods = list(key_taking_methods(facade))
+    assert [name for name, _ in methods] == KEY_TAKING[facade]
     for name, others in methods:
         with pytest.raises(ValueError, match="malformed result-store key"):
-            getattr(backend, name)(bad, *(FILLER[other] for other in others))
+            getattr(subject, name)(bad, *(FILLER[other] for other in others))
     assert tree(tmp_path) == before
     assert (tmp_path / "x").read_text() == "outside the store"
-
-
-@pytest.mark.parametrize("backend", ["json", "sqlite"])
-@pytest.mark.parametrize("facade", [ResultStore, ClaimStore])
-def test_every_facade_method_rejects_a_malformed_key_on_both_backends(
-    tmp_path, backend, facade
-):
-    assert not SqliteStoreBackend.guards_keys  # the facade checks for it
-    store = ResultStore(tmp_path / "store", backend=backend)
-    subject = store if facade is ResultStore else ClaimStore(
-        store.root, "r", backend=store.backend
-    )
-    methods = list(key_taking_methods(facade))
-    assert methods
-    for name, others in methods:
-        if backend == "sqlite" and name.endswith("path_for"):
-            continue  # file backends only: NotImplementedError
-        for bad in ("../x", KEY.upper(), KEY + "\n"):
-            with pytest.raises(ValueError, match="malformed result-store key"):
-                getattr(subject, name)(bad, *(FILLER[other] for other in others))

@@ -8,13 +8,16 @@ holder died.  Clocks are injected so leases age instantly.
 """
 
 import json
+import os
+import time
 
 import pytest
 
-from repro.results import Claim, ClaimStore, default_runner_id
+from repro.results import Claim, ClaimStore, ResultStore, default_runner_id
 
 KEY_A = "a" * 64
 KEY_B = "b" * 64
+KEY_C = "c" * 64
 
 
 class FakeClock:
@@ -131,6 +134,51 @@ class TestClaiming:
         with pytest.raises(ValueError, match="malformed"):
             _store(tmp_path).path_for("../../escape")
 
+    def test_a_root_that_is_a_file_refuses_claims(self, tmp_path, clock):
+        root = tmp_path / "plain-file"
+        root.write_text("occupied")
+        ours = _store(root, clock=clock)
+        with pytest.raises(OSError):
+            ours.try_claim(KEY_A)
+        assert ours.get(KEY_A) is None
+        assert list(ours.claims()) == []
+        assert ours.prune(lambda key: True) == 0
+        assert root.read_text() == "occupied"
+
+    def test_a_claim_file_is_pinned_byte_for_byte(self, tmp_path, clock):
+        """Claim files are read by every runner sharing the store, of
+        whatever version: their name and bytes are pinned literally."""
+        ours = ClaimStore(
+            tmp_path, runner_id="runner-1", lease_ttl_s=45.0, workers=2, clock=clock
+        )
+        ours.try_claim(KEY_A)
+        assert [str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")] == [
+            "claims", f"claims/{KEY_A}.claim"
+        ]
+        assert (tmp_path / "claims" / f"{KEY_A}.claim").read_bytes() == (
+            b'{"claimed_at": 1000.0, "heartbeat_at": 1000.0, "lease_ttl_s": 45.0,'
+            b' "runner_id": "runner-1", "workers": 2}\n'
+        )
+
+    def test_a_claim_released_between_create_and_read_is_retaken(
+        self, tmp_path, clock, monkeypatch
+    ):
+        """The holder lets go after our exclusive create failed but before
+        we read its claim: one more create wins the free cell."""
+        ours = _store(tmp_path, "runner-1", clock=clock)
+        theirs = _store(tmp_path, "runner-2", clock=clock)
+        theirs.try_claim(KEY_A)
+        load = ClaimStore._load
+
+        def released_first(self, key, path):
+            path.unlink()  # what the holder's release does
+            return load(self, key, path)
+
+        monkeypatch.setattr(ClaimStore, "_load", released_first)
+        assert ours.try_claim(KEY_A) is True
+        monkeypatch.undo()
+        assert ours.get(KEY_A).runner_id == "runner-1"
+
 
 class TestHeartbeat:
     def test_heartbeat_refreshes_the_lease(self, tmp_path, clock):
@@ -158,6 +206,13 @@ class TestHeartbeat:
     def test_heartbeat_without_a_claim_fails(self, tmp_path, clock):
         assert _store(tmp_path, clock=clock).heartbeat(KEY_A) is False
 
+    def test_heartbeat_by_a_non_holder_fails(self, tmp_path, clock):
+        ours = _store(tmp_path, "runner-1", clock=clock)
+        theirs = _store(tmp_path, "runner-2", clock=clock)
+        ours.try_claim(KEY_A)
+        assert theirs.heartbeat(KEY_A) is False
+        assert ours.get(KEY_A).heartbeat_at == clock.now
+
 
 class TestStaleLease:
     def test_stale_claim_is_reclaimed(self, tmp_path, clock):
@@ -181,6 +236,17 @@ class TestStaleLease:
         clock.advance(2.0)
         assert patient.try_claim(KEY_A) is True
 
+    def test_a_late_thief_loses_to_the_first(self, tmp_path, clock):
+        dead = _store(tmp_path, "dead", ttl=30.0, clock=clock)
+        dead.try_claim(KEY_A)
+        clock.advance(31.0)
+        assert _store(tmp_path, "thief", ttl=30.0, clock=clock).try_claim(KEY_A)
+        # The dead runner's heartbeat must not resurrect the lease, and
+        # a thief arriving later loses the normal race.
+        assert dead.heartbeat(KEY_A) is False
+        assert _store(tmp_path, "late", ttl=30.0, clock=clock).try_claim(KEY_A) is False
+        assert dead.get(KEY_A).runner_id == "thief"
+
     def test_only_one_thief_wins(self, tmp_path, clock):
         """Simultaneous reclaim attempts: the rename protocol lets
         exactly one runner hold the claim afterwards."""
@@ -195,6 +261,35 @@ class TestStaleLease:
         assert sum(wins) == 1
         winner = thieves[wins.index(True)]
         assert winner.get(KEY_A).runner_id == winner.runner_id
+
+    def test_a_thief_that_loses_the_rename_gives_up(self, tmp_path, clock, monkeypatch):
+        """Another thief renamed the stale claim away first: this one
+        reports the cell as taken instead of racing on."""
+        dead = _store(tmp_path, "dead", ttl=30.0, clock=clock)
+        dead.try_claim(KEY_A)
+        clock.advance(31.0)
+        rename = os.rename
+
+        def beaten(source, destination):
+            rename(source, str(source) + ".stale.quicker")
+            raise FileNotFoundError(source)
+
+        monkeypatch.setattr(os, "rename", beaten)
+        assert _store(tmp_path, "slow", clock=clock).try_claim(KEY_A) is False
+        monkeypatch.undo()
+        assert dead.get(KEY_A) is None  # the quicker thief's to take
+        assert [p.name for p in dead.directory.iterdir()] == [
+            f"{KEY_A}.claim.stale.quicker"
+        ]
+
+    def test_release_on_a_lost_claim_spares_the_thief(self, tmp_path, clock):
+        dead = _store(tmp_path, "dead", ttl=30.0, clock=clock)
+        thief = _store(tmp_path, "thief", ttl=30.0, clock=clock)
+        dead.try_claim(KEY_A)
+        clock.advance(31.0)
+        assert thief.try_claim(KEY_A)
+        assert dead.release(KEY_A) is False
+        assert thief.get(KEY_A).runner_id == "thief"
 
     def test_torn_claim_file_is_live_until_mtime_ages_out(self, tmp_path):
         """An unreadable claim (caught mid-write) must not be stolen
@@ -267,10 +362,98 @@ class TestPrune:
         # The claim itself still stands.
         assert ours.get(KEY_A).runner_id == "runner-1"
 
+    @pytest.mark.parametrize("crash", ["heartbeat", "steal"])
+    def test_a_crashed_writers_litter_is_what_prune_sweeps(
+        self, tmp_path, monkeypatch, crash
+    ):
+        """A runner that dies mid-heartbeat or mid-steal leaves a file
+        under the name ``prune`` looks for; ``claims()`` never lists it,
+        and ``prune`` removes it once it is older than the lease."""
+        clock = FakeClock(time.time())
+        ours = _store(tmp_path, "runner-1", ttl=30.0, clock=clock)
+        ours.try_claim(KEY_A)
+        if crash == "heartbeat":
+            litter = ours.directory / f".{KEY_A}.runner-1.hb.tmp"
+            patched, real = "replace", os.replace
+
+            def killed(source, destination):
+                raise KeyboardInterrupt
+
+            clock.advance(5.0)
+        else:
+            litter = ours.directory / f"{KEY_A}.claim.stale.thief"
+            patched, real = "rename", os.rename
+
+            def killed(source, destination):
+                real(source, destination)
+                raise KeyboardInterrupt
+
+            clock.advance(31.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, patched, killed)
+            with pytest.raises(KeyboardInterrupt):
+                if crash == "heartbeat":
+                    ours.heartbeat(KEY_A)
+                else:
+                    _store(tmp_path, "thief", ttl=30.0, clock=clock).try_claim(KEY_A)
+        assert litter.is_file()
+        assert [c.key for c in ours.claims()] == (
+            [KEY_A] if crash == "heartbeat" else []
+        )
+        clock.now = time.time()
+        assert ours.prune(lambda key: False) == 0  # younger than the lease
+        old = time.time() - 60.0
+        os.utime(litter, (old, old))
+        assert ours.prune(lambda key: False) == 1
+        assert not litter.exists()
+
+    def test_claims_listing_skips_litter(self, tmp_path, clock):
+        ours = _store(tmp_path, clock=clock)
+        ours.try_claim(KEY_B)
+        for name in (
+            f"{KEY_A}.claim.stale.dead",
+            f".{KEY_A}.dead.hb.tmp",
+            "notes.claim",
+            f"{KEY_A.upper()}.claim",
+        ):
+            (ours.directory / name).write_text("{}")
+        assert [c.key for c in ours.claims()] == [KEY_B]
+        assert ours.prune(lambda key: True) == 1  # the one real claim
+
     def test_prune_missing_directory(self, tmp_path, clock):
         assert _store(tmp_path / "never", clock=clock).prune(
             lambda key: True
         ) == 0
+
+
+class TestWithAResultStore:
+    """The claim protocol as the grid runner drives it over one store."""
+
+    def test_commit_then_release_partitions_two_runners(self, tmp_path, clock):
+        store = ResultStore(tmp_path)
+        a = _store(tmp_path, "runner-a", clock=clock)
+        b = _store(tmp_path, "runner-b", clock=clock)
+        grid = [KEY_A, KEY_B, KEY_C]
+        took_a = [k for k in grid if a.try_claim(k)]
+        took_b = [k for k in grid if not store.has(k) and b.try_claim(k)]
+        assert took_a == grid and took_b == []
+        for key in took_a:
+            store.put(key, {"by": "a"})
+        for key in took_a:
+            a.release(key)
+        assert list(store.keys()) == grid
+        assert list(a.claims()) == []
+        assert list(store.sidecar_keys()) == []  # claims/ is not a shard
+
+    def test_prune_drops_claims_on_committed_cells_only(self, tmp_path, clock):
+        store = ResultStore(tmp_path)
+        a = _store(tmp_path, "runner-a", clock=clock)
+        a.try_claim(KEY_A)
+        a.try_claim(KEY_B)
+        store.put(KEY_A, {"v": 1})  # committed, then the holder "crashed"
+        assert a.prune(store.has) == 1
+        assert a.get(KEY_A) is None
+        assert a.get(KEY_B) is not None  # unsettled claim left alone
 
 
 class TestClaimObject:

@@ -170,6 +170,58 @@ class TestResultStore:
         assert list(store.keys()) == [KEY_B]
         assert len(store) == 1
 
+    def test_get_raw_is_the_canonical_text(self, tmp_path):
+        store = ResultStore(tmp_path)
+        document = {"b": 2, "a": 1}
+        store.put(KEY_A, document)
+        expected = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        assert store.get_raw(KEY_A) == expected
+        with pytest.raises(KeyError, match="no result stored"):
+            store.get_raw(KEY_B)
+
+    @pytest.mark.parametrize("bad", ["", "short", "XY" * 32])
+    def test_put_and_has_reject_malformed_keys(self, tmp_path, bad):
+        store = ResultStore(tmp_path)
+        with pytest.raises(ValueError, match="malformed result-store"):
+            store.put(bad, {})
+        with pytest.raises(ValueError, match="malformed result-store"):
+            store.has(bad)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_put_is_durable_when_it_returns(self, tmp_path):
+        """No buffering: a put is on disk for every other reader the
+        moment it returns, even if the caller then fails."""
+        store = ResultStore(tmp_path)
+        with pytest.raises(RuntimeError, match="boom"):
+            store.put(KEY_A, {"v": 1})
+            raise RuntimeError("boom")
+        assert ResultStore(tmp_path).get(KEY_A) == {"v": 1}
+
+    def test_a_second_store_on_the_root_sees_every_put_and_delete(self, tmp_path):
+        """No state lives in the object: two stores on one directory (two
+        runners, or a runner and ``grid status``) agree after every write."""
+        writer, reader = ResultStore(tmp_path), ResultStore(tmp_path)
+        writer.put(KEY_A, {"v": 1})
+        writer.put_sidecar(KEY_A, {"s": 1})
+        assert reader.get(KEY_A) == {"v": 1}
+        assert reader.get_sidecar(KEY_A) == {"s": 1}
+        assert list(reader.keys()) == [KEY_A]
+        writer.delete(KEY_A)
+        assert not reader.has(KEY_A)
+        assert list(reader.keys()) == []
+
+    def test_a_root_that_is_a_file_lists_nothing_and_refuses_puts(self, tmp_path):
+        root = tmp_path / "plain-file"
+        root.write_text("occupied")
+        store = ResultStore(root)
+        assert list(store.keys()) == []
+        assert list(store.sidecar_keys()) == []
+        assert not store.has(KEY_A)
+        assert store.clean_tmp(max_age_s=-1.0) == 0
+        with pytest.raises(OSError):
+            store.put(KEY_A, {"v": 1})
+        assert root.read_text() == "occupied"
+
     def test_deleting_a_file_is_how_you_invalidate_one_cell(self, tmp_path):
         """The resume contract: removing one JSON file re-runs one cell."""
         store = ResultStore(tmp_path)
@@ -228,6 +280,43 @@ class TestCrashSafety:
         assert store.clean_tmp(max_age_s=-1.0) == 1
         assert not swept.exists()
         assert all(path.exists() for path in kept)
+
+
+    @pytest.mark.parametrize(
+        ("write", "temporary"),
+        [
+            ("put", ".{key}.{pid}.tmp"),
+            ("put_sidecar", ".{key}.telemetry.{pid}.tmp"),
+        ],
+        ids=["put", "put_sidecar"],
+    )
+    def test_a_writer_killed_before_its_rename_leaves_only_what_clean_tmp_sweeps(
+        self, tmp_path, monkeypatch, write, temporary
+    ):
+        """A writer that dies between writing its temp file and renaming
+        it leaves one file, under the name the sweeper looks for, that no
+        reader mistakes for a cell."""
+        store = ResultStore(tmp_path)
+        neighbour = KEY_A[:2] + "0" * 62
+        store.put(neighbour, {"v": 0})
+
+        def killed(source, destination):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", killed)
+            with pytest.raises(KeyboardInterrupt):
+                getattr(store, write)(KEY_A, {"v": 1})
+        left = tmp_path / KEY_A[:2] / temporary.format(key=KEY_A, pid=os.getpid())
+        assert sorted(p.name for p in left.parent.iterdir()) == sorted(
+            [left.name, f"{neighbour}.json"]
+        )
+        assert list(store.keys()) == [neighbour]
+        assert list(store.sidecar_keys()) == []
+        assert not store.has(KEY_A) and store.get_sidecar(KEY_A) is None
+        assert store.clean_tmp(max_age_s=-1.0) == 1
+        assert not left.exists()
+        assert store.get(neighbour) == {"v": 0}
 
 
 class TestDirectoriesOnDemand:
@@ -289,6 +378,37 @@ class TestDirectoriesOnDemand:
             store.get(KEY_A)
         store.put(KEY_A, {"v": 2})  # the re-executed cell commits fine
         assert store.get(KEY_A) == {"v": 2}
+
+    def test_undecodable_bytes_are_quarantined(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put(KEY_A, {"v": 1})
+        store.path_for(KEY_A).write_bytes(b'{"v": "\xff\xfe"}\n')
+        with pytest.raises(CorruptResultError, match="decode") as excinfo:
+            store.get(KEY_A)
+        assert excinfo.value.quarantined_to.read_bytes() == b'{"v": "\xff\xfe"}\n'
+        assert not store.has(KEY_A)
+
+    def test_quarantine_frees_the_key_and_keeps_the_evidence(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put(KEY_A, {"v": 1})
+        text = store.get_raw(KEY_A)
+        moved = store.quarantine(KEY_A)
+        assert moved == tmp_path / KEY_A[:2] / f"{KEY_A}.json.corrupt"
+        assert moved.read_text() == text
+        assert not store.has(KEY_A)
+        assert list(store.keys()) == []
+        assert store.quarantine(KEY_A) is None  # a second reader lost the race
+
+    def test_a_second_corruption_replaces_the_first_evidence(self, tmp_path):
+        store = ResultStore(tmp_path)
+        for payload in ("{first", "{second"):
+            store.put(KEY_A, {"v": 1})
+            store.path_for(KEY_A).write_text(payload)
+            with pytest.raises(CorruptResultError):
+                store.get(KEY_A)
+        quarantined = list((tmp_path / KEY_A[:2]).iterdir())
+        assert [p.name for p in quarantined] == [f"{KEY_A}.json.corrupt"]
+        assert quarantined[0].read_text() == "{second"
 
     def test_corrupt_error_is_not_a_keyerror(self, tmp_path):
         """Callers distinguish 'absent' (KeyError) from 'was present
@@ -354,6 +474,23 @@ class TestTelemetrySidecars:
         assert list(store.keys()) == [KEY_A]
         assert len(store) == 1
 
+    def test_undecodable_sidecar_reads_none(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put_sidecar(KEY_A, {"ok": True})
+        store.sidecar_path_for(KEY_A).write_bytes(b"\xff\xfe{}")
+        assert store.get_sidecar(KEY_A) is None
+        assert store.sidecar_path_for(KEY_A).is_file()
+
+    def test_sidecar_keys_skip_stray_files(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put_sidecar(KEY_B, {"side": 2})
+        shard = tmp_path / KEY_B[:2]
+        (shard / "notes.telemetry.json").write_text("{}")
+        (shard / f"{KEY_A}.telemetry.json").write_text("{}")  # wrong shard
+        (shard / f".{KEY_B}.telemetry.1.tmp").write_text("{")
+        (tmp_path / f"{KEY_B}.telemetry.json").write_text("{}")  # not a shard
+        assert list(store.sidecar_keys()) == [KEY_B]
+
     def test_sidecar_keys_lists_only_sidecars(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(KEY_A, {"doc": 1})
@@ -369,3 +506,37 @@ class TestTelemetrySidecars:
     def test_malformed_key_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             ResultStore(tmp_path).put_sidecar("nope", {})
+
+
+class TestOnDiskLayout:
+    """The bytes a store writes are its interface to every other copy of
+    the program that reads the directory: pinned literally here."""
+
+    def test_a_document_is_pinned_byte_for_byte(self, tmp_path):
+        ResultStore(tmp_path).put(KEY_B, {"b": [1, 2.5], "a": "x", "c": {}})
+        assert [str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")] == [
+            "ab", f"ab/{KEY_B}.json"
+        ]
+        assert (tmp_path / "ab" / f"{KEY_B}.json").read_bytes() == (
+            b'{\n  "a": "x",\n  "b": [\n    1,\n    2.5\n  ],\n  "c": {}\n}\n'
+        )
+
+    def test_a_sidecar_is_pinned_byte_for_byte(self, tmp_path):
+        ResultStore(tmp_path).put_sidecar(KEY_B, {"phases_s": {"simulate": 0.5}})
+        assert [str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")] == [
+            "ab", f"ab/{KEY_B}.telemetry.json"
+        ]
+        assert (tmp_path / "ab" / f"{KEY_B}.telemetry.json").read_bytes() == (
+            b'{\n  "phases_s": {\n    "simulate": 0.5\n  }\n}\n'
+        )
+
+    def test_the_package_exports_one_store(self):
+        import repro.results
+
+        assert sorted(repro.results.__all__) == sorted([
+            "SCHEMA_VERSION", "canonical_json", "cell_key", "cell_key_payload",
+            "cell_label", "check_key", "is_cell_key", "scenario_label",
+            "Claim", "ClaimStore", "CorruptResultError", "DEFAULT_LEASE_TTL_S",
+            "ResultStore", "default_runner_id",
+        ])
+        assert SCHEMA_VERSION == 2

@@ -27,7 +27,6 @@ from .persistence import (
     load_run_document,
     run_to_document,
 )
-from .report import claims_report, comparison_report, markdown_table
 from .sweep_report import (
     SweepAggregator,
     SweepRow,
@@ -70,9 +69,6 @@ __all__ = [
     "load_run_document",
     "grid_cell_to_document",
     "load_grid_cell_document",
-    "markdown_table",
-    "comparison_report",
-    "claims_report",
     "render_chart",
     "render_figure_chart",
     "SweepRow",

@@ -79,7 +79,7 @@ def collect_series(
 
 
 def summarize_outcomes(outcomes: Sequence[QueryOutcome]) -> OutcomeSummary:
-    """Whole-run aggregates (EXPERIMENTS.md headline numbers)."""
+    """Whole-run aggregates (the headline number of each figure)."""
     if not outcomes:
         return OutcomeSummary.empty()
     successes = [o for o in outcomes if o.success]

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-- ``figures`` (alias ``compare``) — run the four-protocol comparison
+- ``figures`` — run the four-protocol comparison
   (one seed and one scenario of a ``GridRunner``: the topology is
   built once and instantiated per protocol) and print Figures 2-4
   plus the §5.2 claim checks, optionally under a registered scenario
@@ -11,8 +11,6 @@ Subcommands:
   simulating;
 - ``ablation`` — run one ablation sweep (a1..a8, ext, ext2) on one or
   more seeds (``--seeds``) and judge its direction claims over them;
-- ``report``   — emit the markdown paper-vs-measured report (the same
-  grid as ``figures``, resumed from ``--store DIR`` when given);
 - ``grid``     — parameterised experiment grids over a
   content-addressed result store: ``grid run`` executes (and resumes)
   a protocol × scenario(+params) × config-override × seed grid —
@@ -20,15 +18,14 @@ Subcommands:
   grid dynamically through lease claims (``--runner-id``,
   ``--lease-ttl``) with zero duplicate executions, and each runner
   can fan its claimed cells across ``--workers`` fork processes that
-  inherit parent-built blueprints; ``grid status``
-  shows stored/claimed/pending counts and the active claims;
+  inherit parent-built blueprints; ``grid status`` prints one
+  snapshot of a grid against its store — stored/claimed/pending
+  counts, the active claims, per-runner throughput (from the
+  telemetry sidecars committed cells leave next to their documents)
+  and an ETA — and ``grid watch`` prints that snapshot every
+  ``--interval`` seconds until the grid completes;
   ``grid check`` judges the §5.2 claim table per seed on the grid's
   stored cells without executing;
-  ``grid watch`` is the live view — it polls the store and claims,
-  rendering stored/claimed/pending, per-runner throughput (from the
-  telemetry sidecars committed cells leave next to their documents),
-  and an ETA, while concurrent ``grid run`` processes fill the store;
-  ``grid run --profile DIR`` dumps per-batch cProfile artifacts;
   ``grid report`` aggregates a store from disk, ``grid ls`` lists the
   stored cells; a store is a directory of sharded JSON files
   (``<key[:2]>/<key>.json``), so copying one is ``cp -r``;
@@ -52,9 +49,8 @@ Subcommands:
 Examples::
 
     repro-locaware figures --queries 500 --bucket 100 --store results
-    repro-locaware compare --scenario flash-crowd --queries 500
+    repro-locaware figures --scenario flash-crowd --queries 500
     repro-locaware grid check --store results --queries 500 --bucket 100
-    repro-locaware report --queries 500 --bucket 100 --store results > measured.md
     repro-locaware ablation a6
     repro-locaware ablation a5 --seeds 1 2 3 4 5
     repro-locaware grid run --store results --config small \\
@@ -83,8 +79,6 @@ from collections.abc import Sequence
 from .analysis import (
     check_report,
     claim_verdicts,
-    claims_report,
-    comparison_report,
     comparison_slice,
     render_claim_lines,
     render_figure_chart,
@@ -115,10 +109,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     figures = sub.add_parser(
         "figures",
-        aliases=["compare"],
         help="run the four-protocol comparison: Figures 2-4 + claim checks",
     )
-    _add_run_options(figures)
+    figures.add_argument("--queries", type=int, default=BENCH_MAX_QUERIES)
+    figures.add_argument("--bucket", type=int, default=BENCH_BUCKET_WIDTH)
+    figures.add_argument("--seed", type=int, default=20090322)
+    figures.add_argument(
+        "--store",
+        metavar="DIR",
+        default=None,
+        help="result-store directory: stored cells are loaded, missing "
+        "ones executed and committed (default: run without a store)",
+    )
     figures.add_argument(
         "--scenario",
         metavar="NAME",
@@ -134,9 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     ablation.add_argument("id", choices=list(ablations.ABLATIONS), help="ablation id")
     ablation.add_argument("--queries", type=int, default=400)
     ablation.add_argument("--seeds", type=int, nargs="+", default=[20090322])
-
-    report = sub.add_parser("report", help="emit the markdown measured report")
-    _add_run_options(report)
 
     grid = sub.add_parser(
         "grid",
@@ -177,19 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="claim lease TTL: a runner silent this long is presumed "
         "dead and its claims may be reclaimed (default: 300)",
     )
-    grid_run.add_argument(
-        "--profile",
-        metavar="DIR",
-        default=None,
-        help="dump a cProfile .pstats file per executed batch into DIR "
-        "(with --workers > 1 the profile covers the coordinating "
-        "parent only)",
-    )
 
     grid_status = grid_sub.add_parser(
         "status",
-        help="stored/claimed/pending counts for a grid against a store, "
-        "plus the active claims",
+        help="one snapshot of a grid against a store: stored/claimed/"
+        "pending counts, the active claims, per-runner throughput from "
+        "telemetry sidecars, and an ETA",
     )
     _add_grid_axis_options(grid_status)
 
@@ -200,9 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     grid_watch = grid_sub.add_parser(
         "watch",
-        help="live progress view of a grid: polls the store and claims, "
-        "showing stored/claimed/pending, per-runner throughput from "
-        "telemetry sidecars, and an ETA",
+        help="the grid status snapshot, printed every --interval "
+        "seconds until the grid completes",
     )
     _add_grid_axis_options(grid_watch)
     grid_watch.add_argument(
@@ -211,20 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2.0,
         metavar="SECONDS",
         help="polling interval (default: 2)",
-    )
-    grid_watch.add_argument(
-        "--once",
-        action="store_true",
-        help="print a single snapshot and exit (for scripts and CI)",
-    )
-    grid_watch.add_argument(
-        "--window",
-        type=float,
-        default=300.0,
-        metavar="SECONDS",
-        help="throughput window: rates and the ETA use only cells "
-        "whose telemetry sidecar was committed within this many "
-        "seconds (default: 300)",
     )
 
     grid_report = grid_sub.add_parser(
@@ -347,20 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    """The comparison flags ``figures`` and ``report`` share."""
-    parser.add_argument("--queries", type=int, default=BENCH_MAX_QUERIES)
-    parser.add_argument("--bucket", type=int, default=BENCH_BUCKET_WIDTH)
-    parser.add_argument("--seed", type=int, default=20090322)
-    parser.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help="result-store directory: stored cells are loaded, missing "
-        "ones executed and committed (default: run without a store)",
-    )
-
-
 def _add_axis_options(parser: argparse.ArgumentParser) -> None:
     """The grid-axis flags of ``grid run|status|check|watch``."""
     parser.add_argument(
@@ -422,41 +385,31 @@ def _add_grid_axis_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _comparison_spec(args: argparse.Namespace) -> GridSpec:
-    """The paper's four protocols on one seed and one scenario."""
-    return GridSpec(
-        base_config=paper_config(),
-        scenarios=(getattr(args, "scenario", None) or "baseline",),
-        seeds=(args.seed,),
-        max_queries=args.queries,
-        bucket_width=args.bucket,
-    )
-
-
-def _run_grid(spec: GridSpec, out, store: str | None) -> GridReport:
-    """Run ``spec``, through the result store at ``store`` if given:
-    stored cells load, missing ones execute and commit."""
+def _cmd_figures(args: argparse.Namespace, out) -> int:
+    """The paper's four protocols on one seed and one scenario, through
+    the result store at ``--store`` if given: stored cells load,
+    missing ones execute and commit."""
     from .results import ResultStore
 
-    runner = GridRunner(
-        spec, store=ResultStore(store) if store is not None else None
-    )
     started = time.time()
-    report = runner.run(
-        progress=lambda m: print(
-            f"  [{time.time() - started:6.1f}s] {m}", file=out, flush=True
-        )
-    )
-    print(f"  done in {time.time() - started:.1f}s\n", file=out)
-    return report
-
-
-def _cmd_figures(args: argparse.Namespace, out) -> int:
     try:
-        report = _run_grid(_comparison_spec(args), out, args.store)
+        spec = GridSpec(
+            base_config=paper_config(),
+            scenarios=(args.scenario or "baseline",),
+            seeds=(args.seed,),
+            max_queries=args.queries,
+            bucket_width=args.bucket,
+        )
+        store = ResultStore(args.store) if args.store is not None else None
+        report = GridRunner(spec, store=store).run(
+            progress=lambda m: print(
+                f"  [{time.time() - started:6.1f}s] {m}", file=out, flush=True
+            )
+        )
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=out)
         return 2
+    print(f"  done in {time.time() - started:.1f}s\n", file=out)
     result = comparison_slice(report)
     for module in FIGURES:
         print(module.render(result), file=out)
@@ -509,21 +462,6 @@ def _cmd_ablation(args: argparse.Namespace, out) -> int:
     verdicts = claim_verdicts(per_seed)
     print(render_claim_lines(verdicts), file=out)
     return 0 if all(verdict.holds for verdict in verdicts) else 1
-
-
-def _cmd_report(args: argparse.Namespace, out) -> int:
-    try:
-        report = _run_grid(_comparison_spec(args), out, args.store)
-        result = comparison_slice(report)
-        text = (
-            f"{comparison_report(result)}\n\n### Claim checks\n\n"
-            f"{claims_report(result)}"
-        )
-    except (ValueError, OSError) as error:
-        print(f"error: {error}", file=out)
-        return 2
-    print(text, file=out)
-    return 0
 
 
 def _parse_override_axes(entries):
@@ -594,7 +532,6 @@ def _cmd_grid_run(args: argparse.Namespace, out) -> int:
             store=ResultStore(args.store),
             runner_id=args.runner_id,
             lease_ttl_s=lease_ttl,
-            profile_dir=args.profile,
         )
     except (ValueError, ConfigurationError, OSError) as error:
         print(f"error: {error}", file=out)
@@ -604,8 +541,6 @@ def _cmd_grid_run(args: argparse.Namespace, out) -> int:
         f"(lease TTL {lease_ttl:g}s, workers {args.workers})",
         file=out,
     )
-    if args.profile:
-        print(f"  profiling: per-batch .pstats into {args.profile}", file=out)
     started = time.time()
     try:
         report = runner.run(
@@ -631,68 +566,30 @@ def _cmd_grid_run(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _cmd_grid_status(args: argparse.Namespace, out) -> int:
-    """Stored/claimed/pending counts for one grid, plus claim health."""
-    from .results import ClaimStore, ResultStore
-    from .sim.errors import ConfigurationError
-
-    try:
-        spec = _grid_spec_from_args(args)
-    except (ValueError, ConfigurationError, OSError) as error:
-        print(f"error: {error}", file=out)
-        return 2
-    store = ResultStore(args.store)
-    claims = ClaimStore(store.root)
-    keys = {spec.cell_key(cell) for cell in spec.expand()}
-    stored = sum(1 for key in keys if store.has(key))
-    # A cell both stored and claimed (crash between commit and
-    # release) counts as stored — the claim is a prunable orphan, not
-    # outstanding work — so pending can never go negative.
-    claimed = {
-        claim.key: claim
-        for claim in claims.claims()
-        if claim.key in keys and not store.has(claim.key)
-    }
-    pending = len(keys) - stored - len(claimed)
-    print(
-        f"store {args.store}: {len(store)} cell(s) stored, "
-        f"{sum(1 for _ in claims.claims())} active claim(s)",
-        file=out,
-    )
-    print(
-        f"grid: total={len(keys)} stored={stored} claimed={len(claimed)} "
-        f"pending={pending}",
-        file=out,
-    )
-    if claimed:
-        now = time.time()
-        print("claims:", file=out)
-        for key in sorted(claimed):
-            claim = claimed[key]
-            state = "stale" if claim.is_stale(now) else "live"
-            print(
-                f"  {key[:12]}  {claim.runner_id}  "
-                f"workers {claim.workers}  "
-                f"age {claim.age_s(now):6.1f}s  "
-                f"heartbeat {claim.silence_s(now):5.1f}s ago  {state}",
-                file=out,
-            )
-    return 0
+#: Throughput and the ETA read only the telemetry sidecars committed
+#: within this many seconds, so they reflect the runners working now,
+#: not the whole history of the store.
+_THROUGHPUT_WINDOW_S = 300.0
 
 
-def _watch_snapshot(store, claims, keys, window_s, now):
-    """One ``grid watch`` poll: progress lines and whether the grid is done.
+def _grid_snapshot(store, claims, keys, name, now):
+    """The progress of the grid whose cell keys are ``keys`` in
+    ``store``, as printable lines, and whether the grid is complete.
 
     Throughput comes from the telemetry sidecars committed cells leave
-    next to their documents — only sidecars stamped within the window
-    count, so the rate (and the ETA derived from it) reflects current
-    runners, not the whole history of the store.
+    next to their documents, over the seconds the commits inside the
+    window span: ten commits in the last ten seconds read one cell a
+    second, however long the window.
     """
     stored = [key for key in sorted(keys) if store.has(key)]
     stored_set = set(stored)
+    every_claim = list(claims.claims())
+    # A cell both stored and claimed (crash between commit and
+    # release) counts as stored — the claim is a prunable orphan, not
+    # outstanding work — so pending can never go negative.
     claimed = [
         claim
-        for claim in claims.claims()
+        for claim in every_claim
         if claim.key in keys and claim.key not in stored_set
     ]
     pending = len(keys) - len(stored) - len(claimed)
@@ -703,13 +600,27 @@ def _watch_snapshot(store, claims, keys, window_s, now):
     bar = "#" * filled + "." * (width - filled)
     share = len(stored) / len(keys) if keys else 1.0
     lines = [
+        f"-- {time.strftime('%H:%M:%S', time.localtime(now))}  store {name}",
+        f"store {name}: {len(store)} cell(s) stored, "
+        f"{len(every_claim)} active claim(s)",
         f"grid: total={len(keys)} stored={len(stored)} "
         f"claimed={len(claimed)} pending={pending}",
         f"  [{bar}] {share:6.1%}",
     ]
+    if claimed:
+        lines.append("claims:")
+        for claim in claimed:
+            state = "stale" if claim.is_stale(now) else "live"
+            lines.append(
+                f"  {claim.key[:12]}  {claim.runner_id}  "
+                f"workers {claim.workers}  "
+                f"age {claim.age_s(now):6.1f}s  "
+                f"heartbeat {claim.silence_s(now):5.1f}s ago  {state}"
+            )
 
-    # Per-runner throughput from recent sidecars.
+    window_s = _THROUGHPUT_WINDOW_S
     recent = {}
+    oldest = now
     for key in stored:
         sidecar = store.get_sidecar(key)
         if sidecar is None:
@@ -719,6 +630,7 @@ def _watch_snapshot(store, claims, keys, window_s, now):
             continue
         if completed < now - window_s or completed > now + window_s:
             continue
+        oldest = min(oldest, completed)
         runner = str(sidecar.get("runner_id") or "unknown")
         stats = recent.setdefault(runner, {"cells": 0, "simulate_s": 0.0})
         stats["cells"] += 1
@@ -739,7 +651,10 @@ def _watch_snapshot(store, claims, keys, window_s, now):
     if done:
         lines.append("grid complete")
     else:
-        rate = sum(stats["cells"] for stats in recent.values()) / window_s
+        # At least a second, so a commit stamped this instant (or
+        # ahead of this clock) cannot read as an unbounded rate.
+        span_s = min(window_s, max(now - oldest, 1.0))
+        rate = sum(stats["cells"] for stats in recent.values()) / span_s
         remaining = len(keys) - len(stored)
         if rate > 0:
             lines.append(
@@ -752,6 +667,42 @@ def _watch_snapshot(store, claims, keys, window_s, now):
                 f"last {window_s:g}s; {remaining} cell(s) remaining"
             )
     return "\n".join(lines), done
+
+
+def _print_snapshots(args: argparse.Namespace, out, interval_s=None) -> int:
+    """Print the grid's snapshot once, or every ``interval_s`` seconds
+    until the grid is complete."""
+    from .results import ClaimStore, ResultStore
+    from .sim.errors import ConfigurationError
+
+    try:
+        spec = _grid_spec_from_args(args)
+    except (ValueError, ConfigurationError, OSError) as error:
+        print(f"error: {error}", file=out)
+        return 2
+    store = ResultStore(args.store)
+    claims = ClaimStore(store.root)
+    keys = {spec.cell_key(cell) for cell in spec.expand()}
+    while True:
+        snapshot, done = _grid_snapshot(store, claims, keys, args.store, time.time())
+        print(snapshot, file=out, flush=True)
+        if done or interval_s is None:
+            return 0
+        print(file=out)
+        time.sleep(interval_s)
+
+
+def _cmd_grid_status(args: argparse.Namespace, out) -> int:
+    """One snapshot of the grid against the store."""
+    return _print_snapshots(args, out)
+
+
+def _cmd_grid_watch(args: argparse.Namespace, out) -> int:
+    """The snapshot every ``--interval`` seconds until the grid completes."""
+    if args.interval <= 0:
+        print("error: --interval must be positive", file=out)
+        return 2
+    return _print_snapshots(args, out, args.interval)
 
 
 def _stored_report(args: argparse.Namespace) -> GridReport:
@@ -789,39 +740,6 @@ def _cmd_grid_check(args: argparse.Namespace, out) -> int:
     except (ValueError, ConfigurationError, OSError) as error:
         print(f"error: {error}", file=out)
         return 2
-
-
-def _cmd_grid_watch(args: argparse.Namespace, out) -> int:
-    """Poll the store + claims until the grid completes (or --once)."""
-    from .results import ClaimStore, ResultStore
-    from .sim.errors import ConfigurationError
-
-    if args.interval <= 0:
-        print("error: --interval must be positive", file=out)
-        return 2
-    if args.window <= 0:
-        print("error: --window must be positive", file=out)
-        return 2
-    try:
-        spec = _grid_spec_from_args(args)
-    except (ValueError, ConfigurationError, OSError) as error:
-        print(f"error: {error}", file=out)
-        return 2
-    store = ResultStore(args.store)
-    claims = ClaimStore(store.root)
-    keys = {spec.cell_key(cell) for cell in spec.expand()}
-    while True:
-        now = time.time()
-        snapshot, done = _watch_snapshot(store, claims, keys, args.window, now)
-        stamp = time.strftime("%H:%M:%S", time.localtime(now))
-        print(f"-- {stamp}  store {args.store}", file=out)
-        print(snapshot, file=out)
-        if hasattr(out, "flush"):
-            out.flush()
-        if done or args.once:
-            return 0
-        print(file=out)
-        time.sleep(args.interval)
 
 
 def _iter_store_cells(store, extract, out):
@@ -1119,9 +1037,7 @@ def _cmd_info(args: argparse.Namespace, out) -> int:
 
 _COMMANDS = {
     "figures": _cmd_figures,
-    "compare": _cmd_figures,
     "ablation": _cmd_ablation,
-    "report": _cmd_report,
     "grid": _cmd_grid,
     "trace": _cmd_trace,
     "lint": _cmd_lint,

@@ -166,7 +166,7 @@ class LocawareProtocol(DicasProtocol):
         provider would be the ideal answer.  (Stronger biases — raw
         requestor RTT, locId-first — were tried and discarded: they
         trade away too much exploration and lose 2-8 points of success
-        rate; see EXPERIMENTS.md.)
+        rate.)
         """
         last_hop = query.last_hop
         keywords = query.keywords

@@ -1,4 +1,4 @@
-"""Ablation experiments (DESIGN.md A1-A8 + the §6 and drift extensions), declared once.
+"""Ablation experiments (A1-A8 + the §6 and drift extensions), declared once.
 
 :data:`ABLATIONS` is the one table of them.  Each entry sweeps one
 design parameter the paper discusses and declares, once: its id and
@@ -22,7 +22,8 @@ the resulting :class:`~repro.analysis.paper_claims.ResultTable`.
 - A6 — §4.2 footnote: update messages must stay within ~0.132 Kb;
 - A7 — the Dicas M parameter: cache concentration vs routing
   reachability;
-- A8 — latency model × peer placement (DESIGN.md substitution audit);
+- A8 — latency model × peer placement: substrate sensitivity
+  (README.md "The ablations' claims");
 - EXT — §6 future work: location-aware *query routing* on top of
   Locaware (the ``locaware+locrouting`` protocol, so the grid's
   protocol axis);

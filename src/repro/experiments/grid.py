@@ -14,12 +14,11 @@ a repeated one costs zero executions.
 
 This module is also the single sweep engine: the ablations run a
 storeless :class:`GridRunner`, the one-seed comparison behind ``repro
-figures`` / ``repro report`` runs one with or without a store
-(``--store``), and a claim check over seeds is ``repro grid run
---seeds …`` followed by ``repro grid check``
-(:func:`repro.analysis.check_report` on the stored cells), so
-serial/parallel equivalence and blueprint reuse are implemented (and
-tested) exactly once.  The store is the only persisted form of a grid:
+figures`` runs one with or without a store (``--store``), and a claim
+check over seeds is ``repro grid run --seeds …`` followed by ``repro
+grid check`` (:func:`repro.analysis.check_report` on the stored
+cells), so serial/parallel equivalence and blueprint reuse are
+implemented (and tested) exactly once.  The store is the only persisted form of a grid:
 every reader receives a :class:`GridReport`.
 
 Usage::
@@ -35,25 +34,23 @@ Usage::
     report = GridRunner(spec, workers=4, store=ResultStore("results")).run()
     print(render_sweep_report(report))
 
-``repro grid run|check|report|ls`` is the CLI face of this module.
+``repro grid run|status|watch|check|report|ls`` is the CLI face of
+this module; a profile of a grid run is ``python -m cProfile -o
+grid.pstats -m repro grid run …``.
 """
 
 from __future__ import annotations
 
-import cProfile
 import hashlib
 import json
 import math
 import multiprocessing
-import os
 import threading
 import time
 from collections import Counter, OrderedDict
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import Any
 
 from ..analysis.persistence import grid_cell_to_document, load_grid_cell_document
@@ -748,12 +745,11 @@ class GridWorkerPool:
         return self.start_method == "fork"
 
     def imap(
-        self,
-        tasks: Sequence[tuple[GridCell, SimulationConfig, int, int]],
-        chunksize: int = 1,
+        self, tasks: Sequence[tuple[GridCell, SimulationConfig, int, int]]
     ) -> Iterator[tuple[GridCell, Any]]:
-        """Dispatch cell tasks, yielding ``(cell, run)`` as they finish."""
-        return self._pool.imap(_run_cell, tasks, chunksize=chunksize)
+        """Dispatch cell tasks one at a time, yielding ``(cell, run)``
+        in task order as they finish."""
+        return self._pool.imap(_run_cell, tasks)
 
     def map(self, fn: Callable, items: Sequence[Any]) -> list[Any]:
         """Run an arbitrary picklable function across the workers."""
@@ -802,7 +798,6 @@ def _capped_prebuild(
 def execute_cells(
     spec: GridSpec,
     cells: Sequence[GridCell],
-    workers: int = 1,
     progress: Callable[[str], None] | None = None,
     progress_offset: int = 0,
     progress_total: int | None = None,
@@ -811,66 +806,35 @@ def execute_cells(
     """Execute ``cells`` and yield ``(cell, run)`` in completion order.
 
     The one sweep engine: every cell is an isolated, seed-deterministic
-    :func:`~repro.experiments.runner.run_protocol` call, so fanning the
-    cells over a ``multiprocessing`` pool cannot change any result —
-    ``workers=1`` and ``workers=N`` are cell-for-cell identical
+    :func:`~repro.experiments.runner.run_protocol` call, so running the
+    cells in this process (``pool`` is None) or through a caller-owned
+    :class:`GridWorkerPool` cannot change any result — ``workers=1``
+    and ``workers=N`` are cell-for-cell identical
     (``tests/test_determinism.py``), and neither can the order: cells
     always run topology by topology (:meth:`GridSpec.by_topology`) and
     instantiate their world from the process's blueprint cache, so a
     serial run builds each distinct world exactly once at any cache
-    budget.  Across workers, up to one cache budget's worth of
-    distinct topologies is prebuilt in the parent and inherited
-    copy-on-write by fork workers; anything past that budget (and
-    everything on platforms without fork) builds lazily, at most once
-    per fingerprint per worker — results are byte-identical either way.
-    The worlds stay cached when the cells are done: releasing them is
-    the caller's part (:class:`GridRunner` releases each as the last
-    cell of its topology resolves).
-
-    ``pool`` dispatches through a caller-owned persistent
-    :class:`GridWorkerPool` instead of forking a fresh one for this
-    call — the claim-aware store loop runs many small batches on one
-    pool, whose fork workers inherit the blueprints its owner
-    prewarmed.
+    budget.  A pool's fork workers inherit the worlds its owner
+    prewarmed (:meth:`GridRunner._ensure_pool`) and build the rest
+    lazily, at most once per fingerprint per worker.  The worlds stay
+    cached when the cells are done: releasing them is the caller's part
+    (:class:`GridRunner` releases each as the last cell of its topology
+    resolves).
 
     ``progress_offset`` / ``progress_total`` re-anchor the ``[done/
     total]`` progress prefix when these cells are one batch of a larger
     grid (the claim-aware store loop executes a few cells at a time
     but should still report grid-wide progress).
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    cells = spec.by_topology(cells)
     tasks = [
         (cell, spec.base_config, spec.max_queries, spec.bucket_width)
-        for cell in cells
+        for cell in spec.by_topology(cells)
     ]
     total = progress_total if progress_total is not None else len(tasks)
-    if pool is not None:
-        for done, (cell, run) in enumerate(
-            pool.imap(tasks), start=1 + progress_offset
-        ):
-            _note(progress, done, total, cell)
-            yield cell, run
-        return
-    workers = min(workers, len(tasks)) if tasks else 1
-    if workers == 1:
-        for done, task in enumerate(tasks, start=1 + progress_offset):
-            cell, run = _run_cell(task)
-            _note(progress, done, total, cell)
-            yield cell, run
-    else:
-        # One chunk per row: the protocols of a row share a world, so
-        # they land on the worker that already holds (or builds) it.
-        with GridWorkerPool(
-            workers, prebuild=_capped_prebuild(spec, cells)
-        ) as ephemeral:
-            for done, (cell, run) in enumerate(
-                ephemeral.imap(tasks, chunksize=len(spec.protocols)),
-                start=1 + progress_offset,
-            ):
-                _note(progress, done, total, cell)
-                yield cell, run
+    runs = pool.imap(tasks) if pool is not None else map(_run_cell, tasks)
+    for done, (cell, run) in enumerate(runs, start=1 + progress_offset):
+        _note(progress, done, total, cell)
+        yield cell, run
 
 
 class _HeartbeatTicker:
@@ -945,11 +909,10 @@ class GridRunner:
     spec:
         The grid to run.
     workers:
-        Process fan-out, forwarded to :func:`execute_cells`.  With a
-        store and ``workers > 1``, claimed batches are fanned across
-        one persistent fork :class:`GridWorkerPool` whose workers
-        inherit parent-built blueprints copy-on-write (see
-        :meth:`_ensure_pool`).
+        Process fan-out.  With ``workers > 1`` the cells — all of them
+        without a store, each claimed batch with one — are fanned
+        across one fork :class:`GridWorkerPool` whose workers inherit
+        parent-built blueprints copy-on-write (see :meth:`_ensure_pool`).
     reuse_builds:
         Accepted and unread: blueprint reuse is how every cell runs.
     store:
@@ -985,12 +948,6 @@ class GridRunner:
         stolen mid-flight.
     clock:
         Time source for claims (injectable for lease tests).
-    profile_dir:
-        Optional directory for cProfile artifacts: each executed batch
-        dumps ``<runner>-batch<N>.pstats`` there.  With ``workers > 1``
-        the profile covers only this parent process (dispatch, document
-        serialisation, commits) — the simulations run in pool workers;
-        profile with ``workers=1`` to see simulation internals.
     """
 
     def __init__(
@@ -1004,7 +961,6 @@ class GridRunner:
         poll_interval_s: float = 0.5,
         heartbeat_interval_s: float | None = None,
         clock: Callable[[], float] = time.time,
-        profile_dir: str | Path | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -1019,8 +975,6 @@ class GridRunner:
         self.spec = spec
         self.workers = workers
         self.store = store
-        self.profile_dir = Path(profile_dir) if profile_dir is not None else None
-        self._profiled_batches = 0
         # Topology fingerprint → cells of the current run not resolved
         # yet (see _resolve).
         self._unresolved: Counter[str] = Counter()
@@ -1061,18 +1015,19 @@ class GridRunner:
         self._unresolved = Counter(
             self.spec._row(cell)["topology_fingerprint"] for cell in cells
         )
-        if self.store is None:
-            with self._profiled_batch():
-                for cell, run in execute_cells(
-                    self.spec,
-                    cells,
-                    workers=self.workers,
-                    progress=progress,
-                ):
-                    report.executed += 1
-                    self._resolve(report, cell, run)
-            return report
-        return self._run_with_store(cells, report, progress)
+        if self.store is not None:
+            return self._run_with_store(cells, report, progress)
+        pool = self._ensure_pool(None, self.spec.by_topology(cells), [])
+        try:
+            for cell, run in execute_cells(
+                self.spec, cells, progress=progress, pool=pool
+            ):
+                report.executed += 1
+                self._resolve(report, cell, run)
+        finally:
+            if pool is not None:
+                pool.close()
+        return report
 
     def _resolve(self, report: GridReport, cell: GridCell, run: Any) -> None:
         """Record ``cell``'s run; release its world if it was the last
@@ -1091,25 +1046,6 @@ class GridRunner:
         else:
             del self._unresolved[fingerprint]
             _BLUEPRINT_CACHE.release(fingerprint)
-
-    @contextmanager
-    def _profiled_batch(self) -> Iterator[None]:
-        """Profile the enclosed batch into ``profile_dir`` (no-op without)."""
-        if self.profile_dir is None:
-            yield
-            return
-        profile = cProfile.Profile()
-        profile.enable()
-        try:
-            yield
-        finally:
-            profile.disable()
-            self._profiled_batches += 1
-            who = self.runner_id or f"grid-{os.getpid()}"
-            self.profile_dir.mkdir(parents=True, exist_ok=True)
-            profile.dump_stats(
-                self.profile_dir / f"{who}-batch{self._profiled_batches:03d}.pstats"
-            )
 
     def _put_telemetry_sidecar(self, key: str, run: Any) -> None:
         """Persist a freshly executed cell's telemetry next to its document.
@@ -1247,25 +1183,28 @@ class GridRunner:
         claimed: list[GridCell],
         deferred: list[GridCell],
     ) -> GridWorkerPool | None:
-        """The persistent pool for claimed batches, forked on first use.
+        """The one worker pool of a run, forked on first use: no more
+        workers than cells pending, and None when that is one, which
+        runs the cells in this process.
 
-        Created lazily on the first batch that actually executes (a
-        warm store never pays for a pool), after up to one cache
-        budget's worth of the distinct topologies among the
-        pending cells (the ``claimed`` batch first, then everything
-        ``deferred`` to later passes) is built into the parent's
-        blueprint cache — fork workers inherit those worlds
-        copy-on-write.  The one pool then serves every later batch: a
-        topology the workers did not inherit is built lazily, at most
-        once per worker, which keeps many-seed grids parallel instead
-        of stalling each batch behind serial parent builds and a
-        re-fork.
+        A storeless run forks it for all its cells at once; a store
+        run forks it lazily on the first claimed batch that actually
+        executes (a warm store never pays for a pool).  Either way it
+        is forked after up to one cache budget's worth of the distinct
+        topologies among the pending cells (the ``claimed`` batch
+        first, then everything ``deferred`` to later passes) is built
+        into the parent's blueprint cache — fork workers inherit those
+        worlds copy-on-write.  The one pool then serves every later
+        batch: a topology the workers did not inherit is built lazily,
+        at most once per worker, which keeps many-seed grids parallel
+        instead of stalling each batch behind serial parent builds and
+        a re-fork.
         """
-        if self.workers == 1 or pool is not None:
+        workers = min(self.workers, len(claimed) + len(deferred))
+        if pool is not None or workers == 1:
             return pool
         return GridWorkerPool(
-            self.workers,
-            prebuild=_capped_prebuild(self.spec, claimed + deferred),
+            workers, prebuild=_capped_prebuild(self.spec, claimed + deferred)
         )
 
     def _load_stored(
@@ -1314,9 +1253,8 @@ class GridRunner:
         quarantined_to = self.store.quarantine(key)
         report.quarantined += 1
         if progress is not None:
-            # A path on file-backed stores, an opaque token on row-backed.
             where = (
-                getattr(quarantined_to, "name", quarantined_to)
+                quarantined_to.name
                 if quarantined_to is not None
                 else "already removed"
             )
@@ -1353,35 +1291,31 @@ class GridRunner:
         committed: list[str] = []
         done = 0
         try:
-            with self._profiled_batch():
-                for cell, run in execute_cells(
-                    self.spec,
-                    claimed,
-                    workers=self.workers,
-                    progress=progress,
-                    progress_offset=report.executed + report.cached,
-                    progress_total=self.spec.num_cells,
-                    pool=pool,
-                ):
-                    key = keys[cell]
-                    document = grid_cell_to_document(
-                        cell,
-                        run,
-                        key=key,
-                        max_queries=self.spec.max_queries,
-                        bucket_width=self.spec.bucket_width,
-                        topology_fingerprint=self.spec._row(cell)[
-                            "topology_fingerprint"
-                        ],
-                    )
-                    self.store.put(key, document)
-                    self._put_telemetry_sidecar(key, run)
-                    committed.append(key)
-                    report.executed += 1
-                    self._resolve(
-                        report, cell, load_grid_cell_document(document)
-                    )
-                    done += 1
+            for cell, run in execute_cells(
+                self.spec,
+                claimed,
+                progress=progress,
+                progress_offset=report.executed + report.cached,
+                progress_total=self.spec.num_cells,
+                pool=pool,
+            ):
+                key = keys[cell]
+                document = grid_cell_to_document(
+                    cell,
+                    run,
+                    key=key,
+                    max_queries=self.spec.max_queries,
+                    bucket_width=self.spec.bucket_width,
+                    topology_fingerprint=self.spec._row(cell)[
+                        "topology_fingerprint"
+                    ],
+                )
+                self.store.put(key, document)
+                self._put_telemetry_sidecar(key, run)
+                committed.append(key)
+                report.executed += 1
+                self._resolve(report, cell, load_grid_cell_document(document))
+                done += 1
             # The batch is durable: now (and only now) stop
             # heartbeating and hand the finished cells back.
             for key in committed:

@@ -23,8 +23,9 @@ graveyard name first (``os.rename`` succeeds for exactly one thief) and
 re-runs the exclusive create.  Pure filesystem — it works on any shared
 directory where ``O_CREAT | O_EXCL`` is atomic.
 
-The holder re-stamps its heartbeat as it finishes other cells; a
-claim whose heartbeat is older than its lease TTL is *stale* — its
+While the cell executes, a background thread of the holder re-stamps
+its heartbeat on a timer (every quarter of the lease TTL by default);
+a claim whose heartbeat is older than its lease TTL is *stale* — its
 runner is presumed dead — and any runner may reclaim it.
 
 Two hazards are deliberately tolerated rather than prevented:

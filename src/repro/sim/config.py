@@ -180,7 +180,7 @@ class SimulationConfig:
     """A query with no response after this long counts as failed."""
 
     # -- churn (off by default; the paper's headline figures do not
-    # parameterise churn, see DESIGN.md ablation A5) ---------------------
+    # parameterise churn; see README.md "The ablations' claims", A5) -----
     churn_enabled: bool = False
     """Whether peers leave/join during the run."""
 

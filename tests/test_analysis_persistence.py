@@ -1,20 +1,12 @@
-"""Tests for JSON persistence and markdown reporting of results."""
+"""Tests for JSON persistence of results."""
 
 import math
 
 import pytest
 
-from repro.analysis import (
-    aggregate_sweep,
-    check_paper_claims,
-    claims_report,
-    comparison_report,
-    comparison_slice,
-    markdown_table,
-)
+from repro.analysis import aggregate_sweep, check_paper_claims, comparison_slice
 from repro.experiments import GridRunner, GridSpec, small_config
 from repro.results import ResultStore
-from test_analysis import statements
 
 
 def _stored(report, root):
@@ -38,37 +30,6 @@ def comparison_report_run():
             bucket_width=50,
         )
     ).run()
-
-
-@pytest.fixture(scope="module")
-def comparison(comparison_report_run):
-    return comparison_slice(comparison_report_run)
-
-
-class TestMarkdown:
-    def test_markdown_table_shape(self):
-        text = markdown_table(["a", "b"], [[1, 2.5], ["x", math.nan]])
-        lines = text.splitlines()
-        assert lines[0] == "| a | b |"
-        assert lines[1] == "|---|---|"
-        assert "2.50" in lines[2]
-        assert "n/a" in lines[3]
-
-    def test_comparison_report_contains_figures(self, comparison):
-        text = comparison_report(comparison, heading="test run")
-        assert "### test run" in text
-        assert "Figure 2 series" in text
-        assert "Figure 3 series" in text
-        assert "Figure 4 series" in text
-        assert "locaware" in text
-
-    def test_claims_report_lists_all_claims(self, comparison):
-        text = claims_report(comparison)
-        for statement in statements():
-            assert f"| {statement} | " in text
-        assert text.count("Fig2") == 3
-        assert text.count("Fig3") == 4
-        assert text.count("Fig4") == 3
 
 
 class TestStoredGridReports:

@@ -80,13 +80,12 @@ class TestCommandFlags:
         "figures": {
             "--queries", "--bucket", "--seed", "--store", "--scenario", "--chart",
         },
-        "report": {"--queries", "--bucket", "--seed", "--store"},
         "ablation": {"--queries", "--seeds"},
         "grid run": _GRID_AXIS_FLAGS
-        | {"--workers", "--runner-id", "--lease-ttl", "--profile"},
+        | {"--workers", "--runner-id", "--lease-ttl"},
         "grid status": _GRID_AXIS_FLAGS,
         "grid check": _GRID_AXIS_FLAGS,
-        "grid watch": _GRID_AXIS_FLAGS | {"--interval", "--once", "--window"},
+        "grid watch": _GRID_AXIS_FLAGS | {"--interval"},
         "grid report": {"--store"},
         "grid ls": {"--store"},
         "trace run": {
@@ -255,7 +254,9 @@ class TestGridRunAxes:
             assert args.protocols == ["flooding", "dicas", "dicas-keys", "locaware"]
             assert (args.queries, args.bucket, args.config) == (200, None, "paper")
 
-    @pytest.mark.parametrize("command", ["seed-sweep", "claims", "sweep"])
+    @pytest.mark.parametrize(
+        "command", ["seed-sweep", "claims", "sweep", "report", "compare"]
+    )
     def test_replaced_commands_are_gone(self, command, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args([command])
@@ -267,12 +268,15 @@ class TestGridRunAxes:
             (["grid", "run"], "--reuse-builds"),
             (["grid", "run"], "--out"),
             (["figures"], "--save"),
-            (["report"], "--load"),
             (["grid", "check"], "--load"),
+            (["grid", "run"], "--profile"),
+            (["grid", "watch"], "--once"),
+            (["grid", "watch"], "--window"),
         ],
         ids=[
             "grid-run-reuse-builds", "grid-run-out", "figures-save",
-            "report-load", "grid-check-load",
+            "grid-check-load", "grid-run-profile", "grid-watch-once",
+            "grid-watch-window",
         ],
     )
     def test_flag_is_gone(self, command, flag, capsys):
@@ -324,9 +328,9 @@ def without_progress(text):
 
 
 class TestStoreRoundtrip:
-    """figures --store → figures --store (warm) → report --store →
-    grid check --store: one grid, persisted once, read by every
-    command; and each output equals the storeless command's."""
+    """figures --store → figures --store (warm) → grid check --store:
+    one grid, persisted once, read by every command; and each output
+    equals the storeless command's."""
 
     FLAGS = ("--queries", "60", "--bucket", "20")
 
@@ -358,17 +362,6 @@ class TestStoreRoundtrip:
         assert "[1/" not in warm[1]
         assert warm_builds == 0
 
-    def test_report_reads_the_store(self, runs):
-        store = runs[0]
-        code, text = run_cli("report", *self.FLAGS, "--store", str(store))
-        assert code == 0
-        assert "[1/" not in text  # every cell loaded, none executed
-        assert "Figure 2 series" in text
-        assert "### Claim checks" in text
-        storeless = run_cli("report", *self.FLAGS)
-        assert storeless[0] == 0
-        assert without_progress(text) == without_progress(storeless[1])
-
     def test_grid_check_reads_the_same_cells(self, runs):
         store, _storeless, cold, _warm, _builds = runs
         code, text = run_cli("grid", "check", "--store", str(store), *self.FLAGS)
@@ -382,13 +375,10 @@ class TestStoreRoundtrip:
         ]
         assert len(claim_lines(text)) == 2 * len(statements())
 
-    @pytest.mark.parametrize("command", ["figures", "report"])
-    def test_a_store_that_is_a_file_fails_before_any_cell_runs(
-        self, command, tmp_path
-    ):
+    def test_a_store_that_is_a_file_fails_before_any_cell_runs(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
-        code, text = run_cli(command, *self.FLAGS, "--store", str(blocker))
+        code, text = run_cli("figures", *self.FLAGS, "--store", str(blocker))
         assert code == 2
         assert text.startswith("error: ")
         assert "blocker" in text
@@ -415,7 +405,7 @@ def _no_summary(store, key):
 
 
 class TestStoreResume:
-    """``figures`` / ``report --store`` resume whatever the store holds:
+    """``figures --store`` resumes whatever the store holds:
     a lost or damaged cell is executed again on its own, a store that
     ``grid run`` filled is read without executing, and
     the grid commands read what ``figures`` stored."""
@@ -430,9 +420,7 @@ class TestStoreResume:
 
     @pytest.fixture(scope="class")
     def storeless(self):
-        return {
-            command: run_cli(command, *self.FLAGS) for command in ("figures", "report")
-        }
+        return run_cli("figures", *self.FLAGS)
 
     @staticmethod
     def _flooding_key():
@@ -453,9 +441,8 @@ class TestStoreResume:
         [_drop, _not_json, _not_a_document, _no_summary],
         ids=["dropped", "not-json", "not-a-document", "no-summary"],
     )
-    @pytest.mark.parametrize("command", ["figures", "report"])
     def test_a_damaged_cell_is_executed_again_alone(
-        self, command, damage, filled, storeless, tmp_path
+        self, damage, filled, storeless, tmp_path
     ):
         from repro.results import ResultStore
 
@@ -463,26 +450,25 @@ class TestStoreResume:
         shutil.copytree(filled, store)
         key = self._flooding_key()
         damage(ResultStore(store), key)
-        code, text = run_cli(command, *self.FLAGS, "--store", str(store))
-        assert code == storeless[command][0]
-        assert without_progress(text) == without_progress(storeless[command][1])
+        code, text = run_cli("figures", *self.FLAGS, "--store", str(store))
+        assert code == storeless[0]
+        assert without_progress(text) == without_progress(storeless[1])
         executed = [line for line in text.splitlines() if "/4] " in line]
         assert len(executed) == 1
         assert "baseline × flooding" in executed[0]
         assert ResultStore(store).get_raw(key) == ResultStore(filled).get_raw(key)
 
-    @pytest.mark.parametrize("command", ["figures", "report"])
     def test_a_store_grid_run_filled_is_read_without_executing(
-        self, command, storeless, tmp_path
+        self, storeless, tmp_path
     ):
         store = tmp_path / "store"
         code, text = run_cli("grid", "run", "--store", str(store), *self.FLAGS)
         assert code == 0
         assert "total=4 executed=4 cached=0" in text
-        code, text = run_cli(command, *self.FLAGS, "--store", str(store))
-        assert code == storeless[command][0]
+        code, text = run_cli("figures", *self.FLAGS, "--store", str(store))
+        assert code == storeless[0]
         assert "/4] " not in text
-        assert without_progress(text) == without_progress(storeless[command][1])
+        assert without_progress(text) == without_progress(storeless[1])
 
     def test_another_query_budget_is_another_grid(self, filled, tmp_path):
         from repro.results import ResultStore
@@ -528,12 +514,7 @@ class TestStoreResume:
         assert "grid: total=4 stored=4 claimed=0 pending=0" in text
 
 
-class TestCompareCommand:
-    def test_compare_is_an_alias_of_figures(self):
-        args = build_parser().parse_args(["compare"])
-        assert args.command == "compare"
-        assert args.scenario is None
-
+class TestFiguresScenario:
     def test_figures_accepts_scenario_flag(self):
         args = build_parser().parse_args(["figures", "--scenario", "flash-crowd"])
         assert args.scenario == "flash-crowd"
@@ -543,8 +524,8 @@ class TestCompareCommand:
             build_parser().parse_args(["figures", "--location-aware-routing"])
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_compare_rejects_unknown_scenario_cleanly(self):
-        code, text = run_cli("compare", "--scenario", "meteor-strike", "--queries", "5")
+    def test_figures_rejects_unknown_scenario_cleanly(self):
+        code, text = run_cli("figures", "--scenario", "meteor-strike", "--queries", "5")
         assert code == 2
         assert "unknown scenario 'meteor-strike'" in text
 
@@ -1107,40 +1088,114 @@ class TestTraceCommand:
 
 
 class TestGridWatchCommand:
+    """``grid status`` prints the grid's snapshot once; ``grid watch``
+    prints the same snapshot every ``--interval`` until the grid is
+    complete."""
+
     AXIS = ["--config", "small", "--protocols", "locaware",
             "--scenarios", "baseline", "--seeds", "1", "--queries", "10"]
 
-    def test_watch_empty_store_once(self, tmp_path):
+    def test_status_of_an_empty_store_shows_progress(self, tmp_path):
         code, output = run_cli(
-            "grid", "watch", "--store", str(tmp_path / "store"),
-            *self.AXIS, "--once",
+            "grid", "status", "--store", str(tmp_path / "store"), *self.AXIS
         )
         assert code == 0
         assert "total=1 stored=0" in output
         assert "pending=1" in output
+        assert "  [..............................]   0.0%" in output
+        assert "throughput: no telemetry sidecars committed" in output
 
-    def test_watch_complete_store_exits_without_once(self, tmp_path):
+    def test_watch_complete_store_exits(self, tmp_path):
         store = str(tmp_path / "store")
         code, _ = run_cli("grid", "run", "--store", store, *self.AXIS)
         assert code == 0
-        # Not --once: the loop must still terminate because the grid is done.
+        # The loop must terminate because the grid is done.
         code, output = run_cli("grid", "watch", "--store", store, *self.AXIS)
         assert code == 0
         assert "stored=1" in output
         assert "grid complete" in output
 
-    def test_watch_reports_runner_throughput(self, tmp_path):
+    def test_watch_prints_the_status_snapshot_each_poll(
+        self, tmp_path, monkeypatch
+    ):
+        """One poll over a pending grid, the cells commit while watch
+        sleeps, and the next poll sees the grid complete and exits.
+        Each poll is the snapshot ``grid status`` prints at that time."""
+        from repro import cli
+
+        store = str(tmp_path / "store")
+        axis = ["--store", store, *self.AXIS]
+        sleeps = []
+
+        def run_the_grid(seconds):
+            sleeps.append(seconds)
+            assert run_cli("grid", "run", *axis)[0] == 0
+
+        monkeypatch.setattr(cli.time, "sleep", run_the_grid)
+        code, output = run_cli("grid", "watch", *axis, "--interval", "7")
+        assert code == 0
+        assert sleeps == [7.0]
+        first, second = output.split("\n\n")
+        assert "total=1 stored=0 claimed=0 pending=1" in first
+        assert "total=1 stored=1 claimed=0 pending=0" in second
+        assert second.endswith("grid complete\n")
+        _code, status = run_cli("grid", "status", *axis)
+
+        def undated(text):
+            return [
+                line for line in text.splitlines() if not line.startswith("-- ")
+            ]
+
+        assert undated(status) == undated(second)
+
+    def test_status_reports_runner_throughput(self, tmp_path):
         store = str(tmp_path / "store")
         run_cli(
             "grid", "run", "--store", store, "--runner-id", "watcher-test",
             *self.AXIS,
         )
-        code, output = run_cli(
-            "grid", "watch", "--store", store, *self.AXIS, "--once"
-        )
+        code, output = run_cli("grid", "status", "--store", store, *self.AXIS)
         assert code == 0
         assert "watcher-test" in output
         assert "mean simulate" in output
+
+    def test_throughput_counts_the_seconds_the_commits_span(self, tmp_path):
+        """Ten cells committed one a second over the last ten seconds of
+        a 20-cell grid run at ~60 cells/min with ~10 s to go — not at
+        10 cells per 300 s window."""
+        import re
+        import time
+
+        from repro.experiments import GridSpec, small_config
+        from repro.results import ResultStore
+
+        axis = (
+            "--config", "small", "--seeds", "1", "2", "3", "4", "5",
+            "--queries", "10",
+        )
+        spec = GridSpec(
+            base_config=small_config(), seeds=(1, 2, 3, 4, 5), max_queries=10
+        )
+        keys = [spec.cell_key(cell) for cell in spec.expand()]
+        assert len(keys) == 20
+        store = ResultStore(tmp_path / "store")
+        now = time.time()
+        for i, key in enumerate(keys[:10]):
+            store.put(key, {"kind": "grid-cell"})
+            store.put_sidecar(
+                key, {"runner_id": "steady", "completed_unix": now - 10 + i}
+            )
+        code, output = run_cli(
+            "grid", "status", "--store", str(store.root), *axis
+        )
+        assert code == 0
+        match = re.search(
+            r"throughput ([\d.]+) cells/min  ETA ~(\d+)s for 10 cell\(s\)",
+            output,
+        )
+        assert match, output
+        assert 50.0 <= float(match.group(1)) <= 70.0
+        assert 5 <= int(match.group(2)) <= 15
 
     def test_watch_rejects_bad_interval(self, tmp_path):
         code, output = run_cli(
@@ -1149,32 +1204,6 @@ class TestGridWatchCommand:
         )
         assert code == 2
         assert "interval" in output
-
-    def test_watch_rejects_bad_window(self, tmp_path):
-        code, output = run_cli(
-            "grid", "watch", "--store", str(tmp_path / "s"),
-            *self.AXIS, "--window", "-5",
-        )
-        assert code == 2
-        assert "window" in output
-
-
-class TestGridProfileOption:
-    def test_profile_flag_dumps_pstats(self, tmp_path):
-        import pstats
-
-        profile_dir = tmp_path / "prof"
-        code, output = run_cli(
-            "grid", "run", "--store", str(tmp_path / "store"),
-            "--config", "small", "--protocols", "locaware",
-            "--scenarios", "baseline", "--seeds", "1", "--queries", "10",
-            "--profile", str(profile_dir),
-        )
-        assert code == 0
-        assert "profiling" in output
-        dumps = sorted(profile_dir.glob("*.pstats"))
-        assert dumps
-        assert pstats.Stats(str(dumps[0])).total_calls > 0
 
 
 class TestGridStoreDirectory:
@@ -1287,15 +1316,12 @@ class TestGridStoreDirectory:
         assert code == 1
         assert text.endswith(f"no cells stored under {store}\n")
 
-    @pytest.mark.parametrize(
-        "command", ["status", "check", "watch", "report", "ls"]
-    )
+    @pytest.mark.parametrize("command", ["status", "check", "report", "ls"])
     def test_no_command_trips_over_a_store_that_is_a_file(self, tmp_path, command):
         not_a_dir = tmp_path / "plain-file"
         not_a_dir.write_text("occupied")
         axis = () if command in ("report", "ls") else self.AXIS
-        once = ("--once",) if command == "watch" else ()
-        code, text = run_cli("grid", command, "--store", str(not_a_dir), *axis, *once)
+        code, text = run_cli("grid", command, "--store", str(not_a_dir), *axis)
         assert "Traceback" not in text
         assert not_a_dir.read_text() == "occupied"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["plain-file"]
@@ -1308,8 +1334,7 @@ class TestGridStoreDirectory:
             assert code == 0
             assert "total=4 stored=0 claimed=0 pending=4" in text
 
-    @pytest.mark.parametrize("command", ["status", "watch"])
-    def test_status_and_watch_see_a_held_claim(self, tmp_path, command):
+    def test_status_sees_a_held_claim(self, tmp_path):
         from repro.results import ClaimStore, ResultStore
 
         store_dir = tmp_path / "store"
@@ -1318,12 +1343,10 @@ class TestGridStoreDirectory:
         first = next(iter(store.keys()))
         store.delete(first)  # one cell pending again...
         ClaimStore(store_dir, runner_id="busy-runner").try_claim(first)  # ...and held
-        once = ("--once",) if command == "watch" else ()
-        code, text = run_cli("grid", command, "--store", str(store_dir), *self.AXIS, *once)
+        code, text = run_cli("grid", "status", "--store", str(store_dir), *self.AXIS)
         assert code == 0
         assert "total=4 stored=3 claimed=1 pending=0" in text
-        if command == "status":
-            assert "busy-runner" in text
+        assert "busy-runner" in text
 
     @pytest.mark.parametrize(
         "command", ["run", "status", "watch", "check", "report", "ls"]

@@ -945,16 +945,31 @@ class TestGridWorkerPool:
         assert parent_builds == min(distinct, 8)
 
     @_fork_only
-    def test_ephemeral_prewarm_is_capped_at_the_peer_budget(
-        self, eight_world_cache
+    def test_storeless_prewarm_is_capped_at_the_peer_budget(
+        self, eight_world_cache, monkeypatch
     ):
-        """A many-fingerprint sweep must not serialise every build in
+        """A many-fingerprint storeless sweep runs on the one pool
+        ``_ensure_pool`` forks, which must not serialise every build in
         the parent (workers would idle) nor have prewarm evict what it
         just built: the parent prebuilds at most one budget's worth
-        and workers build the rest lazily."""
-        from repro.experiments.grid import execute_cells
+        and workers build the rest lazily.  The pool is closed when the
+        run ends."""
+        from repro.experiments import grid as grid_module
         from repro.overlay.blueprint import build_count
 
+        pools = []
+
+        class RecordedPool(grid_module.GridWorkerPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.closed = False
+                pools.append(self)
+
+            def close(self):
+                super().close()
+                self.closed = True
+
+        monkeypatch.setattr(grid_module, "GridWorkerPool", RecordedPool)
         spec = _spec(
             protocols=("flooding",),
             scenarios=("baseline",),
@@ -962,11 +977,35 @@ class TestGridWorkerPool:
             max_queries=5,
         )
         before = build_count()
-        results = list(execute_cells(spec, spec.expand(), workers=2))
+        report = GridRunner(spec, workers=2).run()
         parent_builds = build_count() - before
-        assert len(eight_world_cache) == 8
-        assert len(results) == spec.num_cells
+        assert report.executed == spec.num_cells
         assert parent_builds == 8
+        assert [(pool.prebuilt, pool.closed) for pool in pools] == [(8, True)]
+
+    @pytest.mark.parametrize(
+        "workers, seeds, stored",
+        [(1, (1, 2), False), (4, (1,), False), (4, (1,), True)],
+        ids=["serial", "one-cell", "one-cell-store"],
+    )
+    def test_a_run_with_one_worker_to_use_forks_no_pool(
+        self, workers, seeds, stored, tmp_path, monkeypatch
+    ):
+        """``workers=1``, or one cell to run, runs in this process: a
+        pool never has more workers than cells pending."""
+        from repro.experiments import grid as grid_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one worker to use must run in this process")
+
+        monkeypatch.setattr(grid_module, "GridWorkerPool", no_pool)
+        spec = _spec(
+            protocols=("flooding",), scenarios=("baseline",), seeds=seeds,
+            max_queries=5,
+        )
+        store = ResultStore(tmp_path) if stored else None
+        report = GridRunner(spec, workers=workers, store=store).run()
+        assert report.executed == spec.num_cells
 
     def test_prewarm_keeps_cached_batch_members(self):
         """prewarm must refresh the LRU position of fingerprints the
@@ -1313,7 +1352,7 @@ class TestInFlightHeartbeat:
         assert not list(runner.claims.directory.glob("*"))
 
 
-class TestTelemetrySidecarsAndProfiling:
+class TestTelemetrySidecars:
     def _small_spec(self):
         return _spec(
             protocols=("locaware",), scenarios=("baseline",), seeds=(1,)
@@ -1351,31 +1390,3 @@ class TestTelemetrySidecarsAndProfiling:
         before = store.sidecar_path_for(key).stat().st_mtime_ns
         GridRunner(spec, store=store).run()
         assert store.sidecar_path_for(key).stat().st_mtime_ns == before
-
-    def test_profile_dir_gets_per_batch_pstats(self, tmp_path):
-        import pstats
-
-        store = ResultStore(tmp_path / "store")
-        profile_dir = tmp_path / "prof"
-        runner = GridRunner(
-            self._small_spec(),
-            store=store,
-            runner_id="prof-runner",
-            profile_dir=profile_dir,
-        )
-        runner.run()
-        dumps = sorted(profile_dir.glob("*.pstats"))
-        assert dumps
-        assert all(path.name.startswith("prof-runner-batch") for path in dumps)
-        stats = pstats.Stats(str(dumps[0]))
-        assert stats.total_calls > 0
-
-    def test_storeless_run_profiles_too(self, tmp_path):
-        profile_dir = tmp_path / "prof"
-        GridRunner(self._small_spec(), profile_dir=profile_dir).run()
-        assert sorted(profile_dir.glob("*.pstats"))
-
-    def test_no_profile_dir_no_dumps(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        GridRunner(self._small_spec(), store=store).run()
-        assert not list(tmp_path.glob("**/*.pstats"))

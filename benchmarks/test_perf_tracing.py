@@ -81,10 +81,10 @@ def _scale_config(num_peers, seed=11):
 
 def _untracked_schedule_at(self, time, callback, *args):
     """``Simulator.schedule_at`` minus its two queue-peak lines."""
-    if not self._now <= time < inf:
+    if not self.now <= time < inf:
         if isfinite(time):
             raise SchedulingError(
-                f"cannot schedule into the past (time={time!r} < now={self._now!r})"
+                f"cannot schedule into the past (time={time!r} < now={self.now!r})"
             )
         raise SchedulingError(f"event time must be finite, got {time!r}")
     queue = self._queue

@@ -72,6 +72,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from collections.abc import Sequence
@@ -516,6 +517,22 @@ def _grid_spec_from_args(args: argparse.Namespace) -> GridSpec:
     )
 
 
+def _print_or_drop(text: str, out) -> None:
+    """Print one piece of ``grid run`` output to ``out``.
+
+    Once the reader has closed the pipe (``grid run … | head -2``), the
+    stream is pointed at ``os.devnull``, as the Python docs advise for
+    a closed stdout: the output is dropped and the grid runs on to its
+    last cell instead of dying at the next progress line.
+    """
+    try:
+        print(text, file=out, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+
+
 def _cmd_grid_run(args: argparse.Namespace, out) -> int:
     from .analysis import render_sweep_report
     from .results import DEFAULT_LEASE_TTL_S, ResultStore
@@ -536,33 +553,33 @@ def _cmd_grid_run(args: argparse.Namespace, out) -> int:
     except (ValueError, ConfigurationError, OSError) as error:
         print(f"error: {error}", file=out)
         return 2
-    print(
+    _print_or_drop(
         f"  runner: {runner.runner_id} "
         f"(lease TTL {lease_ttl:g}s, workers {args.workers})",
-        file=out,
+        out,
     )
     started = time.time()
     try:
         report = runner.run(
-            progress=lambda m: print(
-                f"  [{time.time() - started:6.1f}s] {m}", file=out, flush=True
+            progress=lambda m: _print_or_drop(
+                f"  [{time.time() - started:6.1f}s] {m}", out
             )
         )
     except (ValueError, KeyError, OSError) as error:
         # Run-time store failures — --store pointing at a regular
         # file, a full disk — are operator errors, not tracebacks.
-        print(f"error: {error}", file=out)
+        _print_or_drop(f"error: {error}", out)
         return 2
     quarantined = (
         f" quarantined={report.quarantined}" if report.quarantined else ""
     )
-    print(
+    _print_or_drop(
         f"  cells: total={report.num_cells} executed={report.executed} "
         f"cached={report.cached}{quarantined} in {time.time() - started:.1f}s",
-        file=out,
+        out,
     )
-    print(f"  store: {args.store}\n", file=out)
-    print(render_sweep_report(report), file=out)
+    _print_or_drop(f"  store: {args.store}\n", out)
+    _print_or_drop(render_sweep_report(report), out)
     return 0
 
 

@@ -79,6 +79,15 @@ class LatencyModel:
 
         return pair_latency, pair_latency_s
 
+    def max_latency_s(self) -> float:
+        """An upper bound on every float the seconds closure of
+        :meth:`bind` returns, for any placement: no message between two
+        peers takes longer.  Exact, not padded — models derive it from
+        the closure's own expression — so a copy sent at ``t`` has
+        arrived by ``t + max_latency_s()`` in floating point too
+        (``t + x`` is monotone in ``x``)."""
+        raise NotImplementedError
+
 
 class EuclideanLatencyModel(LatencyModel):
     """Distance-proportional latencies in ``[min_latency, max_latency]``.
@@ -127,6 +136,13 @@ class EuclideanLatencyModel(LatencyModel):
             ) / 1000.0
 
         return pair_latency, pair_latency_s
+
+    def max_latency_s(self) -> float:
+        # Points lie in the unit square, so hypot(dx, dy) <= fl(sqrt 2):
+        # hypot errs by less than one ulp and fl(sqrt 2) > sqrt 2.  The
+        # distance over the diameter is then at most 1.0, and the
+        # closure's expression at most this one.
+        return (self.min_latency_ms + self._span) / 1000.0
 
 
 class RouterLevelLatencyModel(LatencyModel):
@@ -350,6 +366,12 @@ class RouterLevelLatencyModel(LatencyModel):
             return flat_s[router_of[a] * n + router_of[b]]
 
         return pair_latency, pair_latency_s
+
+    def max_latency_s(self) -> float:
+        # The largest entry of bind's seconds table: the same sum over
+        # 1000 of the longest backbone path (both steps are monotone).
+        base = self.min_latency_ms + 2.0 * self.last_mile_ms
+        return (base + max(map(max, self._dist))) / 1000.0
 
     @property
     def num_routers(self) -> int:

@@ -80,6 +80,9 @@ class Underlay:
             for p in range(num_peers)
         ]
         self._pair_latency = pair_latency
+        #: No ``latency_s`` between two peers exceeds this (seconds;
+        #: :meth:`~repro.net.latency.LatencyModel.max_latency_s`).
+        self.max_latency_s = model.max_latency_s()
 
     # -- construction helpers ---------------------------------------------
 

@@ -5,12 +5,11 @@ from .churn import ChurnProcess
 from .graph import OverlayGraph
 from .messages import BloomUpdate, ProviderEntry, Query, QueryResponse
 from .network import P2PNetwork
-from .peer import BoundedSet, Peer
+from .peer import Peer
 
 __all__ = [
     "OverlayGraph",
     "Peer",
-    "BoundedSet",
     "ProviderEntry",
     "Query",
     "QueryResponse",

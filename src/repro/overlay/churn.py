@@ -9,7 +9,7 @@ the reproduction ships a churn process for ablation A5.
 Model: each peer alternates exponential up-sessions (mean
 ``mean_session_s``) and down-times (mean ``mean_downtime_s``).  On
 departure the peer's overlay links are torn down and its soft state
-(duplicate caches, protocol caches, Bloom filters) is discarded; its
+(the queries it has seen, protocol caches, Bloom filters) is discarded; its
 *shared files stay on disk* and come back when it rejoins with fresh
 random links — the natural-replication state survives churn, the index
 state does not.
@@ -90,6 +90,7 @@ class ChurnProcess:
         if self._network.graph.contains(peer_id):
             self._network.graph.remove_peer(peer_id)
         peer.reset_session_state()
+        self._network.forget_queries_seen_by(peer_id)
         self._leave_counter.increment()
         tracer = self._network.tracer
         if tracer.enabled:

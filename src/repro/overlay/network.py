@@ -11,7 +11,9 @@
   destination after the underlay latency of its link, and counts the
   messages (per query when a ``query_id`` is given — the paper's
   search-traffic metric is "total number of messages produced by a
-  query", §5.2).
+  query", §5.2), and
+- duplicate suppression (§3.1): per query in flight, the peers that
+  have processed a copy of it this session (:meth:`open_query`).
 
 Messages to dead peers are delivered nowhere but still count as sent —
 bandwidth is consumed regardless of whether the destination is up.
@@ -60,6 +62,13 @@ class P2PNetwork:
         self.metrics = metrics if metrics is not None else MetricRegistry()
         self.tracer = tracer if tracer is not None else NullTracer()
         self._per_query_messages: dict[int, int] = {}
+        # Duplicate suppression: query id -> the peers that processed a
+        # copy of it this session, and the time by which every copy sent
+        # so far has arrived.  Entries live while a copy can still
+        # arrive (see open_query), so the table holds the queries in
+        # flight, not the run's history.
+        self.query_seen: dict[int, set[int]] = {}
+        self.query_flight_end: dict[int, float] = {}
         # Struct-of-arrays liveness: the delivery check and the alive
         # census read flat flags instead of walking Peer objects.
         self.liveness = LivenessTable(len(peers))
@@ -179,6 +188,35 @@ class P2PNetwork:
     def forget_query_messages(self, query_id: int) -> int:
         """Pop and return the final message tally of a finished query."""
         return self._per_query_messages.pop(query_id, 0)
+
+    # -- duplicate suppression -------------------------------------------
+
+    def open_query(self, query_id: int, origin: int) -> None:
+        """Give a query issued at ``origin`` now its duplicate-suppression
+        entry, holding the origin, and drop every entry whose flight has
+        ended.
+
+        A copy sent at ``t`` arrives by ``t + underlay.max_latency_s``;
+        whoever sends copies of a query raises its ``query_flight_end``
+        to that at every send.  An entry whose flight ended before now can never
+        be read again, so dropping it here is exact: a peer still drops
+        a copy of any query it has processed this session.
+        """
+        now = self.sim.now
+        seen = self.query_seen
+        flight_end = self.query_flight_end
+        for ended in [qid for qid, end in flight_end.items() if end < now]:
+            del seen[ended], flight_end[ended]
+        seen[query_id] = {origin}
+        flight_end[query_id] = now
+
+    def forget_queries_seen_by(self, peer_id: int) -> None:
+        """Take a leaving peer out of every live entry: duplicate
+        suppression is session state, so after a rejoin the peer
+        processes the next copy it gets.  Costs the queries in flight,
+        not the run's history."""
+        for peers in self.query_seen.values():
+            peers.discard(peer_id)
 
     # -- probes ------------------------------------------------------------
 

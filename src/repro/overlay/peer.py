@@ -1,13 +1,16 @@
 """Peer state.
 
 A :class:`Peer` is deliberately a thin state container: identity,
-locality, group id, shared files, liveness, and a bounded
-duplicate-suppression set for query ids.  *Behaviour* lives in the
-protocol objects (:mod:`repro.protocols`, :mod:`repro.core`) so that
-the same peer population can be re-run under Flooding, Dicas,
-Dicas-Keys, or Locaware; protocol-specific state (response indexes,
-Bloom filters) is attached by the protocol under its own key of
-``protocol_state`` the first time the peer caches or hears something.
+locality, group id, shared files and liveness.  The queries a peer has
+processed are not kept here but in the network's duplicate-suppression
+table, per query in flight
+(:meth:`~repro.overlay.network.P2PNetwork.open_query`).  *Behaviour*
+lives in the protocol objects (:mod:`repro.protocols`,
+:mod:`repro.core`) so that the same peer population can be re-run
+under Flooding, Dicas, Dicas-Keys, or Locaware; protocol-specific
+state (response indexes, Bloom filters) is attached by the protocol
+under its own key of ``protocol_state`` the first time the peer caches
+or hears something.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Any
 
 from ..files.storage import FileStore
 
-__all__ = ["BoundedSet", "LivenessTable", "Peer"]
+__all__ = ["LivenessTable", "Peer"]
 
 
 class LivenessTable:
@@ -75,58 +78,6 @@ class LivenessTable:
         return cache
 
 
-class BoundedSet:
-    """An insertion-ordered set that evicts its oldest members.
-
-    Gnutella peers remember recently seen query ids to drop duplicate
-    floods; remembering *every* id forever would grow without bound, so
-    real implementations (and this one) keep a sliding window.  The
-    window must merely outlive a query's lifetime (seconds) — the
-    default capacity is generous for that.
-
-    Backed by a plain ``dict``: the cheapest insert and the smallest
-    footprint while the window is not full, which is every peer of
-    nearly every run (one set per peer, one insert per delivered first
-    copy).  Once full, each insert also finds the oldest key by skipping
-    the slots evictions freed since the dict last resized — at most a
-    small multiple of ``capacity`` of them, never the run's history.
-    """
-
-    __slots__ = ("_capacity", "_items")
-
-    def __init__(self, capacity: int = 2048) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._capacity = capacity
-        # A dict iterates in insertion order, so its first key is the oldest.
-        self._items: dict[Any, None] = {}
-
-    def add(self, item: Any) -> bool:
-        """Insert ``item``; returns ``False`` if it was already present."""
-        items = self._items
-        if item in items:
-            return False
-        items[item] = None
-        if len(items) > self._capacity:
-            del items[next(iter(items))]
-        return True
-
-    def __contains__(self, item: Any) -> bool:
-        return item in self._items
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of retained items."""
-        return self._capacity
-
-    def clear(self) -> None:
-        """Forget everything."""
-        self._items.clear()
-
-
 class Peer:
     """One participant peer (§3.1).
 
@@ -155,7 +106,6 @@ class Peer:
         "store",
         "_alive",
         "_liveness",
-        "seen_queries",
         "protocol_state",
     )
 
@@ -165,7 +115,6 @@ class Peer:
         locid: int,
         gid: int,
         store: FileStore,
-        seen_capacity: int = 2048,
     ) -> None:
         self.peer_id = peer_id
         self.locid = locid
@@ -173,7 +122,6 @@ class Peer:
         self.store = store
         self._alive = True
         self._liveness: LivenessTable | None = None
-        self.seen_queries = BoundedSet(seen_capacity)
         self.protocol_state: dict[str, Any] = {}
 
     @property
@@ -200,18 +148,16 @@ class Peer:
         table.set_alive(self.peer_id, self._alive)
         self._liveness = table
 
-    def mark_seen(self, query_id: int) -> bool:
-        """Record a query id; ``False`` means duplicate (drop the copy)."""
-        return self.seen_queries.add(query_id)
-
     def reset_session_state(self) -> None:
         """Forget soft state on leave (caches die with the session).
 
         The file store survives — files live on the peer's disk — but
-        duplicate-suppression and protocol caches are session-scoped: a
-        rejoined peer is a peer whose ``protocol_state`` is empty again.
+        protocol caches are session-scoped: a rejoined peer is a peer
+        whose ``protocol_state`` is empty again.  The queries it has
+        processed are forgotten by the network's duplicate-suppression
+        table on the same leave
+        (:meth:`~repro.overlay.network.P2PNetwork.forget_queries_seen_by`).
         """
-        self.seen_queries.clear()
         self.protocol_state.clear()
 
     def __repr__(self) -> str:

@@ -102,6 +102,12 @@ class SearchProtocol:
         # attribute check) and the per-lifecycle counters.
         self.tracer = network.tracer
         self._index_lookups = network.metrics.counter("index.lookups")
+        # The network's duplicate-suppression table (open_query): a
+        # delivered copy costs one dict lookup and one set test (plus
+        # the insert, for a first copy).
+        self._query_seen = network.query_seen
+        self._flight_end = network.query_flight_end
+        self._max_latency_s = network.underlay.max_latency_s
         self._next_query_id = 0
         self._query_index = 0
         self._contexts: dict[int, QueryContext] = {}
@@ -201,7 +207,7 @@ class SearchProtocol:
             ttl=self.config.ttl,
             path=(origin,),
         )
-        origin_peer.mark_seen(query_id)
+        self.network.open_query(query_id, origin)
         # The origin may hold a matching index itself (its response
         # index is the first place to look; its file store was checked
         # above).
@@ -266,6 +272,8 @@ class SearchProtocol:
         else:
             copy = query.forwarded(peer_id)
         query_id = query.query_id
+        # Every copy sent now has arrived by then (open_query).
+        self._flight_end[query_id] = self.network.sim.now + self._max_latency_s
         if self.tracer.enabled:
             self.tracer.emit(
                 self.network.sim.now, "query.forward",
@@ -278,11 +286,12 @@ class SearchProtocol:
 
     def _handle_query_message(self, dst: int, message: object) -> None:
         query = message  # type: Query
-        peer = self.network.peers[dst]
-        if peer.seen_queries.add(query.query_id):
-            self._process_query_at(peer, query)
-        else:
+        seen = self._query_seen[query.query_id]
+        if dst in seen:
             self._duplicate_copies.value += 1
+        else:
+            seen.add(dst)
+            self._process_query_at(self.network.peers[dst], query)
 
     def _process_query_at(self, peer: Peer, query: Query) -> None:
         """Store check → index check → forward (§3.1 + §4.2)."""

@@ -95,17 +95,15 @@ class Simulator:
         self._cancelled: set[int] = set()
         self._dropped_until = -inf
         self._seq = 0
-        self._now = 0.0
+        #: Current virtual time, in seconds.  A plain attribute, not a
+        #: property, because every forwarded query copy reads it (one
+        #: attribute load instead of a call); only the engine moves it.
+        self.now = 0.0
         self._running = False
         self._events_processed = 0
         self._queue_peak = 0
 
     # -- clock -------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current virtual time, in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -135,12 +133,12 @@ class Simulator:
         # it was matters only to the message.
         if not 0 <= delay < inf:
             raise _bad_delay(delay)
-        return self.schedule_at(self._now + delay, callback, *args)
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        if not self._now <= time < inf:
-            raise _bad_time(time, self._now)
+        if not self.now <= time < inf:
+            raise _bad_time(time, self.now)
         event = (time, self._seq, callback, args)
         self._seq += 1
         self._push(event)
@@ -172,7 +170,7 @@ class Simulator:
         cancelled.
         """
         queue = self._queue
-        now = self._now
+        now = self.now
         seq = self._seq
         try:
             for target in targets:
@@ -234,9 +232,9 @@ class Simulator:
         """
         if self._running:
             raise EventLoopError("Simulator.run() is not re-entrant")
-        if until is not None and not self._now <= until < inf:
+        if until is not None and not self.now <= until < inf:
             if isfinite(until):
-                raise EventLoopError(f"until={until!r} is before now={self._now!r}")
+                raise EventLoopError(f"until={until!r} is before now={self.now!r}")
             raise EventLoopError(
                 f"until must be finite, got {until!r}; "
                 "until=None runs until the queue is exhausted"
@@ -258,7 +256,7 @@ class Simulator:
                         self._drop_front()
                         continue
                 time, _seq, callback, args = heappop(queue)
-                self._now = time
+                self.now = time
                 callback(*args)
                 executed += 1
                 self._events_processed += 1
@@ -267,7 +265,7 @@ class Simulator:
             stopped = _STOP in cancelled
             cancelled.discard(_STOP)
         if not stopped and until is not None and (not queue or queue[0][0] > until):
-            self._now = max(self._now, until)
+            self.now = max(self.now, until)
         return executed
 
     def stop(self) -> None:
@@ -321,7 +319,7 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Simulator(now={self._now:.3f}, pending={len(self._queue)}, "
+            f"Simulator(now={self.now:.3f}, pending={len(self._queue)}, "
             f"processed={self._events_processed})"
         )
 

@@ -12,7 +12,8 @@ Three layers:
 3. **No collection inside a cell, none needed after it** — counted with
    ``gc.callbacks`` across a grid run, read back from telemetry for pool
    workers; and the network ``run_protocol`` built is freed by reference
-   counting as the call returns, so no young collection has it to find.
+   counting as the call returns, so no young collection has it to find —
+   nor any duplicate-suppression entry the cell made.
 """
 
 import gc
@@ -117,6 +118,48 @@ class TestAFinishedCellIsFreedByReferenceCounting:
             gc.enable()
         assert len(run.outcomes) + run.locally_satisfied == 40
         assert alive == [False]
+
+
+class SeenEntry(set):
+    """A duplicate-suppression entry that can be weakly referenced (a
+    ``set`` subclass without ``__slots__`` gets ``__weakref__``)."""
+
+
+def tracking_seen_entries(monkeypatch):
+    """Weak references to every duplicate-suppression entry
+    ``P2PNetwork.open_query`` makes from here on."""
+    entries = []
+    real_open_query = P2PNetwork.open_query
+
+    def open_query(self, query_id, origin):
+        real_open_query(self, query_id, origin)
+        entry = self.query_seen[query_id] = SeenEntry(self.query_seen[query_id])
+        entries.append(weakref.ref(entry))
+
+    monkeypatch.setattr(P2PNetwork, "open_query", open_query)
+    return entries
+
+
+class TestNoSeenEntryOutlivesItsCell:
+    @pytest.mark.parametrize("scenario_name", ["baseline", "churn-storm"])
+    @pytest.mark.parametrize("protocol_name", PROTOCOLS)
+    def test_no_seen_entry_is_reachable_when_run_protocol_returns(
+        self, monkeypatch, protocol_name, scenario_name
+    ):
+        entries = tracking_seen_entries(monkeypatch)
+        config = small_config(seed=5).replace(query_rate_per_peer=0.02)
+        gc.collect()
+        gc.disable()
+        try:
+            runner_module.run_protocol(
+                config, protocol_name, max_queries=40, bucket_width=20,
+                scenario=make_scenario(scenario_name, **SCENARIOS[scenario_name]),
+            )
+            alive = sum(ref() is not None for ref in entries)
+        finally:
+            gc.enable()
+        assert entries
+        assert alive == 0
 
 
 class TestGcPaused:

@@ -13,6 +13,10 @@ instead of timing them, which does not on a shared host:
 - protocol state follows use: after a calm cell the peers that hold
   any are at most the index inserts plus the Bloom updates sent, not
   the population;
+- a delivered query copy calls nothing on its way to the protocol: its
+  duplicate check is a dict lookup and a set test on the network's
+  table of queries in flight, so the only Python function a delivery
+  calls is the store / index / forward step of a first copy;
 - a forward is one send: a cell's ``P2PNetwork.send`` calls are its
   non-empty forwards plus its response hops plus its Bloom pushes, and
   no message reaches the heap through ``Simulator.schedule_at``;
@@ -40,6 +44,7 @@ instead of timing them, which does not on a shared host:
 import collections
 import inspect
 import random
+import sys
 import threading
 
 import pytest
@@ -171,6 +176,32 @@ class TestAWorldIsDrawnNotCalled:
         assert [peer.store.file_ids() for peer in network.peers] == [
             set(shares) for shares in blueprint.initial_shares
         ]
+
+
+class TestADeliveryCallsNothingToDecideDuplicates:
+    @pytest.mark.parametrize("protocol", ["flooding", "locaware"])
+    def test_only_a_first_copy_calls_on(self, protocol):
+        network = NetworkBlueprint.build(CONFIG).instantiate()
+        search = make_protocol(protocol, network)
+        search.start()
+        # Resolved before the count: its first read creates the counter.
+        search._duplicate_copies  # noqa: B018
+        workload = QueryWorkload(network, search.issue_query, QUERIES)
+        called = collections.Counter()
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_back.f_code.co_name == "_handle_query_message":
+                called[frame.f_code.co_name] += 1
+
+        workload.start()
+        sys.setprofile(profile)
+        try:
+            drive_until_settled(network, search, workload, QUERIES)
+        finally:
+            sys.setprofile(None)
+        snapshot = network.metrics.snapshot()
+        assert snapshot["counter.queries.duplicate_copies"] > 0
+        assert list(called) == ["_process_query_at"]
 
 
 class TestAForwardIsOneSend:

@@ -215,3 +215,47 @@ class TestNearestRouterMatchesTheScan:
         assert [model.nearest_router(p) for p in placed] == [
             first_minimum_scan(routers, p) for p in placed
         ]
+
+
+class TestMaxLatencyBoundsEveryMessage:
+    """``max_latency_s`` bounds every float the seconds closure returns,
+    exactly: the network drops a query's duplicate-suppression entry
+    once ``now`` passes the last send plus this bound, so a message
+    taking longer would miss its entry."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ends=st.lists(points, min_size=2, max_size=12),
+        bounds=st.sampled_from([(10.0, 500.0), (1.0, 3.0), (0.1, 0.7), (5.0, 5.0)]),
+    )
+    def test_euclidean_bound_holds_for_any_placement(self, ends, bounds):
+        model = EuclideanLatencyModel(*bounds)
+        _, latency_s = model.bind([*ends, *CORNERS])
+        bound = model.max_latency_s()
+        count = len(ends) + len(CORNERS)
+        assert all(
+            latency_s(a, b) <= bound for a in range(count) for b in range(count)
+        )
+
+    def test_euclidean_bound_is_attained_by_opposite_corners(self):
+        model = EuclideanLatencyModel(10.0, 500.0)
+        _, latency_s = model.bind(CORNERS)
+        assert latency_s(0, 3) == model.max_latency_s() == 0.5
+
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    def test_router_bound_is_the_largest_table_entry(self, seed):
+        model = RouterLevelLatencyModel(random.Random(seed), num_routers=24)
+        routers = model._routers  # noqa: SLF001 - test introspection
+        # One peer on every router: every entry of the table is a pair.
+        _, latency_s = model.bind(routers)
+        pairs = [latency_s(a, b) for a in range(24) for b in range(24)]
+        assert max(pairs) == model.max_latency_s()
+
+    def test_an_underlay_exposes_its_models_bound(self):
+        world = NetworkBlueprint.build(world_config("router", 600, 1))
+        underlay = world.underlay
+        assert underlay.max_latency_s == underlay.model.max_latency_s()
+        peers = range(0, underlay.num_peers, 7)
+        assert max(underlay.latency_s(a, b) for a in peers for b in peers) <= (
+            underlay.max_latency_s
+        )

@@ -234,3 +234,34 @@ class TestFanOut:
         assert 4 not in network._per_query_messages
         assert network.sim.pending_events == 0
         assert network.sim.queue_peak == 0
+
+
+class TestDuplicateSuppressionTable:
+    """One entry per query in flight: the peers that processed a copy."""
+
+    def test_open_query_holds_the_origin_and_ends_its_flight_now(self):
+        network = P2PNetwork.build(SimulationConfig.small(seed=4))
+        network.sim.run(until=3.0)
+        network.open_query(7, origin=2)
+        assert network.query_seen == {7: {2}}
+        assert network.query_flight_end == {7: 3.0}
+
+    def test_an_entry_lives_until_an_issue_after_its_flight_end(self):
+        network = P2PNetwork.build(SimulationConfig.small(seed=4))
+        network.open_query(0, origin=1)
+        network.query_flight_end[0] = 2.0  # a copy sent at 2.0 - max_latency_s
+        network.sim.run(until=2.0)
+        network.open_query(1, origin=3)  # a copy may still land at 2.0
+        assert set(network.query_seen) == {0, 1}
+        network.sim.run(until=2.5)
+        network.open_query(2, origin=4)
+        assert set(network.query_seen) == {2}
+        assert set(network.query_flight_end) == {2}
+
+    def test_a_leave_takes_the_peer_out_of_every_live_entry(self):
+        network = P2PNetwork.build(SimulationConfig.small(seed=4))
+        network.open_query(0, origin=1)
+        network.open_query(1, origin=2)
+        network.query_seen[0].update({2, 5})
+        network.forget_queries_seen_by(2)
+        assert network.query_seen == {0: {1, 5}, 1: set()}

@@ -1,11 +1,11 @@
-"""Unit tests for Peer state and BoundedSet."""
+"""Unit tests for Peer state."""
 
 import random
 
 import pytest
 
 from repro.files import FileCatalog, FileStore, KeywordPool
-from repro.overlay import BoundedSet, Peer
+from repro.overlay import Peer
 
 
 @pytest.fixture(scope="module")
@@ -17,49 +17,6 @@ def make_peer(catalog, peer_id=0, locid=3, gid=1):
     return Peer(peer_id=peer_id, locid=locid, gid=gid, store=FileStore(catalog))
 
 
-class TestBoundedSet:
-    def test_add_and_contains(self):
-        s = BoundedSet(4)
-        assert s.add(1) is True
-        assert 1 in s
-
-    def test_duplicate_add_returns_false(self):
-        s = BoundedSet(4)
-        s.add(1)
-        assert s.add(1) is False
-
-    def test_eviction_is_fifo(self):
-        s = BoundedSet(3)
-        for i in range(4):
-            s.add(i)
-        assert 0 not in s
-        assert all(i in s for i in (1, 2, 3))
-
-    def test_len_capped(self):
-        s = BoundedSet(5)
-        for i in range(20):
-            s.add(i)
-        assert len(s) == 5
-
-    def test_clear(self):
-        s = BoundedSet(5)
-        s.add(1)
-        s.clear()
-        assert 1 not in s
-        assert len(s) == 0
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            BoundedSet(0)
-
-    def test_evicted_item_can_be_readded(self):
-        s = BoundedSet(2)
-        s.add("a")
-        s.add("b")
-        s.add("c")  # evicts "a"
-        assert s.add("a") is True
-
-
 class TestPeer:
     def test_initial_state(self, catalog):
         peer = make_peer(catalog)
@@ -68,18 +25,11 @@ class TestPeer:
         assert peer.gid == 1
         assert peer.protocol_state == {}
 
-    def test_mark_seen_dedupes(self, catalog):
-        peer = make_peer(catalog)
-        assert peer.mark_seen(42) is True
-        assert peer.mark_seen(42) is False
-
     def test_reset_session_state_clears_soft_state(self, catalog):
         peer = make_peer(catalog)
-        peer.mark_seen(42)
         peer.protocol_state["cache"] = object()
         peer.store.add(7)
         peer.reset_session_state()
-        assert peer.mark_seen(42) is True  # forgotten
         assert peer.protocol_state == {}
         # Files survive churn (they live on disk).
         assert peer.store.contains(7)

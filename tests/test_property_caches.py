@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from reference_index_cache import PlainIndexCache
 
-from repro.overlay import BoundedSet, ProviderEntry
+from repro.overlay import ProviderEntry
 from repro.protocols import LocationAwareIndex
 
 # Small universes force collisions, evictions, and refreshes.
@@ -148,42 +148,3 @@ class TestOneProviderIndexProperties:
                 else:
                     assert hit == (expected[0], [expected[1]])
             assert index.filenames() == oracle.filenames()
-
-
-class TestBoundedSetProperties:
-    @given(
-        items=st.lists(st.integers(0, 30), min_size=1, max_size=100),
-        capacity=st.integers(1, 10),
-    )
-    def test_matches_fifo_model(self, items, capacity):
-        """FIFO-with-dedup: re-adding a present item is a no-op; an
-        evicted item can re-enter (exactly the duplicate-suppression
-        semantics peers need)."""
-        s = BoundedSet(capacity)
-        model: "OrderedDict[int, None]" = OrderedDict()
-        for item in items:
-            s.add(item)
-            if item not in model:
-                model[item] = None
-                if len(model) > capacity:
-                    model.popitem(last=False)
-        assert len(s) == len(model)
-        for item in set(items):
-            assert (item in s) == (item in model)
-
-    @given(
-        items=st.lists(st.integers(0, 30), min_size=1, max_size=100),
-        capacity=st.integers(1, 10),
-    )
-    def test_evicts_in_insertion_order_and_readding_is_inert(self, items, capacity):
-        """At capacity the oldest insertion goes, one per new item; adding
-        a present item reports ``False`` and neither refreshes its place
-        in the order nor evicts anything."""
-        s = BoundedSet(capacity)
-        order: list[int] = []
-        for item in items:
-            assert s.add(item) is (item not in order)
-            if item not in order:
-                order.append(item)
-                del order[:-capacity]
-            assert list(s._items) == order

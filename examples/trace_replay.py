@@ -15,17 +15,23 @@ import time
 from repro import DicasProtocol, LocawareProtocol, P2PNetwork, SimulationConfig
 from repro.analysis import format_table, summarize_outcomes
 from repro.experiments import drive_until_settled
-from repro.workload import QueryWorkload, TraceReplayer, parse_trace, serialize_trace
+from repro.workload import (
+    QueryWorkload,
+    TraceRecorder,
+    TraceReplayer,
+    parse_trace,
+    serialize_trace,
+)
 
 
 def record_trace(config, count):
     """Generate a workload once and capture it as a trace."""
     network = P2PNetwork.build(config)
-    workload = QueryWorkload(network, lambda *a: None, max_queries=count)
-    workload.start()
+    recorder = TraceRecorder(network, lambda *a: None)
+    QueryWorkload(network, recorder, max_queries=count).start()
     network.sim.run()
     buffer = io.StringIO()
-    serialize_trace(workload.history, buffer)
+    serialize_trace(recorder.events, buffer)
     return buffer.getvalue()
 
 

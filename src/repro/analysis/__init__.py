@@ -25,6 +25,7 @@ from .persistence import (
     grid_cell_to_document,
     load_grid_cell_document,
     load_run_document,
+    read_grid_cell,
     run_to_document,
 )
 from .sweep_report import (
@@ -69,6 +70,7 @@ __all__ = [
     "load_run_document",
     "grid_cell_to_document",
     "load_grid_cell_document",
+    "read_grid_cell",
     "render_chart",
     "render_figure_chart",
     "SweepRow",

@@ -13,7 +13,9 @@ whole grid is persisted only as its cells in a store: a
 back into the same :class:`~repro.experiments.grid.GridReport` a live
 run returns, which :func:`repro.analysis.aggregate_sweep`,
 :func:`repro.analysis.comparison_slice` and
-:func:`repro.analysis.check_report` consume.
+:func:`repro.analysis.check_report` consume.  :func:`read_grid_cell`
+is the one reader of a stored cell, so every command that reads a
+store agrees on what a damaged document means.
 
 Floats round-trip exactly (JSON uses ``repr``-exact encoding), so an
 aggregate computed from restored documents is byte-identical to one
@@ -24,8 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
+from ..results import CorruptResultError, ResultStore
 from ..results.keys import cell_label
 from ..sim.metrics import BucketedSeries
 from .collectors import MetricSeries, OutcomeSummary
@@ -35,6 +38,8 @@ __all__ = [
     "load_run_document",
     "grid_cell_to_document",
     "load_grid_cell_document",
+    "StoredCell",
+    "read_grid_cell",
 ]
 
 _FORMAT_VERSION = 1
@@ -225,3 +230,35 @@ def load_grid_cell_document(doc: dict[str, Any]) -> _LoadedRun:
     """Restore the run of a stored grid cell."""
     _check_kind(doc, "grid-cell")
     return load_run_document(doc["cell"]["protocol"], doc["run"])
+
+
+class StoredCell(NamedTuple):
+    """One grid cell read back from a result store."""
+
+    label: str
+    protocol: str
+    seed: int
+    max_queries: int
+    run: _LoadedRun
+
+
+def read_grid_cell(store: ResultStore, key: str) -> StoredCell:
+    """The grid cell stored under ``key``.
+
+    Raises :class:`KeyError` if none is stored.  A document that does
+    not parse, or parses but is not a well-formed grid-cell document,
+    is moved aside and reported as
+    :class:`~repro.results.CorruptResultError`: either way the cell
+    reads as absent from then on, and re-executing it recovers it.
+    """
+    document = store.get(key)
+    try:
+        run = load_grid_cell_document(document)
+        cell = document["cell"]
+        return StoredCell(
+            cell["label"], cell["protocol"], cell["seed"], document["max_queries"], run
+        )
+    except (KeyError, TypeError, ValueError) as error:
+        raise CorruptResultError(
+            key, store.quarantine(key), f"malformed grid-cell document: {error}"
+        ) from None

@@ -39,10 +39,11 @@ Subcommands:
   wall clocks in deterministic layers, ``RPR002`` no module-level
   ``random.*``, ``RPR003`` guarded ``tracer.emit``, ``RPR004``
   import-layering DAG, ``RPR005`` no bare set iteration, ``RPR006``
-  strict JSON in results/analysis); ``--format text|json``,
-  ``--select``/``--ignore`` to narrow the rule set, and
-  ``--explain RPRxxx`` for each rule's rationale with an
-  offending/fixed example; exits nonzero on findings;
+  strict JSON in results/analysis, ``RPR007`` the collector switched
+  only in ``sim/gc_pause.py``) over the whole tree by default;
+  ``--format text|json``, and ``--explain RPRxxx`` for each rule's
+  rationale with an offending/fixed example; exits nonzero on
+  findings;
 - ``info``     — show the §5.1 configuration and the system inventory,
   one line per registered scenario included.
 
@@ -64,8 +65,8 @@ Examples::
     repro-locaware grid ls --store results
     repro-locaware trace run --protocol locaware --config small --out t.jsonl
     repro-locaware trace summarize t.jsonl --query 3
-    repro-locaware lint src tests benchmarks
-    repro-locaware lint --format json --select RPR003 RPR004
+    repro-locaware lint
+    repro-locaware lint src/repro/sim --format json
     repro-locaware lint --explain RPR003
 """
 
@@ -97,6 +98,7 @@ from .experiments import (
     paper_config,
     small_config,
 )
+from .lint.config import LINTED_PATHS
 
 __all__ = ["main", "build_parser"]
 
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="files or directories to lint "
-        "(default: src tests benchmarks)",
+        f"(default: {' '.join(LINTED_PATHS)})",
     )
     lint.add_argument(
         "--format",
@@ -293,20 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="findings as human-readable text (default) or one JSON "
         "document (for CI artifacts)",
-    )
-    lint.add_argument(
-        "--select",
-        nargs="+",
-        default=None,
-        metavar="CODE",
-        help="only run these rule codes (e.g. RPR003 RPR004)",
-    )
-    lint.add_argument(
-        "--ignore",
-        nargs="+",
-        default=None,
-        metavar="CODE",
-        help="skip these rule codes",
     )
     lint.add_argument(
         "--explain",
@@ -517,22 +505,6 @@ def _grid_spec_from_args(args: argparse.Namespace) -> GridSpec:
     )
 
 
-def _print_or_drop(text: str, out) -> None:
-    """Print one piece of ``grid run`` output to ``out``.
-
-    Once the reader has closed the pipe (``grid run … | head -2``), the
-    stream is pointed at ``os.devnull``, as the Python docs advise for
-    a closed stdout: the output is dropped and the grid runs on to its
-    last cell instead of dying at the next progress line.
-    """
-    try:
-        print(text, file=out, flush=True)
-    except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, out.fileno())
-        os.close(devnull)
-
-
 def _cmd_grid_run(args: argparse.Namespace, out) -> int:
     from .analysis import render_sweep_report
     from .results import DEFAULT_LEASE_TTL_S, ResultStore
@@ -553,33 +525,34 @@ def _cmd_grid_run(args: argparse.Namespace, out) -> int:
     except (ValueError, ConfigurationError, OSError) as error:
         print(f"error: {error}", file=out)
         return 2
-    _print_or_drop(
+    print(
         f"  runner: {runner.runner_id} "
         f"(lease TTL {lease_ttl:g}s, workers {args.workers})",
-        out,
+        file=out,
+        flush=True,
     )
     started = time.time()
     try:
         report = runner.run(
-            progress=lambda m: _print_or_drop(
-                f"  [{time.time() - started:6.1f}s] {m}", out
+            progress=lambda m: print(
+                f"  [{time.time() - started:6.1f}s] {m}", file=out, flush=True
             )
         )
     except (ValueError, KeyError, OSError) as error:
         # Run-time store failures — --store pointing at a regular
         # file, a full disk — are operator errors, not tracebacks.
-        _print_or_drop(f"error: {error}", out)
+        print(f"error: {error}", file=out)
         return 2
     quarantined = (
         f" quarantined={report.quarantined}" if report.quarantined else ""
     )
-    _print_or_drop(
+    print(
         f"  cells: total={report.num_cells} executed={report.executed} "
         f"cached={report.cached}{quarantined} in {time.time() - started:.1f}s",
-        out,
+        file=out,
     )
-    _print_or_drop(f"  store: {args.store}\n", out)
-    _print_or_drop(render_sweep_report(report), out)
+    print(f"  store: {args.store}\n", file=out)
+    print(render_sweep_report(report), file=out)
     return 0
 
 
@@ -688,7 +661,7 @@ def _grid_snapshot(store, claims, keys, name, now):
 
 def _print_snapshots(args: argparse.Namespace, out, interval_s=None) -> int:
     """Print the grid's snapshot once, or every ``interval_s`` seconds
-    until the grid is complete."""
+    until the grid is complete or nobody reads the output any more."""
     from .results import ClaimStore, ResultStore
     from .sim.errors import ConfigurationError
 
@@ -697,13 +670,16 @@ def _print_snapshots(args: argparse.Namespace, out, interval_s=None) -> int:
     except (ValueError, ConfigurationError, OSError) as error:
         print(f"error: {error}", file=out)
         return 2
+    if os.path.exists(args.store) and not os.path.isdir(args.store):
+        print(f"error: store {args.store} is not a directory", file=out)
+        return 2
     store = ResultStore(args.store)
     claims = ClaimStore(store.root)
     keys = {spec.cell_key(cell) for cell in spec.expand()}
     while True:
         snapshot, done = _grid_snapshot(store, claims, keys, args.store, time.time())
         print(snapshot, file=out, flush=True)
-        if done or interval_s is None:
+        if done or interval_s is None or out.reader_gone:
             return 0
         print(file=out)
         time.sleep(interval_s)
@@ -722,10 +698,11 @@ def _cmd_grid_watch(args: argparse.Namespace, out) -> int:
     return _print_snapshots(args, out, args.interval)
 
 
-def _stored_report(args: argparse.Namespace) -> GridReport:
+def _stored_report(args: argparse.Namespace, out) -> GridReport:
     """The grid of the axis flags, read from its stored cells without
-    executing any; missing or unrestorable cells are a counted error."""
-    from .analysis import load_grid_cell_document
+    executing any; missing or corrupt cells are a counted error, and
+    each corrupt one is named as it is quarantined."""
+    from .analysis import read_grid_cell
     from .results import CorruptResultError, ResultStore
 
     spec = _grid_spec_from_args(args)
@@ -733,11 +710,12 @@ def _stored_report(args: argparse.Namespace) -> GridReport:
     report = GridReport(spec=spec)
     cells = spec.expand()
     for cell in cells:
-        key = spec.cell_key(cell)
         try:
-            report.runs[cell] = load_grid_cell_document(store.get(key))
-        except (KeyError, TypeError, ValueError, CorruptResultError):
+            report.runs[cell] = read_grid_cell(store, spec.cell_key(cell)).run
+        except KeyError:
             pass  # counted as missing below
+        except CorruptResultError as error:
+            print(f"  note: skipped corrupt cell: {error}", file=out)
     missing = len(cells) - len(report.runs)
     if missing:
         raise ValueError(
@@ -753,42 +731,31 @@ def _cmd_grid_check(args: argparse.Namespace, out) -> int:
     from .sim.errors import ConfigurationError
 
     try:
-        return 0 if _print_verdicts(_stored_report(args), out) else 1
+        return 0 if _print_verdicts(_stored_report(args, out), out) else 1
     except (ValueError, ConfigurationError, OSError) as error:
         print(f"error: {error}", file=out)
         return 2
 
 
-def _iter_store_cells(store, extract, out):
-    """Stream ``(key, extract(document))`` pairs, tolerating damage.
+def _iter_store_cells(store, out):
+    """Stream ``(key, StoredCell)`` for every cell in ``store``.
 
-    Corrupt documents — whether they fail to *parse* (the store
-    quarantines those itself) or parse but fail ``extract`` (valid
-    JSON of the wrong shape, which is quarantined here) — are skipped
-    with a note; cells mid-commit by another runner simply do not
-    appear yet (atomic put means a document is either whole or
+    Corrupt or malformed documents are quarantined by the reader and
+    skipped with a note; cells mid-commit by another runner simply do
+    not appear yet (atomic put means a document is either whole or
     absent).  Yields nothing for a missing store directory.
     """
+    from .analysis import read_grid_cell
     from .results import CorruptResultError
 
     for key in store.keys():
         try:
-            document = store.get(key)
+            yield key, read_grid_cell(store, key)
         except CorruptResultError as error:
             print(f"  note: skipped corrupt cell: {error}", file=out)
-            continue
         except KeyError:
             # Deleted (or quarantined) between listing and reading.
             continue
-        try:
-            yield key, extract(document)
-        except (ValueError, KeyError, TypeError):
-            store.quarantine(key)
-            print(
-                f"  note: skipped corrupt cell: malformed grid-cell "
-                f"document for key {key[:12]}…; quarantined",
-                file=out,
-            )
 
 
 def _in_flight_note(store, out) -> None:
@@ -824,25 +791,14 @@ def _no_cells_message(store, args, out) -> None:
 
 def _cmd_grid_report(args: argparse.Namespace, out) -> int:
     from .analysis import SweepAggregator, render_sweep_rows
-    from .analysis.persistence import load_grid_cell_document
     from .results import ResultStore
 
     store = ResultStore(args.store)
     aggregator = SweepAggregator()
     cells = 0
-
-    def extract(document):
-        return (
-            document["cell"]["label"],
-            document["cell"]["protocol"],
-            load_grid_cell_document(document),
-        )
-
     try:
-        for _key, (label, protocol, run) in _iter_store_cells(
-            store, extract, out
-        ):
-            aggregator.add(label, protocol, run)
+        for _key, cell in _iter_store_cells(store, out):
+            aggregator.add(cell.label, cell.protocol, cell.run)
             cells += 1
     except OSError as error:
         print(f"error: unreadable store document: {error}", file=out)
@@ -868,19 +824,11 @@ def _cmd_grid_ls(args: argparse.Namespace, out) -> int:
 
     store = ResultStore(args.store)
     rows = []
-
-    def extract(document):
-        cell = document["cell"]
-        return [
-            cell["label"],
-            cell["protocol"],
-            cell["seed"],
-            document["max_queries"],
-        ]
-
     try:
-        for key, fields in _iter_store_cells(store, extract, out):
-            rows.append([key[:12], *fields])
+        for key, cell in _iter_store_cells(store, out):
+            rows.append(
+                [key[:12], cell.label, cell.protocol, cell.seed, cell.max_queries]
+            )
     except OSError as error:
         print(f"error: unreadable store document: {error}", file=out)
         return 2
@@ -1021,11 +969,9 @@ def _cmd_lint(args: argparse.Namespace, out) -> int:
             print(f"error: {error}", file=out)
             return 2
         return 0
-    config = LintConfig.load()
-    paths = args.paths or ["src", "tests", "benchmarks"]
     try:
         findings, checked = lint_paths(
-            paths, config, select=args.select, ignore=args.ignore
+            args.paths or LINTED_PATHS, LintConfig.load()
         )
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=out)
@@ -1062,11 +1008,49 @@ _COMMANDS = {
 }
 
 
+class _Output:
+    """The stream every command prints to.
+
+    Once the reader has closed the pipe (``grid ls … | head -1``), the
+    stream is pointed at ``os.devnull``, as the Python docs advise for
+    a closed stdout: the rest of the output is dropped and the command
+    runs on to its end — ``grid run`` to its last cell — instead of
+    dying with a ``BrokenPipeError``.  ``reader_gone`` then reads True,
+    which ends ``grid watch``.
+    """
+
+    def __init__(self, stream) -> None:
+        self._stream = stream
+        self.reader_gone = False
+
+    def write(self, text: str) -> int:
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError:
+            self._drop()
+            return len(text)
+
+    def flush(self) -> None:
+        try:
+            self._stream.flush()
+        except BrokenPipeError:
+            self._drop()
+
+    def _drop(self) -> None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, self._stream.fileno())
+        os.close(devnull)
+        self.reader_gone = True
+
+
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
-    out = out if out is not None else sys.stdout
+    out = _Output(out if out is not None else sys.stdout)
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args, out)
+    try:
+        return _COMMANDS[args.command](args, out)
+    finally:
+        out.flush()
 
 
 if __name__ == "__main__":  # pragma: no cover

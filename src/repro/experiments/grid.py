@@ -53,7 +53,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
 
-from ..analysis.persistence import grid_cell_to_document, load_grid_cell_document
+from ..analysis.persistence import (
+    grid_cell_to_document,
+    load_grid_cell_document,
+    read_grid_cell,
+)
 from ..overlay.blueprint import BlueprintCache, NetworkBlueprint
 from ..results import (
     DEFAULT_LEASE_TTL_S,
@@ -583,8 +587,8 @@ class GridReport:
     runs: dict[GridCell, Any] = field(default_factory=dict)
     executed: int = 0
     cached: int = 0
-    #: Stored documents that failed to parse, were quarantined by the
-    #: store, and re-executed (crash/corruption recovery accounting).
+    #: Stored documents that failed to parse or to restore, were
+    #: quarantined, and re-executed (crash/corruption recovery accounting).
     quarantined: int = 0
 
     @property
@@ -1216,12 +1220,12 @@ class GridRunner:
     ) -> bool:
         """Load ``cell`` from the store if present; True on success.
 
-        A corrupt document counts as absent: the store quarantines it,
-        the incident is reported, and the caller claims the cell for
-        re-execution.
+        A corrupt or malformed document counts as absent:
+        :func:`read_grid_cell` moves it aside, the incident is
+        reported, and the caller claims the cell for re-execution.
         """
         try:
-            document = self.store.get(key)
+            run = read_grid_cell(self.store, key).run
         except KeyError:
             # Not stored — never was, or a concurrent reader quarantined
             # it or an operator deleted it since the last look.
@@ -1231,38 +1235,9 @@ class GridRunner:
             if progress is not None:
                 progress(f"quarantined: {error}")
             return False
-        try:
-            run = load_grid_cell_document(document)
-        except (KeyError, ValueError, TypeError):
-            # Parsed as JSON but not as a grid-cell document (missing
-            # or mangled fields, wrong kind, alien format version):
-            # same recovery as byte-level corruption — rename it aside
-            # and re-execute the cell.
-            return self._quarantine_malformed(key, report, progress)
         report.cached += 1
         self._resolve(report, cell, run)
         return True
-
-    def _quarantine_malformed(
-        self,
-        key: str,
-        report: GridReport,
-        progress: Callable[[str], None] | None,
-    ) -> bool:
-        """Quarantine a document that parsed but failed to restore."""
-        quarantined_to = self.store.quarantine(key)
-        report.quarantined += 1
-        if progress is not None:
-            where = (
-                quarantined_to.name
-                if quarantined_to is not None
-                else "already removed"
-            )
-            progress(
-                f"quarantined: malformed grid-cell document for key "
-                f"{key[:12]}…; {where}"
-            )
-        return False
 
     def _execute_claimed(
         self,

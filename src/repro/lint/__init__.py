@@ -14,15 +14,18 @@ scientific validity rests on and no generic tool checks:
 - ``RPR007`` the cyclic collector is switched only in
   ``sim/gc_pause.py``.
 
-Configuration lives in ``pyproject.toml [tool.repro-lint]``; inline
-suppressions use ``# repro-lint: skip RPRxxx``.  See the README's
-"Static analysis" section for the catalog and how to add a rule.
+The policy — the package path, the deterministic layers, the layer
+DAG and the tree ``repro lint`` checks by default — is stated once, as
+the constants of :mod:`repro.lint.config`; nothing overrides it.  See
+the README's "Static analysis" section for the catalog and how to add
+a rule.
 """
 
 from . import rules as _rules  # noqa: F401  (importing registers the rules)
 from .config import (
-    DEFAULT_DETERMINISTIC_LAYERS,
-    DEFAULT_LAYER_ALLOWED,
+    DETERMINISTIC_LAYERS,
+    LAYER_ALLOWED,
+    LINTED_PATHS,
     LintConfig,
 )
 from .engine import (
@@ -38,8 +41,9 @@ from .engine import (
 from .reporting import explain_rule, render_json, render_text, rule_catalog
 
 __all__ = [
-    "DEFAULT_DETERMINISTIC_LAYERS",
-    "DEFAULT_LAYER_ALLOWED",
+    "DETERMINISTIC_LAYERS",
+    "LAYER_ALLOWED",
+    "LINTED_PATHS",
     "LintConfig",
     "RULES",
     "Finding",

@@ -1,42 +1,45 @@
-"""Configuration for ``repro lint``.
+"""The policy of ``repro lint``, stated once.
 
 The linter is project-aware: rules need to know which *layer* a file
 belongs to (``sim``, ``overlay``, ``results``, ...), which layers are
 *deterministic* (simulated time only — wall clocks and module-level
 RNG are forbidden there), and which imports each layer may draw on.
-Those facts live here as defaults mirroring the repository layout, and
-can be overridden from ``pyproject.toml``::
+The constants below are those facts, mirroring the repository layout.
+Nothing overrides them: there is no configuration table, no per-rule
+path allowlist and no inline suppression comment.  A false positive
+is fixed in the rule, whose ground truth is the fixture corpus under
+``tests/fixtures/lint/``.
 
-    [tool.repro-lint]
-    package = "src/repro"
-    deterministic-layers = ["sim", "overlay", ...]
-    select = ["RPR001", ...]          # only these codes
-    ignore = ["RPR005"]               # minus these
-
-    [tool.repro-lint.layers]
-    overlay = ["sim", "net", "files", "bloom"]
-    cli = ["*"]                       # "*" = may import anything
-
-    [tool.repro-lint.allow]
-    RPR001 = ["src/repro/sim/telemetry.py"]   # per-rule path allowlist
-
-Defaults are used for any key the table omits, so an empty (or absent)
-``[tool.repro-lint]`` section lints exactly the shipped policy.
+:class:`LintConfig` carries only the root the paths are relative to,
+so tests can point the linter at a synthetic tree.
 """
 
 from __future__ import annotations
 
-import tomllib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 
-__all__ = ["LintConfig", "DEFAULT_LAYER_ALLOWED", "DEFAULT_DETERMINISTIC_LAYERS"]
+__all__ = [
+    "DETERMINISTIC_LAYERS",
+    "LAYER_ALLOWED",
+    "LINTED_PATHS",
+    "LintConfig",
+    "PACKAGE_NAME",
+    "PACKAGE_PATH",
+]
+
+#: The package below the root, and the name it is imported as.
+PACKAGE_PATH: tuple[str, ...] = ("src", "repro")
+PACKAGE_NAME = PACKAGE_PATH[-1]
+
+#: What ``repro lint`` with no paths checks: the whole tree.
+LINTED_PATHS: tuple[str, ...] = ("src", "tests", "benchmarks", "examples", "tools")
 
 # Layers whose code runs under the discrete-event clock: byte-identical
 # replay is the contract, so wall clocks (RPR001), module-level RNG
 # (RPR002), unguarded tracing (RPR003), and unordered set iteration
 # (RPR005) are all forbidden here.
-DEFAULT_DETERMINISTIC_LAYERS: tuple[str, ...] = (
+DETERMINISTIC_LAYERS: tuple[str, ...] = (
     "bloom",
     "core",
     "files",
@@ -54,7 +57,7 @@ DEFAULT_DETERMINISTIC_LAYERS: tuple[str, ...] = (
 # is what lets telemetry stay duck-typed and provably inert (PR 8) —
 # and ``results`` is storage policy that must never reach back into
 # the simulation.
-DEFAULT_LAYER_ALLOWED: dict[str, tuple[str, ...]] = {
+LAYER_ALLOWED: dict[str, tuple[str, ...]] = {
     "sim": (),
     "files": (),
     "net": (),
@@ -86,28 +89,19 @@ DEFAULT_LAYER_ALLOWED: dict[str, tuple[str, ...]] = {
 }
 
 
+def _below_package(relpath: str) -> tuple[str, ...]:
+    """The parts of ``relpath`` below the package root (none outside it)."""
+    parts = PurePosixPath(relpath).parts
+    if parts[: len(PACKAGE_PATH)] != PACKAGE_PATH:
+        return ()
+    return parts[len(PACKAGE_PATH) :]
+
+
 @dataclass(frozen=True)
 class LintConfig:
-    """Resolved linter configuration (defaults + pyproject overrides)."""
+    """The root that linted paths are resolved against."""
 
     root: Path
-    package: str = "src/repro"
-    deterministic_layers: tuple[str, ...] = DEFAULT_DETERMINISTIC_LAYERS
-    layer_allowed: dict[str, tuple[str, ...]] = field(
-        default_factory=lambda: dict(DEFAULT_LAYER_ALLOWED)
-    )
-    select: tuple[str, ...] | None = None
-    ignore: tuple[str, ...] = ()
-    allow: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    @property
-    def package_parts(self) -> tuple[str, ...]:
-        return tuple(PurePosixPath(self.package).parts)
-
-    @property
-    def package_name(self) -> str:
-        """The importable package name (last component of ``package``)."""
-        return self.package_parts[-1]
 
     def relative_path(self, path: Path | str) -> str:
         """``path`` as a root-relative posix string (as-is if outside)."""
@@ -119,7 +113,8 @@ class LintConfig:
         except ValueError:
             return resolved.as_posix()
 
-    def layer_of(self, relpath: str) -> str | None:
+    @staticmethod
+    def layer_of(relpath: str) -> str | None:
         """The layer a root-relative file path belongs to, if any.
 
         Files directly under the package root form single-module layers
@@ -128,80 +123,34 @@ class LintConfig:
         Files outside the package root have no layer, so layer-scoped
         rules skip them (tests and benchmarks import freely).
         """
-        parts = PurePosixPath(relpath).parts
-        prefix = self.package_parts
-        if parts[: len(prefix)] != prefix or len(parts) <= len(prefix):
+        remainder = _below_package(relpath)
+        if not remainder:
             return None
-        remainder = parts[len(prefix) :]
         if len(remainder) == 1:
             return PurePosixPath(remainder[0]).stem
         return remainder[0]
 
-    def module_parts(self, relpath: str) -> tuple[str, ...] | None:
+    @staticmethod
+    def module_parts(relpath: str) -> tuple[str, ...] | None:
         """Dotted-module parts for a package file (None outside it)."""
-        parts = PurePosixPath(relpath).parts
-        prefix = self.package_parts
-        if parts[: len(prefix)] != prefix or len(parts) <= len(prefix):
+        below = _below_package(relpath)
+        if not below:
             return None
-        remainder = [PurePosixPath(part).stem for part in parts[len(prefix) :]]
-        if remainder and remainder[-1] == "__init__":
+        remainder = [PurePosixPath(part).stem for part in below]
+        if remainder[-1] == "__init__":
             remainder.pop()
-        return (self.package_name, *remainder)
-
-    def allowed_imports(self, layer: str) -> tuple[str, ...] | None:
-        """Layers ``layer`` may import, or None if it is undeclared."""
-        return self.layer_allowed.get(layer)
-
-    def is_allowed_path(self, code: str, relpath: str) -> bool:
-        """True when ``relpath`` is allowlisted for rule ``code``."""
-        prefixes = self.allow.get(code, ())
-        return any(
-            relpath == prefix or relpath.startswith(prefix.rstrip("/") + "/")
-            for prefix in prefixes
-        )
+        return (PACKAGE_NAME, *remainder)
 
     @classmethod
     def load(cls, start: Path | str | None = None) -> LintConfig:
-        """Find ``pyproject.toml`` upward from ``start`` and resolve.
-
-        Without a pyproject (or without a ``[tool.repro-lint]`` table)
-        the shipped defaults apply, rooted at ``start``.
-        """
+        """Root the linter at the nearest ancestor of ``start`` (default:
+        the working directory) holding a ``pyproject.toml``, or at
+        ``start`` itself if none does.  The file is not read."""
         base = Path(start) if start is not None else Path.cwd()
         base = base.resolve()
         if base.is_file():
             base = base.parent
         for candidate in (base, *base.parents):
-            pyproject = candidate / "pyproject.toml"
-            if pyproject.is_file():
-                with pyproject.open("rb") as handle:
-                    data = tomllib.load(handle)
-                table = data.get("tool", {}).get("repro-lint", {})
-                return cls.from_table(table, root=candidate)
+            if (candidate / "pyproject.toml").is_file():
+                return cls(root=candidate)
         return cls(root=base)
-
-    @classmethod
-    def from_table(cls, table: dict, root: Path) -> LintConfig:
-        """Build a config from a parsed ``[tool.repro-lint]`` table."""
-        layer_allowed = dict(DEFAULT_LAYER_ALLOWED)
-        for layer, allowed in table.get("layers", {}).items():
-            layer_allowed[str(layer)] = tuple(str(item) for item in allowed)
-        allow = {
-            str(code): tuple(str(path) for path in paths)
-            for code, paths in table.get("allow", {}).items()
-        }
-        select = table.get("select")
-        return cls(
-            root=root,
-            package=str(table.get("package", cls.package)),
-            deterministic_layers=tuple(
-                str(layer)
-                for layer in table.get(
-                    "deterministic-layers", DEFAULT_DETERMINISTIC_LAYERS
-                )
-            ),
-            layer_allowed=layer_allowed,
-            select=tuple(str(code) for code in select) if select else None,
-            ignore=tuple(str(code) for code in table.get("ignore", ())),
-            allow=allow,
-        )

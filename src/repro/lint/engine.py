@@ -1,30 +1,19 @@
-"""The ``repro lint`` engine: rule registry, suppressions, file runner.
+"""The ``repro lint`` engine: rule registry and file runner.
 
 Rules are AST visitors registered by code (``RPR001``...); the engine
-parses each file once, decides which rules apply to it (most rules are
-scoped to layers — see :mod:`repro.lint.config`), collects findings,
-and filters out any a ``# repro-lint: skip`` comment suppresses.
-
-Suppression syntax::
-
-    network.tracer.emit(now, "x")        # repro-lint: skip RPR003
-    # repro-lint: skip RPR001, RPR002    <- standalone: next line
-    t = time.time()
-    y = time.monotonic()                 # repro-lint: skip
-
-A bare ``skip`` (no codes) suppresses every rule on that line.  For a
-multi-line statement the comment goes on the statement's first line.
+parses each file once, runs every rule whose scope covers it (most
+rules are scoped to layers — see :mod:`repro.lint.config`) and
+collects the findings.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import LintConfig
+from .config import DETERMINISTIC_LAYERS, LintConfig
 
 __all__ = [
     "Finding",
@@ -37,8 +26,7 @@ __all__ = [
     "collect_files",
 ]
 
-#: Code used for files that fail to parse — not a registered rule, and
-#: deliberately not suppressible or deselectable.
+#: Code used for files that fail to parse — not a registered rule.
 PARSE_ERROR_CODE = "RPR000"
 
 
@@ -99,15 +87,13 @@ class Rule:
     example_bad: str = ""
     example_good: str = ""
 
-    def applies_to(self, module: Module, config: LintConfig) -> bool:
-        if config.is_allowed_path(self.code, module.path):
-            return False
+    def applies_to(self, module: Module) -> bool:
         if self.scope == "all":
             return True
         if self.scope == "package":
             return module.layer is not None
         if self.scope == "deterministic":
-            return module.layer in config.deterministic_layers
+            return module.layer in DETERMINISTIC_LAYERS
         return module.layer in self.scope
 
     def check(self, module: Module, config: LintConfig) -> Iterator[Finding]:
@@ -137,60 +123,7 @@ def register_rule(cls: type[Rule]) -> type[Rule]:
     return cls
 
 
-_SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*skip\b[ \t]*([A-Z0-9, \t]*)")
-_ALL_CODES = "ALL"
-
-
-def _suppressions(source: str) -> dict[int, set[str]]:
-    """line number -> codes suppressed there (``ALL`` = every code)."""
-    suppressed: dict[int, set[str]] = {}
-    for number, text in enumerate(source.splitlines(), start=1):
-        match = _SUPPRESS_RE.search(text)
-        if match is None:
-            continue
-        codes = {code for code in re.split(r"[,\s]+", match.group(1)) if code}
-        target = number + 1 if text.lstrip().startswith("#") else number
-        suppressed.setdefault(target, set()).update(codes or {_ALL_CODES})
-    return suppressed
-
-
-def _is_suppressed(finding: Finding, suppressed: dict[int, set[str]]) -> bool:
-    codes = suppressed.get(finding.line)
-    if codes is None or finding.code == PARSE_ERROR_CODE:
-        return False
-    return _ALL_CODES in codes or finding.code in codes
-
-
-def _selected_rules(
-    config: LintConfig,
-    select: Iterable[str] | None,
-    ignore: Iterable[str] | None,
-) -> list[Rule]:
-    chosen = tuple(select) if select is not None else config.select
-    ignored = set(ignore) if ignore is not None else set(config.ignore)
-    unknown = [
-        code for code in (*(chosen or ()), *ignored) if code not in RULES
-    ]
-    if unknown:
-        known = ", ".join(sorted(RULES))
-        raise ValueError(
-            f"unknown rule code(s) {', '.join(sorted(set(unknown)))} "
-            f"(known: {known})"
-        )
-    return [
-        rule
-        for code, rule in sorted(RULES.items())
-        if (chosen is None or code in chosen) and code not in ignored
-    ]
-
-
-def lint_source(
-    source: str,
-    path: str,
-    config: LintConfig,
-    select: Iterable[str] | None = None,
-    ignore: Iterable[str] | None = None,
-) -> list[Finding]:
+def lint_source(source: str, path: str, config: LintConfig) -> list[Finding]:
     """Lint one in-memory source under a (possibly virtual) path.
 
     ``path`` decides the file's layer, so fixtures can exercise
@@ -213,13 +146,11 @@ def lint_source(
     module = Module(
         path=relpath, layer=config.layer_of(relpath), tree=tree, source=source
     )
-    suppressed = _suppressions(source)
     findings = [
         finding
-        for rule in _selected_rules(config, select, ignore)
-        if rule.applies_to(module, config)
+        for rule in RULES.values()
+        if rule.applies_to(module)
         for finding in rule.check(module, config)
-        if not _is_suppressed(finding, suppressed)
     ]
     findings.sort(key=lambda f: (f.line, f.col, f.code))
     return findings
@@ -244,18 +175,13 @@ def collect_files(paths: Iterable[Path | str], config: LintConfig) -> list[Path]
 
 
 def lint_paths(
-    paths: Iterable[Path | str],
-    config: LintConfig,
-    select: Iterable[str] | None = None,
-    ignore: Iterable[str] | None = None,
+    paths: Iterable[Path | str], config: LintConfig
 ) -> tuple[list[Finding], int]:
     """Lint files and directories; returns (findings, files checked)."""
     files = collect_files(paths, config)
     findings: list[Finding] = []
     for file in files:
         source = file.read_text(encoding="utf-8")
-        findings.extend(
-            lint_source(source, str(file), config, select=select, ignore=ignore)
-        )
+        findings.extend(lint_source(source, str(file), config))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings, len(files)

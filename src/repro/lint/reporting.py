@@ -54,8 +54,6 @@ def explain_rule(code: str) -> str:
         "",
         "fixed:",
         *(f"    {line}" for line in rule.example_good.rstrip().splitlines()),
-        "",
-        f"suppress with: # repro-lint: skip {rule.code}",
     ]
     return "\n".join(lines)
 

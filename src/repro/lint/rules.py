@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from .config import LintConfig
+from .config import LAYER_ALLOWED, PACKAGE_NAME, LintConfig
 from .engine import Finding, Module, Rule, register_rule
 
 __all__ = [
@@ -338,7 +338,7 @@ class LayeringRule(Rule):
     code = "RPR004"
     name = "import-layering"
     summary = (
-        "respect the declared layer DAG ([tool.repro-lint.layers]) — "
+        "respect the declared layer DAG (LAYER_ALLOWED in lint/config.py) — "
         "move the dependency down or pass data in instead"
     )
     scope = "package"
@@ -364,14 +364,14 @@ class LayeringRule(Rule):
     def check(self, module: Module, config: LintConfig) -> Iterator[Finding]:
         layer = module.layer
         assert layer is not None  # scope == "package" guarantees it
-        allowed = config.allowed_imports(layer)
+        allowed = LAYER_ALLOWED.get(layer)
         if allowed is None:
             yield self.finding(
                 module,
                 module.tree,
                 f"layer {layer!r} is not declared in the layer map",
-                hint="add it (and its allowed imports) to "
-                "[tool.repro-lint.layers] in pyproject.toml",
+                hint="add it (and its allowed imports) to LAYER_ALLOWED "
+                "in src/repro/lint/config.py",
             )
             return
         if "*" in allowed:
@@ -384,7 +384,7 @@ class LayeringRule(Rule):
         anchor = base if module.path.endswith("__init__.py") else base[:-1]
         for node in ast.walk(module.tree):
             for target, description in self._import_targets(
-                node, anchor, config.package_name
+                node, anchor, PACKAGE_NAME
             ):
                 if target != layer and target not in allowed:
                     yield self.finding(
@@ -602,7 +602,7 @@ class CollectorSwitchRule(Rule):
     _HOME = ("sim", "gc_pause")
 
     def check(self, module: Module, config: LintConfig) -> Iterator[Finding]:
-        if config.module_parts(module.path) == (config.package_name, *self._HOME):
+        if config.module_parts(module.path) == (PACKAGE_NAME, *self._HOME):
             return
         bindings = _import_bindings(module.tree)
         for node in ast.walk(module.tree):
@@ -614,5 +614,5 @@ class CollectorSwitchRule(Rule):
                     module,
                     node,
                     f"collector switch {qname}() outside "
-                    f"{'.'.join((config.package_name, *self._HOME))}",
+                    f"{'.'.join((PACKAGE_NAME, *self._HOME))}",
                 )

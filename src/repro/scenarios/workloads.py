@@ -3,8 +3,8 @@
 Each class extends :class:`~repro.workload.generator.QueryWorkload`
 through its two hooks — ``_sample_file`` (which file an arrival asks
 for) and ``_system_rate`` (how fast arrivals come) — so arrival
-mechanics, keyword picking, and history bookkeeping stay identical to
-the paper's baseline workload.  All extra randomness is drawn from
+mechanics and keyword picking stay identical to the paper's baseline
+workload.  All extra randomness is drawn from
 dedicated named streams, keeping the base ``workload``/``zipf``
 streams byte-identical to a baseline run up to the point a scenario
 diverges.

@@ -1,8 +1,14 @@
 """Query workload substrate: Zipf popularity, Poisson arrivals, traces."""
 
-from .generator import QueryEvent, QueryWorkload
+from .generator import QueryWorkload
 from .shifting import ShiftingZipfWorkload
-from .trace import TraceReplayer, parse_trace, serialize_trace
+from .trace import (
+    QueryEvent,
+    TraceRecorder,
+    TraceReplayer,
+    parse_trace,
+    serialize_trace,
+)
 from .zipf import ZipfSampler
 
 __all__ = [
@@ -10,6 +16,7 @@ __all__ = [
     "QueryWorkload",
     "ShiftingZipfWorkload",
     "QueryEvent",
+    "TraceRecorder",
     "TraceReplayer",
     "serialize_trace",
     "parse_trace",

@@ -17,23 +17,11 @@ Locaware, which is what makes the paper's head-to-head comparison fair.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from ..overlay.network import P2PNetwork
 from .zipf import ZipfSampler
 
-__all__ = ["QueryEvent", "QueryWorkload"]
-
-
-@dataclass(frozen=True)
-class QueryEvent:
-    """One generated query: who asks, for what, with which keywords."""
-
-    index: int
-    time: float
-    origin: int
-    file_id: int
-    keywords: tuple[str, ...]
+__all__ = ["QueryWorkload"]
 
 
 class QueryWorkload:
@@ -73,7 +61,6 @@ class QueryWorkload:
             config.num_files, config.zipf_exponent, network.streams.stream("zipf")
         )
         self._generated = 0
-        self.history: list[QueryEvent] = []
 
     @property
     def generated(self) -> int:
@@ -118,15 +105,6 @@ class QueryWorkload:
             file_id = self._sample_file(origin)
             keywords = self._pick_keywords(file_id)
             self._generated += 1
-            self.history.append(
-                QueryEvent(
-                    index=self._generated,
-                    time=self._network.sim.now,
-                    origin=origin,
-                    file_id=file_id,
-                    keywords=keywords,
-                )
-            )
             self._issue(origin, file_id, keywords)
         self._schedule_next()
         if self.on_arrival is not None:

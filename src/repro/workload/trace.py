@@ -9,19 +9,66 @@ Two uses:
   simulation (the substitute for the Gnutella traces of the paper's
   refs [11, 15], which are not redistributable).
 
-Traces serialise to a simple line-oriented text format:
-``index time origin file_id kw1,kw2,...``.
+A :class:`TraceRecorder` records a trace by wrapping the ``issue``
+callback a workload is given.  Traces serialise to a simple
+line-oriented text format: ``index time origin file_id kw1,kw2,...``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
 from typing import TextIO
 
 from ..overlay.network import P2PNetwork
-from .generator import QueryEvent
 
-__all__ = ["serialize_trace", "parse_trace", "TraceReplayer"]
+__all__ = [
+    "QueryEvent",
+    "TraceRecorder",
+    "serialize_trace",
+    "parse_trace",
+    "TraceReplayer",
+]
+
+
+@dataclass(frozen=True)
+class QueryEvent:
+    """One issued query: who asks, for what, with which keywords."""
+
+    index: int
+    time: float
+    origin: int
+    file_id: int
+    keywords: tuple[str, ...]
+
+
+class TraceRecorder:
+    """An ``issue`` callback that records every query it forwards.
+
+    Hand it to a workload in place of the callback it wraps; ``events``
+    then holds the issued queries in order (``index`` counts from 1),
+    ready for :func:`serialize_trace`::
+
+        recorder = TraceRecorder(network, protocol.issue_query)
+        QueryWorkload(network, recorder, max_queries=300).start()
+    """
+
+    def __init__(
+        self,
+        network: P2PNetwork,
+        issue: Callable[[int, int, tuple[str, ...]], None],
+    ) -> None:
+        self._network = network
+        self._issue = issue
+        self.events: list[QueryEvent] = []
+
+    def __call__(self, origin: int, file_id: int, keywords: tuple[str, ...]) -> None:
+        self.events.append(
+            QueryEvent(
+                len(self.events) + 1, self._network.sim.now, origin, file_id, keywords
+            )
+        )
+        self._issue(origin, file_id, keywords)
 
 
 def serialize_trace(events: Iterable[QueryEvent], out: TextIO) -> int:

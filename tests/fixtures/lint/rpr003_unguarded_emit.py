@@ -32,9 +32,5 @@ def guarded_by_early_return(tracer, now):
     tracer.emit(now, "query.forward")
 
 
-def suppressed_emit(network):
-    network.tracer.emit(network.sim.now, "odd")  # repro-lint: skip RPR003
-
-
 def non_tracer_emit_is_legal(signal):
     signal.emit("not a tracer")

@@ -195,6 +195,100 @@ class TestGridCellDocuments:
             load_grid_cell_document({"kind": "grid-cell", "format_version": 999})
 
 
+class TestReadGridCell:
+    """``read_grid_cell``, the one reader of a stored cell: a good
+    document reads back with its axes, an absent one is a ``KeyError``,
+    and a damaged one is moved aside and reported as corrupt."""
+
+    @pytest.fixture(scope="class")
+    def stored_cell(self, tmp_path_factory):
+        spec = GridSpec(
+            base_config=small_config(seed=3).replace(query_rate_per_peer=0.02),
+            protocols=("locaware",),
+            scenarios=("baseline",),
+            seeds=(7,),
+            max_queries=10,
+        )
+        root = tmp_path_factory.mktemp("cell")
+        report = GridRunner(spec, store=ResultStore(root)).run()
+        (cell,) = spec.expand()
+        key = spec.cell_key(cell)
+        return ResultStore(root).get(key), key, report.runs[cell]
+
+    def _store_holding(self, tmp_path, key, document):
+        store = ResultStore(tmp_path)
+        store.put(key, document)
+        return store
+
+    def test_a_stored_cell_reads_back_with_its_axes(self, tmp_path, stored_cell):
+        from repro.analysis import read_grid_cell, run_to_document
+
+        document, key, live = stored_cell
+        store = self._store_holding(tmp_path, key, document)
+        read = read_grid_cell(store, key)
+        assert (read.label, read.protocol, read.seed, read.max_queries) == (
+            "baseline", "locaware", 7, 10,
+        )
+        assert run_to_document(read.run) == run_to_document(live)
+        assert store.has(key)
+
+    def test_an_absent_cell_is_a_key_error(self, tmp_path, stored_cell):
+        from repro.analysis import read_grid_cell
+        from repro.results import CorruptResultError
+
+        _, key, _ = stored_cell
+        with pytest.raises(KeyError) as excinfo:
+            read_grid_cell(ResultStore(tmp_path), key)
+        assert not isinstance(excinfo.value, CorruptResultError)
+
+    def test_an_unparsable_document_is_quarantined(self, tmp_path, stored_cell):
+        from repro.analysis import read_grid_cell
+        from repro.results import CorruptResultError
+
+        document, key, _ = stored_cell
+        store = self._store_holding(tmp_path, key, document)
+        store.path_for(key).write_text("{not json", encoding="utf-8")
+        with pytest.raises(CorruptResultError) as excinfo:
+            read_grid_cell(store, key)
+        assert excinfo.value.quarantined_to == store.path_for(key).with_name(
+            f"{key}.json.corrupt"
+        )
+        assert excinfo.value.quarantined_to.is_file()
+        with pytest.raises(KeyError):
+            read_grid_cell(store, key)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda document: document["run"].pop("summary"),
+            lambda document: document.update(kind="grid-report"),
+            lambda document: document.pop("max_queries"),
+            lambda document: document["cell"].pop("label"),
+        ],
+        ids=["missing-summary", "wrong-kind", "missing-max-queries", "missing-label"],
+    )
+    def test_a_malformed_document_is_quarantined(
+        self, tmp_path, stored_cell, damage
+    ):
+        """A document that parses but is not a grid cell counts as
+        corrupt, exactly like one that does not parse."""
+        import copy
+
+        from repro.analysis import read_grid_cell
+        from repro.results import CorruptResultError
+
+        document, key, _ = stored_cell
+        document = copy.deepcopy(document)
+        damage(document)
+        store = self._store_holding(tmp_path, key, document)
+        with pytest.raises(
+            CorruptResultError, match="malformed grid-cell document: "
+        ) as excinfo:
+            read_grid_cell(store, key)
+        assert excinfo.value.quarantined_to.is_file()
+        assert not store.has(key)
+
+
 class TestComparisonSlice:
     """One (row, seed) of a grid report."""
 

@@ -4,7 +4,10 @@ import argparse
 import dataclasses
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,8 @@ from repro.analysis import Claim
 from repro.cli import build_parser, main
 from repro.experiments.ablations import ABLATIONS
 from test_analysis import statements
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -93,7 +98,7 @@ class TestCommandFlags:
             "--bucket", "--out", "--kinds",
         },
         "trace summarize": {"--query"},
-        "lint": {"--format", "--select", "--ignore", "--explain", "--rules"},
+        "lint": {"--format", "--explain", "--rules"},
         "info": set(),
     }
 
@@ -944,7 +949,18 @@ class TestGridCheckCommand:
         assert code == 2
         assert text.startswith("error: 8 of 8 cell(s) of the grid are missing")
 
-    def test_a_corrupt_cell_is_counted_not_a_traceback(self, tmp_path):
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda document: document["run"].pop("summary"),
+            lambda document: document.update(kind="grid-report"),
+        ],
+        ids=["missing-summary", "wrong-kind"],
+    )
+    def test_a_malformed_cell_is_quarantined_and_named(self, tmp_path, damage):
+        """Every reader of a store means the same by "malformed": grid
+        check moves the document aside and names it, as grid run and
+        grid report do, and counts the cell as missing."""
         from repro.experiments import GridSpec, small_config
         from repro.results import ResultStore
 
@@ -953,11 +969,19 @@ class TestGridCheckCommand:
         spec = GridSpec(base_config=small_config(), seeds=(11,), max_queries=40)
         key = spec.cell_key(spec.expand()[0])
         document = ResultStore(store).get(key)
-        del document["run"]["summary"]
+        damage(document)
         ResultStore(store).put(key, document)
         code, text = run_cli("grid", "check", *self._axes(store, "11"))
         assert code == 2
-        assert text.startswith("error: 1 of 4 cell(s) of the grid are missing")
+        note, error = text.splitlines()
+        assert note.startswith(
+            f"  note: skipped corrupt cell: corrupt result document for key "
+            f"{key[:12]}… (malformed grid-cell document: "
+        )
+        assert note.endswith(f"; quarantined to {key}.json.corrupt")
+        assert error.startswith("error: 1 of 4 cell(s) of the grid are missing")
+        assert not ResultStore(store).has(key)
+        assert ResultStore(store).path_for(key).with_suffix(".json.corrupt").is_file()
 
     def test_duplicate_seeds_are_a_clean_error(self, tmp_path):
         code, text = run_cli("grid", "check", *self._axes(tmp_path, "1", "1"))
@@ -1331,8 +1355,24 @@ class TestGridStoreDirectory:
         elif command == "check":
             assert code == 2 and "error:" in text
         else:
-            assert code == 0
-            assert "total=4 stored=0 claimed=0 pending=4" in text
+            assert code == 2
+            assert text == f"error: store {not_a_dir} is not a directory\n"
+
+    def test_watch_refuses_a_store_that_is_a_file_at_once(self, tmp_path):
+        """Instead of polling a snapshot that can never complete."""
+        not_a_dir = tmp_path / "plain-file"
+        not_a_dir.write_text("occupied")
+        watch = subprocess.run(
+            [sys.executable, "-m", "repro", "grid", "watch",
+             "--store", str(not_a_dir), *self.AXIS, "--interval", "0.01"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert watch.returncode == 2
+        assert watch.stdout == f"error: store {not_a_dir} is not a directory\n"
+        assert watch.stderr == ""
 
     def test_status_sees_a_held_claim(self, tmp_path):
         from repro.results import ClaimStore, ResultStore
@@ -1372,16 +1412,10 @@ class TestLintCommand:
 
     @staticmethod
     def _project(tmp_path, source):
-        """A throwaway project with its own pyproject + one-layer package."""
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro-lint]\n"
-            'package = "pkg"\n'
-            'deterministic-layers = ["alpha"]\n'
-            "[tool.repro-lint.layers]\n"
-            "alpha = []\n",
-            encoding="utf-8",
-        )
-        module = tmp_path / "pkg" / "alpha" / "mod.py"
+        """A throwaway tree: an empty pyproject marking the root, and
+        one module in a deterministic layer of the package."""
+        (tmp_path / "pyproject.toml").write_text("", encoding="utf-8")
+        module = tmp_path / "src" / "repro" / "sim" / "mod.py"
         module.parent.mkdir(parents=True)
         module.write_text(source, encoding="utf-8")
         return module
@@ -1391,20 +1425,19 @@ class TestLintCommand:
         assert args.command == "lint"
         assert args.paths == []
         assert args.format == "text"
-        assert args.select is None and args.ignore is None
         assert args.explain is None
 
     def test_clean_project_exits_zero(self, tmp_path, monkeypatch):
         self._project(tmp_path, "x = 1\n")
         monkeypatch.chdir(tmp_path)
-        code, text = run_cli("lint", "pkg")
+        code, text = run_cli("lint", "src")
         assert code == 0
         assert "clean" in text
 
     def test_findings_exit_nonzero(self, tmp_path, monkeypatch):
         self._project(tmp_path, "import time\n\nx = time.time()\n")
         monkeypatch.chdir(tmp_path)
-        code, text = run_cli("lint", "pkg")
+        code, text = run_cli("lint", "src")
         assert code == 1
         assert "RPR001" in text
         assert "mod.py:3" in text
@@ -1413,36 +1446,22 @@ class TestLintCommand:
     def test_json_format(self, tmp_path, monkeypatch):
         self._project(tmp_path, "import time\n\nx = time.time()\n")
         monkeypatch.chdir(tmp_path)
-        code, text = run_cli("lint", "pkg", "--format", "json")
+        code, text = run_cli("lint", "src", "--format", "json")
         assert code == 1
         document = json.loads(text)
         assert document["count"] == 1
         assert document["findings"][0]["code"] == "RPR001"
         assert document["findings"][0]["line"] == 3
 
-    def test_select_narrows_rules(self, tmp_path, monkeypatch):
-        self._project(
-            tmp_path, "import time\nimport random\n\n"
-            "x = time.time()\ny = random.random()\n"
-        )
-        monkeypatch.chdir(tmp_path)
-        code, text = run_cli("lint", "pkg", "--select", "RPR002")
-        assert code == 1
-        assert "RPR002" in text and "RPR001" not in text
-
-    def test_ignore_drops_rules(self, tmp_path, monkeypatch):
-        self._project(tmp_path, "import time\n\nx = time.time()\n")
-        monkeypatch.chdir(tmp_path)
-        code, text = run_cli("lint", "pkg", "--ignore", "RPR001")
-        assert code == 0
-        assert "clean" in text
-
-    def test_unknown_code_is_usage_error(self, tmp_path, monkeypatch):
-        self._project(tmp_path, "x = 1\n")
-        monkeypatch.chdir(tmp_path)
-        code, text = run_cli("lint", "pkg", "--select", "RPR999")
-        assert code == 2
-        assert "unknown rule code" in text
+    @pytest.mark.parametrize("flag", ["--select", "--ignore"])
+    def test_rule_selection_is_not_a_flag(self, flag, capsys):
+        """Every rule runs on every lint: the old selection flags are
+        usage errors, not silently accepted."""
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("lint", flag, "RPR001")
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: unrecognized arguments: {flag}\n")
 
     def test_missing_path_is_usage_error(self, tmp_path, monkeypatch):
         self._project(tmp_path, "x = 1\n")
@@ -1473,6 +1492,6 @@ class TestLintCommand:
         import pathlib
 
         monkeypatch.chdir(pathlib.Path(__file__).resolve().parents[1])
-        code, text = run_cli("lint", "src", "tests", "benchmarks")
+        code, text = run_cli("lint")
         assert code == 0, text
         assert "clean" in text

@@ -613,7 +613,11 @@ class TestSingleProbe:
         assert (report.executed, report.cached, report.quarantined) == (
             1, self.CELLS - 1, 1,
         )
-        assert sum("quarantined: malformed" in line for line in lines) == 1
+        assert sum(
+            line.startswith("quarantined: corrupt")
+            and "(malformed grid-cell document: " in line
+            for line in lines
+        ) == 1
         assert store.get(victim)["kind"] == "grid-cell" and "run" in store.get(victim)
 
     @pytest.mark.parametrize("text", ["{definitely not json", "[1, 2]\n", ""])

@@ -18,7 +18,7 @@ from repro.experiments import (
     small_config,
 )
 from repro.overlay import P2PNetwork
-from repro.workload import QueryWorkload
+from repro.workload import QueryWorkload, TraceRecorder
 
 
 def one_seed_slice(seed, max_queries, bucket_width, **axes):
@@ -267,9 +267,10 @@ class TestStopAtSettle:
         seen = {}
 
         def drive_then_overrun(network, protocol, workload, max_queries):
+            recorder = workload._issue = TraceRecorder(network, workload._issue)
             drive_until_settled(network, protocol, workload, max_queries)
             seen["settled_at"] = network.sim.now
-            seen["last_arrival"] = workload.history[-1].time
+            seen["last_arrival"] = recorder.events[-1].time
             network.sim.run(until=network.sim.now + 500.0)
 
         def cell():
@@ -318,12 +319,13 @@ class TestStopAtSettle:
             keywords = network.catalog.keywords(own)
             return protocol.issue_query(origin, own, keywords)
 
-        workload = QueryWorkload(network, ask_for_an_own_file, max_queries=1)
+        recorder = TraceRecorder(network, ask_for_an_own_file)
+        workload = QueryWorkload(network, recorder, max_queries=1)
         workload.start()
         drive_until_settled(network, protocol, workload, 1)
         assert protocol.local_satisfactions == 1
         assert protocol.outcomes == []
-        assert network.sim.now == workload.history[-1].time
+        assert network.sim.now == recorder.events[-1].time
         assert 0.0 < network.sim.now < 500.0
 
     def test_hooks_are_released_on_return(self):

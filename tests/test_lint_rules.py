@@ -8,11 +8,12 @@ Three layers of coverage:
    rules see it) and every line the linter must flag carries an
    ``# expect: CODE`` marker.  The corpus test asserts the finding set
    equals the marker set *exactly* — every rule has true positives and
-   true negatives, and suppression comments are honored.
-2. **Engine semantics** — suppression spellings, select/ignore,
-   unknown codes, parse errors, config overrides, path allowlists.
-3. **Self-lint** — ``repro lint src tests benchmarks`` is clean at
-   HEAD, and every rule's documented offending/fixed example really
+   true negatives.  A false positive is fixed in the rule, against
+   this corpus: there is no suppression comment or rule selection.
+2. **Engine semantics** — parse errors, finding locations, rendering,
+   the path -> layer mapping and root discovery.
+3. **Self-lint** — ``repro lint`` (the whole tree) is clean at HEAD,
+   and every rule's documented offending/fixed example really
    trips/passes its own rule (the docs cannot drift from the code).
 """
 
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
+    LINTED_PATHS,
     RULES,
     LintConfig,
     explain_rule,
@@ -118,34 +120,24 @@ class TestRuleExamples:
         "RPR007": "src/repro/experiments/example.py",
     }
 
+    def _codes(self, source, code):
+        """The findings of rule ``code`` alone on ``source``."""
+        findings = lint_source(source, self._PATH_BY_RULE[code], repo_config())
+        return [f.code for f in findings if f.code == code]
+
     @pytest.mark.parametrize("code", sorted(RULES))
     def test_offending_example_trips_its_rule(self, code):
-        rule = RULES[code]
-        findings = lint_source(
-            rule.example_bad,
-            self._PATH_BY_RULE[code],
-            repo_config(),
-            select=[code],
-        )
-        assert [f.code for f in findings] != [], code
+        assert self._codes(RULES[code].example_bad, code) != [], code
 
     @pytest.mark.parametrize("code", sorted(RULES))
     def test_fixed_example_passes_its_rule(self, code):
-        rule = RULES[code]
-        findings = lint_source(
-            rule.example_good,
-            self._PATH_BY_RULE[code],
-            repo_config(),
-            select=[code],
-        )
-        assert findings == [], code
+        assert self._codes(RULES[code].example_good, code) == [], code
 
     @pytest.mark.parametrize("code", sorted(RULES))
     def test_explain_renders(self, code):
         text = explain_rule(code)
         assert code in text
         assert "offending:" in text and "fixed:" in text
-        assert f"skip {code}" in text
 
     def test_explain_unknown_code(self):
         with pytest.raises(ValueError, match="unknown rule code"):
@@ -158,59 +150,25 @@ class TestRuleExamples:
 
 
 class TestEngine:
-    def test_unknown_select_code_raises(self):
-        with pytest.raises(ValueError, match="unknown rule code"):
-            lint_source("x = 1\n", "src/repro/sim/a.py", repo_config(),
-                        select=["RPR777"])
-
-    def test_unknown_ignore_code_raises(self):
-        with pytest.raises(ValueError, match="unknown rule code"):
-            lint_source("x = 1\n", "src/repro/sim/a.py", repo_config(),
-                        ignore=["NOPE01"])
-
-    def test_select_narrows_and_ignore_removes(self):
-        source = "import time\nimport random\n\nx = time.time()\ny = random.random()\n"
-        config = repo_config()
-        path = "src/repro/sim/a.py"
-        both = lint_source(source, path, config)
-        assert {f.code for f in both} == {"RPR001", "RPR002"}
-        only1 = lint_source(source, path, config, select=["RPR001"])
-        assert {f.code for f in only1} == {"RPR001"}
-        not1 = lint_source(source, path, config, ignore=["RPR001"])
-        assert {f.code for f in not1} == {"RPR002"}
-
     def test_parse_error_yields_rpr000(self):
         findings = lint_source("def broken(:\n", "src/repro/sim/a.py",
                                repo_config())
         assert [f.code for f in findings] == ["RPR000"]
         assert "does not parse" in findings[0].message
 
-    def test_parse_error_is_not_suppressible(self):
-        findings = lint_source(
-            "def broken(:  # repro-lint: skip\n",
-            "src/repro/sim/a.py",
-            repo_config(),
-        )
-        assert [f.code for f in findings] == ["RPR000"]
-
-    def test_suppression_only_covers_named_codes(self):
-        source = (
-            "import time\nimport random\n\n"
-            "x = time.time()  # repro-lint: skip RPR002\n"
-        )
+    @pytest.mark.parametrize(
+        "source, line",
+        [
+            ("import time\n\nx = time.time()  # repro-lint: skip RPR001\n", 3),
+            ("import time\n\n# repro-lint: skip RPR001\nx = time.time()\n", 4),
+        ],
+        ids=["trailing", "standalone"],
+    )
+    def test_a_skip_comment_hides_nothing(self, source, line):
+        """There is no suppression comment: a false positive is fixed
+        in the rule, so the old spelling is an ordinary comment."""
         findings = lint_source(source, "src/repro/sim/a.py", repo_config())
-        # RPR002 was suppressed on a line that only violates RPR001.
-        assert [f.code for f in findings] == ["RPR001"]
-
-    def test_standalone_suppression_covers_next_line_only(self):
-        source = (
-            "import time\n\n"
-            "# repro-lint: skip RPR001\n"
-            "x = time.time()\n"
-            "y = time.time()\n"
-        )
-        findings = lint_source(source, "src/repro/sim/a.py", repo_config())
-        assert [(f.line, f.code) for f in findings] == [(5, "RPR001")]
+        assert [(f.line, f.code) for f in findings] == [(line, "RPR001")]
 
     def test_findings_carry_location_and_hint(self):
         source = "import time\n\nx = time.time()\n"
@@ -262,52 +220,37 @@ class TestConfig:
         )
         assert config.module_parts("tests/test_cli.py") is None
 
-    def test_load_finds_repo_pyproject(self):
-        config = repo_config()
-        assert config.root == REPO_ROOT
-        assert "sim" in config.deterministic_layers
-        assert config.allowed_imports("overlay") == (
-            "sim", "net", "files", "bloom",
-        )
-        assert "*" in config.allowed_imports("cli")
+    def test_load_roots_at_the_nearest_pyproject_without_reading_it(
+        self, tmp_path
+    ):
+        (tmp_path / "pyproject.toml").write_text("not [ toml", encoding="utf-8")
+        nested = tmp_path / "src" / "repro"
+        nested.mkdir(parents=True)
+        assert LintConfig.load(nested) == LintConfig(root=tmp_path)
+        assert repo_config() == LintConfig(root=REPO_ROOT)
 
-    def test_load_without_pyproject_uses_defaults(self, tmp_path):
-        config = LintConfig.load(tmp_path)
-        assert config.root == tmp_path
-        assert "sim" in config.deterministic_layers
+    def test_load_without_pyproject_roots_at_start(self, tmp_path):
+        assert LintConfig.load(tmp_path).root == tmp_path
 
-    def test_from_table_overrides(self, tmp_path):
-        config = LintConfig.from_table(
-            {
-                "package": "pkg",
-                "deterministic-layers": ["alpha"],
-                "layers": {"alpha": [], "beta": ["alpha"]},
-                "ignore": ["RPR005"],
-                "allow": {"RPR001": ["pkg/alpha/clocky.py"]},
-            },
-            root=tmp_path,
+    def test_a_lint_table_in_pyproject_changes_nothing(self, tmp_path):
+        """The policy lives in ``lint/config.py`` alone: a
+        ``[tool.repro-lint]`` table that selects, ignores or allowlists
+        is not read, so every rule still applies everywhere."""
+        (tmp_path / "pyproject.toml").write_text(
+            '[tool.repro-lint]\n'
+            'package = "other"\n'
+            'select = ["RPR005"]\n'
+            'ignore = ["RPR001"]\n'
+            '[tool.repro-lint.allow]\n'
+            'RPR001 = ["src/repro/sim"]\n',
+            encoding="utf-8",
         )
-        assert config.layer_of("pkg/alpha/mod.py") == "alpha"
-        assert config.deterministic_layers == ("alpha",)
-        assert config.allowed_imports("beta") == ("alpha",)
-        assert config.ignore == ("RPR005",)
-        assert config.is_allowed_path("RPR001", "pkg/alpha/clocky.py")
-        assert not config.is_allowed_path("RPR001", "pkg/alpha/other.py")
-
-    def test_allow_path_prefix_covers_directory(self, tmp_path):
-        config = LintConfig.from_table(
-            {"allow": {"RPR001": ["src/repro/sim"]}}, root=tmp_path
-        )
-        assert config.is_allowed_path("RPR001", "src/repro/sim/engine.py")
-        assert not config.is_allowed_path("RPR001", "src/repro/simx/engine.py")
-
-    def test_allowlisted_path_skips_rule(self, tmp_path):
-        config = LintConfig.from_table(
-            {"allow": {"RPR001": ["src/repro/sim/clocky.py"]}}, root=tmp_path
-        )
-        source = "import time\n\nx = time.time()\n"
-        assert lint_source(source, "src/repro/sim/clocky.py", config) == []
-        assert len(lint_source(source, "src/repro/sim/other.py", config)) == 1
+        module = tmp_path / "src" / "repro" / "sim" / "clocky.py"
+        module.parent.mkdir(parents=True)
+        module.write_text("import time\n\nx = time.time()\n", encoding="utf-8")
+        findings, checked = lint_paths(["src"], LintConfig.load(module.parent))
+        assert checked == 1
+        assert [(f.line, f.code) for f in findings] == [(3, "RPR001")]
 
 
 class TestLayeringRule:
@@ -378,15 +321,14 @@ class TestSelfLint:
     """The acceptance gate: the tree is clean under its own linter."""
 
     def test_repo_is_clean_at_head(self):
-        findings, checked = lint_paths(
-            ["src", "tests", "benchmarks"], repo_config()
-        )
+        findings, checked = lint_paths(LINTED_PATHS, repo_config())
         rendered = "\n".join(f.render() for f in findings)
         assert findings == [], f"repro lint is not clean:\n{rendered}"
         # The walk really covered the tree (not an empty-glob pass).
         assert checked > 100
 
     def test_examples_directory_is_clean(self):
+        assert "examples" in LINTED_PATHS
         findings, checked = lint_paths(["examples"], repo_config())
         assert findings == []
         assert checked >= 4

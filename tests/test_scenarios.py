@@ -26,6 +26,7 @@ from repro.scenarios import (
     register_scenario,
     scenario_names,
 )
+from repro.workload import TraceRecorder
 
 
 def _network(seed=7, **overrides):
@@ -135,8 +136,9 @@ class TestScenarioRuns:
 class TestFlashCrowdWorkload:
     def test_spike_targets_a_catalog_file(self):
         network = _network()
+        recorder = TraceRecorder(network, _sink)
         workload = FlashCrowdWorkload(
-            network, _sink, max_queries=60,
+            network, recorder, max_queries=60,
             spike_time_s=0.0, spike_probability=1.0,
         )
         assert 0 <= workload.hot_file < network.config.num_files
@@ -147,7 +149,7 @@ class TestFlashCrowdWorkload:
         # With probability 1 from t=0, every query targets the hot file
         # and its keywords come from the hot filename.
         hot_keywords = set(network.catalog.keywords(workload.hot_file))
-        for event in workload.history:
+        for event in recorder.events:
             assert event.file_id == workload.hot_file
             assert set(event.keywords) <= hot_keywords
         assert workload.spike_queries == 60
@@ -165,14 +167,15 @@ class TestFlashCrowdWorkload:
     @settings(max_examples=15, deadline=None)
     def test_spike_file_valid_for_any_seed(self, seed, probability):
         network = _network(seed=seed)
+        recorder = TraceRecorder(network, _sink)
         workload = FlashCrowdWorkload(
-            network, _sink, max_queries=10,
+            network, recorder, max_queries=10,
             spike_time_s=0.0, spike_probability=probability,
         )
         assert 0 <= workload.hot_file < network.config.num_files
         _drain(network, workload, 10)
         assert workload.generated == 10
-        for event in workload.history:
+        for event in recorder.events:
             assert 0 <= event.file_id < network.config.num_files
 
     def test_invalid_parameters_rejected(self):
@@ -200,8 +203,9 @@ class TestFlashCrowdWorkload:
 class TestRegionalHotspotWorkload:
     def test_hot_region_queries_come_from_hot_set(self):
         network = _network()
+        recorder = TraceRecorder(network, _sink)
         workload = RegionalHotspotWorkload(
-            network, _sink, max_queries=80,
+            network, recorder, max_queries=80,
             hotspot_probability=1.0, hot_set_size=5,
         )
         hot_files = set(workload.hot_files)
@@ -209,7 +213,7 @@ class TestRegionalHotspotWorkload:
         assert all(0 <= f < network.config.num_files for f in hot_files)
         _drain(network, workload, 80)
         hot_region_events = [
-            e for e in workload.history
+            e for e in recorder.events
             if network.peer(e.origin).locid == workload.hot_locid
         ]
         assert hot_region_events, "the hot locId should originate queries"
@@ -256,14 +260,14 @@ class TestDiurnalWorkload:
     def test_modulation_shapes_arrivals(self):
         """Same seed: a strong diurnal swing changes arrival times."""
         base = _network(seed=3)
-        flat = DiurnalWorkload(base, _sink, max_queries=30, period_s=60.0,
-                               amplitude=0.0)
-        _drain(base, flat, 30)
+        flat = TraceRecorder(base, _sink)
+        _drain(base, DiurnalWorkload(base, flat, max_queries=30, period_s=60.0,
+                                     amplitude=0.0), 30)
         other = _network(seed=3)
-        wavy = DiurnalWorkload(other, _sink, max_queries=30, period_s=60.0,
-                               amplitude=0.9)
-        _drain(other, wavy, 30)
-        assert [e.time for e in flat.history] != [e.time for e in wavy.history]
+        wavy = TraceRecorder(other, _sink)
+        _drain(other, DiurnalWorkload(other, wavy, max_queries=30, period_s=60.0,
+                                      amplitude=0.9), 30)
+        assert [e.time for e in flat.events] != [e.time for e in wavy.events]
 
     def test_invalid_parameters_rejected(self):
         network = _network()
@@ -389,13 +393,14 @@ class TestMaxQueriesProperty:
     @settings(max_examples=12, deadline=None)
     def test_generated_never_exceeds_max_queries(self, max_queries, scenario):
         network = _network(seed=11)
+        recorder = TraceRecorder(network, _sink)
         workload = get_scenario(scenario).build_workload(
-            network, _sink, max_queries
+            network, recorder, max_queries
         )
         _drain(network, workload, max_queries)
         assert workload.generated == max_queries
-        assert len(workload.history) == max_queries
-        assert math.isfinite(workload.history[-1].time)
+        assert len(recorder.events) == max_queries
+        assert math.isfinite(recorder.events[-1].time)
 
 
 class TestTopologyDeclarations:

@@ -9,6 +9,7 @@ from repro.sim import SimulationConfig
 from repro.workload import (
     QueryEvent,
     QueryWorkload,
+    TraceRecorder,
     TraceReplayer,
     parse_trace,
     serialize_trace,
@@ -22,10 +23,10 @@ def make_network(seed=5):
 
 def generate_history(seed=5, count=30):
     network = make_network(seed)
-    workload = QueryWorkload(network, lambda *a: None, max_queries=count)
-    workload.start()
+    recorder = TraceRecorder(network, lambda *a: None)
+    QueryWorkload(network, recorder, max_queries=count).start()
     network.sim.run()
-    return workload.history
+    return recorder.events
 
 
 class TestSerialisation:

@@ -4,6 +4,7 @@ from .ascii_chart import render_chart, render_figure_chart
 from .collectors import (
     MetricSeries,
     OutcomeSummary,
+    Series,
     collect_series,
     summarize_outcomes,
 )
@@ -46,6 +47,7 @@ from .traces import (
 )
 
 __all__ = [
+    "Series",
     "MetricSeries",
     "OutcomeSummary",
     "collect_series",

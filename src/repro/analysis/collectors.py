@@ -10,7 +10,7 @@ so far:
 - **Fig 4** — success rate (successes / submitted).
 
 :func:`collect_series` buckets outcomes by their query ordinal so the
-same run produces all three curves.
+same run produces all three curves, each a :class:`Series` value.
 """
 
 from __future__ import annotations
@@ -20,9 +20,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..protocols.base import QueryOutcome
-from ..sim.metrics import BucketedSeries
 
-__all__ = ["MetricSeries", "collect_series", "summarize_outcomes", "OutcomeSummary"]
+__all__ = [
+    "Series",
+    "MetricSeries",
+    "collect_series",
+    "summarize_outcomes",
+    "OutcomeSummary",
+]
 
 
 @dataclass(frozen=True)
@@ -41,17 +46,40 @@ class OutcomeSummary:
         return cls(0, 0, math.nan, math.nan, math.nan, math.nan)
 
 
+@dataclass(frozen=True)
+class Series:
+    """One figure curve: a per-query metric bucketed by query ordinal.
+
+    Query ``i`` (1-based) falls in bucket ``(i - 1) // bucket_width``.
+    ``edges`` are the buckets' right edges up to the last bucket with
+    a sample (with ``bucket_width=200`` and samples up to query 950:
+    ``(200, 400, 600, 800, 1000)``); ``windowed`` is each bucket's
+    mean (``nan`` for a bucket without samples), ``cumulative`` the
+    mean of every sample up to each edge, and ``overall`` the mean of
+    every sample (``nan`` when there are none).  A live run and one
+    restored from its stored document hold equal values.
+    """
+
+    name: str
+    bucket_width: int
+    edges: tuple[int, ...]
+    windowed: tuple[float, ...]
+    cumulative: tuple[float, ...]
+    sample_count: int
+    overall: float
+
+
 @dataclass
 class MetricSeries:
-    """The three bucketed series of one protocol run."""
+    """The three figure series of one protocol run."""
 
-    download_distance: BucketedSeries
-    search_traffic: BucketedSeries
-    success_rate: BucketedSeries
+    download_distance: Series
+    search_traffic: Series
+    success_rate: Series
 
     def bucket_edges(self) -> list[int]:
         """The common x-axis (#queries at each bucket's right edge)."""
-        return self.search_traffic.bucket_edges()
+        return list(self.search_traffic.edges)
 
 
 def collect_series(
@@ -59,22 +87,70 @@ def collect_series(
 ) -> MetricSeries:
     """Bucket one run's outcomes into the three figure series.
 
-    Success is recorded as 1.0/0.0 per query so the bucket mean *is*
-    the success rate.  Download distance is recorded only for
-    successful queries (a failed query downloads nothing).
+    Success counts 1.0/0.0 per query so the bucket mean *is* the
+    success rate.  Download distance counts only for successful
+    queries (a failed query downloads nothing) that measured one.
+    Bucket totals add up in outcome order, so the floats are a pure
+    function of the outcome list.
     """
     if bucket_width < 1:
         raise ValueError(f"bucket_width must be >= 1, got {bucket_width}")
-    distance = BucketedSeries("download_distance_ms", bucket_width)
-    traffic = BucketedSeries("messages_per_query", bucket_width)
-    success = BucketedSeries("success_rate", bucket_width)
+    distance: dict[int, list] = {}
+    traffic: dict[int, list] = {}
+    success: dict[int, list] = {}
     for outcome in outcomes:
-        traffic.record(outcome.index, float(outcome.messages))
-        success.record(outcome.index, 1.0 if outcome.success else 0.0)
+        if outcome.index < 1:
+            raise ValueError(f"query index must be >= 1, got {outcome.index}")
+        key = (outcome.index - 1) // bucket_width
+        _add(traffic, key, float(outcome.messages))
+        _add(success, key, 1.0 if outcome.success else 0.0)
         if outcome.success and not math.isnan(outcome.download_distance_ms):
-            distance.record(outcome.index, outcome.download_distance_ms)
+            if math.isinf(outcome.download_distance_ms):
+                raise ValueError(
+                    f"query {outcome.index} has an infinite download distance"
+                )
+            _add(distance, key, outcome.download_distance_ms)
     return MetricSeries(
-        download_distance=distance, search_traffic=traffic, success_rate=success
+        download_distance=_series("download_distance_ms", bucket_width, distance),
+        search_traffic=_series("messages_per_query", bucket_width, traffic),
+        success_rate=_series("success_rate", bucket_width, success),
+    )
+
+
+def _add(buckets: dict[int, list], key: int, value: float) -> None:
+    bucket = buckets.get(key)
+    if bucket is None:
+        bucket = buckets[key] = [0.0, 0]
+    bucket[0] += value
+    bucket[1] += 1
+
+
+def _series(name: str, bucket_width: int, buckets: dict[int, list]) -> Series:
+    """Means of ``buckets`` (key → [total, count], keys in first-seen order)."""
+    windowed: list[float] = []
+    cumulative: list[float] = []
+    total = 0.0
+    count = 0
+    for key in range(max(buckets, default=-1) + 1):
+        bucket = buckets.get(key)
+        if bucket is None:
+            windowed.append(math.nan)
+        else:
+            windowed.append(bucket[0] / bucket[1])
+            total += bucket[0]
+            count += bucket[1]
+        cumulative.append(total / count if count else math.nan)
+    last_edge = len(windowed) * bucket_width
+    return Series(
+        name=name,
+        bucket_width=bucket_width,
+        edges=tuple(range(bucket_width, last_edge + 1, bucket_width)),
+        windowed=tuple(windowed),
+        cumulative=tuple(cumulative),
+        sample_count=count,
+        overall=(
+            sum(bucket[0] for bucket in buckets.values()) / count if count else math.nan
+        ),
     )
 
 

@@ -264,7 +264,7 @@ def figure_table(result: ComparisonSlice) -> ResultTable:
     if missing:
         raise ValueError(f"missing protocols for claim checks: {sorted(missing)}")
     halves = {
-        name: _halves(series[name].download_distance.windowed_means()) for name in _PROTOCOLS
+        name: _halves(series[name].download_distance.windowed) for name in _PROTOCOLS
     }
     loc, flood = summaries["locaware"], summaries["flooding"]
     lightest = min(summaries[name].mean_messages for name in _CACHING)

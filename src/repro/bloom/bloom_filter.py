@@ -108,7 +108,7 @@ class BloomFilter:
     in-byte offset ``p & 7``).
     """
 
-    __slots__ = ("_bits", "_hashes", "_value", "_inserted")
+    __slots__ = ("_bits", "_hashes", "_value")
 
     def __init__(self, bits: int, hashes: int) -> None:
         if bits <= 0:
@@ -118,14 +118,12 @@ class BloomFilter:
         self._bits = bits
         self._hashes = hashes
         self._value = 0
-        self._inserted = 0
 
     # -- core operations ----------------------------------------------------
 
     def add(self, element: str) -> None:
         """Insert ``element``."""
         self._value |= element_mask(element, self._bits, self._hashes)
-        self._inserted += 1
 
     def add_all(self, elements: Iterable[str]) -> None:
         """Insert every element of ``elements``."""
@@ -146,7 +144,6 @@ class BloomFilter:
     def clear(self) -> None:
         """Reset to the empty filter."""
         self._value = 0
-        self._inserted = 0
 
     # -- combination -----------------------------------------------------
 
@@ -154,7 +151,6 @@ class BloomFilter:
         """In-place union; both filters must share (bits, hashes)."""
         self._check_compatible(other)
         self._value |= other.bit_int()
-        self._inserted += other._inserted
 
     def _check_compatible(self, other: BloomFilter) -> None:
         if self._bits != other._bits or self._hashes != other._hashes:
@@ -174,11 +170,6 @@ class BloomFilter:
     def hashes(self) -> int:
         """Number of hash functions k."""
         return self._hashes
-
-    @property
-    def approximate_insertions(self) -> int:
-        """Insertions performed (an upper bound on distinct elements)."""
-        return self._inserted
 
     def set_bit_count(self) -> int:
         """Number of 1 bits in the vector."""
@@ -249,7 +240,6 @@ class BloomFilter:
         """An independent copy of this filter."""
         clone = BloomFilter(self._bits, self._hashes)
         clone._value = self._value
-        clone._inserted = self._inserted
         return clone
 
     def __eq__(self, other: object) -> bool:

@@ -863,6 +863,7 @@ def _cmd_trace_run(args: argparse.Namespace, out) -> int:
     from .analysis.traces import read_trace, render_trace_summary, summarize_trace
     from .experiments import ScenarioSpec, run_protocol
     from .sim.errors import ConfigurationError
+    from .sim.tracing import JsonlTracer
 
     base = (
         small_config(seed=args.seed)
@@ -872,17 +873,18 @@ def _cmd_trace_run(args: argparse.Namespace, out) -> int:
     try:
         spec = ScenarioSpec.parse(args.scenario)
         scenario = spec.make()
-        run = run_protocol(
-            base,
-            args.protocol,
-            max_queries=args.queries,
-            bucket_width=(
-                args.bucket if args.bucket is not None else max(1, args.queries // 8)
-            ),
-            scenario=scenario,
-            trace_path=args.out,
-            trace_kinds=args.kinds,
+        bucket_width = (
+            args.bucket if args.bucket is not None else max(1, args.queries // 8)
         )
+        with JsonlTracer(args.out, kinds=args.kinds) as tracer:
+            run = run_protocol(
+                base,
+                args.protocol,
+                max_queries=args.queries,
+                bucket_width=bucket_width,
+                tracer=tracer,
+                scenario=scenario,
+            )
     except (ValueError, ConfigurationError, OSError) as error:
         print(f"error: {error}", file=out)
         return 2

@@ -117,9 +117,9 @@ class BloomRouter:
             return
         current = state.cbf.to_bloom_filter()
         delta = self._codec.encode(state.exported, current)
-        self._network.metrics.summary("bloom.update_bits").observe(
-            float(delta.encoded_bits)
-        )
+        metrics = self._network.metrics
+        metrics.counter("bloom.pushes").value += 1
+        metrics.counter("bloom.push_bits").value += delta.encoded_bits
         tracer = self._network.tracer
         if tracer.enabled:
             tracer.emit(

@@ -61,6 +61,7 @@ from ..analysis.paper_claims import (
 from ..bloom.params import false_positive_rate
 from ..overlay.blueprint import build_underlay
 from ..sim.config import SimulationConfig
+from ..sim.telemetry import mean_push_bits
 from .grid import GridRunner, GridSpec
 from .runner import ProtocolRun
 from .setup import paper_config
@@ -201,7 +202,7 @@ def _read_bloom_size(entry: Ablation, rows: Rows):
                 int(snapshot.get("counter.routing.bf_match", 0)),
                 run.summary.success_rate,
                 run.summary.mean_messages,
-                round(snapshot.get("summary.bloom.update_bits.mean", math.nan), 1),
+                round(mean_push_bits(snapshot), 1),
             ]
         )
     return [entry.axis_header, "est_fpr", "bf matches", "success", "msgs/query", "update_bits"], table
@@ -211,8 +212,8 @@ def _read_bloom_overhead(entry: Ablation, rows: Rows):
     """A6: one Locaware run's Bloom update traffic against §4.2's bound."""
     ((run,),) = rows
     snapshot = run.metric_snapshot
-    mean_bits = snapshot.get("summary.bloom.update_bits.mean", math.nan)
-    update_count = snapshot.get("summary.bloom.update_bits.count", 0.0)
+    mean_bits = mean_push_bits(snapshot)
+    update_count = snapshot.get("counter.bloom.pushes", 0.0)
     messages = snapshot.get("counter.messages.bloom_update", 0.0)
     search_messages = snapshot.get("counter.messages.query", 0.0) + snapshot.get(
         "counter.messages.response", 0.0

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..analysis.collectors import MetricSeries
+from ..analysis.collectors import MetricSeries, Series
 from ..analysis.comparison import ComparisonSlice
 from ..analysis.tables import format_series_table
-from ..sim.metrics import BucketedSeries
 
 __all__ = [
     "FIGURES",
@@ -38,7 +37,7 @@ class Figure:
     Y_LABEL: str
     series_field: str
 
-    def extract(self, series: MetricSeries) -> BucketedSeries:
+    def extract(self, series: MetricSeries) -> Series:
         """The figure's y-series for one protocol run."""
         return getattr(series, self.series_field)
 
@@ -49,7 +48,7 @@ class Figure:
         improvement with accumulating queries is §5.2's key observation.
         """
         return {
-            name: self.extract(run.series).windowed_means()
+            name: list(self.extract(run.series).windowed)
             for name, run in result.runs.items()
         }
 

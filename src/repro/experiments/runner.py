@@ -15,9 +15,7 @@ would otherwise keep the event queue alive forever.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..analysis.collectors import (
     MetricSeries,
@@ -39,7 +37,7 @@ from ..scenarios import Scenario, ScenarioContext, get_scenario
 from ..sim.config import SimulationConfig
 from ..sim.gc_pause import gc_paused
 from ..sim.telemetry import PhaseTimers, RunTelemetry, collect_run_telemetry
-from ..sim.tracing import JsonlTracer, Tracer
+from ..sim.tracing import Tracer
 from ..workload.generator import QueryWorkload
 
 __all__ = [
@@ -83,9 +81,6 @@ class ProtocolRun:
     sim_time_s: float
     events_processed: int
     metric_snapshot: dict[str, float]
-    scenario_name: str | None = None
-    """Registered scenario the run used, if any."""
-
     telemetry: RunTelemetry | None = None
     """Operational sidecar (wall-clock phases, engine stats, counters).
 
@@ -113,8 +108,6 @@ def run_protocol(
     tracer: Tracer | None = None,
     scenario: Scenario | str | None = None,
     blueprint: NetworkBlueprint | None = None,
-    trace_path: str | Path | None = None,
-    trace_kinds: Sequence[str] | None = None,
     collect_telemetry: bool = True,
 ) -> ProtocolRun:
     """Run one protocol to completion and collect its metrics.
@@ -129,11 +122,11 @@ def run_protocol(
     topology fingerprint as the *effective* configuration (after the
     scenario's overrides); results are byte-identical either way.
 
-    ``trace_path`` streams every trace event to a JSONL file (see
-    :class:`~repro.sim.tracing.JsonlTracer`); ``trace_kinds`` optionally
-    restricts the recorded kinds.  Mutually exclusive with ``tracer``.
-    Tracing never changes results — outcomes, metric snapshots, and
-    fingerprints are byte-identical with tracing on or off.
+    ``tracer`` receives every trace event of the run (e.g. a
+    :class:`~repro.sim.tracing.JsonlTracer` streaming them to a file,
+    which the caller opens and closes).  Tracing never changes results
+    — outcomes, metric snapshots, and fingerprints are byte-identical
+    with tracing on or off.
 
     ``collect_telemetry`` attaches a
     :class:`~repro.sim.telemetry.RunTelemetry` sidecar to the returned
@@ -149,10 +142,6 @@ def run_protocol(
     """
     if max_queries < 1:
         raise ValueError(f"max_queries must be >= 1, got {max_queries}")
-    if trace_path is not None and tracer is not None:
-        raise ValueError("trace_path and tracer are mutually exclusive")
-    if trace_kinds is not None and trace_path is None:
-        raise ValueError("trace_kinds requires trace_path")
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     if scenario is not None:
@@ -167,76 +156,65 @@ def run_protocol(
                 "declaration or the overrides"
             )
         config = configured
-    own_tracer: JsonlTracer | None = None
-    if trace_path is not None:
-        own_tracer = JsonlTracer(
-            trace_path, kinds=list(trace_kinds) if trace_kinds is not None else None
-        )
-        tracer = own_tracer
     timers = PhaseTimers()
-    try:
-        if blueprint is not None:
-            if not blueprint.compatible_with(config):
-                raise ValueError(
-                    "blueprint is topology-incompatible with the effective "
-                    f"configuration of this run (protocol {protocol_name!r}, "
-                    f"scenario {scenario.name if scenario else None!r})"
-                )
-            with timers.phase("instantiate"):
-                network = blueprint.instantiate(config=config, tracer=tracer)
-        else:
-            with timers.phase("build"):
-                built = NetworkBlueprint.build(config)
-            with timers.phase("instantiate"):
-                network = built.instantiate(tracer=tracer)
-        with timers.phase("instantiate"):
-            protocol = make_protocol(protocol_name, network)
-            protocol.start()
-            churn: ChurnProcess | None = None
-            if config.churn_enabled:
-                churn = ChurnProcess(
-                    network,
-                    config.mean_session_s,
-                    config.mean_downtime_s,
-                    network.streams.stream("churn"),
-                )
-                churn.start()
-            if scenario is None:
-                workload = QueryWorkload(
-                    network, protocol.issue_query, max_queries=max_queries
-                )
-            else:
-                workload = scenario.build_workload(
-                    network, protocol.issue_query, max_queries
-                )
-                scenario.install(
-                    ScenarioContext(
-                        network=network, protocol=protocol, workload=workload,
-                        churn=churn,
-                    )
-                )
-        with timers.phase("simulate"):
-            workload.start()
-            drive_until_settled(network, protocol, workload, max_queries)
-            stop = getattr(protocol, "stop", None)
-            if callable(stop):
-                stop()
-        with timers.phase("finalize"):
-            run = ProtocolRun(
-                protocol_name=protocol_name,
-                config=config,
-                outcomes=list(protocol.outcomes),
-                summary=summarize_outcomes(protocol.outcomes),
-                series=collect_series(protocol.outcomes, bucket_width),
-                locally_satisfied=protocol.local_satisfactions,
-                sim_time_s=network.sim.now,
-                events_processed=network.sim.events_processed,
-                metric_snapshot=network.metrics.snapshot(),
-                scenario_name=scenario.name if scenario is not None else None,
+    if blueprint is not None:
+        if not blueprint.compatible_with(config):
+            raise ValueError(
+                "blueprint is topology-incompatible with the effective "
+                f"configuration of this run (protocol {protocol_name!r}, "
+                f"scenario {scenario.name if scenario else None!r})"
             )
-    finally:
-        if own_tracer is not None:
-            own_tracer.close()
+        with timers.phase("instantiate"):
+            network = blueprint.instantiate(config=config, tracer=tracer)
+    else:
+        with timers.phase("build"):
+            built = NetworkBlueprint.build(config)
+        with timers.phase("instantiate"):
+            network = built.instantiate(tracer=tracer)
+    with timers.phase("instantiate"):
+        protocol = make_protocol(protocol_name, network)
+        protocol.start()
+        churn: ChurnProcess | None = None
+        if config.churn_enabled:
+            churn = ChurnProcess(
+                network,
+                config.mean_session_s,
+                config.mean_downtime_s,
+                network.streams.stream("churn"),
+            )
+            churn.start()
+        if scenario is None:
+            workload = QueryWorkload(
+                network, protocol.issue_query, max_queries=max_queries
+            )
+        else:
+            workload = scenario.build_workload(
+                network, protocol.issue_query, max_queries
+            )
+            scenario.install(
+                ScenarioContext(
+                    network=network, protocol=protocol, workload=workload,
+                    churn=churn,
+                )
+            )
+    with timers.phase("simulate"):
+        workload.start()
+        drive_until_settled(network, protocol, workload, max_queries)
+        stop = getattr(protocol, "stop", None)
+        if callable(stop):
+            stop()
+    with timers.phase("finalize"):
+        run = ProtocolRun(
+            protocol_name=protocol_name,
+            config=config,
+            outcomes=list(protocol.outcomes),
+            summary=summarize_outcomes(protocol.outcomes),
+            series=collect_series(protocol.outcomes, bucket_width),
+            locally_satisfied=protocol.local_satisfactions,
+            sim_time_s=network.sim.now,
+            events_processed=network.sim.events_processed,
+            metric_snapshot=network.metrics.snapshot(),
+        )
     if collect_telemetry:
         run.telemetry = collect_run_telemetry(network, timers, tracer=tracer)
     # What the settled run left queued reaches back to the network that

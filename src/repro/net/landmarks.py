@@ -161,8 +161,3 @@ class LandmarkSet:
     def locid_of(self, peer_position: Point) -> int:
         """The locId a peer at ``peer_position`` computes on arrival."""
         return self.locid_from_rtts(self.measure_rtts(peer_position))
-
-    def locid_with_rtts(self, peer_position: Point) -> tuple[int, list[float]]:
-        """locId together with the raw RTT vector (for diagnostics)."""
-        rtts = self.measure_rtts(peer_position)
-        return self.locid_from_rtts(rtts), rtts

@@ -20,6 +20,7 @@ touching the registry.
 
 from __future__ import annotations
 
+from typing import Any
 
 from ..sim.config import SimulationConfig
 from ..workload.shifting import ShiftingZipfWorkload
@@ -47,6 +48,24 @@ __all__ = [
 ]
 
 
+def _number(name: str, value: Any, kind: type = float, optional: bool = False) -> Any:
+    """``value``, if it is a number a ``kind`` parameter takes.
+
+    A float parameter takes an int or a float and keeps an int as
+    given (the value enters the cell key), an int parameter only an
+    int, and neither a bool; an ``optional`` one also takes ``None``.
+    Anything else raises :class:`ValueError` naming the parameter, so
+    a grid rejects it before any cell runs.
+    """
+    if value is None and optional:
+        return None
+    accepted = (int, float) if kind is float else (int,)
+    if type(value) not in accepted:
+        noun = "a number" if kind is float else "an int"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return value
+
+
 @register_scenario
 class Baseline(Scenario):
     """The paper's stationary workload, unchanged."""
@@ -67,8 +86,8 @@ class FlashCrowd(Scenario):
         spike_time_s: float | None = None,
         spike_probability: float = 0.8,
     ) -> None:
-        self.spike_time_s = spike_time_s
-        self.spike_probability = spike_probability
+        self.spike_time_s = _number("spike_time_s", spike_time_s, optional=True)
+        self.spike_probability = _number("spike_probability", spike_probability)
 
     def build_workload(self, network, issue, max_queries):
         return FlashCrowdWorkload(
@@ -90,8 +109,8 @@ class RegionalHotspot(Scenario):
     def __init__(
         self, hotspot_probability: float = 0.8, hot_set_size: int = 10
     ) -> None:
-        self.hotspot_probability = hotspot_probability
-        self.hot_set_size = hot_set_size
+        self.hotspot_probability = _number("hotspot_probability", hotspot_probability)
+        self.hot_set_size = _number("hot_set_size", hot_set_size, int)
 
     def build_workload(self, network, issue, max_queries):
         return RegionalHotspotWorkload(
@@ -126,6 +145,17 @@ class ChurnStorm(Scenario):
         storm_time_s: float | None = None,
         storm_duration_s: float | None = None,
     ) -> None:
+        means = {
+            "calm_session_s": calm_session_s,
+            "calm_downtime_s": calm_downtime_s,
+            "storm_session_s": storm_session_s,
+            "storm_downtime_s": storm_downtime_s,
+        }
+        for name, mean in means.items():
+            if _number(name, mean) <= 0:
+                raise ValueError(f"{name} must be positive, got {mean}")
+        _number("storm_time_s", storm_time_s, optional=True)
+        _number("storm_duration_s", storm_duration_s, optional=True)
         if storm_time_s is not None and storm_time_s < 0:
             raise ValueError(f"storm_time_s must be >= 0, got {storm_time_s}")
         if storm_duration_s is not None and storm_duration_s <= 0:
@@ -204,7 +234,7 @@ class ColdStart(Scenario):
     touches_topology = True  # files_per_peer changes the initial shares
 
     def __init__(self, files_per_peer: int = 1) -> None:
-        if files_per_peer < 0:
+        if _number("files_per_peer", files_per_peer, int) < 0:
             raise ValueError(f"files_per_peer must be >= 0, got {files_per_peer}")
         self.files_per_peer = files_per_peer
 
@@ -224,8 +254,8 @@ class Diurnal(Scenario):
     def __init__(
         self, period_s: float | None = None, amplitude: float = 0.6
     ) -> None:
-        self.period_s = period_s
-        self.amplitude = amplitude
+        self.period_s = _number("period_s", period_s, optional=True)
+        self.amplitude = _number("amplitude", amplitude)
 
     def build_workload(self, network, issue, max_queries):
         return DiurnalWorkload(
@@ -250,6 +280,7 @@ class PopularityShift(Scenario):
     description = "Zipf popularity ranks re-drawn at fixed intervals"
 
     def __init__(self, interval_s: float | None = None) -> None:
+        _number("interval_s", interval_s, optional=True)
         if interval_s is not None and interval_s <= 0:
             raise ValueError(f"interval_s must be positive, got {interval_s}")
         self.interval_s = interval_s

@@ -8,9 +8,12 @@ Public surface:
 - :class:`RandomStreams` — deterministic named randomness;
 - :class:`SimulationConfig` — every knob of the reproduction, defaults
   matching the paper's §5.1 setup;
-- metric primitives (:class:`Counter`, :class:`Summary`,
-  :class:`BucketedSeries`, :class:`MetricRegistry`);
-- tracing hooks (:class:`Tracer` and friends);
+- :class:`MetricRegistry` — one run's named :class:`Counter` values
+  (the per-query figure series are computed from the run's outcomes,
+  in :mod:`repro.analysis.collectors`);
+- tracing hooks: the :class:`Tracer` interface, the default
+  :class:`NullTracer`, :class:`RecordingTracer` for tests and
+  :class:`JsonlTracer` for trace files;
 - :func:`gc_paused` — the one place the cyclic collector is switched;
 - the :mod:`~repro.sim.errors` hierarchy.
 """
@@ -25,13 +28,12 @@ from .errors import (
     SimulationError,
 )
 from .gc_pause import gc_paused
-from .metrics import BucketedSeries, Counter, MetricRegistry, Summary
+from .metrics import Counter, MetricRegistry
 from .rng import RandomStreams, derive_seed
 from .telemetry import PhaseTimers, RunTelemetry, collect_run_telemetry
 from .tracing import (
     JsonlTracer,
     NullTracer,
-    PrintTracer,
     RecordingTracer,
     TraceEvent,
     Tracer,
@@ -45,8 +47,6 @@ __all__ = [
     "derive_seed",
     "SimulationConfig",
     "Counter",
-    "Summary",
-    "BucketedSeries",
     "MetricRegistry",
     "PhaseTimers",
     "RunTelemetry",
@@ -55,7 +55,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "RecordingTracer",
-    "PrintTracer",
     "JsonlTracer",
     "TraceEvent",
     "SimulationError",

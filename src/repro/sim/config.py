@@ -12,9 +12,10 @@ frozen dataclass whose defaults are exactly the paper's §5.1 setup:
   query;
 - response index capacity 50 filenames; 1200-bit Bloom filters.
 
-Every field is validated in ``__post_init__`` so that a bad sweep value
-fails fast with a :class:`~repro.sim.errors.ConfigurationError` instead
-of corrupting a long simulation run.
+Every field is checked in ``__post_init__`` — first its type against
+its default's, then its range — so that a bad sweep value fails fast
+with a :class:`~repro.sim.errors.ConfigurationError` naming the field
+instead of corrupting a long simulation run.
 """
 
 from __future__ import annotations
@@ -195,6 +196,12 @@ class SimulationConfig:
     """Master seed (default: the DAMAP'09 workshop date)."""
 
     def __post_init__(self) -> None:
+        for name, accepted in _FIELD_TYPES:
+            value = getattr(self, name)
+            if type(value) not in accepted:
+                raise ConfigurationError(
+                    f"{name} must be {_TYPE_NAMES[accepted[-1]]}, got {value!r}"
+                )
         self._require(self.num_peers >= 2, "num_peers must be >= 2")
         self._require(self.mean_degree > 0, "mean_degree must be positive")
         self._require(
@@ -311,3 +318,17 @@ class SimulationConfig:
             bloom_bits=512,
             seed=seed,
         )
+
+
+#: Field name → the exact value types it accepts: its default's type,
+#: and an int as well for a float field (kept an int: converting it
+#: would move the cell keys of every stored grid that passed one).  A
+#: bool is never a number here, though Python counts it as an int.
+_FIELD_TYPES = tuple(
+    (
+        field.name,
+        (int, float) if type(field.default) is float else (type(field.default),),
+    )
+    for field in dataclasses.fields(SimulationConfig)
+)
+_TYPE_NAMES = {int: "an int", float: "a number", str: "a string", bool: "true or false"}

@@ -38,6 +38,7 @@ __all__ = [
     "PhaseTimers",
     "RunTelemetry",
     "collect_run_telemetry",
+    "mean_push_bits",
     "sanitize_for_json",
 ]
 
@@ -137,6 +138,14 @@ def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator else math.nan
 
 
+def mean_push_bits(snapshot: dict[str, float]) -> float:
+    """Mean encoded size (bits) of a run's Bloom pushes; ``nan`` without any."""
+    return _ratio(
+        snapshot.get("counter.bloom.push_bits", 0.0),
+        snapshot.get("counter.bloom.pushes", 0.0),
+    )
+
+
 def _bloom_stats(network: Any, snapshot: dict[str, float]) -> dict[str, Any]:
     """Membership-test count plus a false-positive estimate.
 
@@ -162,7 +171,7 @@ def _bloom_stats(network: Any, snapshot: dict[str, float]) -> dict[str, Any]:
             fp_estimates.append(0.0)
     out: dict[str, Any] = {
         "membership_tests": int(snapshot.get("counter.bloom.membership_tests", 0)),
-        "update_bits_mean": snapshot.get("summary.bloom.update_bits.mean", math.nan),
+        "update_bits_mean": mean_push_bits(snapshot),
         "filters": len(fills),
     }
     if fills:

@@ -2,9 +2,8 @@
 
 Tracing is off by default (a :class:`NullTracer` swallows everything at
 near-zero cost).  Attach a :class:`RecordingTracer` to capture events
-for assertions in tests, a :class:`PrintTracer` to watch a run live, or
-a :class:`JsonlTracer` to stream events to a JSON-lines file for
-offline analysis (``repro trace summarize``).
+for assertions in tests, or a :class:`JsonlTracer` to stream events to
+a JSON-lines file for offline analysis (``repro trace summarize``).
 
 Trace events are ``(time, kind, payload)`` triples; ``kind`` is a short
 string such as ``"query.issue"`` or ``"cache.insert"`` and ``payload``
@@ -20,7 +19,6 @@ flag mid-run silences a tracer without detaching it.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -30,7 +28,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "RecordingTracer",
-    "PrintTracer",
     "JsonlTracer",
 ]
 
@@ -88,27 +85,6 @@ class RecordingTracer(Tracer):
     def clear(self) -> None:
         """Forget all recorded events."""
         self.events.clear()
-
-
-class PrintTracer(Tracer):
-    """Writes events through a callable (default: ``print``), for debugging."""
-
-    def __init__(
-        self,
-        sink: Callable[[str], None] = print,
-        kinds: list[str] | None = None,
-    ) -> None:
-        self._sink = sink
-        self._filter = set(kinds) if kinds is not None else None
-        self.enabled = True
-
-    def emit(self, time: float, kind: str, **payload: Any) -> None:
-        if not self.enabled:
-            return
-        if self._filter is not None and kind not in self._filter:
-            return
-        details = " ".join(f"{k}={v!r}" for k, v in payload.items())
-        self._sink(f"[{time:12.3f}] {kind:<24} {details}")
 
 
 def _json_fallback(value: Any) -> str:

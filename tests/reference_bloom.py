@@ -29,7 +29,7 @@ class ByteBloomFilter:
     nothing observable.
     """
 
-    __slots__ = ("_bits", "_hashes", "_vector", "_inserted")
+    __slots__ = ("_bits", "_hashes", "_vector")
 
     def __init__(self, bits: int, hashes: int) -> None:
         if bits <= 0:
@@ -39,12 +39,10 @@ class ByteBloomFilter:
         self._bits = bits
         self._hashes = hashes
         self._vector = bytearray((bits + 7) // 8)
-        self._inserted = 0
 
     def add(self, element: str) -> None:
         for pos in element_positions(element, self._bits, self._hashes):
             self._vector[pos >> 3] |= 1 << (pos & 7)
-        self._inserted += 1
 
     def add_all(self, elements: Iterable[str]) -> None:
         for element in elements:
@@ -62,7 +60,6 @@ class ByteBloomFilter:
     def clear(self) -> None:
         for i in range(len(self._vector)):
             self._vector[i] = 0
-        self._inserted = 0
 
     def union_with(self, other: ByteBloomFilter) -> None:
         if self._bits != other._bits or self._hashes != other._hashes:
@@ -72,7 +69,6 @@ class ByteBloomFilter:
             )
         for i, byte in enumerate(other._vector):
             self._vector[i] |= byte
-        self._inserted += other._inserted
 
     @property
     def bits(self) -> int:
@@ -81,10 +77,6 @@ class ByteBloomFilter:
     @property
     def hashes(self) -> int:
         return self._hashes
-
-    @property
-    def approximate_insertions(self) -> int:
-        return self._inserted
 
     def set_bit_count(self) -> int:
         return sum(byte.bit_count() for byte in self._vector)
@@ -138,7 +130,6 @@ class ByteBloomFilter:
     def copy(self) -> ByteBloomFilter:
         clone = ByteBloomFilter(self._bits, self._hashes)
         clone._vector = bytearray(self._vector)
-        clone._inserted = self._inserted
         return clone
 
     def __eq__(self, other: object) -> bool:

@@ -1,5 +1,6 @@
 """Unit tests for analysis: collectors, tables, claim checks."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -41,27 +42,53 @@ class TestCollectSeries:
     def test_success_rate_is_bucket_mean(self):
         outcomes = [outcome(i, success=(i % 2 == 0)) for i in range(1, 9)]
         series = collect_series(outcomes, bucket_width=4)
-        assert series.success_rate.windowed_means() == [0.5, 0.5]
+        assert series.success_rate.windowed == (0.5, 0.5)
 
     def test_distance_only_for_successes(self):
         outcomes = [outcome(1, True, distance=100.0), outcome(2, False)]
         series = collect_series(outcomes, bucket_width=2)
         assert series.download_distance.sample_count == 1
-        assert series.download_distance.windowed_means() == [100.0]
+        assert series.download_distance.windowed == (100.0,)
 
     def test_traffic_counts_all_queries(self):
         outcomes = [outcome(1, True, messages=10), outcome(2, False, messages=30)]
         series = collect_series(outcomes, bucket_width=2)
-        assert series.search_traffic.windowed_means() == [20.0]
+        assert series.search_traffic.windowed == (20.0,)
 
     def test_bucket_edges_follow_indices(self):
         outcomes = [outcome(i, True) for i in range(1, 11)]
         series = collect_series(outcomes, bucket_width=5)
         assert series.bucket_edges() == [5, 10]
 
+    def test_boundary_index_lands_in_the_earlier_bucket(self):
+        assert collect_series([outcome(200, True)], 200).bucket_edges() == [200]
+        assert collect_series([outcome(201, True)], 200).bucket_edges() == [200, 400]
+
+    def test_a_bucket_without_samples_is_nan_and_carries_the_cumulative(self):
+        outcomes = [outcome(1, True, distance=10.0), outcome(5, True, distance=50.0)]
+        distance = collect_series(outcomes, bucket_width=2).download_distance
+        assert distance.edges == (2, 4, 6)
+        assert distance.windowed[::2] == (10.0, 50.0)
+        assert math.isnan(distance.windowed[1])
+        assert distance.cumulative == (10.0, 10.0, 30.0)
+        assert distance.overall == 30.0
+
+    def test_no_outcomes_give_empty_series(self):
+        series = collect_series([], bucket_width=10)
+        for curve in (series.download_distance, series.search_traffic):
+            assert (curve.edges, curve.windowed, curve.cumulative) == ((), (), ())
+            assert curve.sample_count == 0
+            assert math.isnan(curve.overall)
+
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             collect_series([], bucket_width=0)
+
+    def test_invalid_index_or_distance(self):
+        with pytest.raises(ValueError, match="index"):
+            collect_series([outcome(0, True)], bucket_width=1)
+        with pytest.raises(ValueError, match="infinite"):
+            collect_series([outcome(1, True, distance=math.inf)], bucket_width=1)
 
 
 class TestSummarize:
@@ -138,8 +165,7 @@ def paper_slice(
     locaware_start=280.0,
 ):
     """A hand-made comparison slice with the paper's shape."""
-    from repro.analysis import ComparisonSlice, MetricSeries
-    from repro.sim import BucketedSeries
+    from repro.analysis import ComparisonSlice
 
     def summary(dist, msgs, rate):
         return OutcomeSummary(
@@ -152,19 +178,13 @@ def paper_slice(
         )
 
     def series(name):
-        distance = BucketedSeries("d", 10)
         start = locaware_start if name == "locaware" else 300.0
         end = start * (1 + locaware_trend) if name == "locaware" else start
-        for i in range(1, 11):
-            distance.record(i, start)
-        for i in range(11, 21):
-            distance.record(i, end)
-        traffic = BucketedSeries("t", 10)
-        success = BucketedSeries("s", 10)
-        for i in range(1, 21):
-            traffic.record(i, 10.0)
-            success.record(i, 1.0)
-        return MetricSeries(distance, traffic, success)
+        outcomes = [
+            outcome(i, True, distance=start if i <= 10 else end, messages=10)
+            for i in range(1, 21)
+        ]
+        return collect_series(outcomes, bucket_width=10)
 
     summaries = {
         "flooding": summary(370.0, 1000.0, 0.9),
@@ -232,16 +252,10 @@ class TestClaimChecks:
         assert improves.value == 0.0
 
     def test_a_series_too_short_to_split_refutes_the_half_rows(self):
-        from repro.analysis import MetricSeries
-        from repro.sim import BucketedSeries
-
         result = paper_slice()
-        distance = BucketedSeries("d", 10)
-        for i in range(1, 11):
-            distance.record(i, 200.0)
-        old = result.runs["locaware"].series
-        result.runs["locaware"].series = MetricSeries(
-            distance, old.search_traffic, old.success_rate
+        short = collect_series([outcome(i, True) for i in range(1, 11)], bucket_width=10)
+        result.runs["locaware"].series = dataclasses.replace(
+            result.runs["locaware"].series, download_distance=short.download_distance
         )
         checks = check_paper_claims(result)
         for fragment in ("both halves", "improves"):

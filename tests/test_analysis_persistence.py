@@ -1,7 +1,5 @@
 """Tests for JSON persistence of results."""
 
-import math
-
 import pytest
 
 from repro.analysis import aggregate_sweep, check_paper_claims, comparison_slice
@@ -104,9 +102,8 @@ class TestStoredGridReports:
         _root, loaded = sweep_store
         for cell, run in sweep_report.runs.items():
             restored = loaded.run_for(cell.protocol, cell.label, cell.seed)
-            assert restored.series.search_traffic.windowed_means() == (
-                pytest.approx(run.series.search_traffic.windowed_means(), nan_ok=True)
-            )
+            # Equal values of one type: repr compares NaNs too.
+            assert repr(restored.series) == repr(run.series)
 
     def test_stored_documents_are_byte_stable(
         self, sweep_report, sweep_store, tmp_path
@@ -124,11 +121,9 @@ class TestStoredGridReports:
         """Failed-query NaNs must survive the None encoding."""
         loaded = comparison_slice(stored_comparison)
         for name, run in comparison_slice(comparison_report_run).runs.items():
-            original = run.series.download_distance.windowed_means()
-            restored = loaded.runs[name].series.download_distance.windowed_means()
-            assert len(original) == len(restored)
-            for a, b in zip(original, restored):
-                assert (math.isnan(a) and math.isnan(b)) or a == pytest.approx(b)
+            original = run.series.download_distance
+            restored = loaded.runs[name].series.download_distance
+            assert repr(restored) == repr(original)
 
     def test_claim_checks_work_on_loaded_results(
         self, comparison_report_run, stored_comparison

@@ -642,6 +642,43 @@ class TestGridCommand:
         assert "amplitude" in text
         assert "non-finite" in text
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--set", "ttl=abc"), "ttl must be an int, got 'abc'"),
+            (("--set", "ttl=2.5"), "ttl must be an int, got 2.5"),
+            (
+                ("--set", "churn_enabled=1"),
+                "churn_enabled must be true or false, got 1",
+            ),
+            (
+                ("--scenarios", "churn-storm:storm_session_s=abc"),
+                "scenario axis: storm_session_s must be a number, got 'abc'",
+            ),
+            (
+                ("--scenarios", "popularity-shift:interval_s=abc"),
+                "scenario axis: interval_s must be a number, got 'abc'",
+            ),
+            (
+                ("--scenarios", "cold-start:files_per_peer=abc"),
+                "scenario axis: files_per_peer must be an int, got 'abc'",
+            ),
+        ],
+    )
+    def test_a_mistyped_value_fails_before_any_cell_runs(
+        self, tmp_path, flags, message
+    ):
+        """A value of the wrong type is an error naming its field or
+        parameter, not a traceback mid-grid nor a cell run at a value
+        the field cannot hold."""
+        store = tmp_path / "store"
+        code, text = run_cli(
+            "grid", "run", "--store", str(store), "--config", "small",
+            "--protocols", "flooding", "--queries", "20", *flags,
+        )
+        assert (code, text) == (2, f"error: {message}\n")
+        assert not store.exists()  # nothing ran
+
     def test_grid_run_reports_worker_count(self, tmp_path):
         code, text = run_cli(
             "grid", "run",

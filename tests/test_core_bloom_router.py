@@ -7,7 +7,7 @@ import pytest
 from repro.bloom.delta import DeltaCodec
 from repro.core import BloomRouter
 from repro.overlay import P2PNetwork
-from repro.sim import SimulationConfig
+from repro.sim import RecordingTracer, SimulationConfig
 
 
 def make_network(seed=5, period=10.0):
@@ -137,15 +137,22 @@ class TestPropagation:
 
     def test_update_sizes_respect_paper_bound(self):
         """One filename of 3 keywords changes ≤ 12 bits ⇒ ≤ 132 bits/update."""
-        network = make_network(period=5.0)
+        tracer = RecordingTracer(kinds=["bloom.push"])
+        network = P2PNetwork.build(
+            SimulationConfig.small(seed=5).replace(bloom_update_period_s=5.0),
+            tracer=tracer,
+        )
         router = BloomRouter(network)
         router.filename_cached(network.peer(0), ["kw1", "kw2", "kw3"])
         router.start()
         network.sim.run(until=6.0)
         router.stop()
-        summary = network.metrics.summary("bloom.update_bits")
-        assert summary.count > 0
-        assert summary.max <= 132.0
+        bits = [event.payload["bits"] for event in tracer.events]
+        assert bits
+        assert max(bits) <= 132
+        counted = network.metrics.snapshot()
+        assert counted["counter.bloom.pushes"] == len(bits)
+        assert counted["counter.bloom.push_bits"] == sum(bits)
 
     def test_dead_peer_does_not_push(self):
         network = make_network(period=5.0)

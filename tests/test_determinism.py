@@ -35,6 +35,7 @@ from repro.experiments import (
 )
 from repro.overlay import NetworkBlueprint
 from repro.scenarios import get_scenario, make_scenario, scenario_names
+from repro.sim import JsonlTracer
 
 
 def _config(seed=5):
@@ -61,7 +62,6 @@ def run_fingerprint(run):
     return json.dumps(
         {
             "protocol": run.protocol_name,
-            "scenario": run.scenario_name,
             "outcomes": [
                 [
                     o.query_id,
@@ -87,10 +87,7 @@ def run_fingerprint(run):
                 repr(run.summary.mean_download_distance_ms),
                 repr(run.summary.mean_responses),
             ],
-            "series_edges": run.series.bucket_edges(),
-            "series_means": [
-                repr(v) for v in run.series.search_traffic.windowed_means()
-            ],
+            "series": repr(run.series),
             "locally_satisfied": run.locally_satisfied,
             "sim_time_s": repr(run.sim_time_s),
             "events_processed": run.events_processed,
@@ -133,7 +130,6 @@ class TestRunProtocolDeterminism:
             _config(), "locaware", max_queries=25, bucket_width=25,
             scenario=scenario,
         )
-        assert a.scenario_name == scenario
         assert run_fingerprint(a) == run_fingerprint(b)
 
 
@@ -358,10 +354,10 @@ class TestTelemetryNeutrality:
             _config(), protocol, max_queries=40, bucket_width=20,
             collect_telemetry=False,
         )
-        traced = run_protocol(
-            _config(), protocol, max_queries=40, bucket_width=20,
-            trace_path=tmp_path / "trace.jsonl",
-        )
+        with JsonlTracer(tmp_path / "trace.jsonl") as tracer:
+            traced = run_protocol(
+                _config(), protocol, max_queries=40, bucket_width=20, tracer=tracer,
+            )
         assert run_fingerprint(untraced) == run_fingerprint(traced)
         # The traced run really did trace (the comparison is not vacuous).
         assert traced.telemetry is not None
@@ -380,10 +376,11 @@ class TestTelemetryNeutrality:
             scenario="churn-storm", collect_telemetry=False,
         )
         trace = tmp_path / "storm.jsonl"
-        traced = run_protocol(
-            _config(), "locaware", max_queries=40, bucket_width=20,
-            scenario="churn-storm", trace_path=trace,
-        )
+        with JsonlTracer(trace) as tracer:
+            traced = run_protocol(
+                _config(), "locaware", max_queries=40, bucket_width=20,
+                scenario="churn-storm", tracer=tracer,
+            )
         assert run_fingerprint(untraced) == run_fingerprint(traced)
         kinds = {
             json.loads(line)["kind"]
@@ -398,10 +395,11 @@ class TestTelemetryNeutrality:
             scenario="popularity-shift", collect_telemetry=False,
         )
         trace = tmp_path / "shift.jsonl"
-        traced = run_protocol(
-            _config(), "locaware", max_queries=40, bucket_width=20,
-            scenario="popularity-shift", trace_path=trace,
-        )
+        with JsonlTracer(trace) as tracer:
+            traced = run_protocol(
+                _config(), "locaware", max_queries=40, bucket_width=20,
+                scenario="popularity-shift", tracer=tracer,
+            )
         assert run_fingerprint(untraced) == run_fingerprint(traced)
         kinds = {
             json.loads(line)["kind"]

@@ -185,7 +185,6 @@ class TestComparisonBlueprintAndPassthrough:
         assert result.row == "cold-start"
         assert list(result.runs) == ["flooding", "locaware"]
         for run in result.runs.values():
-            assert run.scenario_name == "cold-start"
             assert run.config.files_per_peer == 1
 
     def test_comparison_scenario_equals_direct_runs(self):

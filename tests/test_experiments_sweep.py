@@ -181,7 +181,6 @@ class TestRun:
         for cell in _runner().spec.expand():
             run = report.runs[cell]
             assert run.protocol_name == cell.protocol
-            assert run.scenario_name == cell.scenario.name
             assert run.config.seed == cell.seed
 
     def test_accessors(self, report):

@@ -107,13 +107,6 @@ class TestLandmarkSet:
         expected = [model.rtt_ms(p, pos) for pos in lm.positions]
         assert rtts == pytest.approx(expected)
 
-    def test_locid_with_rtts_consistent(self, landmarks):
-        p = Point(0.3, 0.8)
-        locid, rtts = landmarks.locid_with_rtts(p)
-        assert locid == landmarks.locid_of(p)
-        assert locid == LandmarkSet.locid_from_rtts(rtts)
-        assert len(rtts) == 4
-
     def test_locid_from_rtts_is_the_rank_of_the_ordering(self):
         """Every ordering of 4 landmarks, asked twice: the second answer
         comes from the per-ordering memo and must be the same."""

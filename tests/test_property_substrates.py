@@ -1,4 +1,4 @@
-"""Property-based tests for engine, landmarks, metrics, and files."""
+"""Property-based tests for engine, landmarks, and files."""
 
 import math
 import random
@@ -18,7 +18,7 @@ from repro.net import (
     permutation_to_locid,
     rtt_ordering,
 )
-from repro.sim import BucketedSeries, Simulator, Summary
+from repro.sim import Simulator
 
 
 # -- engine ------------------------------------------------------------------
@@ -70,55 +70,6 @@ def test_rtt_ordering_is_permutation_sorted_by_rtt(rtts):
     assert sorted(order) == list(range(len(rtts)))
     values = [rtts[i] for i in order]
     assert values == sorted(values)
-
-
-# -- metrics -----------------------------------------------------------------
-
-
-@given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
-def test_summary_mean_matches_batch(values):
-    s = Summary("s")
-    s.observe_many(values)
-    assert math.isclose(s.mean, sum(values) / len(values), rel_tol=1e-9, abs_tol=1e-6)
-    assert s.min == min(values)
-    assert s.max == max(values)
-
-
-@given(
-    values=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=100),
-    width=st.integers(1, 20),
-)
-def test_series_cumulative_final_equals_overall_mean(values, width):
-    series = BucketedSeries("s", width)
-    for i, v in enumerate(values, start=1):
-        series.record(i, v)
-    cums = series.cumulative_means()
-    assert math.isclose(cums[-1], series.overall_mean(), rel_tol=1e-9, abs_tol=1e-9)
-
-
-@given(
-    values=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=100),
-    width=st.integers(1, 20),
-)
-def test_series_windowed_weighted_average_equals_overall(values, width):
-    series = BucketedSeries("s", width)
-    for i, v in enumerate(values, start=1):
-        series.record(i, v)
-    # Weighted by per-bucket counts, windowed means recombine to the
-    # overall mean.
-    edges = series.bucket_edges()
-    means = series.windowed_means()
-    total = 0.0
-    count = 0
-    for k, mean in enumerate(means):
-        if math.isnan(mean):
-            continue
-        lo = k * width + 1
-        hi = min(len(values), (k + 1) * width)
-        n = hi - lo + 1
-        total += mean * n
-        count += n
-    assert math.isclose(total / count, series.overall_mean(), rel_tol=1e-9, abs_tol=1e-9)
 
 
 # -- filenames --------------------------------------------------------------

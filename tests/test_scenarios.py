@@ -23,8 +23,10 @@ from repro.scenarios import (
     Scenario,
     expected_horizon_s,
     get_scenario,
+    make_scenario,
     register_scenario,
     scenario_names,
+    scenario_parameters,
 )
 from repro.workload import TraceRecorder
 
@@ -89,6 +91,36 @@ class TestRegistry:
                 pass
 
 
+#: (scenario, parameter) of every registered scenario's constructor:
+#: each one is a number, and the two counts take only an int.
+PARAMETERS = [
+    (name, param) for name in scenario_names() for param in scenario_parameters(name)
+]
+INT_PARAMETERS = {
+    ("regional-hotspot", "hot_set_size"),
+    ("cold-start", "files_per_peer"),
+}
+
+
+class TestParameterTypes:
+    """A mistyped parameter fails at construction, naming itself — the
+    point where a grid validates its scenario axis, before any cell."""
+
+    @pytest.mark.parametrize("name, param", PARAMETERS)
+    def test_a_non_number_is_rejected_by_name(self, name, param):
+        bad = ["abc", True, [1]] + ([2.5] if (name, param) in INT_PARAMETERS else [])
+        for value in bad:
+            with pytest.raises(ValueError) as raised:
+                make_scenario(name, **{param: value})
+            assert str(raised.value).startswith(f"{param} must be ")
+
+    @pytest.mark.parametrize("name, param", PARAMETERS)
+    def test_a_valid_number_is_kept_as_given(self, name, param):
+        default = getattr(get_scenario(name), param)
+        value = 1 if default is None or type(default) is int else int(default)
+        assert getattr(make_scenario(name, **{param: value}), param) is value
+
+
 class TestScenarioRuns:
     """Every scenario runs end-to-end and respects the query horizon."""
 
@@ -100,7 +132,6 @@ class TestScenarioRuns:
             config, "locaware", max_queries=max_queries, bucket_width=25,
             scenario=scenario,
         )
-        assert run.scenario_name == scenario
         assert len(run.outcomes) + run.locally_satisfied == max_queries
         assert all(o.index <= max_queries for o in run.outcomes)
 
@@ -348,6 +379,22 @@ class TestChurnStorm:
             ChurnStorm(storm_time_s=-1.0)
         with pytest.raises(ValueError):
             ChurnStorm(storm_duration_s=0.0)
+
+    @pytest.mark.parametrize(
+        "param",
+        ["calm_session_s", "calm_downtime_s", "storm_session_s", "storm_downtime_s"],
+    )
+    def test_every_mean_must_be_a_positive_number(self, param):
+        for bad, message in [
+            ("abc", f"{param} must be a number, got 'abc'"),
+            (True, f"{param} must be a number, got True"),
+            (0, f"{param} must be positive, got 0"),
+            (-5.0, f"{param} must be positive, got -5.0"),
+        ]:
+            with pytest.raises(ValueError) as raised:
+                ChurnStorm(**{param: bad})
+            assert str(raised.value) == message
+        assert getattr(ChurnStorm(**{param: 90}), param) == 90
 
     def test_default_storm_window_sits_inside_the_horizon(self):
         config = small_config()

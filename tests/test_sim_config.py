@@ -93,6 +93,29 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SimulationConfig(response_window_s=10.0, query_timeout_s=5.0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("ttl", "abc", "ttl must be an int, got 'abc'"),
+            ("ttl", 2.5, "ttl must be an int, got 2.5"),
+            ("ttl", True, "ttl must be an int, got True"),
+            ("mean_degree", "3", "mean_degree must be a number, got '3'"),
+            ("mean_degree", False, "mean_degree must be a number, got False"),
+            ("latency_model", 1, "latency_model must be a string, got 1"),
+            ("churn_enabled", 1, "churn_enabled must be true or false, got 1"),
+        ],
+    )
+    def test_a_value_of_the_wrong_type_is_named(self, field, value, message):
+        with pytest.raises(ConfigurationError) as raised:
+            SimulationConfig().replace(**{field: value})
+        assert str(raised.value) == message
+
+    def test_an_int_for_a_float_field_stays_an_int(self):
+        """Converting would move every cell key that carries it."""
+        config = SimulationConfig(mean_session_s=600, bloom_update_period_s=30)
+        assert type(config.mean_session_s) is int
+        assert type(config.bloom_update_period_s) is int
+
 
 class TestReplace:
     def test_replace_changes_field(self):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.sim import JsonlTracer, NullTracer, PrintTracer, RecordingTracer
+from repro.sim import JsonlTracer, NullTracer, RecordingTracer
 
 
 class TestNullTracer:
@@ -64,31 +64,6 @@ class TestRecordingTracer:
         tracer.enabled = True
         tracer.emit(1.0, "x")
         assert len(tracer.events) == 1
-
-
-class TestPrintTracer:
-    def test_writes_through_sink(self):
-        lines = []
-        tracer = PrintTracer(sink=lines.append)
-        tracer.emit(1.5, "query.issue", qid=3)
-        assert len(lines) == 1
-        assert "query.issue" in lines[0]
-        assert "qid=3" in lines[0]
-
-    def test_kinds_filter(self):
-        lines = []
-        tracer = PrintTracer(sink=lines.append, kinds=["keep"])
-        tracer.emit(0.0, "keep")
-        tracer.emit(0.0, "drop")
-        assert len(lines) == 1
-        assert "keep" in lines[0]
-
-    def test_disabled_prints_nothing(self):
-        lines = []
-        tracer = PrintTracer(sink=lines.append)
-        tracer.enabled = False
-        tracer.emit(0.0, "x")
-        assert lines == []
 
 
 class TestJsonlTracer:

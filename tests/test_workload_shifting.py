@@ -118,7 +118,6 @@ class TestRunnerIntegration:
             scenario=make_scenario("popularity-shift", interval_s=200.0),
         )
         assert run.outcomes
-        assert run.scenario_name == "popularity-shift"
         assert run.metric_snapshot.get("counter.workload.popularity_shifts", 0) >= 0
 
     def test_popularity_shift_ablation(self):

@@ -861,7 +861,7 @@ def _cmd_grid(args: argparse.Namespace, out) -> int:
 def _cmd_trace_run(args: argparse.Namespace, out) -> int:
     """Execute one cell with JSONL tracing on; print its telemetry."""
     from .analysis.traces import read_trace, render_trace_summary, summarize_trace
-    from .experiments import ScenarioSpec, run_protocol
+    from .experiments import ScenarioSpec, check_run_bounds, run_protocol
     from .sim.errors import ConfigurationError
     from .sim.tracing import JsonlTracer
 
@@ -876,6 +876,7 @@ def _cmd_trace_run(args: argparse.Namespace, out) -> int:
         bucket_width = (
             args.bucket if args.bucket is not None else max(1, args.queries // 8)
         )
+        check_run_bounds(args.queries, bucket_width)
         with JsonlTracer(args.out, kinds=args.kinds) as tracer:
             run = run_protocol(
                 base,

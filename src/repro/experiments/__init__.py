@@ -21,6 +21,7 @@ from .runner import (
     DEFAULT_PROTOCOL_ORDER,
     PROTOCOL_REGISTRY,
     ProtocolRun,
+    check_run_bounds,
     drive_until_settled,
     make_protocol,
     run_protocol,
@@ -41,6 +42,7 @@ __all__ = [
     "DEFAULT_PROTOCOL_ORDER",
     "ProtocolRun",
     "run_protocol",
+    "check_run_bounds",
     "make_protocol",
     "drive_until_settled",
     "FIGURES",

@@ -70,7 +70,12 @@ from ..results import (
 )
 from ..scenarios import make_scenario, scenario_parameters
 from ..sim.config import SimulationConfig
-from .runner import DEFAULT_PROTOCOL_ORDER, PROTOCOL_REGISTRY, run_protocol
+from .runner import (
+    DEFAULT_PROTOCOL_ORDER,
+    PROTOCOL_REGISTRY,
+    check_run_bounds,
+    run_protocol,
+)
 from .setup import paper_config
 
 __all__ = [
@@ -315,19 +320,16 @@ class GridSpec:
         max_queries: int = 200,
         bucket_width: int | None = None,
     ) -> None:
-        if max_queries < 1:
-            raise ValueError(f"max_queries must be >= 1, got {max_queries}")
-        if bucket_width is not None and bucket_width < 1:
-            raise ValueError(f"bucket_width must be >= 1, got {bucket_width}")
+        if bucket_width is None:
+            bucket_width = max(1, max_queries // 8)
+        check_run_bounds(max_queries, bucket_width)
         self.base_config = base_config if base_config is not None else paper_config()
         for name, value in self.base_config.to_dict().items():
             _check_finite("base-config", name, value)
         self.protocols = tuple(protocols)
         self.seeds = tuple(seeds)
         self.max_queries = max_queries
-        self.bucket_width = (
-            bucket_width if bucket_width is not None else max(1, max_queries // 8)
-        )
+        self.bucket_width = bucket_width
 
         self._check_axis_not_empty("protocol", self.protocols)
         self._check_axis_not_empty("scenario", tuple(scenarios))

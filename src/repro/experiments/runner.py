@@ -45,6 +45,7 @@ __all__ = [
     "DEFAULT_PROTOCOL_ORDER",
     "ProtocolRun",
     "run_protocol",
+    "check_run_bounds",
     "drive_until_settled",
 ]
 
@@ -99,6 +100,19 @@ def make_protocol(name: str, network: P2PNetwork) -> SearchProtocol:
     return cls(network)
 
 
+def check_run_bounds(max_queries: int, bucket_width: int) -> None:
+    """Refuse a query horizon or a figure bucket width below 1.
+
+    :func:`run_protocol` calls it before it builds anything; a caller
+    that opens an output for the run (a trace file, say) calls it
+    first, so a refused run leaves nothing behind.
+    """
+    if max_queries < 1:
+        raise ValueError(f"max_queries must be >= 1, got {max_queries}")
+    if bucket_width < 1:
+        raise ValueError(f"bucket_width must be >= 1, got {bucket_width}")
+
+
 @gc_paused()
 def run_protocol(
     config: SimulationConfig,
@@ -106,15 +120,16 @@ def run_protocol(
     max_queries: int,
     bucket_width: int,
     tracer: Tracer | None = None,
-    scenario: Scenario | str | None = None,
+    scenario: Scenario | str = "baseline",
     blueprint: NetworkBlueprint | None = None,
     collect_telemetry: bool = True,
 ) -> ProtocolRun:
     """Run one protocol to completion and collect its metrics.
 
     ``scenario`` — a :class:`~repro.scenarios.Scenario` instance or
-    registered scenario name — applies the scenario's config overrides,
-    builds its workload, and runs its install hook.
+    registered scenario name, the paper's ``"baseline"`` by default —
+    applies the scenario's config overrides, builds its workload, and
+    runs its install hook.
 
     ``blueprint`` — an optional pre-built
     :class:`~repro.overlay.blueprint.NetworkBlueprint` to instantiate
@@ -140,29 +155,17 @@ def run_protocol(
     reference counting frees the finished network as the call returns
     and no young collection follows the cell.
     """
-    if max_queries < 1:
-        raise ValueError(f"max_queries must be >= 1, got {max_queries}")
+    check_run_bounds(max_queries, bucket_width)
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
-    if scenario is not None:
-        configured = scenario.configure(config)
-        if (
-            not scenario.touches_topology
-            and configured.topology_fingerprint() != config.topology_fingerprint()
-        ):
-            raise RuntimeError(
-                f"scenario {scenario.name!r} declares touches_topology=False "
-                "but its overrides changed the topology fingerprint; fix the "
-                "declaration or the overrides"
-            )
-        config = configured
+    config = scenario.configure(config)
     timers = PhaseTimers()
     if blueprint is not None:
         if not blueprint.compatible_with(config):
             raise ValueError(
                 "blueprint is topology-incompatible with the effective "
                 f"configuration of this run (protocol {protocol_name!r}, "
-                f"scenario {scenario.name if scenario else None!r})"
+                f"scenario {scenario.name!r})"
             )
         with timers.phase("instantiate"):
             network = blueprint.instantiate(config=config, tracer=tracer)
@@ -183,20 +186,12 @@ def run_protocol(
                 network.streams.stream("churn"),
             )
             churn.start()
-        if scenario is None:
-            workload = QueryWorkload(
-                network, protocol.issue_query, max_queries=max_queries
+        workload = scenario.build_workload(network, protocol.issue_query, max_queries)
+        scenario.install(
+            ScenarioContext(
+                network=network, protocol=protocol, workload=workload, churn=churn
             )
-        else:
-            workload = scenario.build_workload(
-                network, protocol.issue_query, max_queries
-            )
-            scenario.install(
-                ScenarioContext(
-                    network=network, protocol=protocol, workload=workload,
-                    churn=churn,
-                )
-            )
+        )
     with timers.phase("simulate"):
         workload.start()
         drive_until_settled(network, protocol, workload, max_queries)
@@ -244,8 +239,9 @@ def drive_until_settled(
     still in flight stay queued, unexecuted.
 
     ``workload`` is anything with ``generated``, ``on_arrival`` and a
-    running arrival process (:class:`~repro.workload.QueryWorkload`, its
-    scenario subclasses, :class:`~repro.workload.TraceReplayer`).
+    running arrival process (:class:`~repro.workload.QueryWorkload`,
+    whatever scenario built it, or
+    :class:`~repro.workload.TraceReplayer`).
 
     Raises :class:`RuntimeError` if the event queue drains before the
     workload finished generating, if the run never settles, or if it

@@ -4,11 +4,10 @@ Importing this package registers the built-in library (flash-crowd,
 regional-hotspot, churn-storm, cold-start, diurnal, popularity-shift,
 plus the paper's baseline).  See :mod:`repro.scenarios.base` for the
 registry API and :mod:`repro.scenarios.library` for the scenarios
-themselves.
+themselves, one class each.
 """
 
 from .base import (
-    SCENARIO_CLASSES,
     SCENARIO_REGISTRY,
     Scenario,
     ScenarioContext,
@@ -28,17 +27,11 @@ from .library import (
     PopularityShift,
     RegionalHotspot,
 )
-from .workloads import (
-    DiurnalWorkload,
-    FlashCrowdWorkload,
-    RegionalHotspotWorkload,
-)
 
 __all__ = [
     "Scenario",
     "ScenarioContext",
     "SCENARIO_REGISTRY",
-    "SCENARIO_CLASSES",
     "register_scenario",
     "get_scenario",
     "make_scenario",
@@ -52,7 +45,4 @@ __all__ = [
     "ColdStart",
     "Diurnal",
     "PopularityShift",
-    "FlashCrowdWorkload",
-    "RegionalHotspotWorkload",
-    "DiurnalWorkload",
 ]

@@ -2,14 +2,19 @@
 
 A *scenario* packages one deployment regime the reproduction should be
 exercised under: a set of :class:`~repro.sim.config.SimulationConfig`
-overrides, a workload (built on the :mod:`repro.workload` machinery),
-and an optional post-build hook that installs mid-run events (e.g. a
-churn storm collapsing session times).
+overrides, the run's :class:`~repro.workload.generator.QueryWorkload`
+(the one arrival process, which a scenario may hand a
+``sample_file`` or ``rate_factor`` of its own), and an optional
+post-build hook that installs mid-run events (e.g. a churn storm
+collapsing session times).
 
-Scenarios are stateless: all per-run state lives in the workload and
-the :class:`ScenarioContext`, so one registered instance can be reused
-across runs, seeds, and worker processes without cross-talk — which is
-what makes the parallel sweep runner's cells reproducible.
+A scenario instance holds its parameters and nothing else: all
+per-run state lives in what :meth:`Scenario.build_workload` and
+:meth:`Scenario.install` create for that run, so one instance can be
+reused across runs, seeds, and worker processes without cross-talk —
+which is what makes the parallel sweep runner's cells reproducible.
+The constructor checks every parameter, type and range, so a grid
+refuses a bad value before any cell runs.
 
 Register a scenario with the :func:`register_scenario` decorator::
 
@@ -19,15 +24,11 @@ Register a scenario with the :func:`register_scenario` decorator::
         description = "sudden popularity spike on one file"
         ...
 
-and look it up by name with :func:`get_scenario`.
-
-Registration records both a default-parameter *instance* (what
-:func:`get_scenario` returns) and the *class* itself, so the class
-doubles as a factory: :func:`make_scenario` builds a variant with
-keyword overrides (``make_scenario("churn-storm", storm_time_s=30.0)``)
-after validating the keywords against the constructor signature —
-which is what lets experiment grids put scenario *parameters* on an
-axis instead of only registered names.
+and build it by name with :func:`make_scenario` — with keyword
+overrides (``make_scenario("churn-storm", storm_time_s=30.0)``)
+validated against the constructor signature, which is what lets
+experiment grids put scenario *parameters* on an axis instead of only
+registered names.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "Scenario",
     "ScenarioContext",
     "SCENARIO_REGISTRY",
-    "SCENARIO_CLASSES",
     "register_scenario",
     "get_scenario",
     "make_scenario",
@@ -59,9 +59,7 @@ __all__ = [
 IssueFn = Callable[[int, int, tuple[str, ...]], None]
 
 
-def expected_horizon_s(
-    config: SimulationConfig, max_queries: int | None
-) -> float | None:
+def expected_horizon_s(config: SimulationConfig, max_queries: int) -> float:
     """Rough virtual duration of a run: ``max_queries`` arrivals at the
     nominal system rate (every peer alive).
 
@@ -69,10 +67,8 @@ def expected_horizon_s(
     churn storms) *inside* the run whatever the configuration's scale,
     instead of hard-coding absolute times that a short horizon never
     reaches.  Pure arithmetic on the config, so it is identical across
-    worker processes.  ``None`` when the workload is unbounded.
+    worker processes.
     """
-    if max_queries is None:
-        return None
     return max_queries / (config.num_peers * config.query_rate_per_peer)
 
 
@@ -89,11 +85,13 @@ class ScenarioContext:
 class Scenario:
     """One named deployment regime.
 
-    Subclasses set :attr:`name`/:attr:`description` and override any of
-    the three hooks.  Every hook must stay deterministic given the
-    network's seeded streams — scenarios may not import ``random`` or
-    read wall-clock time, or the sweep runner's serial/parallel
-    equivalence breaks.
+    Subclasses set :attr:`name`/:attr:`description`, take their knobs
+    as constructor keywords stored under the same attribute names (a
+    grid's cell key reads them back), and override any of the three
+    hooks.  Every hook must stay deterministic given the network's
+    seeded streams — scenarios may not import ``random`` or read
+    wall-clock time, or the sweep runner's serial/parallel equivalence
+    breaks.
     """
 
     #: Registry key, e.g. ``"flash-crowd"``.  Must be unique.
@@ -102,63 +100,64 @@ class Scenario:
     #: One-line human description (shown by ``repro info``).
     description: str = ""
 
-    #: Whether :meth:`configure` may change a topology-affecting field
-    #: (:data:`repro.sim.config.TOPOLOGY_FIELDS`).  ``False`` promises
-    #: the overrides are run-time-only, so a cached
-    #: :class:`~repro.overlay.blueprint.NetworkBlueprint` built from
-    #: the base configuration stays reusable; the promise is enforced —
-    #: ``run_protocol`` raises if a scenario declaring ``False``
-    #: nevertheless shifts the topology fingerprint.
-    touches_topology: bool = False
-
     def configure(self, config: SimulationConfig) -> SimulationConfig:
-        """Apply the scenario's config overrides (default: none)."""
+        """Apply the scenario's config overrides (default: none).
+
+        An override of a topology field
+        (:data:`repro.sim.config.TOPOLOGY_FIELDS`) moves the run's
+        topology fingerprint: a grid then builds that world for the
+        scenario, and ``run_protocol`` refuses a blueprint built from
+        the base configuration.
+        """
         return config
 
     def build_workload(
         self,
         network: P2PNetwork,
         issue: IssueFn,
-        max_queries: int | None,
+        max_queries: int,
     ) -> QueryWorkload:
-        """Build the scenario's query workload (default: plain Zipf)."""
-        return QueryWorkload(network, issue, max_queries=max_queries)
+        """Build the run's query workload (default: the paper's plain Zipf).
+
+        A scenario that changes which file an arrival asks for, or how
+        fast arrivals come, resolves its defaults against the run's
+        horizon, draws its per-run state from a named stream of its own,
+        and passes ``sample_file`` / ``rate_factor`` to
+        :class:`~repro.workload.generator.QueryWorkload`.
+        """
+        return QueryWorkload(network, issue, max_queries)
 
     def install(self, ctx: ScenarioContext) -> None:
         """Install mid-run events after the system is built (default: none).
 
         Called once per run, after the protocol, churn process (if
         enabled), and workload have been constructed but before the
-        driver starts advancing time.
+        workload's first arrival is armed and the driver starts
+        advancing time.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-#: name → registered scenario instance.
-SCENARIO_REGISTRY: dict[str, Scenario] = {}
-
-#: name → registered scenario class (the factory behind the instance).
-SCENARIO_CLASSES: dict[str, type[Scenario]] = {}
+#: name → registered scenario class; a class called with no arguments
+#: is the scenario at its defaults.
+SCENARIO_REGISTRY: dict[str, type[Scenario]] = {}
 
 S = TypeVar("S", bound=type[Scenario])
 
 
 def register_scenario(cls: S) -> S:
-    """Class decorator: instantiate ``cls`` and register it by name."""
-    scenario = cls()
-    if not scenario.name:
+    """Class decorator: register ``cls`` under its :attr:`Scenario.name`."""
+    if not cls.name:
         raise ValueError(f"{cls.__name__} must set a non-empty name")
-    if scenario.name in SCENARIO_REGISTRY:
-        raise ValueError(f"scenario {scenario.name!r} is already registered")
-    SCENARIO_REGISTRY[scenario.name] = scenario
-    SCENARIO_CLASSES[scenario.name] = cls
+    if cls.name in SCENARIO_REGISTRY:
+        raise ValueError(f"scenario {cls.name!r} is already registered")
+    SCENARIO_REGISTRY[cls.name] = cls
     return cls
 
 
-def get_scenario(name: str) -> Scenario:
-    """Look up a registered scenario by name."""
+def _scenario_class(name: str) -> type[Scenario]:
     try:
         return SCENARIO_REGISTRY[name]
     except KeyError:
@@ -167,14 +166,18 @@ def get_scenario(name: str) -> Scenario:
         ) from None
 
 
+def get_scenario(name: str) -> Scenario:
+    """The registered scenario ``name`` at its default parameters."""
+    return _scenario_class(name)()
+
+
 def scenario_parameters(name: str) -> list[str]:
     """The keyword parameters the scenario's constructor accepts, sorted.
 
     Empty for scenarios without a constructor of their own (e.g. the
     baseline) — such scenarios accept no overrides at all.
     """
-    get_scenario(name)  # raises with the known-names list
-    cls = SCENARIO_CLASSES[name]
+    cls = _scenario_class(name)
     if cls.__init__ is object.__init__:
         return []
     accepted = (
@@ -191,23 +194,20 @@ def scenario_parameters(name: str) -> list[str]:
 def make_scenario(name: str, **params: object) -> Scenario:
     """Build a scenario variant with keyword overrides.
 
-    With no overrides this returns the registered (stateless, shared)
-    default instance; with overrides it validates every keyword against
-    the scenario's constructor signature and instantiates a fresh
-    variant, so a typo fails by name before any simulation runs.  Value
-    errors (e.g. a negative storm time) surface from the constructor.
+    Every keyword is validated against the scenario's constructor
+    signature, so a typo fails by name before any simulation runs;
+    value errors (e.g. a negative storm time) surface from the
+    constructor.
     """
-    scenario = get_scenario(name)
-    if not params:
-        return scenario
-    known = scenario_parameters(name)
-    unknown = sorted(set(params) - set(known))
-    if unknown:
-        raise ValueError(
-            f"scenario {name!r} does not accept parameter(s) {unknown}; "
-            f"accepted: {known if known else 'none'}"
-        )
-    return SCENARIO_CLASSES[name](**params)
+    if params:
+        known = scenario_parameters(name)
+        unknown = sorted(set(params) - set(known))
+        if unknown:
+            raise ValueError(
+                f"scenario {name!r} does not accept parameter(s) {unknown}; "
+                f"accepted: {known if known else 'none'}"
+            )
+    return _scenario_class(name)(**params)
 
 
 def scenario_names() -> list[str]:

@@ -1,7 +1,6 @@
 """Query workload substrate: Zipf popularity, Poisson arrivals, traces."""
 
 from .generator import QueryWorkload
-from .shifting import ShiftingZipfWorkload
 from .trace import (
     QueryEvent,
     TraceRecorder,
@@ -14,7 +13,6 @@ from .zipf import ZipfSampler
 __all__ = [
     "ZipfSampler",
     "QueryWorkload",
-    "ShiftingZipfWorkload",
     "QueryEvent",
     "TraceRecorder",
     "TraceReplayer",

@@ -36,7 +36,16 @@ class QueryWorkload:
         ``issue(origin, file_id, keywords)``.
     max_queries:
         Stop generating after this many queries (the experiments' x-axis
-        bound).  ``None`` = unlimited.
+        bound).
+    sample_file:
+        ``sample_file(origin) -> file_id``, the queried file of an
+        arrival at ``origin`` (default: the global Zipf draw).  A
+        scenario that skews demand — one spiked file, one hot region —
+        passes its own.
+    rate_factor:
+        ``rate_factor(now) -> float``, a multiplier of the system
+        arrival rate at virtual time ``now`` (default: none).  The
+        diurnal scenario passes its day/night swing.
     """
 
     #: Called, when set, at the end of every arrival — after the query
@@ -50,7 +59,10 @@ class QueryWorkload:
         self,
         network: P2PNetwork,
         issue: Callable[[int, int, tuple[str, ...]], None],
-        max_queries: int | None = None,
+        max_queries: int,
+        *,
+        sample_file: Callable[[int], int] | None = None,
+        rate_factor: Callable[[float], float] | None = None,
     ) -> None:
         self._network = network
         self._issue = issue
@@ -60,6 +72,8 @@ class QueryWorkload:
         self._sampler = ZipfSampler(
             config.num_files, config.zipf_exponent, network.streams.stream("zipf")
         )
+        self._sample_file = sample_file
+        self._rate_factor = rate_factor
         self._generated = 0
 
     @property
@@ -68,8 +82,8 @@ class QueryWorkload:
         return self._generated
 
     @property
-    def max_queries(self) -> int | None:
-        """The generation bound (``None`` = unlimited)."""
+    def max_queries(self) -> int:
+        """The generation bound."""
         return self._max_queries
 
     @property
@@ -81,43 +95,34 @@ class QueryWorkload:
         """Arm the first arrival timer."""
         self._schedule_next()
 
-    def _system_rate(self) -> float:
-        return (
-            self._network.liveness.alive_count()
-            * self._network.config.query_rate_per_peer
-        )
-
     def _schedule_next(self) -> None:
-        if self._max_queries is not None and self._generated >= self._max_queries:
+        if self._generated >= self._max_queries:
             return
-        rate = self._system_rate()
+        network = self._network
+        rate = network.liveness.alive_count() * network.config.query_rate_per_peer
+        if self._rate_factor is not None:
+            rate *= self._rate_factor(network.sim.now)
         if rate <= 0:
             # Everyone is down; retry when churn may have revived peers.
-            self._network.sim.schedule(1.0, self._schedule_next)
+            network.sim.schedule(1.0, self._schedule_next)
             return
-        delay = self._rng.expovariate(rate)
-        self._network.sim.schedule(delay, self._arrival)
+        network.sim.schedule(self._rng.expovariate(rate), self._arrival)
 
     def _arrival(self) -> None:
         alive_ids = self._network.alive_peer_ids()
         if alive_ids:
             origin = self._rng.choice(alive_ids)
-            file_id = self._sample_file(origin)
+            sample_file = self._sample_file
+            file_id = (
+                sample_file(origin) if sample_file is not None
+                else self._sampler.sample()
+            )
             keywords = self._pick_keywords(file_id)
             self._generated += 1
             self._issue(origin, file_id, keywords)
         self._schedule_next()
         if self.on_arrival is not None:
             self.on_arrival()
-
-    def _sample_file(self, origin: int) -> int:
-        """Pick the queried file for an arrival at ``origin``.
-
-        The base workload ignores the origin and draws from the global
-        Zipf popularity; scenario workloads override this to skew demand
-        per region, spike one file, and so on.
-        """
-        return self._sampler.sample()
 
     def _pick_keywords(self, file_id: int) -> tuple[str, ...]:
         """1–3 random keywords of the queried filename (§5.1)."""

@@ -111,7 +111,7 @@ class ZipfSampler:
         """Redraw the rank → item assignment (a popularity shift).
 
         The skew stays identical; *which* items are popular changes.
-        Used by the shifting-popularity workload to model evolving
+        Used by the popularity-shift scenario to model evolving
         interest in a file-sharing community.
         """
         (rng if rng is not None else self._rng).shuffle(self._rank_to_item)

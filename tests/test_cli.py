@@ -1101,6 +1101,30 @@ class TestTraceCommand:
         assert output.startswith("error: ") and message in output
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--queries", "0"], "max_queries must be >= 1, got 0"),
+            (["--bucket", "0"], "bucket_width must be >= 1, got 0"),
+        ],
+        ids=["queries-0", "bucket-0"],
+    )
+    def test_a_refused_trace_run_leaves_the_out_file_alone(
+        self, tmp_path, argv, message
+    ):
+        fresh = tmp_path / "fresh.jsonl"
+        kept = tmp_path / "kept.jsonl"
+        kept.write_text("an earlier trace\n", encoding="utf-8")
+        for out in (fresh, kept):
+            code, output = run_cli(
+                "trace", "run", "--protocol", "flooding", "--config", "small",
+                "--queries", "10", *argv, "--out", str(out),
+            )
+            assert code == 2
+            assert output.startswith("error: ") and message in output
+        assert not fresh.exists()
+        assert kept.read_text(encoding="utf-8") == "an earlier trace\n"
+
+    @pytest.mark.parametrize(
         "protocol", ["flooding", "dicas", "dicas-keys", "locaware"]
     )
     def test_trace_summarize_all_protocols(self, tmp_path, protocol):

@@ -40,10 +40,12 @@ def _spec(**overrides):
 
 
 class TestMakeScenario:
-    def test_no_params_returns_registered_instance(self):
-        from repro.scenarios import get_scenario
+    def test_no_params_builds_the_registered_class_at_its_defaults(self):
+        from repro.scenarios import SCENARIO_REGISTRY
 
-        assert make_scenario("flash-crowd") is get_scenario("flash-crowd")
+        scenario = make_scenario("flash-crowd")
+        assert type(scenario) is SCENARIO_REGISTRY["flash-crowd"]
+        assert (scenario.spike_time_s, scenario.spike_probability) == (None, 0.8)
 
     def test_params_build_fresh_variant(self):
         scenario = make_scenario("churn-storm", storm_time_s=30.0)

@@ -17,7 +17,7 @@ from repro.experiments import (
     run_protocol,
     small_config,
 )
-from repro.overlay import P2PNetwork
+from repro.overlay import NetworkBlueprint, P2PNetwork
 from repro.workload import QueryWorkload, TraceRecorder
 
 
@@ -108,6 +108,27 @@ class TestRunProtocol:
     def test_invalid_max_queries(self):
         with pytest.raises(ValueError):
             run_protocol(small_config(), "flooding", max_queries=0, bucket_width=10)
+
+    @pytest.mark.parametrize(
+        "max_queries, bucket_width, message",
+        [
+            (0, 10, "max_queries must be >= 1, got 0"),
+            (400, 0, "bucket_width must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_bounds_are_refused_before_anything_is_built(
+        self, monkeypatch, max_queries, bucket_width, message
+    ):
+        def build(*args, **kwargs):
+            raise AssertionError("built a world for a run it must refuse")
+
+        monkeypatch.setattr(NetworkBlueprint, "build", build)
+        with pytest.raises(ValueError) as raised:
+            run_protocol(
+                small_config(), "flooding",
+                max_queries=max_queries, bucket_width=bucket_width,
+            )
+        assert str(raised.value) == message
 
     def test_deterministic_runs(self):
         config = small_config(seed=5).replace(query_rate_per_peer=0.02)

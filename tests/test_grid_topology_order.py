@@ -29,7 +29,7 @@ from repro.experiments.grid import _PROTOCOL_SLOT, execute_cells
 from repro.overlay.blueprint import build_count
 from repro.results import ResultStore, cell_key, cell_key_payload
 from repro.scenarios import Scenario, scenario_parameters
-from repro.scenarios.base import SCENARIO_CLASSES, SCENARIO_REGISTRY
+from repro.scenarios.base import SCENARIO_REGISTRY
 
 
 def _spec(**overrides):
@@ -314,8 +314,7 @@ class _Annotated(Scenario):
 @pytest.fixture(scope="module")
 def annotated_scenario():
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(SCENARIO_REGISTRY, "annotated", _Annotated())
-        mp.setitem(SCENARIO_CLASSES, "annotated", _Annotated)
+        mp.setitem(SCENARIO_REGISTRY, "annotated", _Annotated)
         yield
 
 

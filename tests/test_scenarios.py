@@ -1,9 +1,11 @@
-"""Tests for the scenario registry, library, and scenario workloads.
+"""Tests for the scenario registry and the scenario library.
 
 Covers the issue's property checklist: query counts respect
 ``max_queries``, the flash-crowd spike targets a catalog file, the
 diurnal rate stays positive, and a churn storm leaves the overlay
-recoverable.
+recoverable.  Each scenario's workload is driven through
+``make_scenario(...).build_workload(...)`` and its ``install`` hook,
+the way ``run_protocol`` builds it.
 """
 
 import math
@@ -12,15 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import run_protocol, small_config
-from repro.overlay import P2PNetwork
+from repro.experiments import GridSpec, run_protocol, small_config
+from repro.overlay import NetworkBlueprint, P2PNetwork
 from repro.scenarios import (
     SCENARIO_REGISTRY,
     ChurnStorm,
-    DiurnalWorkload,
-    FlashCrowdWorkload,
-    RegionalHotspotWorkload,
+    Diurnal,
     Scenario,
+    ScenarioContext,
     expected_horizon_s,
     get_scenario,
     make_scenario,
@@ -38,6 +39,16 @@ def _network(seed=7, **overrides):
     return P2PNetwork.build(config)
 
 
+def _workload(network, issue, max_queries, name, **params):
+    """Scenario ``name``'s workload on ``network``, its install hook run."""
+    scenario = make_scenario(name, **params)
+    workload = scenario.build_workload(network, issue, max_queries)
+    scenario.install(
+        ScenarioContext(network=network, protocol=None, workload=workload)
+    )
+    return workload
+
+
 def _drain(network, workload, max_queries, slice_s=500.0, max_slices=10_000):
     workload.start()
     for _ in range(max_slices):
@@ -47,6 +58,17 @@ def _drain(network, workload, max_queries, slice_s=500.0, max_slices=10_000):
             return
         network.sim.run(until=network.sim.now + slice_s)
     raise AssertionError("workload did not finish generating")
+
+
+def _arrivals(name, max_queries, seed=7, **params):
+    """Every arrival's ``(time, origin, file_id, keywords)`` of a run of
+    scenario ``name``'s workload, and the network it ran on."""
+    network = _network(seed=seed)
+    recorder = TraceRecorder(network, _sink)
+    _drain(network, _workload(network, recorder, max_queries, name, **params),
+           max_queries)
+    events = [(e.time, e.origin, e.file_id, e.keywords) for e in recorder.events]
+    return events, network
 
 
 def _sink(origin, file_id, keywords):
@@ -100,6 +122,26 @@ INT_PARAMETERS = {
     ("regional-hotspot", "hot_set_size"),
     ("cold-start", "files_per_peer"),
 }
+#: An int in range of the parameters 1 is not in range of.
+VALID_INTS = {("diurnal", "amplitude"): 0}
+
+#: (scenario, parameter, a value out of its range, what it must be).
+OUT_OF_RANGE = [
+    ("flash-crowd", "spike_time_s", -1.0, ">= 0"),
+    ("flash-crowd", "spike_probability", 0.0, "in (0, 1]"),
+    ("flash-crowd", "spike_probability", 2, "in (0, 1]"),
+    ("regional-hotspot", "hotspot_probability", 0, "in (0, 1]"),
+    ("regional-hotspot", "hotspot_probability", 1.5, "in (0, 1]"),
+    ("regional-hotspot", "hot_set_size", 0, ">= 1"),
+    ("churn-storm", "storm_time_s", -1.0, ">= 0"),
+    ("churn-storm", "storm_duration_s", 0.0, "positive"),
+    ("cold-start", "files_per_peer", -1, ">= 0"),
+    ("diurnal", "period_s", 0.0, "positive"),
+    ("diurnal", "amplitude", 1.0, "in [0, 1)"),
+    ("diurnal", "amplitude", -0.1, "in [0, 1)"),
+    ("popularity-shift", "interval_s", 0, "positive"),
+    ("popularity-shift", "interval_s", -5.0, "positive"),
+]
 
 
 class TestParameterTypes:
@@ -116,9 +158,36 @@ class TestParameterTypes:
 
     @pytest.mark.parametrize("name, param", PARAMETERS)
     def test_a_valid_number_is_kept_as_given(self, name, param):
-        default = getattr(get_scenario(name), param)
-        value = 1 if default is None or type(default) is int else int(default)
+        value = VALID_INTS.get((name, param), 1)
         assert getattr(make_scenario(name, **{param: value}), param) is value
+
+
+class TestParameterRanges:
+    """An out-of-range parameter fails in the constructor too, so a grid
+    refuses it before its first cell — not when the cell runs."""
+
+    @pytest.mark.parametrize("name, param, value, expected", OUT_OF_RANGE)
+    def test_an_out_of_range_value_is_refused_by_name(
+        self, name, param, value, expected
+    ):
+        with pytest.raises(ValueError) as raised:
+            make_scenario(name, **{param: value})
+        assert str(raised.value) == f"{param} must be {expected}, got {value}"
+
+    @pytest.mark.parametrize("name, param, value, expected", OUT_OF_RANGE)
+    def test_a_grid_refuses_it_when_built(self, name, param, value, expected):
+        with pytest.raises(ValueError) as raised:
+            GridSpec(
+                base_config=small_config(),
+                scenarios=("baseline", f"{name}:{param}={value}"),
+            )
+        assert str(raised.value).startswith(
+            f"scenario axis: {param} must be {expected}, got "
+        )
+
+    def test_every_default_is_in_range(self):
+        for name in scenario_names():
+            get_scenario(name)
 
 
 class TestScenarioRuns:
@@ -135,6 +204,15 @@ class TestScenarioRuns:
         assert len(run.outcomes) + run.locally_satisfied == max_queries
         assert all(o.index <= max_queries for o in run.outcomes)
 
+    def test_the_default_scenario_is_the_baseline(self):
+        config = small_config(seed=9).replace(query_rate_per_peer=0.02)
+        plain = run_protocol(config, "dicas", max_queries=20, bucket_width=5)
+        baseline = run_protocol(
+            config, "dicas", max_queries=20, bucket_width=5, scenario="baseline"
+        )
+        assert plain.outcomes == baseline.outcomes
+        assert plain.metric_snapshot == baseline.metric_snapshot
+
     def test_popularity_shift_default_interval_shifts_mid_run(self):
         """interval_s=None places shifts inside the run at any scale."""
         config = small_config(seed=3).replace(query_rate_per_peer=0.02)
@@ -143,15 +221,6 @@ class TestScenarioRuns:
             scenario="popularity-shift",
         )
         assert run.metric_snapshot["counter.workload.popularity_shifts"] >= 1
-
-    def test_popularity_shift_rejects_non_positive_interval_up_front(self):
-        from repro.experiments import GridSpec
-
-        with pytest.raises(ValueError, match="scenario axis: interval_s must be"):
-            GridSpec(
-                base_config=small_config(),
-                scenarios=("popularity-shift:interval_s=0",),
-            )
 
     def test_cold_start_reduces_initial_replication(self):
         config = small_config()
@@ -166,103 +235,88 @@ class TestScenarioRuns:
 
 class TestFlashCrowdWorkload:
     def test_spike_targets_a_catalog_file(self):
-        network = _network()
-        recorder = TraceRecorder(network, _sink)
-        workload = FlashCrowdWorkload(
-            network, recorder, max_queries=60,
-            spike_time_s=0.0, spike_probability=1.0,
+        events, network = _arrivals(
+            "flash-crowd", 60, spike_time_s=0.0, spike_probability=1.0
         )
-        assert 0 <= workload.hot_file < network.config.num_files
+        # The hot file is the first draw of the scenario's own stream.
+        hot_file = _network().streams.stream("flash-crowd").randrange(
+            network.config.num_files
+        )
         # The hot file's keywords exist in the catalog.
-        assert network.catalog.keywords(workload.hot_file)
-        _drain(network, workload, 60)
-        assert workload.generated == 60
+        hot_keywords = set(network.catalog.keywords(hot_file))
+        assert hot_keywords
+        assert len(events) == 60
         # With probability 1 from t=0, every query targets the hot file
         # and its keywords come from the hot filename.
-        hot_keywords = set(network.catalog.keywords(workload.hot_file))
-        for event in recorder.events:
-            assert event.file_id == workload.hot_file
-            assert set(event.keywords) <= hot_keywords
-        assert workload.spike_queries == 60
+        for _, _, file_id, keywords in events:
+            assert file_id == hot_file
+            assert set(keywords) <= hot_keywords
 
     def test_no_spike_before_spike_time(self):
-        network = _network()
-        workload = FlashCrowdWorkload(
-            network, _sink, max_queries=40,
-            spike_time_s=1e9, spike_probability=1.0,
+        events, _ = _arrivals(
+            "flash-crowd", 40, spike_time_s=1e9, spike_probability=1.0
         )
-        _drain(network, workload, 40)
-        assert workload.spike_queries == 0
+        assert events == _arrivals("baseline", 40)[0]
 
     @given(seed=st.integers(0, 50), probability=st.floats(0.1, 1.0))
     @settings(max_examples=15, deadline=None)
     def test_spike_file_valid_for_any_seed(self, seed, probability):
-        network = _network(seed=seed)
-        recorder = TraceRecorder(network, _sink)
-        workload = FlashCrowdWorkload(
-            network, recorder, max_queries=10,
+        events, network = _arrivals(
+            "flash-crowd", 10, seed=seed,
             spike_time_s=0.0, spike_probability=probability,
         )
-        assert 0 <= workload.hot_file < network.config.num_files
-        _drain(network, workload, 10)
-        assert workload.generated == 10
-        for event in recorder.events:
-            assert 0 <= event.file_id < network.config.num_files
-
-    def test_invalid_parameters_rejected(self):
-        network = _network()
-        with pytest.raises(ValueError):
-            FlashCrowdWorkload(network, _sink, spike_time_s=-1.0)
-        with pytest.raises(ValueError):
-            FlashCrowdWorkload(network, _sink, spike_probability=0.0)
-        with pytest.raises(ValueError):
-            FlashCrowdWorkload(network, _sink, spike_probability=1.5)
+        assert len(events) == 10
+        for _, _, file_id, _ in events:
+            assert 0 <= file_id < network.config.num_files
 
     def test_default_spike_fires_within_the_run(self):
         """The registered scenario auto-places the spike a quarter into
         the expected horizon, so default runs actually see the crowd."""
-        network = _network()
-        workload = get_scenario("flash-crowd").build_workload(
-            network, _sink, 40
-        )
-        horizon = expected_horizon_s(network.config, 40)
-        assert workload.spike_time_s == pytest.approx(0.25 * horizon)
-        _drain(network, workload, 40)
-        assert workload.spike_queries > 0
+        events, network = _arrivals("flash-crowd", 40)
+        spike_time_s = 0.25 * expected_horizon_s(network.config, 40)
+        assert events == _arrivals("flash-crowd", 40, spike_time_s=spike_time_s)[0]
+        assert events != _arrivals("baseline", 40)[0]
+        assert any(time >= spike_time_s for time, *_ in events)
 
 
 class TestRegionalHotspotWorkload:
+    @staticmethod
+    def _hot_locid(network):
+        histogram = network.underlay.locid_histogram()
+        return min(histogram, key=lambda locid: (-histogram[locid], locid))
+
     def test_hot_region_queries_come_from_hot_set(self):
-        network = _network()
-        recorder = TraceRecorder(network, _sink)
-        workload = RegionalHotspotWorkload(
-            network, recorder, max_queries=80,
-            hotspot_probability=1.0, hot_set_size=5,
+        events, network = _arrivals(
+            "regional-hotspot", 80, hotspot_probability=1.0, hot_set_size=5
         )
-        hot_files = set(workload.hot_files)
-        assert len(hot_files) == 5
-        assert all(0 <= f < network.config.num_files for f in hot_files)
-        _drain(network, workload, 80)
-        hot_region_events = [
-            e for e in recorder.events
-            if network.peer(e.origin).locid == workload.hot_locid
+        hot_locid = self._hot_locid(network)
+        hot_region_files = [
+            file_id for _, origin, file_id, _ in events
+            if network.peer(origin).locid == hot_locid
         ]
-        assert hot_region_events, "the hot locId should originate queries"
-        for event in hot_region_events:
-            assert event.file_id in hot_files
+        assert hot_region_files, "the hot locId should originate queries"
+        assert len(set(hot_region_files)) <= 5
+        assert all(0 <= f < network.config.num_files for f in hot_region_files)
 
     def test_hot_locid_is_most_populous(self):
-        network = _network()
-        workload = RegionalHotspotWorkload(network, _sink, max_queries=1)
+        events, network = _arrivals(
+            "regional-hotspot", 80, hotspot_probability=1.0, hot_set_size=1
+        )
+        hot_locid = self._hot_locid(network)
         histogram = network.underlay.locid_histogram()
-        assert histogram[workload.hot_locid] == max(histogram.values())
+        assert histogram[hot_locid] == max(histogram.values())
+        # Every query of the most populous locId asks for the one hot file.
+        hot_region_files = {
+            file_id for _, origin, file_id, _ in events
+            if network.peer(origin).locid == hot_locid
+        }
+        assert len(hot_region_files) == 1
 
     def test_hot_set_capped_by_catalog(self):
-        network = _network()
-        workload = RegionalHotspotWorkload(
-            network, _sink, max_queries=1, hot_set_size=10**6
+        events, _ = _arrivals(
+            "regional-hotspot", 40, hotspot_probability=1.0, hot_set_size=10**6
         )
-        assert len(workload.hot_files) == network.config.num_files
+        assert len(events) == 40
 
 
 class TestDiurnalWorkload:
@@ -273,41 +327,23 @@ class TestDiurnalWorkload:
     )
     @settings(max_examples=100, deadline=None)
     def test_rate_factor_always_positive(self, amplitude, period, now):
-        network = _network()
-        workload = DiurnalWorkload(
-            network, _sink, max_queries=1, period_s=period, amplitude=amplitude
-        )
-        assert workload.rate_factor(now) > 0.0
+        assert Diurnal(amplitude=amplitude).rate_factor(period)(now) > 0.0
 
-    def test_system_rate_positive_while_peers_alive(self):
-        network = _network()
-        workload = DiurnalWorkload(
-            network, _sink, max_queries=30, period_s=60.0, amplitude=0.9
-        )
-        _drain(network, workload, 30)
-        assert workload.generated == 30
-        assert workload._system_rate() > 0.0
+    def test_a_strong_swing_still_generates_every_query(self):
+        events, _ = _arrivals("diurnal", 30, period_s=60.0, amplitude=0.9)
+        assert len(events) == 30
 
     def test_modulation_shapes_arrivals(self):
         """Same seed: a strong diurnal swing changes arrival times."""
-        base = _network(seed=3)
-        flat = TraceRecorder(base, _sink)
-        _drain(base, DiurnalWorkload(base, flat, max_queries=30, period_s=60.0,
-                                     amplitude=0.0), 30)
-        other = _network(seed=3)
-        wavy = TraceRecorder(other, _sink)
-        _drain(other, DiurnalWorkload(other, wavy, max_queries=30, period_s=60.0,
-                                      amplitude=0.9), 30)
-        assert [e.time for e in flat.events] != [e.time for e in wavy.events]
+        flat, _ = _arrivals("diurnal", 30, seed=3, period_s=60.0, amplitude=0.0)
+        wavy, _ = _arrivals("diurnal", 30, seed=3, period_s=60.0, amplitude=0.9)
+        assert [e[0] for e in flat] != [e[0] for e in wavy]
 
-    def test_invalid_parameters_rejected(self):
-        network = _network()
-        with pytest.raises(ValueError):
-            DiurnalWorkload(network, _sink, period_s=0.0)
-        with pytest.raises(ValueError):
-            DiurnalWorkload(network, _sink, amplitude=1.0)
-        with pytest.raises(ValueError):
-            DiurnalWorkload(network, _sink, amplitude=-0.1)
+    def test_default_diurnal_period_is_one_cycle_per_run(self):
+        events, network = _arrivals("diurnal", 50)
+        horizon = expected_horizon_s(network.config, 50)
+        assert events == _arrivals("diurnal", 50, period_s=horizon)[0]
+        assert events != _arrivals("diurnal", 50, period_s=2 * horizon)[0]
 
 
 class TestChurnStorm:
@@ -374,12 +410,6 @@ class TestChurnStorm:
         assert churn.mean_session_s == scenario.calm_session_s
         assert churn.mean_downtime_s == scenario.calm_downtime_s
 
-    def test_invalid_storm_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            ChurnStorm(storm_time_s=-1.0)
-        with pytest.raises(ValueError):
-            ChurnStorm(storm_duration_s=0.0)
-
     @pytest.mark.parametrize(
         "param",
         ["calm_session_s", "calm_downtime_s", "storm_session_s", "storm_downtime_s"],
@@ -409,13 +439,6 @@ class TestChurnStorm:
         ).storm_window(config, 200)
         assert (begin, end) == (7.0, 10.0)
 
-    def test_default_diurnal_period_is_one_cycle_per_run(self):
-        network = _network()
-        workload = get_scenario("diurnal").build_workload(network, _sink, 50)
-        assert workload.period_s == pytest.approx(
-            expected_horizon_s(network.config, 50)
-        )
-
     def test_set_means_validation(self):
         from repro.overlay import ChurnProcess
 
@@ -439,54 +462,51 @@ class TestMaxQueriesProperty:
     )
     @settings(max_examples=12, deadline=None)
     def test_generated_never_exceeds_max_queries(self, max_queries, scenario):
-        network = _network(seed=11)
-        recorder = TraceRecorder(network, _sink)
-        workload = get_scenario(scenario).build_workload(
-            network, recorder, max_queries
-        )
-        _drain(network, workload, max_queries)
-        assert workload.generated == max_queries
-        assert len(recorder.events) == max_queries
-        assert math.isfinite(recorder.events[-1].time)
+        events, _ = _arrivals(scenario, max_queries, seed=11)
+        assert len(events) == max_queries
+        assert math.isfinite(events[-1][0])
 
 
-class TestTopologyDeclarations:
-    """Every registered scenario's ``touches_topology`` declaration must
-    match what its ``configure`` actually does to the fingerprint."""
+class _Shrinking(Scenario):
+    """Tests-only scenario whose override changes the topology."""
+
+    name = "shrinking"
+
+    def configure(self, config):
+        return config.replace(num_peers=config.num_peers - 1)
+
+
+class TestTopologyChangingScenarios:
+    """A scenario whose overrides move the topology fingerprint runs on a
+    world of its own: the base configuration's blueprint is refused."""
+
+    def test_a_topology_changing_scenario_refuses_the_base_blueprint(self):
+        base = small_config(seed=11)
+        blueprint = NetworkBlueprint.build(base)
+        with pytest.raises(ValueError, match="topology-incompatible"):
+            run_protocol(
+                base, "flooding", max_queries=5, bucket_width=5,
+                scenario=_Shrinking(), blueprint=blueprint,
+            )
 
     @pytest.mark.parametrize("name", scenario_names())
-    def test_declaration_matches_configure(self, name):
-        scenario = get_scenario(name)
-        base = small_config(seed=11)
-        configured = scenario.configure(base)
-        changed = (
-            configured.topology_fingerprint() != base.topology_fingerprint()
-        )
-        if changed:
-            assert scenario.touches_topology, (
-                f"{name} changes the topology fingerprint but declares "
-                "touches_topology=False"
+    def test_the_base_blueprint_serves_exactly_the_runtime_only_scenarios(
+        self, name
+    ):
+        base = small_config(seed=11).replace(query_rate_per_peer=0.02)
+        configured = get_scenario(name).configure(base)
+        moves = configured.topology_fingerprint() != base.topology_fingerprint()
+        assert moves == (name == "cold-start")
+        blueprint = NetworkBlueprint.build(base)
+        if moves:
+            with pytest.raises(ValueError, match="topology-incompatible"):
+                run_protocol(
+                    base, "flooding", max_queries=5, bucket_width=5,
+                    scenario=name, blueprint=blueprint,
+                )
+        else:
+            run = run_protocol(
+                base, "flooding", max_queries=5, bucket_width=5,
+                scenario=name, blueprint=blueprint,
             )
-
-    def test_lying_scenario_is_caught_by_run_protocol(self):
-        class LyingScenario(Scenario):
-            name = "lying-scenario"
-            description = "claims runtime-only but shrinks the population"
-            touches_topology = False
-
-            def configure(self, config):
-                return config.replace(num_peers=config.num_peers - 1)
-
-        with pytest.raises(RuntimeError, match="touches_topology"):
-            run_protocol(
-                small_config(seed=11),
-                "flooding",
-                max_queries=5,
-                bucket_width=5,
-                scenario=LyingScenario(),
-            )
-
-    def test_cold_start_declares_topology(self):
-        assert get_scenario("cold-start").touches_topology
-        assert not get_scenario("baseline").touches_topology
-        assert not get_scenario("churn-storm").touches_topology
+            assert len(run.outcomes) + run.locally_satisfied == 5

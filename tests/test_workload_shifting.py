@@ -1,17 +1,30 @@
-"""Tests for the shifting-popularity workload extension."""
+"""Tests for the popularity-shift scenario's drifting Zipf workload."""
 
 import random
 
-import pytest
-
 from repro.overlay import P2PNetwork
+from repro.scenarios import ScenarioContext, make_scenario
 from repro.sim import SimulationConfig
-from repro.workload import ShiftingZipfWorkload, ZipfSampler
+from repro.workload import ZipfSampler
 
 
 def make_network(seed=5, rate=0.05):
     config = SimulationConfig.small(seed=seed).replace(query_rate_per_peer=rate)
     return P2PNetwork.build(config)
+
+
+def shifting_workload(network, issue, interval_s, max_queries):
+    """The popularity-shift workload on ``network``, its re-draws armed."""
+    scenario = make_scenario("popularity-shift", interval_s=interval_s)
+    workload = scenario.build_workload(network, issue, max_queries)
+    scenario.install(
+        ScenarioContext(network=network, protocol=None, workload=workload)
+    )
+    return workload
+
+
+def shifts(network):
+    return network.metrics.counter("workload.popularity_shifts").value
 
 
 class TestSamplerReshuffle:
@@ -46,18 +59,17 @@ class TestShiftingWorkload:
         network = make_network()
         # max_queries high enough that generation outlasts the horizon
         # (shift re-arming stops once the workload completes).
-        workload = ShiftingZipfWorkload(
-            network, lambda *a: None, shift_interval_s=50.0, max_queries=10_000
+        workload = shifting_workload(
+            network, lambda *a: None, interval_s=50.0, max_queries=10_000
         )
         workload.start()
         network.sim.run(until=175.0)
-        assert workload.shifts == 3
-        assert network.metrics.counter("workload.popularity_shifts").value == 3
+        assert shifts(network) == 3
 
     def test_queries_still_generated(self):
         network = make_network()
-        workload = ShiftingZipfWorkload(
-            network, lambda *a: None, shift_interval_s=20.0, max_queries=60
+        workload = shifting_workload(
+            network, lambda *a: None, interval_s=20.0, max_queries=60
         )
         workload.start()
         network.sim.run(until=network.sim.now + 10_000.0)
@@ -66,15 +78,15 @@ class TestShiftingWorkload:
     def test_popular_set_changes_after_shift(self):
         network = make_network(rate=0.2)
         issued = []
-        workload = ShiftingZipfWorkload(
+        workload = shifting_workload(
             network,
             lambda origin, fid, kws: issued.append(fid),
-            shift_interval_s=400.0,
+            interval_s=400.0,
             max_queries=600,
         )
         workload.start()
         network.sim.run(until=network.sim.now + 100_000.0)
-        assert workload.shifts >= 1
+        assert shifts(network) >= 1
         # The most-queried file before the first shift should lose its
         # dominance afterwards (new hot set).
         before = [fid for fid in issued[:200]]
@@ -82,19 +94,14 @@ class TestShiftingWorkload:
         top_before = max(set(before), key=before.count)
         assert after.count(top_before) < before.count(top_before)
 
-    def test_invalid_interval_rejected(self):
-        network = make_network()
-        with pytest.raises(ValueError):
-            ShiftingZipfWorkload(network, lambda *a: None, shift_interval_s=0.0)
-
     def test_deterministic(self):
         def run(seed):
             network = make_network(seed=seed)
             issued = []
-            workload = ShiftingZipfWorkload(
+            workload = shifting_workload(
                 network,
                 lambda origin, fid, kws: issued.append((origin, fid)),
-                shift_interval_s=50.0,
+                interval_s=50.0,
                 max_queries=100,
             )
             workload.start()

@@ -16,9 +16,13 @@ Hot-path layout: the probe positions of an element depend only on
 ``(element, bits, hashes)``, so they are memoised — one BLAKE2b per
 *distinct* keyword per filter geometry, not one per membership test;
 the run that ends a cell empties them (:func:`positions_cache_clear`).
-The bit vector itself is a single Python int (:class:`BloomFilter`), so
-an insert or a k-probe membership test is one mask OR/AND on a 1200-bit
-word instead of k byte-indexed loads, and union/compare are O(words).
+A query's mask (:func:`elements_mask`) is the exception: it is computed
+once, when the query is issued, and travels with the query, so it goes
+through no memo that would keep every query's keywords until the cell
+ends.  The bit vector itself is a single Python int
+(:class:`BloomFilter`), so an insert or a k-probe membership test is one
+mask OR/AND on a 1200-bit word instead of k byte-indexed loads, and
+union/compare are O(words).
 The original bytearray layout is kept as an oracle next to the tests
 that use it (``tests/reference_bloom.py``).
 """
@@ -29,15 +33,17 @@ import hashlib
 from collections.abc import Iterable
 from functools import lru_cache
 
-__all__ = ["element_positions", "element_mask", "BloomFilter"]
+__all__ = ["element_positions", "element_mask", "elements_mask", "BloomFilter"]
 
 
-@lru_cache(maxsize=None)
-def _positions_cached(element: str, bits: int, hashes: int) -> tuple[int, ...]:
+def _probe_positions(element: str, bits: int, hashes: int) -> tuple[int, ...]:
     digest = hashlib.blake2b(element.encode("utf-8"), digest_size=16).digest()
     h1 = int.from_bytes(digest[:8], "big")
     h2 = int.from_bytes(digest[8:], "big") | 1  # odd => full-period stride
     return tuple((h1 + i * h2) % bits for i in range(hashes))
+
+
+_positions_cached = lru_cache(maxsize=None)(_probe_positions)
 
 
 def element_positions(element: str, bits: int, hashes: int) -> tuple[int, ...]:
@@ -66,17 +72,18 @@ def element_mask(element: str, bits: int, hashes: int) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
-def _combined_mask(elements: tuple[str, ...], bits: int, hashes: int) -> int:
-    """The OR of :func:`element_mask` over ``elements`` (0 for ``()``).
+def elements_mask(elements: Iterable[str], bits: int, hashes: int) -> int:
+    """The OR of the elements' probe masks (0 for none): a filter
+    contains every element iff it covers it, so the §4.2 query match
+    rule is one AND against it.
 
-    A filter contains every element iff it covers this mask, so a query's
-    keyword tuple costs one AND per filter tested instead of one per
-    keyword, and a dict lookup after its first hop until the cell ends.
+    Hashed afresh, through no memo: a query computes its mask once, when
+    it is issued, and carries it to every hop.
     """
     mask = 0
     for element in elements:
-        mask |= element_mask(element, bits, hashes)
+        for pos in _probe_positions(element, bits, hashes):
+            mask |= 1 << pos
     return mask
 
 
@@ -89,7 +96,6 @@ def positions_cache_clear() -> None:
     """Drop the memoised positions and masks (at the end of a cell)."""
     _positions_cached.cache_clear()
     element_mask.cache_clear()
-    _combined_mask.cache_clear()
 
 
 class BloomFilter:
@@ -136,9 +142,9 @@ class BloomFilter:
 
     def contains_all(self, elements: Iterable[str]) -> bool:
         """Whether every element tests positive (the §4.2 query match rule)."""
-        if type(elements) is not tuple:
-            elements = tuple(elements)
-        mask = _combined_mask(elements, self._bits, self._hashes)
+        mask = 0
+        for element in elements:
+            mask |= element_mask(element, self._bits, self._hashes)
         return self._value & mask == mask
 
     def clear(self) -> None:

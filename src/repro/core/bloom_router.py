@@ -8,17 +8,20 @@ changed-bit deltas on a periodic timer ("n periodically propagates
 updates of BF_n to neighbors", with the footnote-1 encoding).
 
 Routing reads the stored neighbor copies: a query is forwarded to the
-neighbors whose filter contains **all** the query's keywords.  Copies
-are eventually consistent — between pushes a neighbor's view lags the
-cache, and false positives can mislead a hop; both effects are part of
-the protocol and therefore part of the simulation.
+neighbors whose filter contains **all** the query's keywords.  A copy is
+kept as its bit vector (one int), so that test is one AND against the
+mask the query carries (:meth:`BloomRouter.keyword_mask`), and an update
+is one XOR or one replacement (:meth:`~repro.bloom.delta.BloomDelta.apply`).
+Copies are eventually consistent — between pushes a neighbor's view lags
+the cache, and false positives can mislead a hop; both effects are part
+of the protocol and therefore part of the simulation.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from ..bloom.bloom_filter import BloomFilter
+from ..bloom.bloom_filter import BloomFilter, elements_mask
 from ..bloom.counting import CountingBloomFilter
 from ..bloom.delta import DeltaCodec
 from ..overlay.messages import BloomUpdate
@@ -40,8 +43,8 @@ class PeerBloomState:
         self.cbf = CountingBloomFilter(bits, hashes)
         #: The snapshot last pushed to neighbors (delta base).
         self.exported = BloomFilter(bits, hashes)
-        #: neighbor id → our copy of their exported filter.
-        self.neighbor_filters: dict[int, BloomFilter] = {}
+        #: neighbor id → our copy of their exported filter's bit vector.
+        self.neighbor_filters: dict[int, int] = {}
 
 
 class BloomRouter:
@@ -56,6 +59,7 @@ class BloomRouter:
         self._rng = network.streams.stream("bloom-router")
         self._pushes: PeriodicProcess | None = None
         self._membership_tests = network.metrics.counter("bloom.membership_tests")
+        self._alive = network.liveness.flags
 
     # -- state ------------------------------------------------------------
 
@@ -137,26 +141,31 @@ class BloomRouter:
         state.exported = current
 
     def _handle_update(self, dst: int, message: object) -> None:
+        if not self._alive[dst]:
+            self._network.dropped_dead_peer.value += 1
+            return
         update = message  # type: BloomUpdate
-        peer = self._network.peer(dst)
-        state = self.state_of(peer)
-        stored = state.neighbor_filters.get(update.sender)
-        if stored is None:
-            stored = BloomFilter(self._bits, self._hashes)
-            state.neighbor_filters[update.sender] = stored
-        self._codec.decode_into(stored, update.delta)
+        filters = self.state_of(self._network.peers[dst]).neighbor_filters
+        sender = update.sender
+        filters[sender] = update.delta.apply(filters.get(sender, 0))
 
     # -- routing queries ---------------------------------------------------------
+
+    def keyword_mask(self, keywords: Iterable[str]) -> int:
+        """The mask a stored filter must cover to contain every keyword:
+        what a query carries for :meth:`neighbors_matching`."""
+        return elements_mask(keywords, self._bits, self._hashes)
 
     def neighbors_matching(
         self,
         peer: Peer,
         row: Iterable[int],
-        keywords: Iterable[str],
+        mask: int,
         exclude: int | None = None,
     ) -> list[int]:
         """Members of ``row`` (the peer's neighbor row) whose stored filter
-        contains every keyword (§4.2)."""
+        covers ``mask`` — contains every keyword of a query whose
+        :meth:`keyword_mask` it is (§4.2)."""
         state = peer.protocol_state.get(_STATE_KEY)
         if state is None or not state.neighbor_filters:
             return []
@@ -169,7 +178,7 @@ class BloomRouter:
             stored = stored_filter(neighbor)
             if stored is not None:
                 tested += 1
-                if stored.contains_all(keywords):
+                if stored & mask == mask:
                     matches.append(neighbor)
         self._membership_tests.value += tested
         return matches

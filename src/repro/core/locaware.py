@@ -153,6 +153,14 @@ class LocawareProtocol(DicasProtocol):
 
     # -- routing (§4.2) -------------------------------------------------------
 
+    def routing_keys(self, keywords: tuple[str, ...]) -> tuple[int, int]:
+        """The Gid guess of the second rule and the Bloom mask of the
+        first, both fixed by the keywords."""
+        return (
+            query_group_guess(keywords, self.config.group_count),
+            self.bloom_router.keyword_mask(keywords),
+        )
+
     def select_forward_targets(self, peer: Peer, query: Query) -> list[int]:
         """BF-matching neighbors; else Gid guess; else best-connected.
 
@@ -168,18 +176,15 @@ class LocawareProtocol(DicasProtocol):
         trade away too much exploration and lose 2-8 points of success
         rate.)
         """
-        last_hop = query.last_hop
-        keywords = query.keywords
+        last_hop = query.path[-1]
         row = self.network.graph.neighbors_view(peer.peer_id)
         matches = self.bloom_router.neighbors_matching(
-            peer, row, keywords, exclude=last_hop
+            peer, row, query.keyword_mask, last_hop
         )
         if matches:
             self._routed_by_bf.value += 1
             return matches
-        gid_matches = self._gid_neighbors(
-            row, last_hop, query_group_guess(keywords, self.config.group_count)
-        )
+        gid_matches = self._gid_neighbors(row, last_hop, query.group)
         if gid_matches:
             self._routed_by_gid.value += 1
             return gid_matches

@@ -33,7 +33,7 @@ from ..protocols.dicas import DicasProtocol
 from ..protocols.dicas_keys import DicasKeysProtocol
 from ..protocols.flooding import FloodingProtocol
 from ..protocols.groups import hash_cache_clear
-from ..scenarios import Scenario, ScenarioContext, get_scenario
+from ..scenarios import Scenario, ScenarioContext, make_scenario
 from ..sim.config import SimulationConfig
 from ..sim.gc_pause import gc_paused
 from ..sim.telemetry import PhaseTimers, RunTelemetry, collect_run_telemetry
@@ -157,7 +157,7 @@ def run_protocol(
     """
     check_run_bounds(max_queries, bucket_width)
     if isinstance(scenario, str):
-        scenario = get_scenario(scenario)
+        scenario = make_scenario(scenario)
     config = scenario.configure(config)
     timers = PhaseTimers()
     if blueprint is not None:

@@ -13,10 +13,11 @@ Three message families, straight from §3.1 and §4 of the paper:
 
 Messages are immutable; forwarding creates the next hop's copy via
 :meth:`Query.forwarded`.  The two per-hop messages (:class:`Query`,
-:class:`QueryResponse`) are named tuples: a copy is one C-level
-allocation, where a frozen dataclass pays one ``object.__setattr__``
-per field.  Query ids are globally unique within a run and allocated by
-the protocol engine.
+:class:`QueryResponse`) are named tuples, and their per-hop copies are
+built with ``tuple.__new__`` directly: one C-level allocation, without
+the Python frame of the generated ``__new__`` (a frozen dataclass would
+pay one ``object.__setattr__`` per field).  Query ids are globally
+unique within a run and allocated by the protocol engine.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from typing import NamedTuple
 from ..bloom.delta import BloomDelta
 
 __all__ = ["ProviderEntry", "Query", "QueryResponse", "BloomUpdate"]
+
+_tuple_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,12 @@ class Query(NamedTuple):
         Remaining hops (decremented on forward, §3.1).
     path:
         Peers traversed so far, origin first.  Responses walk it in
-        reverse.
+        reverse; ``path[-1]`` is the peer that sent this copy.
+    group / keyword_mask:
+        The routing keys, fixed by the keywords and computed once when
+        the query is issued (``SearchProtocol.routing_keys``): the group
+        Gid routing follows, and the mask a stored neighbor Bloom filter
+        must cover (§4.2).  ``0`` for a protocol that reads neither.
     """
 
     query_id: int
@@ -73,14 +81,21 @@ class Query(NamedTuple):
     target_file: int
     ttl: int
     path: tuple[int, ...]
+    group: int
+    keyword_mask: int
 
     def forwarded(self, via: int) -> Query:
-        """The copy of this query that ``via`` forwards onward."""
-        query_id, origin, origin_locid, keywords, target_file, ttl, path = self
-        return Query(
+        """The copy of this query that ``via`` forwards onward: one TTL
+        hop spent, and ``via`` appended to the path unless the path
+        already ends with it (the origin's own first forward)."""
+        (query_id, origin, origin_locid, keywords, target_file, ttl, path,
+         group, keyword_mask) = self
+        if path[-1] != via:
+            path += (via,)
+        return _tuple_new(Query, (
             query_id, origin, origin_locid, keywords, target_file,
-            ttl - 1, path + (via,),
-        )
+            ttl - 1, path, group, keyword_mask,
+        ))
 
     @property
     def last_hop(self) -> int:
@@ -124,8 +139,7 @@ class QueryResponse(NamedTuple):
 
     def advanced(self) -> QueryResponse:
         """The copy of this response after one reverse-path hop."""
-        *carried, reverse_path = self
-        return QueryResponse(*carried, reverse_path[1:])
+        return _tuple_new(QueryResponse, self[:-1] + (self[-1][1:],))
 
 
 @dataclass(frozen=True)

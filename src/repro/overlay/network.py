@@ -7,16 +7,17 @@
 - the :class:`~repro.overlay.graph.OverlayGraph` (who is linked to whom),
 - the :class:`~repro.overlay.peer.Peer` population, and
 - message delivery: :meth:`send` ships one payload from a peer to each
-  peer of a fan-out, schedules a handler invocation on every
-  destination after the underlay latency of its link, and counts the
-  messages (per query when a ``query_id`` is given — the paper's
-  search-traffic metric is "total number of messages produced by a
-  query", §5.2), and
+  peer of a fan-out, schedules the handler on every destination after
+  the underlay latency of its link, and counts the messages (per query
+  when a ``query_id`` is given — the paper's search-traffic metric is
+  "total number of messages produced by a query", §5.2), and
 - duplicate suppression (§3.1): per query in flight, the peers that
   have processed a copy of it this session (:meth:`open_query`).
 
-Messages to dead peers are delivered nowhere but still count as sent —
-bandwidth is consumed regardless of whether the destination is up.
+Messages to dead peers still count as sent — bandwidth is consumed
+regardless of whether the destination is up.  The handler runs for
+them too and drops them itself (:attr:`dropped_dead_peer`): a message
+event is the handler, with no delivery frame in between.
 """
 
 from __future__ import annotations
@@ -69,12 +70,11 @@ class P2PNetwork:
         # flight, not the run's history.
         self.query_seen: dict[int, set[int]] = {}
         self.query_flight_end: dict[int, float] = {}
-        # Struct-of-arrays liveness: the delivery check and the alive
-        # census read flat flags instead of walking Peer objects.
+        # Struct-of-arrays liveness: the handlers' arrival check and the
+        # alive census read flat flags instead of walking Peer objects.
         self.liveness = LivenessTable(len(peers))
         for peer in peers:
             peer.bind_liveness(self.liveness)
-        self._alive_flags = self.liveness.flags
         # The underlay's bound seconds closure, one frame per message.
         self._latency_s = underlay.latency_s
         # Hot counters, resolved once instead of a registry dict lookup
@@ -87,7 +87,9 @@ class P2PNetwork:
     # Resolved once as well, but on first use: created at zero they
     # would add their keys to every run's metric snapshot and telemetry.
     @cached_property
-    def _dropped_counter(self) -> Counter:
+    def dropped_dead_peer(self) -> Counter:
+        """Messages that arrived at a dead peer; the handler that drops
+        one counts it here, in place (``.value += 1``)."""
         return self.metrics.counter("messages.dropped_dead_peer")
 
     @cached_property
@@ -142,8 +144,11 @@ class P2PNetwork:
         """Ship ``payload`` from ``src`` to each peer of ``dsts`` over the
         underlay: one message per destination, all sharing ``payload``.
 
-        ``handler(dst, payload)`` runs after the link's one-way latency
-        if ``dst`` is alive at arrival time, decided per destination.
+        ``handler(dst, payload)`` is the message event: it runs after the
+        link's one-way latency for *every* destination, dead or alive,
+        and owns the drop.  A handler's first step is the arrival check
+        — ``dst`` dead in ``liveness.flags`` at that moment: add one to
+        :attr:`dropped_dead_peer` and return, touching nothing else.
         The messages are counted immediately (``kind`` counter, plus the
         per-query tally when ``query_id`` is given), ``len(dsts)`` at
         once; an empty ``dsts`` touches nothing.
@@ -161,17 +166,7 @@ class P2PNetwork:
         if query_id is not None:
             tallies = self._per_query_messages
             tallies[query_id] = tallies.get(query_id, 0) + count
-        self.sim.schedule_fanout(
-            self._latency_s, src, dsts, self._deliver, handler, payload
-        )
-
-    def _deliver(
-        self, dst: int, handler: Callable[[int, object], None], payload: object
-    ) -> None:
-        if self._alive_flags[dst]:
-            handler(dst, payload)
-        else:
-            self._dropped_counter.increment()
+        self.sim.schedule_fanout(self._latency_s, src, dsts, handler, payload)
 
     def query_message_count(self, query_id: int) -> int:
         """Messages attributed to ``query_id`` so far (§5.2 metric)."""

@@ -19,9 +19,16 @@ systems — this module implements them once:
    success, download distance (requestor↔provider RTT), and message
    count ("total number of messages produced by a query", §5.2).
 
-Subclasses override the four hooks marked ``# hook`` below; everything
+Subclasses override the hooks marked ``# hook`` below; everything
 else — timing, bookkeeping, metrics — is identical across protocols so
 comparisons are apples-to-apples.
+
+The two message handlers, :meth:`SearchProtocol._handle_query_message`
+and :meth:`SearchProtocol._handle_response_message`, are the events
+:meth:`~repro.overlay.network.P2PNetwork.send` schedules: each starts
+with the arrival check (a copy that reaches a dead peer is counted
+under ``messages.dropped_dead_peer`` and changes nothing else), and
+counts per hop in place (``counter.value += 1``).
 """
 
 from __future__ import annotations
@@ -102,6 +109,9 @@ class SearchProtocol:
         # attribute check) and the per-lifecycle counters.
         self.tracer = network.tracer
         self._index_lookups = network.metrics.counter("index.lookups")
+        # The handlers' arrival check and peer lookup, one subscript each.
+        self._alive = network.liveness.flags
+        self._peers = network.peers
         # The network's duplicate-suppression table (open_query): a
         # delivered copy costs one dict lookup and one set test (plus
         # the insert, for a first copy).
@@ -122,7 +132,13 @@ class SearchProtocol:
 
     @cached_property
     def _hits(self) -> Counter:
+        """Answered query copies: remote store / index hits and the
+        origin's own index hits alike."""
         return self.network.metrics.counter("queries.hits")
+
+    @cached_property
+    def _late_or_extra(self) -> Counter:
+        return self.network.metrics.counter("responses.late_or_extra")
 
     # ------------------------------------------------------------------
     # hooks
@@ -134,6 +150,15 @@ class SearchProtocol:
         Runners call this once, after construction and before the
         workload starts.  The default protocol needs none.
         """
+
+    def routing_keys(self, keywords: tuple[str, ...]) -> tuple[int, int]:  # hook
+        """The ``(group, keyword_mask)`` a query with ``keywords`` carries.
+
+        Fixed by the keywords, so computed once when the query is issued
+        and read from the query on every hop.  Blind flooding reads
+        neither.
+        """
+        return 0, 0
 
     def check_index(self, peer: Peer, query: Query) -> QueryResponse | None:  # hook
         """Try to answer ``query`` from the peer's response index."""
@@ -198,6 +223,7 @@ class SearchProtocol:
                 self.network.sim.now, "query.issue", qid=query_id, origin=origin,
                 keywords=keywords,
             )
+        group, keyword_mask = self.routing_keys(keywords)
         query = Query(
             query_id=query_id,
             origin=origin,
@@ -206,16 +232,18 @@ class SearchProtocol:
             target_file=file_id,
             ttl=self.config.ttl,
             path=(origin,),
+            group=group,
+            keyword_mask=keyword_mask,
         )
         self.network.open_query(query_id, origin)
         # The origin may hold a matching index itself (its response
         # index is the first place to look; its file store was checked
         # above).
-        self._index_lookups.increment()
+        self._index_lookups.value += 1
         cached = self.check_index(origin_peer, query)
         answered = False
         if cached is not None:
-            self._record_hit()
+            self._hits.value += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     self.network.sim.now, "query.hit",
@@ -265,12 +293,7 @@ class SearchProtocol:
         if not targets:
             return
         peer_id = peer.peer_id
-        if query.last_hop == peer_id:
-            # At the origin the path already ends with this peer; only
-            # spend a TTL hop, do not append a duplicate path entry.
-            copy = query._replace(ttl=query.ttl - 1)
-        else:
-            copy = query.forwarded(peer_id)
+        copy = query.forwarded(peer_id)
         query_id = query.query_id
         # Every copy sent now has arrived by then (open_query).
         self._flight_end[query_id] = self.network.sim.now + self._max_latency_s
@@ -285,13 +308,16 @@ class SearchProtocol:
         )
 
     def _handle_query_message(self, dst: int, message: object) -> None:
+        if not self._alive[dst]:
+            self.network.dropped_dead_peer.value += 1
+            return
         query = message  # type: Query
         seen = self._query_seen[query.query_id]
         if dst in seen:
             self._duplicate_copies.value += 1
         else:
             seen.add(dst)
-            self._process_query_at(self.network.peers[dst], query)
+            self._process_query_at(self._peers[dst], query)
 
     def _process_query_at(self, peer: Peer, query: Query) -> None:
         """Store check → index check → forward (§3.1 + §4.2)."""
@@ -303,14 +329,14 @@ class SearchProtocol:
             self._route_response(peer.peer_id, response)
             answered = True
         else:
-            self._index_lookups.increment()
+            self._index_lookups.value += 1
             cached = self.check_index(peer, query)
             if cached is not None:
                 self._route_response(peer.peer_id, cached)
                 answered = True
                 source = "index"
         if answered:
-            self._record_hit()
+            self._hits.value += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     self.network.sim.now, "query.hit",
@@ -318,13 +344,6 @@ class SearchProtocol:
                 )
         if not answered or self.forward_after_hit:
             self._forward(peer, query)
-
-    def _record_hit(self) -> None:
-        """Count one answered query copy under ``queries.hits``.
-
-        Shared by the remote store/index path and the origin's own
-        index check, so hit-rate reports see both."""
-        self._hits.increment()
 
     # -- responses -----------------------------------------------------------
 
@@ -361,30 +380,29 @@ class SearchProtocol:
         )
 
     def _route_response(self, sender: int, response: QueryResponse) -> None:
-        next_hop = response.next_hop()
-        if next_hop is None:
+        reverse_path = response.reverse_path
+        if not reverse_path:
             # Responder is the origin itself (origin index hit).
-            self._deliver_to_origin(self.network.peer(response.origin), response)
+            self._deliver_to_origin(self._peers[response.origin], response)
             return
         self.network.send(
-            sender,
-            (next_hop,),
-            self._handle_response_message,
-            response.advanced(),
-            query_id=response.query_id,
-            kind="response",
+            sender, (reverse_path[0],), self._handle_response_message,
+            response.advanced(), response.query_id, "response",
         )
 
     def _handle_response_message(self, dst: int, message: object) -> None:
+        if not self._alive[dst]:
+            self.network.dropped_dead_peer.value += 1
+            return
         response = message  # type: QueryResponse
-        peer = self.network.peer(dst)
+        peer = self._peers[dst]
         if response.reverse_path:
             self.on_response_transit(peer, response)
             self._route_response(dst, response)
         else:
             if dst != response.origin:
                 # Reverse path corrupted (should not happen).
-                self.network.metrics.counter("responses.misrouted").increment()
+                self.network.metrics.counter("responses.misrouted").value += 1
                 return
             self.on_response_transit(peer, response)
             self._deliver_to_origin(peer, response)
@@ -392,7 +410,7 @@ class SearchProtocol:
     def _deliver_to_origin(self, origin_peer: Peer, response: QueryResponse) -> None:
         context = self._contexts.get(response.query_id)
         if context is None or context.satisfied:
-            self.network.metrics.counter("responses.late_or_extra").increment()
+            self._late_or_extra.value += 1
             return
         context.responses.append(response)
         if self.tracer.enabled:

@@ -6,7 +6,8 @@ Reimplemented from the Locaware paper's description (§2, §3.2, §5.1):
 - a passing query response for file ``f`` is cached only by reverse-path
   peers whose ``Gid == hash(f) mod M`` (one provider per filename);
 - a query is routed to neighbors whose ``Gid`` matches the *query's*
-  group — computable exactly when the query is the whole filename.
+  group — computable exactly when the query is the whole filename; the
+  guess is made once, when the query is issued, and travels with it.
 
 The paper evaluates Dicas under a *keyword* workload ("designed for
 filename search"): a query holding only a subset of the filename's
@@ -18,9 +19,11 @@ mismatch is what Fig 4 quantifies.
 from __future__ import annotations
 
 from collections.abc import Collection, Sequence
+from functools import cached_property
 
 from ..overlay.messages import ProviderEntry, Query, QueryResponse
 from ..overlay.peer import Peer
+from ..sim.metrics import Counter
 from .base import SearchProtocol
 from .groups import file_group, query_group_guess
 from .index_cache import IndexUpdate, LocationAwareIndex
@@ -44,6 +47,20 @@ class DicasProtocol(SearchProtocol):
     name = "dicas"
     forward_after_hit = False  # propagation stops at a satisfying node
 
+    # Resolved on first use, like the base class's lifecycle counters:
+    # created at zero they would add keys to every run's metric snapshot.
+    @cached_property
+    def _index_hits(self) -> Counter:
+        return self.network.metrics.counter("index.hits")
+
+    @cached_property
+    def _index_inserts(self) -> Counter:
+        return self.network.metrics.counter("index.inserts")
+
+    @cached_property
+    def _index_evictions(self) -> Counter:
+        return self.network.metrics.counter("index.evictions")
+
     @property
     def providers_per_file(self) -> int:  # hook
         """p_f, the provider entries kept per cached filename: Dicas's
@@ -63,13 +80,13 @@ class DicasProtocol(SearchProtocol):
 
     # -- routing ----------------------------------------------------------
 
-    def query_group(self, query: Query) -> int:
+    def routing_keys(self, keywords: tuple[str, ...]) -> tuple[int, int]:
         """The group Dicas guesses for a (possibly partial) keyword query."""
-        return query_group_guess(query.keywords, self.config.group_count)
+        return query_group_guess(keywords, self.config.group_count), 0
 
     def select_forward_targets(self, peer: Peer, query: Query) -> list[int]:
         """Gid-matching neighbors; else the best-connected ones."""
-        return self._route_to_group(peer, query.last_hop, self.query_group(query))
+        return self._route_to_group(peer, query.path[-1], query.group)
 
     def _route_to_group(self, peer: Peer, last_hop: int, group: int) -> list[int]:
         row = self.network.graph.neighbors_view(peer.peer_id)
@@ -105,16 +122,16 @@ class DicasProtocol(SearchProtocol):
         """Admit providers into the peer's index; count and trace a new
         filename and every filename it evicted."""
         update = self.index_of(peer).put(filename, providers)
-        metrics, tracer = self.network.metrics, self.tracer
+        tracer = self.tracer
         if update.inserted_filename:
-            metrics.counter("index.inserts").increment()
+            self._index_inserts.value += 1
             if tracer.enabled:
                 tracer.emit(
                     self.network.sim.now, "cache.insert",
                     peer=peer.peer_id, filename=filename,
                 )
         for evicted in update.evicted_filenames:
-            metrics.counter("index.evictions").increment()
+            self._index_evictions.value += 1
             if tracer.enabled:
                 tracer.emit(
                     self.network.sim.now, "cache.evict",
@@ -144,7 +161,7 @@ class DicasProtocol(SearchProtocol):
         file_id = self.network.catalog.file_id(filename)
         if file_id is None:
             return None
-        self.network.metrics.counter("index.hits").increment()
+        self._index_hits.value += 1
         response = self._answer(peer, query, file_id, filename, ordered)
         self._after_index_hit(peer, query, filename)
         return response

@@ -46,11 +46,13 @@ class DicasKeysProtocol(DicasProtocol):
         designated = min(keywords)
         return stable_hash(designated) % self.config.group_count
 
+    def routing_keys(self, keywords: tuple[str, ...]) -> tuple[int, int]:
+        """The designated keyword's group, carried by the query."""
+        return self._routing_group(keywords), 0
+
     def select_forward_targets(self, peer: Peer, query: Query) -> list[int]:
         """Neighbors matching the designated keyword's group; else fallback."""
-        # Defined on this class as well as on Dicas (not a ``query_group``
-        # override): ``bench/layertrace.py`` wraps the method by name in
-        # each class's own namespace and counts one span per call.
-        return self._route_to_group(
-            peer, query.last_hop, self._routing_group(query.keywords)
-        )
+        # The same body as Dicas's, defined here as well:
+        # ``bench/layertrace.py`` wraps the method by name in each
+        # class's own namespace and counts one span per call.
+        return self._route_to_group(peer, query.path[-1], query.group)

@@ -26,7 +26,7 @@ class FloodingProtocol(SearchProtocol):
 
     def select_forward_targets(self, peer: Peer, query: Query) -> list[int]:
         """All neighbors except the copy's sender."""
-        last_hop = query.last_hop
+        last_hop = query.path[-1]
         return [
             neighbor
             for neighbor in self.network.graph.neighbors_view(peer.peer_id)

@@ -12,7 +12,6 @@ from .base import (
     Scenario,
     ScenarioContext,
     expected_horizon_s,
-    get_scenario,
     make_scenario,
     register_scenario,
     scenario_names,
@@ -33,7 +32,6 @@ __all__ = [
     "ScenarioContext",
     "SCENARIO_REGISTRY",
     "register_scenario",
-    "get_scenario",
     "make_scenario",
     "scenario_parameters",
     "scenario_names",

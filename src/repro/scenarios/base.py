@@ -48,7 +48,6 @@ __all__ = [
     "ScenarioContext",
     "SCENARIO_REGISTRY",
     "register_scenario",
-    "get_scenario",
     "make_scenario",
     "scenario_parameters",
     "scenario_names",
@@ -166,11 +165,6 @@ def _scenario_class(name: str) -> type[Scenario]:
         ) from None
 
 
-def get_scenario(name: str) -> Scenario:
-    """The registered scenario ``name`` at its default parameters."""
-    return _scenario_class(name)()
-
-
 def scenario_parameters(name: str) -> list[str]:
     """The keyword parameters the scenario's constructor accepts, sorted.
 
@@ -192,7 +186,8 @@ def scenario_parameters(name: str) -> list[str]:
 
 
 def make_scenario(name: str, **params: object) -> Scenario:
-    """Build a scenario variant with keyword overrides.
+    """The registered scenario ``name``, at its defaults or with keyword
+    overrides.
 
     Every keyword is validated against the scenario's constructor
     signature, so a typo fails by name before any simulation runs;

@@ -67,9 +67,11 @@ class TestDeltaCodec:
     def test_decode_applies_delta(self):
         codec = DeltaCodec(1200, 4)
         old, new = _filters(["a"], ["a", "b"])
-        neighbor_copy = old.copy()
-        codec.decode_into(neighbor_copy, codec.encode(old, new))
-        assert neighbor_copy == new
+        delta = codec.encode(old, new)
+        assert delta.xor_mask == old.bit_int() ^ new.bit_int()
+        assert delta.apply(old.bit_int()) == new.bit_int()
+        # A delta flips the changed bits of whatever copy it reaches.
+        assert delta.apply(0) == delta.xor_mask
 
     def test_full_fallback_when_delta_large(self):
         codec = DeltaCodec(1200, 4)
@@ -89,9 +91,10 @@ class TestDeltaCodec:
         new = BloomFilter(1200, 4)
         for pos in range(0, 1200, 8):
             new.set_bit(pos, True)
-        neighbor_copy = old.copy()
-        codec.decode_into(neighbor_copy, codec.encode(old, new))
-        assert neighbor_copy == new
+        delta = codec.encode(old, new)
+        assert delta.changed_positions is None
+        # The full vector replaces whatever copy it reaches.
+        assert delta.apply(old.bit_int()) == delta.apply(12345) == new.bit_int()
 
     def test_empty_update_costs_zero_bits(self):
         codec = DeltaCodec(1200, 4)
@@ -104,9 +107,9 @@ class TestDeltaCodec:
         """Removal-induced deltas (§4.2: 'existing ones discarded')."""
         codec = DeltaCodec(1200, 4)
         old, new = _filters(["a", "b", "c"], ["a"])
-        neighbor_copy = old.copy()
-        codec.decode_into(neighbor_copy, codec.encode(old, new))
-        assert neighbor_copy == new
+        delta = codec.encode(old, new)
+        assert delta.changed_positions == tuple(diff(old, new))
+        assert delta.apply(old.bit_int()) == new.bit_int()
 
     def test_invalid_bits_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.bloom import BloomFilter
 from repro.bloom.delta import DeltaCodec
 from repro.core import BloomRouter
 from repro.overlay import P2PNetwork
@@ -13,6 +14,12 @@ from repro.sim import RecordingTracer, SimulationConfig
 def make_network(seed=5, period=10.0):
     config = SimulationConfig.small(seed=seed).replace(bloom_update_period_s=period)
     return P2PNetwork.build(config)
+
+
+def stored_filter(network, vector):
+    """A stored neighbor copy (a bit vector) as a filter, to test keywords."""
+    config = network.config
+    return BloomFilter.from_bit_int(vector, config.bloom_bits, config.bloom_hashes)
 
 
 class TestState:
@@ -34,7 +41,8 @@ class TestState:
         network.sim.run(until=12.0)
         router.stop()
         row = network.graph.neighbors_view(0)
-        assert router.neighbors_matching(network.peer(0), row, ["kw1"]) == []
+        mask = router.keyword_mask(["kw1"])
+        assert router.neighbors_matching(network.peer(0), row, mask) == []
         assert all(peer.protocol_state == {} for peer in network.peers)
 
     def test_a_second_start_is_refused_and_stop_ends_every_tick(self):
@@ -89,7 +97,7 @@ class TestPropagation:
             neighbor_state = router.state_of(network.peer(neighbor_id))
             stored = neighbor_state.neighbor_filters.get(0)
             assert stored is not None
-            assert stored.contains_all(["kw1", "kw2", "kw3"])
+            assert stored_filter(network, stored).contains_all(["kw1", "kw2", "kw3"])
 
     def test_a_push_is_one_update_shared_by_every_delivery(self, monkeypatch):
         deliveries = []
@@ -133,7 +141,7 @@ class TestPropagation:
         router.stop()
         neighbor_id = sorted(network.graph.neighbors(0))[0]
         stored = router.state_of(network.peer(neighbor_id)).neighbor_filters[0]
-        assert not stored.contains_all(["kw1", "kw2"])
+        assert not stored_filter(network, stored).contains_all(["kw1", "kw2"])
 
     def test_update_sizes_respect_paper_bound(self):
         """One filename of 3 keywords changes ≤ 12 bits ⇒ ≤ 132 bits/update."""
@@ -172,32 +180,31 @@ class TestRouting:
         peer = network.peer(0)
         state = router.state_of(peer)
         neighbor = sorted(network.graph.neighbors(0))[0]
-        from repro.bloom import BloomFilter
-
         bf = BloomFilter(network.config.bloom_bits, network.config.bloom_hashes)
         bf.add_all(["kw1", "kw2"])
-        state.neighbor_filters[neighbor] = bf
+        state.neighbor_filters[neighbor] = bf.bit_int()
         row = network.graph.neighbors_view(0)
-        assert neighbor in router.neighbors_matching(peer, row, ["kw1"])
-        assert neighbor in router.neighbors_matching(peer, row, ["kw1", "kw2"])
-        assert neighbor not in router.neighbors_matching(
-            peer, row, ["kw1", "zz-absent"]
-        )
+
+        def matching(keywords):
+            return router.neighbors_matching(peer, row, router.keyword_mask(keywords))
+
+        assert neighbor in matching(["kw1"])
+        assert neighbor in matching(("kw1", "kw2"))
+        assert neighbor not in matching(iter(["kw1", "zz-absent"]))
 
     def test_exclude_filters_last_hop(self):
         network = make_network()
         router = BloomRouter(network)
         peer = network.peer(0)
         state = router.state_of(peer)
-        from repro.bloom import BloomFilter
-
         for neighbor in network.graph.neighbors(0):
             bf = BloomFilter(network.config.bloom_bits, network.config.bloom_hashes)
             bf.add("kw1")
-            state.neighbor_filters[neighbor] = bf
+            state.neighbor_filters[neighbor] = bf.bit_int()
         some_neighbor = sorted(network.graph.neighbors(0))[0]
         matches = router.neighbors_matching(
-            peer, network.graph.neighbors_view(0), ["kw1"], exclude=some_neighbor
+            peer, network.graph.neighbors_view(0), router.keyword_mask(["kw1"]),
+            exclude=some_neighbor,
         )
         assert some_neighbor not in matches
 
@@ -206,7 +213,7 @@ class TestRouting:
         router = BloomRouter(network)
         peer = network.peer(0)
         row = network.graph.neighbors_view(0)
-        assert router.neighbors_matching(peer, row, ["kw1"]) == []
+        assert router.neighbors_matching(peer, row, router.keyword_mask(["kw1"])) == []
 
 
 class TestChangeDrivenPush:

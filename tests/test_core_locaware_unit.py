@@ -16,15 +16,19 @@ def make_protocol(seed=5, protocol_cls=LocawareProtocol, **overrides):
     return network, protocol_cls(network)
 
 
-def make_query(network, origin=0, keywords=("kw1",), ttl=7, path=None, qid=1):
+def make_query(protocol, origin=0, keywords=("kw1",), ttl=7, path=None, qid=1):
+    """A query as ``protocol`` issues it: carrying its routing keys."""
+    group, keyword_mask = protocol.routing_keys(tuple(keywords))
     return Query(
         query_id=qid,
         origin=origin,
-        origin_locid=network.peer(origin).locid,
+        origin_locid=protocol.network.peer(origin).locid,
         keywords=tuple(keywords),
         target_file=0,
         ttl=ttl,
         path=tuple(path) if path is not None else (origin,),
+        group=group,
+        keyword_mask=keyword_mask,
     )
 
 
@@ -63,7 +67,7 @@ class TestCheckIndex:
     def test_miss_returns_none(self):
         network, protocol = make_protocol()
         peer = network.peer(1)
-        query = make_query(network, keywords=("kw-not-cached",))
+        query = make_query(protocol, keywords=("kwnotcached",))
         assert protocol.check_index(peer, query) is None
 
     def test_hit_builds_response_and_registers_requestor(self):
@@ -71,7 +75,7 @@ class TestCheckIndex:
         peer = network.peer(1)
         record = network.catalog.record(3)
         protocol.index_of(peer).put(record.filename, [ProviderEntry(9, 2)])
-        query = make_query(network, origin=0, keywords=sorted(record.keywords)[:2])
+        query = make_query(protocol, origin=0, keywords=sorted(record.keywords)[:2])
         response = protocol.check_index(peer, query)
         assert response is not None
         assert response.file_id == 3
@@ -89,7 +93,7 @@ class TestCheckIndex:
         protocol.index_of(peer).put(
             record.filename, [ProviderEntry(0, network.peer(0).locid)]
         )
-        query = make_query(network, origin=0, keywords=sorted(record.keywords))
+        query = make_query(protocol, origin=0, keywords=sorted(record.keywords))
         assert protocol.check_index(peer, query) is None
 
 
@@ -100,7 +104,7 @@ class TestStoreResponse:
         record = network.catalog.record(3)
         peer.store.add(3)
         protocol.index_of(peer).put(record.filename, [ProviderEntry(9, 2)])
-        query = make_query(network, origin=0, keywords=sorted(record.keywords))
+        query = make_query(protocol, origin=0, keywords=sorted(record.keywords))
         response = protocol.build_store_response(peer, query, 3)
         ids = {p.peer_id for p in response.providers}
         assert 1 in ids
@@ -111,7 +115,7 @@ class TestStoreResponse:
         peer = network.peer(1)
         record = network.catalog.record(3)
         peer.store.add(3)
-        query = make_query(network, origin=0, keywords=sorted(record.keywords))
+        query = make_query(protocol, origin=0, keywords=sorted(record.keywords))
         response = protocol.build_store_response(peer, query, 3)
         assert [p.peer_id for p in response.providers] == [1]
 
@@ -188,15 +192,15 @@ class TestRoutingTiers:
 
         bf = BloomFilter(network.config.bloom_bits, network.config.bloom_hashes)
         bf.add_all(["kw1", "kw2"])
-        protocol.bloom_router.state_of(peer).neighbor_filters[neighbor] = bf
-        query = make_query(network, origin=5, keywords=("kw1",), path=(5,))
+        protocol.bloom_router.state_of(peer).neighbor_filters[neighbor] = bf.bit_int()
+        query = make_query(protocol, origin=5, keywords=("kw1",), path=(5,))
         targets = protocol.select_forward_targets(peer, query)
         assert targets == [neighbor]
 
     def test_gid_fallback_when_no_bf_match(self):
         network, protocol = make_protocol()
         peer = network.peer(0)
-        query = make_query(network, origin=5, keywords=("kw1",), path=(5,))
+        query = make_query(protocol, origin=5, keywords=("kw1",), path=(5,))
         from repro.protocols import query_group_guess
 
         group = query_group_guess(("kw1",), network.config.group_count)
@@ -216,7 +220,7 @@ class TestRoutingTiers:
         peer = network.peer(0)
         for last_hop in network.graph.neighbors(0):
             query = make_query(
-                network, origin=last_hop, keywords=("kw1",), path=(last_hop,)
+                protocol, origin=last_hop, keywords=("kw1",), path=(last_hop,)
             )
             assert last_hop not in protocol.select_forward_targets(peer, query)
 
@@ -259,7 +263,7 @@ class TestRoutingTiers:
                 continue
             found_case = True
             query = make_query(
-                network, origin=origin, keywords=("zz-nomatch",), path=(origin,)
+                protocol, origin=origin, keywords=("zznomatch",), path=(origin,)
             )
             targets = protocol._fallback_neighbors(
                 peer.peer_id,

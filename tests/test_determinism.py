@@ -34,7 +34,7 @@ from repro.experiments import (
     small_config,
 )
 from repro.overlay import NetworkBlueprint
-from repro.scenarios import get_scenario, make_scenario, scenario_names
+from repro.scenarios import make_scenario, scenario_names
 from repro.sim import JsonlTracer
 
 
@@ -285,7 +285,7 @@ class TestBlueprintEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_blueprint_run_equals_scratch_run(self, protocol, scenario, seed):
         config = _config(seed=seed)
-        effective = get_scenario(scenario).configure(config)
+        effective = make_scenario(scenario).configure(config)
         blueprint = NetworkBlueprint.build(effective)
         scratch = run_protocol(
             config, protocol, max_queries=25, bucket_width=25, scenario=scenario

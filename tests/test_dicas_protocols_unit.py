@@ -21,15 +21,19 @@ def make(cls, seed=5, **overrides):
     return network, cls(network)
 
 
-def make_query(network, origin=0, keywords=("kw1",), path=None):
+def make_query(protocol, origin=0, keywords=("kw1",), path=None):
+    """A query as ``protocol`` issues it: carrying its routing keys."""
+    group, keyword_mask = protocol.routing_keys(tuple(keywords))
     return Query(
         query_id=1,
         origin=origin,
-        origin_locid=network.peer(origin).locid,
+        origin_locid=protocol.network.peer(origin).locid,
         keywords=tuple(keywords),
         target_file=0,
         ttl=7,
         path=tuple(path) if path is not None else (origin,),
+        group=group,
+        keyword_mask=keyword_mask,
     )
 
 
@@ -53,7 +57,7 @@ class TestDicasRouting:
     def test_routes_to_matching_gid_neighbors(self):
         network, protocol = make(DicasProtocol)
         peer = network.peer(0)
-        query = make_query(network, origin=5, keywords=("kw1", "kw2"), path=(5,))
+        query = make_query(protocol, origin=5, keywords=("kw1", "kw2"), path=(5,))
         group = query_group_guess(("kw1", "kw2"), network.config.group_count)
         matching = [
             n for n in network.graph.neighbors_view(0)
@@ -100,7 +104,7 @@ class TestDicasCaching:
         record = network.catalog.record(3)
         peer = network.peer(1)
         protocol.index_of(peer).put(record.filename, [ProviderEntry(9, None)])
-        query = make_query(network, keywords=sorted(record.keywords)[:1])
+        query = make_query(protocol, keywords=sorted(record.keywords)[:1])
         response = protocol.check_index(peer, query)
         assert response is not None
         assert response.providers == (ProviderEntry(9, None),)

@@ -141,10 +141,8 @@ class TestGridSpec:
         identically to omitting it (identical results ⇒ one cache
         entry), and the resolved defaults are visible in the payload —
         so changing a default would change every key."""
-        from repro.scenarios import get_scenario
-
         implicit = _spec(scenarios=("diurnal",))
-        default = get_scenario("diurnal").amplitude
+        default = make_scenario("diurnal").amplitude
         explicit = _spec(scenarios=(f"diurnal:amplitude={default}",))
         cell_implicit = implicit.expand()[0]
         cell_explicit = explicit.expand()[0]

@@ -17,9 +17,15 @@ instead of timing them, which does not on a shared host:
   duplicate check is a dict lookup and a set test on the network's
   table of queries in flight, so the only Python function a delivery
   calls is the store / index / forward step of a first copy;
+- a message event is its handler: ``Simulator.run`` calls each of the
+  three message handlers directly (they make the dead-at-arrival drop
+  themselves), and while a copy or an update is handled nothing runs
+  that recomputes what the query carries or the delta holds — no
+  ``Query.last_hop``, ``Counter.increment``, group guess, keyword mask,
+  ``BloomFilter.contains_all``, ``get_bit`` or ``set_bit``;
 - a forward is one send: a cell's ``P2PNetwork.send`` calls are its
   non-empty forwards plus its response hops plus its Bloom pushes, and
-  no message reaches the heap through ``Simulator.schedule_at``;
+  no message handler reaches the heap through ``Simulator.schedule_at``;
 - every peer's Bloom tick shares one engine entry: starting the router
   queues one event whatever the population, stopping it leaves no live
   tick, and a Locaware cell's queue peak is its traffic's, within a few
@@ -28,7 +34,8 @@ instead of timing them, which does not on a shared host:
 - a hash memo hashes each key once per cell: within a 600-peer
   Locaware cell each memo's misses are the distinct filenames, keyword
   tuples and keywords it was asked for, so scoping the memos to a cell
-  costs no hit inside it;
+  costs no hit inside it; the element-mask memo is not asked at all (a
+  query hashes its keyword mask once, at issue, through no memo);
 - the two per-hop messages are tuples: immutable for real, hashable,
   and their copies equal field-by-field construction;
 - a world is drawn, not called: building one calls
@@ -52,11 +59,15 @@ from reference_graph import DictOverlayGraph
 from test_determinism import run_fingerprint
 from test_golden_worlds import world_config
 from test_protocol_groups import HASH_MEMOS, clear_hash_memos, run_cell_watching_memos
+from test_reference_delivery import MESSAGE_HANDLERS, STORM
 
+import repro.bloom.bloom_filter as bloom_filter_module
 import repro.experiments.grid as grid_module
 import repro.overlay.blueprint as blueprint_module
+import repro.protocols.groups as groups_module
 import repro.results.claims as claims_module
 import repro.results.store as store_module
+from repro.bloom import BloomFilter
 from repro.bloom.delta import DeltaCodec
 from repro.core import BloomRouter
 from repro.experiments import (
@@ -80,11 +91,13 @@ from repro.overlay import (
 from repro.protocols.base import SearchProtocol
 from repro.results import ClaimStore, ResultStore
 from repro.sim import SimulationConfig, Simulator
+from repro.sim.metrics import Counter
 from repro.workload import QueryWorkload
 
 CONFIG = small_config(seed=5).replace(query_rate_per_peer=0.02)
 QUERIES = 60
 ROUTED = sorted(set(PROTOCOL_REGISTRY) - {"flooding"})
+
 
 
 def count_calls(mp, owner, name, only=lambda *args: True):
@@ -236,7 +249,7 @@ class TestAForwardIsOneSend:
             message_schedules = count_calls(
                 mp, Simulator, "schedule_at",
                 only=lambda _sim, _time, callback, *args: (
-                    getattr(callback, "__func__", None) is P2PNetwork._deliver
+                    getattr(callback, "__func__", None) in MESSAGE_HANDLERS
                 ),
             )
             counted = run_protocol(
@@ -256,6 +269,68 @@ class TestAForwardIsOneSend:
             assert sends[0] < snapshot["counter.messages.total"]
         else:
             assert pushes[0] > 0  # the push term is not vacuous
+
+
+class TestAMessageIsItsHandler:
+    """``Simulator.run`` calls every message handler itself, and handling
+    a copy or an update recomputes nothing that is fixed per query or
+    per push."""
+
+    #: Code objects that must not run while a handler is on the stack.
+    #: The group-guess memo is a C wrapper, invisible to a profiler on a
+    #: hit: ``query_group_guess`` is its caller.
+    FORBIDDEN = {
+        Query.last_hop.fget.__code__: "Query.last_hop",
+        Counter.increment.__code__: "Counter.increment",
+        groups_module.query_group_guess.__code__: "query_group_guess",
+        groups_module._group_guess.__wrapped__.__code__: "_group_guess",
+        bloom_filter_module.elements_mask.__code__: "elements_mask",
+        BloomFilter.contains_all.__code__: "BloomFilter.contains_all",
+        BloomFilter.get_bit.__code__: "BloomFilter.get_bit",
+        BloomFilter.set_bit.__code__: "BloomFilter.set_bit",
+    }
+
+    @pytest.mark.parametrize(
+        "protocol, handlers",
+        [
+            ("flooding", {"_handle_query_message", "_handle_response_message"}),
+            ("locaware", {handler.__name__ for handler in MESSAGE_HANDLERS}),
+        ],
+    )
+    def test_run_calls_each_handler_and_handlers_recompute_nothing(
+        self, protocol, handlers
+    ):
+        handler_codes = {handler.__code__ for handler in MESSAGE_HANDLERS}
+        run_code = Simulator.run.__code__
+        forbidden = self.FORBIDDEN
+        callers = collections.Counter()
+        ran = collections.Counter()
+        depth = [0]
+
+        def profile(frame, event, _arg):
+            code = frame.f_code
+            if event == "call":
+                if code in handler_codes:
+                    callers[code.co_name, frame.f_back.f_code.co_qualname] += 1
+                    depth[0] += 1
+                elif depth[0] and code in forbidden:
+                    ran[forbidden[code]] += 1
+            elif event == "return" and code in handler_codes:
+                depth[0] -= 1
+
+        sys.setprofile(profile)
+        try:
+            run = run_protocol(
+                CONFIG, protocol, max_queries=QUERIES, bucket_width=30,
+                scenario=STORM,
+            )
+        finally:
+            sys.setprofile(None)
+        assert {name for name, _ in callers} == handlers
+        assert {caller for _, caller in callers} == {"Simulator.run"}
+        assert ran == {}
+        # Not vacuous: copies reached dead peers, so the drop ran too.
+        assert run.metric_snapshot["counter.messages.dropped_dead_peer"] > 0
 
 
 class TestStateFollowsUse:
@@ -332,14 +407,16 @@ class TestHashMemosHitWithinACell:
             _, at_end = run_cell_watching_memos(mp, config, "locaware", 300)
         for name, keys in asked.items():
             assert at_end[name].misses == len(keys), name
-            # Not vacuous: the cell asks again for what it hashed.
-            assert at_end[name].hits > 0, name
+        # Not vacuous: the cell asks again for what it hashed.
+        asked_again = {name for name, info in at_end.items() if info.hits}
+        assert asked_again == set(HASH_MEMOS) - {"element_mask"}
+        assert not asked["element_mask"]
 
 
 class TestMessagesAreTuples:
     QUERY = Query(
         query_id=1, origin=10, origin_locid=3, keywords=("kw1", "kw2"),
-        target_file=42, ttl=7, path=(10, 11),
+        target_file=42, ttl=7, path=(10, 11), group=5, keyword_mask=0b1011,
     )
     RESPONSE = QueryResponse(
         query_id=1, origin=10, origin_locid=3, keywords=("kw1",), file_id=42,
@@ -360,7 +437,7 @@ class TestMessagesAreTuples:
         assert q.forwarded(20) == Query(
             query_id=q.query_id, origin=q.origin, origin_locid=q.origin_locid,
             keywords=q.keywords, target_file=q.target_file, ttl=q.ttl - 1,
-            path=q.path + (20,),
+            path=q.path + (20,), group=q.group, keyword_mask=q.keyword_mask,
         )
         assert type(q.forwarded(20)) is Query and q.forwarded(20).last_hop == 20
         assert r.advanced() == QueryResponse(

@@ -12,6 +12,8 @@ def make_query(**overrides):
         target_file=42,
         ttl=7,
         path=(10,),
+        group=5,
+        keyword_mask=0b1011,
     )
     defaults.update(overrides)
     return Query(**defaults)
@@ -48,6 +50,15 @@ class TestQuery:
         assert copy.query_id == q.query_id
         assert copy.origin == q.origin
         assert copy.keywords == q.keywords
+
+    def test_forwarded_carries_the_routing_keys(self):
+        copy = make_query().forwarded(20).forwarded(30)
+        assert (copy.group, copy.keyword_mask) == (5, 0b1011)
+
+    def test_forwarded_at_the_origin_spends_a_hop_only(self):
+        # The origin's path already ends with it: no duplicate entry.
+        q = make_query(path=(10,), ttl=5)
+        assert q.forwarded(10) == q._replace(ttl=4)
 
     def test_last_hop(self):
         assert make_query(path=(10, 20, 30)).last_hop == 30

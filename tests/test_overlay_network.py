@@ -11,6 +11,26 @@ def network():
     return P2PNetwork.build(SimulationConfig.small(seed=3))
 
 
+def arrival_handler(network, arrivals, received):
+    """A handler under ``send``'s contract.  ``send`` runs it at arrival
+    for every destination, which it notes in ``arrivals`` with the
+    destination's liveness then; it owns the drop: a dead destination
+    is counted under ``messages.dropped_dead_peer`` and nothing else
+    happens, a live one appends the message to ``received``.  (The
+    protocols' own handlers are held to the same contract in
+    ``tests/test_reference_delivery.py``.)"""
+
+    def handle(dst, msg):
+        alive = bool(network.liveness.flags[dst])
+        arrivals.append((dst, alive))
+        if not alive:
+            network.dropped_dead_peer.value += 1
+            return
+        received.append(msg)
+
+    return handle
+
+
 class TestBuild:
     def test_population(self, network):
         config = network.config
@@ -88,9 +108,12 @@ class TestMessaging:
     def test_dead_peer_drops_delivery_but_counts_send(self):
         network = P2PNetwork.build(SimulationConfig.small(seed=4))
         network.peer(1).alive = False
-        received = []
-        network.send(0, (1,), lambda dst, msg: received.append(msg), "x")
+        arrivals, received = [], []
+        network.send(0, (1,), arrival_handler(network, arrivals, received), "x")
+        assert "counter.messages.dropped_dead_peer" not in network.metrics.snapshot()
         network.sim.run()
+        # The handler runs for the dead peer too, and drops the message.
+        assert arrivals == [(1, False)]
         assert received == []
         assert network.metrics.counter("messages.total").value == 1
         assert network.metrics.counter("messages.dropped_dead_peer").value == 1
@@ -129,18 +152,21 @@ class TestMessagingEdges:
 
     def test_drop_is_decided_at_delivery_time_not_send_time(self):
         network = P2PNetwork.build(SimulationConfig.small(seed=4))
-        received = []
+        arrivals, received = [], []
+        handler = arrival_handler(network, arrivals, received)
         # Alive at send, dead at arrival: dropped and accounted.
-        network.send(0, (1,), lambda dst, msg: received.append(msg), "late")
+        network.send(0, (1,), handler, "late")
         network.peer(1).alive = False
         network.sim.run()
+        assert arrivals == [(1, False)]
         assert received == []
         assert network.metrics.counter("messages.dropped_dead_peer").value == 1
         # Dead at send, alive at arrival: delivered, no drop counted.
         network.peer(2).alive = False
-        network.send(0, (2,), lambda dst, msg: received.append(msg), "early")
+        network.send(0, (2,), handler, "early")
         network.peer(2).alive = True
         network.sim.run()
+        assert arrivals == [(1, False), (2, True)]
         assert received == ["early"]
         assert network.metrics.counter("messages.dropped_dead_peer").value == 1
 
@@ -148,9 +174,12 @@ class TestMessagingEdges:
         network = P2PNetwork.build(SimulationConfig.small(seed=4))
         network.peer(1).alive = False
         network.peer(2).alive = False
+        arrivals, received = [], []
         for dst in (1, 2, 1):
-            network.send(0, (dst,), lambda *a: None, "x")
+            network.send(0, (dst,), arrival_handler(network, arrivals, received), "x")
         network.sim.run()
+        assert sorted(arrivals) == [(1, False), (1, False), (2, False)]
+        assert received == []
         assert network.metrics.counter("messages.dropped_dead_peer").value == 3
         assert network.metrics.counter("messages.total").value == 3
 
@@ -213,13 +242,13 @@ class TestFanOut:
 
     def test_the_dead_at_arrival_drop_is_decided_per_target(self):
         network = P2PNetwork.build(SimulationConfig.small(seed=4))
-        received = []
-        network.send(0, (1, 2, 3), lambda dst, msg: received.append(dst), "x")
+        arrivals, received = [], []
+        network.send(0, (1, 2, 3), arrival_handler(network, arrivals, received), "x")
         network.peer(2).alive = False
         network.sim.run()
-        assert received == sorted(
-            (1, 3), key=lambda dst: network.underlay.latency_ms(0, dst)
-        )
+        by_arrival = sorted((1, 2, 3), key=lambda dst: network.underlay.latency_ms(0, dst))
+        assert arrivals == [(dst, dst != 2) for dst in by_arrival]
+        assert received == ["x", "x"]
         assert network.metrics.counter("messages.dropped_dead_peer").value == 1
         assert network.metrics.counter("messages.total").value == 3
 

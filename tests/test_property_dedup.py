@@ -12,8 +12,11 @@ A hypothesis-drawn world replays random queries, random forwards (any
 subset of a peer's other neighbors) and churn with sessions and
 downtimes short against a query's flight, so peers leave and rejoin
 while copies of the queries they processed are still arriving.  Every
-delivery must get the oracle's first-copy / duplicate decision, and
-after every issue no entry may be left whose flight ended before it.
+copy that finds its destination alive must get the oracle's first-copy
+/ duplicate decision; a copy that finds it dead is dropped by the
+handler and counted, and the oracle's window is not consulted (the old
+network never handed it over).  After every issue no entry may be left
+whose flight ended before it.
 Ending flights one ``max_latency_s`` early makes a delivery miss its
 entry; leaving a peer in the entries when it leaves turns the first
 copy it gets after a rejoin into a duplicate — both fail here.
@@ -52,13 +55,13 @@ class OracleChecked(SearchProtocol):
         self.oracle = [BoundedSet(2048) for _ in network.peers]
         self.history = set()
         self.stats = {"first": 0, "duplicate": 0, "first_after_rejoin": 0,
-                      "issued_with_a_flight_open": 0}
+                      "issued_with_a_flight_open": 0, "dead_at_arrival": 0}
         self._processed = False
 
     def select_forward_targets(self, peer, query):
         row = [
             n for n in self.network.graph.neighbors_view(peer.peer_id)
-            if n != query.last_hop
+            if n != query.path[-1]
         ]
         return self.rng.sample(row, min(len(row), self.rng.randint(0, self.fanout)))
 
@@ -80,8 +83,15 @@ class OracleChecked(SearchProtocol):
         super()._process_query_at(peer, query)
 
     def _handle_query_message(self, dst, message):
-        first = self.oracle[dst].add(message.query_id)
         self._processed = False
+        if not self.network.peer(dst).alive:
+            dropped = self.network.dropped_dead_peer.value
+            super()._handle_query_message(dst, message)
+            assert not self._processed, (dst, message.query_id)
+            assert self.network.dropped_dead_peer.value == dropped + 1
+            self.stats["dead_at_arrival"] += 1
+            return
+        first = self.oracle[dst].add(message.query_id)
         super()._handle_query_message(dst, message)
         assert self._processed is first, (dst, message.query_id)
         if first:
@@ -165,8 +175,9 @@ def test_every_delivery_decides_as_the_per_peer_windows(
 
 def test_the_replay_reaches_every_case_the_table_must_get_right():
     """A fixed replay of the drawn kind: duplicates, a rejoined peer
-    processing again a query it had processed before it left, and
-    issues while another query's copies are in flight."""
+    processing again a query it had processed before it left, issues
+    while another query's copies are in flight, and copies that arrive
+    at a peer that has left."""
     gaps = random.Random(5)
     plan = [
         (gaps.uniform(0.0, 0.6), gaps.randrange(NUM_PEERS),
@@ -178,6 +189,7 @@ def test_the_replay_reaches_every_case_the_table_must_get_right():
     assert stats["duplicate"] > 0
     assert stats["first_after_rejoin"] > 0
     assert stats["issued_with_a_flight_open"] > 0
+    assert stats["dead_at_arrival"] > 0
     # After the run the table holds only the queries whose flights had
     # not ended by the last issue.
     assert len(protocol.network.query_seen) < 40

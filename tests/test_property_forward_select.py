@@ -5,7 +5,9 @@ Locaware as it was written before the neighbor row, the keyword mask
 and the Gid guess were hoisted out of the per-hop path: one
 ``neighbors_view`` call per rule, a per-keyword membership test per
 stored filter, ``canonical_form`` + hash per hop, and a sort followed by
-a stable sort for the last resort.  It lives here, not in ``src/``, and
+a stable sort for the last resort.  It reads the query's keywords only,
+never the routing keys the live code reads from the query (its group
+and Bloom mask, computed once at issue by ``routing_keys``).  It lives here, not in ``src/``, and
 the live ``select_forward_targets`` must return exactly what it returns
 — same targets, same order, same counters — on worlds that have been
 through churn and Bloom pushes.
@@ -21,6 +23,7 @@ reference.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bloom import BloomFilter
 from repro.core import LocawareProtocol
 from repro.experiments.runner import make_protocol
 from repro.files import canonical_form
@@ -57,6 +60,7 @@ def reference_neighbors_matching(router, peer, keywords, exclude):
         stored = state.neighbor_filters.get(neighbor)
         if stored is not None:
             tested += 1
+            stored = BloomFilter.from_bit_int(stored, router._bits, router._hashes)
             if all(keyword in stored for keyword in keyword_list):
                 matches.append(neighbor)
     if tested:
@@ -189,6 +193,7 @@ def check_every_live_peer(network, protocol, data):
         for last_hop in sorted({peer.peer_id, *row[:2], origin}):
             start = peer.peer_id if last_hop == peer.peer_id else origin
             path = (start,) if start == last_hop else (start, last_hop)
+            group, keyword_mask = protocol.routing_keys(keywords)
             query = Query(
                 query_id=1,
                 origin=start,
@@ -197,6 +202,8 @@ def check_every_live_peer(network, protocol, data):
                 target_file=0,
                 ttl=5,
                 path=path,
+                group=group,
+                keyword_mask=keyword_mask,
             )
             # Live first: the reference builds missing Bloom state on
             # demand, which would hide the live code's no-state exit.
@@ -245,14 +252,18 @@ def test_locaware_worlds_exercise_every_rule():
         filters = protocol.bloom_router.state_of(peer).neighbor_filters
         uncopied += any(neighbor not in filters for neighbor in row)
         for file_id in range(0, network.catalog.num_files, 7):
+            keywords = (min(network.catalog.keywords(file_id)),)
+            group, keyword_mask = protocol.routing_keys(keywords)
             query = Query(
                 query_id=1,
                 origin=peer.peer_id,
                 origin_locid=peer.locid,
-                keywords=(min(network.catalog.keywords(file_id)),),
+                keywords=keywords,
                 target_file=file_id,
                 ttl=5,
                 path=(peer.peer_id,),
+                group=group,
+                keyword_mask=keyword_mask,
             )
             _, moved = counted(network, protocol.select_forward_targets, peer, query)
             seen.update(name for name, delta in zip(COUNTERS, moved) if delta)

@@ -14,15 +14,15 @@ from repro.protocols import (
 from repro.sim import Simulator
 
 #: Every process-wide hash memo, by name: the two Gid memos here and
-#: the three Bloom memos (probe positions, element mask, keyword-tuple
-#: mask).  Held as imported, so a test that wraps the module globals
-#: still reads the memos themselves.
+#: the two Bloom memos (probe positions, element mask; a query's
+#: keyword mask is hashed once at issue and kept by no memo).  Held as
+#: imported, so a test that wraps the module globals still reads the
+#: memos themselves.
 HASH_MEMOS = {
     "stable_hash": (groups, groups.stable_hash),
     "_group_guess": (groups, groups._group_guess),
     "_positions_cached": (bloom_filter, bloom_filter._positions_cached),
     "element_mask": (bloom_filter, bloom_filter.element_mask),
-    "_combined_mask": (bloom_filter, bloom_filter._combined_mask),
 }
 
 
@@ -119,7 +119,7 @@ class TestQueryGroupGuess:
 
 
 class TestMemosLiveForOneCell:
-    """No hash memo outlives its cell: ``run_protocol`` empties all five
+    """No hash memo outlives its cell: ``run_protocol`` empties all four
     as the cell ends, so a second identical cell hashes exactly what the
     first did, and a process that runs many cells keeps none of them."""
 
@@ -138,9 +138,9 @@ class TestMemosLiveForOneCell:
         # was still there for the second.
         assert second_end == first_end
         # Not vacuous: both protocols hash keywords to groups, and only
-        # Locaware tests queries against Bloom filters.
+        # Locaware keeps (counting) Bloom filters.
         assert first_end["stable_hash"].misses > 0
-        bloom_misses = first_end["_combined_mask"].misses
+        bloom_misses = first_end["_positions_cached"].misses
         assert bloom_misses > 0 if protocol == "locaware" else bloom_misses == 0
 
 

@@ -23,7 +23,6 @@ from repro.scenarios import (
     Scenario,
     ScenarioContext,
     expected_horizon_s,
-    get_scenario,
     make_scenario,
     register_scenario,
     scenario_names,
@@ -94,9 +93,9 @@ class TestRegistry:
         for name in names:
             assert SCENARIO_REGISTRY[name].description
 
-    def test_get_scenario_unknown(self):
+    def test_make_scenario_unknown(self):
         with pytest.raises(ValueError, match="unknown scenario"):
-            get_scenario("meteor-strike")
+            make_scenario("meteor-strike")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -187,7 +186,7 @@ class TestParameterRanges:
 
     def test_every_default_is_in_range(self):
         for name in scenario_names():
-            get_scenario(name)
+            make_scenario(name)
 
 
 class TestScenarioRuns:
@@ -224,12 +223,12 @@ class TestScenarioRuns:
 
     def test_cold_start_reduces_initial_replication(self):
         config = small_config()
-        cold = get_scenario("cold-start").configure(config)
+        cold = make_scenario("cold-start").configure(config)
         assert cold.files_per_peer == 1
         assert cold.files_per_peer < config.files_per_peer
 
     def test_churn_storm_enables_churn(self):
-        config = get_scenario("churn-storm").configure(small_config())
+        config = make_scenario("churn-storm").configure(small_config())
         assert config.churn_enabled
 
 
@@ -494,7 +493,7 @@ class TestTopologyChangingScenarios:
         self, name
     ):
         base = small_config(seed=11).replace(query_rate_per_peer=0.02)
-        configured = get_scenario(name).configure(base)
+        configured = make_scenario(name).configure(base)
         moves = configured.topology_fingerprint() != base.topology_fingerprint()
         assert moves == (name == "cold-start")
         blueprint = NetworkBlueprint.build(base)

@@ -37,9 +37,9 @@ from reference_graph import DictOverlayGraph
 from reference_latency import scan_latency_ms, scan_rtt_ms
 from repro.bloom.bloom_filter import (
     BloomFilter,
-    _combined_mask,
     element_mask,
     element_positions,
+    elements_mask,
     positions_cache_clear,
     positions_cache_info,
 )
@@ -323,19 +323,26 @@ class TestMemoisedPositions:
         element_positions("kw", 1201, 4)
         assert positions_cache_info().currsize == before
 
-    def test_keyword_tuple_masks_live_until_their_cell_ends(self):
+    def test_element_masks_live_until_their_cell_ends(self):
         bf = BloomFilter(1200, 4)
         bf.add_all(["kw1", "kw2"])
         for _ in range(20):
             assert bf.contains_all(("kw1", "kw2"))
-        info = _combined_mask.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 19, 1)
-        # A cell empties the three Bloom memos as it ends, what it
-        # hashed itself and what was there before it alike.
+        info = element_mask.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 40, 2)
+        # A cell empties the two Bloom memos as it ends, what it hashed
+        # itself and what was there before it alike.
         run_protocol(_config(), "locaware", max_queries=60, bucket_width=30)
-        assert _combined_mask.cache_info().currsize == 0
         assert element_mask.cache_info().currsize == 0
         assert positions_cache_info().currsize == 0
+
+    def test_a_fresh_elements_mask_equals_the_memoised_masks(self):
+        for elements in [(), ("kw1",), ("kw1", "kw2", "kw1"), ("a b", "kw3")]:
+            memoised = 0
+            for element in elements:
+                memoised |= element_mask(element, 1200, 4)
+            assert elements_mask(elements, 1200, 4) == memoised
+            assert elements_mask(iter(elements), 1200, 4) == memoised
 
     def test_validation_still_raises(self):
         with pytest.raises(ValueError):

@@ -50,9 +50,9 @@ from repro.experiments import (
     paper_config,
 )
 
-# The reference substrates (``reference_bloom``, ``reference_latency``)
-# live next to the tests that hold the production ones to them;
-# ``test_perf_scale.py`` times the production path against them.
+# The reference substrate (``reference_latency``) lives next to the
+# tests that hold the production one to it; ``test_perf_scale.py``
+# times the production path against it.
 sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
 
 

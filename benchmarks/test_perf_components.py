@@ -8,7 +8,7 @@ simulation's wall time).
 import random
 
 
-from repro.bloom import BloomFilter, CountingBloomFilter
+from repro.bloom import CountingBloomFilter, elements_mask
 from repro.files import FileCatalog, KeywordPool
 from repro.overlay import ProviderEntry
 from repro.protocols import LocationAwareIndex
@@ -34,29 +34,36 @@ def _noop():
 
 
 def test_perf_bloom_insert_query(benchmark):
-    """1200-bit filter: 150 inserts + 600 membership tests (one §5.1
-    index worth of keywords)."""
+    """1200-bit vector: 150 keyword masks ORed + 600 membership tests,
+    each probe hashed once as a query is (one §5.1 index worth of
+    keywords)."""
     keywords = [f"kw{i:06d}" for i in range(150)]
-    probes = [f"probe{i:06d}" for i in range(600)]
+    probes = [(f"probe{i:06d}",) for i in range(600)]
 
     def work():
-        bf = BloomFilter(1200, 4)
-        bf.add_all(keywords)
-        return sum(1 for p in probes if p in bf)
+        vector = elements_mask(keywords, 1200, 4)
+        hits = 0
+        for probe in probes:
+            mask = elements_mask(probe, 1200, 4)
+            hits += vector & mask == mask
+        return hits
 
     benchmark(work)
 
 
 def test_perf_counting_bloom_churn(benchmark):
-    """Insert/remove cycles as a response index turns over."""
-    keywords = [f"kw{i:06d}" for i in range(150)]
+    """Insert/discard cycles as a response index turns over: 50
+    three-keyword filenames cached, then evicted."""
+    filenames = [tuple(f"kw{3 * i + j:06d}" for j in range(3)) for i in range(50)]
 
     def work():
         cbf = CountingBloomFilter(1200, 4)
-        cbf.add_all(keywords)
-        for kw in keywords:
-            cbf.remove(kw)
-        return cbf.element_count
+        for keywords in filenames:
+            cbf.add_all(keywords)
+        for keywords in filenames:
+            for keyword in keywords:
+                cbf.discard(keyword)
+        return cbf.bit_int()
 
     assert benchmark(work) == 0
 

@@ -1,14 +1,14 @@
 """Scale-frontier benchmark of the array-backed hot path (``BENCH_scale.json``).
 
 The substrate refactor (CSR overlay adjacency, int-backed Bloom
-vectors with memoised probe positions, bound O(1) latency closures)
+vectors, bound O(1) latency closures)
 exists to push the feasible system size from ~10² peers toward the
 10⁴–10⁵ range.  This bench pins that claim with a standing frontier
 table — peers × queries/sec of wall-clock — and two hard gates:
 
 - the **largest** frontier cell (≥600 peers by default) must sustain
-  equal-or-better queries/sec than the *seed-style* substrate (byte
-  blooms + per-call latency scans, monkeypatched back in) manages at
+  equal-or-better queries/sec than the *seed-style* substrate (per-call
+  latency scans, monkeypatched back in) manages at
   60 peers.  Both sides run the same number of queries, so
   that reads "the frontier run takes no longer than the seed-style
   run": the two are timed in interleaved pairs and the median ratio is
@@ -39,12 +39,8 @@ import time
 
 import pytest
 from conftest import time_interleaved, write_bench_json
-from reference_bloom import ByteBloomFilter
 from reference_latency import scan_latency_ms, scan_rtt_ms
 
-import repro.bloom.counting as counting_module
-import repro.bloom.delta as delta_module
-import repro.core.bloom_router as bloom_router_module
 from repro.experiments import run_protocol, small_config
 from repro.net.latency import RouterLevelLatencyModel
 from repro.net.underlay import Underlay
@@ -111,16 +107,12 @@ def _scale_config(num_peers, seed=11):
 
 
 def _patch_seed_substrate(mp):
-    """Monkeypatch the reference backends of ``tests/`` in: bytearray
-    blooms, per-call model-scan latency.  Mirrors
-    tests/test_substrate_equivalence.py, which proves the two
-    substrates byte-identical — so this comparison is pure wall-clock,
+    """Monkeypatch the reference latency of ``tests/`` in: per-call
+    model scans.  Mirrors tests/test_substrate_equivalence.py, which
+    proves the two substrates byte-identical — so this comparison is pure wall-clock,
     same trajectory.  The overlay stays on ``OverlayGraph``: its
     dict-of-rows twin left ``src/`` for ``tests/reference_graph.py``
     and is an oracle there, not a substrate to time."""
-    mp.setattr(bloom_router_module, "BloomFilter", ByteBloomFilter)
-    mp.setattr(counting_module, "BloomFilter", ByteBloomFilter)
-    mp.setattr(delta_module, "BloomFilter", ByteBloomFilter)
     mp.setattr(Underlay, "latency_ms", scan_latency_ms)
     mp.setattr(Underlay, "rtt_ms", scan_rtt_ms)
     # Message timing calls the seconds closure an underlay binds at

@@ -49,11 +49,6 @@ class SweepRow:
     sim_time_s: float
 
 
-def _mean(values: list[float]) -> float:
-    clean = [v for v in values if not math.isnan(v)]
-    return sum(clean) / len(clean) if clean else math.nan
-
-
 #: The headline metrics a row averages, as (field, extractor) pairs.
 _ROW_METRICS = (
     ("success_rate", lambda r: r.summary.success_rate),

@@ -1,13 +1,13 @@
-"""Bloom filter substrate: plain, counting, deltas, parameter math.
+"""Bloom filter substrate: keyword masks, counting, deltas, parameter math.
 
 Implements the structures of §4.2 of the paper: per-peer keyword
-filters over cached filenames, deletion support for cache evictions,
-and the changed-bit update protocol of footnote 1.
+filters over cached filenames (one int vector each), deletion support
+for cache evictions, and the changed-bit update protocol of footnote 1.
 """
 
-from .bloom_filter import BloomFilter, element_mask, element_positions
+from .bloom_filter import element_mask, elements_mask
 from .counting import CountingBloomFilter
-from .delta import BloomDelta, DeltaCodec, apply_delta, diff
+from .delta import BloomDelta, DeltaCodec
 from .params import (
     expected_fill_fraction,
     false_positive_rate,
@@ -16,14 +16,11 @@ from .params import (
 )
 
 __all__ = [
-    "BloomFilter",
     "element_mask",
-    "element_positions",
+    "elements_mask",
     "CountingBloomFilter",
     "BloomDelta",
     "DeltaCodec",
-    "diff",
-    "apply_delta",
     "false_positive_rate",
     "optimal_hash_count",
     "recommended_bits",

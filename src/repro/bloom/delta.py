@@ -7,13 +7,12 @@ number of changed bits ... is limited by 12 at most and the location of
 each bit by 11 bits.  Thus, the information to be sent is limited by
 I = 12 * 11 bits = 0.132 Kb".
 
-:func:`diff` lists the changed positions between two filter states and
-:func:`apply_delta` flips them on a copy.  :class:`DeltaCodec` encodes
-one push as a :class:`BloomDelta` and measures its encoded size in bits
-(used by ablation A6 to verify the paper's overhead bound).  When a
-delta would be larger than the full vector — e.g. after mass evictions
-— :meth:`DeltaCodec.encode` falls back to shipping the full filter,
-exactly what a real implementation would do.
+:class:`DeltaCodec` encodes one push — the vector last pushed and the
+current one, both ints — as a :class:`BloomDelta` and measures its
+encoded size in bits (used by ablation A6 to verify the paper's overhead
+bound).  When a delta would be larger than the full vector — e.g. after
+mass evictions — :meth:`DeltaCodec.encode` falls back to shipping the
+full vector, exactly what a real implementation would do.
 
 A delta holds the changed bits as one XOR mask, not as a position list:
 it is computed once per push, and each receiver applies it to its copy
@@ -23,40 +22,9 @@ in one operation (:meth:`BloomDelta.apply`).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .bloom_filter import BloomFilter
-
-__all__ = ["diff", "apply_delta", "BloomDelta", "DeltaCodec"]
-
-
-def _set_positions(x: int) -> list[int]:
-    """The positions of the set bits of ``x``, ascending."""
-    positions: list[int] = []
-    while x:
-        low = x & -x
-        positions.append(low.bit_length() - 1)
-        x ^= low
-    return positions
-
-
-def diff(old: BloomFilter, new: BloomFilter) -> list[int]:
-    """Positions whose bit value differs between ``old`` and ``new``."""
-    if old.bits != new.bits or old.hashes != new.hashes:
-        raise ValueError("cannot diff filters with different parameters")
-    return _set_positions(old.bit_int() ^ new.bit_int())
-
-
-def apply_delta(target: BloomFilter, changed_positions: Sequence[int]) -> None:
-    """Flip every listed bit of ``target`` in place.
-
-    Applying the same delta twice is a no-op pair (an involution), so a
-    test can verify roundtripping: ``apply(diff(a, b))`` maps ``a`` to
-    ``b`` and back.
-    """
-    for pos in changed_positions:
-        target.set_bit(pos, not target.get_bit(pos))
+__all__ = ["BloomDelta", "DeltaCodec"]
 
 
 @dataclass(frozen=True)
@@ -77,13 +45,6 @@ class BloomDelta:
         """Whether this update carries the whole vector."""
         return self.vector is not None
 
-    @property
-    def changed_positions(self) -> tuple[int, ...] | None:
-        """The positions a delta flips, ascending (``None`` when full)."""
-        if self.xor_mask is None:
-            return None
-        return tuple(_set_positions(self.xor_mask))
-
     def apply(self, vector: int) -> int:
         """The vector a copy holding ``vector`` holds after this update:
         one XOR, or the shipped vector."""
@@ -95,11 +56,10 @@ class BloomDelta:
 class DeltaCodec:
     """Encodes filter updates as changed-bit masks with a full fallback."""
 
-    def __init__(self, bits: int, hashes: int) -> None:
+    def __init__(self, bits: int) -> None:
         if bits <= 0:
             raise ValueError(f"bits must be positive, got {bits}")
         self._bits = bits
-        self._hashes = hashes
         # Position width: 11 bits for the paper's 1200-bit vector.
         self._position_bits = max(1, math.ceil(math.log2(bits)))
 
@@ -108,14 +68,14 @@ class DeltaCodec:
         """Bits needed to address one position of the vector."""
         return self._position_bits
 
-    def encode(self, old: BloomFilter, new: BloomFilter) -> BloomDelta:
-        """Encode the update from ``old`` to ``new``.
+    def encode(self, old: int, new: int) -> BloomDelta:
+        """Encode the update from vector ``old`` to vector ``new``.
 
         Uses the smaller of (changed-position list, full vector); the
         list's size is its length in positions of ``position_bits``.
         """
-        changed = old.bit_int() ^ new.bit_int()
+        changed = old ^ new
         delta_bits = changed.bit_count() * self._position_bits
         if delta_bits <= self._bits:
             return BloomDelta(xor_mask=changed, vector=None, encoded_bits=delta_bits)
-        return BloomDelta(xor_mask=None, vector=new.bit_int(), encoded_bits=self._bits)
+        return BloomDelta(xor_mask=None, vector=new, encoded_bits=self._bits)

@@ -5,7 +5,9 @@ keywords of every filename cached in its response index.  Locally the
 filter is a *counting* filter (cache evictions must delete keywords);
 what neighbors receive is the plain 1200-bit vector, shipped as
 changed-bit deltas on a periodic timer ("n periodically propagates
-updates of BF_n to neighbors", with the footnote-1 encoding).
+updates of BF_n to neighbors", with the footnote-1 encoding).  Every
+vector here is one int: the filter's, the one last pushed (the delta
+base), and each stored neighbor copy.
 
 Routing reads the stored neighbor copies: a query is forwarded to the
 neighbors whose filter contains **all** the query's keywords.  A copy is
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from ..bloom.bloom_filter import BloomFilter, elements_mask
+from ..bloom.bloom_filter import elements_mask
 from ..bloom.counting import CountingBloomFilter
 from ..bloom.delta import DeltaCodec
 from ..overlay.messages import BloomUpdate
@@ -41,8 +43,8 @@ class PeerBloomState:
 
     def __init__(self, bits: int, hashes: int) -> None:
         self.cbf = CountingBloomFilter(bits, hashes)
-        #: The snapshot last pushed to neighbors (delta base).
-        self.exported = BloomFilter(bits, hashes)
+        #: The vector last pushed to neighbors (delta base).
+        self.exported = 0
         #: neighbor id → our copy of their exported filter's bit vector.
         self.neighbor_filters: dict[int, int] = {}
 
@@ -54,7 +56,7 @@ class BloomRouter:
         self._network = network
         self._bits = network.config.bloom_bits
         self._hashes = network.config.bloom_hashes
-        self._codec = DeltaCodec(self._bits, self._hashes)
+        self._codec = DeltaCodec(self._bits)
         self._period = network.config.bloom_update_period_s
         self._rng = network.streams.stream("bloom-router")
         self._pushes: PeriodicProcess | None = None
@@ -112,14 +114,16 @@ class BloomRouter:
     def _push_updates(self, peer_id: int) -> None:
         peer = self._network.peer(peer_id)
         # Most ticks end here, for the price of one int compare: the
-        # vector equals the exported snapshot, or there is no state at
+        # vector equals the one last pushed, or there is no state at
         # all (it dies with the session when a peer leaves).
         state = peer.protocol_state.get(_STATE_KEY)
-        if state is None or state.cbf.bit_int() == state.exported.bit_int():
+        if state is None:
+            return
+        current = state.cbf.bit_int()
+        if current == state.exported:
             return
         if not peer.alive or not self._network.graph.contains(peer_id):
             return
-        current = state.cbf.to_bloom_filter()
         delta = self._codec.encode(state.exported, current)
         metrics = self._network.metrics
         metrics.counter("bloom.pushes").value += 1

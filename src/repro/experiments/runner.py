@@ -23,7 +23,7 @@ from ..analysis.collectors import (
     collect_series,
     summarize_outcomes,
 )
-from ..bloom.bloom_filter import positions_cache_clear
+from ..bloom.bloom_filter import mask_cache_clear
 from ..core.locaware import LocawareProtocol, LocawareRoutingProtocol
 from ..overlay.blueprint import NetworkBlueprint
 from ..overlay.churn import ChurnProcess
@@ -217,7 +217,7 @@ def run_protocol(
     # hash memos hold this cell's filenames and keywords: empty them too.
     network.sim.clear()
     hash_cache_clear()
-    positions_cache_clear()
+    mask_cache_clear()
     return run
 
 

@@ -133,10 +133,6 @@ class QueryResponse(NamedTuple):
     responder: int
     reverse_path: tuple[int, ...]
 
-    def next_hop(self) -> int | None:
-        """The next peer on the reverse path, or ``None`` if delivered."""
-        return self.reverse_path[0] if self.reverse_path else None
-
     def advanced(self) -> QueryResponse:
         """The copy of this response after one reverse-path hop."""
         return _tuple_new(QueryResponse, self[:-1] + (self[-1][1:],))

@@ -287,8 +287,8 @@ class SearchProtocol:
         return ranked[: self.config.fallback_fanout]
 
     def _forward(self, peer: Peer, query: Query) -> None:
-        if query.ttl <= 0:
-            return
+        """Send ``query`` on from ``peer``; the caller checked that its
+        TTL is left (``issue_query`` starts at ``config.ttl >= 1``)."""
         targets = self.select_forward_targets(peer, query)
         if not targets:
             return
@@ -342,7 +342,7 @@ class SearchProtocol:
                     self.network.sim.now, "query.hit",
                     qid=query.query_id, peer=peer.peer_id, source=source,
                 )
-        if not answered or self.forward_after_hit:
+        if query.ttl > 0 and (not answered or self.forward_after_hit):
             self._forward(peer, query)
 
     # -- responses -----------------------------------------------------------

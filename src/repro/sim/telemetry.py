@@ -163,9 +163,10 @@ def _bloom_stats(network: Any, snapshot: dict[str, float]) -> dict[str, Any]:
         state = peer.protocol_state.get(_BLOOM_STATE_KEY)
         exported = getattr(state, "exported", None)
         if exported is not None:
-            fill = exported.fill_fraction()
+            config = network.config
+            fill = exported.bit_count() / config.bloom_bits
             fills.append(fill)
-            fp_estimates.append(fill**exported.hashes)
+            fp_estimates.append(fill**config.bloom_hashes)
         elif has_router and peer.alive:
             fills.append(0.0)
             fp_estimates.append(0.0)

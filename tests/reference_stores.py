@@ -13,9 +13,8 @@ driven below it.  References live with the tests that use them
 
 from __future__ import annotations
 
+import hashlib
 from array import array
-
-from repro.bloom.bloom_filter import element_positions
 
 __all__ = ["ArrayCountingBloomFilter", "SetFileStore"]
 
@@ -74,8 +73,10 @@ class SetFileStore:
 class ArrayCountingBloomFilter:
     """``CountingBloomFilter`` with a counter per bit, set or not.
 
-    Nothing is maintained incrementally: the bit vector and the
-    positions are read off the counters on every call.
+    Nothing is maintained incrementally: the bit vector is read off the
+    counters on every call.  The probe positions are hashed here, by the
+    double-hashing construction ``src/`` folds into a mask, so the
+    oracle shares no code with the filter it checks.
     """
 
     def __init__(self, bits: int, hashes: int) -> None:
@@ -84,45 +85,30 @@ class ArrayCountingBloomFilter:
         self._counters = array("H", bytes(2 * bits))
         self._elements: dict[str, int] = {}
 
-    def _positions(self, element: str):
-        return element_positions(element, self._bits, self._hashes)
-
-    @property
-    def distinct_element_count(self) -> int:
-        return len(self._elements)
+    def _positions(self, element: str) -> list[int]:
+        digest = hashlib.blake2b(element.encode("utf-8"), digest_size=16).digest()
+        h1 = int.from_bytes(digest[:8], "big")
+        h2 = int.from_bytes(digest[8:], "big") | 1
+        return [(h1 + i * h2) % self._bits for i in range(self._hashes)]
 
     def add(self, element: str) -> None:
         for pos in self._positions(element):
             self._counters[pos] += 1
         self._elements[element] = self._elements.get(element, 0) + 1
 
-    def remove(self, element: str) -> None:
+    def add_all(self, elements) -> None:
+        for element in elements:
+            self.add(element)
+
+    def discard(self, element: str) -> bool:
         if element not in self._elements:
-            raise KeyError(element)
+            return False
         for pos in self._positions(element):
             self._counters[pos] -= 1
         self._elements[element] -= 1
         if not self._elements[element]:
             del self._elements[element]
-
-    def discard(self, element: str) -> bool:
-        if element not in self._elements:
-            return False
-        self.remove(element)
         return True
 
-    def clear(self) -> None:
-        self._counters = array("H", bytes(2 * self._bits))
-        self._elements.clear()
-
-    def __contains__(self, element: str) -> bool:
-        return all(self._counters[pos] for pos in self._positions(element))
-
-    def max_counter(self) -> int:
-        return max(self._counters)
-
-    def set_positions(self) -> list[int]:
-        return [pos for pos, count in enumerate(self._counters) if count]
-
     def bit_int(self) -> int:
-        return sum(1 << pos for pos in self.set_positions())
+        return sum(1 << pos for pos, count in enumerate(self._counters) if count)

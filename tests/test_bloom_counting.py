@@ -2,134 +2,81 @@
 
 import pytest
 
-from repro.bloom import BloomFilter, CountingBloomFilter
+from repro.bloom import CountingBloomFilter, elements_mask
 
 
-class TestInsertRemove:
-    def test_add_then_contains(self):
+def covers(cbf, keywords, bits=512, hashes=4):
+    mask = elements_mask(keywords, bits, hashes)
+    return cbf.bit_int() & mask == mask
+
+
+class TestInsertDiscard:
+    def test_add_then_covered(self):
         cbf = CountingBloomFilter(512, 4)
-        cbf.add("kw1")
-        assert "kw1" in cbf
+        cbf.add_all(["kw1"])
+        assert cbf.bit_int() == elements_mask(["kw1"], 512, 4)
 
-    def test_remove_clears_membership(self):
+    def test_discard_clears_the_vector(self):
         cbf = CountingBloomFilter(512, 4)
-        cbf.add("kw1")
-        cbf.remove("kw1")
-        assert "kw1" not in cbf
+        cbf.add_all(["kw1"])
+        assert cbf.discard("kw1") is True
+        assert cbf.bit_int() == 0
 
-    def test_shared_bits_survive_removal(self):
-        """Removing one element must not evict another (the whole point
+    def test_shared_bits_survive_discard(self):
+        """Discarding one element must not evict another (the whole point
         of counting over plain bits)."""
         cbf = CountingBloomFilter(8, 4)  # tiny filter => heavy bit sharing
-        cbf.add("alpha")
-        cbf.add("beta")
-        cbf.remove("alpha")
-        assert "beta" in cbf
+        cbf.add_all(["alpha", "beta"])
+        cbf.discard("alpha")
+        assert cbf.bit_int() == elements_mask(["beta"], 8, 4)
 
     def test_multiset_semantics(self):
         cbf = CountingBloomFilter(512, 4)
-        cbf.add("kw1")
-        cbf.add("kw1")
-        cbf.remove("kw1")
-        assert "kw1" in cbf  # one occurrence left
-        cbf.remove("kw1")
-        assert "kw1" not in cbf
+        cbf.add_all(["kw1", "kw1"])
+        cbf.discard("kw1")
+        assert covers(cbf, ["kw1"])  # one occurrence left
+        cbf.discard("kw1")
+        assert cbf.bit_int() == 0
 
-    def test_remove_absent_raises(self):
+    def test_discard_absent_returns_false_and_changes_nothing(self):
         cbf = CountingBloomFilter(512, 4)
-        with pytest.raises(KeyError):
-            cbf.remove("never-added")
-
-    def test_remove_after_full_removal_raises(self):
-        cbf = CountingBloomFilter(512, 4)
-        cbf.add("kw1")
-        cbf.remove("kw1")
-        with pytest.raises(KeyError):
-            cbf.remove("kw1")
-
-    def test_discard_returns_flag(self):
-        cbf = CountingBloomFilter(512, 4)
-        cbf.add("kw1")
+        assert cbf.discard("never-added") is False
+        cbf.add_all(["kw1"])
         assert cbf.discard("kw1") is True
         assert cbf.discard("kw1") is False
-
-    def test_element_counts(self):
-        cbf = CountingBloomFilter(512, 4)
-        cbf.add_all(["a", "b", "a"])
-        assert cbf.element_count == 3
-        assert cbf.distinct_element_count == 2
-
-    def test_clear(self):
-        cbf = CountingBloomFilter(512, 4)
-        cbf.add_all(["a", "b"])
-        cbf.clear()
-        assert cbf.element_count == 0
-        assert "a" not in cbf
+        assert cbf.bit_int() == 0
 
     def test_no_false_negatives_bulk(self):
         cbf = CountingBloomFilter(1200, 4)
         elements = [f"kw{i}" for i in range(150)]
         cbf.add_all(elements)
-        assert cbf.contains_all(elements)
+        assert covers(cbf, elements, 1200)
 
-    def test_max_counter_small_in_paper_regime(self):
-        """With the §5.1 sizing, 4-bit counters suffice (Fan et al.)."""
-        cbf = CountingBloomFilter(1200, 4)
-        cbf.add_all(f"kw{i}" for i in range(150))
-        assert cbf.max_counter() <= 15
-
-    def test_a_counter_has_no_ceiling(self):
+    def test_a_count_has_no_ceiling(self):
         """Regression: counters were unsigned shorts, so the 65 536th
-        add of one element raised OverflowError from inside the
-        position loop — earlier positions already incremented, the
-        element multiset not — and a later remove corrupted the
-        filter."""
+        add of one element raised OverflowError half way through an
+        insert, and a later remove corrupted the filter."""
         cbf = CountingBloomFilter(512, 4)
-        for _ in range(65536):
-            cbf.add("popular")
-        assert cbf.max_counter() == 65536
-        assert cbf.element_count == 65536
-        for _ in range(65536):
-            cbf.remove("popular")
+        cbf.add_all(["popular"] * 65536)
+        for _ in range(65535):
+            cbf.discard("popular")
+        assert covers(cbf, ["popular"])
+        assert cbf.discard("popular") is True
         assert cbf.bit_int() == 0
-        assert cbf.max_counter() == 0
-        assert not cbf._counters
-        assert cbf.distinct_element_count == 0
-
-
-class TestBloomExport:
-    def test_export_matches_membership(self):
-        cbf = CountingBloomFilter(1200, 4)
-        cbf.add_all(["a", "b", "c"])
-        bf = cbf.to_bloom_filter()
-        assert isinstance(bf, BloomFilter)
-        for element in ("a", "b", "c"):
-            assert element in bf
-
-    def test_export_reflects_removals(self):
-        cbf = CountingBloomFilter(1200, 4)
-        cbf.add_all(["a", "b"])
-        cbf.remove("a")
-        bf = cbf.to_bloom_filter()
-        assert "b" in bf
-
-    def test_export_set_positions_agree(self):
-        cbf = CountingBloomFilter(256, 3)
-        cbf.add_all(["x", "y"])
-        assert cbf.to_bloom_filter().set_positions() == cbf.set_positions()
-
-    def test_counting_and_plain_agree_on_positions(self):
-        """Both filter types must hash identically (delta protocol
-        relies on it)."""
-        plain = BloomFilter(1200, 4)
-        counting = CountingBloomFilter(1200, 4)
-        for element in ("one", "two", "three"):
-            plain.add(element)
-            counting.add(element)
-        assert counting.to_bloom_filter() == plain
+        assert not cbf._counts
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             CountingBloomFilter(0, 4)
         with pytest.raises(ValueError):
             CountingBloomFilter(100, 0)
+
+
+class TestBloomExport:
+    def test_export_is_the_vector(self):
+        cbf = CountingBloomFilter(1200, 4)
+        cbf.add_all(["a", "b", "c"])
+        cbf.discard("a")
+        bf = cbf.to_bloom_filter()
+        assert bf.bit_int() == cbf.bit_int()
+        assert bf.contains_all(["b", "c"])

@@ -1,127 +1,50 @@
-"""Unit tests for the plain Bloom filter."""
+"""Unit tests for keyword masks and the exported-vector view."""
 
-import pytest
+from repro.bloom import element_mask, elements_mask
+from repro.bloom.bloom_filter import BloomFilter
 
-from repro.bloom import BloomFilter, element_positions
+
+def covers(vector, mask):
+    return vector & mask == mask
 
 
-class TestPositions:
+class TestMasks:
     def test_deterministic(self):
-        assert element_positions("kw1", 1200, 4) == element_positions("kw1", 1200, 4)
+        assert element_mask("kw1", 1200, 4) == elements_mask(["kw1"], 1200, 4)
 
-    def test_count_matches_hashes(self):
-        assert len(element_positions("x", 1200, 5)) == 5
+    def test_at_most_one_bit_per_hash(self):
+        assert 1 <= element_mask("x", 1200, 5).bit_count() <= 5
 
     def test_in_range(self):
-        for pos in element_positions("anything", 97, 8):
-            assert 0 <= pos < 97
+        assert element_mask("anything", 97, 8) < 1 << 97
 
     def test_different_elements_differ(self):
         # Not guaranteed in theory, overwhelmingly likely with 1200 bits.
-        assert element_positions("a", 1200, 4) != element_positions("b", 1200, 4)
+        assert element_mask("a", 1200, 4) != element_mask("b", 1200, 4)
 
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            element_positions("x", 0, 4)
-        with pytest.raises(ValueError):
-            element_positions("x", 100, 0)
-
-
-class TestBloomFilter:
-    def test_empty_contains_nothing(self):
-        bf = BloomFilter(1200, 4)
-        assert "kw1" not in bf
+    def test_no_element_is_the_empty_mask(self):
+        assert elements_mask([], 1200, 4) == 0
 
     def test_no_false_negatives(self):
-        bf = BloomFilter(1200, 4)
         elements = [f"kw{i}" for i in range(150)]
-        bf.add_all(elements)
+        vector = elements_mask(elements, 1200, 4)
         for element in elements:
-            assert element in bf
-
-    def test_contains_all(self):
-        bf = BloomFilter(1200, 4)
-        bf.add_all(["a", "b", "c"])
-        assert bf.contains_all(["a", "b"])
-        assert not bf.contains_all(["a", "definitely-absent-element-xyz"])
-
-    def test_clear(self):
-        bf = BloomFilter(1200, 4)
-        bf.add("a")
-        bf.clear()
-        assert "a" not in bf
-        assert bf.set_bit_count() == 0
+            assert covers(vector, element_mask(element, 1200, 4))
 
     def test_paper_sizing_false_positive_rate(self):
         """1200 bits / 150 keywords (§5.1) must stay below ~5% FPR."""
-        bf = BloomFilter(1200, 4)
-        bf.add_all(f"kw{i:06d}" for i in range(150))
+        vector = elements_mask((f"kw{i:06d}" for i in range(150)), 1200, 4)
         probes = [f"absent{i:06d}" for i in range(2000)]
-        false_positives = sum(1 for p in probes if p in bf)
+        false_positives = sum(
+            1 for p in probes if covers(vector, element_mask(p, 1200, 4))
+        )
         assert false_positives / len(probes) < 0.05
 
-    def test_union(self):
-        a = BloomFilter(256, 3)
-        b = BloomFilter(256, 3)
-        a.add("x")
-        b.add("y")
-        a.union_with(b)
-        assert "x" in a and "y" in a
 
-    def test_union_incompatible_rejected(self):
-        with pytest.raises(ValueError):
-            BloomFilter(256, 3).union_with(BloomFilter(128, 3))
-
-    def test_serialisation_roundtrip(self):
-        bf = BloomFilter(1200, 4)
-        bf.add_all(["a", "b", "c"])
-        clone = BloomFilter.from_bytes(bf.to_bytes(), 1200, 4)
-        assert clone == bf
-        assert "a" in clone
-
-    def test_from_bytes_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            BloomFilter.from_bytes(b"\x00", 1200, 4)
-
-    def test_copy_is_independent(self):
-        bf = BloomFilter(256, 3)
-        bf.add("x")
-        clone = bf.copy()
-        clone.add("y")
-        assert "y" in clone
-        assert "y" not in bf
-
-    def test_set_get_bit(self):
-        bf = BloomFilter(64, 2)
-        bf.set_bit(7, True)
-        assert bf.get_bit(7)
-        bf.set_bit(7, False)
-        assert not bf.get_bit(7)
-
-    def test_bit_bounds_checked(self):
-        bf = BloomFilter(64, 2)
-        with pytest.raises(IndexError):
-            bf.get_bit(64)
-        with pytest.raises(IndexError):
-            bf.set_bit(-1, True)
-
-    def test_set_positions_matches_bits(self):
-        bf = BloomFilter(64, 2)
-        bf.add("hello")
-        positions = set(bf.set_positions())
-        assert positions == set(element_positions("hello", 64, 2))
-
-    def test_fill_fraction(self):
-        bf = BloomFilter(100, 1)
-        assert bf.fill_fraction() == 0.0
-        bf.set_bit(0, True)
-        assert bf.fill_fraction() == pytest.approx(0.01)
-
-    def test_equality_covers_parameters(self):
-        assert BloomFilter(64, 2) != BloomFilter(64, 3)
-        assert BloomFilter(64, 2) == BloomFilter(64, 2)
-
-    def test_paper_vector_is_1200_bits(self):
-        bf = BloomFilter(1200, 4)
-        assert bf.bits == 1200
-        assert len(bf.to_bytes()) == 150
+class TestExportedView:
+    def test_contains_all_is_the_mask_rule(self):
+        bf = BloomFilter(1200, 4, elements_mask(["a", "b", "c"], 1200, 4))
+        assert bf.bit_int() == elements_mask(["a", "b", "c"], 1200, 4)
+        assert bf.contains_all(["a", "b"])
+        assert bf.contains_all([])
+        assert not bf.contains_all(["a", "definitely-absent-element-xyz"])

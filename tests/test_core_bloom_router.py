@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.bloom import BloomFilter
+from repro.bloom import elements_mask
 from repro.bloom.delta import DeltaCodec
 from repro.core import BloomRouter
 from repro.overlay import P2PNetwork
@@ -16,10 +16,15 @@ def make_network(seed=5, period=10.0):
     return P2PNetwork.build(config)
 
 
-def stored_filter(network, vector):
-    """A stored neighbor copy (a bit vector) as a filter, to test keywords."""
+def mask_of(network, keywords):
     config = network.config
-    return BloomFilter.from_bit_int(vector, config.bloom_bits, config.bloom_hashes)
+    return elements_mask(keywords, config.bloom_bits, config.bloom_hashes)
+
+
+def covers(network, vector, keywords):
+    """Whether a bit vector contains every keyword (the §4.2 match rule)."""
+    mask = mask_of(network, keywords)
+    return vector & mask == mask
 
 
 class TestState:
@@ -30,8 +35,8 @@ class TestState:
         assert peer.protocol_state == {}
         state = router.state_of(peer)
         assert list(peer.protocol_state.values()) == [state]
-        assert state.cbf.element_count == 0
-        assert state.exported.bit_int() == 0
+        assert state.cbf.bit_int() == 0
+        assert state.exported == 0
         assert state.neighbor_filters == {}
 
     def test_reads_and_ticks_create_nothing(self):
@@ -69,9 +74,9 @@ class TestState:
         router = BloomRouter(network)
         peer = network.peer(0)
         router.filename_cached(peer, ["kw1", "kw2"])
-        assert "kw1" in router.state_of(peer).cbf
+        assert covers(network, router.state_of(peer).cbf.bit_int(), ["kw1"])
         router.filename_evicted(peer, ["kw1", "kw2"])
-        assert "kw1" not in router.state_of(peer).cbf
+        assert router.state_of(peer).cbf.bit_int() == 0
 
     def test_shared_keywords_survive_partial_eviction(self):
         network = make_network()
@@ -80,8 +85,8 @@ class TestState:
         router.filename_cached(peer, ["shared", "a"])
         router.filename_cached(peer, ["shared", "b"])
         router.filename_evicted(peer, ["shared", "a"])
-        assert "shared" in router.state_of(peer).cbf
-        assert "b" in router.state_of(peer).cbf
+        vector = router.state_of(peer).cbf.bit_int()
+        assert vector == mask_of(network, ["shared", "b"])
 
 
 class TestPropagation:
@@ -97,7 +102,7 @@ class TestPropagation:
             neighbor_state = router.state_of(network.peer(neighbor_id))
             stored = neighbor_state.neighbor_filters.get(0)
             assert stored is not None
-            assert stored_filter(network, stored).contains_all(["kw1", "kw2", "kw3"])
+            assert covers(network, stored, ["kw1", "kw2", "kw3"])
 
     def test_a_push_is_one_update_shared_by_every_delivery(self, monkeypatch):
         deliveries = []
@@ -141,7 +146,7 @@ class TestPropagation:
         router.stop()
         neighbor_id = sorted(network.graph.neighbors(0))[0]
         stored = router.state_of(network.peer(neighbor_id)).neighbor_filters[0]
-        assert not stored_filter(network, stored).contains_all(["kw1", "kw2"])
+        assert stored == 0
 
     def test_update_sizes_respect_paper_bound(self):
         """One filename of 3 keywords changes ≤ 12 bits ⇒ ≤ 132 bits/update."""
@@ -180,9 +185,7 @@ class TestRouting:
         peer = network.peer(0)
         state = router.state_of(peer)
         neighbor = sorted(network.graph.neighbors(0))[0]
-        bf = BloomFilter(network.config.bloom_bits, network.config.bloom_hashes)
-        bf.add_all(["kw1", "kw2"])
-        state.neighbor_filters[neighbor] = bf.bit_int()
+        state.neighbor_filters[neighbor] = mask_of(network, ["kw1", "kw2"])
         row = network.graph.neighbors_view(0)
 
         def matching(keywords):
@@ -198,9 +201,7 @@ class TestRouting:
         peer = network.peer(0)
         state = router.state_of(peer)
         for neighbor in network.graph.neighbors(0):
-            bf = BloomFilter(network.config.bloom_bits, network.config.bloom_hashes)
-            bf.add("kw1")
-            state.neighbor_filters[neighbor] = bf.bit_int()
+            state.neighbor_filters[neighbor] = mask_of(network, ["kw1"])
         some_neighbor = sorted(network.graph.neighbors(0))[0]
         matches = router.neighbors_matching(
             peer, network.graph.neighbors_view(0), router.keyword_mask(["kw1"]),
@@ -228,7 +229,7 @@ class TestChangeDrivenPush:
         encode = DeltaCodec.encode
 
         def counting_encode(codec, old, new):
-            calls.append((old.bit_int(), new.bit_int()))
+            calls.append((old, new))
             return encode(codec, old, new)
 
         monkeypatch.setattr(DeltaCodec, "encode", counting_encode)
@@ -277,7 +278,7 @@ class TestChangeDrivenPush:
         router.stop()
         assert encodes == [(0, router.state_of(peer).cbf.bit_int())]
         assert self.updates_sent(network) == network.graph.degree(0)
-        assert router.state_of(peer).exported.contains_all(["kw1", "kw2", "kw3"])
+        assert router.state_of(peer).exported == mask_of(network, ["kw1", "kw2", "kw3"])
 
     def test_dead_peer_holds_its_delta_until_the_first_tick_after_rejoin(
         self, monkeypatch

@@ -1,6 +1,7 @@
 """Unit tests for LocawareProtocol internals."""
 
 
+from repro.bloom import elements_mask
 from repro.core import LocawareProtocol
 from repro.core.locaware import LocawareRoutingProtocol
 from repro.overlay import P2PNetwork, ProviderEntry, Query
@@ -14,6 +15,12 @@ def make_protocol(seed=5, protocol_cls=LocawareProtocol, **overrides):
         config = config.replace(**overrides)
     network = P2PNetwork.build(config)
     return network, protocol_cls(network)
+
+
+def vector_of(network, keywords):
+    """The filter vector of exactly ``keywords``."""
+    config = network.config
+    return elements_mask(keywords, config.bloom_bits, config.bloom_hashes)
 
 
 def make_query(protocol, origin=0, keywords=("kw1",), ttl=7, path=None, qid=1):
@@ -162,7 +169,7 @@ class TestResponseTransit:
         peer = next(p for p in network.peers if p.gid == group)
         protocol.on_response_transit(peer, self._response_for(network, 3))
         state = protocol.bloom_router.state_of(peer)
-        assert state.cbf.contains_all(record.keywords)
+        assert state.cbf.bit_int() == vector_of(network, record.keywords)
 
     def test_eviction_removes_keywords_from_filter(self):
         network, protocol = make_protocol(index_capacity=1)
@@ -179,8 +186,8 @@ class TestResponseTransit:
         state = protocol.bloom_router.state_of(peer)
         evicted_keywords = network.catalog.keywords(fids[0])
         kept_keywords = network.catalog.keywords(fids[1])
-        assert state.cbf.contains_all(kept_keywords)
-        assert not state.cbf.contains_all(evicted_keywords)
+        assert state.cbf.bit_int() == vector_of(network, kept_keywords)
+        assert kept_keywords != evicted_keywords
 
 
 class TestRoutingTiers:
@@ -188,11 +195,9 @@ class TestRoutingTiers:
         network, protocol = make_protocol()
         peer = network.peer(0)
         neighbor = sorted(network.graph.neighbors(0))[0]
-        from repro.bloom import BloomFilter
-
-        bf = BloomFilter(network.config.bloom_bits, network.config.bloom_hashes)
-        bf.add_all(["kw1", "kw2"])
-        protocol.bloom_router.state_of(peer).neighbor_filters[neighbor] = bf.bit_int()
+        protocol.bloom_router.state_of(peer).neighbor_filters[neighbor] = (
+            vector_of(network, ["kw1", "kw2"])
+        )
         query = make_query(protocol, origin=5, keywords=("kw1",), path=(5,))
         targets = protocol.select_forward_targets(peer, query)
         assert targets == [neighbor]

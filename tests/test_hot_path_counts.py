@@ -21,8 +21,10 @@ instead of timing them, which does not on a shared host:
   three message handlers directly (they make the dead-at-arrival drop
   themselves), and while a copy or an update is handled nothing runs
   that recomputes what the query carries or the delta holds — no
-  ``Query.last_hop``, ``Counter.increment``, group guess, keyword mask,
-  ``BloomFilter.contains_all``, ``get_bit`` or ``set_bit``;
+  ``Query.last_hop``, ``Counter.increment``, group guess, keyword mask
+  or ``BloomFilter.contains_all``;
+- a forward selects: ``_forward`` is only called for a copy with TTL
+  left, so each call asks ``select_forward_targets``;
 - a forward is one send: a cell's ``P2PNetwork.send`` calls are its
   non-empty forwards plus its response hops plus its Bloom pushes, and
   no message handler reaches the heap through ``Simulator.schedule_at``;
@@ -34,8 +36,9 @@ instead of timing them, which does not on a shared host:
 - a hash memo hashes each key once per cell: within a 600-peer
   Locaware cell each memo's misses are the distinct filenames, keyword
   tuples and keywords it was asked for, so scoping the memos to a cell
-  costs no hit inside it; the element-mask memo is not asked at all (a
-  query hashes its keyword mask once, at issue, through no memo);
+  costs no hit inside it (the element-mask memo serves the peers'
+  filters; a query hashes its keyword mask once, at issue, through no
+  memo);
 - the two per-hop messages are tuples: immutable for real, hashable,
   and their copies equal field-by-field construction;
 - a world is drawn, not called: building one calls
@@ -67,7 +70,7 @@ import repro.overlay.blueprint as blueprint_module
 import repro.protocols.groups as groups_module
 import repro.results.claims as claims_module
 import repro.results.store as store_module
-from repro.bloom import BloomFilter
+from repro.bloom.bloom_filter import BloomFilter
 from repro.bloom.delta import DeltaCodec
 from repro.core import BloomRouter
 from repro.experiments import (
@@ -217,6 +220,38 @@ class TestADeliveryCallsNothingToDecideDuplicates:
         assert list(called) == ["_process_query_at"]
 
 
+class TestEveryForwardSelects:
+    """A copy whose TTL is spent is not forwarded: ``_forward`` is called
+    only where it then asks ``select_forward_targets``."""
+
+    @pytest.mark.parametrize("protocol", ["flooding", "locaware"])
+    def test_each_forward_call_reaches_select(self, protocol):
+        forward_code = SearchProtocol._forward.__code__
+        select_code = PROTOCOL_REGISTRY[protocol].select_forward_targets.__code__
+        process_code = SearchProtocol._process_query_at.__code__
+        calls = collections.Counter()
+
+        def profile(frame, event, _arg):
+            if event != "call":
+                return
+            code = frame.f_code
+            if code is forward_code:
+                calls["forward"] += 1
+            elif code is select_code and frame.f_back.f_code is forward_code:
+                calls["select"] += 1
+            elif code is process_code and frame.f_locals["query"].ttl == 0:
+                calls["spent"] += 1
+
+        sys.setprofile(profile)
+        try:
+            run_protocol(CONFIG, protocol, max_queries=QUERIES, bucket_width=30)
+        finally:
+            sys.setprofile(None)
+        assert calls["forward"] == calls["select"] > 0
+        # Not vacuous: copies arrived with their TTL spent.
+        assert calls["spent"] > 0
+
+
 class TestAForwardIsOneSend:
     """One ``P2PNetwork.send`` per fan-out, and no message event through
     ``Simulator.schedule_at``."""
@@ -242,7 +277,7 @@ class TestAForwardIsOneSend:
             sends = count_calls(mp, P2PNetwork, "send")
             hops = count_calls(
                 mp, SearchProtocol, "_route_response",
-                only=lambda _self, _sender, response: response.next_hop() is not None,
+                only=lambda _self, _sender, response: response.reverse_path != (),
             )
             pushes = count_calls(mp, DeltaCodec, "encode")
             schedules = count_calls(mp, Simulator, "schedule_at")
@@ -286,8 +321,6 @@ class TestAMessageIsItsHandler:
         groups_module._group_guess.__wrapped__.__code__: "_group_guess",
         bloom_filter_module.elements_mask.__code__: "elements_mask",
         BloomFilter.contains_all.__code__: "BloomFilter.contains_all",
-        BloomFilter.get_bit.__code__: "BloomFilter.get_bit",
-        BloomFilter.set_bit.__code__: "BloomFilter.set_bit",
     }
 
     @pytest.mark.parametrize(
@@ -409,8 +442,7 @@ class TestHashMemosHitWithinACell:
             assert at_end[name].misses == len(keys), name
         # Not vacuous: the cell asks again for what it hashed.
         asked_again = {name for name, info in at_end.items() if info.hits}
-        assert asked_again == set(HASH_MEMOS) - {"element_mask"}
-        assert not asked["element_mask"]
+        assert asked_again == set(HASH_MEMOS)
 
 
 class TestMessagesAreTuples:
@@ -446,7 +478,7 @@ class TestMessagesAreTuples:
             providers=r.providers, responder=r.responder,
             reverse_path=r.reverse_path[1:],
         )
-        assert type(r.advanced()) is QueryResponse and r.advanced().next_hop() == 10
+        assert type(r.advanced()) is QueryResponse and r.advanced().reverse_path[0] == 10
 
     def test_messages_stay_hashable(self):
         assert len({self.QUERY, self.QUERY.forwarded(20), self.QUERY}) == 2

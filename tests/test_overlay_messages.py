@@ -74,12 +74,6 @@ class TestQuery:
 
 
 class TestQueryResponse:
-    def test_next_hop_is_first_reverse_entry(self):
-        assert make_response(reverse_path=(7, 10)).next_hop() == 7
-
-    def test_next_hop_none_when_delivered(self):
-        assert make_response(reverse_path=()).next_hop() is None
-
     def test_advanced_pops_one_hop(self):
         r = make_response(reverse_path=(7, 10))
         assert r.advanced().reverse_path == (10,)

@@ -23,7 +23,7 @@ reference.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bloom import BloomFilter
+from repro.bloom import element_mask
 from repro.core import LocawareProtocol
 from repro.experiments.runner import make_protocol
 from repro.files import canonical_form
@@ -60,8 +60,11 @@ def reference_neighbors_matching(router, peer, keywords, exclude):
         stored = state.neighbor_filters.get(neighbor)
         if stored is not None:
             tested += 1
-            stored = BloomFilter.from_bit_int(stored, router._bits, router._hashes)
-            if all(keyword in stored for keyword in keyword_list):
+            masks = [
+                element_mask(keyword, router._bits, router._hashes)
+                for keyword in keyword_list
+            ]
+            if all(stored & mask == mask for mask in masks):
                 matches.append(neighbor)
     if tested:
         router._network.metrics.counter("bloom.membership_tests").increment(tested)

@@ -1,12 +1,14 @@
 """Content-sized structures answer exactly what population-sized ones did.
 
 ``FileStore`` postings (immutable tuples replaced on change, the whole
-store beside a count: no file-id set) and
-``CountingBloomFilter`` counters (a dict of the non-zero ones) are
-driven through random operation sequences next to the references in
-``tests/reference_stores.py`` and compared after every step;
-``FileCatalog``'s inverted index must not exist until somebody asks a
-ground-truth question, which no simulation path does.
+store beside a count: no file-id set) and ``CountingBloomFilter`` state
+(a count per present keyword beside the vector, no counter per
+position) are driven through random operation sequences next to the
+references in ``tests/reference_stores.py`` and compared after every
+step, and every Locaware golden-ledger cell runs identically with the
+counter-per-bit reference as every peer's filter; ``FileCatalog``'s
+inverted index must not exist until somebody asks a ground-truth
+question, which no simulation path does.
 """
 
 import random
@@ -15,8 +17,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from reference_stores import ArrayCountingBloomFilter, SetFileStore
+from test_golden_documents import BUCKET_WIDTH, CELLS, MAX_QUERIES, cell_name
 
-from repro.bloom import CountingBloomFilter
+import repro.core.bloom_router as bloom_router_module
+from repro.bloom import CountingBloomFilter, element_mask
 from repro.experiments import run_protocol, small_config
 from repro.experiments.runner import DEFAULT_PROTOCOL_ORDER
 from repro.files import FileCatalog, FileStore, KeywordPool
@@ -70,42 +74,116 @@ def test_file_store_matches_set_per_keyword_reference(ops, queries):
 
 # -- CountingBloomFilter ---------------------------------------------------
 
-#: A 48-bit filter and a 6-letter alphabet: positions collide, counters
-#: pass 1, and most discards hit something absent.
+#: A 24-bit filter and a 6-letter alphabet: for every hash count drawn,
+#: some two letters share a position
+#: (``test_filter_keywords_share_positions``), a filename's keywords
+#: repeat, and many discards hit something absent or still repeated.
+_BITS = 24
 _elements = st.sampled_from(["a", "b", "c", "d", "e", "f"])
 _filter_ops = st.lists(
     st.one_of(
-        st.tuples(st.sampled_from(["add", "remove", "discard"]), _elements),
-        st.tuples(st.just("clear"), st.none()),
+        # A filename's keywords, as ``BloomRouter.filename_cached`` adds them.
+        st.tuples(st.just("add_all"), st.lists(_elements, min_size=1, max_size=3)),
+        st.tuples(st.just("discard"), _elements | st.just("never-added")),
     ),
     max_size=60,
 )
 
 
+def test_filter_keywords_share_positions():
+    letters = "abcdef"
+    for hashes in range(1, 5):
+        masks = [element_mask(k, _BITS, hashes) for k in letters]
+        assert any(
+            masks[i] & masks[j] for i in range(6) for j in range(i + 1, 6)
+        ), hashes
+
+
 @given(ops=_filter_ops, hashes=st.integers(1, 4))
 def test_counting_filter_matches_counter_per_bit_reference(ops, hashes):
-    live = CountingBloomFilter(48, hashes)
-    reference = ArrayCountingBloomFilter(48, hashes)
-    for op, element in ops:
-        if op == "clear":
-            live.clear()
-            reference.clear()
-        elif op == "remove" and element not in reference._elements:
-            with pytest.raises(KeyError):
-                live.remove(element)
-        elif op == "discard":
-            assert live.discard(element) == reference.discard(element)
+    """The run path's operations — ``add_all`` of a filename's keywords,
+    ``discard`` of present, repeated and absent keywords — with the
+    vector read after every step: it equals the vector the per-bit
+    counters give, and a keyword is kept iff it is present."""
+    live = CountingBloomFilter(_BITS, hashes)
+    reference = ArrayCountingBloomFilter(_BITS, hashes)
+    assert live.bit_int() == reference.bit_int() == 0
+    for op, arg in ops:
+        if op == "add_all":
+            live.add_all(iter(arg))
+            reference.add_all(arg)
         else:
-            getattr(live, op)(element)
-            getattr(reference, op)(element)
+            assert live.discard(arg) == reference.discard(arg)
         assert live.bit_int() == reference.bit_int()
-        assert live.set_positions() == reference.set_positions()
-        assert live.max_counter() == reference.max_counter()
-        assert live.distinct_element_count == reference.distinct_element_count
-        for probe in ("a", "b", "c", "d", "e", "f", "never-added"):
-            assert (probe in live) == (probe in reference)
-        # Sized by content: a counter is stored iff its bit is set.
-        assert sorted(live._counters) == live.set_positions()
+        # Sized by content: the counts are the multiset of present keywords.
+        assert live._counts == reference._elements
+
+
+#: The golden-ledger cells whose peers keep Bloom filters.
+_BLOOM_CELLS = [cell for cell in CELLS if cell[1].startswith("locaware")]
+
+#: The counters a peer filter's vector decides.
+_BLOOM_COUNTERS = (
+    "counter.bloom.pushes",
+    "counter.bloom.push_bits",
+    "counter.messages.bloom_update",
+    "counter.bloom.membership_tests",
+)
+
+
+@pytest.mark.parametrize("capacity", [None, 1], ids=["index-default", "index-1"])
+@pytest.mark.parametrize("cell", _BLOOM_CELLS, ids=lambda cell: cell_name(*cell))
+def test_a_golden_cell_runs_as_on_the_counter_per_bit_reference(cell, capacity):
+    """Every peer filter of a golden-ledger cell swapped for the
+    reference: the same pushes, delta sizes, updates, membership tests
+    and end-of-run filter statistics.  The golden cells evict nothing,
+    so each also runs with a one-filename response index, whose
+    evictions discard keywords."""
+    model, protocol, scenario, seed = cell
+    config = small_config(seed=seed).replace(
+        query_rate_per_peer=0.02, latency_model=model
+    )
+    if capacity is not None:
+        config = config.replace(index_capacity=capacity)
+
+    def run():
+        return run_protocol(
+            config, protocol, max_queries=MAX_QUERIES, bucket_width=BUCKET_WIDTH,
+            scenario=scenario,
+        )
+
+    made = []
+
+    class Watched(ArrayCountingBloomFilter):
+        def __init__(self, bits, hashes):
+            super().__init__(bits, hashes)
+            made.append(self)
+
+    live = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bloom_router_module, "CountingBloomFilter", Watched)
+        reference = run()
+    assert made  # the reference is the filter that ran
+    assert reference.metric_snapshot == live.metric_snapshot
+    assert reference.telemetry.protocol["bloom"] == live.telemetry.protocol["bloom"]
+    snapshot = live.metric_snapshot
+    assert all(snapshot[name] > 0 for name in _BLOOM_COUNTERS)
+    assert capacity is not None or "counter.index.evictions" not in snapshot
+
+
+def test_a_one_filename_index_evicts_in_most_golden_cells():
+    """Not vacuous: the one-filename runs above discard keywords."""
+    evicting = 0
+    for model, protocol, scenario, seed in _BLOOM_CELLS:
+        config = small_config(seed=seed).replace(
+            query_rate_per_peer=0.02, latency_model=model, index_capacity=1
+        )
+        run = run_protocol(
+            config, protocol, max_queries=MAX_QUERIES, bucket_width=BUCKET_WIDTH,
+            scenario=scenario, collect_telemetry=False,
+        )
+        evicting += run.metric_snapshot.get("counter.index.evictions", 0) > 0
+    assert evicting > len(_BLOOM_CELLS) // 2
 
 
 # -- FileCatalog -----------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bloom import bloom_filter
+from repro.bloom import bloom_filter, counting
 from repro.experiments import run_protocol, small_config
 from repro.protocols import (
     file_group,
@@ -14,21 +14,20 @@ from repro.protocols import (
 from repro.sim import Simulator
 
 #: Every process-wide hash memo, by name: the two Gid memos here and
-#: the two Bloom memos (probe positions, element mask; a query's
+#: the Bloom element-mask memo (what a peer filter inserts; a query's
 #: keyword mask is hashed once at issue and kept by no memo).  Held as
-#: imported, so a test that wraps the module globals still reads the
-#: memos themselves.
+#: imported, each with the module that calls it, so a test that wraps
+#: those module globals still reads the memos themselves.
 HASH_MEMOS = {
     "stable_hash": (groups, groups.stable_hash),
     "_group_guess": (groups, groups._group_guess),
-    "_positions_cached": (bloom_filter, bloom_filter._positions_cached),
-    "element_mask": (bloom_filter, bloom_filter.element_mask),
+    "element_mask": (counting, counting.element_mask),
 }
 
 
 def clear_hash_memos():
     groups.hash_cache_clear()
-    bloom_filter.positions_cache_clear()
+    bloom_filter.mask_cache_clear()
 
 
 def memo_infos():
@@ -140,7 +139,7 @@ class TestMemosLiveForOneCell:
         # Not vacuous: both protocols hash keywords to groups, and only
         # Locaware keeps (counting) Bloom filters.
         assert first_end["stable_hash"].misses > 0
-        bloom_misses = first_end["_positions_cached"].misses
+        bloom_misses = first_end["element_mask"].misses
         assert bloom_misses > 0 if protocol == "locaware" else bloom_misses == 0
 
 

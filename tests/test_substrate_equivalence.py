@@ -1,26 +1,24 @@
 """Substrate-equivalence suite: the array-backed hot path changes nothing.
 
-The scale refactor swapped three substrates under the simulator —
+The scale refactor swapped substrates under the simulator —
 
 - CSR int-array overlay adjacency (vs dict-of-rows),
-- int-backed Bloom vectors with memoised probe positions (vs bytearray
-  + per-call BLAKE2b),
 - bound O(1) latency closures (vs per-call model scans)
 
 — while every observable (QueryOutcome streams, summaries, series,
 metric snapshots) must stay *byte-identical*.  This suite proves it by
 running full simulations twice: once on the production (new) substrate
 and once with the reference backends monkeypatched in (the tests-only
-:class:`reference_graph.DictOverlayGraph`, the tests-only
-:class:`reference_bloom.ByteBloomFilter`, the per-call ``scan_*``
-latency path of ``reference_latency``), then
-comparing ``run_fingerprint`` output.
+:class:`reference_graph.DictOverlayGraph` and the per-call ``scan_*``
+latency path of ``reference_latency``), then comparing
+``run_fingerprint`` output.  (Bloom vectors are ints end to end; the
+peer filter's reference is ``reference_stores.ArrayCountingBloomFilter``,
+run in ``tests/test_property_sized_by_content.py``.)
 
 Component-level sections pin the equivalences individually so a
 failure localises: identical RNG draws and neighbor orders for the two
-graph backends, identical bit vectors for the two filter backends,
-bit-identical floats for bound-vs-scan latency, and the memoised
-position cache's one-digest-per-distinct-element contract.
+graph backends, bit-identical floats for bound-vs-scan latency, and the
+memoised element masks' one-digest-per-distinct-element contract.
 """
 
 import random
@@ -28,21 +26,10 @@ import random
 import pytest
 
 import reference_latency
-import repro.bloom.counting as counting_module
-import repro.bloom.delta as delta_module
-import repro.core.bloom_router as bloom_router_module
 import repro.overlay.blueprint as blueprint_module
-from reference_bloom import ByteBloomFilter
 from reference_graph import DictOverlayGraph
 from reference_latency import scan_latency_ms, scan_rtt_ms
-from repro.bloom.bloom_filter import (
-    BloomFilter,
-    element_mask,
-    element_positions,
-    elements_mask,
-    positions_cache_clear,
-    positions_cache_info,
-)
+from repro.bloom.bloom_filter import element_mask, elements_mask, mask_cache_clear
 from repro.experiments import PROTOCOL_REGISTRY, run_protocol
 from repro.net.latency import EuclideanLatencyModel, RouterLevelLatencyModel
 from repro.net.underlay import Underlay
@@ -69,11 +56,8 @@ def patch_scan_latency_s(mp: pytest.MonkeyPatch) -> None:
 
 
 def patch_legacy_substrate(mp: pytest.MonkeyPatch) -> None:
-    """Swap every legacy backend in: dict graph, byte bloom, scan latency."""
+    """Swap every legacy backend in: dict graph, scan latency."""
     mp.setattr(blueprint_module, "OverlayGraph", DictOverlayGraph)
-    mp.setattr(bloom_router_module, "BloomFilter", ByteBloomFilter)
-    mp.setattr(counting_module, "BloomFilter", ByteBloomFilter)
-    mp.setattr(delta_module, "BloomFilter", ByteBloomFilter)
     mp.setattr(Underlay, "latency_ms", scan_latency_ms)
     mp.setattr(Underlay, "rtt_ms", scan_rtt_ms)
     patch_scan_latency_s(mp)
@@ -221,54 +205,6 @@ class TestGraphBackendEquivalence:
             assert csr.ranked_neighbors(pid) == ref.ranked_neighbors(pid)
 
 
-class TestBloomBackendEquivalence:
-    """Int-backed and byte-backed filters serialise identically."""
-
-    def _random_ops(self, cls, seed):
-        rng = random.Random(seed)
-        bf = cls(1200, 4)
-        words = [f"kw{i}" for i in range(60)]
-        for _ in range(200):
-            bf.add(rng.choice(words))
-        return bf
-
-    @pytest.mark.parametrize("seed", [1, 6])
-    def test_vectors_byte_identical(self, seed):
-        fast = self._random_ops(BloomFilter, seed)
-        legacy = self._random_ops(ByteBloomFilter, seed)
-        assert fast.to_bytes() == legacy.to_bytes()
-        assert fast.set_positions() == legacy.set_positions()
-        assert fast.set_bit_count() == legacy.set_bit_count()
-
-    def test_membership_agrees(self):
-        fast = self._random_ops(BloomFilter, 2)
-        legacy = self._random_ops(ByteBloomFilter, 2)
-        for i in range(200):
-            probe = f"kw{i}"
-            assert (probe in fast) == (probe in legacy), probe
-
-    def test_from_bit_int_roundtrips_on_both(self):
-        value = random.Random(9).getrandbits(1200)
-        fast = BloomFilter.from_bit_int(value, 1200, 4)
-        legacy = ByteBloomFilter.from_bit_int(value, 1200, 4)
-        assert fast.to_bytes() == legacy.to_bytes()
-        assert fast.bit_int() == legacy.bit_int() == value
-
-    def test_union_and_clear_agree(self):
-        a_fast, a_legacy = BloomFilter(256, 3), ByteBloomFilter(256, 3)
-        b_fast, b_legacy = BloomFilter(256, 3), ByteBloomFilter(256, 3)
-        a_fast.add_all(["x", "y"])
-        a_legacy.add_all(["x", "y"])
-        b_fast.add_all(["y", "z"])
-        b_legacy.add_all(["y", "z"])
-        a_fast.union_with(b_fast)
-        a_legacy.union_with(b_legacy)
-        assert a_fast.to_bytes() == a_legacy.to_bytes()
-        a_fast.clear()
-        a_legacy.clear()
-        assert a_fast.to_bytes() == a_legacy.to_bytes()
-
-
 class TestLatencyPathEquivalence:
     """Bound closures return bit-identical floats to the scan path."""
 
@@ -291,13 +227,13 @@ class TestLatencyPathEquivalence:
             assert underlay.latency_s(a, b) == scan_latency_ms(underlay, a, b) / 1000.0
 
 
-class TestMemoisedPositions:
-    """element_positions: one BLAKE2b per distinct (element, m, k)."""
+class TestMemoisedMasks:
+    """element_mask: one BLAKE2b per distinct (element, m, k)."""
 
     def setup_method(self):
-        positions_cache_clear()
+        mask_cache_clear()
 
-    def test_positions_unchanged_by_memoisation(self):
+    def test_masks_are_the_double_hash_positions(self):
         # Golden check against the raw double-hash construction.
         import hashlib
 
@@ -305,36 +241,35 @@ class TestMemoisedPositions:
             digest = hashlib.blake2b(element.encode("utf-8"), digest_size=16).digest()
             h1 = int.from_bytes(digest[:8], "big")
             h2 = int.from_bytes(digest[8:], "big") | 1
-            expected = tuple((h1 + i * h2) % bits for i in range(hashes))
-            assert element_positions(element, bits, hashes) == expected
+            expected = sum({1 << (h1 + i * h2) % bits for i in range(hashes)})
+            assert element_mask(element, bits, hashes) == expected
+            assert elements_mask([element], bits, hashes) == expected
 
     def test_one_digest_per_distinct_element(self):
-        before = positions_cache_info()
+        before = element_mask.cache_info()
         for _ in range(50):
-            element_positions("repeated", 1200, 4)
-        after = positions_cache_info()
+            element_mask("repeated", 1200, 4)
+        after = element_mask.cache_info()
         assert after.misses == before.misses + 1
         assert after.hits >= before.hits + 49
 
     def test_distinct_geometries_cached_separately(self):
-        assert element_positions("kw", 1200, 4) != element_positions("kw", 1201, 4)
-        before = positions_cache_info().currsize
-        element_positions("kw", 1200, 4)
-        element_positions("kw", 1201, 4)
-        assert positions_cache_info().currsize == before
+        assert element_mask("kw", 1200, 4) != element_mask("kw", 1201, 4)
+        before = element_mask.cache_info().currsize
+        element_mask("kw", 1200, 4)
+        element_mask("kw", 1201, 4)
+        assert element_mask.cache_info().currsize == before
 
     def test_element_masks_live_until_their_cell_ends(self):
-        bf = BloomFilter(1200, 4)
-        bf.add_all(["kw1", "kw2"])
         for _ in range(20):
-            assert bf.contains_all(("kw1", "kw2"))
+            element_mask("kw1", 1200, 4)
+            element_mask("kw2", 1200, 4)
         info = element_mask.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 40, 2)
-        # A cell empties the two Bloom memos as it ends, what it hashed
+        assert (info.misses, info.hits, info.currsize) == (2, 38, 2)
+        # A cell empties the mask memo as it ends, what it hashed
         # itself and what was there before it alike.
         run_protocol(_config(), "locaware", max_queries=60, bucket_width=30)
         assert element_mask.cache_info().currsize == 0
-        assert positions_cache_info().currsize == 0
 
     def test_a_fresh_elements_mask_equals_the_memoised_masks(self):
         for elements in [(), ("kw1",), ("kw1", "kw2", "kw1"), ("a b", "kw3")]:
@@ -343,17 +278,3 @@ class TestMemoisedPositions:
                 memoised |= element_mask(element, 1200, 4)
             assert elements_mask(elements, 1200, 4) == memoised
             assert elements_mask(iter(elements), 1200, 4) == memoised
-
-    def test_validation_still_raises(self):
-        with pytest.raises(ValueError):
-            element_positions("x", 0, 4)
-        with pytest.raises(ValueError):
-            element_positions("x", 100, 0)
-
-    def test_filters_share_the_cache(self):
-        bf = BloomFilter(512, 3)
-        bf.add("shared-keyword")
-        assert "shared-keyword" in bf
-        legacy = ByteBloomFilter(512, 3)
-        legacy.add("shared-keyword")
-        assert legacy.to_bytes() == bf.to_bytes()

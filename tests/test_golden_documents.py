@@ -2,7 +2,16 @@
 
 ``tests/golden/run_documents.json`` holds two sha256 digests for every
 protocol × {baseline, churn-storm, flash-crowd} × seeds {1, 2} cell at
-60 peers / 80 queries, on both latency models:
+60 peers / 80 queries, on both latency models, and for two slices that
+reach the write paths those cells barely touch:
+
+- ``churn-storm:calm_session_s=60`` for every protocol: dozens of
+  leaves and rejoins per cell, so the overlay's ``remove_peer`` /
+  ``add_peer`` and the session-state resets run in earnest;
+- ``baseline@index_capacity=1`` for the four caching protocols: a
+  one-entry index, so every cache evicts.
+
+Each cell has two digests:
 
 ``document``
     the canonical ``run_to_document`` JSON — everything a result store
@@ -27,9 +36,10 @@ Regenerate (only for an intentional, documented re-baseline)::
 
     PYTHONPATH=src python tests/test_golden_documents.py
 
-That rewrites ``document`` digests only: if any ``science`` digest
-would move it names the cells, writes nothing and exits non-zero.
-Moving those takes the explicit ``--science`` argument.
+That rewrites ``document`` digests and records cells new to the
+matrix: if the ``science`` digest of a cell already in the ledger would
+move it names the cells, writes nothing and exits non-zero.  Moving
+those takes the explicit ``--science`` argument.
 """
 
 import hashlib
@@ -44,6 +54,7 @@ import pytest
 import repro
 from repro.analysis.persistence import run_to_document
 from repro.experiments import PROTOCOL_REGISTRY, run_protocol, small_config
+from repro.experiments.grid import ScenarioSpec
 from repro.results.keys import canonical_json
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "run_documents.json"
@@ -57,41 +68,57 @@ BUCKET_WIDTH = 20
 #: Document fields that describe the run, not its queries.
 RUN_LEVEL_FIELDS = ("sim_time_s", "events_processed")
 
+#: The protocols that cache indexes (all but flooding).
+CACHING_PROTOCOLS = sorted(set(PROTOCOL_REGISTRY) - {"flooding"})
+
+#: (model, protocol, scenario, seed, config overrides); ``scenario`` is
+#: in the grid's ``name:key=value`` form.
 CELLS = [
-    (model, protocol, scenario, seed)
+    (model, protocol, scenario, seed, ())
     for model in LATENCY_MODELS
     for protocol in sorted(PROTOCOL_REGISTRY)
     for scenario in SCENARIOS
     for seed in SEEDS
+] + [
+    (model, protocol, scenario, seed, overrides)
+    for scenario, overrides, protocols in (
+        ("churn-storm:calm_session_s=60", (), sorted(PROTOCOL_REGISTRY)),
+        ("baseline", (("index_capacity", 1),), CACHING_PROTOCOLS),
+    )
+    for model in LATENCY_MODELS
+    for protocol in protocols
+    for seed in SEEDS
 ]
 
 #: One cell per protocol for :class:`TestHashSeedEnvelope`: under a
-#: churn storm peers leave, rejoin and rewire, the most set- and
-#: dict-shaped work a cell does.
+#: storm on 60 s calm sessions peers leave, rejoin and rewire dozens of
+#: times a cell, the most set- and dict-shaped work a cell does.
 ENVELOPE_CELLS = [
-    ("router", protocol, "churn-storm", 1) for protocol in sorted(PROTOCOL_REGISTRY)
+    ("router", protocol, "churn-storm:calm_session_s=60", 1, ())
+    for protocol in sorted(PROTOCOL_REGISTRY)
 ]
 
 
-def cell_name(model, protocol, scenario, seed):
-    return f"{model}/{protocol}/{scenario}/seed{seed}"
+def cell_name(model, protocol, scenario, seed, overrides=()):
+    suffix = "".join(f"@{key}={value}" for key, value in overrides)
+    return f"{model}/{protocol}/{scenario}{suffix}/seed{seed}"
 
 
 def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def cell_digests(model, protocol, scenario, seed):
+def cell_digests(model, protocol, scenario, seed, overrides=()):
     """``{"document": sha, "science": sha}`` of one freshly run cell."""
     config = small_config(seed=seed).replace(
-        query_rate_per_peer=0.02, latency_model=model
+        query_rate_per_peer=0.02, latency_model=model, **dict(overrides)
     )
     run = run_protocol(
         config,
         protocol,
         max_queries=MAX_QUERIES,
         bucket_width=BUCKET_WIDTH,
-        scenario=scenario,
+        scenario=ScenarioSpec.parse(scenario).make(),
         collect_telemetry=False,
     )
     document = run_to_document(run)
@@ -158,11 +185,12 @@ def regenerate(argv):
         return 2
     old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
     ledger = {cell_name(*cell): cell_digests(*cell) for cell in CELLS}
+    added = [name for name in ledger if name not in old]
     changed = {
         column: [
             name
             for name, digests in ledger.items()
-            if old.get(name, {}).get(column) != digests[column]
+            if name in old and old[name].get(column) != digests[column]
         ]
         for column in ("document", "science")
     }
@@ -184,6 +212,10 @@ def regenerate(argv):
         f"{len(changed['document'])} document digest(s) changed, "
         f"{len(moved)} science digest(s) changed"
     )
+    if added:
+        print(f"{len(added)} cell(s) added:")
+        for name in added:
+            print(f"  {name}")
     return 0
 
 
@@ -211,6 +243,17 @@ class TestRegenerate:
         assert regenerate([]) == 1
         assert name in capsys.readouterr().err
         assert path.read_text() == before
+
+    def test_added_cell_is_written_and_named(self, one_cell, capsys):
+        """A cell new to the matrix has no digest to move: it is
+        recorded without ``--science`` and reported on its own line."""
+        name, entry, path = one_cell
+        path.write_text(json.dumps({}))
+        assert regenerate([]) == 0
+        assert json.loads(path.read_text()) == {name: entry}
+        out = capsys.readouterr().out
+        assert "0 science digest(s) changed" in out
+        assert "1 cell(s) added" in out and name in out
 
     def test_science_move_needs_the_explicit_argument(self, one_cell):
         name, entry, path = one_cell

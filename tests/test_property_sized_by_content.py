@@ -17,7 +17,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from reference_stores import ArrayCountingBloomFilter, SetFileStore
-from test_golden_documents import BUCKET_WIDTH, CELLS, MAX_QUERIES, cell_name
+from test_golden_documents import (
+    BUCKET_WIDTH,
+    CELLS,
+    MAX_QUERIES,
+    SCENARIOS,
+    cell_name,
+)
 
 import repro.core.bloom_router as bloom_router_module
 from repro.bloom import CountingBloomFilter, element_mask
@@ -119,8 +125,12 @@ def test_counting_filter_matches_counter_per_bit_reference(ops, hashes):
         assert live._counts == reference._elements
 
 
-#: The golden-ledger cells whose peers keep Bloom filters.
-_BLOOM_CELLS = [cell for cell in CELLS if cell[1].startswith("locaware")]
+#: The golden-ledger matrix cells whose peers keep Bloom filters.
+_BLOOM_CELLS = [
+    cell[:4]
+    for cell in CELLS
+    if cell[1].startswith("locaware") and cell[2] in SCENARIOS
+]
 
 #: The counters a peer filter's vector decides.
 _BLOOM_COUNTERS = (

@@ -9,7 +9,7 @@ contract to the old one:
 
 - every golden-ledger cell (``tests/test_golden_documents.py``: each
   protocol × baseline / churn-storm / flash-crowd × seeds 1, 2 × both
-  latency models), plus a storm that has copies reach dead peers in
+  latency models, and its churn and eviction slices), plus a storm that has copies reach dead peers in
   every protocol, gives the same full metric snapshot, outcomes, event
   count, end time and per-peer end state (kinds of protocol state,
   stored neighbor filters) run directly and through the trampoline.  The
@@ -38,6 +38,7 @@ from repro.experiments import (
     run_protocol,
     small_config,
 )
+from repro.experiments.grid import ScenarioSpec
 from repro.overlay import NetworkBlueprint, P2PNetwork
 from repro.protocols.base import SearchProtocol
 from repro.scenarios import make_scenario
@@ -78,7 +79,7 @@ def peer_state(peer):
     return sorted(peer.protocol_state), filters
 
 
-def run_cell(model, protocol, scenario, seed):
+def run_cell(model, protocol, scenario, seed, overrides=()):
     networks = []
     instantiate = NetworkBlueprint.instantiate
 
@@ -89,11 +90,13 @@ def run_cell(model, protocol, scenario, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(NetworkBlueprint, "instantiate", keeping)
         run = run_protocol(
-            cell_config(model, seed),
+            cell_config(model, seed).replace(**dict(overrides)),
             protocol,
             max_queries=MAX_QUERIES,
             bucket_width=BUCKET_WIDTH,
-            scenario=STORM if scenario == "storm" else scenario,
+            scenario=(
+                STORM if scenario == "storm" else ScenarioSpec.parse(scenario).make()
+            ),
             collect_telemetry=False,
         )
     (network,) = networks

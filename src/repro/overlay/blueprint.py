@@ -20,8 +20,9 @@ The split is safe because the world has two sharply different halves:
   :class:`~repro.files.catalog.FileCatalog` are never mutated after
   construction, so every instance aliases the blueprint's objects;
 - **copied or rebuilt per instance**: the overlay graph (churn rewires
-  it), the peer population (stores grow with downloads, liveness and
-  protocol state change), the simulator, metrics, and every run-time
+  it; the copy shares the pristine row tuples, which never change), the
+  peer population (stores grow with downloads, protocol state changes)
+  and its liveness table, the simulator, metrics, and every run-time
   RNG stream.
 
 Because :class:`~repro.sim.rng.RandomStreams` seeds each named stream
@@ -55,7 +56,7 @@ from ..sim.rng import RandomStreams
 from ..sim.tracing import Tracer
 from .graph import OverlayGraph
 from .network import P2PNetwork
-from .peer import Peer
+from .peer import LivenessTable, Peer
 
 __all__ = ["BlueprintCache", "NetworkBlueprint", "build_count", "build_underlay"]
 
@@ -228,9 +229,9 @@ class NetworkBlueprint:
         as every topology field matches (same fingerprint); this is how
         a scenario that only touches run-time knobs (churn means, query
         rates) runs on a cached build.  The returned network has its
-        own simulator, metrics, peers, file stores, overlay copy, and a
-        run-time-only stream factory — nothing run-mutable is shared
-        with other instances.
+        own simulator, metrics, peers, liveness table, file stores,
+        overlay copy, and a run-time-only stream factory — nothing
+        run-mutable is shared with other instances.
         """
         cfg = self.config if config is None else config
         if cfg is not self.config and not self.compatible_with(cfg):
@@ -240,6 +241,7 @@ class NetworkBlueprint:
                 f"{self.fingerprint[:12]}...); rebuild instead of instantiating"
             )
         streams = RandomStreams(cfg.seed, forbidden=BUILD_STREAM_NAMES)
+        liveness = LivenessTable(cfg.num_peers)
         peers = []
         for pid in range(cfg.num_peers):
             store = FileStore(self.catalog)
@@ -250,6 +252,7 @@ class NetworkBlueprint:
                     locid=self.underlay.locid_of(pid),
                     gid=self.gids[pid],
                     store=store,
+                    liveness=liveness,
                 )
             )
         return P2PNetwork(
@@ -258,6 +261,7 @@ class NetworkBlueprint:
             underlay=self.underlay,
             graph=self.graph.copy(),
             peers=peers,
+            liveness=liveness,
             catalog=self.catalog,
             streams=streams,
             tracer=tracer,

@@ -9,19 +9,18 @@ component with one random edge, so queries are not artificially
 partitioned away from their results (PeerSim's wiring protocols do the
 same).
 
-The pristine wiring lives in a CSR-style pair of flat int arrays
-(``indptr``/``indices``) with a copy-on-write per-row overlay for churn
-mutations, so ``copy()`` (one per blueprint instantiation) is a pair of
-C-level ``memcpy``s, and re-joins draw candidates from an incrementally
+**A row is one immutable tuple.**  §3.1 wires a peer when it joins and
+only churn rewires it, so the graph is one list of rows, a peer's
+neighbor ids as a tuple (``None`` once the peer has left).  A hop reads
+its row with one list index (:meth:`OverlayGraph.neighbors_view`); a
+mutation replaces the tuples it changes, so a row once handed out never
+changes; and ``copy()`` (one per blueprint instantiation) copies the
+list, every instance sharing the pristine tuples.  The one thing
+derived from the wiring — a row ordered best connected first
+(:meth:`OverlayGraph.ranked_neighbors`, §4.2's "highly connected
+neighbor" rule) — is built on first use and forgotten by the mutation
+that invalidates it.  Re-joins draw candidates from an incrementally
 maintained sorted id list instead of re-sorting the whole population.
-
-**What a hop reads is derived once per wiring, not once per hop.**
-§3.1 wires a peer when it joins and only churn rewires it, so the two
-things forwarding reads off the wiring — a peer's neighbor row
-(:meth:`OverlayGraph.neighbors_view`) and that row ordered best
-connected first (:meth:`OverlayGraph.ranked_neighbors`, §4.2's "highly
-connected neighbor" rule) — are immutable tuples, materialised on first
-use and forgotten by the mutation that invalidates them.
 
 **Neighbor iteration order is part of the contract**: rows iterate in
 edge *insertion* order (construction order; churn re-joins append).
@@ -35,7 +34,6 @@ property suites compare against.
 from __future__ import annotations
 
 import random
-from array import array
 from bisect import bisect_left, insort
 from collections.abc import Sequence
 
@@ -124,11 +122,12 @@ def _connect_rows(
         membership[b].add(a)
 
 
-def _components_of_rows(rows: list[list[int]]) -> list[set[int]]:
+def _components_of_rows(rows: Sequence[Sequence[int] | None]) -> list[set[int]]:
+    """Components in order of their smallest id (absent rows skipped)."""
     seen: set[int] = set()
     components: list[set[int]] = []
     for start in range(len(rows)):
-        if start in seen:
+        if start in seen or rows[start] is None:
             continue
         stack = [start]
         component = {start}
@@ -145,40 +144,28 @@ def _components_of_rows(rows: list[list[int]]) -> list[set[int]]:
 
 
 class OverlayGraph:
-    """An undirected overlay graph over integer peer ids (CSR-backed).
+    """An undirected overlay graph over integer peer ids.
 
-    The pristine wiring lives in two flat int arrays (``_indptr``,
-    ``_indices``); churn promotes individual rows into ``_mutated``
-    copy-on-write arrays.  Neighbor rows iterate in insertion order.
-    ``_rows`` / ``_ranked`` hold the tuples :meth:`neighbors_view` and
-    :meth:`ranked_neighbors` have handed out for the current wiring;
-    :meth:`_forget` is the only place entries leave them.
+    ``_rows[pid]`` is the peer's neighbor ids in insertion order, as an
+    immutable tuple, or ``None`` while the peer is out of the overlay.
+    ``_ranked`` holds the rankings :meth:`ranked_neighbors` has handed
+    out for the current wiring; :meth:`_forget` is the only place
+    entries leave it.
     """
 
     __slots__ = (
-        "_indptr",
-        "_indices",
-        "_mutated",
         "_rows",
         "_ranked",
-        "_present",
         "_present_sorted",
         "_num_present",
         "_num_edges",
     )
 
-    #: array typecode for neighbor ids — signed 8-byte, plenty for 10⁹ peers.
-    _TYPECODE = "q"
-
     def __init__(self, num_peers: int) -> None:
         if num_peers < 0:
             raise ValueError(f"num_peers must be non-negative, got {num_peers}")
-        self._indptr = array(self._TYPECODE, bytes(8 * (num_peers + 1)))
-        self._indices = array(self._TYPECODE)
-        self._mutated: dict[int, array] = {}
-        self._rows: dict[int, tuple[int, ...]] = {}
+        self._rows: list[tuple[int, ...] | None] = [()] * num_peers
         self._ranked: dict[int, tuple[int, ...]] = {}
-        self._present = bytearray(b"\x01" * num_peers)
         self._present_sorted: list[int] | None = None
         self._num_present = num_peers
         self._num_edges = 0
@@ -196,85 +183,47 @@ class OverlayGraph:
         """Build the paper's random overlay with the target mean degree."""
         rows = _random_rows(num_peers, mean_degree, rng, connect_components)
         graph = cls(num_peers)
-        graph._freeze_rows(rows)
+        graph._rows = [tuple(row) for row in rows]
+        graph._num_edges = sum(map(len, rows)) // 2
         return graph
 
-    def _freeze_rows(self, rows: Sequence[Sequence[int]]) -> None:
-        """Load insertion-ordered rows into the CSR base arrays."""
-        indptr = array(self._TYPECODE, [0] * (len(rows) + 1))
-        indices = array(self._TYPECODE)
-        total = 0
-        for pid, row in enumerate(rows):
-            indices.extend(row)
-            total += len(row)
-            indptr[pid + 1] = total
-        self._indptr = indptr
-        self._indices = indices
-        self._num_edges = total // 2
-
     def copy(self) -> OverlayGraph:
-        """An independent deep copy of the current wiring.
+        """An independent copy of the current wiring.
 
         The overlay is mutated at run time (churn tears down and
         rebuilds links), so a cached blueprint hands every
-        instantiation its own copy of the pristine graph.  Copying the
-        CSR base is two C-level array copies; the clone starts with
-        empty row and ranking caches of its own.
+        instantiation its own copy of the pristine graph.  Rows are
+        immutable, so the copy is one list copy sharing them; the clone
+        starts with an empty ranking cache of its own.
         """
         clone = OverlayGraph(0)
-        clone._indptr = self._indptr[:]
-        clone._indices = self._indices[:]
-        clone._mutated = {pid: row[:] for pid, row in self._mutated.items()}
-        clone._present = bytearray(self._present)
-        clone._present_sorted = None
+        clone._rows = self._rows[:]
         clone._num_present = self._num_present
         clone._num_edges = self._num_edges
         return clone
 
-    # -- row access -------------------------------------------------------
+    # -- mutation helpers ---------------------------------------------------
 
-    def _base_row(self, peer_id: int) -> array:
-        start = self._indptr[peer_id]
-        return self._indices[start : self._indptr[peer_id + 1]]
-
-    def _row(self, peer_id: int) -> array:
-        """The peer's current row: promoted if churn touched it, else a
-        fresh slice of the CSR base (callers must not mutate it)."""
-        row = self._mutated.get(peer_id)
-        if row is not None:
-            return row
-        if not self.contains(peer_id):
-            raise KeyError(f"peer {peer_id} not in the overlay")
-        return self._base_row(peer_id)
-
-    def _row_mut(self, peer_id: int) -> array:
-        """The peer's mutable row, promoting the CSR base row on demand.
-
-        Whoever asks is about to change the row, so everything derived
-        from it is forgotten here (see :meth:`_forget`)."""
-        row = self._mutated.get(peer_id)
-        if row is None:
-            row = self._mutated[peer_id] = self._row(peer_id)
-        self._forget(peer_id, row)
-        return row
-
-    def _forget(self, peer_id: int, row: Sequence[int]) -> None:
+    def _forget(self, peer_id: int, row: tuple[int, ...]) -> None:
         """Drop what was derived from ``peer_id``'s row (``row``, as it
-        is before the change): its tuple, its ranking, and the ranking
-        of every member — a member's ranking holds ``peer_id``'s degree.
+        is before the change): its ranking, and the ranking of every
+        member — a member's ranking holds ``peer_id``'s degree.
         """
-        self._rows.pop(peer_id, None)
         ranked = self._ranked
         ranked.pop(peer_id, None)
         for member in row:
             ranked.pop(member, None)
 
     def _add_edge(self, a: int, b: int) -> None:
-        row_a = self._row_mut(a)
+        rows = self._rows
+        row_a = rows[a]
         if b in row_a:
             return
-        row_a.append(b)
-        self._row_mut(b).append(a)
+        row_b = rows[b]
+        self._forget(a, row_a)
+        self._forget(b, row_b)
+        rows[a] = row_a + (b,)
+        rows[b] = row_b + (a,)
         self._num_edges += 1
 
     # -- queries -----------------------------------------------------------
@@ -299,13 +248,15 @@ class OverlayGraph:
         Maintained incrementally by :meth:`add_peer`/:meth:`remove_peer`
         so a churn re-join no longer re-sorts the whole population."""
         if self._present_sorted is None:
-            present = self._present
-            self._present_sorted = [i for i in range(len(present)) if present[i]]
+            rows = self._rows
+            self._present_sorted = [
+                pid for pid in range(len(rows)) if rows[pid] is not None
+            ]
         return self._present_sorted
 
     def contains(self, peer_id: int) -> bool:
         """Whether ``peer_id`` is currently in the graph."""
-        return 0 <= peer_id < len(self._present) and bool(self._present[peer_id])
+        return 0 <= peer_id < len(self._rows) and self._rows[peer_id] is not None
 
     def neighbors(self, peer_id: int) -> set[int]:
         """A copy of ``peer_id``'s neighbors as a set."""
@@ -314,13 +265,15 @@ class OverlayGraph:
     def neighbors_view(self, peer_id: int) -> tuple[int, ...]:
         """The neighbor row in insertion order, as an immutable tuple.
 
-        The hot-path read: one dict lookup per hop.  The tuple is built
-        on the first read after the row last changed and never changes
-        once handed out — a later mutation makes the *next* call return
-        a new tuple."""
-        row = self._rows.get(peer_id)
-        if row is None:
-            row = self._rows[peer_id] = tuple(self._row(peer_id))
+        The hot-path read: one list index per hop.  The tuple never
+        changes once handed out — a later mutation makes the *next*
+        call return a new tuple."""
+        try:
+            row = self._rows[peer_id]
+        except IndexError:
+            row = None
+        if row is None or peer_id < 0:
+            raise KeyError(f"peer {peer_id} not in the overlay")
         return row
 
     def ranked_neighbors(self, peer_id: int) -> tuple[int, ...]:
@@ -340,12 +293,7 @@ class OverlayGraph:
 
     def degree(self, peer_id: int) -> int:
         """Number of neighbors of ``peer_id``."""
-        row = self._mutated.get(peer_id)
-        if row is not None:
-            return len(row)
-        if not self.contains(peer_id):
-            raise KeyError(f"peer {peer_id} not in the overlay")
-        return self._indptr[peer_id + 1] - self._indptr[peer_id]
+        return len(self.neighbors_view(peer_id))
 
     def mean_degree(self) -> float:
         """Realised average degree."""
@@ -355,27 +303,7 @@ class OverlayGraph:
 
     def components(self) -> list[set[int]]:
         """Connected components as peer-id sets."""
-        seen: set[int] = set()
-        components: list[set[int]] = []
-        for start in self._sorted_present():
-            if start in seen:
-                continue
-            stack = [start]
-            component = {start}
-            seen.add(start)
-            while stack:
-                u = stack.pop()
-                for v in self._row(u):
-                    if v not in component:
-                        component.add(v)
-                        seen.add(v)
-                        stack.append(v)
-            components.append(component)
-        return components
-
-    def is_connected(self) -> bool:
-        """Whether the graph forms a single component."""
-        return len(self.components()) <= 1
+        return _components_of_rows(self._rows)
 
     # -- mutation (churn) ----------------------------------------------------
 
@@ -388,11 +316,11 @@ class OverlayGraph:
         if self.contains(peer_id):
             raise ValueError(f"peer {peer_id} already in the overlay")
         candidates = self._sorted_present()
-        if peer_id >= len(self._present):
-            self._present.extend(bytes(peer_id + 1 - len(self._present)))
-        self._present[peer_id] = 1
+        rows = self._rows
+        if peer_id >= len(rows):
+            rows.extend([None] * (peer_id + 1 - len(rows)))
+        rows[peer_id] = ()
         self._num_present += 1
-        self._mutated[peer_id] = array(self._TYPECODE)
         if not candidates:
             self._present_sorted = None
             return []
@@ -404,28 +332,20 @@ class OverlayGraph:
 
     def remove_peer(self, peer_id: int) -> set[int]:
         """Remove ``peer_id`` and its links; returns its former neighbors."""
-        if not self.contains(peer_id):
-            raise KeyError(f"peer {peer_id} not in the overlay")
-        row = self._mutated.pop(peer_id, None)
-        if row is None:
-            row = self._base_row(peer_id)
+        row = self.neighbors_view(peer_id)
+        rows = self._rows
         self._forget(peer_id, row)
+        rows[peer_id] = None
         for neighbor in row:
-            self._row_mut(neighbor).remove(peer_id)
-        self._present[peer_id] = 0
+            neighbor_row = rows[neighbor]
+            self._forget(neighbor, neighbor_row)
+            at = neighbor_row.index(peer_id)
+            rows[neighbor] = neighbor_row[:at] + neighbor_row[at + 1 :]
         self._num_present -= 1
         self._num_edges -= len(row)
         if self._present_sorted is not None:
             del self._present_sorted[bisect_index(self._present_sorted, peer_id)]
         return set(row)
-
-    def degree_histogram(self) -> dict[int, int]:
-        """Map degree -> number of peers with that degree."""
-        histogram: dict[int, int] = {}
-        for pid in self._sorted_present():
-            d = self.degree(pid)
-            histogram[d] = histogram.get(d, 0) + 1
-        return histogram
 
 
 def bisect_index(sorted_list: list[int], value: int) -> int:

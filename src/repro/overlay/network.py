@@ -48,6 +48,7 @@ class P2PNetwork:
         underlay: Underlay,
         graph: OverlayGraph,
         peers: list[Peer],
+        liveness: LivenessTable,
         catalog: FileCatalog,
         streams: RandomStreams,
         metrics: MetricRegistry | None = None,
@@ -70,11 +71,10 @@ class P2PNetwork:
         # flight, not the run's history.
         self.query_seen: dict[int, set[int]] = {}
         self.query_flight_end: dict[int, float] = {}
-        # Struct-of-arrays liveness: the handlers' arrival check and the
-        # alive census read flat flags instead of walking Peer objects.
-        self.liveness = LivenessTable(len(peers))
-        for peer in peers:
-            peer.bind_liveness(self.liveness)
+        # Struct-of-arrays liveness, the one backing of every peer's
+        # ``alive``: the handlers' arrival check and the alive census
+        # read flat flags instead of walking Peer objects.
+        self.liveness = liveness
         # The underlay's bound seconds closure, one frame per message.
         self._latency_s = underlay.latency_s
         # Hot counters, resolved once instead of a registry dict lookup

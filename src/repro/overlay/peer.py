@@ -1,11 +1,11 @@
 """Peer state.
 
 A :class:`Peer` is deliberately a thin state container: identity,
-locality, group id, shared files and liveness.  The queries a peer has
-processed are not kept here but in the network's duplicate-suppression
-table, per query in flight
-(:meth:`~repro.overlay.network.P2PNetwork.open_query`).  *Behaviour*
-lives in the protocol objects (:mod:`repro.protocols`,
+locality, group id, shared files and liveness (a flag in the network's
+:class:`LivenessTable`).  The queries a peer has processed are not kept
+here but in the network's duplicate-suppression table, per query in
+flight (:meth:`~repro.overlay.network.P2PNetwork.open_query`).
+*Behaviour* lives in the protocol objects (:mod:`repro.protocols`,
 :mod:`repro.core`) so that the same peer population can be re-run
 under Flooding, Dicas, Dicas-Keys, or Locaware; protocol-specific
 state (response indexes, Bloom filters) is attached by the protocol
@@ -34,9 +34,9 @@ class LivenessTable:
     rebuilt ascending tuple of alive ids — the same order the old
     object-walk produced.
 
-    :class:`Peer` objects bound to a table (see :meth:`Peer.
-    bind_liveness`) keep their ``peer.alive`` read/write API; writes
-    flow through :meth:`set_alive` so count and cache stay consistent.
+    It is the one backing of ``Peer.alive``: every :class:`Peer` of a
+    network holds the network's table, and its ``alive`` writes flow
+    through :meth:`set_alive` so count and cache stay consistent.
     """
 
     __slots__ = ("flags", "_alive_count", "_alive_ids")
@@ -92,7 +92,8 @@ class Peer:
     store:
         The peer's shared files (initial endowment + downloads).
     alive:
-        Churn flag; dead peers neither receive nor send.
+        Churn flag; dead peers neither receive nor send.  Read from and
+        written to the network's :class:`LivenessTable`.
     protocol_state:
         Namespace dict the active protocol fills on first use (e.g.
         Locaware's response index and Bloom filters); empty for a peer
@@ -104,7 +105,6 @@ class Peer:
         "locid",
         "gid",
         "store",
-        "_alive",
         "_liveness",
         "protocol_state",
     )
@@ -115,38 +115,23 @@ class Peer:
         locid: int,
         gid: int,
         store: FileStore,
+        liveness: LivenessTable,
     ) -> None:
         self.peer_id = peer_id
         self.locid = locid
         self.gid = gid
         self.store = store
-        self._alive = True
-        self._liveness: LivenessTable | None = None
+        self._liveness = liveness
         self.protocol_state: dict[str, Any] = {}
 
     @property
     def alive(self) -> bool:
         """Churn flag; dead peers neither receive nor send."""
-        table = self._liveness
-        if table is None:
-            return self._alive
-        return bool(table.flags[self.peer_id])
+        return bool(self._liveness.flags[self.peer_id])
 
     @alive.setter
     def alive(self, value: bool) -> None:
-        table = self._liveness
-        if table is None:
-            self._alive = bool(value)
-        else:
-            table.set_alive(self.peer_id, bool(value))
-
-    def bind_liveness(self, table: LivenessTable) -> None:
-        """Back this peer's ``alive`` flag by a shared table.
-
-        Called by :class:`~repro.overlay.network.P2PNetwork` at
-        assembly; the peer's current state is carried into the table."""
-        table.set_alive(self.peer_id, self._alive)
-        self._liveness = table
+        self._liveness.set_alive(self.peer_id, bool(value))
 
     def reset_session_state(self) -> None:
         """Forget soft state on leave (caches die with the session).

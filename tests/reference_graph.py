@@ -5,11 +5,13 @@ against (``tests/test_substrate_equivalence.py``,
 ``tests/test_property_substrates.py``, ``tests/test_hot_path_counts.py``):
 same construction RNG draws (both build from ``_random_rows``), same
 insertion-ordered neighbor rows (``dict[int, None]`` rows preserve
-insertion order), same mutation rules — and **no derived state**: every
-``neighbors_view`` copies the row and every ``ranked_neighbors`` sorts it
-again, asking ``degree`` once per member.  That is what the production
-graph's per-wiring caches must be indistinguishable from, and what a
-last-resort hop cost before those caches existed.
+insertion order), same mutation rules — and **no shared or derived
+state**: every ``neighbors_view`` builds a fresh tuple from a mutable
+row, and every ``ranked_neighbors`` sorts it again, asking ``degree``
+once per member.  That is what the production graph's immutable row
+tuples (shared between copies) and per-wiring rankings must be
+indistinguishable from, and what a last-resort hop cost before the
+rankings were cached.
 
 Lived in ``src/repro/overlay/graph.py`` as ``DictOverlayGraph`` until
 it had no caller there; a reference implementation belongs with the
@@ -114,9 +116,6 @@ class DictOverlayGraph:
             components.append(component)
         return components
 
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
-
     def add_peer(self, peer_id: int, num_links: int, rng: random.Random) -> list[int]:
         if peer_id in self._adjacency:
             raise ValueError(f"peer {peer_id} already in the overlay")
@@ -136,10 +135,3 @@ class DictOverlayGraph:
         for neighbor in row:
             self._adjacency[neighbor].pop(peer_id, None)
         return set(row)
-
-    def degree_histogram(self) -> dict[int, int]:
-        histogram: dict[int, int] = {}
-        for row in self._adjacency.values():
-            d = len(row)
-            histogram[d] = histogram.get(d, 0) + 1
-        return histogram

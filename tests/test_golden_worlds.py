@@ -14,7 +14,9 @@ leave out (``VARIANTS``), over
   sample of peer pairs (``repr`` of the floats: exact),
 - every peer's gid and initial shares,
 - every filename in file-id order,
-- the overlay's CSR arrays (``indptr`` / ``indices``).
+- the overlay wiring, as CSR arrays (``indptr`` / ``indices``) derived
+  from the public rows (``neighbors_view``), so the digests recorded
+  when the graph stored its rows that way still hold.
 
 A change to the build that claims "same world, RNG streams consumed
 draw for draw" proves it by leaving that file alone.
@@ -79,6 +81,15 @@ def world_config(model, peers, seed, **changes):
     return small_config(seed=seed).replace(**{**ratios, **changes})
 
 
+def csr(graph, peers):
+    """The wiring as ``indptr`` / ``indices``: every row in peer-id order."""
+    indptr, indices = [0], []
+    for pid in range(peers):
+        indices.extend(graph.neighbors_view(pid))
+        indptr.append(len(indices))
+    return {"indptr": indptr, "indices": indices}
+
+
 def world_digest(model, peers, seed, variant=None):
     """sha256 of one freshly built world."""
     changes = VARIANTS[variant] if variant is not None else {}
@@ -95,8 +106,7 @@ def world_digest(model, peers, seed, variant=None):
         "filenames": [
             world.catalog.filename(fid) for fid in range(world.catalog.num_files)
         ],
-        "indptr": list(world.graph._indptr),
-        "indices": list(world.graph._indices),
+        **csr(world.graph, peers),
     }
     text = json.dumps(parts, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -20,7 +20,7 @@ class TestRandomConstruction:
     def test_connected_after_patching(self):
         for seed in range(5):
             g = OverlayGraph.random(100, 3.0, random.Random(seed))
-            assert g.is_connected()
+            assert len(g.components()) == 1
 
     def test_connecting_adds_few_edges(self):
         unpatched = OverlayGraph.random(200, 3.0, random.Random(3), connect_components=False)
@@ -84,9 +84,8 @@ class TestQueries:
         assert g.neighbors_view(0) == (2, 1)
         assert g.ranked_neighbors(0) == (1, 2)
 
-    def test_degree_histogram_sums(self, graph):
-        histogram = graph.degree_histogram()
-        assert sum(histogram.values()) == graph.num_peers
+    def test_degrees_sum_to_twice_the_edges(self, graph):
+        assert sum(graph.degree(pid) for pid in graph.peers()) == 2 * graph.num_edges
 
     def test_components_partition_peers(self, graph):
         components = graph.components()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.files import FileCatalog, FileStore, KeywordPool
 from repro.overlay import Peer
+from repro.overlay.peer import LivenessTable
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +15,13 @@ def catalog():
 
 
 def make_peer(catalog, peer_id=0, locid=3, gid=1):
-    return Peer(peer_id=peer_id, locid=locid, gid=gid, store=FileStore(catalog))
+    return Peer(
+        peer_id=peer_id,
+        locid=locid,
+        gid=gid,
+        store=FileStore(catalog),
+        liveness=LivenessTable(peer_id + 1),
+    )
 
 
 class TestPeer:
@@ -24,6 +31,15 @@ class TestPeer:
         assert peer.locid == 3
         assert peer.gid == 1
         assert peer.protocol_state == {}
+
+    def test_alive_is_the_liveness_table_flag(self, catalog):
+        peer = make_peer(catalog, peer_id=2)
+        table = peer._liveness
+        peer.alive = False
+        assert not peer.alive
+        assert table.flags[2] == 0 and table.alive_count() == 2
+        table.set_alive(2, True)
+        assert peer.alive
 
     def test_reset_session_state_clears_soft_state(self, catalog):
         peer = make_peer(catalog)

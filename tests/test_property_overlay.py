@@ -67,7 +67,7 @@ class TestGraphMutationProperties:
     @settings(max_examples=30, deadline=None)
     def test_connectivity_patch_always_connects(self, seed):
         graph = OverlayGraph.random(50, 1.5, random.Random(seed))
-        assert graph.is_connected()
+        assert len(graph.components()) == 1
 
     @given(seed=st.integers(0, 500), num_peers=st.integers(10, 60))
     @settings(max_examples=30, deadline=None)

@@ -313,6 +313,8 @@ class OverlayGraph:
         Returns the chosen neighbor ids.  Joining an existing id is an
         error; pick ids with :meth:`contains` first.
         """
+        if peer_id < 0:
+            raise ValueError(f"peer ids are non-negative, got {peer_id}")
         if self.contains(peer_id):
             raise ValueError(f"peer {peer_id} already in the overlay")
         candidates = self._sorted_present()

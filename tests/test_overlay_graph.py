@@ -124,6 +124,14 @@ class TestMutation:
         with pytest.raises(ValueError):
             g.add_peer(0, 3, random.Random(1))
 
+    def test_add_negative_id_rejected(self):
+        """A negative id would index the last peer's row."""
+        g = OverlayGraph.random(10, 3.0, random.Random(1))
+        row = g.neighbors_view(9)
+        with pytest.raises(ValueError):
+            g.add_peer(-1, 3, random.Random(2))
+        assert g.neighbors_view(9) == row and g.num_peers == 10
+
     def test_add_peer_to_empty_graph(self):
         g = OverlayGraph(0)
         assert g.add_peer(0, 3, random.Random(1)) == []

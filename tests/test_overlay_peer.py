@@ -33,8 +33,8 @@ class TestPeer:
         assert peer.protocol_state == {}
 
     def test_alive_is_the_liveness_table_flag(self, catalog):
-        peer = make_peer(catalog, peer_id=2)
-        table = peer._liveness
+        table = LivenessTable(3)
+        peer = Peer(peer_id=2, locid=3, gid=1, store=FileStore(catalog), liveness=table)
         peer.alive = False
         assert not peer.alive
         assert table.flags[2] == 0 and table.alive_count() == 2

@@ -9,11 +9,12 @@ contract to the old one:
 
 - every golden-ledger cell (``tests/test_golden_documents.py``: each
   protocol × baseline / churn-storm / flash-crowd × seeds 1, 2 × both
-  latency models, and its churn and eviction slices), plus a storm that has copies reach dead peers in
-  every protocol, gives the same full metric snapshot, outcomes, event
-  count, end time and per-peer end state (kinds of protocol state,
-  stored neighbor filters) run directly and through the trampoline.  The
-  golden digests do not pin counters such as
+  latency models, and its churn and eviction slices), plus a storm that
+  has copies reach dead peers in every protocol, gives the same full
+  metric snapshot, outcomes, event count, end time and per-peer end
+  state (kinds of protocol state, stored neighbor filters) run directly
+  and through the trampoline.  The golden digests do not pin counters
+  such as
   ``messages.dropped_dead_peer``, ``queries.duplicate_copies``,
   ``index.lookups`` or ``routing.*``; this does;
 - every handler ``src/`` passes to ``send`` (found by watching ``send``

@@ -1,42 +1,28 @@
 """Shared fixtures for the benchmark harness.
 
 ``test_figures.py`` gates Figures 2-4 on one four-protocol comparison
-run at the paper's §5.1 configuration, computed once per session;
+run at the paper's §5.1 configuration (``BENCH_MAX_QUERIES`` queries
+per protocol, the paper-date seed), computed once per session;
 ``test_ablations.py`` runs every entry of the ablation table
 (``repro.experiments.ablations.ABLATIONS``) and gates it on its claim
-rows.  Scale is tunable through environment variables so CI can run a
-cheap pass:
+rows.  Both print their figure or table through ``capsys.disabled()``
+(the ``show`` fixture), so it appears on the terminal even under
+pytest's capture.
 
-- ``REPRO_BENCH_QUERIES``  — figure-bench query horizon per protocol
-  (default 1500);
-- ``REPRO_BENCH_ABLATION_QUERIES`` — ablation-bench horizon per run
-  (default 400; ``test_ablations.py`` shortens A4's and A8's);
-- ``REPRO_BENCH_SEED``     — master seed of the figure bench (default:
-  the paper-date seed; the ablation bench runs ``paper_config()``'s).
-
-Output: the figure and ablation benches print their figure or table
-through ``capsys.disabled()`` (the ``show`` fixture), so it appears on
-the terminal even under pytest's capture.  The perf benches also
-record their headline numbers in the tracked ``BENCH_*.json`` files at
-the repo root, but only under ``REPRO_BENCH_WRITE=1`` (the CI
-bench-smoke step sets it): a plain tier-1 run leaves the tree clean.
-
-Wall-clock gates use :func:`time_interleaved`: interleaved repeats, a
-median, and the spread the same drift-cancelled ratio shows between
-runs of the *same* side, so a gate reads "worse than the noise floor"
-instead of a bare ratio.
+The ``test_perf_*.py`` files are wall-clock gates on properties
+``bench/`` does not measure.  They assert and write no file: speed is
+recorded by ``bench/`` alone.  Each uses :func:`time_interleaved`:
+interleaved repeats, a median, and the spread the same drift-cancelled
+ratio shows between runs of the *same* side, so a gate reads "worse
+than the noise floor" instead of a bare ratio.
 """
 
 from __future__ import annotations
 
 import gc
-import json
-import os
 import statistics
-import sys
 import time
 from collections.abc import Callable
-from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -49,57 +35,6 @@ from repro.experiments import (
     GridSpec,
     paper_config,
 )
-
-# The reference substrate (``reference_latency``) lives next to the
-# tests that hold the production one to it; ``test_perf_scale.py``
-# times the production path against it.
-sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
-
-
-def _env_int(name: str, default: int) -> int:
-    """Parse an integer tuning knob from the environment.
-
-    A malformed value aborts collection with a usage error naming the
-    variable, instead of surfacing as a bare ``ValueError`` deep inside
-    a fixture.
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise pytest.UsageError(
-            f"environment variable {name} must be an integer, got {raw!r}"
-        ) from None
-
-
-def bench_queries() -> int:
-    """Figure-bench query horizon (env-tunable)."""
-    return _env_int("REPRO_BENCH_QUERIES", BENCH_MAX_QUERIES)
-
-
-def ablation_queries() -> int:
-    """Ablation-bench query horizon (env-tunable)."""
-    return _env_int("REPRO_BENCH_ABLATION_QUERIES", 400)
-
-
-def bench_seed() -> int:
-    """Master seed for every bench (env-tunable)."""
-    return _env_int("REPRO_BENCH_SEED", 20090322)
-
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def write_bench_json(name: str, payload: dict) -> str:
-    """Record ``payload`` as ``BENCH_<name>.json`` at the repo root if
-    ``REPRO_BENCH_WRITE=1``; returns the note to print either way."""
-    path = REPO_ROOT / f"BENCH_{name}.json"
-    if os.environ.get("REPRO_BENCH_WRITE") != "1":
-        return f"{path.name} not written (set REPRO_BENCH_WRITE=1)"
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return f"written to {path.name}"
 
 
 class InterleavedTiming(NamedTuple):
@@ -161,10 +96,11 @@ def time_interleaved(
 def figure_comparison():
     """The shared §5.1 four-protocol comparison behind Figures 2-4: one
     seed and one scenario of a storeless grid."""
+    base = paper_config()
     spec = GridSpec(
-        base_config=paper_config(),
-        seeds=(bench_seed(),),
-        max_queries=bench_queries(),
+        base_config=base,
+        seeds=(base.seed,),
+        max_queries=BENCH_MAX_QUERIES,
         bucket_width=BENCH_BUCKET_WIDTH,
     )
     return comparison_slice(GridRunner(spec).run())

@@ -30,8 +30,7 @@ from repro.experiments import FIGURES, fig2_download_distance
 
 
 @pytest.mark.parametrize("figure", FIGURES, ids=lambda f: f.EXPERIMENT_ID)
-def test_figure(figure, figure_comparison, benchmark, show):
-    benchmark(figure.figure_series, figure_comparison)
+def test_figure(figure, figure_comparison, show):
     show(figure.render(figure_comparison))
 
     checks = check_paper_claims(figure_comparison, figure.EXPERIMENT_ID)

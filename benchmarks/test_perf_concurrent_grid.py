@@ -1,17 +1,13 @@
-"""Micro-benchmark of concurrent grid runners (``BENCH_concurrent_grid.json``).
+"""Wall-clock gate on concurrent grid runners.
 
 Measures the property the claim layer exists for: two independent
 runner *processes* pointed at one shared store partition a cold grid
 dynamically — zero duplicate executions — and finish faster than one
 runner doing every cell alone.  The same cold grid is run from scratch
 by a single runner and by two concurrent runners, in interleaved
-rounds; the median wall-clock ratio is the headline number, gated
-against the spread of the single-runner rounds, and the execution
-tallies of every round are hard-asserted.
-
-The measurements are written to ``BENCH_concurrent_grid.json`` at the
-repo root (under ``REPRO_BENCH_WRITE=1``) so CI and future PRs can
-track the concurrency win over time.
+rounds; the execution tallies of every round are hard-asserted, and
+the median wall-clock ratio is gated against the spread of the
+single-runner rounds.
 """
 
 import json
@@ -20,7 +16,7 @@ import os
 from pathlib import Path
 
 import pytest
-from conftest import time_interleaved, write_bench_json
+from conftest import time_interleaved
 
 from repro.experiments import GridRunner, GridSpec, small_config
 from repro.results import ResultStore
@@ -111,37 +107,15 @@ def test_perf_concurrent_grid(tmp_path, show):
         executed_per_round.append(executed)
 
     speedup = 1.0 / timing.ratio
-
-    payload = {
-        "grid": {
-            "protocols": list(PROTOCOLS),
-            "scenarios": list(SCENARIOS),
-            "seeds": list(SEEDS),
-            "max_queries": QUERIES,
-            "cells": cells,
-        },
-        "pairs": PAIRS,
-        "one_runner": {"wall_s": timing.baseline_s, "executed": cells},
-        "two_runners": {
-            "wall_s": timing.candidate_s,
-            "executed": executed_per_round,
-        },
-        "speedup": speedup,
-        "noise_floor": timing.noise,
-        "cpus": os.cpu_count(),
-    }
-    written = write_bench_json("concurrent_grid", payload)
-
     show(
-        "BENCH concurrent_grid (lease-claimed shared store)\n"
+        "two runners vs one (lease-claimed shared store)\n"
         f"  grid: {cells} cells × {QUERIES} queries, "
         f"{PAIRS} interleaved pairs\n"
         f"  1 runner  {min(timing.baseline_s):7.3f} s best "
         f"({cells} executed, spread {100 * timing.noise:.1f}%)\n"
         f"  2 runners {min(timing.candidate_s):7.3f} s best "
         f"(splits {executed_per_round}, 0 duplicates)   "
-        f"-> median {speedup:.2f}x\n"
-        f"  {written}"
+        f"-> median {speedup:.2f}x"
     )
 
     # On a multi-core box two runners must beat one.  Only the ordering

@@ -1,12 +1,13 @@
-"""Tracing-off overhead gate for the observability layer (``BENCH_tracing.json``).
+"""Tracing-off overhead gate for the observability layer.
 
 The telemetry/tracing layer must be free when it is off.  "Off" is the
 default ``run_protocol`` path: a :class:`NullTracer`, guarded emit
 sites, unconditional operational counters, queue-peak tracking in
 ``schedule_at``, and one post-run telemetry collection.  This bench
 times that path against a reconstructed *pre-observability* baseline
-on the BENCH_scale frontier cell and asserts the overhead stays under
-a ceiling stated against the host's noise floor: the median over
+on one Locaware cell (``NUM_PEERS`` peers at the small-config ratios,
+router latencies, ``QUERIES`` queries) and asserts the overhead stays
+under a ceiling stated against the host's noise floor: the median over
 interleaved pairs must not exceed 3 % *plus* what two runs of the
 baseline itself differ by on this host at this moment.
 
@@ -19,22 +20,13 @@ fan-out on both sides.  The guarded trace emits and
 the new counters stay in — they are part of the instrumented code
 under test — so the measured delta is, if anything, an overestimate
 of what the observability layer costs relative to the previous code.
-
-Scale knobs (CI runs a cheap pass, a workstation can push harder):
-
-- ``REPRO_BENCH_TRACING_PEERS``   — frontier cell size (default 600);
-- ``REPRO_BENCH_TRACING_QUERIES`` — query horizon (default 300).
-
-Results land in ``BENCH_tracing.json`` at the repo root under
-``REPRO_BENCH_WRITE=1``.
 """
 
-import os
 from heapq import heappush
 from math import inf, isfinite
 
 import pytest
-from conftest import time_interleaved, write_bench_json
+from conftest import time_interleaved
 
 from repro.experiments import run_protocol, small_config
 from repro.overlay import NetworkBlueprint
@@ -50,30 +42,18 @@ OVERHEAD_CEILING_PCT = 3.0
 #: hits both sides equally; the gate reads the median.
 PAIRS = 7
 
-
-def _env_int(name, default):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise pytest.UsageError(
-            f"environment variable {name} must be an integer, got {raw!r}"
-        ) from None
+#: The timed cell: peers and query horizon.
+NUM_PEERS = 600
+QUERIES = 300
 
 
-NUM_PEERS = _env_int("REPRO_BENCH_TRACING_PEERS", 600)
-QUERIES = _env_int("REPRO_BENCH_TRACING_QUERIES", 300)
-
-
-def _scale_config(num_peers, seed=11):
-    """The BENCH_scale frontier cell: small-config ratios scaled to
-    ``num_peers`` on the router substrate (mirrors test_perf_scale)."""
-    return small_config(seed=seed).replace(
-        num_peers=num_peers,
-        num_files=3 * num_peers,
-        keyword_pool_size=9 * num_peers,
+def _config():
+    """Small-config ratios scaled to ``NUM_PEERS`` on the router
+    substrate."""
+    return small_config(seed=11).replace(
+        num_peers=NUM_PEERS,
+        num_files=3 * NUM_PEERS,
+        keyword_pool_size=9 * NUM_PEERS,
         latency_model="router",
         query_rate_per_peer=0.02,
     )
@@ -130,7 +110,7 @@ def _check_twin_matches_live_engine():
 
 def test_perf_tracing_off_overhead(show):
     _check_twin_matches_live_engine()
-    config = _scale_config(NUM_PEERS)
+    config = _config()
     blueprint = NetworkBlueprint.build(config)
 
     def run_instrumented():
@@ -154,24 +134,8 @@ def test_perf_tracing_off_overhead(show):
     overhead_pct = 100.0 * (timing.ratio - 1.0)
     noise_pct = 100.0 * timing.noise
 
-    payload = {
-        "config": {
-            "protocol": PROTOCOL,
-            "num_peers": NUM_PEERS,
-            "queries": QUERIES,
-            "latency_model": "router",
-            "pairs": PAIRS,
-        },
-        "overhead_pct": overhead_pct,
-        "noise_floor_pct": noise_pct,
-        "ceiling_pct": OVERHEAD_CEILING_PCT,
-        "baseline_times_s": timing.baseline_s,
-        "instrumented_times_s": timing.candidate_s,
-    }
-    written = write_bench_json("tracing", payload)
-
     show(
-        "BENCH tracing-off overhead "
+        "tracing-off overhead "
         f"({PROTOCOL}, {NUM_PEERS} peers, {QUERIES} queries, router, "
         f"{PAIRS} interleaved pairs)\n"
         f"    baseline (no telemetry, untracked queue): "
@@ -179,8 +143,7 @@ def test_perf_tracing_off_overhead(show):
         f"    instrumented (NullTracer + telemetry):    "
         f"{min(timing.candidate_s):7.3f} s best\n"
         f"    median overhead: {overhead_pct:+.2f}% "
-        f"(ceiling {OVERHEAD_CEILING_PCT:.1f}% + noise floor {noise_pct:.2f}%)\n"
-        f"    {written}"
+        f"(ceiling {OVERHEAD_CEILING_PCT:.1f}% + noise floor {noise_pct:.2f}%)"
     )
 
     assert overhead_pct < OVERHEAD_CEILING_PCT + noise_pct, (

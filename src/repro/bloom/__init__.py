@@ -8,12 +8,7 @@ for cache evictions, and the changed-bit update protocol of footnote 1.
 from .bloom_filter import element_mask, elements_mask
 from .counting import CountingBloomFilter
 from .delta import BloomDelta, DeltaCodec
-from .params import (
-    expected_fill_fraction,
-    false_positive_rate,
-    optimal_hash_count,
-    recommended_bits,
-)
+from .params import false_positive_rate
 
 __all__ = [
     "element_mask",
@@ -22,7 +17,4 @@ __all__ = [
     "BloomDelta",
     "DeltaCodec",
     "false_positive_rate",
-    "optimal_hash_count",
-    "recommended_bits",
-    "expected_fill_fraction",
 ]

@@ -30,10 +30,9 @@ from ..overlay.messages import BloomUpdate
 from ..overlay.network import P2PNetwork
 from ..overlay.peer import Peer
 from ..sim.engine import PeriodicProcess
+from ..sim.telemetry import BLOOM_STATE_KEY
 
 __all__ = ["PeerBloomState", "BloomRouter"]
-
-_STATE_KEY = "locaware_bloom"
 
 
 class PeerBloomState:
@@ -67,10 +66,10 @@ class BloomRouter:
 
     def state_of(self, peer: Peer) -> PeerBloomState:
         """The peer's filter state, made on first use."""
-        state = peer.protocol_state.get(_STATE_KEY)
+        state = peer.protocol_state.get(BLOOM_STATE_KEY)
         if state is None:
             state = PeerBloomState(self._bits, self._hashes)
-            peer.protocol_state[_STATE_KEY] = state
+            peer.protocol_state[BLOOM_STATE_KEY] = state
         return state
 
     # -- cache synchronisation -----------------------------------------------
@@ -116,7 +115,7 @@ class BloomRouter:
         # Most ticks end here, for the price of one int compare: the
         # vector equals the one last pushed, or there is no state at
         # all (it dies with the session when a peer leaves).
-        state = peer.protocol_state.get(_STATE_KEY)
+        state = peer.protocol_state.get(BLOOM_STATE_KEY)
         if state is None:
             return
         current = state.cbf.bit_int()
@@ -170,7 +169,7 @@ class BloomRouter:
         """Members of ``row`` (the peer's neighbor row) whose stored filter
         covers ``mask`` — contains every keyword of a query whose
         :meth:`keyword_mask` it is (§4.2)."""
-        state = peer.protocol_state.get(_STATE_KEY)
+        state = peer.protocol_state.get(BLOOM_STATE_KEY)
         if state is None or not state.neighbor_filters:
             return []
         stored_filter = state.neighbor_filters.get

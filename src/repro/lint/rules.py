@@ -240,7 +240,7 @@ class UnguardedEmitRule(Rule):
     )
     scope = "deterministic"
     rationale = (
-        "The <3% tracing-off overhead gate (BENCH_tracing.json) holds "
+        "The <3% tracing-off overhead gate (benchmarks/test_perf_tracing.py) holds "
         "because disabled runs skip trace-payload construction "
         "entirely: every emit call site sits under an `if "
         "tracer.enabled:` check (or after an early `if not "

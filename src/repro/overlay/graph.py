@@ -332,8 +332,8 @@ class OverlayGraph:
             self._add_edge(peer_id, neighbor)
         return chosen
 
-    def remove_peer(self, peer_id: int) -> set[int]:
-        """Remove ``peer_id`` and its links; returns its former neighbors."""
+    def remove_peer(self, peer_id: int) -> None:
+        """Remove ``peer_id`` and its links."""
         row = self.neighbors_view(peer_id)
         rows = self._rows
         self._forget(peer_id, row)
@@ -347,7 +347,6 @@ class OverlayGraph:
         self._num_edges -= len(row)
         if self._present_sorted is not None:
             del self._present_sorted[bisect_index(self._present_sorted, peer_id)]
-        return set(row)
 
 
 def bisect_index(sorted_list: list[int], value: int) -> int:

@@ -21,7 +21,6 @@ Public surface:
 from .config import SimulationConfig
 from .engine import Event, PeriodicProcess, Simulator
 from .errors import (
-    CancelledEventError,
     ConfigurationError,
     EventLoopError,
     SchedulingError,
@@ -61,5 +60,4 @@ __all__ = [
     "ConfigurationError",
     "SchedulingError",
     "EventLoopError",
-    "CancelledEventError",
 ]

@@ -22,7 +22,3 @@ class SchedulingError(SimulationError):
 
 class EventLoopError(SimulationError):
     """The event loop was driven incorrectly (e.g. run() re-entered)."""
-
-
-class CancelledEventError(SimulationError):
-    """A cancelled event handle was used where a live one is required."""

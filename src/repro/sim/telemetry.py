@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = [
+    "BLOOM_STATE_KEY",
     "TELEMETRY_VERSION",
     "PhaseTimers",
     "RunTelemetry",
@@ -46,9 +47,9 @@ __all__ = [
 TELEMETRY_VERSION = 1
 
 #: ``Peer.protocol_state`` key under which Locaware-family protocols
-#: keep their Bloom state (mirrors ``core.bloom_router._STATE_KEY``;
-#: duplicated here because the sim layer must not import core).
-_BLOOM_STATE_KEY = "locaware_bloom"
+#: keep their Bloom state (``core.bloom_router`` writes it, telemetry
+#: reads it; defined here because the sim layer must not import core).
+BLOOM_STATE_KEY = "locaware_bloom"
 
 
 def _gc_collections() -> list[int]:
@@ -160,7 +161,7 @@ def _bloom_stats(network: Any, snapshot: dict[str, float]) -> dict[str, Any]:
     fills = []
     fp_estimates = []
     for peer in getattr(network, "peers", ()):  # duck-typed: sim must not import overlay
-        state = peer.protocol_state.get(_BLOOM_STATE_KEY)
+        state = peer.protocol_state.get(BLOOM_STATE_KEY)
         exported = getattr(state, "exported", None)
         if exported is not None:
             config = network.config

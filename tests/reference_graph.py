@@ -128,10 +128,9 @@ class DictOverlayGraph:
             self._add_edge(peer_id, neighbor)
         return chosen
 
-    def remove_peer(self, peer_id: int) -> set[int]:
+    def remove_peer(self, peer_id: int) -> None:
         row = self._adjacency.pop(peer_id, None)
         if row is None:
             raise KeyError(f"peer {peer_id} not in the overlay")
         for neighbor in row:
             self._adjacency[neighbor].pop(peer_id, None)
-        return set(row)

@@ -4,8 +4,7 @@
 latency model binds once over the peer placement.  The functions here
 ask the model per call instead (two nearest-router searches for the
 router model): the oracle ``tests/test_substrate_equivalence.py`` and
-``tests/test_net_underlay.py`` hold the bound path against, and the
-scan path ``benchmarks/test_perf_scale.py`` times it against.
+``tests/test_net_underlay.py`` hold the bound path against.
 
 Lived on :class:`repro.net.underlay.Underlay` as the ``scan_latency_ms``
 / ``scan_rtt_ms`` methods until they had no caller in ``src/``; a

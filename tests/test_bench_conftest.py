@@ -1,4 +1,4 @@
-"""Tests for the benchmark harness's environment-variable parsing.
+"""Tests for the benchmark harness's interleaved timer.
 
 ``benchmarks/conftest.py`` is not an importable package module, so it
 is loaded here by file path.
@@ -18,64 +18,6 @@ def bench_conftest():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-class TestEnvParsing:
-    def test_defaults_without_env(self, bench_conftest, monkeypatch):
-        for name in (
-            "REPRO_BENCH_QUERIES",
-            "REPRO_BENCH_ABLATION_QUERIES",
-            "REPRO_BENCH_SEED",
-        ):
-            monkeypatch.delenv(name, raising=False)
-        assert bench_conftest.bench_queries() == 1500
-        assert bench_conftest.ablation_queries() == 400
-        assert bench_conftest.bench_seed() == 20090322
-
-    def test_valid_overrides(self, bench_conftest, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_QUERIES", "250")
-        monkeypatch.setenv("REPRO_BENCH_ABLATION_QUERIES", "60")
-        monkeypatch.setenv("REPRO_BENCH_SEED", "-7")
-        assert bench_conftest.bench_queries() == 250
-        assert bench_conftest.ablation_queries() == 60
-        assert bench_conftest.bench_seed() == -7
-
-    @pytest.mark.parametrize("bad", ["", "abc", "1.5", "1e3", "12 00"])
-    def test_malformed_value_raises_usage_error(
-        self, bench_conftest, monkeypatch, bad
-    ):
-        monkeypatch.setenv("REPRO_BENCH_QUERIES", bad)
-        with pytest.raises(pytest.UsageError) as excinfo:
-            bench_conftest.bench_queries()
-        message = str(excinfo.value)
-        assert "REPRO_BENCH_QUERIES" in message
-        assert repr(bad) in message
-
-    def test_malformed_ablation_and_seed_name_the_variable(
-        self, bench_conftest, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_BENCH_ABLATION_QUERIES", "many")
-        with pytest.raises(pytest.UsageError, match="REPRO_BENCH_ABLATION_QUERIES"):
-            bench_conftest.ablation_queries()
-        monkeypatch.setenv("REPRO_BENCH_SEED", "paper")
-        with pytest.raises(pytest.UsageError, match="REPRO_BENCH_SEED"):
-            bench_conftest.bench_seed()
-
-
-class TestBenchWriteGate:
-    def test_plain_run_writes_nothing(self, bench_conftest, monkeypatch, tmp_path):
-        monkeypatch.setattr(bench_conftest, "REPO_ROOT", tmp_path)
-        monkeypatch.delenv("REPRO_BENCH_WRITE", raising=False)
-        note = bench_conftest.write_bench_json("demo", {"x": 1})
-        assert list(tmp_path.iterdir()) == []
-        assert "REPRO_BENCH_WRITE=1" in note
-
-    def test_writes_under_the_env_guard(self, bench_conftest, monkeypatch, tmp_path):
-        monkeypatch.setattr(bench_conftest, "REPO_ROOT", tmp_path)
-        monkeypatch.setenv("REPRO_BENCH_WRITE", "1")
-        note = bench_conftest.write_bench_json("demo", {"x": 1})
-        assert (tmp_path / "BENCH_demo.json").read_text() == '{\n  "x": 1\n}\n'
-        assert note == "written to BENCH_demo.json"
 
 
 class TestTimeInterleaved:

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.bloom import (
-    expected_fill_fraction,
-    false_positive_rate,
-    optimal_hash_count,
-    recommended_bits,
-)
+from repro.bloom import false_positive_rate
 
 
 class TestFalsePositiveRate:
@@ -37,48 +32,3 @@ class TestFalsePositiveRate:
         with pytest.raises(ValueError):
             false_positive_rate(100, 4, -1)
 
-
-class TestOptimalHashCount:
-    def test_known_value(self):
-        # m/n = 8 => k* = 8 ln2 ≈ 5.5 => 6 (rounded).
-        assert optimal_hash_count(1200, 150) == 6
-
-    def test_at_least_one(self):
-        assert optimal_hash_count(8, 1000) == 1
-
-    def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            optimal_hash_count(0, 10)
-        with pytest.raises(ValueError):
-            optimal_hash_count(100, 0)
-
-
-class TestRecommendedBits:
-    def test_achieves_target(self):
-        n = 150
-        m = recommended_bits(n, 0.02)
-        k = optimal_hash_count(m, n)
-        assert false_positive_rate(m, k, n) <= 0.025  # small rounding slack
-
-    def test_monotone_in_strictness(self):
-        assert recommended_bits(150, 0.001) > recommended_bits(150, 0.1)
-
-    def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            recommended_bits(0, 0.01)
-        with pytest.raises(ValueError):
-            recommended_bits(100, 1.5)
-
-
-class TestFillFraction:
-    def test_zero_when_empty(self):
-        assert expected_fill_fraction(1200, 4, 0) == 0.0
-
-    def test_approaches_one(self):
-        assert expected_fill_fraction(100, 4, 10000) > 0.99
-
-    def test_half_filled_at_optimum(self):
-        """At the optimal k the fill fraction is ~0.5."""
-        n, m = 150, 1200
-        k = optimal_hash_count(m, n)
-        assert expected_fill_fraction(m, k, n) == pytest.approx(0.5, abs=0.05)

@@ -208,7 +208,7 @@ class TestConfig:
         assert config.layer_of("src/repro/__init__.py") == "__init__"
         assert config.layer_of("src/repro/lint/rules.py") == "lint"
         assert config.layer_of("tests/test_cli.py") is None
-        assert config.layer_of("benchmarks/test_perf_scale.py") is None
+        assert config.layer_of("benchmarks/test_perf_tracing.py") is None
 
     def test_module_parts(self):
         config = repo_config()

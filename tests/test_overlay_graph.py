@@ -100,7 +100,8 @@ class TestMutation:
     def test_remove_peer_drops_links(self):
         g = OverlayGraph.random(30, 3.0, random.Random(11))
         victim = 5
-        neighbors = g.remove_peer(victim)
+        neighbors = g.neighbors_view(victim)
+        g.remove_peer(victim)
         assert not g.contains(victim)
         for neighbor in neighbors:
             assert victim not in g.neighbors(neighbor)

@@ -43,6 +43,7 @@ from repro.experiments.grid import ScenarioSpec
 from repro.overlay import NetworkBlueprint, P2PNetwork
 from repro.protocols.base import SearchProtocol
 from repro.scenarios import make_scenario
+from repro.sim.telemetry import BLOOM_STATE_KEY
 
 #: The handlers ``src/`` passes to ``P2PNetwork.send``.
 MESSAGE_HANDLERS = {
@@ -75,7 +76,7 @@ def cell_config(model, seed):
 def peer_state(peer):
     """What a peer holds at the end of a cell: its kinds of protocol
     state, and its copies of its neighbors' Bloom filters."""
-    bloom = peer.protocol_state.get("locaware_bloom")
+    bloom = peer.protocol_state.get(BLOOM_STATE_KEY)
     filters = sorted(bloom.neighbor_filters.items()) if bloom is not None else None
     return sorted(peer.protocol_state), filters
 

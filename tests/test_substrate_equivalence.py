@@ -179,7 +179,9 @@ class TestGraphBackendEquivalence:
         for _ in range(120):
             pid = ops_rng.randrange(40)
             if csr.contains(pid):
-                assert csr.remove_peer(pid) == ref.remove_peer(pid)
+                assert set(csr.neighbors_view(pid)) == set(ref.neighbors_view(pid))
+                csr.remove_peer(pid)
+                ref.remove_peer(pid)
             else:
                 assert csr.add_peer(pid, 3, csr_rng) == ref.add_peer(pid, 3, ref_rng)
             for peer in csr.peers():

@@ -46,6 +46,26 @@ class TestInsertDiscard:
         assert cbf.discard("kw1") is False
         assert cbf.bit_int() == 0
 
+    def test_vector_tracks_a_turning_over_index(self):
+        """A §5.1 index of 50 three-keyword filenames turning over 200
+        insertions: after every eviction the vector is exactly the
+        resident keywords' masks."""
+        filenames = [tuple(f"kw{3 * i + j:06d}" for j in range(3)) for i in range(200)]
+        cbf = CountingBloomFilter(1200, 4)
+        for i, keywords in enumerate(filenames):
+            cbf.add_all(keywords)
+            if i >= 50:
+                for keyword in filenames[i - 50]:
+                    assert cbf.discard(keyword) is True
+            resident = filenames[max(0, i - 49) : i + 1]
+            assert cbf.bit_int() == elements_mask(
+                [kw for names in resident for kw in names], 1200, 4
+            )
+        for keywords in filenames[-50:]:
+            for keyword in keywords:
+                cbf.discard(keyword)
+        assert cbf.bit_int() == 0
+
     def test_no_false_negatives_bulk(self):
         cbf = CountingBloomFilter(1200, 4)
         elements = [f"kw{i}" for i in range(150)]

@@ -9,6 +9,7 @@ from repro.bloom.delta import DeltaCodec
 from repro.core import BloomRouter
 from repro.overlay import P2PNetwork
 from repro.sim import RecordingTracer, SimulationConfig
+from repro.sim.telemetry import BLOOM_STATE_KEY
 
 
 def make_network(seed=5, period=10.0):
@@ -38,6 +39,12 @@ class TestState:
         assert state.cbf.bit_int() == 0
         assert state.exported == 0
         assert state.neighbor_filters == {}
+
+    def test_state_sits_under_the_key_telemetry_reads(self):
+        network = make_network()
+        peer = network.peer(0)
+        state = BloomRouter(network).state_of(peer)
+        assert peer.protocol_state == {BLOOM_STATE_KEY: state}
 
     def test_reads_and_ticks_create_nothing(self):
         network = make_network(period=5.0)

@@ -239,6 +239,22 @@ class TestResume:
         assert (warm.executed, warm.cached) == (0, 8)
         assert len(store) == 8
 
+    def test_every_protocol_and_a_flash_crowd_resume_from_the_store(self, tmp_path):
+        grid = dict(
+            self.GRID,
+            protocols=("flooding", "dicas", "dicas-keys", "locaware"),
+            scenarios=("baseline", "flash-crowd:spike_probability=0.9"),
+        )
+        store = ResultStore(tmp_path)
+        cold = GridRunner(_spec(**grid), store=store).run()
+        assert (cold.executed, cold.cached) == (16, 0)
+        warm = GridRunner(_spec(**grid), store=store).run()
+        assert (warm.executed, warm.cached) == (0, 16)
+        spec = _spec(**grid)
+        store.delete(spec.cell_key(spec.expand()[0]))
+        resumed = GridRunner(spec, store=store).run()
+        assert (resumed.executed, resumed.cached) == (1, 15)
+
     def test_delete_one_cell_reruns_exactly_that_cell(self, tmp_path):
         store = ResultStore(tmp_path)
         uninterrupted = GridRunner(_spec(**self.GRID), store=store).run()

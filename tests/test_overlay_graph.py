@@ -106,6 +106,10 @@ class TestMutation:
         for neighbor in neighbors:
             assert victim not in g.neighbors(neighbor)
 
+    def test_remove_peer_returns_nothing(self):
+        g = OverlayGraph.random(30, 3.0, random.Random(11))
+        assert g.remove_peer(5) is None
+
     def test_remove_missing_raises(self):
         g = OverlayGraph(3)
         g.remove_peer(0)

@@ -50,6 +50,21 @@ class TestPut:
         assert update.evicted_filenames == ("c-d",)
         assert index.providers_of("a-b") != []
 
+    def test_a_full_index_holds_the_most_recent_filenames(self, make):
+        """200 puts into the paper's 50-filename index: the last 50 stay,
+        and a two-keyword query finds a filename iff it stayed."""
+        names = ["kw%03d-kw%03d-kw%03d" % (i, i + 1, i + 2) for i in range(200)]
+        index = make(50)
+        for i, filename in enumerate(names):
+            index.put(filename, [ProviderEntry(i, i % 24)])
+        assert index.filenames() == names[150:]
+        for i, filename in enumerate(names):
+            found = index.lookup(filename.split("-")[:2])
+            if i >= 150:
+                assert found == (filename, [ProviderEntry(i, i % 24)])
+            else:
+                assert found is None
+
     def test_no_eviction_below_capacity(self, make):
         assert make(3).put("a-b", [ProviderEntry(1)]).evicted_filenames == ()
 

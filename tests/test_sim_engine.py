@@ -42,6 +42,14 @@ class TestScheduling:
         sim.run()
         assert order == ["first", "second", "third"]
 
+    def test_ten_thousand_events_run_in_time_then_scheduling_order(self):
+        sim = Simulator()
+        fired = []
+        for i in range(10_000):
+            sim.schedule(float(i % 97) * 0.01, fired.append, i)
+        assert sim.run() == 10_000
+        assert fired == sorted(range(10_000), key=lambda i: (i % 97, i))
+
     def test_callback_args_are_passed(self):
         sim = Simulator()
         seen = []

@@ -54,6 +54,15 @@ class TestZipfSampler:
         observed = counts[top_item] / 20000
         assert observed == pytest.approx(expected, rel=0.15)
 
+    def test_paper_pool_draws(self):
+        """10k draws over §5.1's 3000 files stay in range and keep the
+        top rank's share."""
+        sampler = ZipfSampler(3000, 1.0, random.Random(1))
+        draws = sampler.sample_many(10_000)
+        assert min(draws) >= 0 and max(draws) < 3000
+        observed = draws.count(sampler.item_at_rank(1)) / len(draws)
+        assert observed == pytest.approx(sampler.probability_of_rank(1), rel=0.15)
+
     def test_zero_exponent_is_uniform(self):
         sampler = ZipfSampler(10, 0.0, random.Random(11))
         for r in range(1, 11):
